@@ -117,7 +117,7 @@ func benchVoteStream(n, votesN int, seed uint64) []votes.Vote {
 func BenchmarkMatrixAdd(b *testing.B) {
 	const n = 10000
 	stream := benchVoteStream(n, 100000, 1)
-	m := votes.NewMatrix(n, votes.WithoutHistory())
+	m := votes.NewMatrix(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -138,7 +138,7 @@ func BenchmarkSwitchTrackerAdd(b *testing.B) {
 
 func BenchmarkChao92Estimate(b *testing.B) {
 	const n = 5000
-	m := votes.NewMatrix(n, votes.WithoutHistory())
+	m := votes.NewMatrix(n)
 	for _, v := range benchVoteStream(n, 50000, 3) {
 		m.Add(v)
 	}

@@ -32,9 +32,7 @@ func syntheticBatch(n, size, round int) []votes.Vote {
 // Append (one lock acquisition per 10-vote task).
 func BenchmarkSessionIngest(b *testing.B) {
 	const n, batchSize = 10000, 10
-	s := NewSession("bench", n, SessionConfig{
-		Suite: estimator.SuiteConfig{WithoutHistory: true},
-	})
+	s := NewSession("bench", n, SessionConfig{})
 	batches := make([][]votes.Vote, 64)
 	for i := range batches {
 		batches[i] = syntheticBatch(n, batchSize, i)
@@ -82,9 +80,7 @@ func (g benchGateSource) Inputs(need policy.Needs) (policy.Inputs, error) {
 // (and its one JSON encode) amortizes to noise against millions of appends.
 func BenchmarkSessionIngestGated(b *testing.B) {
 	const n, batchSize = 10000, 10
-	s := NewSession("bench", n, SessionConfig{
-		Suite: estimator.SuiteConfig{WithoutHistory: true},
-	})
+	s := NewSession("bench", n, SessionConfig{})
 	p := &policy.Policy{Rules: []policy.Rule{
 		{Name: "remaining-errors", Metric: policy.MetricRemaining, Op: ">", Value: 1e12},
 	}}
@@ -114,9 +110,7 @@ func BenchmarkSessionIngestGated(b *testing.B) {
 // the serving hot path (append a task, read the metric).
 func BenchmarkSessionIngestAndEstimate(b *testing.B) {
 	const n, batchSize = 10000, 10
-	s := NewSession("bench", n, SessionConfig{
-		Suite: estimator.SuiteConfig{WithoutHistory: true},
-	})
+	s := NewSession("bench", n, SessionConfig{})
 	batches := make([][]votes.Vote, 64)
 	for i := range batches {
 		batches[i] = syntheticBatch(n, batchSize, i)
@@ -146,9 +140,7 @@ func BenchmarkEngineParallelIngest(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		id := fmt.Sprintf("bench-%d", sessionID.Add(1))
-		s, err := e.Create(id, n, SessionConfig{
-			Suite: estimator.SuiteConfig{WithoutHistory: true},
-		})
+		s, err := e.Create(id, n, SessionConfig{})
 		if err != nil {
 			b.Error(err)
 			return
@@ -174,9 +166,7 @@ func BenchmarkEstimatesCached(b *testing.B) {
 	// 2M votes over 10k items: the switch/fingerprint state a recompute has
 	// to walk is what makes the old read path O(state).
 	const n, preTasks = 10000, 200000
-	s := NewSession("bench", n, SessionConfig{
-		Suite: estimator.SuiteConfig{WithoutHistory: true},
-	})
+	s := NewSession("bench", n, SessionConfig{})
 	for i := 0; i < preTasks; i++ {
 		if err := s.Append(syntheticBatch(n, 10, i), true); err != nil {
 			b.Fatal(err)
@@ -234,9 +224,7 @@ func BenchmarkEstimatesCached(b *testing.B) {
 // Gated at 0 allocs/op (the vote itself and the refresh both reuse state).
 func BenchmarkEstimatesDirty(b *testing.B) {
 	const n, preTasks = 10000, 200000
-	s := NewSession("bench", n, SessionConfig{
-		Suite: estimator.SuiteConfig{WithoutHistory: true},
-	})
+	s := NewSession("bench", n, SessionConfig{})
 	for i := 0; i < preTasks; i++ {
 		if err := s.Append(syntheticBatch(n, 10, i), true); err != nil {
 			b.Fatal(err)
@@ -259,8 +247,7 @@ func BenchmarkBootstrapCI(b *testing.B) {
 	const n, preTasks = 10000, 20000
 	s := NewSession("bench", n, SessionConfig{
 		Suite: estimator.SuiteConfig{
-			WithoutHistory: true,
-			Switch:         estimator.SwitchConfig{RetainLedgers: true},
+			Switch: estimator.SwitchConfig{RetainLedgers: true},
 		},
 	})
 	for i := 0; i < preTasks; i++ {
@@ -294,7 +281,6 @@ func BenchmarkWindowedEstimates(b *testing.B) {
 	const n, batchSize = 10000, 10
 	wcfg := window.Config{Size: 100, Stride: 50, DecayAlpha: 0.3}
 	s := NewSession("bench", n, SessionConfig{
-		Suite:  estimator.SuiteConfig{WithoutHistory: true},
 		Window: &wcfg,
 	})
 	batches := make([][]votes.Vote, 64)
@@ -319,7 +305,6 @@ func BenchmarkWindowedIngest(b *testing.B) {
 	const n, batchSize = 10000, 10
 	wcfg := window.Config{Size: 100, Stride: 50, DecayAlpha: 0.3}
 	s := NewSession("bench", n, SessionConfig{
-		Suite:  estimator.SuiteConfig{WithoutHistory: true},
 		Window: &wcfg,
 	})
 	batches := make([][]votes.Vote, 64)
@@ -361,9 +346,7 @@ func BenchmarkColumnarIngest(b *testing.B) {
 		b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "votes/s")
 	}
 	b.Run("memory", func(b *testing.B) {
-		run(b, NewSession("bench", n, SessionConfig{
-			Suite: estimator.SuiteConfig{WithoutHistory: true},
-		}))
+		run(b, NewSession("bench", n, SessionConfig{}))
 	})
 	b.Run("durable", func(b *testing.B) {
 		e, err := Open(Config{DataDir: b.TempDir(), WAL: wal.Options{Fsync: wal.FsyncBatch}})
@@ -371,9 +354,7 @@ func BenchmarkColumnarIngest(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer e.Close()
-		s, err := e.Create("bench", n, SessionConfig{
-			Suite: estimator.SuiteConfig{WithoutHistory: true},
-		})
+		s, err := e.Create("bench", n, SessionConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -385,9 +366,7 @@ func BenchmarkColumnarIngest(b *testing.B) {
 // a loaded session.
 func BenchmarkSessionSnapshot(b *testing.B) {
 	const n = 10000
-	s := NewSession("bench", n, SessionConfig{
-		Suite: estimator.SuiteConfig{WithoutHistory: true},
-	})
+	s := NewSession("bench", n, SessionConfig{})
 	for i := 0; i < 2000; i++ {
 		if err := s.Append(syntheticBatch(n, 10, i), true); err != nil {
 			b.Fatal(err)
@@ -412,9 +391,7 @@ func BenchmarkSessionIngestDurable(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer e.Close()
-			s, err := e.Create("bench", n, SessionConfig{
-				Suite: estimator.SuiteConfig{WithoutHistory: true},
-			})
+			s, err := e.Create("bench", n, SessionConfig{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -456,9 +433,7 @@ func BenchmarkRecovery(b *testing.B) {
 	ids := make([]string, nSessions)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("bench-%03d", i)
-		s, err := e.Create(ids[i], n, SessionConfig{
-			Suite: estimator.SuiteConfig{WithoutHistory: true},
-		})
+		s, err := e.Create(ids[i], n, SessionConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

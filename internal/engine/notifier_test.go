@@ -3,15 +3,12 @@ package engine
 import (
 	"testing"
 
-	"dqm/internal/estimator"
 	"dqm/internal/votes"
 )
 
 func notifierSession(t *testing.T) *Session {
 	t.Helper()
-	return NewSession("notify", 100, SessionConfig{
-		Suite: estimator.SuiteConfig{WithoutHistory: true},
-	})
+	return NewSession("notify", 100, SessionConfig{})
 }
 
 func drain(ch chan struct{}) int {

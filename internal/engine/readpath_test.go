@@ -81,7 +81,7 @@ func TestVersionAdvancesOnEveryMutation(t *testing.T) {
 func TestEstimatesDoNotBlockIngest(t *testing.T) {
 	const n, batches = 10000, 20000
 	mkSession := func() *Session {
-		s := NewSession("iso", n, SessionConfig{Suite: estimator.SuiteConfig{WithoutHistory: true}})
+		s := NewSession("iso", n, SessionConfig{})
 		for i := 0; i < 50; i++ {
 			if err := s.Append(syntheticBatch(n, 10, i), true); err != nil {
 				t.Fatal(err)
@@ -309,7 +309,7 @@ func TestCIResultsCachedUntilMutation(t *testing.T) {
 // (spot-checked via the monotonicity of Nominal within this vote pattern).
 func TestConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 	const n = 200
-	s := NewSession("race", n, SessionConfig{Suite: estimator.SuiteConfig{WithoutHistory: true}})
+	s := NewSession("race", n, SessionConfig{})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 3; r++ {

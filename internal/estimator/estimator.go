@@ -220,12 +220,11 @@ type SwitchEstimator struct {
 	cfg     SwitchConfig
 	tracker *switchstat.Tracker
 	n       int
-	// majHistory records the majority count at every EndTask call;
-	// majPrefix[i] is the sum of majHistory[:i], so window means in the
-	// trend detector are O(1) instead of O(window).
-	majHistory []int64
-	majPrefix  []float64
-	tasks      int
+	// majPrefix[i] is the sum of the majority counts recorded at the first
+	// i EndTask calls (len tasks+1 once a task ended), so window means in
+	// the trend detector are O(1) instead of O(window).
+	majPrefix []float64
+	tasks     int
 	// lastTrend makes the branch decision sticky: an inconclusive window
 	// keeps the previously detected direction instead of flapping between
 	// the ξ⁺ and ξ⁻ corrections (§4.3 commits to one side per dataset once
@@ -260,7 +259,6 @@ func (e *SwitchEstimator) EndTask() {
 		e.majPrefix = append(e.majPrefix, 0)
 	}
 	e.majPrefix = append(e.majPrefix, e.majPrefix[len(e.majPrefix)-1]+float64(maj))
-	e.majHistory = append(e.majHistory, maj)
 	e.trend()
 }
 
@@ -270,31 +268,31 @@ func (e *SwitchEstimator) Tasks() int { return e.tasks }
 // Tracker exposes the underlying switch statistics (read-only use).
 func (e *SwitchEstimator) Tracker() *switchstat.Tracker { return e.tracker }
 
-// trend inspects the majority history over the configured window: the mean
+// trend inspects the majority series over the configured window: the mean
 // of the most recent half-window is compared against the mean of the half
 // before it. Differences below half an item are inconclusive and keep the
 // previous direction.
 func (e *SwitchEstimator) trend() Trend {
-	h := e.majHistory
-	if len(h) < 4 {
+	t := e.tasks
+	if t < 4 {
 		return e.lastTrend
 	}
 	w := e.cfg.TrendWindow
 	if w <= 0 {
 		// A wide adaptive window captures the macro trend of the majority
 		// series rather than its task-to-task noise.
-		w = len(h) / 3
+		w = t / 3
 		if w < 12 {
 			w = 12
 		}
 	}
-	if w > len(h) {
-		w = len(h)
+	if w > t {
+		w = t
 	}
 	half := w / 2
 	sum := func(from, to int) float64 { return e.majPrefix[to] - e.majPrefix[from] }
-	recent := sum(len(h)-half, len(h)) / float64(half)
-	older := sum(len(h)-2*half, len(h)-half) / float64(half)
+	recent := sum(t-half, t) / float64(half)
+	older := sum(t-2*half, t-half) / float64(half)
 	diff := recent - older
 	// The tolerance scales with the majority level so large populations
 	// (product: majority ≈ 500) are not oversensitive to ±1-item noise.
@@ -378,20 +376,18 @@ func (e *SwitchEstimator) Estimate() SwitchEstimate {
 // continues exactly where the original was.
 func (e *SwitchEstimator) Clone() *SwitchEstimator {
 	return &SwitchEstimator{
-		cfg:        e.cfg,
-		tracker:    e.tracker.Clone(),
-		n:          e.n,
-		majHistory: append([]int64(nil), e.majHistory...),
-		majPrefix:  append([]float64(nil), e.majPrefix...),
-		tasks:      e.tasks,
-		lastTrend:  e.lastTrend,
+		cfg:       e.cfg,
+		tracker:   e.tracker.Clone(),
+		n:         e.n,
+		majPrefix: append([]float64(nil), e.majPrefix...),
+		tasks:     e.tasks,
+		lastTrend: e.lastTrend,
 	}
 }
 
 // Reset clears the estimator for a fresh permutation replay.
 func (e *SwitchEstimator) Reset() {
 	e.tracker.Reset()
-	e.majHistory = e.majHistory[:0]
 	e.majPrefix = e.majPrefix[:0]
 	e.tasks = 0
 	e.lastTrend = TrendFlat

@@ -159,11 +159,7 @@ func newMatrixMember(env Env, name string, capEligible bool, est func(*votes.Mat
 		est:   est,
 	}
 	if x.m == nil {
-		var opts []votes.Option
-		if env.Config.WithoutHistory {
-			opts = append(opts, votes.WithoutHistory())
-		}
-		x.m = votes.NewMatrix(env.N, opts...)
+		x.m = votes.NewMatrix(env.N)
 		x.owns = true
 	}
 	return x

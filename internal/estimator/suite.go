@@ -66,11 +66,6 @@ type SuiteConfig struct {
 	Switch SwitchConfig
 	// CapToPopulation clamps all species estimates into [0, N].
 	CapToPopulation bool
-	// WithoutHistory disables per-item vote history retention in the matrix.
-	// Aggregates (and therefore every estimate) are unaffected; only
-	// consumers of Matrix.History (e.g. quality.EM) need it. The permutation
-	// replay engine sets this to keep its hot path allocation-free.
-	WithoutHistory bool
 }
 
 // normalize applies the paper-default parameter fallbacks.
@@ -90,12 +85,8 @@ func (cfg SuiteConfig) normalize() SuiteConfig {
 // ValidateNames before building sessions).
 func NewSuite(n int, cfg SuiteConfig) *Suite {
 	cfg = cfg.normalize()
-	var mopts []votes.Option
-	if cfg.WithoutHistory {
-		mopts = append(mopts, votes.WithoutHistory())
-	}
 	s := &Suite{
-		Matrix: votes.NewMatrix(n, mopts...),
+		Matrix: votes.NewMatrix(n),
 		cfg:    cfg,
 		n:      n,
 	}

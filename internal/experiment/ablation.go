@@ -128,7 +128,7 @@ func AblationVChao(opts Options) *Figure {
 // configurations the Suite cannot express (shift 0). The matrix aggregates
 // are task-order independent, so a single replay suffices.
 func vchaoSRMSEDirect(pop *dataset.Population, tasks []crowd.Task, cfg estimator.VChao92Config, opts Options) float64 {
-	m := votes.NewMatrix(pop.N(), votes.WithoutHistory())
+	m := votes.NewMatrix(pop.N())
 	var buf []votes.Vote
 	for _, t := range tasks {
 		buf = t.AppendVotes(buf[:0])
@@ -150,7 +150,7 @@ func AblationBaselines(opts Options) *Figure {
 		ItemsPerTask: 15,
 		Seed:         opts.Seed,
 	})
-	m := votes.NewMatrix(pop.N(), votes.WithoutHistory())
+	m := votes.NewMatrix(pop.N())
 	var buf []votes.Vote
 	for _, t := range sim.Tasks(nTasks) {
 		buf = t.AppendVotes(buf[:0])

@@ -113,7 +113,7 @@ func ExtQuality(opts Options) *Figure {
 		Seed:         opts.Seed,
 	})
 
-	m := votes.NewMatrix(pop.N())
+	m := votes.NewMatrix(pop.N(), votes.WithHistory())
 	checkpoints := EvenCheckpoints(nTasks, 25)
 	var (
 		xs                           []float64
@@ -246,7 +246,7 @@ func ExtRedundancy(opts Options) *Figure {
 	random := sim.Tasks(len(quorum))
 
 	score := func(tasks []crowd.Task) (majorityErrs float64, switchErr float64) {
-		suite := estimator.NewSuite(n, estimator.SuiteConfig{WithoutHistory: true})
+		suite := estimator.NewSuite(n, estimator.SuiteConfig{})
 		var buf []votes.Vote
 		for _, task := range tasks {
 			buf = task.AppendVotes(buf[:0])

@@ -121,7 +121,7 @@ func Fig2b(opts Options) *Figure {
 			ItemsPerTask: perTask,
 			Seed:         sampleRNG.Uint64(),
 		})
-		m := votes.NewMatrix(sampleSize, votes.WithoutHistory())
+		m := votes.NewMatrix(sampleSize)
 		x := make([]float64, nTasks)
 		est := make([]float64, nTasks)
 		var buf []votes.Vote
@@ -504,7 +504,7 @@ func Sec321(opts Options) *Figure {
 			ItemsPerTask: 20,
 			Seed:         opts.Seed,
 		})
-		m := votes.NewMatrix(pop.N(), votes.WithoutHistory())
+		m := votes.NewMatrix(pop.N())
 		var buf []votes.Vote
 		for t := 0; t < nTasks; t++ {
 			buf = sim.AppendTask(buf[:0])

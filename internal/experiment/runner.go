@@ -114,9 +114,6 @@ type replayState struct {
 }
 
 func newReplayState(n, tasks int, cfg estimator.SuiteConfig) *replayState {
-	// Replay suites never expose their matrices, so history retention would
-	// only buy per-vote appends on every permutation.
-	cfg.WithoutHistory = true
 	return &replayState{
 		suite: estimator.NewSuite(n, cfg),
 		order: make([]int, tasks),

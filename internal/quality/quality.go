@@ -87,16 +87,17 @@ func (c *EMConfig) setDefaults() {
 }
 
 // EM runs Dawid–Skene expectation maximization over the votes recorded in
-// the matrix, which must retain history (the default). Initialization is
-// the majority vote, the standard warm start.
+// the matrix, which must be built with votes.WithHistory: worker skills are
+// fitted from who voted what, which the per-item counts do not keep.
+// Initialization is the majority vote, the standard warm start.
 func EM(m *votes.Matrix, cfg EMConfig) (*EMResult, error) {
 	cfg.setDefaults()
 	n := m.NumItems()
 	if n == 0 {
 		return &EMResult{Posterior: nil, Skills: map[int]WorkerSkill{}, Prior: 0.5}, nil
 	}
-	if m.TotalVotes() > 0 && m.History(firstVotedItem(m)) == nil {
-		return nil, fmt.Errorf("quality: EM requires vote history (matrix built WithoutHistory)")
+	if m.TotalVotes() > 0 && !m.RetainsHistory() {
+		return nil, fmt.Errorf("quality: EM requires vote history (build the matrix with votes.WithHistory)")
 	}
 
 	// Initialize posteriors from the (soft) majority.
@@ -195,15 +196,6 @@ func EM(m *votes.Matrix, cfg EMConfig) (*EMResult, error) {
 	return &EMResult{Posterior: post, Skills: skills, Prior: prior, Iterations: it}, nil
 }
 
-func firstVotedItem(m *votes.Matrix) int {
-	for i := 0; i < m.NumItems(); i++ {
-		if m.Seen(i) > 0 {
-			return i
-		}
-	}
-	return 0
-}
-
 func clampProb(p float64) float64 {
 	const eps = 1e-6
 	if p < eps {
@@ -272,7 +264,8 @@ func FleissKappa(m *votes.Matrix) float64 {
 // WorkerAccuracyVsConsensus scores each worker against the current majority
 // consensus — the cheap online proxy for skill that deployments use before
 // enough data exists for EM. Items where the worker's vote is the sole vote
-// are skipped (the consensus would be the vote itself).
+// are skipped (the consensus would be the vote itself). Like EM it reads the
+// vote history, so a matrix built without votes.WithHistory scores no one.
 func WorkerAccuracyVsConsensus(m *votes.Matrix) map[int]float64 {
 	agree := make(map[int]int)
 	total := make(map[int]int)

@@ -23,7 +23,7 @@ func buildMatrix(t *testing.T, fp, fn float64, tasks int) (*votes.Matrix, *datas
 		PoolSize:     15,
 		Seed:         7,
 	})
-	m := votes.NewMatrix(pop.N())
+	m := votes.NewMatrix(pop.N(), votes.WithHistory())
 	for _, task := range sim.Tasks(tasks) {
 		for _, v := range task.Votes() {
 			m.Add(v)
@@ -113,7 +113,7 @@ func TestEMEmptyAndUnvoted(t *testing.T) {
 		t.Fatal("empty matrix should give empty posteriors")
 	}
 	// Items without votes keep the 0.5 prior.
-	m := votes.NewMatrix(3)
+	m := votes.NewMatrix(3, votes.WithHistory())
 	m.Add(votes.Vote{Item: 0, Worker: 0, Label: votes.Dirty})
 	res, err = EM(m, EMConfig{})
 	if err != nil {
@@ -128,7 +128,7 @@ func TestEMEmptyAndUnvoted(t *testing.T) {
 }
 
 func TestEMRequiresHistory(t *testing.T) {
-	m := votes.NewMatrix(2, votes.WithoutHistory())
+	m := votes.NewMatrix(2)
 	m.Add(votes.Vote{Item: 0, Worker: 0, Label: votes.Dirty})
 	if _, err := EM(m, EMConfig{}); err == nil {
 		t.Fatal("EM accepted a history-less matrix")
@@ -210,7 +210,7 @@ func TestFleissKappaOrdersCrowdsByQuality(t *testing.T) {
 }
 
 func TestWorkerAccuracyVsConsensus(t *testing.T) {
-	m := votes.NewMatrix(4)
+	m := votes.NewMatrix(4, votes.WithHistory())
 	// Three workers; worker 2 always disagrees with the other two.
 	for i := 0; i < 4; i++ {
 		m.Add(votes.Vote{Item: i, Worker: 0, Label: votes.Dirty})
@@ -225,7 +225,7 @@ func TestWorkerAccuracyVsConsensus(t *testing.T) {
 		t.Fatalf("contrarian worker scored %v", acc[2])
 	}
 	// Single-vote items are excluded.
-	m2 := votes.NewMatrix(1)
+	m2 := votes.NewMatrix(1, votes.WithHistory())
 	m2.Add(votes.Vote{Item: 0, Worker: 5, Label: votes.Dirty})
 	if got := WorkerAccuracyVsConsensus(m2); len(got) != 0 {
 		t.Fatalf("lone votes scored: %v", got)
@@ -258,7 +258,7 @@ func TestKappaAndAgreementBounds(t *testing.T) {
 
 func TestEMPosteriorsMonotoneInVotes(t *testing.T) {
 	// More dirty votes on an item ⇒ higher posterior, all else equal.
-	m := votes.NewMatrix(3)
+	m := votes.NewMatrix(3, votes.WithHistory())
 	for w := 0; w < 4; w++ {
 		m.Add(votes.Vote{Item: 0, Worker: w, Label: votes.Dirty})
 	}

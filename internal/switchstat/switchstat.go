@@ -57,15 +57,20 @@ func (p Policy) String() string {
 	}
 }
 
+// itemState is one item's switch state in 16 bytes. Switch signs alternate
+// per item starting positive, so the switch count alone determines the rest:
+// switch k is positive iff k is odd, the item has ceil(events/2) positive and
+// floor(events/2) negative switches, and since every switch flips a
+// consensus that starts clean, the consensus is dirty iff events is odd.
 type itemState struct {
-	pos, neg  int32
-	dirty     bool // current consensus state; items start clean
-	started   bool // true once the first switch happened
-	lastDirty bool // sign of the most recent switch (true = positive switch)
-	lastFreq  int32
-	posEvents int32
-	negEvents int32
+	pos, neg int32
+	lastFreq int32 // frequency class of the most recent switch
+	events   int32 // switches so far
 }
+
+// dirty reports the current consensus state, which is also the sign of the
+// most recent switch (true = positive).
+func (s *itemState) dirty() bool { return s.events&1 == 1 }
 
 // Tracker ingests votes and maintains switch statistics incrementally.
 // All observations are O(1); fingerprint reads are O(max frequency).
@@ -155,9 +160,9 @@ func (t *Tracker) Add(item int, label votes.Label) {
 			flip = st.pos == st.neg
 		}
 	case PolicyStrictMajority:
-		if st.pos > st.neg && !st.dirty {
+		if st.pos > st.neg && !st.dirty() {
 			flip = true
-		} else if st.neg > st.pos && st.dirty {
+		} else if st.neg > st.pos && st.dirty() {
 			flip = true
 		}
 	}
@@ -165,7 +170,7 @@ func (t *Tracker) Add(item int, label votes.Label) {
 	switch {
 	case flip:
 		t.recordSwitch(item, st)
-	case st.started:
+	case st.events > 0:
 		t.rediscover(item, st)
 	default:
 		// A vote that confirms the default label before the first switch:
@@ -179,28 +184,22 @@ func (t *Tracker) Add(item int, label votes.Label) {
 func (t *Tracker) AddVote(v votes.Vote) { t.Add(v.Item, v.Label) }
 
 func (t *Tracker) recordSwitch(item int, st *itemState) {
-	st.dirty = !st.dirty
-	positive := st.dirty // flipped into dirty ⇒ clean→dirty ⇒ positive switch
-	if !st.started {
-		st.started = true
-		t.cAny++
-	}
+	st.events++
+	positive := st.dirty() // flipped into dirty ⇒ clean→dirty ⇒ positive switch
 	if positive {
 		t.posSw++
-		st.posEvents++
-		if st.posEvents == 1 {
+		if st.events == 1 { // the item's first switch, and first positive one
+			t.cAny++
 			t.cPos++
 		}
 		t.fPos.Add(1, 1)
 	} else {
 		t.negSw++
-		st.negEvents++
-		if st.negEvents == 1 {
+		if st.events == 2 { // the item's first negative switch
 			t.cNeg++
 		}
 		t.fNeg.Add(1, 1)
 	}
-	st.lastDirty = positive
 	st.lastFreq = 1
 	if t.retainLedgers {
 		t.ledgers[item] = append(t.ledgers[item], SwitchEvent{Positive: positive, Freq: 1})
@@ -208,7 +207,7 @@ func (t *Tracker) recordSwitch(item int, st *itemState) {
 }
 
 func (t *Tracker) rediscover(item int, st *itemState) {
-	if st.lastDirty {
+	if st.dirty() {
 		t.fPos.Promote(int(st.lastFreq))
 	} else {
 		t.fNeg.Promote(int(st.lastFreq))
@@ -337,13 +336,10 @@ func (t *Tracker) FingerprintNegativeView() stats.Freq { return t.fNeg.View() }
 // Consensus reports the tracker's consensus state for item i (true = dirty).
 // Under PolicyStrictMajority this coincides with the strict majority with
 // sticky ties; under PolicyTieFlip it is the Equation-7 state machine.
-func (t *Tracker) Consensus(item int) bool { return t.items[item].dirty }
+func (t *Tracker) Consensus(item int) bool { return t.items[item].dirty() }
 
 // ItemSwitches returns the number of switch events observed on item i.
-func (t *Tracker) ItemSwitches(item int) int {
-	st := &t.items[item]
-	return int(st.posEvents + st.negEvents)
-}
+func (t *Tracker) ItemSwitches(item int) int { return int(t.items[item].events) }
 
 // Clone returns a deep, independent copy of the tracker, including per-item
 // ledgers when retained. Snapshots of live sessions are built on it.

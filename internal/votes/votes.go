@@ -9,9 +9,11 @@
 //   - n⁺            total positive votes (the n of the Chao92 error estimate)
 //   - f-statistics  f_j = #items with exactly j positive votes (§3.2)
 //
-// The full per-item vote sequences are retained so that the switch machinery
-// (package switchstat) and permutation replays can be driven from one source
-// of truth.
+// The aggregates take O(1) space per item and per worker, so a matrix's
+// memory grows with its items and workers, not with the votes it ingests.
+// The per-item vote sequences, which only worker-level inference reads
+// (package quality's Dawid–Skene EM), are retained only on request: see
+// WithHistory.
 package votes
 
 import (
@@ -115,11 +117,9 @@ func (s itemState) majorityDirty() bool { return s.pos > s.neg }
 type Matrix struct {
 	n     int
 	items []itemState
-	// history holds per-item vote sequences in arrival order.
+	// history holds per-item vote sequences in arrival order, nil unless
+	// the matrix was built WithHistory.
 	history [][]Vote
-	// retainHistory can be disabled for long simulations that only need
-	// aggregates (the switch estimator maintains its own streaming state).
-	retainHistory bool
 
 	workers   workerSet
 	votes     int64
@@ -135,10 +135,11 @@ type Matrix struct {
 // Option configures a Matrix.
 type Option func(*Matrix)
 
-// WithoutHistory disables retention of per-item vote sequences. Aggregates
-// (counts, fingerprints, majority) remain exact.
-func WithoutHistory() Option {
-	return func(m *Matrix) { m.retainHistory = false }
+// WithHistory retains every item's vote sequence, enabling History at a cost
+// of one Vote per ingested vote. Aggregates (counts, fingerprints, majority)
+// are exact either way.
+func WithHistory() Option {
+	return func(m *Matrix) { m.history = make([][]Vote, m.n) }
 }
 
 // NewMatrix creates a matrix over n items, all initially unseen.
@@ -147,17 +148,12 @@ func NewMatrix(n int, opts ...Option) *Matrix {
 		panic(fmt.Sprintf("votes: negative item count %d", n))
 	}
 	m := &Matrix{
-		n:             n,
-		items:         make([]itemState, n),
-		history:       make([][]Vote, n),
-		retainHistory: true,
-		fpos:          stats.NewRunningFreq(stats.Freq{0}),
+		n:     n,
+		items: make([]itemState, n),
+		fpos:  stats.NewRunningFreq(stats.Freq{0}),
 	}
 	for _, o := range opts {
 		o(m)
-	}
-	if !m.retainHistory {
-		m.history = nil
 	}
 	return m
 }
@@ -208,7 +204,7 @@ func (m *Matrix) Add(v Vote) {
 			m.cMajority--
 		}
 	}
-	if m.retainHistory {
+	if m.history != nil {
 		m.history[v.Item] = append(m.history[v.Item], v)
 	}
 }
@@ -261,13 +257,16 @@ func (m *Matrix) DirtyShifted(s int) stats.ShiftedStats { return m.fpos.Shifted(
 
 // History returns the vote sequence of item i in arrival order. The returned
 // slice aliases internal storage and must not be modified. It returns nil
-// when history retention is disabled.
+// unless the matrix was built WithHistory.
 func (m *Matrix) History(item int) []Vote {
-	if !m.retainHistory {
+	if m.history == nil {
 		return nil
 	}
 	return m.history[item]
 }
+
+// RetainsHistory reports whether the matrix was built WithHistory.
+func (m *Matrix) RetainsHistory() bool { return m.history != nil }
 
 // MajorityVector materializes the current consensus vector V ∈ {0,1}^N of
 // Problem 2 (true = dirty).
@@ -298,16 +297,15 @@ func (m *Matrix) Coverage() float64 {
 // matrix and keep ingesting into the original.
 func (m *Matrix) Clone() *Matrix {
 	out := &Matrix{
-		n:             m.n,
-		items:         append([]itemState(nil), m.items...),
-		retainHistory: m.retainHistory,
-		votes:         m.votes,
-		posVotes:      m.posVotes,
-		cNominal:      m.cNominal,
-		cMajority:     m.cMajority,
-		fpos:          m.fpos.CloneRunning(),
+		n:         m.n,
+		items:     append([]itemState(nil), m.items...),
+		votes:     m.votes,
+		posVotes:  m.posVotes,
+		cNominal:  m.cNominal,
+		cMajority: m.cMajority,
+		fpos:      m.fpos.CloneRunning(),
 	}
-	if m.retainHistory {
+	if m.history != nil {
 		out.history = make([][]Vote, len(m.history))
 		for i, h := range m.history {
 			if len(h) > 0 {
@@ -339,10 +337,8 @@ func (m *Matrix) Reset() {
 	for i := range m.items {
 		m.items[i] = itemState{}
 	}
-	if m.retainHistory {
-		for i := range m.history {
-			m.history[i] = m.history[i][:0]
-		}
+	for i := range m.history {
+		m.history[i] = m.history[i][:0]
 	}
 	m.workers.reset()
 	m.votes, m.posVotes, m.cNominal, m.cMajority = 0, 0, 0, 0

@@ -188,7 +188,7 @@ func TestNominalMajorityBruteForce(t *testing.T) {
 }
 
 func TestHistory(t *testing.T) {
-	m := NewMatrix(2)
+	m := NewMatrix(2, WithHistory())
 	v1 := Vote{Item: 0, Worker: 1, Label: Dirty}
 	v2 := Vote{Item: 0, Worker: 2, Label: Clean}
 	m.Add(v1)
@@ -200,13 +200,19 @@ func TestHistory(t *testing.T) {
 	if len(m.History(1)) != 0 {
 		t.Fatal("untouched item has history")
 	}
+	c := m.Clone()
+	m.Add(Vote{Item: 0, Worker: 3, Label: Dirty})
+	if !c.RetainsHistory() || len(c.History(0)) != 2 {
+		t.Fatalf("clone history = %v, want the 2 votes before the clone", c.History(0))
+	}
 }
 
 func TestWithoutHistory(t *testing.T) {
-	m := NewMatrix(2, WithoutHistory())
+	// History is opt-in: a default matrix keeps only the per-item counts.
+	m := NewMatrix(2)
 	m.Add(Vote{Item: 0, Label: Dirty})
-	if m.History(0) != nil {
-		t.Fatal("WithoutHistory still retained votes")
+	if m.History(0) != nil || m.RetainsHistory() {
+		t.Fatal("default matrix retained votes")
 	}
 	if m.Nominal() != 1 {
 		t.Fatal("aggregates broken without history")
@@ -238,7 +244,7 @@ func TestCoverage(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	m := NewMatrix(2)
+	m := NewMatrix(2, WithHistory())
 	m.Add(Vote{Item: 0, Worker: 3, Label: Dirty})
 	m.Reset()
 	if m.TotalVotes() != 0 || m.Nominal() != 0 || m.Majority() != 0 ||

@@ -188,9 +188,6 @@ func New(n int, suiteCfg estimator.SuiteConfig, cfg Config) *Ring {
 		panic(fmt.Sprintf("window: New: %v", err))
 	}
 	cfg = cfg.normalize()
-	// Window panes never serve per-item vote history; keeping it would
-	// multiply the session's memory by the pane count for nothing.
-	suiteCfg.WithoutHistory = true
 	r := &Ring{cfg: cfg, n: n, panes: make([]*pane, cfg.Panes())}
 	for i := range r.panes {
 		r.panes[i] = &pane{suite: estimator.NewSuite(n, suiteCfg), start: -1}

@@ -30,7 +30,6 @@ func genTasks(seed int64, tasks, n int) [][]votes.Vote {
 // referenceWindow evaluates a fresh suite over tasks[start:end] — the ground
 // truth a sealed window must match bit-identically.
 func referenceWindow(n int, scfg estimator.SuiteConfig, tasks [][]votes.Vote, start, end int) estimator.Estimates {
-	scfg.WithoutHistory = true
 	s := estimator.NewSuite(n, scfg)
 	for _, task := range tasks[start:end] {
 		for _, v := range task {
