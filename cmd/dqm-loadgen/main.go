@@ -514,14 +514,6 @@ type inprocDriver struct {
 	transitions atomic.Int64
 }
 
-// inprocHubSession adapts *dqm.Session to hub.Session for the in-process
-// driver (same shape as dqm-serve's adapter).
-type inprocHubSession struct {
-	*dqm.Session
-}
-
-func (h inprocHubSession) Pending() bool { return h.StagedVotes() > 0 }
-
 // gateSource adapts *dqm.Session to policy.Source for the in-process driver
 // (the same adapter shape dqm-serve uses: version read before the estimates,
 // expensive inputs computed only when the policy references them).
@@ -598,10 +590,10 @@ func newInprocDriver(cfg config, sc scenario) (*inprocDriver, error) {
 				if !ok {
 					return nil, false
 				}
-				return inprocHubSession{s}, true
+				return s, true
 			},
 			Encode: func(hs hub.Session, _ hub.View) ([]byte, uint64, error) {
-				s := hs.(inprocHubSession).Session
+				s := hs.(*dqm.Session)
 				v := s.Version()
 				b, err := json.Marshal(s.Estimates())
 				return b, v, err

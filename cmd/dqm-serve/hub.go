@@ -1,4 +1,4 @@
-// Watch fan-out wiring: adapts the engine's sessions and the estimates wire
+// Watch fan-out wiring: connects the engine's sessions and the estimates wire
 // format to internal/hub, which encodes each published version once and
 // multicasts the pre-serialized bytes to every SSE subscriber (and serves
 // them to conditional GET readers via ETag/If-None-Match).
@@ -14,16 +14,6 @@ import (
 	"dqm"
 	"dqm/internal/hub"
 )
-
-// hubSession adapts *dqm.Session to hub.Session. Version, Notify and
-// StopNotify pass through; Pending surfaces staged-but-unmerged votes, which
-// mutate the estimates without advancing the version until the next read
-// folds them in — a cached frame is stale while any are pending.
-type hubSession struct {
-	*dqm.Session
-}
-
-func (h hubSession) Pending() bool { return h.StagedVotes() > 0 }
 
 // viewForKind maps a parsed window kind onto the hub's frame-cache slots.
 func viewForKind(kind dqm.WindowKind) hub.View {
@@ -64,7 +54,7 @@ func (s *server) setupHub() {
 			if !ok {
 				return nil, false
 			}
-			return hubSession{sess}, true
+			return sess, true
 		},
 		Encode: s.encodeEstimates,
 		// The pump's publish floor: mutation bursts within it collapse into
@@ -79,7 +69,7 @@ func (s *server) setupHub() {
 // (the hub caches the result). The returned version is read BEFORE the
 // estimates so concurrent mutation yields re-delivery, never a skip.
 func (s *server) encodeEstimates(hs hub.Session, view hub.View) ([]byte, uint64, error) {
-	sess := hs.(hubSession).Session
+	sess := hs.(*dqm.Session)
 	v := sess.Version()
 	var (
 		out estimatesJSON

@@ -295,9 +295,12 @@ type ConfidenceInterval struct {
 func (c ConfidenceInterval) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
 
 // Recorder ingests a vote stream and evaluates the estimator suite. It is
-// exactly one (standalone) engine session and shares Session's entire
-// method set — so, unlike in earlier releases, it IS safe for concurrent
-// use; votes are serialized in arrival order.
+// exactly one standalone, in-memory engine session: it has Session's entire
+// method set — so it is safe for concurrent use, with votes serialized in
+// arrival order — plus the void Record, RecordVote and EndTask. Those cannot
+// hit a journal error, so the only failure they can meet is an out-of-range
+// item, on which they panic. On an engine Session, AppendVotes(batch, false)
+// and AppendVotes(nil, true) do the same work and return errors instead.
 type Recorder struct {
 	Session
 }
@@ -309,6 +312,26 @@ type Recorder struct {
 // through an Engine, which returns errors instead.
 func NewRecorder(n int, cfg Config) *Recorder {
 	return &Recorder{Session{s: engine.NewSession("", n, cfg.sessionConfig())}}
+}
+
+// Record ingests one vote. It panics on an item outside [0, N); external
+// input should go through AppendVotes, which validates and rejects whole
+// batches atomically.
+func (r *Recorder) Record(item, worker int, dirty bool) {
+	if err := r.s.Record(item, worker, dirty); err != nil {
+		panic(err)
+	}
+}
+
+// RecordVote ingests one Vote.
+func (r *Recorder) RecordVote(v Vote) { r.Record(v.Item, v.Worker, v.Dirty) }
+
+// EndTask marks a task boundary. The SWITCH trend detector operates on the
+// per-task majority series.
+func (r *Recorder) EndTask() {
+	if err := r.s.EndTask(); err != nil {
+		panic(err)
+	}
 }
 
 // IsJournalError reports whether err came from a durable session's
@@ -360,9 +383,9 @@ type EngineConfig struct {
 	// durable engine eviction only releases memory — the session's journal
 	// files survive and Session(id) revives it on demand. Do not retain
 	// *Session handles across evictions on a durable engine: the evicted
-	// handle's journal is closed, so AppendVotes on it fails (see
-	// IsJournalError) and the void mutators (Record, EndTask, Reset) panic;
-	// re-fetch the session via Session(id) instead.
+	// handle's journal is closed, so every mutator on it (AppendVotes,
+	// AppendDQMV, AppendColumns, Reset) returns an error that IsJournalError
+	// reports; re-fetch the session via Session(id) instead.
 	MaxSessions int
 	// OnEvict, when set, is called with the id of every session removed by
 	// the MaxSessions policy (not by DeleteSession), after removal and with
@@ -514,6 +537,9 @@ func (e *Engine) BootRecovery() (sessions int, elapsed time.Duration) { return e
 
 // Session is one engine-managed dataset session. All methods are safe for
 // concurrent use; votes within a session are serialized in arrival order.
+// Every mutator returns an error: a journal fault on a durable session is
+// reported (see IsJournalError), never a panic. AppendVotes(nil, true) marks
+// a bare task boundary.
 type Session struct {
 	s *engine.Session
 }
@@ -531,17 +557,10 @@ func (s *Session) LastUsed() time.Time { return s.s.LastUsed() }
 // order.
 func (s *Session) EstimatorNames() []string { return s.s.EstimatorNames() }
 
-// Record ingests one vote. It panics on an out-of-range item; external
-// input should go through AppendVotes, which validates and rejects whole
-// batches atomically.
-func (s *Session) Record(item, worker int, dirty bool) { s.s.Record(item, worker, dirty) }
-
-// RecordVote ingests one Vote.
-func (s *Session) RecordVote(v Vote) { s.Record(v.Item, v.Worker, v.Dirty) }
-
 // AppendVotes ingests a batch of votes under one lock acquisition and, when
-// endTask is set, marks a task boundary after the batch. Items outside
-// [0, N) fail the whole batch before any vote is applied.
+// endTask is set, marks a task boundary after the batch; AppendVotes(nil,
+// true) marks a bare boundary. Items outside [0, N) fail the whole batch
+// before any vote is applied.
 func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
 	vs := make([]votes.Vote, len(batch))
 	for i, v := range batch {
@@ -562,10 +581,11 @@ func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
 // boundaries follow the format's task-id changes plus one after the final
 // vote, exactly the boundaries the Entry/JSON path produces, so the
 // resulting estimates are identical to ingesting the same log vote by vote.
-// It returns the number of votes and task boundaries ingested. A malformed
-// stream or out-of-population item fails before anything is applied; a
-// journal error mid-log leaves the earlier tasks ingested (they are already
-// durable) and reports how far it got.
+// It returns the number of votes and task boundaries ingested. Ingest is
+// atomic per task, not per log: a malformed stream fails before anything is
+// applied, but an out-of-population item or a journal error in one task
+// leaves every earlier task applied (and, on a durable engine, journaled),
+// applies nothing of that task or any later one, and reports how far it got.
 func (s *Session) AppendDQMV(body []byte) (votesIngested, tasksEnded int, err error) {
 	blocks, err := votelog.SplitBinaryTasks(body)
 	if err != nil {
@@ -594,33 +614,6 @@ func (s *Session) AppendDQMV(body []byte) (votesIngested, tasksEnded int, err er
 func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
 	return s.s.AppendColumns(raw, endTask)
 }
-
-// AppendStagedVotes stages a batch of intra-task votes without taking the
-// session mutex: validation runs against the immutable population size and
-// the batch lands in a per-CPU-sharded staging buffer, so concurrent
-// goroutines feeding one session scale instead of serializing. Staged votes
-// take effect — and, on a durable engine, become durable — at the next merge
-// point: any mutation, estimate read, task boundary, Sync or checkpoint.
-// Relative order among staged votes is not preserved (batches may be
-// reordered whole), so stage only votes whose order is immaterial, i.e.
-// votes within one task.
-func (s *Session) AppendStagedVotes(batch []Vote) error {
-	vs := make([]votes.Vote, len(batch))
-	for i, v := range batch {
-		label := votes.Clean
-		if v.Dirty {
-			label = votes.Dirty
-		}
-		vs[i] = votes.Vote{Item: v.Item, Worker: v.Worker, Label: label}
-	}
-	return s.s.AppendStaged(vs)
-}
-
-// StagedVotes returns the number of staged votes awaiting merge.
-func (s *Session) StagedVotes() int64 { return s.s.StagedVotes() }
-
-// EndTask marks a task boundary.
-func (s *Session) EndTask() { s.s.EndTask() }
 
 // Tasks returns the number of completed tasks.
 func (s *Session) Tasks() int64 { return s.s.Tasks() }
@@ -699,8 +692,9 @@ func (s *Session) NumWorkers() int { return s.s.NumWorkers() }
 func (s *Session) TotalVotes() int64 { return s.s.TotalVotes() }
 
 // Reset clears the vote stream and every estimator, keeping the session
-// registered.
-func (s *Session) Reset() { s.s.Reset() }
+// registered. On a durable engine the reset is journaled first; a journal
+// error leaves the session untouched.
+func (s *Session) Reset() error { return s.s.Reset() }
 
 // SwitchCI returns a bootstrap confidence interval for the SWITCH total
 // estimate. The session must have been created with Config.TrackConfidence.

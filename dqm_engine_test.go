@@ -132,10 +132,13 @@ func TestSessionEstimatorSelection(t *testing.T) {
 	if got := sess.EstimatorNames(); !reflect.DeepEqual(got, cfg.Estimators) {
 		t.Fatalf("EstimatorNames = %v, want %v", got, cfg.Estimators)
 	}
-	for i := 0; i < 10; i++ {
-		sess.Record(i%5, i, true)
+	batch := make([]Vote, 10)
+	for i := range batch {
+		batch[i] = Vote{Item: i % 5, Worker: i, Dirty: true}
 	}
-	sess.EndTask()
+	if err := sess.AppendVotes(batch, true); err != nil {
+		t.Fatal(err)
+	}
 	e := sess.Estimates()
 	if e.Voting == 0 || e.Switch.Total == 0 {
 		t.Fatalf("selected estimators missing: %+v", e)

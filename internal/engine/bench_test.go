@@ -234,7 +234,9 @@ func BenchmarkEstimatesDirty(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Record(i%n, i%25, i%3 == 0)
+		if err := s.Record(i%n, i%25, i%3 == 0); err != nil {
+			b.Fatal(err)
+		}
 		s.Estimates()
 	}
 }

@@ -4,135 +4,11 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"dqm/internal/votelog"
 	"dqm/internal/votes"
 )
-
-// TestAppendStagedMergesAtEstimate: votes staged lock-free from many
-// goroutines must all be visible at the next estimate read, and — because
-// intra-task vote order is immaterial to every estimator aggregate — yield
-// exactly the estimates of any sequential ordering of the same votes.
-func TestAppendStagedMergesAtEstimate(t *testing.T) {
-	const n, writers, perWriter = 50, 8, 100
-	s := NewSession("staged", n, sessionCfg())
-	ref := NewSession("ref", n, sessionCfg())
-
-	var all [][]votes.Vote
-	for w := 0; w < writers; w++ {
-		rng := rand.New(rand.NewSource(int64(w)))
-		for b := 0; b < perWriter; b++ {
-			batch := make([]votes.Vote, 1+rng.Intn(4))
-			for i := range batch {
-				// Label is a pure function of the item: votes for one item
-				// never disagree, so the switch tracker's per-vote counters
-				// (the only order-sensitive aggregate) cannot depend on the
-				// drain permutation and the bit-identical comparison is fair.
-				item := rng.Intn(n)
-				label := votes.Clean
-				if item%2 == 0 {
-					label = votes.Dirty
-				}
-				batch[i] = votes.Vote{Item: item, Worker: rng.Intn(6), Label: label}
-			}
-			all = append(all, batch)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for b := 0; b < perWriter; b++ {
-				if err := s.AppendStaged(all[w*perWriter+b]); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.StagedVotes() == 0 {
-		t.Fatal("nothing staged — AppendStaged applied eagerly?")
-	}
-	got := s.Estimates() // merge point
-	if s.StagedVotes() != 0 {
-		t.Fatalf("%d votes still staged after estimate read", s.StagedVotes())
-	}
-	total := 0
-	for _, b := range all {
-		if err := ref.Append(b, false); err != nil {
-			t.Fatal(err)
-		}
-		total += len(b)
-	}
-	want := ref.Estimates()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("staged estimates diverge from sequential reference:\n got %+v\nwant %+v", got, want)
-	}
-	if s.TotalVotes() != int64(total) {
-		t.Fatalf("TotalVotes = %d, want %d", s.TotalVotes(), total)
-	}
-}
-
-func TestAppendStagedValidates(t *testing.T) {
-	s := NewSession("staged-bad", 10, sessionCfg())
-	err := s.AppendStaged([]votes.Vote{{Item: 3}, {Item: 10}})
-	if err == nil || !strings.Contains(err.Error(), "outside population") {
-		t.Fatalf("out-of-range stage: %v", err)
-	}
-	if s.StagedVotes() != 0 {
-		t.Fatal("rejected batch left votes staged")
-	}
-}
-
-// TestDurableStagedRecoveryBitIdentical: staged votes journal at the merge
-// point in merge order, so a restart replays them to the same state.
-func TestDurableStagedRecoveryBitIdentical(t *testing.T) {
-	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 30
-	s, err := e.Create("staged-durable", n, sessionCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(77))
-	for b := 0; b < 150; b++ {
-		batch := make([]votes.Vote, 1+rng.Intn(3))
-		for i := range batch {
-			batch[i] = votes.Vote{Item: rng.Intn(n), Worker: rng.Intn(5), Label: votes.Dirty}
-		}
-		if err := s.AppendStaged(batch); err != nil {
-			t.Fatal(err)
-		}
-		if b%40 == 39 { // periodic merge points with task boundaries between
-			if err := s.Append(nil, true); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	want := s.Estimates() // merges the tail
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Open(durableConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	s2, ok := e2.Get("staged-durable")
-	if !ok {
-		t.Fatal("session not recovered")
-	}
-	if got := s2.Estimates(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered staged-ingest estimates differ:\n got %+v\nwant %+v", got, want)
-	}
-}
 
 // colBatch builds one raw columnar batch ('V' records only).
 func colBatch(rng *rand.Rand, n, size int) ([]byte, []votes.Vote) {

@@ -395,13 +395,7 @@ func (e *Engine) recoverSession(id string, cols *votelog.VoteColumns) (*Session,
 					return fmt.Errorf("engine: journaled item %d outside population [0, %d)", item, n)
 				}
 			}
-			for i := range cols.Item {
-				label := votes.Clean
-				if cols.Dirty[i] {
-					label = votes.Dirty
-				}
-				s.applyVote(votes.Vote{Item: int(cols.Item[i]), Worker: int(cols.Worker[i]), Label: label})
-			}
+			s.applyColumns(cols)
 			return nil
 		},
 		Cols: cols,
@@ -432,11 +426,7 @@ func (e *Engine) recoverSession(id string, cols *votelog.VoteColumns) (*Session,
 			}
 		},
 		Reset: func() {
-			s.suite.Reset()
-			if s.ring != nil {
-				s.ring.Reset()
-			}
-			s.tasks = 0
+			s.applyReset()
 			pending = nil
 		},
 		Window: func(start int64) error {
@@ -790,8 +780,8 @@ func (e *Engine) Get(id string) (*Session, bool) {
 // its journal files (including those of an evicted, no-longer-live session) —
 // reporting whether anything existed. Callers still holding the *Session can
 // keep reading it; on a durable engine mutations through the stale handle
-// fail (Append returns a JournalError, the void mutators panic) rather than
-// silently diverging from the deleted journal.
+// fail with a *JournalError rather than silently diverging from the deleted
+// journal.
 func (e *Engine) Delete(id string) bool {
 	if e.store != nil {
 		// Serialize against a Load of the same id: files must not be removed

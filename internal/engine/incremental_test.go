@@ -22,8 +22,7 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 	verify := func(t *testing.T, s *Session, step int) {
 		t.Helper()
 		got := s.Estimates()
-		// Estimates merged any staged votes, so the suite now reflects the
-		// full stream; the uncached walk is the ground truth.
+		// The uncached walk over the full stream is the ground truth.
 		want := s.suite.EstimateAllUncached()
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d: Estimates %+v != uncached recompute %+v", step, got, want)
@@ -53,7 +52,9 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 					t.Fatal(err)
 				}
 			case op < 75:
-				s.EndTask()
+				if err := s.EndTask(); err != nil {
+					t.Fatal(err)
+				}
 			case op < 80:
 				snap = s.Snapshot()
 			case op < 85:
@@ -63,7 +64,9 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 					}
 				}
 			case op < 88:
-				s.Reset()
+				if err := s.Reset(); err != nil {
+					t.Fatal(err)
+				}
 			default: // read-only step: back-to-back reads hit the memo
 			}
 			if rng.Intn(2) == 0 {

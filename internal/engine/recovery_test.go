@@ -50,7 +50,9 @@ func applyOps(t *testing.T, s *Session, ops []walOp) {
 	t.Helper()
 	for _, o := range ops {
 		if o.reset {
-			s.Reset()
+			if err := s.Reset(); err != nil {
+				t.Fatal(err)
+			}
 			continue
 		}
 		if err := s.Append(o.batch, o.end); err != nil {

@@ -65,8 +65,8 @@ type Session struct {
 	id      string
 	created time.Time
 	// items is the population size N, immutable for the session's lifetime —
-	// read lock-free by Append/AppendStaged validation, so staging a batch
-	// never touches the session mutex.
+	// read lock-free by Append's validation, so a rejected batch never
+	// touches the session mutex.
 	items int
 
 	mu    sync.Mutex
@@ -75,12 +75,6 @@ type Session struct {
 	ring  *window.Ring
 	tasks int64
 
-	// staged holds votes accepted by AppendStaged but not yet folded into the
-	// suite: per-stripe buffers concurrent writers scatter over without
-	// contending on mu. Merge points (task boundaries, estimate reads, syncs,
-	// any mutation) drain it under mu — journaling each stripe batch before
-	// applying it, so the write-ahead invariant holds for staged votes too.
-	staged *votes.Stripes
 	// cols is the columnar decode scratch of AppendColumns, reused so the
 	// binary ingest path stays allocation-free after warmup. Guarded by mu.
 	cols votelog.VoteColumns
@@ -188,7 +182,6 @@ func NewSession(id string, n int, cfg SessionConfig) *Session {
 		created: now,
 		items:   n,
 		suite:   estimator.NewSuite(n, cfg.Suite),
-		staged:  votes.NewStripes(0),
 		ciSeed:  cfg.CISeed,
 	}
 	if cfg.Window != nil {
@@ -299,6 +292,18 @@ func (s *Session) applyVote(v votes.Vote) {
 	}
 }
 
+// applyColumns feeds one decoded columnar batch through applyVote in order;
+// AppendColumns and recovery replay share it.
+func (s *Session) applyColumns(cols *votelog.VoteColumns) {
+	for i := range cols.Item {
+		label := votes.Clean
+		if cols.Dirty[i] {
+			label = votes.Dirty
+		}
+		s.applyVote(votes.Vote{Item: int(cols.Item[i]), Worker: int(cols.Worker[i]), Label: label})
+	}
+}
+
 // applyEndTask marks one task boundary everywhere, returning the window
 // rotation it sealed (if any).
 func (s *Session) applyEndTask() (window.Rotation, bool) {
@@ -310,88 +315,80 @@ func (s *Session) applyEndTask() (window.Rotation, bool) {
 	return s.ring.EndTask()
 }
 
-// journalBatch write-ahead-logs one batch (and, for a task boundary on a
-// windowed session, the rotation that boundary will seal — in the same
-// frame, so recovery can never see the boundary without its rotation).
-// Call under mu, before applying.
-func (s *Session) journalBatch(batch []votes.Vote, endTask bool) error {
+// applyReset clears the vote stream and every estimator; Reset and recovery
+// replay share it.
+func (s *Session) applyReset() {
+	s.suite.Reset()
+	if s.ring != nil {
+		s.ring.Reset()
+	}
+	s.tasks = 0
+}
+
+// sealedWindow returns the start task of the window rotation that a task
+// boundary marked now would seal, or -1 when it seals none. The journal
+// records the rotation in the boundary's own frame, so recovery can never
+// see the boundary without its rotation. Call under mu, before applying.
+func (s *Session) sealedWindow(endTask bool) int64 {
 	if endTask && s.ring != nil {
 		if rot, ok := s.ring.WillRotate(); ok {
-			return s.journal.AppendRotation(batch, rot.Start)
+			return rot.Start
 		}
+	}
+	return -1
+}
+
+// journalBatch write-ahead-logs one vote batch and, when endTask is set, its
+// task boundary. Call under mu, before applying.
+func (s *Session) journalBatch(batch []votes.Vote, endTask bool) error {
+	if start := s.sealedWindow(endTask); start >= 0 {
+		return s.journal.AppendRotation(batch, start)
 	}
 	return s.journal.Append(batch, endTask)
 }
 
-// mergeStagedLocked drains the staged-vote stripes into the suite: each
-// stripe batch is journaled (its own frame) and applied, in stripe order.
-// Stage order is not arrival order — staged votes are order-independent by
-// the AppendStaged contract — but journal order equals apply order, so
-// recovery still replays to bit-identical state. A journal error leaves the
-// failing stripe and everything after it staged (nothing is dropped) and is
-// reported for the caller to surface. Call under mu, before any read or
-// mutation that must observe staged votes.
-func (s *Session) mergeStagedLocked() error {
-	if s.staged.Pending() == 0 {
-		return nil
+// publish completes one journaled and applied batch of n votes: it marks the
+// task boundary when endTask is set, publishes the new version to readers
+// and watchers, and counts the batch. Call under mu.
+func (s *Session) publish(n int, endTask bool) {
+	if endTask {
+		s.applyEndTask()
+		metricTasks.Inc()
 	}
-	merged := false
-	err := s.staged.Drain(func(batch []votes.Vote) error {
-		if s.journal != nil {
-			if err := s.journal.Append(batch, false); err != nil {
-				return &JournalError{SessionID: s.id, Err: err}
-			}
-		}
-		for _, v := range batch {
-			s.applyVote(v)
-		}
-		merged = true
-		metricBatches.Inc()
-		metricVotes.Add(uint64(len(batch)))
-		return nil
-	})
-	if merged {
-		s.bump()
-	}
-	return err
+	s.bump()
+	s.touch()
+	metricBatches.Inc()
+	metricVotes.Add(uint64(n))
 }
 
-// mustMergeStaged is mergeStagedLocked for the void mutators, which panic on
-// journal failures like their own writes do.
-func (s *Session) mustMergeStaged() {
-	if err := s.mergeStagedLocked(); err != nil {
-		panic(fmt.Sprintf("engine: session %q staged merge: %v", s.id, err))
-	}
-}
-
-// AppendStaged stages a batch of intra-task votes without taking the session
-// mutex: validation runs against the immutable population size, the batch
-// lands in a sharded staging buffer, and the call returns. Concurrent
-// writers feeding one session therefore scale instead of serializing on mu.
-// The votes take effect (and, on a durable session, become durable) at the
-// next merge point — any mutation, estimate read, task boundary, Sync or
-// checkpoint. Because merging drains stripes in stripe order, staged votes
-// may be applied out of arrival order relative to each other; stage only
-// votes whose relative order is immaterial (votes within one task — every
-// estimator aggregate is intra-task order-independent). Batches are never
-// split or interleaved, only reordered whole.
-func (s *Session) AppendStaged(batch []votes.Vote) error {
+// Append ingests a batch of votes under one lock acquisition and, when
+// endTask is set, marks a task boundary after the batch; Append(nil, true)
+// marks a bare boundary. It validates item ranges up front — the whole batch
+// is rejected before any vote is applied, so a bad request cannot leave a
+// half-ingested task behind. On a durable session the batch is journaled
+// (one group-commit frame) before it is applied; a journal error rejects the
+// batch with in-memory state untouched and is returned as a *JournalError.
+// Every vote mutation goes through here or AppendColumns.
+func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 	n := s.items
 	for i, v := range batch {
 		if v.Item < 0 || v.Item >= n {
 			return fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, v.Item, n)
 		}
 	}
-	if len(batch) == 0 {
-		return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.journal != nil {
+		if err := s.journalBatch(batch, endTask); err != nil {
+			return &JournalError{SessionID: s.id, Err: err}
+		}
 	}
-	s.staged.PutBatch(batch)
-	s.touch()
+	for _, v := range batch {
+		s.applyVote(v)
+	}
+	s.publish(len(batch), endTask)
 	return nil
 }
-
-// StagedVotes returns the number of staged votes awaiting merge.
-func (s *Session) StagedVotes() int64 { return s.staged.Pending() }
 
 // AppendColumns ingests one columnar batch: raw DQMV 'V'-record bytes (one
 // task block of a binary vote log — see votelog.SplitBinaryTasks), validated,
@@ -399,7 +396,8 @@ func (s *Session) StagedVotes() int64 { return s.staged.Pending() }
 // bytes are never re-encoded per vote — the wire encoding is the journal
 // encoding — and the decode scratch is reused, so bulk binary ingest does not
 // allocate per batch. endTask marks a task boundary after the batch,
-// journaled in the same frame. Returns the number of votes ingested.
+// journaled in the same frame. Returns the number of votes ingested; errors
+// follow Append's contract.
 func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
 	if len(raw) == 0 && !endTask {
 		return 0, nil
@@ -416,121 +414,31 @@ func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
 			return 0, fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, item, n)
 		}
 	}
-	if err := s.mergeStagedLocked(); err != nil {
-		return 0, err
-	}
 	if s.journal != nil {
-		windowStart := int64(-1)
-		if endTask && s.ring != nil {
-			if rot, ok := s.ring.WillRotate(); ok {
-				windowStart = rot.Start
-			}
-		}
-		if err := s.journal.AppendColumns(raw, endTask, windowStart); err != nil {
+		if err := s.journal.AppendColumns(raw, endTask, s.sealedWindow(endTask)); err != nil {
 			return 0, &JournalError{SessionID: s.id, Err: err}
 		}
 	}
-	for i := range cols.Item {
-		label := votes.Clean
-		if cols.Dirty[i] {
-			label = votes.Dirty
-		}
-		s.applyVote(votes.Vote{Item: int(cols.Item[i]), Worker: int(cols.Worker[i]), Label: label})
-	}
-	if endTask {
-		s.applyEndTask()
-		metricTasks.Inc()
-	}
-	s.bump()
-	s.touch()
-	metricBatches.Inc()
-	metricVotes.Add(uint64(cols.Len()))
+	s.applyColumns(cols)
+	s.publish(cols.Len(), endTask)
 	return cols.Len(), nil
 }
 
-// Record ingests one vote. It panics on an out-of-range item (mirroring
-// slice semantics) and on a journal write failure; external input should go
-// through Append, which validates and returns errors instead.
-func (s *Session) Record(item, worker int, dirty bool) {
+// Record ingests one vote: Append of a one-vote batch without a task
+// boundary. The batch lives on the stack, so an in-memory Record does not
+// allocate.
+func (s *Session) Record(item, worker int, dirty bool) error {
 	label := votes.Clean
 	if dirty {
 		label = votes.Dirty
 	}
-	v := votes.Vote{Item: item, Worker: worker, Label: label}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mustMergeStaged()
-	if s.journal != nil {
-		// Check the range before the write-ahead: the journal must never
-		// hold a vote that replay would reject.
-		if item < 0 || item >= s.suite.NumItems() {
-			panic(fmt.Sprintf("engine: item %d outside population [0, %d)", item, s.suite.NumItems()))
-		}
-		if err := s.journal.Append([]votes.Vote{v}, false); err != nil {
-			panic(fmt.Sprintf("engine: session %q journal: %v", s.id, err))
-		}
-	}
-	s.applyVote(v)
-	s.bump()
-	s.touch()
-	metricVotes.Inc()
+	batch := [1]votes.Vote{{Item: item, Worker: worker, Label: label}}
+	return s.Append(batch[:], false)
 }
 
-// Append ingests a batch of votes under one lock acquisition and, when
-// endTask is set, marks a task boundary after the batch. It validates item
-// ranges up front — the whole batch is rejected before any vote is applied,
-// so a bad request cannot leave a half-ingested task behind. On a durable
-// session the batch is journaled (one group-commit frame) before it is
-// applied; a journal error rejects the batch with in-memory state untouched.
-// This is the boundary external (HTTP) input crosses.
-func (s *Session) Append(batch []votes.Vote, endTask bool) error {
-	n := s.NumItems()
-	for i, v := range batch {
-		if v.Item < 0 || v.Item >= n {
-			return fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, v.Item, n)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mergeStagedLocked(); err != nil {
-		return err
-	}
-	if s.journal != nil {
-		if err := s.journalBatch(batch, endTask); err != nil {
-			return &JournalError{SessionID: s.id, Err: err}
-		}
-	}
-	for _, v := range batch {
-		s.applyVote(v)
-	}
-	if endTask {
-		s.applyEndTask()
-		metricTasks.Inc()
-	}
-	s.bump()
-	s.touch()
-	metricBatches.Inc()
-	metricVotes.Add(uint64(len(batch)))
-	return nil
-}
-
-// EndTask marks a task boundary. The SWITCH trend detector operates on the
-// per-task majority series. It panics on a journal write failure (use Append
-// with endTask for an error-returning path).
-func (s *Session) EndTask() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mustMergeStaged()
-	if s.journal != nil {
-		if err := s.journalBatch(nil, true); err != nil {
-			panic(fmt.Sprintf("engine: session %q journal: %v", s.id, err))
-		}
-	}
-	s.applyEndTask()
-	s.bump()
-	s.touch()
-	metricTasks.Inc()
-}
+// EndTask marks a task boundary: Append(nil, true). The SWITCH trend
+// detector operates on the per-task majority series.
+func (s *Session) EndTask() error { return s.Append(nil, true) }
 
 // Tasks returns the number of completed tasks.
 func (s *Session) Tasks() int64 {
@@ -538,9 +446,6 @@ func (s *Session) Tasks() int64 {
 	defer s.mu.Unlock()
 	return s.tasks
 }
-
-// StagedEmpty reports whether no staged votes are awaiting merge (lock-free).
-func (s *Session) StagedEmpty() bool { return s.staged.Pending() == 0 }
 
 // Estimates returns every selected estimator's value at the current
 // position. The fast path is lock-free: if the session has not mutated since
@@ -550,7 +455,7 @@ func (s *Session) StagedEmpty() bool { return s.staged.Pending() == 0 }
 // first read after a mutation recomputes, under the mutex.
 func (s *Session) Estimates() estimator.Estimates {
 	v := s.version.Load()
-	if c := s.cached.Load(); c != nil && c.version == v && s.staged.Pending() == 0 {
+	if c := s.cached.Load(); c != nil && c.version == v {
 		s.touch()
 		metricEstimateHits.Inc()
 		return c.est.Clone()
@@ -559,11 +464,6 @@ func (s *Session) Estimates() estimator.Estimates {
 	defer s.mu.Unlock()
 	s.touch()
 	metricEstimateMisses.Inc()
-	// Fold staged votes in first — estimates reflect everything acknowledged.
-	// A journal error here leaves them staged (retried at the next merge
-	// point, where a mutation path will surface the sticky error); the
-	// estimate is then simply computed over the durable prefix.
-	_ = s.mergeStagedLocked()
 	return s.estimatesLocked()
 }
 
@@ -637,7 +537,6 @@ func (s *Session) WindowEstimates(kind window.Kind) (window.Result, error) {
 	if s.ring == nil {
 		return window.Result{}, fmt.Errorf("engine: session %q has no window configuration", s.id)
 	}
-	_ = s.mergeStagedLocked()
 	s.touch()
 	return s.ring.Estimates(kind)
 }
@@ -657,7 +556,6 @@ func (s *Session) NumItems() int { return s.items }
 func (s *Session) NumWorkers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.mergeStagedLocked()
 	return s.suite.Matrix.NumWorkers()
 }
 
@@ -665,7 +563,6 @@ func (s *Session) NumWorkers() int {
 func (s *Session) TotalVotes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.mergeStagedLocked()
 	return s.suite.Matrix.TotalVotes()
 }
 
@@ -673,49 +570,30 @@ func (s *Session) TotalVotes() int64 {
 func (s *Session) MajorityDirty(item int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.mergeStagedLocked()
 	return s.suite.Matrix.MajorityDirty(item)
 }
 
 // Reset clears the vote stream and every estimator, keeping the session
-// registered. On a durable session the reset is journaled; the next
-// compaction discards all pre-reset history. It panics on a journal write
-// failure.
-func (s *Session) Reset() {
+// registered. On a durable session the reset is journaled first — the next
+// compaction discards all pre-reset history — and a journal error leaves the
+// session untouched and is returned as a *JournalError.
+func (s *Session) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.mustMergeStaged()
 	if s.journal != nil {
 		if err := s.journal.Reset(); err != nil {
-			panic(fmt.Sprintf("engine: session %q journal: %v", s.id, err))
+			return &JournalError{SessionID: s.id, Err: err}
 		}
 	}
-	s.suite.Reset()
-	if s.ring != nil {
-		s.ring.Reset()
-	}
-	s.tasks = 0
+	s.applyReset()
 	s.bump()
 	s.touch()
 	metricResets.Inc()
+	return nil
 }
 
 // Durable reports whether the session journals its mutations.
 func (s *Session) Durable() bool { return s.journal != nil }
-
-// Sync flushes any buffered journal frames to stable storage (no-op for
-// in-memory sessions).
-func (s *Session) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.mergeStagedLocked(); err != nil {
-		return err
-	}
-	if s.journal == nil {
-		return nil
-	}
-	return s.journal.Sync()
-}
 
 // checkpointJournal forces a durable point (fsync + compaction when due).
 // An already-closed journal (evicted session, repeated engine Close) is a
@@ -723,9 +601,6 @@ func (s *Session) Sync() error {
 func (s *Session) checkpointJournal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.mergeStagedLocked(); err != nil && !errors.Is(err, wal.ErrClosed) {
-		return err
-	}
 	if s.journal == nil {
 		return nil
 	}
@@ -736,23 +611,13 @@ func (s *Session) checkpointJournal() error {
 }
 
 // closeJournal flushes and closes the journal (eviction and engine close).
-// Staged votes are merged (journaled) first, so eviction cannot strand
-// acknowledged votes in memory.
 func (s *Session) closeJournal() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	mergeErr := s.mergeStagedLocked()
-	if errors.Is(mergeErr, wal.ErrClosed) {
-		mergeErr = nil
-	}
 	if s.journal == nil {
-		return mergeErr
+		return nil
 	}
-	// A failed merge must not leak the journal's fd: close regardless.
-	if err := s.journal.Close(); err != nil {
-		return err
-	}
-	return mergeErr
+	return s.journal.Close()
 }
 
 // maxCICacheEntries bounds the per-session CI memo; beyond it the whole map
@@ -777,7 +642,6 @@ func (s *Session) runCI(key ciKey, capture func() (func() (estimator.CI, error),
 		return estimator.CI{}, err
 	}
 	s.mu.Lock()
-	_ = s.mergeStagedLocked()
 	s.touch()
 	v := s.version.Load()
 	if e, ok := s.ciCache[key]; ok && e.version == v {
@@ -867,7 +731,6 @@ func (s *Session) Chao92CI(replicates int, level float64) (estimator.CI, error) 
 func (s *Session) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.mergeStagedLocked()
 	sn := &Snapshot{
 		suite: s.suite.Clone(),
 		tasks: s.tasks,
@@ -897,7 +760,6 @@ func (s *Session) Restore(sn *Snapshot) error {
 		// represent a restore; allowing one would silently diverge recovery.
 		return fmt.Errorf("engine: session %q is durable; in-memory snapshot restore is not supported (replay the journal instead)", s.id)
 	}
-	_ = s.mergeStagedLocked()
 	// Hold the snapshot's own lock while cloning: Snapshot.Estimates mutates
 	// scratch state inside the suite, so an unguarded concurrent Clone would
 	// race (sn.mu is always the innermost lock; nothing under it takes s.mu).

@@ -15,14 +15,12 @@ import (
 // non-blockingly.
 type fakeSession struct {
 	version atomic.Uint64
-	pending atomic.Bool
 
 	mu        sync.Mutex
 	notifiers []chan<- struct{}
 }
 
 func (f *fakeSession) Version() uint64 { return f.version.Load() }
-func (f *fakeSession) Pending() bool   { return f.pending.Load() }
 
 func (f *fakeSession) Notify(ch chan<- struct{}) {
 	f.mu.Lock()
@@ -296,7 +294,7 @@ func TestEncodeErrorAdvancesCursor(t *testing.T) {
 	}
 }
 
-func TestPendingForcesReencode(t *testing.T) {
+func TestPayloadEncodesOncePerVersion(t *testing.T) {
 	h, sess, encodes := testHub(t, Config{})
 	sess.bump()
 	if _, _, _, ok := h.Payload("s", ViewAll); !ok {
@@ -307,14 +305,6 @@ func TestPendingForcesReencode(t *testing.T) {
 	}
 	if got := encodes.Load(); got != 1 {
 		t.Fatalf("encodes = %d for cached reads, want 1", got)
-	}
-	// Staged-but-unversioned mutations invalidate the cache.
-	sess.pending.Store(true)
-	if _, _, _, ok := h.Payload("s", ViewAll); !ok {
-		t.Fatalf("Payload failed")
-	}
-	if got := encodes.Load(); got != 2 {
-		t.Fatalf("encodes = %d with pending staged votes, want 2", got)
 	}
 }
 

@@ -113,17 +113,6 @@ func (j *Journal) Append(batch []votes.Vote, endTask bool) error {
 	return j.finishCommit(payload)
 }
 
-// EndTask logs a bare task boundary.
-func (j *Journal) EndTask() error {
-	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
-		return err
-	}
-	return j.finishCommit([]byte{opEnd})
-}
-
 // AppendRotation logs one engine batch, its task boundary, and the window
 // rotation that boundary seals — as ONE frame, so a torn tail can never
 // separate a task end from the rotation it fired: recovery either sees both
@@ -252,19 +241,9 @@ func (j *Journal) commitLocked(payload []byte) error {
 	return nil
 }
 
-// Flush drains buffered frames to the OS without fsyncing — the FsyncNever
-// idle bound (syncer passes call the locked variant so acknowledged frames
-// cannot sit in process memory indefinitely).
-func (j *Journal) Flush() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.err != nil {
-		return j.err
-	}
-	return j.flushLocked()
-}
-
-// flushLocked drains buffered frames to the OS. Call with j.mu held.
+// flushLocked drains buffered frames to the OS without fsyncing. Syncer
+// passes call it under FsyncNever so acknowledged frames cannot sit in
+// process memory indefinitely. Call with j.mu held.
 func (j *Journal) flushLocked() error {
 	if len(j.wbuf) == 0 {
 		return nil

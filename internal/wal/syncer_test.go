@@ -62,7 +62,7 @@ func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op
 					}
 					ops = append(ops, op{Kind: opEnd})
 				case 2: // bare task boundary
-					if err := js[i].EndTask(); err != nil {
+					if err := js[i].Append(nil, true); err != nil {
 						errs[i] = err
 						return
 					}

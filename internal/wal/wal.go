@@ -11,8 +11,8 @@
 //	snap-<seq>.bin     one snapshot covering segments 1..seq
 //
 // A segment is a 5-byte header (magic "DQMW", version) followed by frames.
-// Each frame is the group-commit unit — one engine Append/EndTask/Reset call —
-// encoded as
+// Each frame is the group-commit unit — one engine Append, AppendColumns or
+// Reset call — encoded as
 //
 //	uvarint(len(payload)) | crc32c(payload) LE | payload
 //

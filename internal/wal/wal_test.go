@@ -89,7 +89,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	append1([]votes.Vote{mkVote(1, 0, true), mkVote(2, 1, false)}, true)
 	append1([]votes.Vote{mkVote(3, -7, true)}, false) // negative worker ids survive zigzag
-	if err := j.EndTask(); err != nil {
+	if err := j.Append(nil, true); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, op{Kind: opEnd})
