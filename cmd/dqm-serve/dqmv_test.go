@@ -198,3 +198,48 @@ func TestDQMVDurableRestartRecovers(t *testing.T) {
 		t.Fatalf("estimates after restart differ:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestJournalFaultDQMVAppliesNothing: a multi-task DQMV body whose journal
+// fails answers 503 journal_unavailable with ingested 0, because the request
+// journals every task before it applies any. The HTTP route would revive an
+// evicted session, so the handler is driven with the stale handle directly.
+func TestJournalFaultDQMVAppliesNothing(t *testing.T) {
+	srv := mustServer(t, serverConfig{DataDir: t.TempDir(), Fsync: dqm.FsyncNever, MaxSessions: 1})
+	defer srv.Close()
+	do(t, srv, "POST", "/v1/sessions", map[string]any{"id": "j", "items": 5}, http.StatusCreated)
+	sess, ok := srv.engine.Session("j")
+	if !ok {
+		t.Fatal("session missing")
+	}
+	do(t, srv, "POST", "/v1/sessions", map[string]any{"id": "evictor", "items": 5}, http.StatusCreated)
+	body := encodeDQMV(t, []votelog.Entry{
+		{Task: 0, Item: 1, Worker: 0, Dirty: true},
+		{Task: 1, Item: 2, Worker: 1},
+		{Task: 2, Item: 3, Worker: 0, Dirty: true},
+	})
+	req := httptest.NewRequest("POST", "/v1/sessions/j/votes", bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentTypeDQMV)
+	rec := httptest.NewRecorder()
+	srv.handleAppendDQMV(rec, req, sess)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503 (body %s)", rec.Code, rec.Body.String())
+	}
+	var out struct {
+		Error struct {
+			Code    string         `json:"code"`
+			Details map[string]any `json:"details"`
+		} `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Error.Code != "journal_unavailable" {
+		t.Fatalf("code = %q, want journal_unavailable", out.Error.Code)
+	}
+	if out.Error.Details["ingested"] != 0.0 || out.Error.Details["tasks_ended"] != 0.0 {
+		t.Fatalf("details = %v, want ingested 0 and tasks_ended 0", out.Error.Details)
+	}
+	if sess.TotalVotes() != 0 || sess.Tasks() != 0 {
+		t.Fatalf("session holds %d votes in %d tasks after a failed request, want none", sess.TotalVotes(), sess.Tasks())
+	}
+}

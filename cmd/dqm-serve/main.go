@@ -784,14 +784,13 @@ func (s *server) handleAppendVotes(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleAppendDQMV ingests a binary DQMV vote log: the body is split into
-// per-task blocks without decoding votes into structs, and each block's raw
-// bytes travel verbatim from the wire into one columnar WAL record — no
-// per-vote JSON decode, no per-vote re-encode on the durability path. Task
-// boundaries follow the format's task-id changes plus one after the final
-// vote, so the same log ingested here and via {"entries": ...} yields
-// byte-identical estimates. Atomicity matches the entries path: per task,
-// with partial progress reported on failure.
+// handleAppendDQMV ingests a binary DQMV vote log through
+// dqm.Session.AppendDQMV: raw vote bytes travel verbatim from the wire into
+// columnar WAL records, and the whole request pays one durability wait. The
+// body is split here only for the empty-batch and batch-size checks. Task
+// boundaries match the {"entries": ...} rule, so both encodings yield
+// byte-identical estimates. An invalid task reports the tasks applied before
+// it, as the entries path does; a journal fault applies nothing.
 func (s *server) handleAppendDQMV(w http.ResponseWriter, r *http.Request, sess *dqm.Session) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -820,18 +819,10 @@ func (s *server) handleAppendDQMV(w http.ResponseWriter, r *http.Request, sess *
 		writeError(w, http.StatusRequestEntityTooLarge, codeBatchTooLarge, "batch of %d votes exceeds limit %d", total, s.cfg.MaxBatch)
 		return
 	}
-	votesApplied, tasksDone := 0, 0
-	for i, b := range blocks {
-		endTask := i+1 == len(blocks) || blocks[i+1].Task != b.Task
-		n, err := sess.AppendColumns(b.Raw, endTask)
-		if err != nil {
-			writePartialIngest(w, sess, err, votesApplied, tasksDone)
-			return
-		}
-		votesApplied += n
-		if endTask {
-			tasksDone++
-		}
+	votesApplied, tasksDone, err := sess.AppendDQMV(body)
+	if err != nil {
+		writePartialIngest(w, sess, err, votesApplied, tasksDone)
+		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ingested":    votesApplied,

@@ -384,8 +384,8 @@ type EngineConfig struct {
 	// files survive and Session(id) revives it on demand. Do not retain
 	// *Session handles across evictions on a durable engine: the evicted
 	// handle's journal is closed, so every mutator on it (AppendVotes,
-	// AppendDQMV, AppendColumns, Reset) returns an error that IsJournalError
-	// reports; re-fetch the session via Session(id) instead.
+	// AppendDQMV, Reset) returns an error that IsJournalError reports;
+	// re-fetch the session via Session(id) instead.
 	MaxSessions int
 	// OnEvict, when set, is called with the id of every session removed by
 	// the MaxSessions policy (not by DeleteSession), after removal and with
@@ -581,38 +581,22 @@ func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
 // boundaries follow the format's task-id changes plus one after the final
 // vote, exactly the boundaries the Entry/JSON path produces, so the
 // resulting estimates are identical to ingesting the same log vote by vote.
-// It returns the number of votes and task boundaries ingested. Ingest is
-// atomic per task, not per log: a malformed stream fails before anything is
-// applied, but an out-of-population item or a journal error in one task
-// leaves every earlier task applied (and, on a durable engine, journaled),
-// applies nothing of that task or any later one, and reports how far it got.
+// On a durable engine every task is journaled before any is applied and the
+// journal commits once, so under FsyncAlways the call waits for one group
+// commit that covers all its tasks, however many there are.
+//
+// It returns the number of votes and task boundaries ingested. A malformed
+// stream fails before anything is applied. An out-of-population item in one
+// task leaves every earlier task applied (and, on a durable engine,
+// journaled), applies nothing of that task or any later one, and reports how
+// far it got. A journal error applies nothing of the log and returns (0, 0)
+// with an error that IsJournalError reports.
 func (s *Session) AppendDQMV(body []byte) (votesIngested, tasksEnded int, err error) {
 	blocks, err := votelog.SplitBinaryTasks(body)
 	if err != nil {
 		return 0, 0, err
 	}
-	for i, b := range blocks {
-		endTask := i+1 == len(blocks) || blocks[i+1].Task != b.Task
-		n, err := s.s.AppendColumns(b.Raw, endTask)
-		if err != nil {
-			return votesIngested, tasksEnded, err
-		}
-		votesIngested += n
-		if endTask {
-			tasksEnded++
-		}
-	}
-	return votesIngested, tasksEnded, nil
-}
-
-// AppendColumns ingests one task's raw 'V'-record bytes (a
-// votelog.TaskBlock's Raw, no magic and no 'T' records) through the columnar
-// fast path, marking a task boundary after the batch when endTask is set. It
-// returns the number of votes applied. Callers splitting a DQMV stream
-// themselves (e.g. to report partial progress per task) use this; everyone
-// else wants AppendDQMV.
-func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
-	return s.s.AppendColumns(raw, endTask)
+	return s.s.AppendLog(blocks)
 }
 
 // Tasks returns the number of completed tasks.

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"dqm/internal/metrics"
 	"dqm/internal/votelog"
 )
 
@@ -37,13 +38,23 @@ func TestSessionJournalFaultReturnsErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	version, total, tasks := sess.Version(), sess.TotalVotes(), sess.Tasks()
-	body := dqmvLog(t, []votelog.Entry{{Task: 0, Item: 1, Worker: 0, Dirty: true}})
+	body := dqmvLog(t, []votelog.Entry{
+		{Task: 0, Item: 1, Worker: 0, Dirty: true},
+		{Task: 1, Item: 2, Worker: 1},
+		{Task: 2, Item: 3, Worker: 0, Dirty: true},
+	})
 	for _, m := range []struct {
 		name string
 		call func() error
 	}{
 		{"AppendVotes", func() error { return sess.AppendVotes([]Vote{{Item: 1, Dirty: true}}, true) }},
-		{"AppendDQMV", func() error { _, _, err := sess.AppendDQMV(body); return err }},
+		{"AppendDQMV", func() error {
+			n, ended, err := sess.AppendDQMV(body)
+			if n != 0 || ended != 0 {
+				t.Errorf("AppendDQMV on an evicted handle = (%d, %d), want (0, 0)", n, ended)
+			}
+			return err
+		}},
 		{"Reset", sess.Reset},
 	} {
 		if err := m.call(); !IsJournalError(err) {
@@ -130,5 +141,55 @@ func TestAppendDQMVMatchesAppendVotes(t *testing.T) {
 	}
 	if got, want := bin.Estimates(), ref.Estimates(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("DQMV estimates %+v != AppendVotes estimates %+v", got, want)
+	}
+}
+
+// TestDurableAppendDQMVOneFsync: under FsyncAlways a 150-task DQMV log is
+// journaled as 150 frames and made durable by one fsync — one durability
+// wait per request, not one per task.
+func TestDurableAppendDQMVOneFsync(t *testing.T) {
+	const n, tasks, perTask = 5000, 150, 20
+	eng, err := OpenEngine(t.TempDir(), EngineConfig{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	sess, err := eng.CreateSession("bulk", n, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := make([]votelog.Entry, 0, tasks*perTask)
+	for task := 0; task < tasks; task++ {
+		for k := 0; k < perTask; k++ {
+			entries = append(entries, votelog.Entry{Task: task, Item: (task*37 + k*11) % n, Worker: task % 25, Dirty: k%7 == 0})
+		}
+	}
+	body := dqmvLog(t, entries)
+	counter := func(name string) float64 {
+		v, ok := metrics.Default.Value(name)
+		if !ok {
+			t.Fatalf("metric %s not registered", name)
+		}
+		return v
+	}
+	waits := func() uint64 {
+		n, _, ok := metrics.Default.HistogramStats("dqm_wal_commit_wait_seconds")
+		if !ok {
+			t.Fatal("dqm_wal_commit_wait_seconds not registered")
+		}
+		return n
+	}
+	fsyncs, frames, waited := counter("dqm_wal_fsyncs_total"), counter("dqm_wal_append_frames_total"), waits()
+	if got, ended, err := sess.AppendDQMV(body); err != nil || got != len(entries) || ended != tasks {
+		t.Fatalf("AppendDQMV = (%d, %d, %v), want (%d, %d, nil)", got, ended, err, len(entries), tasks)
+	}
+	if d := counter("dqm_wal_fsyncs_total") - fsyncs; d != 1 {
+		t.Errorf("dqm_wal_fsyncs_total moved by %v, want 1", d)
+	}
+	if d := counter("dqm_wal_append_frames_total") - frames; d != tasks {
+		t.Errorf("dqm_wal_append_frames_total moved by %v, want %d", d, tasks)
+	}
+	if d := waits() - waited; d != 1 {
+		t.Errorf("dqm_wal_commit_wait_seconds observed %d waits, want 1", d)
 	}
 }

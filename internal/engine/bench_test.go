@@ -364,6 +364,48 @@ func BenchmarkColumnarIngest(b *testing.B) {
 	})
 }
 
+// BenchmarkAppendLog measures bulk binary ingest of one pre-split
+// 150-task × 20-vote log per op through AppendLog: in memory, and durable
+// under each fsync policy, where every op stages 150 frames and commits once
+// (under "always", one group-commit wait per op).
+func BenchmarkAppendLog(b *testing.B) {
+	const n, tasks, perTask = 5000, 150, 20
+	blocks := make([]votelog.TaskBlock, tasks)
+	for i := range blocks {
+		for _, v := range syntheticBatch(n, perTask, i) {
+			blocks[i].Raw = votelog.AppendBinaryVote(blocks[i].Raw, int32(v.Item), int32(v.Worker), v.Label == votes.Dirty)
+		}
+		blocks[i].Task, blocks[i].Votes = int32(i), perTask
+	}
+	run := func(b *testing.B, s *Session) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := s.AppendLog(blocks); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.N*tasks*perTask)/b.Elapsed().Seconds(), "votes/s")
+	}
+	b.Run("memory", func(b *testing.B) {
+		run(b, NewSession("bench", n, SessionConfig{}))
+	})
+	for _, p := range []wal.FsyncPolicy{wal.FsyncNever, wal.FsyncBatch, wal.FsyncAlways} {
+		b.Run("durable/"+p.String(), func(b *testing.B) {
+			e, err := Open(Config{DataDir: b.TempDir(), WAL: wal.Options{Fsync: p}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			s, err := e.Create("bench", n, SessionConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			run(b, s)
+		})
+	}
+}
+
 // BenchmarkSessionSnapshot measures the cost of a point-in-time snapshot of
 // a loaded session.
 func BenchmarkSessionSnapshot(b *testing.B) {

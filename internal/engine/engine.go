@@ -395,7 +395,7 @@ func (e *Engine) recoverSession(id string, cols *votelog.VoteColumns) (*Session,
 					return fmt.Errorf("engine: journaled item %d outside population [0, %d)", item, n)
 				}
 			}
-			s.applyColumns(cols)
+			s.applyColumns(cols, 0, cols.Len())
 			return nil
 		},
 		Cols: cols,

@@ -36,6 +36,7 @@ func TestJournalFaultNeverPanics(t *testing.T) {
 	}
 	version, total, tasks := s.Version(), s.TotalVotes(), s.Tasks()
 	raw := votelog.AppendBinaryVote(nil, 2, 1, true)
+	blocks := []votelog.TaskBlock{{Task: 0, Raw: raw}, {Task: 1, Raw: raw}, {Task: 2, Raw: raw}}
 	for _, m := range []struct {
 		name string
 		call func() error
@@ -45,6 +46,13 @@ func TestJournalFaultNeverPanics(t *testing.T) {
 		{"Reset", s.Reset},
 		{"Append", func() error { return s.Append([]votes.Vote{{Item: 2, Worker: 1}}, true) }},
 		{"AppendColumns", func() error { _, err := s.AppendColumns(raw, true); return err }},
+		{"AppendLog", func() error {
+			n, ended, err := s.AppendLog(blocks)
+			if n != 0 || ended != 0 {
+				t.Errorf("AppendLog on an evicted handle = (%d, %d), want (0, 0)", n, ended)
+			}
+			return err
+		}},
 	} {
 		err := m.call()
 		var je *JournalError

@@ -75,9 +75,9 @@ type Session struct {
 	ring  *window.Ring
 	tasks int64
 
-	// cols is the columnar decode scratch of AppendColumns, reused so the
-	// binary ingest path stays allocation-free after warmup. Guarded by mu.
-	cols votelog.VoteColumns
+	// scratch is the decode scratch of single-block appends (multi-block ones
+	// borrow from stagingPool). Guarded by mu.
+	scratch staging
 
 	// journal is the write-ahead log of a durable session (nil otherwise).
 	// Every mutation is journaled before it is applied, under mu, so journal
@@ -292,10 +292,10 @@ func (s *Session) applyVote(v votes.Vote) {
 	}
 }
 
-// applyColumns feeds one decoded columnar batch through applyVote in order;
-// AppendColumns and recovery replay share it.
-func (s *Session) applyColumns(cols *votelog.VoteColumns) {
-	for i := range cols.Item {
+// applyColumns feeds rows [from, to) of decoded columns through applyVote in
+// order; AppendLog and recovery replay share it.
+func (s *Session) applyColumns(cols *votelog.VoteColumns, from, to int) {
+	for i := from; i < to; i++ {
 		label := votes.Clean
 		if cols.Dirty[i] {
 			label = votes.Dirty
@@ -325,13 +325,13 @@ func (s *Session) applyReset() {
 	s.tasks = 0
 }
 
-// sealedWindow returns the start task of the window rotation that a task
-// boundary marked now would seal, or -1 when it seals none. The journal
-// records the rotation in the boundary's own frame, so recovery can never
-// see the boundary without its rotation. Call under mu, before applying.
-func (s *Session) sealedWindow(endTask bool) int64 {
-	if endTask && s.ring != nil {
-		if rot, ok := s.ring.WillRotate(); ok {
+// sealedWindow returns the start task of the window rotation sealed by the
+// ahead-th task boundary from now (1 = the next), or -1 when it seals none.
+// The journal records a rotation in its boundary's own frame, so recovery can
+// never see the boundary without its rotation. Call under mu, before applying.
+func (s *Session) sealedWindow(ahead int) int64 {
+	if s.ring != nil {
+		if rot, ok := s.ring.Config().RotationAt(s.ring.Tasks() + int64(ahead)); ok {
 			return rot.Start
 		}
 	}
@@ -341,8 +341,10 @@ func (s *Session) sealedWindow(endTask bool) int64 {
 // journalBatch write-ahead-logs one vote batch and, when endTask is set, its
 // task boundary. Call under mu, before applying.
 func (s *Session) journalBatch(batch []votes.Vote, endTask bool) error {
-	if start := s.sealedWindow(endTask); start >= 0 {
-		return s.journal.AppendRotation(batch, start)
+	if endTask {
+		if start := s.sealedWindow(1); start >= 0 {
+			return s.journal.AppendRotation(batch, start)
+		}
 	}
 	return s.journal.Append(batch, endTask)
 }
@@ -368,7 +370,7 @@ func (s *Session) publish(n int, endTask bool) {
 // half-ingested task behind. On a durable session the batch is journaled
 // (one group-commit frame) before it is applied; a journal error rejects the
 // batch with in-memory state untouched and is returned as a *JournalError.
-// Every vote mutation goes through here or AppendColumns.
+// Every vote mutation goes through here or AppendLog.
 func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 	n := s.items
 	for i, v := range batch {
@@ -390,38 +392,120 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 	return nil
 }
 
-// AppendColumns ingests one columnar batch: raw DQMV 'V'-record bytes (one
-// task block of a binary vote log — see votelog.SplitBinaryTasks), validated,
-// journaled verbatim as a single columnar WAL record, and applied. The raw
-// bytes are never re-encoded per vote — the wire encoding is the journal
-// encoding — and the decode scratch is reused, so bulk binary ingest does not
-// allocate per batch. endTask marks a task boundary after the batch,
-// journaled in the same frame. Returns the number of votes ingested; errors
-// follow Append's contract.
+// AppendLog ingests a binary vote log split into task blocks (see
+// votelog.SplitBinaryTasks). A task boundary follows each block whose
+// successor carries a different task id, and the last block: the boundaries
+// the Entry path produces for the same log. Each block's raw 'V'-record bytes
+// are journaled verbatim as one columnar frame, with its boundary and the
+// window rotation that boundary seals, and applied with one version bump.
+//
+// The whole log takes one hold of the session mutex and, on a durable
+// session, one durability wait: every frame is staged, the journal commits
+// once, and only then is anything applied or published. It returns the votes
+// and task boundaries applied. An invalid block (undecodable, or an item
+// outside the population) leaves every block before it applied and durable,
+// applies nothing from it on, and returns the validation error; a journal
+// error applies nothing and returns (0, 0, *JournalError).
+func (s *Session) AppendLog(blocks []votelog.TaskBlock) (votesIngested, tasksEnded int, err error) {
+	return s.appendBlocks(blocks, true)
+}
+
+// AppendColumns ingests one columnar batch — raw DQMV 'V'-record bytes, one
+// task block of a binary vote log — marking a task boundary after it when
+// endTask is set: the one-block case of AppendLog, with the same contract.
+// It returns the number of votes ingested.
 func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
 	if len(raw) == 0 && !endTask {
 		return 0, nil
 	}
+	one := [1]votelog.TaskBlock{{Raw: raw}}
+	n, _, err := s.appendBlocks(one[:], endTask)
+	return n, err
+}
+
+// staging is the scratch of one appendBlocks call: the staged blocks decoded
+// into one set of columns, and the row where each block ends.
+type staging struct {
+	cols votelog.VoteColumns
+	ends []int
+}
+
+// stagingPool lends multi-block calls their scratch, so binary ingest does
+// not allocate after warm-up and a session keeps no request-sized buffer.
+var stagingPool = sync.Pool{New: func() any { return new(staging) }}
+
+// appendBlocks is the core of AppendLog and AppendColumns; endLast says
+// whether the last block ends its task. Under mu it decodes, validates and
+// stages blocks up to the first invalid one, commits once, then applies.
+func (s *Session) appendBlocks(blocks []votelog.TaskBlock, endLast bool) (votesIngested, tasksEnded int, err error) {
+	endsTask := func(i int) bool {
+		if i+1 < len(blocks) {
+			return blocks[i+1].Task != blocks[i].Task
+		}
+		return endLast
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cols := &s.cols
-	if err := cols.Decode(raw); err != nil {
-		return 0, err
+	// A lone block reuses the session's own scratch, sized like the largest
+	// block so far; borrowing from the pool costs more than it saves there.
+	st := &s.scratch
+	if len(blocks) > 1 {
+		st = stagingPool.Get().(*staging)
+		defer stagingPool.Put(st)
+	}
+	cols := &st.cols
+	cols.Reset()
+	st.ends = st.ends[:0]
+	ahead := 0 // task boundaries staged so far
+	for i, b := range blocks {
+		if err = s.decodeBlock(cols, b.Raw); err != nil {
+			break
+		}
+		if s.journal != nil {
+			end, start := endsTask(i), int64(-1)
+			if end {
+				ahead++
+				start = s.sealedWindow(ahead)
+			}
+			if jerr := s.journal.StageColumns(b.Raw, end, start); jerr != nil {
+				return 0, 0, &JournalError{SessionID: s.id, Err: jerr}
+			}
+		}
+		st.ends = append(st.ends, cols.Len())
+	}
+	if s.journal != nil && len(st.ends) > 0 {
+		if jerr := s.journal.Commit(); jerr != nil {
+			return 0, 0, &JournalError{SessionID: s.id, Err: jerr}
+		}
+	}
+	from := 0
+	for i, to := range st.ends {
+		end := endsTask(i)
+		s.applyColumns(cols, from, to)
+		s.publish(to-from, end)
+		votesIngested += to - from
+		if end {
+			tasksEnded++
+		}
+		from = to
+	}
+	return votesIngested, tasksEnded, err
+}
+
+// decodeBlock appends one block's raw vote bytes to cols and checks every
+// item of the block against the population.
+func (s *Session) decodeBlock(cols *votelog.VoteColumns, raw []byte) error {
+	from := cols.Len()
+	if err := cols.DecodeAppend(raw); err != nil {
+		return err
 	}
 	n := int32(s.items)
-	for i, item := range cols.Item {
+	for i, item := range cols.Item[from:] {
 		if item >= n {
-			return 0, fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, item, n)
+			return fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, item, n)
 		}
 	}
-	if s.journal != nil {
-		if err := s.journal.AppendColumns(raw, endTask, s.sealedWindow(endTask)); err != nil {
-			return 0, &JournalError{SessionID: s.id, Err: err}
-		}
-	}
-	s.applyColumns(cols)
-	s.publish(cols.Len(), endTask)
-	return cols.Len(), nil
+	return nil
 }
 
 // Record ingests one vote: Append of a one-vote batch without a task

@@ -25,8 +25,8 @@ type Journal struct {
 	dir  string
 	opts Options
 
-	// sy is the store-wide group-commit syncer (nil for journals detached
-	// from a store, which fall back to self-timed fsync policies).
+	// sy is the store-wide group-commit syncer that applies the fsync policy
+	// to committed frames.
 	sy *Syncer
 	// queued marks the journal as enqueued for the syncer's next pass; the
 	// syncer clears it when it snapshots the queue. Lock-free so MarkDirty
@@ -62,8 +62,7 @@ type Journal struct {
 	// one, which recovery (correctly) refuses to read past.
 	err error
 
-	dirty    bool // unsynced frames in the active segment
-	lastSync time.Time
+	dirty bool // unsynced frames in the active segment
 
 	buf []byte // payload scratch, reused across appends
 }
@@ -96,10 +95,7 @@ func (j *Journal) Append(batch []votes.Vote, endTask bool) error {
 	if len(batch) == 0 && !endTask {
 		return nil
 	}
-	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
+	if err := j.lock(); err != nil {
 		return err
 	}
 	payload := j.buf[:0]
@@ -110,7 +106,7 @@ func (j *Journal) Append(batch []votes.Vote, endTask bool) error {
 		payload = append(payload, opEnd)
 	}
 	j.buf = payload
-	return j.finishCommit(payload)
+	return j.stageCommit(payload)
 }
 
 // AppendRotation logs one engine batch, its task boundary, and the window
@@ -119,10 +115,7 @@ func (j *Journal) Append(batch []votes.Vote, endTask bool) error {
 // or neither, and replayed window boundaries always match an uninterrupted
 // run. windowStart is the first completed-task index of the sealed window.
 func (j *Journal) AppendRotation(batch []votes.Vote, windowStart int64) error {
-	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
+	if err := j.lock(); err != nil {
 		return err
 	}
 	payload := j.buf[:0]
@@ -132,25 +125,37 @@ func (j *Journal) AppendRotation(batch []votes.Vote, windowStart int64) error {
 	payload = append(payload, opEnd)
 	payload = appendWindow(payload, windowStart)
 	j.buf = payload
-	return j.finishCommit(payload)
+	return j.stageCommit(payload)
 }
 
-// AppendColumns write-ahead-logs one columnar batch: raw pre-encoded DQMV
-// vote records ('V' opcode streams, see internal/votelog) journaled verbatim
-// as a single opColumns record — no per-vote re-encode, the bytes that came
-// off the wire are the bytes that hit the log. The caller must have validated
-// the raw stream (encoding and item bounds) first: the journal must never
-// hold a record replay would reject. endTask appends a task boundary in the
-// same frame; windowStart >= 0 additionally appends the window rotation that
-// boundary seals (pass -1 for none).
+// AppendColumns write-ahead-logs one columnar batch: StageColumns, then
+// Commit.
 func (j *Journal) AppendColumns(raw []byte, endTask bool, windowStart int64) error {
 	if len(raw) == 0 && !endTask {
 		return nil
 	}
-	j.mu.Lock()
-	if j.err != nil {
-		err := j.err
-		j.mu.Unlock()
+	if err := j.StageColumns(raw, endTask, windowStart); err != nil {
+		return err
+	}
+	return j.Commit()
+}
+
+// StageColumns writes one columnar batch into the group-commit buffer as one
+// frame, without applying the fsync policy: raw pre-encoded DQMV vote records
+// ('V' opcode streams, see internal/votelog) journaled verbatim as a single
+// opColumns record — no per-vote re-encode, the bytes that came off the wire
+// are the bytes that hit the log. The caller must have validated the raw
+// stream (encoding and item bounds) first: the journal must never hold a
+// record replay would reject. endTask appends a task boundary in the same
+// frame; windowStart >= 0 additionally appends the window rotation that
+// boundary seals (pass -1 for none). A staged frame is durable only after the
+// next Commit returns, so a multi-task write stages every task and commits
+// once before applying any of them.
+func (j *Journal) StageColumns(raw []byte, endTask bool, windowStart int64) error {
+	if len(raw) == 0 && !endTask {
+		return nil
+	}
+	if err := j.lock(); err != nil {
 		return err
 	}
 	payload := j.buf[:0]
@@ -164,58 +169,70 @@ func (j *Journal) AppendColumns(raw []byte, endTask bool, windowStart int64) err
 		}
 	}
 	j.buf = payload
-	return j.finishCommit(payload)
+	return j.stage(payload)
 }
 
 // Reset logs a session reset. The next compaction discards everything before
 // it.
 func (j *Journal) Reset() error {
+	if err := j.lock(); err != nil {
+		return err
+	}
+	return j.stageCommit([]byte{opReset})
+}
+
+// lock takes j.mu for an append, unless the journal is in its sticky error
+// state, which it returns instead with j.mu released.
+func (j *Journal) lock() error {
 	j.mu.Lock()
 	if j.err != nil {
 		err := j.err
 		j.mu.Unlock()
 		return err
 	}
-	return j.finishCommit([]byte{opReset})
+	return nil
 }
 
 // flushChunk drains the user-space frame buffer to the OS once it exceeds
 // this size, bounding both memory and write-syscall frequency.
 const flushChunk = 64 << 10
 
-// finishCommit commits one frame and applies the fsync policy. Called with
-// j.mu held; unlocks before any syncer interaction so a parked committer
-// cannot deadlock the pass that must flush its journal.
-func (j *Journal) finishCommit(payload []byte) error {
+// stage commits one frame into the group-commit buffer. Called with j.mu
+// held; unlocks it.
+func (j *Journal) stage(payload []byte) error {
 	start := time.Now()
 	err := j.commitLocked(payload)
-	sy, policy := j.sy, j.opts.Fsync
-	needSync := false
-	if err == nil && sy == nil {
-		// Detached journal: the old self-timed policies.
-		switch policy {
-		case FsyncAlways:
-			needSync = true
-		case FsyncBatch:
-			needSync = time.Since(j.lastSync) >= j.opts.BatchInterval
-		}
-	}
 	j.mu.Unlock()
 	metricFrames.Inc()
-	defer metricAppendSeconds.ObserveSince(start)
-	if err != nil {
+	metricAppendSeconds.ObserveSince(start)
+	return err
+}
+
+// stageCommit is stage followed by Commit: the single-frame append. Called
+// with j.mu held; unlocks it before any syncer interaction, so a parked
+// committer cannot deadlock the pass that must flush its journal.
+func (j *Journal) stageCommit(payload []byte) error {
+	if err := j.stage(payload); err != nil {
 		return err
 	}
-	switch {
-	case sy != nil && policy == FsyncAlways:
-		return sy.Commit(j)
-	case sy != nil:
-		sy.MarkDirty(j)
+	return j.Commit()
+}
+
+// Commit applies the fsync policy to every frame staged since the last
+// Commit. Under FsyncAlways it parks until a syncer pass has flushed and
+// fsynced them — one wait however many frames were staged, shared with every
+// other journal committing in the same pass — and returns the journal's
+// sticky error if that failed. Under FsyncBatch and FsyncNever it enqueues
+// the journal for the syncer's next pass and returns at once.
+func (j *Journal) Commit() error {
+	if j.opts.Fsync != FsyncAlways {
+		j.sy.MarkDirty(j)
 		return nil
-	case needSync:
-		return j.Sync()
 	}
-	return nil
+	start := time.Now()
+	err := j.sy.Commit(j)
+	metricCommitWaitSeconds.ObserveSince(start)
+	return err
 }
 
 // commitLocked appends one frame to the group-commit buffer, rotating and
@@ -287,7 +304,6 @@ func (j *Journal) syncLocked() error {
 		}
 		j.dirty = false
 	}
-	j.lastSync = time.Now()
 	return nil
 }
 

@@ -8,9 +8,12 @@ import "dqm/internal/metrics"
 // atomic add or a fixed-bucket histogram observation, both allocation-free.
 var (
 	metricFrames = metrics.Default.Counter("dqm_wal_append_frames_total",
-		"Frames committed to journals (one group-commit unit — engine batch, task end or reset — each).")
+		"Frames committed to journals (one engine batch, task block, task end or reset each).")
 	metricAppendSeconds = metrics.Default.Histogram("dqm_wal_append_seconds",
-		"Journal append latency per frame, including any flush, fsync, rotation or compaction it triggered.",
+		"Journal frame commit latency: buffering the frame plus any flush, rotation or compaction it triggered (not the durability wait; see dqm_wal_commit_wait_seconds).",
+		metrics.DurationBuckets)
+	metricCommitWaitSeconds = metrics.Default.Histogram("dqm_wal_commit_wait_seconds",
+		"Durability wait per FsyncAlways commit: parked on the group-commit syncer, or syncing directly once it has stopped. A multi-task binary request commits once, however many frames it staged.",
 		metrics.DurationBuckets)
 	metricFlushedBytes = metrics.Default.Counter("dqm_wal_flushed_bytes_total",
 		"Journal bytes handed to the OS (user-space group-commit buffer drains).")

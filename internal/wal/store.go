@@ -301,7 +301,7 @@ func (s *Store) Create(meta Meta) (*Journal, error) {
 		return nil, err
 	}
 	_ = syncDir(s.dir)
-	return &Journal{dir: dir, opts: s.opts, sy: s.sy, f: f, seq: 1, size: size, lastSync: time.Now()}, nil
+	return &Journal{dir: dir, opts: s.opts, sy: s.sy, f: f, seq: 1, size: size}, nil
 }
 
 // writeMeta atomically persists meta.json: temp file, fsync, rename, dir
@@ -428,7 +428,7 @@ func (s *Store) Recover(id string, h Hooks) (*Journal, error) {
 	}
 	removeTemp(dir)
 
-	j := &Journal{dir: dir, opts: s.opts, sy: s.sy, snapSeq: snapSeq, snapBytes: snapBytes, lastSync: time.Now()}
+	j := &Journal{dir: dir, opts: s.opts, sy: s.sy, snapSeq: snapSeq, snapBytes: snapBytes}
 	if len(live) == 0 {
 		f, size, err := createSegment(dir, snapSeq+1)
 		if err != nil {

@@ -17,8 +17,8 @@ import (
 //
 // Durability semantics per policy are unchanged:
 //
-//   - FsyncAlways: Append does not return before the frame is fsynced (the
-//     fsync just batches with every other session's).
+//   - FsyncAlways: Commit does not return before the frames it covers are
+//     fsynced (the fsync just batches with every other session's).
 //   - FsyncBatch: a pass runs at least every BatchInterval and fsyncs all
 //     dirty journals; a crash loses at most roughly one interval.
 //   - FsyncNever: passes only drain user-space buffers to the OS.

@@ -11,8 +11,8 @@
 //	snap-<seq>.bin     one snapshot covering segments 1..seq
 //
 // A segment is a 5-byte header (magic "DQMW", version) followed by frames.
-// Each frame is the group-commit unit — one engine Append, AppendColumns or
-// Reset call — encoded as
+// Each frame is one engine batch — an Append call, one task block of an
+// AppendLog call, or a Reset — encoded as
 //
 //	uvarint(len(payload)) | crc32c(payload) LE | payload
 //
@@ -49,10 +49,12 @@ const (
 	// BatchInterval (and always on rotation, checkpoint and close). A crash
 	// loses at most roughly the last interval of acknowledged votes.
 	FsyncBatch FsyncPolicy = iota
-	// FsyncAlways fsyncs every frame before the append returns. Nothing
-	// acknowledged is ever lost. Appends park on the store's Syncer, so
-	// concurrent sessions share fsync rounds (cross-session group commit)
-	// instead of each paying device sync latency alone.
+	// FsyncAlways fsyncs every frame before the commit that covers it
+	// returns. Nothing acknowledged is ever lost. Commits park on the
+	// store's Syncer, so concurrent sessions share fsync rounds
+	// (cross-session group commit) instead of each paying device sync
+	// latency alone, and a multi-task request stages all its frames and
+	// parks once.
 	FsyncAlways
 	// FsyncNever leaves fsync to the OS: frames are still handed to the
 	// kernel (on buffer overflow, or by the store Syncer's periodic drain),

@@ -211,16 +211,19 @@ func (r *Ring) Observe(v votes.Vote) {
 	}
 }
 
-// WillRotate reports the rotation the NEXT EndTask will fire, if any, without
-// mutating anything. The session engine consults it to write-ahead-journal
-// the rotation record in the same frame as the task boundary that causes it.
-func (r *Ring) WillRotate() (Rotation, bool) {
-	for _, p := range r.panes {
-		if p.start >= 0 && p.tasks == r.cfg.Size-1 {
-			return Rotation{Start: p.start}, true
-		}
+// RotationAt reports the rotation fired by the task boundary that brings a
+// stream to tasks completed tasks. Windows open every Stride tasks and seal
+// Size tasks later, so that boundary seals the window starting at tasks−Size
+// exactly when tasks ≥ Size and (tasks−Size) % Stride == 0. The session engine
+// uses it to write-ahead-journal each rotation in the same frame as the
+// boundary that fires it, for boundaries it has not applied yet.
+func (c Config) RotationAt(tasks int64) (Rotation, bool) {
+	c = c.normalize()
+	start := tasks - int64(c.Size)
+	if start < 0 || start%int64(c.Stride) != 0 {
+		return Rotation{}, false
 	}
-	return Rotation{}, false
+	return Rotation{Start: start}, true
 }
 
 // EndTask marks a task boundary: every open pane advances, a pane reaching

@@ -45,16 +45,16 @@ func suiteCfg() estimator.SuiteConfig {
 }
 
 // feed streams one task through the ring, returning any rotation. It also
-// checks WillRotate against what actually fires.
+// checks the closed-form RotationAt against what actually fires.
 func feed(t *testing.T, r *Ring, task []votes.Vote) (Rotation, bool) {
 	t.Helper()
 	for _, v := range task {
 		r.Observe(v)
 	}
-	predicted, willFire := r.WillRotate()
+	predicted, willFire := r.Config().RotationAt(r.Tasks() + 1)
 	rot, fired := r.EndTask()
 	if willFire != fired || (fired && predicted != rot) {
-		t.Fatalf("WillRotate predicted (%+v, %v), EndTask fired (%+v, %v)", predicted, willFire, rot, fired)
+		t.Fatalf("RotationAt(%d) predicted (%+v, %v), EndTask fired (%+v, %v)", r.Tasks(), predicted, willFire, rot, fired)
 	}
 	return rot, fired
 }
@@ -232,6 +232,40 @@ func TestCloneAndResetIndependence(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("reset ring diverges from fresh ring on %v", k)
 		}
+	}
+}
+
+// TestRotationAtEdgeConfigs runs feed's closed-form check through the shapes
+// the tests above leave out: a stride of one (a rotation at every boundary
+// once the first window fills), the 64-pane limit, and a Reset in the middle
+// of the stream (the task count starts over).
+func TestRotationAtEdgeConfigs(t *testing.T) {
+	const n = 20
+	tasks := genTasks(5, 150, n)
+	for _, c := range []struct {
+		name    string
+		cfg     Config
+		resetAt int
+	}{
+		{"stride-1", Config{Size: 6, Stride: 1}, -1},
+		{"64-panes", Config{Size: 128, Stride: 2}, -1},
+		{"reset-mid-stream", Config{Size: 5, Stride: 2, DecayAlpha: 0.5}, 23},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := New(n, suiteCfg(), c.cfg)
+			sealed := 0
+			for i, task := range tasks {
+				if i == c.resetAt {
+					r.Reset()
+				}
+				if _, fired := feed(t, r, task); fired {
+					sealed++
+				}
+			}
+			if sealed == 0 {
+				t.Fatal("no window sealed")
+			}
+		})
 	}
 }
 
