@@ -589,8 +589,11 @@ func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
 // stream fails before anything is applied. An out-of-population item in one
 // task leaves every earlier task applied (and, on a durable engine,
 // journaled), applies nothing of that task or any later one, and reports how
-// far it got. A journal error applies nothing of the log and returns (0, 0)
-// with an error that IsJournalError reports.
+// far it got. A journal error applies nothing of the log in memory and
+// returns (0, 0) with an error that IsJournalError reports. Frames staged
+// before the fault may already be on disk and come back when the session is
+// reloaded (after a restart, or on revival after eviction), so compare Tasks
+// after the reload before re-sending the log.
 func (s *Session) AppendDQMV(body []byte) (votesIngested, tasksEnded int, err error) {
 	blocks, err := votelog.SplitBinaryTasks(body)
 	if err != nil {

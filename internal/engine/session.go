@@ -75,10 +75,6 @@ type Session struct {
 	ring  *window.Ring
 	tasks int64
 
-	// scratch is the decode scratch of single-block appends (multi-block ones
-	// borrow from stagingPool). Guarded by mu.
-	scratch staging
-
 	// journal is the write-ahead log of a durable session (nil otherwise).
 	// Every mutation is journaled before it is applied, under mu, so journal
 	// order equals apply order and recovery replays to bit-identical state.
@@ -404,8 +400,11 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 // once, and only then is anything applied or published. It returns the votes
 // and task boundaries applied. An invalid block (undecodable, or an item
 // outside the population) leaves every block before it applied and durable,
-// applies nothing from it on, and returns the validation error; a journal
-// error applies nothing and returns (0, 0, *JournalError).
+// applies nothing from it on, and returns the validation error. A journal
+// error applies nothing in memory and returns (0, 0, *JournalError); frames
+// staged before the fault may already be on disk and come back when the
+// session is reloaded (after a restart, or on revival after eviction), so
+// compare Tasks after the reload before re-sending.
 func (s *Session) AppendLog(blocks []votelog.TaskBlock) (votesIngested, tasksEnded int, err error) {
 	return s.appendBlocks(blocks, true)
 }
@@ -430,8 +429,8 @@ type staging struct {
 	ends []int
 }
 
-// stagingPool lends multi-block calls their scratch, so binary ingest does
-// not allocate after warm-up and a session keeps no request-sized buffer.
+// stagingPool lends every appendBlocks call its scratch, so binary ingest
+// does not allocate after warm-up and a session keeps no decode buffer.
 var stagingPool = sync.Pool{New: func() any { return new(staging) }}
 
 // appendBlocks is the core of AppendLog and AppendColumns; endLast says
@@ -444,15 +443,10 @@ func (s *Session) appendBlocks(blocks []votelog.TaskBlock, endLast bool) (votesI
 		}
 		return endLast
 	}
+	st := stagingPool.Get().(*staging)
+	defer stagingPool.Put(st)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// A lone block reuses the session's own scratch, sized like the largest
-	// block so far; borrowing from the pool costs more than it saves there.
-	st := &s.scratch
-	if len(blocks) > 1 {
-		st = stagingPool.Get().(*staging)
-		defer stagingPool.Put(st)
-	}
 	cols := &st.cols
 	cols.Reset()
 	st.ends = st.ends[:0]

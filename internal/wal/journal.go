@@ -128,18 +128,6 @@ func (j *Journal) AppendRotation(batch []votes.Vote, windowStart int64) error {
 	return j.stageCommit(payload)
 }
 
-// AppendColumns write-ahead-logs one columnar batch: StageColumns, then
-// Commit.
-func (j *Journal) AppendColumns(raw []byte, endTask bool, windowStart int64) error {
-	if len(raw) == 0 && !endTask {
-		return nil
-	}
-	if err := j.StageColumns(raw, endTask, windowStart); err != nil {
-		return err
-	}
-	return j.Commit()
-}
-
 // StageColumns writes one columnar batch into the group-commit buffer as one
 // frame, without applying the fsync policy: raw pre-encoded DQMV vote records
 // ('V' opcode streams, see internal/votelog) journaled verbatim as a single

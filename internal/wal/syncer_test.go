@@ -56,7 +56,7 @@ func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op
 						raw = votelog.AppendBinaryVote(raw, item, worker, dirty)
 						ops = append(ops, op{Kind: opVote, Item: int(item), Worker: int(worker), Dirty: dirty})
 					}
-					if err := js[i].AppendColumns(raw, true, -1); err != nil {
+					if err := commitColumns(js[i], raw, true, -1); err != nil {
 						errs[i] = err
 						return
 					}
@@ -238,6 +238,15 @@ func TestSyncerClosedFallsBackToDirectSync(t *testing.T) {
 	}
 }
 
+// commitColumns journals one columnar batch as its own durable frame:
+// StageColumns, then Commit.
+func commitColumns(j *Journal, raw []byte, endTask bool, windowStart int64) error {
+	if err := j.StageColumns(raw, endTask, windowStart); err != nil {
+		return err
+	}
+	return j.Commit()
+}
+
 // TestAppendColumnsRoundTrip: columnar frames recover through the same Vote
 // hook as per-vote frames — encoding is a journal detail, not a recovery one.
 func TestAppendColumnsRoundTrip(t *testing.T) {
@@ -249,7 +258,7 @@ func TestAppendColumnsRoundTrip(t *testing.T) {
 	var want []op
 	raw := votelog.AppendBinaryVote(nil, 3, 7, true)
 	raw = votelog.AppendBinaryVote(raw, 99, -4, false) // negative workers survive zigzag
-	if err := j.AppendColumns(raw, true, -1); err != nil {
+	if err := commitColumns(j, raw, true, -1); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want,
@@ -257,16 +266,16 @@ func TestAppendColumnsRoundTrip(t *testing.T) {
 		op{Kind: opVote, Item: 99, Worker: -4, Dirty: false},
 		op{Kind: opEnd})
 	// A columnar batch closing a window carries the rotation in the same frame.
-	if err := j.AppendColumns(votelog.AppendBinaryVote(nil, 5, 1, true), true, 12); err != nil {
+	if err := commitColumns(j, votelog.AppendBinaryVote(nil, 5, 1, true), true, 12); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, op{Kind: opVote, Item: 5, Worker: 1, Dirty: true}, op{Kind: opEnd}, op{Kind: opWindow, Item: 12})
 	// Votes without a boundary, and a no-op empty call.
-	if err := j.AppendColumns(votelog.AppendBinaryVote(nil, 8, 2, false), false, -1); err != nil {
+	if err := commitColumns(j, votelog.AppendBinaryVote(nil, 8, 2, false), false, -1); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, op{Kind: opVote, Item: 8, Worker: 2, Dirty: false})
-	if err := j.AppendColumns(nil, false, -1); err != nil {
+	if err := commitColumns(j, nil, false, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -302,7 +311,7 @@ func TestCompactionRewritesColumnarRecords(t *testing.T) {
 			raw = votelog.AppendBinaryVote(raw, item, worker, dirty)
 			want = append(want, op{Kind: opVote, Item: int(item), Worker: int(worker), Dirty: dirty})
 		}
-		if err := j.AppendColumns(raw, true, -1); err != nil {
+		if err := commitColumns(j, raw, true, -1); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, op{Kind: opEnd})
