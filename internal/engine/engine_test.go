@@ -294,6 +294,41 @@ func TestSnapshotRestoreReplay(t *testing.T) {
 	}
 }
 
+// TestWorkersFollowSnapshotAndReset: the session's distinct-worker count is
+// captured by Snapshot, brought back by Restore independently of the
+// snapshot, and cleared by Reset.
+func TestWorkersFollowSnapshotAndReset(t *testing.T) {
+	s := NewSession("workers", 10, SessionConfig{})
+	record := func(workers ...int) {
+		for _, w := range workers {
+			if err := s.Record(0, w, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(what string, want int) {
+		t.Helper()
+		if got := s.NumWorkers(); got != want {
+			t.Fatalf("NumWorkers %s = %d, want %d", what, got, want)
+		}
+	}
+	record(1, -4, 1)
+	snap := s.Snapshot()
+	record(1<<40, 2)
+	check("before restore", 4)
+	for i := 0; i < 2; i++ {
+		if err := s.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		check("after restore", 2)
+		record(7, 1<<40) // must not leak into the snapshot
+	}
+	if err := s.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	check("after reset", 0)
+}
+
 func TestRestoreRejectsPopulationMismatch(t *testing.T) {
 	a := NewSession("a", 10, SessionConfig{})
 	b := NewSession("b", 20, SessionConfig{})

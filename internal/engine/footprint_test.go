@@ -40,16 +40,17 @@ func footprintTasks(n, tasks int) [][]votes.Vote {
 
 // TestSessionFootprint pins per-session memory to O(items): a default-config
 // 5000-item session that has ingested 150 tasks × 20 votes must hold at most
-// 160 KB of live heap. Its per-item state takes about 120 KB; keeping each
-// vote as well would take about 368 KB, so any per-vote structure in the
-// default config fails this. The figure is the live-heap delta after a
-// forced GC, averaged over 64 sessions; the test does not run in parallel
-// with others.
+// 100 KB of live heap. Its per-item state takes about 80 KB (16 B per item:
+// the matrix's vote counts and the SWITCH tracker's switch state); a second
+// copy of the vote counts would take about 120 KB, and keeping each vote as
+// well about 368 KB, so either fails this. The figure is the live-heap delta
+// after a forced GC, averaged over 64 sessions; the test does not run in
+// parallel with others.
 func TestSessionFootprint(t *testing.T) {
 	const (
 		sessions = 64
 		n        = 5000
-		limit    = 160 << 10
+		limit    = 100 << 10
 	)
 	stream := footprintTasks(n, 150)
 	var before, after runtime.MemStats
@@ -74,6 +75,38 @@ func TestSessionFootprint(t *testing.T) {
 	t.Logf("live heap per session: %d B (%.1f KB)", per, float64(per)/1024)
 	if per > limit {
 		t.Fatalf("live heap per session = %d B, want <= %d B", per, limit)
+	}
+}
+
+// TestHostileWorkerIDGrowsHeapOnce: one vote from worker 2²³−1, the largest
+// ID the dense worker bitset holds, grows that bitset to 1 MiB. Distinct
+// workers are counted once per session, so a sliding-window session with 64
+// open panes pays for it once, not once per pane suite: its live heap grows by
+// at most 2 MB.
+func TestHostileWorkerIDGrowsHeapOnce(t *testing.T) {
+	const n = 1000
+	s := NewSession("hostile", n, SessionConfig{Window: &window.Config{Size: 64, Stride: 1}})
+	for _, task := range footprintTasks(n, 70) {
+		if err := s.Append(task, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := s.Record(0, 1<<23-1, true); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap growth: %d B (%.2f MB)", grown, float64(grown)/(1<<20))
+	if grown > 2<<20 {
+		t.Fatalf("one vote from worker %d grew the live heap by %d B, want <= %d B", 1<<23-1, grown, 2<<20)
+	}
+	if got := s.NumWorkers(); got != 26 {
+		t.Fatalf("NumWorkers = %d, want 26 (25 stream workers and the hostile one)", got)
 	}
 }
 

@@ -92,7 +92,7 @@ func TestDurableRoundTripBitIdentical(t *testing.T) {
 	ops := genOps(11, 300, n)
 	applyOps(t, s, ops)
 	wantEst := s.Estimates()
-	wantVotes, wantTasks := s.TotalVotes(), s.Tasks()
+	wantVotes, wantTasks, wantWorkers := s.TotalVotes(), s.Tasks(), s.NumWorkers()
 	wantCreated := s.CreatedAt()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -117,8 +117,12 @@ func TestDurableRoundTripBitIdentical(t *testing.T) {
 	if got := s2.Estimates(); !reflect.DeepEqual(got, wantEst) {
 		t.Fatalf("recovered estimates differ:\n got %+v\nwant %+v", got, wantEst)
 	}
-	if s2.TotalVotes() != wantVotes || s2.Tasks() != wantTasks {
-		t.Fatalf("recovered counters: votes %d/%d tasks %d/%d", s2.TotalVotes(), wantVotes, s2.Tasks(), wantTasks)
+	if s2.TotalVotes() != wantVotes || s2.Tasks() != wantTasks || s2.NumWorkers() != wantWorkers {
+		t.Fatalf("recovered counters: votes %d/%d tasks %d/%d workers %d/%d",
+			s2.TotalVotes(), wantVotes, s2.Tasks(), wantTasks, s2.NumWorkers(), wantWorkers)
+	}
+	if wantWorkers == 0 {
+		t.Fatal("no workers since the last reset; the worker check is vacuous")
 	}
 	if !s2.CreatedAt().Equal(wantCreated) {
 		t.Fatalf("created-at not restored: %v vs %v", s2.CreatedAt(), wantCreated)

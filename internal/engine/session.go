@@ -74,6 +74,9 @@ type Session struct {
 	// ring is the windowed-estimation state (nil without a window config).
 	ring  *window.Ring
 	tasks int64
+	// workers counts the distinct workers of the vote stream, once per
+	// session rather than once per suite.
+	workers votes.WorkerSet
 
 	// journal is the write-ahead log of a durable session (nil otherwise).
 	// Every mutation is journaled before it is applied, under mu, so journal
@@ -283,6 +286,7 @@ func (s *Session) RemoveNotifier(ch chan<- struct{}) {
 // states cannot diverge.
 func (s *Session) applyVote(v votes.Vote) {
 	s.suite.Observe(v)
+	s.workers.Add(v.Worker)
 	if s.ring != nil {
 		s.ring.Observe(v)
 	}
@@ -315,6 +319,7 @@ func (s *Session) applyEndTask() (window.Rotation, bool) {
 // replay share it.
 func (s *Session) applyReset() {
 	s.suite.Reset()
+	s.workers.Reset()
 	if s.ring != nil {
 		s.ring.Reset()
 	}
@@ -634,7 +639,7 @@ func (s *Session) NumItems() int { return s.items }
 func (s *Session) NumWorkers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.suite.Matrix.NumWorkers()
+	return s.workers.Len()
 }
 
 // TotalVotes returns the number of votes ingested.
@@ -804,15 +809,16 @@ func (s *Session) Chao92CI(replicates int, level float64) (estimator.CI, error) 
 }
 
 // Snapshot captures the full estimator state (matrix, trackers, trend
-// series) as an immutable deep copy. Taking a snapshot does not block other
-// sessions and the session keeps ingesting afterwards.
+// series, worker set) as an immutable deep copy. Taking a snapshot does not
+// block other sessions and the session keeps ingesting afterwards.
 func (s *Session) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sn := &Snapshot{
-		suite: s.suite.Clone(),
-		tasks: s.tasks,
-		taken: time.Now(),
+		suite:   s.suite.Clone(),
+		workers: s.workers.Clone(),
+		tasks:   s.tasks,
+		taken:   time.Now(),
 	}
 	if s.ring != nil {
 		sn.ring = s.ring.Clone()
@@ -856,6 +862,7 @@ func (s *Session) Restore(sn *Snapshot) error {
 	if sn.ring != nil {
 		s.ring = sn.ring.Clone()
 	}
+	s.workers = sn.workers.Clone()
 	s.tasks = sn.tasks
 	// Restore is a mutation like any other: the version moves FORWARD (never
 	// back to the snapshot's), so lock-free readers and watch cursors can
@@ -876,9 +883,10 @@ type Snapshot struct {
 	suite *estimator.Suite
 	// ring carries the windowed state of a windowed session (nil otherwise),
 	// so Restore brings windows back alongside the all-time suite.
-	ring  *window.Ring
-	tasks int64
-	taken time.Time
+	ring    *window.Ring
+	workers votes.WorkerSet
+	tasks   int64
+	taken   time.Time
 }
 
 // Tasks returns the number of completed tasks at the snapshot point.

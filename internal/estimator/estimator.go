@@ -232,17 +232,23 @@ type SwitchEstimator struct {
 	lastTrend Trend
 }
 
-// NewSwitch creates a SWITCH estimator over n items.
+// NewSwitch creates a standalone SWITCH estimator over n items.
 func NewSwitch(n int, cfg SwitchConfig) *SwitchEstimator {
+	return &SwitchEstimator{cfg: cfg, tracker: switchstat.NewTracker(n, cfg.trackerOptions()...), n: n}
+}
+
+// newSwitchOn creates a SWITCH estimator over m's items whose tracker reads
+// m's per-item vote counts: the suite member, fed after the suite matrix.
+func newSwitchOn(m *votes.Matrix, cfg SwitchConfig) *SwitchEstimator {
+	return &SwitchEstimator{cfg: cfg, tracker: switchstat.NewTrackerOn(m, cfg.trackerOptions()...), n: m.NumItems()}
+}
+
+func (cfg SwitchConfig) trackerOptions() []switchstat.Option {
 	opts := []switchstat.Option{switchstat.WithPolicy(cfg.Policy)}
 	if cfg.RetainLedgers {
 		opts = append(opts, switchstat.WithItemLedgers())
 	}
-	return &SwitchEstimator{
-		cfg:     cfg,
-		tracker: switchstat.NewTracker(n, opts...),
-		n:       n,
-	}
+	return opts
 }
 
 // Observe ingests one vote.
@@ -373,11 +379,13 @@ func (e *SwitchEstimator) Estimate() SwitchEstimate {
 
 // Clone returns a deep, independent copy of the estimator (tracker, trend
 // series and sticky trend state included), so a snapshot taken mid-stream
-// continues exactly where the original was.
-func (e *SwitchEstimator) Clone() *SwitchEstimator {
+// continues exactly where the original was. shared is the matrix the copy's
+// tracker reads its vote counts from, as in switchstat.Tracker.Clone: the
+// clone of the suite matrix for a suite member, nil for a standalone copy.
+func (e *SwitchEstimator) Clone(shared *votes.Matrix) *SwitchEstimator {
 	return &SwitchEstimator{
 		cfg:       e.cfg,
-		tracker:   e.tracker.Clone(),
+		tracker:   e.tracker.Clone(shared),
 		n:         e.n,
 		majPrefix: append([]float64(nil), e.majPrefix...),
 		tasks:     e.tasks,

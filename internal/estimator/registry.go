@@ -37,9 +37,10 @@ type Env struct {
 	// N is the population size.
 	N int
 	// Matrix is the shared response matrix when the estimator is built as a
-	// suite member: the suite ingests every vote into it exactly once, so
-	// matrix-derived estimators must not Observe into it again. Nil when the
-	// estimator is built standalone; it then owns (and feeds) its own state.
+	// suite member: the suite ingests every vote into it exactly once, before
+	// any member observes the vote, so matrix-derived estimators must not
+	// Observe into it again. Nil when the estimator is built standalone; it
+	// then owns (and feeds) its own state.
 	Matrix *votes.Matrix
 	// Config carries the estimator parameters.
 	Config SuiteConfig
@@ -130,6 +131,9 @@ func init() {
 		})
 	})
 	Register(NameSwitch, func(env Env) Estimator {
+		if env.Matrix != nil {
+			return &switchMember{est: newSwitchOn(env.Matrix, env.Config.Switch)}
+		}
 		return &switchMember{est: NewSwitch(env.N, env.Config.Switch)}
 	})
 }
@@ -212,14 +216,18 @@ type sharedMatrixMember interface {
 }
 
 // switchMember adapts the streaming SWITCH estimator to the registry
-// interface. It is matrix-independent: all state lives in the tracker.
+// interface. Inside a suite its tracker reads the per-item vote counts of the
+// shared matrix but keeps its own switch state, so the suite still feeds it
+// every vote, after the matrix; standalone its tracker counts votes itself.
 type switchMember struct {
 	est *SwitchEstimator
 }
 
-func (x *switchMember) Name() string                    { return NameSwitch }
-func (x *switchMember) Observe(v votes.Vote)            { x.est.Observe(v) }
-func (x *switchMember) EndTask()                        { x.est.EndTask() }
-func (x *switchMember) Estimate() float64               { return x.est.Estimate().Total }
-func (x *switchMember) Reset()                          { x.est.Reset() }
-func (x *switchMember) Clone(_ *votes.Matrix) Estimator { return &switchMember{est: x.est.Clone()} }
+func (x *switchMember) Name() string         { return NameSwitch }
+func (x *switchMember) Observe(v votes.Vote) { x.est.Observe(v) }
+func (x *switchMember) EndTask()             { x.est.EndTask() }
+func (x *switchMember) Estimate() float64    { return x.est.Estimate().Total }
+func (x *switchMember) Reset()               { x.est.Reset() }
+func (x *switchMember) Clone(shared *votes.Matrix) Estimator {
+	return &switchMember{est: x.est.Clone(shared)}
+}

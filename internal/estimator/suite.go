@@ -147,8 +147,8 @@ func (s *Suite) MemoState() (valid, upToDate bool) {
 	return s.memoValid, s.memoValid && s.memoVersion == s.version
 }
 
-// Observe ingests one vote into the shared matrix and every streaming
-// member.
+// Observe ingests one vote into the shared matrix and then every streaming
+// member; the SWITCH member reads the vote counts the matrix has just updated.
 func (s *Suite) Observe(v votes.Vote) {
 	s.version++
 	s.voteVersion++

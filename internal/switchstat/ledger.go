@@ -36,7 +36,4 @@ func (t *Tracker) ItemLedger(item int) []SwitchEvent {
 }
 
 // ItemMajorityDirty reports whether item i's strict vote majority is dirty.
-func (t *Tracker) ItemMajorityDirty(item int) bool {
-	st := &t.items[item]
-	return st.pos > st.neg
-}
+func (t *Tracker) ItemMajorityDirty(item int) bool { return t.tallies[item].MajorityDirty() }

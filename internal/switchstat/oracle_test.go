@@ -224,61 +224,95 @@ func diffOracle(tr *Tracker, o *oracle) string {
 	return ""
 }
 
-func TestItemStateIs16Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(itemState{}); got != 16 {
-		t.Fatalf("unsafe.Sizeof(itemState{}) = %d, want 16", got)
+func TestItemStateIs8Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(itemState{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(itemState{}) = %d, want 8", got)
 	}
 }
 
 // TestTrackerMatchesOracle drives seeded random streams through the packed
 // Tracker and the field-based oracle under both policies, with ledgers on and
-// off, cloning and resetting mid-stream, and requires every accessor to agree
-// after every vote. A clone must also stay frozen at the oracle's state when
-// it was taken while the tracker it came from keeps ingesting.
+// off, standalone and reading a response matrix's counts, cloning and
+// resetting mid-stream, and requires every accessor to agree after every
+// vote. A clone must also stay frozen at the oracle's state when it was taken
+// while the tracker it came from keeps ingesting. A tracker on a matrix is
+// fed the way a suite feeds it (matrix first) and clones either onto the
+// matrix's clone or into a standalone copy, so a clone that kept reading its
+// source's counts would see a matrix nothing feeds any more.
 func TestTrackerMatchesOracle(t *testing.T) {
 	for _, policy := range []Policy{PolicyTieFlip, PolicyStrictMajority} {
 		for _, ledgers := range []bool{false, true} {
+			opts := []Option{WithPolicy(policy)}
+			if ledgers {
+				opts = append(opts, WithItemLedgers())
+			}
 			t.Run(fmt.Sprintf("%v/ledgers=%v", policy, ledgers), func(t *testing.T) {
-				opts := []Option{WithPolicy(policy)}
-				if ledgers {
-					opts = append(opts, WithItemLedgers())
-				}
-				for seed := uint64(1); seed <= 40; seed++ {
-					rng := rand.New(rand.NewPCG(seed, uint64(policy)))
-					n := 1 + rng.IntN(12)
-					pDirty := 0.1 + 0.8*rng.Float64()
-					tr, o := NewTracker(n, opts...), newOracle(n, policy)
-					var frozen *Tracker
-					var frozenAt *oracle
-					for step := 0; step < 600; step++ {
-						switch r := rng.IntN(100); {
-						case r == 0:
-							tr.Reset()
-							o = newOracle(n, policy)
-						case r < 3:
-							// Keep ingesting into the clone; the original
-							// must keep the state it was cloned at.
-							frozen, frozenAt = tr, o.clone()
-							tr = tr.Clone()
+				for _, onMatrix := range []bool{false, true} {
+					t.Run(fmt.Sprintf("matrix=%v", onMatrix), func(t *testing.T) {
+						for seed := uint64(1); seed <= 40; seed++ {
+							checkOracleStream(t, seed, policy, opts, onMatrix)
 						}
-						label := votes.Clean
-						if rng.Float64() < pDirty {
-							label = votes.Dirty
-						}
-						item := rng.IntN(n)
-						tr.Add(item, label)
-						o.add(item, label)
-						if msg := diffOracle(tr, o); msg != "" {
-							t.Fatalf("seed %d step %d: %s", seed, step, msg)
-						}
-						if frozen != nil {
-							if msg := diffOracle(frozen, frozenAt); msg != "" {
-								t.Fatalf("seed %d step %d: clone source moved: %s", seed, step, msg)
-							}
-						}
-					}
+					})
 				}
 			})
+		}
+	}
+}
+
+// checkOracleStream runs one seeded stream of TestTrackerMatchesOracle.
+func checkOracleStream(t *testing.T, seed uint64, policy Policy, opts []Option, onMatrix bool) {
+	t.Helper()
+	rng := rand.New(rand.NewPCG(seed, uint64(policy)))
+	n := 1 + rng.IntN(12)
+	pDirty := 0.1 + 0.8*rng.Float64()
+	// m is the matrix tr reads its counts from, nil when tr counts votes
+	// itself.
+	var m *votes.Matrix
+	tr := NewTracker(n, opts...)
+	if onMatrix {
+		m = votes.NewMatrix(n)
+		tr = NewTrackerOn(m, opts...)
+	}
+	o := newOracle(n, policy)
+	var frozen *Tracker
+	var frozenAt *oracle
+	for step := 0; step < 600; step++ {
+		switch r := rng.IntN(100); {
+		case r == 0:
+			if m != nil {
+				m.Reset()
+			}
+			tr.Reset()
+			o = newOracle(n, policy)
+		case r < 3:
+			// Keep ingesting into the clone; the original must keep the
+			// state it was cloned at.
+			frozen, frozenAt = tr, o.clone()
+			if m != nil && rng.IntN(2) == 0 {
+				m = m.Clone()
+				tr = tr.Clone(m)
+			} else {
+				m = nil
+				tr = tr.Clone(nil)
+			}
+		}
+		label := votes.Clean
+		if rng.Float64() < pDirty {
+			label = votes.Dirty
+		}
+		item := rng.IntN(n)
+		if m != nil {
+			m.Add(votes.Vote{Item: item, Label: label})
+		}
+		tr.Add(item, label)
+		o.add(item, label)
+		if msg := diffOracle(tr, o); msg != "" {
+			t.Fatalf("seed %d step %d: %s", seed, step, msg)
+		}
+		if frozen != nil {
+			if msg := diffOracle(frozen, frozenAt); msg != "" {
+				t.Fatalf("seed %d step %d: clone source moved: %s", seed, step, msg)
+			}
 		}
 	}
 }

@@ -57,13 +57,13 @@ func (p Policy) String() string {
 	}
 }
 
-// itemState is one item's switch state in 16 bytes. Switch signs alternate
-// per item starting positive, so the switch count alone determines the rest:
-// switch k is positive iff k is odd, the item has ceil(events/2) positive and
-// floor(events/2) negative switches, and since every switch flips a
-// consensus that starts clean, the consensus is dirty iff events is odd.
+// itemState is one item's switch state in 8 bytes; its vote counts live in
+// the tracker's tallies. Switch signs alternate per item starting positive, so
+// the switch count alone determines the rest: switch k is positive iff k is
+// odd, the item has ceil(events/2) positive and floor(events/2) negative
+// switches, and since every switch flips a consensus that starts clean, the
+// consensus is dirty iff events is odd.
 type itemState struct {
-	pos, neg int32
 	lastFreq int32 // frequency class of the most recent switch
 	events   int32 // switches so far
 }
@@ -77,6 +77,12 @@ func (s *itemState) dirty() bool { return s.events&1 == 1 }
 type Tracker struct {
 	policy Policy
 	items  []itemState
+	// tallies holds each item's vote counts (n⁺_i, n⁻_i). A standalone
+	// tracker owns them and counts every vote itself; a tracker built with
+	// NewTrackerOn reads the tallies of a response matrix that ingests the
+	// same stream and has counted each vote before the tracker sees it.
+	tallies []votes.Tally
+	shared  bool
 
 	retainLedgers bool
 	ledgers       [][]SwitchEvent
@@ -105,21 +111,34 @@ func WithPolicy(p Policy) Option {
 }
 
 // NewTracker creates a tracker over n items, all starting with the default
-// "clean" consensus.
+// "clean" consensus. It keeps its own per-item vote counts.
 func NewTracker(n int, opts ...Option) *Tracker {
 	if n < 0 {
 		panic(fmt.Sprintf("switchstat: negative item count %d", n))
 	}
+	return newTracker(make([]votes.Tally, n), false, opts)
+}
+
+// NewTrackerOn creates a tracker over m's items that reads m's per-item vote
+// counts instead of keeping its own. Every vote must be added to m before it
+// is added to the tracker, and the tracker is reset together with m.
+func NewTrackerOn(m *votes.Matrix, opts ...Option) *Tracker {
+	return newTracker(m.Tallies(), true, opts)
+}
+
+func newTracker(tallies []votes.Tally, shared bool, opts []Option) *Tracker {
 	t := &Tracker{
-		items: make([]itemState, n),
-		fPos:  stats.NewRunningFreq(stats.Freq{0}),
-		fNeg:  stats.NewRunningFreq(stats.Freq{0}),
+		items:   make([]itemState, len(tallies)),
+		tallies: tallies,
+		shared:  shared,
+		fPos:    stats.NewRunningFreq(stats.Freq{0}),
+		fNeg:    stats.NewRunningFreq(stats.Freq{0}),
 	}
 	for _, o := range opts {
 		o(t)
 	}
 	if t.retainLedgers {
-		t.ledgers = make([][]SwitchEvent, n)
+		t.ledgers = make([][]SwitchEvent, len(tallies))
 	}
 	return t
 }
@@ -132,37 +151,41 @@ func (t *Tracker) Policy() Policy { return t.policy }
 
 // Add ingests one vote on item with the given label.
 func (t *Tracker) Add(item int, label votes.Label) {
-	st := &t.items[item]
-	wasMajority := st.pos > st.neg
-	if label == votes.Dirty {
-		st.pos++
-	} else {
-		st.neg++
-	}
-	if isMajority := st.pos > st.neg; isMajority != wasMajority {
-		if isMajority {
-			t.cMajority++
+	c := &t.tallies[item]
+	dirtyVote := label == votes.Dirty
+	if !t.shared {
+		if dirtyVote {
+			c.Pos++
 		} else {
-			t.cMajority--
+			c.Neg++
 		}
+	}
+	pos, neg := c.Pos, c.Neg // the counts including this vote
+	// One vote moves the strict majority only across a tie: a dirty vote
+	// makes it dirty when it leaves n⁺ = n⁻ + 1, a clean vote unmakes it when
+	// it leaves n⁺ = n⁻.
+	if dirtyVote && pos == neg+1 {
+		t.cMajority++
+	} else if !dirtyVote && pos == neg {
+		t.cMajority--
 	}
 	t.totalVotes++
 
+	st := &t.items[item]
 	flip := false
 	switch t.policy {
 	case PolicyTieFlip:
 		// Part (ii): a positive first vote flips the clean default.
 		// Part (i): any subsequent tie flips the consensus.
-		n := st.pos + st.neg
-		if n == 1 {
-			flip = label == votes.Dirty
+		if pos+neg == 1 {
+			flip = dirtyVote
 		} else {
-			flip = st.pos == st.neg
+			flip = pos == neg
 		}
 	case PolicyStrictMajority:
-		if st.pos > st.neg && !st.dirty() {
+		if pos > neg && !st.dirty() {
 			flip = true
-		} else if st.neg > st.pos && st.dirty() {
+		} else if neg > pos && st.dirty() {
 			flip = true
 		}
 	}
@@ -342,8 +365,11 @@ func (t *Tracker) Consensus(item int) bool { return t.items[item].dirty() }
 func (t *Tracker) ItemSwitches(item int) int { return int(t.items[item].events) }
 
 // Clone returns a deep, independent copy of the tracker, including per-item
-// ledgers when retained. Snapshots of live sessions are built on it.
-func (t *Tracker) Clone() *Tracker {
+// ledgers when retained. Snapshots of live sessions are built on it. When
+// shared is non-nil the copy reads shared's vote counts, which must equal the
+// ones this tracker reads (shared is typically the clone of the matrix the
+// tracker was built on); otherwise the copy keeps a private copy of them.
+func (t *Tracker) Clone(shared *votes.Matrix) *Tracker {
 	out := &Tracker{
 		policy:        t.policy,
 		items:         append([]itemState(nil), t.items...),
@@ -359,6 +385,11 @@ func (t *Tracker) Clone() *Tracker {
 		cAny:          t.cAny,
 		cMajority:     t.cMajority,
 	}
+	if shared != nil {
+		out.tallies, out.shared = shared.Tallies(), true
+	} else {
+		out.tallies = append([]votes.Tally(nil), t.tallies...)
+	}
 	if t.retainLedgers {
 		out.ledgers = make([][]SwitchEvent, len(t.ledgers))
 		for i, l := range t.ledgers {
@@ -370,10 +401,12 @@ func (t *Tracker) Clone() *Tracker {
 	return out
 }
 
-// Reset clears all state without reallocating.
+// Reset clears all state without reallocating. The vote counts of a tracker
+// built with NewTrackerOn belong to its matrix, which is reset on its own.
 func (t *Tracker) Reset() {
-	for i := range t.items {
-		t.items[i] = itemState{}
+	clear(t.items)
+	if !t.shared {
+		clear(t.tallies)
 	}
 	if t.retainLedgers {
 		for i := range t.ledgers {

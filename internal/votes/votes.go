@@ -9,8 +9,9 @@
 //   - n⁺            total positive votes (the n of the Chao92 error estimate)
 //   - f-statistics  f_j = #items with exactly j positive votes (§3.2)
 //
-// The aggregates take O(1) space per item and per worker, so a matrix's
-// memory grows with its items and workers, not with the votes it ingests.
+// The aggregates take O(1) space per item, so a matrix's memory grows with
+// its items, not with the votes it ingests. Distinct workers are counted
+// outside the matrix, by a WorkerSet.
 // The per-item vote sequences, which only worker-level inference reads
 // (package quality's Dawid–Skene EM), are retained only on request: see
 // WithHistory.
@@ -51,77 +52,29 @@ type Vote struct {
 	Label  Label
 }
 
-// workerSet tracks the distinct workers seen as a growable dense bitset:
-// worker IDs are small dense integers in every supported source (simulator
-// pools number workers 0..K−1, vote logs use row-local counters), so a
-// bitset replaces the map the hot path previously touched on every vote.
-// IDs outside the dense range — negative, or so large the bitset would
-// balloon (possible only in hand-written logs) — fall back to a lazily
-// allocated map, so correctness never depends on the dense assumption.
-type workerSet struct {
-	bits   []uint64
-	count  int
-	sparse map[int]struct{}
+// Tally is one row of the matrix: the item's positive and negative vote
+// counts (n⁺_i, n⁻_i).
+type Tally struct {
+	Pos, Neg int32
 }
 
-// workerSetMaxDense bounds the bitset to 1 MiB (2²³ worker IDs); beyond
-// that the sparse map is cheaper than the zero-filled words.
-const workerSetMaxDense = 1 << 23
+// Total returns n_i = n⁺_i + n⁻_i.
+func (t Tally) Total() int32 { return t.Pos + t.Neg }
 
-// add records worker w, returning without allocating when w was seen.
-func (s *workerSet) add(w int) {
-	if w < 0 || w >= workerSetMaxDense {
-		if s.sparse == nil {
-			s.sparse = make(map[int]struct{})
-		}
-		if _, ok := s.sparse[w]; !ok {
-			s.sparse[w] = struct{}{}
-			s.count++
-		}
-		return
-	}
-	word := w >> 6
-	for word >= len(s.bits) {
-		s.bits = append(s.bits, 0)
-	}
-	if bit := uint64(1) << (w & 63); s.bits[word]&bit == 0 {
-		s.bits[word] |= bit
-		s.count++
-	}
-}
-
-// len returns the number of distinct workers recorded.
-func (s *workerSet) len() int { return s.count }
-
-// reset clears the set, retaining the bitset's capacity.
-func (s *workerSet) reset() {
-	clear(s.bits)
-	s.count = 0
-	s.sparse = nil
-}
-
-// itemState is the per-row aggregate of the matrix.
-type itemState struct {
-	pos, neg int32
-}
-
-func (s itemState) total() int32 { return s.pos + s.neg }
-
-// majorityDirty reports whether the strict majority of votes marks the item
+// MajorityDirty reports whether the strict majority of votes marks the item
 // dirty: n⁺ − n/2 > 0 ⇔ n⁺ > n⁻ (ties are not a dirty majority).
-func (s itemState) majorityDirty() bool { return s.pos > s.neg }
+func (t Tally) MajorityDirty() bool { return t.Pos > t.Neg }
 
 // Matrix is the incrementally built worker-response matrix.
 //
 // The zero value is not ready for use; construct with NewMatrix.
 type Matrix struct {
 	n     int
-	items []itemState
+	items []Tally
 	// history holds per-item vote sequences in arrival order, nil unless
 	// the matrix was built WithHistory.
 	history [][]Vote
 
-	workers   workerSet
 	votes     int64
 	posVotes  int64
 	cNominal  int64
@@ -149,7 +102,7 @@ func NewMatrix(n int, opts ...Option) *Matrix {
 	}
 	m := &Matrix{
 		n:     n,
-		items: make([]itemState, n),
+		items: make([]Tally, n),
 		fpos:  stats.NewRunningFreq(stats.Freq{0}),
 	}
 	for _, o := range opts {
@@ -160,9 +113,6 @@ func NewMatrix(n int, opts ...Option) *Matrix {
 
 // NumItems returns N.
 func (m *Matrix) NumItems() int { return m.n }
-
-// NumWorkers returns the number of distinct workers seen so far (K).
-func (m *Matrix) NumWorkers() int { return m.workers.len() }
 
 // TotalVotes returns the number of non-∅ entries ingested.
 func (m *Matrix) TotalVotes() int64 { return m.votes }
@@ -175,29 +125,28 @@ func (m *Matrix) PositiveVotes() int64 { return m.posVotes }
 // and loaders, which validate input at the boundary.
 func (m *Matrix) Add(v Vote) {
 	st := &m.items[v.Item]
-	wasNominal := st.pos > 0
-	wasMajority := st.majorityDirty()
+	wasNominal := st.Pos > 0
+	wasMajority := st.MajorityDirty()
 
 	if v.Label == Dirty {
 		// Maintain the positive-vote fingerprint: the item moves from class
 		// n⁺ to class n⁺+1.
-		if st.pos > 0 {
-			m.fpos.Promote(int(st.pos))
+		if st.Pos > 0 {
+			m.fpos.Promote(int(st.Pos))
 		} else {
 			m.fpos.Add(1, 1)
 		}
-		st.pos++
+		st.Pos++
 		m.posVotes++
 		if !wasNominal {
 			m.cNominal++
 		}
 	} else {
-		st.neg++
+		st.Neg++
 	}
 	m.votes++
-	m.workers.add(v.Worker)
 
-	if isMajority := st.majorityDirty(); isMajority != wasMajority {
+	if isMajority := st.MajorityDirty(); isMajority != wasMajority {
 		if isMajority {
 			m.cMajority++
 		} else {
@@ -217,16 +166,22 @@ func (m *Matrix) AddAll(vs []Vote) {
 }
 
 // Pos returns n⁺_i.
-func (m *Matrix) Pos(item int) int { return int(m.items[item].pos) }
+func (m *Matrix) Pos(item int) int { return int(m.items[item].Pos) }
 
 // Neg returns n⁻_i.
-func (m *Matrix) Neg(item int) int { return int(m.items[item].neg) }
+func (m *Matrix) Neg(item int) int { return int(m.items[item].Neg) }
 
 // Seen returns the number of votes item i has received.
-func (m *Matrix) Seen(item int) int { return int(m.items[item].total()) }
+func (m *Matrix) Seen(item int) int { return int(m.items[item].Total()) }
 
 // MajorityDirty reports the current strict-majority consensus for item i.
-func (m *Matrix) MajorityDirty(item int) bool { return m.items[item].majorityDirty() }
+func (m *Matrix) MajorityDirty(item int) bool { return m.items[item].MajorityDirty() }
+
+// Tallies returns every item's vote counts, indexed by item. The slice
+// aliases the matrix's storage: it must not be modified, and Add and Reset
+// update it in place without ever reallocating it. A consumer of the same
+// vote stream reads it instead of keeping its own copy of the counts.
+func (m *Matrix) Tallies() []Tally { return m.items }
 
 // Nominal returns c_nominal = Σ_i 1[n⁺_i > 0] (§2.2.1).
 func (m *Matrix) Nominal() int64 { return m.cNominal }
@@ -273,7 +228,7 @@ func (m *Matrix) RetainsHistory() bool { return m.history != nil }
 func (m *Matrix) MajorityVector() []bool {
 	out := make([]bool, m.n)
 	for i := range m.items {
-		out[i] = m.items[i].majorityDirty()
+		out[i] = m.items[i].MajorityDirty()
 	}
 	return out
 }
@@ -285,7 +240,7 @@ func (m *Matrix) Coverage() float64 {
 	}
 	seen := 0
 	for i := range m.items {
-		if m.items[i].total() > 0 {
+		if m.items[i].Total() > 0 {
 			seen++
 		}
 	}
@@ -298,7 +253,7 @@ func (m *Matrix) Coverage() float64 {
 func (m *Matrix) Clone() *Matrix {
 	out := &Matrix{
 		n:         m.n,
-		items:     append([]itemState(nil), m.items...),
+		items:     append([]Tally(nil), m.items...),
 		votes:     m.votes,
 		posVotes:  m.posVotes,
 		cNominal:  m.cNominal,
@@ -313,34 +268,15 @@ func (m *Matrix) Clone() *Matrix {
 			}
 		}
 	}
-	out.workers = m.workers.clone()
-	return out
-}
-
-// clone returns an independent copy of the worker set.
-func (s *workerSet) clone() workerSet {
-	out := workerSet{
-		bits:  append([]uint64(nil), s.bits...),
-		count: s.count,
-	}
-	if s.sparse != nil {
-		out.sparse = make(map[int]struct{}, len(s.sparse))
-		for w := range s.sparse {
-			out.sparse[w] = struct{}{}
-		}
-	}
 	return out
 }
 
 // Reset clears the matrix back to all-unseen without reallocating.
 func (m *Matrix) Reset() {
-	for i := range m.items {
-		m.items[i] = itemState{}
-	}
+	clear(m.items)
 	for i := range m.history {
 		m.history[i] = m.history[i][:0]
 	}
-	m.workers.reset()
 	m.votes, m.posVotes, m.cNominal, m.cMajority = 0, 0, 0, 0
 	m.fpos.Reset()
 }

@@ -34,9 +34,6 @@ func TestMatrixBasics(t *testing.T) {
 	if got := m.PositiveVotes(); got != 3 {
 		t.Fatalf("PositiveVotes = %d", got)
 	}
-	if got := m.NumWorkers(); got != 4 {
-		t.Fatalf("NumWorkers = %d", got)
-	}
 	// Nominal: items 0 and 2 were marked dirty at least once.
 	if got := m.Nominal(); got != 2 {
 		t.Fatalf("Nominal = %d", got)
@@ -248,7 +245,7 @@ func TestReset(t *testing.T) {
 	m.Add(Vote{Item: 0, Worker: 3, Label: Dirty})
 	m.Reset()
 	if m.TotalVotes() != 0 || m.Nominal() != 0 || m.Majority() != 0 ||
-		m.NumWorkers() != 0 || m.PositiveVotes() != 0 {
+		m.PositiveVotes() != 0 || m.Tallies()[0] != (Tally{}) {
 		t.Fatal("Reset left state behind")
 	}
 	if len(m.History(0)) != 0 {
@@ -274,22 +271,32 @@ func TestNewMatrixPanicsOnNegative(t *testing.T) {
 }
 
 // TestNumWorkersSparseIDs: the worker bitset must count negative and huge
-// IDs (hand-written vote logs) via the sparse fallback without ballooning.
+// IDs (hand-written vote logs) via the sparse fallback without ballooning,
+// and a clone must not share state with its source.
 func TestNumWorkersSparseIDs(t *testing.T) {
-	m := NewMatrix(3)
+	var s WorkerSet
 	for _, w := range []int{0, 0, -5, -5, 1 << 40, 1 << 40, 7, -9} {
-		m.Add(Vote{Item: 0, Worker: w, Label: Dirty})
+		s.Add(w)
 	}
-	if got := m.NumWorkers(); got != 5 {
-		t.Fatalf("NumWorkers = %d, want 5 (0, -5, 1<<40, 7, -9)", got)
+	if got := s.Len(); got != 5 {
+		t.Fatalf("Len = %d, want 5 (0, -5, 1<<40, 7, -9)", got)
 	}
-	m.Reset()
-	if got := m.NumWorkers(); got != 0 {
-		t.Fatalf("NumWorkers after reset = %d", got)
+	if len(s.bits) != 1 {
+		t.Fatalf("bitset grew to %d words for dense IDs 0 and 7", len(s.bits))
 	}
-	m.Add(Vote{Item: 0, Worker: -5, Label: Clean})
-	m.Add(Vote{Item: 0, Worker: 2, Label: Clean})
-	if got := m.NumWorkers(); got != 2 {
-		t.Fatalf("NumWorkers after reuse = %d, want 2", got)
+	c := s.Clone()
+	s.Reset()
+	if got := s.Len(); got != 0 {
+		t.Fatalf("Len after reset = %d", got)
+	}
+	s.Add(-5)
+	s.Add(2)
+	if got := s.Len(); got != 2 {
+		t.Fatalf("Len after reuse = %d, want 2", got)
+	}
+	c.Add(7)
+	c.Add(-9)
+	if got := c.Len(); got != 5 {
+		t.Fatalf("clone Len = %d, want 5: it shares state with its source", got)
 	}
 }

@@ -180,14 +180,16 @@ type Ring struct {
 }
 
 // New builds a ring over a population of n items, with every pane running the
-// given estimator selection. It panics on an invalid config (validate
-// user-supplied configs with Config.Validate first) and on unregistered
-// estimator names (NewSuite's contract).
+// given estimator selection. Panes keep no switch ledgers: bootstrap
+// intervals are served over the all-time suite only. It panics on an invalid
+// config (validate user-supplied configs with Config.Validate first) and on
+// unregistered estimator names (NewSuite's contract).
 func New(n int, suiteCfg estimator.SuiteConfig, cfg Config) *Ring {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("window: New: %v", err))
 	}
 	cfg = cfg.normalize()
+	suiteCfg.Switch.RetainLedgers = false
 	r := &Ring{cfg: cfg, n: n, panes: make([]*pane, cfg.Panes())}
 	for i := range r.panes {
 		r.panes[i] = &pane{suite: estimator.NewSuite(n, suiteCfg), start: -1}
