@@ -1,7 +1,6 @@
 // Command dqm-benchdiff is the CI perf-regression gate: it parses `go test
-// -bench` output into a machine-readable JSON, compares it against a
-// committed baseline (BENCH_baseline.json) with benchstat-style thresholds,
-// and sanity-gates dqm-loadgen reports.
+// -bench` output into a machine-readable JSON and compares it against a
+// committed baseline (BENCH_baseline.json) with benchstat-style thresholds.
 //
 // Usage:
 //
@@ -11,9 +10,6 @@
 //	# Gate a fresh run against the committed baseline:
 //	dqm-benchdiff -bench-out bench.txt -baseline BENCH_baseline.json \
 //	              -out BENCH_fresh.json -threshold 0.30
-//
-//	# Gate a dqm-loadgen report:
-//	dqm-benchdiff -loadgen BENCH_loadgen.json -min-votes-per-sec 50000
 //
 // Gate rules (exit status 1 on any violation):
 //
@@ -26,12 +22,6 @@
 //   - presence: a baseline benchmark missing from the fresh run fails; a
 //     pinned hot path silently dropping out of the suite is itself a
 //     regression.
-//   - loadgen: the report must parse, contain ops, have zero errors, and
-//     clear -min-votes-per-sec and (for watch scenarios)
-//     -min-watch-events-per-sec. Gate scenarios additionally clear
-//     -min-gate-transitions (the alerting plane actually fired),
-//     -max-webhook-dead-letters and -max-gate-stale-sessions (every firing
-//     was delivered and no cached decision lagged its session at quiesce).
 //
 // GOMAXPROCS name suffixes ("-8") are stripped, so baselines compare across
 // machines with different core counts (ns thresholds still assume comparable
@@ -83,24 +73,8 @@ func main() {
 		out       = fs.String("out", "", "write the parsed fresh results as JSON here")
 		threshold = fs.Float64("threshold", 0.30, "max allowed ns/op regression (0.30 = +30%)")
 		note      = fs.String("note", "", "note recorded in -out")
-		loadgen   = fs.String("loadgen", "", "dqm-loadgen report JSON to gate")
-		minVotes  = fs.Float64("min-votes-per-sec", 0, "minimum loadgen ingest throughput")
-		minWatch  = fs.Float64("min-watch-events-per-sec", 0, "minimum loadgen delivered watch events/s (watch scenarios)")
-		minTrans  = fs.Int64("min-gate-transitions", 0, "minimum loadgen gate action transitions (gate scenarios)")
-		maxDead   = fs.Int64("max-webhook-dead-letters", -1, "maximum loadgen webhook dead letters (gate scenarios; -1 = unchecked)")
-		maxStale  = fs.Int64("max-gate-stale-sessions", -1, "maximum loadgen sessions with a stale gate decision at quiesce (-1 = unchecked)")
 	)
 	fs.Parse(os.Args[1:])
-
-	failed := false
-	if *loadgen != "" {
-		if err := gateLoadgen(*loadgen, *minVotes, *minWatch, *minTrans, *maxDead, *maxStale); err != nil {
-			log.Printf("FAIL %v", err)
-			failed = true
-		} else {
-			log.Printf("ok: loadgen report %s clears the gate", *loadgen)
-		}
-	}
 
 	if *benchOut != "" || *baseline != "" || *out != "" {
 		var in io.Reader = os.Stdin
@@ -133,12 +107,9 @@ func main() {
 				log.Fatal(err)
 			}
 			if !compare(base, fresh, *threshold, log.Printf) {
-				failed = true
+				os.Exit(1)
 			}
 		}
-	}
-	if failed {
-		os.Exit(1)
 	}
 }
 
@@ -251,69 +222,4 @@ func compare(base, fresh *benchFile, threshold float64, logf func(string, ...any
 		}
 	}
 	return pass
-}
-
-// loadgenReport is the subset of the dqm-loadgen schema the gate reads.
-type loadgenReport struct {
-	Tool          string  `json:"tool"`
-	SchemaVersion int     `json:"schema_version"`
-	TotalOps      int64   `json:"total_ops"`
-	TotalErrors   int64   `json:"total_errors"`
-	VotesPerSec   float64 `json:"votes_per_sec"`
-	OpsPerSec     float64 `json:"ops_per_sec"`
-	// WatchEventsPerSec is delivered SSE/hub events per second across all
-	// subscribers — present only for watch scenarios, gated by
-	// -min-watch-events-per-sec.
-	WatchEventsPerSec float64 `json:"watch_events_per_sec"`
-	// Gate is the quality-gate tally — present only for gate scenarios,
-	// gated by -min-gate-transitions / -max-webhook-dead-letters /
-	// -max-gate-stale-sessions.
-	Gate *struct {
-		Transitions        int64 `json:"gate_transitions"`
-		WebhookDeliveries  int64 `json:"webhook_deliveries"`
-		WebhookDeadLetters int64 `json:"webhook_dead_letters"`
-		StaleSessions      int64 `json:"gate_stale_sessions"`
-	} `json:"gate"`
-}
-
-// gateLoadgen validates a loadgen report.
-func gateLoadgen(path string, minVotes, minWatch float64, minTrans, maxDead, maxStale int64) error {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep loadgenReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Tool != "dqm-loadgen" || rep.SchemaVersion != 1 {
-		return fmt.Errorf("%s: not a dqm-loadgen v1 report (tool=%q schema=%d)", path, rep.Tool, rep.SchemaVersion)
-	}
-	if rep.TotalOps == 0 {
-		return fmt.Errorf("%s: zero ops executed", path)
-	}
-	if rep.TotalErrors > 0 {
-		return fmt.Errorf("%s: %d errors during the run", path, rep.TotalErrors)
-	}
-	if rep.VotesPerSec < minVotes {
-		return fmt.Errorf("%s: %.0f votes/s below the %.0f floor", path, rep.VotesPerSec, minVotes)
-	}
-	if rep.WatchEventsPerSec < minWatch {
-		return fmt.Errorf("%s: %.0f watch events/s below the %.0f floor", path, rep.WatchEventsPerSec, minWatch)
-	}
-	if minTrans > 0 || maxDead >= 0 || maxStale >= 0 {
-		if rep.Gate == nil {
-			return fmt.Errorf("%s: gate thresholds set but the report has no gate block (not a gate scenario?)", path)
-		}
-		if rep.Gate.Transitions < minTrans {
-			return fmt.Errorf("%s: %d gate transitions below the %d floor", path, rep.Gate.Transitions, minTrans)
-		}
-		if maxDead >= 0 && rep.Gate.WebhookDeadLetters > maxDead {
-			return fmt.Errorf("%s: %d webhook dead letters exceed the %d ceiling", path, rep.Gate.WebhookDeadLetters, maxDead)
-		}
-		if maxStale >= 0 && rep.Gate.StaleSessions > maxStale {
-			return fmt.Errorf("%s: %d sessions with a stale gate decision exceed the %d ceiling", path, rep.Gate.StaleSessions, maxStale)
-		}
-	}
-	return nil
 }

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -112,99 +110,6 @@ func TestCompareGates(t *testing.T) {
 	base.GoVersion = ""
 	if _, out := gateResult(t, base, fresh, 0.30); strings.Contains(out, "toolchain") {
 		t.Errorf("versionless baseline warned:\n%s", out)
-	}
-}
-
-func TestGateLoadgen(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, rep map[string]any) string {
-		t.Helper()
-		b, _ := json.Marshal(rep)
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	good := write("good.json", map[string]any{
-		"tool": "dqm-loadgen", "schema_version": 1,
-		"total_ops": 1000, "total_errors": 0, "votes_per_sec": 500000.0,
-	})
-	if err := gateLoadgen(good, 50000, 0, 0, -1, -1); err != nil {
-		t.Errorf("good report rejected: %v", err)
-	}
-	slow := write("slow.json", map[string]any{
-		"tool": "dqm-loadgen", "schema_version": 1,
-		"total_ops": 1000, "total_errors": 0, "votes_per_sec": 100.0,
-	})
-	if err := gateLoadgen(slow, 50000, 0, 0, -1, -1); err == nil {
-		t.Error("below-floor throughput accepted")
-	}
-	errs := write("errs.json", map[string]any{
-		"tool": "dqm-loadgen", "schema_version": 1,
-		"total_ops": 1000, "total_errors": 3, "votes_per_sec": 500000.0,
-	})
-	if err := gateLoadgen(errs, 0, 0, 0, -1, -1); err == nil {
-		t.Error("errored run accepted")
-	}
-	alien := write("alien.json", map[string]any{"tool": "something-else"})
-	if err := gateLoadgen(alien, 0, 0, 0, -1, -1); err == nil {
-		t.Error("non-loadgen JSON accepted")
-	}
-
-	// The watch-events floor gates the storm scenario's delivery rate: a
-	// report without (or below) the watch column fails a non-zero floor.
-	storm := write("storm.json", map[string]any{
-		"tool": "dqm-loadgen", "schema_version": 1,
-		"total_ops": 1000, "total_errors": 0, "votes_per_sec": 500000.0,
-		"watch_events_per_sec": 12000.0,
-	})
-	if err := gateLoadgen(storm, 0, 500, 0, -1, -1); err != nil {
-		t.Errorf("storm report rejected: %v", err)
-	}
-	if err := gateLoadgen(storm, 0, 50000, 0, -1, -1); err == nil {
-		t.Error("below-floor watch delivery accepted")
-	}
-	if err := gateLoadgen(good, 0, 500, 0, -1, -1); err == nil {
-		t.Error("watch floor passed with no watch column")
-	}
-
-	// Gate thresholds read the report's gate block: the transitions floor,
-	// the dead-letter and staleness ceilings, and the presence requirement
-	// itself (a gate threshold against a gateless report is an error).
-	gated := write("gated.json", map[string]any{
-		"tool": "dqm-loadgen", "schema_version": 1,
-		"total_ops": 1000, "total_errors": 0, "votes_per_sec": 500000.0,
-		"gate": map[string]any{
-			"gate_transitions": 4, "webhook_deliveries": 4,
-			"webhook_dead_letters": 0, "gate_stale_sessions": 0,
-		},
-	})
-	if err := gateLoadgen(gated, 0, 0, 1, 0, 0); err != nil {
-		t.Errorf("clean gate report rejected: %v", err)
-	}
-	if err := gateLoadgen(gated, 0, 0, 10, 0, 0); err == nil {
-		t.Error("below-floor gate transitions accepted")
-	}
-	if err := gateLoadgen(good, 0, 0, 1, -1, -1); err == nil {
-		t.Error("gate floor passed with no gate block")
-	}
-	dirty := write("dirty-gate.json", map[string]any{
-		"tool": "dqm-loadgen", "schema_version": 1,
-		"total_ops": 1000, "total_errors": 0, "votes_per_sec": 500000.0,
-		"gate": map[string]any{
-			"gate_transitions": 4, "webhook_deliveries": 2,
-			"webhook_dead_letters": 2, "gate_stale_sessions": 1,
-		},
-	})
-	if err := gateLoadgen(dirty, 0, 0, 1, 0, -1); err == nil {
-		t.Error("dead-lettered run accepted under a zero ceiling")
-	}
-	if err := gateLoadgen(dirty, 0, 0, 1, -1, 0); err == nil {
-		t.Error("stale-decision run accepted under a zero ceiling")
-	}
-	if err := gateLoadgen(dirty, 0, 0, 1, 2, 1); err != nil {
-		t.Errorf("run within explicit ceilings rejected: %v", err)
 	}
 }
 

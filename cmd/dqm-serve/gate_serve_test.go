@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -11,7 +12,9 @@ import (
 	"time"
 
 	"dqm"
+	"dqm/internal/metrics"
 	"dqm/internal/policy"
+	"dqm/internal/xrand"
 )
 
 // ingestTask posts one task of votes: every item in [base, base+n) voted by
@@ -369,5 +372,122 @@ func TestGateDriftRuleWiring(t *testing.T) {
 	inputs := dec["inputs"].(map[string]any)
 	if _, ok := inputs["drift_ratio"]; !ok {
 		t.Fatalf("windowed decision lacks drift_ratio input: %v", dec)
+	}
+}
+
+// TestGateDriftDeliversEveryTransition drives the production gate wiring
+// (each gate's transition callback feeding the server's webhook dispatcher)
+// with drifting ingest on two windowed sessions. Every session must
+// transition, every transition must reach the receiver with no dead letters,
+// and no cached decision may lag its session once the gates quiesce.
+func TestGateDriftDeliversEveryTransition(t *testing.T) {
+	const (
+		// At 2,000 items the remaining-error estimate crosses the rule's 50
+		// more than once before it settles above it, so a gate may change
+		// action several times while deliveries are in flight.
+		items      = 2000
+		workers    = 25
+		driftAfter = 200 // tasks per session before the dirty rate jumps
+	)
+	var (
+		hookMu sync.Mutex
+		hooks  = map[string]int{} // receiver POSTs by session
+	)
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var dec struct {
+			Session string `json:"session"`
+		}
+		if err := json.NewDecoder(r.Body).Decode(&dec); err != nil {
+			t.Errorf("webhook body: %v", err)
+		}
+		hookMu.Lock()
+		hooks[dec.Session]++
+		hookMu.Unlock()
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer hook.Close()
+
+	srv := mustServer(t, serverConfig{GateMinInterval: 5 * time.Millisecond})
+	defer srv.Close()
+	doc := `{"rules":[
+		{"name":"remaining-errors","metric":"remaining","op":">","value":50,"severity":"critical"},
+		{"name":"drifting","metric":"drift_ratio","op":">","value":0.5,"severity":"warning"}],
+		"webhook":{"url":"` + hook.URL + `"}}`
+	ids := []string{"drift-0", "drift-1"}
+	for _, id := range ids {
+		do(t, srv, "POST", "/v1/sessions", map[string]any{
+			"id": id, "items": items,
+			"config": map[string]any{"window": map[string]any{"size": 50, "stride": 25, "decay_alpha": 0.3}},
+		}, http.StatusCreated)
+		putPolicy(t, srv, id, doc)
+	}
+	transitions := func() int64 {
+		v, _ := metrics.Default.Value("dqm_gate_transitions_total")
+		return int64(v)
+	}
+	before := transitions()
+
+	var wg sync.WaitGroup
+	for k, id := range ids {
+		wg.Add(1)
+		go func(seed uint64, id string) {
+			defer wg.Done()
+			rng := xrand.New(seed)
+			votes := make([]map[string]any, 20)
+			for task := 0; task < 2*driftAfter; task++ {
+				rate := 0.05
+				if task >= driftAfter {
+					rate = 0.30
+				}
+				for i := range votes {
+					votes[i] = map[string]any{"item": rng.IntN(items), "worker": rng.IntN(workers), "dirty": rng.Bernoulli(rate)}
+				}
+				body, _ := json.Marshal(map[string]any{"votes": votes, "end_task": true})
+				req := httptest.NewRequest("POST", "/v1/sessions/"+id+"/votes", bytes.NewReader(body))
+				req.Header.Set("Content-Type", "application/json")
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s task %d: POST votes = %d (%s)", id, task, rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}(uint64(k+1), id)
+	}
+	wg.Wait()
+
+	// Quiesce: every gate has evaluated its session's last version and every
+	// transition has left the dispatcher as a delivery or a dead letter.
+	settled := func() bool {
+		for _, id := range ids {
+			if srv.gate(id).Stale() {
+				return false
+			}
+		}
+		return srv.dispatcher.Deliveries()+srv.dispatcher.DeadLetters() >= transitions()-before
+	}
+	for deadline := time.Now().Add(5 * time.Second); !settled() && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	for _, id := range ids {
+		if srv.gate(id).Stale() {
+			t.Errorf("%s: gate decision still stale after quiesce", id)
+		}
+	}
+	n := transitions() - before
+	hookMu.Lock()
+	defer hookMu.Unlock()
+	var posts int64
+	for _, id := range ids {
+		if hooks[id] == 0 {
+			t.Errorf("%s: no transition reached the receiver", id)
+		}
+		posts += int64(hooks[id])
+	}
+	if posts != n {
+		t.Errorf("receiver got %d POSTs for %d gate transitions", posts, n)
+	}
+	if dl := srv.dispatcher.DeadLetters(); dl != 0 {
+		t.Errorf("%d webhook dead letters, want 0", dl)
 	}
 }

@@ -41,7 +41,7 @@ import (
 )
 
 // source adapts *dqm.Session to policy.Source — the same adapter shape
-// dqm-serve and dqm-loadgen use. The version is read BEFORE the estimates so
+// dqm-serve uses. The version is read BEFORE the estimates so
 // a concurrent mutation makes the snapshot look stale (forcing a fresh
 // evaluation) rather than current.
 type source struct{ sess *dqm.Session }

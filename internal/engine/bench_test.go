@@ -52,7 +52,7 @@ func BenchmarkSessionIngest(b *testing.B) {
 }
 
 // benchGateSource adapts the engine session to policy.Source for the gated
-// ingest benchmark (the same few-line adapter dqm-serve and dqm-loadgen use).
+// ingest benchmark (the same few-line adapter dqm-serve uses).
 type benchGateSource struct{ s *Session }
 
 func (g benchGateSource) Version() uint64               { return g.s.Version() }

@@ -327,17 +327,26 @@ func TestHeartbeatWhenIdle(t *testing.T) {
 
 // TestMonotonicSubsequenceProperty is the hub's core delivery guarantee:
 // under concurrent ingest, every subscriber observes a strictly increasing
-// version subsequence that ends at the session's final version.
+// version subsequence that ends at the session's final version. The
+// 300-subscriber case is a watch storm: one pump wakes every subscriber on
+// each publish.
 func TestMonotonicSubsequenceProperty(t *testing.T) {
+	for _, nsubs := range []int{8, 300} {
+		t.Run(fmt.Sprintf("subs=%d", nsubs), func(t *testing.T) {
+			checkMonotonicSubsequence(t, nsubs)
+		})
+	}
+}
+
+func checkMonotonicSubsequence(t *testing.T, nsubs int) {
 	h, sess, _ := testHub(t, Config{MinInterval: time.Millisecond})
-	const (
-		bumps = 300
-		nsubs = 8
-	)
+	const bumps = 300
 	var wg sync.WaitGroup
 	seqs := make([][]uint64, nsubs)
 	for i := 0; i < nsubs; i++ {
-		sub, ok := h.Subscribe("s", ViewAll, 0, time.Duration(i)*time.Millisecond)
+		// Intervals of 0–7 ms mix uncoalesced and coalescing subscribers
+		// while keeping the slowest one's tail short.
+		sub, ok := h.Subscribe("s", ViewAll, 0, time.Duration(i%8)*time.Millisecond)
 		if !ok {
 			t.Fatalf("Subscribe %d failed", i)
 		}

@@ -9,8 +9,9 @@ import (
 
 // Source is the gate's view of a session. It is deliberately narrow — version
 // counter, change notification, and a metrics snapshot — so this package
-// never imports the engine and callers (the server, the load generator, the
-// engine's own benchmarks) adapt their session type in a few lines.
+// never imports the engine and callers (the server, the engine's own
+// benchmarks, the qualitygate example) adapt their session type in a few
+// lines.
 type Source interface {
 	// Version returns the session's monotonically increasing mutation counter.
 	Version() uint64
@@ -35,7 +36,7 @@ type Frame struct {
 	Version uint64
 	Action  Action
 	// Decision is the decoded document backing Body, retained for callers
-	// (loadgen, tests) that want fields without re-parsing.
+	// (tests, the qualitygate example) that want fields without re-parsing.
 	Decision Decision
 }
 
@@ -113,8 +114,9 @@ func (g *Gate) SetPolicy(p *Policy) {
 }
 
 // Stale reports whether the cached decision lags the source (evaluation
-// pending or rate-limited). A loadgen quiesce check, not a serving concern:
-// the served frame is always internally consistent.
+// pending or rate-limited). A quiesce check for tests and the qualitygate
+// example, not a serving concern: the served frame is always internally
+// consistent.
 func (g *Gate) Stale() bool {
 	f := g.frame.Load()
 	return f == nil || f.Version != g.src.Version()

@@ -291,6 +291,17 @@ func TestDispatcherQueueOverflowCountsDeadLetter(t *testing.T) {
 	if d.DeadLetters() != 1 {
 		t.Fatalf("dead letters = %d, want 1", d.DeadLetters())
 	}
+
+	// Close cancels the attempt in flight instead of waiting out its 10 s
+	// timeout, and neither it nor the queued delivery becomes a dead letter.
+	start := time.Now()
+	d.Close()
+	if took := time.Since(start); took >= time.Second {
+		t.Fatalf("Close took %v with an attempt in flight, want < 1s", took)
+	}
+	if d.DeadLetters() != 1 || d.Deliveries() != 0 {
+		t.Fatalf("after Close: dead letters = %d, deliveries = %d, want 1 and 0", d.DeadLetters(), d.Deliveries())
+	}
 }
 
 func TestDispatcherPerDeliveryOverrides(t *testing.T) {

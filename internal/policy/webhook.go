@@ -76,8 +76,11 @@ type Delivery struct {
 type Dispatcher struct {
 	cfg   DispatcherConfig
 	queue chan Delivery
-	stop  chan struct{}
-	wg    sync.WaitGroup
+	// ctx is the parent of every attempt; Close cancels it, so a receiver
+	// that never answers cannot hold shutdown for its policy's timeout.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 
 	deliveries  atomic.Int64
 	deadLetters atomic.Int64
@@ -86,7 +89,8 @@ type Dispatcher struct {
 
 // NewDispatcher starts the worker pool.
 func NewDispatcher(cfg DispatcherConfig) *Dispatcher {
-	d := &Dispatcher{cfg: cfg.withDefaults(), stop: make(chan struct{})}
+	d := &Dispatcher{cfg: cfg.withDefaults()}
+	d.ctx, d.cancel = context.WithCancel(context.Background())
 	d.queue = make(chan Delivery, d.cfg.QueueSize)
 	d.wg.Add(d.cfg.Workers)
 	for i := 0; i < d.cfg.Workers; i++ {
@@ -115,12 +119,12 @@ func (d *Dispatcher) Deliveries() int64 { return d.deliveries.Load() }
 // retries or dropped on a full queue.
 func (d *Dispatcher) DeadLetters() int64 { return d.deadLetters.Load() }
 
-// Close stops the workers. In-flight attempts are abandoned at their next
-// stop check; queued deliveries are dropped without being counted as dead
-// letters (shutdown, not failure).
+// Close cancels in-flight attempts and waits for the workers to exit. An
+// abandoned attempt and the deliveries still queued count as neither
+// deliveries nor dead letters (shutdown, not failure).
 func (d *Dispatcher) Close() {
 	d.closeOnce.Do(func() {
-		close(d.stop)
+		d.cancel()
 		d.wg.Wait()
 	})
 }
@@ -128,8 +132,13 @@ func (d *Dispatcher) Close() {
 func (d *Dispatcher) worker() {
 	defer d.wg.Done()
 	for {
+		// select picks at random among ready cases, so a worker checks for
+		// Close before it may take another delivery off a non-empty queue.
+		if d.ctx.Err() != nil {
+			return
+		}
 		select {
-		case <-d.stop:
+		case <-d.ctx.Done():
 			return
 		case del := <-d.queue:
 			d.deliver(del)
@@ -150,6 +159,9 @@ func (d *Dispatcher) deliver(del Delivery) {
 	for attempt := 1; ; attempt++ {
 		start := time.Now()
 		ok := d.attempt(del.URL, del.Body, timeout)
+		if !ok && d.ctx.Err() != nil {
+			return // abandoned by Close
+		}
 		metricWebhookDeliverySeconds.Observe(time.Since(start).Seconds())
 		if ok {
 			d.deliveries.Add(1)
@@ -163,7 +175,7 @@ func (d *Dispatcher) deliver(del Delivery) {
 		}
 		metricWebhookRetries.Inc()
 		select {
-		case <-d.stop:
+		case <-d.ctx.Done():
 			return
 		case <-time.After(backoff):
 		}
@@ -174,7 +186,7 @@ func (d *Dispatcher) deliver(del Delivery) {
 }
 
 func (d *Dispatcher) attempt(url string, body []byte, timeout time.Duration) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(d.ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {

@@ -113,7 +113,7 @@ type TaskBlock struct {
 func BinaryMagic() []byte { return append([]byte(nil), binaryMagic...) }
 
 // ContentTypeDQMV is the HTTP media type under which the binary vote-log
-// encoding travels (dqm-serve's votes endpoint, dqm-loadgen's binary driver).
+// encoding travels (dqm-serve's votes endpoint, the benchmark's DQMV writer).
 const ContentTypeDQMV = "application/x-dqmv"
 
 // SplitBinaryTasks splits a full binary vote log (magic header included) into
