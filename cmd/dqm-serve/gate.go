@@ -12,29 +12,18 @@ import (
 	"dqm/internal/policy"
 )
 
-// The quality-gate plane: one event-driven policy.Gate per gated session.
-// Each gate registers on the session's version notifier (the same wakeup the
-// watch hub rides), re-evaluates its rules when the session mutates, and
-// caches the decision pre-serialized — GET /v1/sessions/{id}/gate is a frame
-// load plus one write, with ETag/304 on the decision version. Action
-// transitions (proceed↔warn↔quarantine) enqueue the decision document on the
-// shared bounded webhook dispatcher; steady-state decisions never leave the
-// process.
+// The quality-gate plane: a gated session's policy.Gate lives in its hub
+// entry, whose pump (the one that wakes the session's watchers) re-evaluates
+// it on mutation and caches the decision pre-serialized, so GET .../gate is
+// a frame load plus one write. Action transitions reach onTransition, which
+// enqueues the decision on the shared bounded webhook dispatcher.
 
-// gateSource adapts *dqm.Session to policy.Source. Inputs reads the version
-// BEFORE the estimates (the same at-least-once discipline as the read
-// plane), and only computes the bootstrap CI / windowed drift view when the
-// policy's rules reference them.
-type gateSource struct {
-	sess *dqm.Session
-}
+// hubSession adapts *dqm.Session to hub.Session. Inputs reads the version
+// BEFORE the estimates (the read plane's at-least-once discipline) and only
+// computes the bootstrap CI or windowed drift view when the policy needs it.
+type hubSession struct{ *dqm.Session }
 
-func (g gateSource) Version() uint64               { return g.sess.Version() }
-func (g gateSource) Notify(ch chan<- struct{})     { g.sess.Notify(ch) }
-func (g gateSource) StopNotify(ch chan<- struct{}) { g.sess.StopNotify(ch) }
-
-func (g gateSource) Inputs(need policy.Needs) (policy.Inputs, error) {
-	sess := g.sess
+func (sess hubSession) Inputs(need policy.Needs) (policy.Inputs, error) {
 	in := policy.Inputs{Version: sess.Version()}
 	est := sess.Estimates()
 	in.Remaining = est.Remaining()
@@ -58,19 +47,17 @@ func (g gateSource) Inputs(need policy.Needs) (policy.Inputs, error) {
 	return in, nil
 }
 
-// gate returns the session's live gate, if any.
+// gate returns the session's live gate, if any: a lock-free hub lookup.
 func (s *server) gate(id string) *policy.Gate {
-	s.gateMu.Lock()
-	g := s.gates[id]
-	s.gateMu.Unlock()
-	return g
+	return s.hub.Gate(id)
 }
 
 // ensureGate attaches a gate to the session if it should have one (its own
 // persisted policy, else the server default) and doesn't yet — the path by
-// which created, recovered, and LRU-revived sessions all come online.
-// Idempotent and cheap when nothing is to be done: an ungated session with no
-// default policy exits on two atomic loads without touching the mutex.
+// which created, recovered, and LRU-revived sessions all come online. Per
+// request it costs two atomic loads when ungated and a lock-free hub lookup
+// when gated. Attaching by id binds the gate to the incarnation the hub
+// resolves, which the session's eviction Drops.
 func (s *server) ensureGate(sess *dqm.Session) *policy.Gate {
 	raw := sess.PolicyJSON()
 	if raw == nil {
@@ -79,10 +66,7 @@ func (s *server) ensureGate(sess *dqm.Session) *policy.Gate {
 	if raw == nil {
 		return nil
 	}
-	id := sess.ID()
-	s.gateMu.Lock()
-	defer s.gateMu.Unlock()
-	if g, ok := s.gates[id]; ok {
+	if g := s.gate(sess.ID()); g != nil {
 		return g
 	}
 	p, err := policy.Parse(raw)
@@ -92,48 +76,24 @@ func (s *server) ensureGate(sess *dqm.Session) *policy.Gate {
 		// operator re-PUTs.
 		return nil
 	}
-	return s.attachGateLocked(id, sess, p)
-}
-
-// attachGateLocked builds the gate (one synchronous seed evaluation inside)
-// and registers it. Caller holds gateMu.
-func (s *server) attachGateLocked(id string, sess *dqm.Session, p *policy.Policy) *policy.Gate {
-	var g *policy.Gate
-	onTransition := func(prev, cur policy.Action, dec policy.Decision, body []byte) {
-		// The webhook config is read from the gate's CURRENT policy, so a
-		// PUT that changes the URL redirects in-flight transitions too.
-		cp := g.Policy()
-		if cp == nil || cp.Webhook == nil {
-			return
-		}
-		s.dispatcher.Enqueue(policy.Delivery{
-			URL:         cp.Webhook.URL,
-			Body:        body,
-			Timeout:     time.Duration(cp.Webhook.TimeoutMS) * time.Millisecond,
-			MaxAttempts: cp.Webhook.MaxAttempts,
-		})
-	}
-	g = policy.NewGate(p, gateSource{sess: sess}, policy.GateConfig{
-		SessionID:    id,
-		MinInterval:  s.cfg.GateMinInterval,
-		OnTransition: onTransition,
-	})
-	s.gates[id] = g
+	g, _ := s.hub.AttachGate(sess.ID(), p)
 	return g
 }
 
-// dropGate detaches and closes a session's gate. Close happens off this
-// goroutine: dropGate is called from engine eviction callbacks that may hold
-// session-internal locks the pump's in-flight evaluation needs, so waiting
-// here could deadlock.
-func (s *server) dropGate(id string) {
-	s.gateMu.Lock()
-	g, ok := s.gates[id]
-	delete(s.gates, id)
-	s.gateMu.Unlock()
-	if ok {
-		go g.Close()
+// onTransition enqueues a transition's decision document for the gate's
+// webhook. The webhook config is read from the gate's CURRENT policy, so a
+// PUT that changes the URL redirects in-flight transitions too.
+func (s *server) onTransition(g *policy.Gate, _ policy.Action, f *policy.Frame) {
+	p := g.Policy()
+	if p == nil || p.Webhook == nil {
+		return
 	}
+	s.dispatcher.Enqueue(policy.Delivery{
+		URL:         p.Webhook.URL,
+		Body:        f.Body,
+		Timeout:     time.Duration(p.Webhook.TimeoutMS) * time.Millisecond,
+		MaxAttempts: p.Webhook.MaxAttempts,
+	})
 }
 
 // handleGate serves the cached gate decision: pre-serialized bytes, tagged
@@ -191,14 +151,10 @@ func (s *server) handlePutPolicy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, codeJournalUnavailable, "%v", err)
 		return
 	}
-	s.gateMu.Lock()
-	g, attached := s.gates[sess.ID()]
-	if !attached {
-		g = s.attachGateLocked(sess.ID(), sess, p)
-	}
-	s.gateMu.Unlock()
-	if attached {
-		g.SetPolicy(p)
+	g, ok := s.hub.SetPolicy(sess.ID(), p)
+	if !ok {
+		writeError(w, http.StatusNotFound, codeSessionNotFound, "unknown session %q", sess.ID())
+		return
 	}
 	f := g.Frame()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -248,12 +204,10 @@ func (s *server) handleDeletePolicy(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.cfg.DefaultPolicy != nil {
 		if p, err := policy.Parse(s.cfg.DefaultPolicy); err == nil {
-			if g := s.gate(sess.ID()); g != nil {
-				g.SetPolicy(p)
-			}
+			s.hub.SetPolicy(sess.ID(), p)
 		}
 	} else {
-		s.dropGate(sess.ID())
+		s.hub.DetachGate(sess.ID())
 	}
 	w.WriteHeader(http.StatusNoContent)
 }

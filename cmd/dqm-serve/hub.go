@@ -1,7 +1,8 @@
 // Watch fan-out wiring: connects the engine's sessions and the estimates wire
 // format to internal/hub, which encodes each published version once and
 // multicasts the pre-serialized bytes to every SSE subscriber (and serves
-// them to conditional GET readers via ETag/If-None-Match).
+// them to conditional GET readers via ETag/If-None-Match). The same hub
+// entry drives the session's quality gate (see gate.go).
 package main
 
 import (
@@ -54,14 +55,16 @@ func (s *server) setupHub() {
 			if !ok {
 				return nil, false
 			}
-			return sess, true
+			return hubSession{sess}, true
 		},
 		Encode: s.encodeEstimates,
 		// The pump's publish floor: mutation bursts within it collapse into
 		// one subscriber wakeup. Half the subscriber floor keeps the extra
 		// delivery latency within the interval clients asked for.
-		MinInterval: s.cfg.WatchMinInterval / 2,
-		Heartbeat:   15 * time.Second,
+		MinInterval:     s.cfg.WatchMinInterval / 2,
+		Heartbeat:       15 * time.Second,
+		GateMinInterval: s.cfg.GateMinInterval,
+		OnTransition:    s.onTransition,
 	})
 }
 
@@ -69,7 +72,7 @@ func (s *server) setupHub() {
 // (the hub caches the result). The returned version is read BEFORE the
 // estimates so concurrent mutation yields re-delivery, never a skip.
 func (s *server) encodeEstimates(hs hub.Session, view hub.View) ([]byte, uint64, error) {
-	sess := hs.(*dqm.Session)
+	sess := hs.(hubSession).Session
 	v := sess.Version()
 	var (
 		out estimatesJSON

@@ -54,8 +54,8 @@
 // Quality gates: a policy (rules over remaining errors, SWITCH total,
 // bootstrap-CI upper bound, windowed drift ratio) attaches per session via
 // PUT .../policy, or to every session without its own via -policy-file. Each
-// gated session gets an event-driven evaluator that re-runs on mutation (no
-// polling) and caches the decision pre-serialized; action transitions
+// gated session's evaluator rides the session's hub pump, re-runs on mutation
+// (no polling) and caches the decision pre-serialized; action transitions
 // (proceed/warn/quarantine) POST the decision document to the policy's
 // webhook through a bounded async dispatcher with retry and backoff.
 //
@@ -288,10 +288,8 @@ type server struct {
 	hub             *hub.Hub
 	watchEncodeErrs *metrics.Counter
 
-	// Quality-gate plane (see gate.go): one event-driven policy.Gate per
-	// gated session plus the shared bounded webhook dispatcher.
-	gateMu     sync.Mutex
-	gates      map[string]*policy.Gate
+	// Quality-gate plane (see gate.go): gates live in their session's hub
+	// entry; transitions feed the shared bounded webhook dispatcher.
 	dispatcher *policy.Dispatcher
 
 	// Observability plane (see observability.go).
@@ -328,20 +326,17 @@ func newServer(cfg serverConfig) (*server, error) {
 		mux:   http.NewServeMux(),
 		cfg:   cfg,
 		snaps: make(map[string][]namedSnapshot),
-		gates: make(map[string]*policy.Gate),
 	}
 	s.dispatcher = policy.NewDispatcher(cfg.Webhook)
 	engineCfg := dqm.EngineConfig{
 		Shards:      cfg.Shards,
 		MaxSessions: cfg.MaxSessions,
 		// LRU-evicted sessions must not leak their server-side snapshots (or
-		// resurrect them under a reused id), and any watch streams must end
-		// rather than go silently stale on the detached session object (the
-		// nil guard covers evictions during engine recovery, before the hub
-		// exists).
+		// resurrect them under a reused id), and watch streams and gates must
+		// end rather than go stale on the detached session object (the nil
+		// guard covers evictions during recovery, before the hub exists).
 		OnEvict: func(id string) {
 			s.dropSnapshots(id)
-			s.dropGate(id)
 			if s.hub != nil {
 				s.hub.Drop(id)
 			}
@@ -406,21 +401,12 @@ func newServer(cfg serverConfig) (*server, error) {
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the stats logger and the gate plane (every gate's pump, then
-// the webhook dispatcher), then flushes a final checkpoint of every live
-// session and closes the engine's journals (no-op for in-memory engines).
+// Close stops the stats logger, every hub pump (so no gate transition fires
+// afterwards) and the webhook dispatcher, then flushes a final checkpoint of
+// every live session and closes the engine's journals (no-op in memory).
 func (s *server) Close() error {
 	s.stats.Stop()
-	s.gateMu.Lock()
-	gates := make([]*policy.Gate, 0, len(s.gates))
-	for id, g := range s.gates {
-		gates = append(gates, g)
-		delete(s.gates, id)
-	}
-	s.gateMu.Unlock()
-	for _, g := range gates {
-		g.Close()
-	}
+	s.hub.Close()
 	s.dispatcher.Close()
 	return s.engine.Close()
 }
@@ -659,7 +645,6 @@ func (s *server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.dropSnapshots(id)
-	s.dropGate(id)
 	s.hub.Drop(id)
 	w.WriteHeader(http.StatusNoContent)
 }

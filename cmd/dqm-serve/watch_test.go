@@ -402,7 +402,7 @@ func benchWatchFanoutInproc(b *testing.B, subscribers int) {
 			if !ok {
 				return nil, false
 			}
-			return s2, true
+			return hubSession{s2}, true
 		},
 		Encode: func(s hub.Session, v hub.View) ([]byte, uint64, error) {
 			encodes.Add(1)

@@ -8,8 +8,9 @@
 //   - a declarative policy gates on the estimated REMAINING undetected
 //     errors (critical → quarantine) and on the windowed drift ratio
 //     (warning → warn);
-//   - the gate re-evaluates event-driven off the session's version
-//     notifier — no polling loop anywhere in this file;
+//   - the gate is attached through a watch hub (internal/hub), whose one
+//     pump per session re-evaluates it off the session's version notifier
+//     exactly as dqm-serve's does — no polling loop anywhere in this file;
 //   - every action transition is POSTed as a webhook to a local HTTP
 //     receiver through the bounded retry dispatcher, exactly as dqm-serve
 //     delivers pages.
@@ -22,7 +23,9 @@
 // never re-reports — exactly the blind spot the drift rule exists to cover.
 // Each transition is POSTed to the webhook receiver, which prints the
 // decision document it was paged with. (Exact transition versions vary with
-// scheduling: evaluation is asynchronous by design.)
+// scheduling: evaluation is asynchronous by design.) The example exits 1
+// unless at least one transition reached the receiver and no delivery was
+// dead-lettered.
 //
 // Run with: go run ./examples/qualitygate
 package main
@@ -33,32 +36,30 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
 	"sync/atomic"
 	"time"
 
 	"dqm"
+	"dqm/internal/hub"
 	"dqm/internal/policy"
 )
 
-// source adapts *dqm.Session to policy.Source — the same adapter shape
-// dqm-serve uses. The version is read BEFORE the estimates so
-// a concurrent mutation makes the snapshot look stale (forcing a fresh
-// evaluation) rather than current.
-type source struct{ sess *dqm.Session }
-
-func (s source) Version() uint64               { return s.sess.Version() }
-func (s source) Notify(ch chan<- struct{})     { s.sess.Notify(ch) }
-func (s source) StopNotify(ch chan<- struct{}) { s.sess.StopNotify(ch) }
+// source adapts *dqm.Session to hub.Session — the same adapter shape
+// dqm-serve uses: the session's version notifier plus the gate inputs. The
+// version is read BEFORE the estimates so a concurrent mutation makes the
+// snapshot look stale (forcing a fresh evaluation) rather than current.
+type source struct{ *dqm.Session }
 
 func (s source) Inputs(need policy.Needs) (policy.Inputs, error) {
-	in := policy.Inputs{Version: s.sess.Version()}
-	est := s.sess.Estimates()
+	in := policy.Inputs{Version: s.Version()}
+	est := s.Estimates()
 	in.Remaining = est.Remaining()
 	in.SwitchTotal = est.Switch.Total
-	in.Tasks = s.sess.Tasks()
-	in.Votes = s.sess.TotalVotes()
+	in.Tasks = s.Tasks()
+	in.Votes = s.TotalVotes()
 	if need.Drift {
-		if we, err := s.sess.WindowEstimates(dqm.WindowDecayed); err == nil {
+		if we, err := s.WindowEstimates(dqm.WindowDecayed); err == nil {
 			in.DriftRatio = policy.DriftRatio(we.Estimates.Remaining(), in.Remaining)
 			in.HasDrift = true
 		}
@@ -98,9 +99,11 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	var received atomic.Int64
 	hookSrv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var dec policy.Decision
 		if err := json.NewDecoder(r.Body).Decode(&dec); err == nil {
+			received.Add(1)
 			fmt.Printf("  WEBHOOK %-10s session=%s version=%d tasks=%d violations=%d\n",
 				dec.Action, dec.Session, dec.Version, dec.Tasks, len(dec.Violations))
 		}
@@ -140,17 +143,20 @@ func main() {
 	dispatcher := policy.NewDispatcher(policy.DispatcherConfig{})
 	defer dispatcher.Close()
 	var transitions atomic.Int64
-	gate := policy.NewGate(pol, source{sess: sess}, policy.GateConfig{
-		SessionID:   "orders",
-		MinInterval: time.Millisecond,
-		OnTransition: func(prev, cur policy.Action, dec policy.Decision, body []byte) {
+	h := hub.New(hub.Config{
+		Resolve: func(string) (hub.Session, bool) { return source{sess}, true },
+		// Nothing here watches or reads estimates, so no frame is encoded.
+		Encode:          func(hub.Session, hub.View) ([]byte, uint64, error) { return nil, 0, nil },
+		GateMinInterval: time.Millisecond,
+		OnTransition: func(_ *policy.Gate, from policy.Action, f *policy.Frame) {
 			transitions.Add(1)
 			fmt.Printf("TRANSITION %s -> %s at version %d (remaining=%.0f)\n",
-				prev, cur, dec.Version, dec.Inputs.Remaining)
-			dispatcher.Enqueue(policy.Delivery{URL: hookURL, Body: body})
+				from, f.Action, f.Version, f.Decision.Inputs.Remaining)
+			dispatcher.Enqueue(policy.Delivery{URL: hookURL, Body: f.Body})
 		},
 	})
-	defer gate.Close()
+	defer h.Close()
+	gate, _ := h.AttachGate("orders", pol)
 
 	oneTask := func(worker int) {
 		batch := make([]dqm.Vote, 0, itemsPerTask)
@@ -213,4 +219,8 @@ func main() {
 	}
 	fmt.Printf("\nwebhook deliveries=%d dead_letters=%d\n",
 		dispatcher.Deliveries(), dispatcher.DeadLetters())
+	if received.Load() == 0 || dispatcher.DeadLetters() != 0 {
+		fmt.Fprintln(os.Stderr, "qualitygate: want at least one transition delivered and no dead letters")
+		os.Exit(1)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dqm/internal/estimator"
+	"dqm/internal/hub"
 	"dqm/internal/policy"
 	"dqm/internal/votelog"
 	"dqm/internal/votes"
@@ -51,7 +52,7 @@ func BenchmarkSessionIngest(b *testing.B) {
 	b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "votes/s")
 }
 
-// benchGateSource adapts the engine session to policy.Source for the gated
+// benchGateSource adapts the engine session to hub.Session for the gated
 // ingest benchmark (the same few-line adapter dqm-serve uses).
 type benchGateSource struct{ s *Session }
 
@@ -72,12 +73,13 @@ func (g benchGateSource) Inputs(need policy.Needs) (policy.Inputs, error) {
 }
 
 // BenchmarkSessionIngestGated is BenchmarkSessionIngest with a quality gate
-// attached: an event-driven policy.Gate rides the session's notifier and
-// re-evaluates (rate-limited) while ingest runs. The pinned contract is that
-// alerting costs the ingest hot path nothing — still 0 allocs/op — because
-// the gate's work happens on its own goroutine off a non-blocking cap-1
-// wakeup, and MinInterval coalesces per-batch notifications so evaluation
-// (and its one JSON encode) amortizes to noise against millions of appends.
+// attached the way dqm-serve attaches it: through internal/hub, whose
+// per-session pump rides the session's notifier and re-evaluates the gate
+// (rate-limited) while ingest runs. The pinned contract is that alerting
+// costs the ingest hot path nothing — still 0 allocs/op — because the gate's
+// work happens on the pump goroutine off a non-blocking cap-1 wakeup, and
+// GateMinInterval coalesces per-batch notifications so evaluation (and its
+// one JSON encode) amortizes to noise against millions of appends.
 func BenchmarkSessionIngestGated(b *testing.B) {
 	const n, batchSize = 10000, 10
 	s := NewSession("bench", n, SessionConfig{})
@@ -87,11 +89,16 @@ func BenchmarkSessionIngestGated(b *testing.B) {
 	if err := p.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	g := policy.NewGate(p, benchGateSource{s}, policy.GateConfig{
-		SessionID:   "bench",
-		MinInterval: time.Millisecond,
+	h := hub.New(hub.Config{
+		Resolve: func(string) (hub.Session, bool) { return benchGateSource{s}, true },
+		// Nothing reads estimates here, so no frame is encoded.
+		Encode:          func(hub.Session, hub.View) ([]byte, uint64, error) { return nil, 0, nil },
+		GateMinInterval: time.Millisecond,
 	})
-	defer g.Close()
+	defer h.Close()
+	if _, ok := h.AttachGate("bench", p); !ok {
+		b.Fatal("attach gate")
+	}
 	batches := make([][]votes.Vote, 64)
 	for i := range batches {
 		batches[i] = syntheticBatch(n, batchSize, i)

@@ -1,39 +1,32 @@
-// Package hub is the broadcast plane of the watch API: a per-session fan-out
-// hub that turns the engine's version-advance notifications into
-// pre-serialized SSE frames, encoded ONCE per published version per view and
-// multicast to any number of subscribers.
+// Package hub is dqm-serve's one publisher per session. A session's entry
+// owns its one version-notifier registration and one pump goroutine, alive
+// while the session has a subscriber or a gate, and event-driven: an idle
+// session costs zero CPU. The pump wakes subscribers at most once per
+// MinInterval and re-evaluates an attached policy.Gate at most once per
+// GateMinInterval, each with a trailing run, reporting gate action changes
+// to OnTransition.
 //
-// The shape exists because the per-subscriber alternative is O(N) everything:
-// N poll tickers, N identical json.Marshals, N timer wheels churning on idle
-// sessions. Here one pump goroutine per watched session waits on the
-// session's notifier channel (event-driven — an idle session costs zero CPU
-// no matter how many subscribers it has), stamps a publish sequence, and
-// wakes subscribers with non-blocking capacity-1 signals. The frame itself is
-// encoded lazily by the first consumer that needs it and cached by version,
-// so the marshal cost per version is exactly one regardless of subscriber
-// count — and the same cache doubles as the conditional-read plane for
-// ETag/If-None-Match estimate GETs (Payload).
+// Estimate frames are encoded lazily by the first consumer that needs one
+// and cached by version: one marshal per version per view whatever the
+// subscriber count, and the same cache serves ETag/If-None-Match GETs
+// (Payload). Subscribers are coalesce-to-latest: each holds a capacity-1
+// wake signal, not a frame queue, so a slow one skips versions (counted in
+// dqm_hub_dropped_total) and never blocks the pump or other subscribers.
+// Each observes a strictly increasing version subsequence that ends at the
+// session's latest version once mutations stop.
 //
-// Subscribers are coalesce-to-latest: each holds a capacity-1 wake signal,
-// not a frame queue, and reads the newest cached frame when it decides to
-// deliver (after its min-interval). A slow subscriber therefore skips
-// intermediate versions — counted in dqm_hub_dropped_total — and can never
-// block the pump, the encoder, or other subscribers. Every subscriber
-// observes a strictly increasing version subsequence that ends at the
-// session's latest version once mutations stop (the pump's final wake after
-// the last bump guarantees convergence).
-//
-// Lifecycle: a hub session is bound to one engine-session incarnation. When
-// the underlying session is deleted or LRU-evicted the owner calls Drop,
-// which terminates all subscriber streams (Next returns false) instead of
-// leaving them silently pinned to a detached object; a revived incarnation
-// gets a fresh hub session on the next Subscribe or Payload.
+// An entry is bound to one engine-session incarnation: when the session is
+// deleted or LRU-evicted the owner calls Drop, which ends every subscriber
+// stream, detaches the gate and retires the pump; a revived incarnation
+// gets a fresh entry on its next use.
 package hub
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dqm/internal/policy"
 )
 
 // View selects which estimate variant a subscriber or conditional read wants.
@@ -51,11 +44,11 @@ const (
 	NumViews
 )
 
-// Session is the surface the hub needs from an engine session, implemented
-// by *dqm.Session (or fakes in tests).
+// Session is the surface the hub needs from an engine session: the version
+// counter and notifier the pump rides, plus the gate's inputs. dqm-serve
+// adapts *dqm.Session to it; tests use fakes.
 type Session interface {
-	// Version is the session's monotonic mutation counter.
-	Version() uint64
+	policy.Source
 	// Notify/StopNotify register a version-advance signal channel
 	// (non-blocking sends; capacity 1 suffices).
 	Notify(ch chan<- struct{})
@@ -73,8 +66,6 @@ type Config struct {
 	// error is cached and re-served until the version moves (a windowed view
 	// with no completed window yet is the expected case).
 	Encode func(s Session, view View) (body []byte, version uint64, err error)
-	// Event is the SSE event name frames carry; default "estimates".
-	Event string
 	// MinInterval is the pump's floor between publish fan-outs per session:
 	// bursts of mutations inside one interval coalesce into one wake.
 	// Subscribers add their own (longer) per-subscriber interval on top.
@@ -82,17 +73,27 @@ type Config struct {
 	MinInterval time.Duration
 	// Heartbeat is the idle keep-alive period per subscriber; default 15s.
 	Heartbeat time.Duration
+	// GateMinInterval is the pump's floor between evaluations of a gate:
+	// bursty ingest coalesces into one trailing evaluation per interval.
+	GateMinInterval time.Duration
+	// OnTransition, when set, hears each change of a gate's action: the
+	// frame that changed it and the action it changed from. It runs on the
+	// pump (or SetPolicy's caller), so it must not block.
+	OnTransition func(g *policy.Gate, from policy.Action, f *policy.Frame)
 }
 
-// Hub fans session updates out to subscribers, one sessionHub per watched
-// (or conditionally-read) session id.
+// Hub fans session updates out to subscribers and drives gates.
 type Hub struct {
 	cfg Config
 	// sessions is id -> *sessionHub. A sync.Map so Payload — which rides the
-	// GET /estimates hot path — costs one lock-free load; addMu serializes
-	// only creation/replacement.
+	// GET /estimates hot path — and Gate cost one lock-free load.
 	sessions sync.Map
-	addMu    sync.Mutex
+	// addMu orders entry creation against Drop and Close; drops counts
+	// Drops, so a Resolve that raced one is redone rather than stored.
+	addMu  sync.Mutex
+	drops  uint64
+	closed bool
+	pumps  sync.WaitGroup
 }
 
 // New creates a Hub. Resolve and Encode are required.
@@ -100,11 +101,11 @@ func New(cfg Config) *Hub {
 	if cfg.Resolve == nil || cfg.Encode == nil {
 		panic("hub: Config.Resolve and Config.Encode are required")
 	}
-	if cfg.Event == "" {
-		cfg.Event = "estimates"
-	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 15 * time.Second
+	}
+	if cfg.OnTransition == nil {
+		cfg.OnTransition = func(*policy.Gate, policy.Action, *policy.Frame) {}
 	}
 	return &Hub{cfg: cfg}
 }
@@ -123,14 +124,12 @@ type frame struct {
 	err     error  // encode failure; body/sse nil, cursor still advances
 }
 
-// sessionHub is the per-session broadcast state.
+// sessionHub is the per-session publisher state.
 type sessionHub struct {
 	h    *Hub
-	id   string
 	sess Session
-
-	// notify receives the engine's version-advance signals (capacity 1).
-	notify chan struct{}
+	// kick makes a running pump re-read its consumers.
+	kick chan struct{}
 
 	pubSeq   atomic.Uint64
 	wakeNano atomic.Int64
@@ -138,78 +137,223 @@ type sessionHub struct {
 	frames [NumViews]atomic.Pointer[frame]
 	encMu  [NumViews]sync.Mutex
 
-	mu       sync.Mutex
-	subs     map[*Subscriber]struct{}
-	pumpStop chan struct{}
-	closed   bool
+	// closed and gate are written under mu and read lock-free.
+	closed atomic.Bool
+	gate   atomic.Pointer[policy.Gate]
+
+	mu      sync.Mutex
+	subs    map[*Subscriber]struct{}
+	pumping bool
 }
 
-// entry returns the live sessionHub for id, creating one (and registering
-// its notifier) on first use. ok=false means the session does not exist.
+// live returns id's open sessionHub, or nil. Lock-free.
+func (h *Hub) live(id string) *sessionHub {
+	if v, ok := h.sessions.Load(id); ok {
+		if sh := v.(*sessionHub); !sh.closed.Load() {
+			return sh
+		}
+	}
+	return nil
+}
+
+// entry returns the live sessionHub for id, creating one on first use.
+// ok=false means the session does not exist (or the hub is closed).
 func (h *Hub) entry(id string) (*sessionHub, bool) {
-	if v, ok := h.sessions.Load(id); ok {
-		if sh := v.(*sessionHub); !sh.isClosed() {
+	for {
+		if sh := h.live(id); sh != nil {
 			return sh, true
 		}
-	}
-	h.addMu.Lock()
-	defer h.addMu.Unlock()
-	if v, ok := h.sessions.Load(id); ok {
-		if sh := v.(*sessionHub); !sh.isClosed() {
-			return sh, true
+		h.addMu.Lock()
+		closed, drops := h.closed, h.drops
+		h.addMu.Unlock()
+		if closed {
+			return nil, false
 		}
+		// Resolve runs unlocked: reviving an evicted session can evict
+		// another, whose eviction callback calls Drop.
+		sess, ok := h.cfg.Resolve(id)
+		if !ok {
+			return nil, false
+		}
+		h.addMu.Lock()
+		if h.drops == drops && !h.closed && h.live(id) == nil {
+			h.sessions.Store(id, &sessionHub{
+				h: h, sess: sess,
+				kick: make(chan struct{}, 1),
+				subs: make(map[*Subscriber]struct{}),
+			})
+		}
+		h.addMu.Unlock()
 	}
-	sess, ok := h.cfg.Resolve(id)
-	if !ok {
-		return nil, false
-	}
-	sh := &sessionHub{
-		h:      h,
-		id:     id,
-		sess:   sess,
-		notify: make(chan struct{}, 1),
-		subs:   make(map[*Subscriber]struct{}),
-	}
-	sess.Notify(sh.notify)
-	h.sessions.Store(id, sh)
-	return sh, true
 }
 
-func (sh *sessionHub) isClosed() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.closed
-}
-
-// Drop terminates the session's hub state: every subscriber's Next returns
-// false, the pump stops, the notifier is unregistered, and the frame cache
-// is released. Owners call it when the underlying session is deleted or
-// evicted; a later Subscribe/Payload re-resolves a fresh incarnation.
+// Drop ends the session's hub state — subscriber streams, gate, pump (not
+// waited for) and frame cache — when the session is deleted or evicted; the
+// next use resolves a fresh incarnation.
 func (h *Hub) Drop(id string) {
+	h.addMu.Lock()
+	h.drops++
 	v, ok := h.sessions.LoadAndDelete(id)
-	if !ok {
-		return
+	h.addMu.Unlock()
+	if ok {
+		v.(*sessionHub).close()
 	}
-	v.(*sessionHub).close()
 }
 
+// Close drops every session and waits for every pump to exit, so no pump
+// calls OnTransition after it returns. Later lookups find no session.
+func (h *Hub) Close() {
+	h.addMu.Lock()
+	h.closed = true
+	h.addMu.Unlock()
+	h.sessions.Range(func(id, _ any) bool {
+		h.Drop(id.(string))
+		return true
+	})
+	h.pumps.Wait()
+}
+
+// close runs once per entry, from the Drop that removed it from the map.
 func (sh *sessionHub) close() {
 	sh.mu.Lock()
-	if sh.closed {
-		sh.mu.Unlock()
-		return
-	}
-	sh.closed = true
-	if sh.pumpStop != nil {
-		close(sh.pumpStop)
-		sh.pumpStop = nil
-	}
+	defer sh.mu.Unlock()
+	sh.closed.Store(true)
 	for sub := range sh.subs {
 		close(sub.done)
 	}
 	sh.subs = nil
-	sh.mu.Unlock()
-	sh.sess.StopNotify(sh.notify)
+	sh.gate.Store(nil)
+	sh.changedLocked()
+}
+
+// changedLocked follows a change of the session's consumers: it starts the
+// pump when there is something to serve and none runs, and otherwise makes
+// a running pump re-read its consumers. Caller holds mu.
+func (sh *sessionHub) changedLocked() {
+	if sh.pumping {
+		select {
+		case sh.kick <- struct{}{}:
+		default:
+		}
+	} else if len(sh.subs) > 0 || sh.gate.Load() != nil {
+		sh.pumping = true
+		sh.h.pumps.Add(1)
+		go sh.pump()
+	}
+}
+
+// pump serves the session's consumers — a publish to the subscribers, an
+// evaluation of the gate — each when the version moved since it was last
+// served and its floor has passed. While every consumer is inside its floor
+// the pump leaves the notifier unread, so a burst costs one wake per floor,
+// not one per mutation. Each pump registers its own channel for exactly its
+// lifetime, so a retiring pump never unregisters its successor's.
+func (sh *sessionHub) pump() {
+	defer sh.h.pumps.Done()
+	notify := make(chan struct{}, 1)
+	sh.sess.Notify(notify)
+	var (
+		pubSeen, evalSeen uint64
+		pubNext, evalNext time.Time
+		evalGate          *policy.Gate
+		timer             *time.Timer
+	)
+	defer func() {
+		sh.sess.StopNotify(notify)
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for {
+		// Versions decide below; a signal they cover must not wake the wait.
+		select {
+		case <-notify:
+		default:
+		}
+		sh.mu.Lock()
+		watched, g := len(sh.subs) > 0, sh.gate.Load()
+		sh.pumping = watched || g != nil
+		sh.mu.Unlock()
+		if !watched && g == nil {
+			return
+		}
+		v, now := sh.sess.Version(), time.Now()
+		if watched && v != pubSeen && !now.Before(pubNext) {
+			sh.publish()
+			pubSeen, pubNext = v, time.Now().Add(sh.h.cfg.MinInterval)
+		}
+		if g != evalGate {
+			evalGate, evalSeen = g, 0
+		}
+		// evalSeen holds a gate whose inputs failed at v until v moves.
+		if g != nil && v != evalSeen && g.Stale() && !now.Before(evalNext) {
+			if f, from, changed := g.Evaluate(); changed {
+				sh.h.cfg.OnTransition(g, from, f)
+			}
+			evalSeen, evalNext = v, time.Now().Add(sh.h.cfg.GateMinInterval)
+		}
+
+		// A consumer inside its floor needs the timer (a trailing run or a
+		// re-check at the floor's end); one past it needs the notifier.
+		now = time.Now()
+		var (
+			signal <-chan struct{}
+			expire <-chan time.Time
+			wait   time.Duration
+		)
+		hold := func(on bool, next time.Time) {
+			if d := next.Sub(now); on && d <= 0 {
+				signal = notify
+			} else if on && (wait == 0 || d < wait) {
+				wait = d
+			}
+		}
+		hold(watched, pubNext)
+		hold(g != nil, evalNext)
+		if wait > 0 {
+			expire = resetTimer(&timer, wait)
+		}
+		select {
+		case <-signal:
+		case <-expire:
+		case <-sh.kick:
+		}
+	}
+}
+
+// publish stamps a publish sequence and wakes every subscriber without
+// blocking; it is a no-op (and not counted) when none is attached.
+func (sh *sessionHub) publish() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if len(sh.subs) == 0 {
+		return
+	}
+	metricPublishes.Inc()
+	sh.wakeNano.Store(time.Now().UnixNano())
+	sh.pubSeq.Add(1)
+	for sub := range sh.subs {
+		select {
+		case sub.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// resetTimer arms *t for d, reusing it, and returns its channel.
+func resetTimer(t **time.Timer, d time.Duration) <-chan time.Time {
+	if *t == nil {
+		*t = time.NewTimer(d)
+		return (*t).C
+	}
+	if !(*t).Stop() {
+		select {
+		case <-(*t).C:
+		default:
+		}
+	}
+	(*t).Reset(d)
+	return (*t).C
 }
 
 // frame returns the cached frame for view, encoding at most once per
@@ -236,19 +380,17 @@ func (sh *sessionHub) frame(view View) *frame {
 	}
 	if err == nil {
 		f.body = body
-		f.sse = appendSSE(nil, sh.h.cfg.Event, ver, body)
+		f.sse = appendSSE(nil, ver, body)
 	}
 	sh.frames[view].Store(f)
 	return f
 }
 
-// appendSSE renders one SSE frame around an encoded body.
-func appendSSE(dst []byte, event string, version uint64, body []byte) []byte {
+// appendSSE renders one "estimates" SSE frame around an encoded body.
+func appendSSE(dst []byte, version uint64, body []byte) []byte {
 	dst = append(dst, "id: "...)
 	dst = appendUint(dst, version)
-	dst = append(dst, "\nevent: "...)
-	dst = append(dst, event...)
-	dst = append(dst, "\ndata: "...)
+	dst = append(dst, "\nevent: estimates\ndata: "...)
 	dst = append(dst, body...)
 	dst = append(dst, "\n\n"...)
 	return dst
@@ -268,60 +410,15 @@ func appendUint(dst []byte, v uint64) []byte {
 	return append(dst, buf[i:]...)
 }
 
-// pump is the per-session publisher: one goroutine, alive while the session
-// has subscribers. Each drained notification becomes one publish — a
-// sequence stamp plus a non-blocking wake to every subscriber — followed by
-// the MinInterval coalescing sleep, during which further notifications pile
-// up in the capacity-1 channel and merge into the next publish.
-func (sh *sessionHub) pump(stop chan struct{}) {
-	var t *time.Timer
-	defer func() {
-		if t != nil {
-			t.Stop()
-		}
-	}()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-sh.notify:
-		}
-		metricPublishes.Inc()
-		sh.wakeNano.Store(time.Now().UnixNano())
-		sh.pubSeq.Add(1)
-		sh.mu.Lock()
-		for sub := range sh.subs {
-			select {
-			case sub.wake <- struct{}{}:
-			default:
-			}
-		}
-		sh.mu.Unlock()
-		if iv := sh.h.cfg.MinInterval; iv > 0 {
-			if t == nil {
-				t = time.NewTimer(iv)
-			} else {
-				t.Reset(iv)
-			}
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-			}
-		}
-	}
-}
-
 func (sh *sessionHub) addSub(sub *Subscriber) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed {
+	if sh.closed.Load() {
 		return false
 	}
 	sh.subs[sub] = struct{}{}
-	if sh.pumpStop == nil {
-		sh.pumpStop = make(chan struct{})
-		go sh.pump(sh.pumpStop)
+	if len(sh.subs) == 1 {
+		sh.changedLocked()
 	}
 	return true
 }
@@ -329,13 +426,12 @@ func (sh *sessionHub) addSub(sub *Subscriber) bool {
 func (sh *sessionHub) removeSub(sub *Subscriber) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.closed {
-		return
+	if _, ok := sh.subs[sub]; !ok {
+		return // dropped already
 	}
 	delete(sh.subs, sub)
-	if len(sh.subs) == 0 && sh.pumpStop != nil {
-		close(sh.pumpStop)
-		sh.pumpStop = nil
+	if len(sh.subs) == 0 {
+		sh.changedLocked()
 	}
 }
 
@@ -383,6 +479,65 @@ func (h *Hub) Payload(id string, view View) (body []byte, version uint64, err er
 	return f.body, f.version, f.err, true
 }
 
+// Gate returns the gate attached to id's session, or nil. Lock-free.
+func (h *Hub) Gate(id string) *policy.Gate {
+	if sh := h.live(id); sh != nil {
+		return sh.gate.Load()
+	}
+	return nil
+}
+
+// AttachGate gives id's session a gate over p, seeded synchronously, unless
+// it has one, and returns the session's gate. ok=false means the session
+// does not exist.
+func (h *Hub) AttachGate(id string, p *policy.Policy) (*policy.Gate, bool) {
+	return h.setGate(id, p, false)
+}
+
+// SetPolicy is AttachGate, except that a gate the session has already takes
+// p and re-evaluates synchronously, reporting a changed action to
+// OnTransition before SetPolicy returns.
+func (h *Hub) SetPolicy(id string, p *policy.Policy) (*policy.Gate, bool) {
+	return h.setGate(id, p, true)
+}
+
+func (h *Hub) setGate(id string, p *policy.Policy, replace bool) (*policy.Gate, bool) {
+	sh, ok := h.entry(id)
+	if !ok {
+		return nil, false
+	}
+	g := sh.gate.Load()
+	if g == nil {
+		// Seeded unlocked: a concurrent attach may win, or a Drop orphan it.
+		seeded := policy.NewGate(id, p, sh.sess)
+		sh.mu.Lock()
+		if g = sh.gate.Load(); g == nil && !sh.closed.Load() {
+			sh.gate.Store(seeded)
+			sh.changedLocked()
+		}
+		sh.mu.Unlock()
+		if g == nil {
+			return seeded, true
+		}
+	}
+	if replace {
+		if f, from, changed := g.SetPolicy(p); changed {
+			h.cfg.OnTransition(g, from, f)
+		}
+	}
+	return g, true
+}
+
+// DetachGate removes id's gate; an unwatched session's pump retires with it.
+func (h *Hub) DetachGate(id string) {
+	if sh := h.live(id); sh != nil {
+		sh.mu.Lock()
+		sh.gate.Store(nil)
+		sh.changedLocked()
+		sh.mu.Unlock()
+	}
+}
+
 // Event is one delivery from Subscriber.Next.
 type Event struct {
 	// SSE is the wire-ready chunk: a full estimates frame, or the keep-alive
@@ -390,9 +545,6 @@ type Event struct {
 	SSE []byte
 	// Version is the payload's session version (0 for heartbeats).
 	Version uint64
-	// Skipped counts publishes coalesced away since this subscriber's
-	// previous delivery (0 when it kept up).
-	Skipped uint64
 	// Heartbeat marks an idle keep-alive.
 	Heartbeat bool
 }
@@ -409,7 +561,6 @@ type Subscriber struct {
 	cursor    uint64
 	lastSeq   uint64
 	delivered uint64
-	skipped   uint64
 	lastPush  time.Time
 	lastBeat  time.Time
 
@@ -425,27 +576,6 @@ func (sub *Subscriber) Close() {
 		sub.sh.removeSub(sub)
 		metricSubscribers.Dec()
 	})
-}
-
-// Stats returns the subscriber's delivered-frame and coalesced-skip counts.
-func (sub *Subscriber) Stats() (delivered, skipped uint64) {
-	return sub.delivered, sub.skipped
-}
-
-// timerC arms the subscriber's reusable timer for d and returns its channel.
-func (sub *Subscriber) timerC(d time.Duration) <-chan time.Time {
-	if sub.timer == nil {
-		sub.timer = time.NewTimer(d)
-		return sub.timer.C
-	}
-	if !sub.timer.Stop() {
-		select {
-		case <-sub.timer.C:
-		default:
-		}
-	}
-	sub.timer.Reset(d)
-	return sub.timer.C
 }
 
 // Next blocks until there is something to deliver: the newest estimates
@@ -466,7 +596,7 @@ func (sub *Subscriber) Next(ctx interface{ Done() <-chan struct{} }) (Event, boo
 					return Event{}, false
 				case <-sub.done:
 					return Event{}, false
-				case <-sub.timerC(wait):
+				case <-resetTimer(&sub.timer, wait):
 				}
 				continue
 			}
@@ -495,8 +625,7 @@ func (sub *Subscriber) Next(ctx interface{ Done() <-chan struct{} }) (Event, boo
 				metricFanout.Observe(float64(now.UnixNano()-f.pubNano) / 1e9)
 			}
 			sub.delivered++
-			sub.skipped += skipped
-			return Event{SSE: f.sse, Version: f.version, Skipped: skipped}, true
+			return Event{SSE: f.sse, Version: f.version}, true
 		}
 		if rem := sub.sh.h.cfg.Heartbeat - time.Since(sub.lastBeat); rem <= 0 {
 			sub.lastBeat = time.Now()
@@ -508,7 +637,7 @@ func (sub *Subscriber) Next(ctx interface{ Done() <-chan struct{} }) (Event, boo
 			case <-sub.done:
 				return Event{}, false
 			case <-sub.wake:
-			case <-sub.timerC(rem):
+			case <-resetTimer(&sub.timer, rem):
 			}
 		}
 	}

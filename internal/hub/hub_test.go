@@ -8,19 +8,55 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dqm/internal/policy"
 )
 
 // fakeSession implements Session with the same notifier contract as the
 // engine: bump() advances the version and pokes every registered channel
-// non-blockingly.
+// non-blockingly. Its gate inputs report the remaining count set() stores.
 type fakeSession struct {
-	version atomic.Uint64
+	version      atomic.Uint64
+	versionReads atomic.Int64
+	remaining    atomic.Int64
 
 	mu        sync.Mutex
 	notifiers []chan<- struct{}
+	evals     []time.Time // one per Inputs call
 }
 
-func (f *fakeSession) Version() uint64 { return f.version.Load() }
+func (f *fakeSession) Version() uint64 {
+	f.versionReads.Add(1)
+	return f.version.Load()
+}
+
+func (f *fakeSession) Inputs(policy.Needs) (policy.Inputs, error) {
+	in := policy.Inputs{Version: f.version.Load(), Remaining: float64(f.remaining.Load())}
+	f.mu.Lock()
+	f.evals = append(f.evals, time.Now())
+	f.mu.Unlock()
+	return in, nil
+}
+
+// set stores the remaining count gate inputs report, then bumps.
+func (f *fakeSession) set(remaining int64) {
+	f.remaining.Store(remaining)
+	f.bump()
+}
+
+// evalTimes returns when Inputs was called, in order.
+func (f *fakeSession) evalTimes() []time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]time.Time(nil), f.evals...)
+}
+
+// notifierCount returns how many channels are registered.
+func (f *fakeSession) notifierCount() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.notifiers)
+}
 
 func (f *fakeSession) Notify(ch chan<- struct{}) {
 	f.mu.Lock()

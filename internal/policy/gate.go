@@ -7,18 +7,12 @@ import (
 	"time"
 )
 
-// Source is the gate's view of a session. It is deliberately narrow — version
-// counter, change notification, and a metrics snapshot — so this package
-// never imports the engine and callers (the server, the engine's own
-// benchmarks, the qualitygate example) adapt their session type in a few
-// lines.
+// Source is the gate's view of a session: its version counter and a metrics
+// snapshot. It is deliberately narrow so this package never imports the
+// engine; callers adapt their session type in a few lines.
 type Source interface {
 	// Version returns the session's monotonically increasing mutation counter.
 	Version() uint64
-	// Notify registers ch for non-blocking wakeups on every mutation;
-	// StopNotify unregisters it.
-	Notify(ch chan<- struct{})
-	StopNotify(ch chan<- struct{})
 	// Inputs snapshots the gate metrics. need tells the source which
 	// expensive quantities (bootstrap CI, windowed drift read) the policy
 	// actually references, so it can skip the rest. Implementations must
@@ -40,59 +34,28 @@ type Frame struct {
 	Decision Decision
 }
 
-// GateConfig configures one session's gate.
-type GateConfig struct {
-	// SessionID is echoed in every decision document.
-	SessionID string
-	// MinInterval, when positive, rate-limits evaluation: after each
-	// evaluation the pump sleeps at least this long before reacting to
-	// further notifications. Bursty ingest then coalesces into one trailing
-	// evaluation instead of one per batch.
-	MinInterval time.Duration
-	// OnTransition fires from the pump goroutine whenever the decision
-	// action changes (including the transition out of the seed decision).
-	// body is the pre-serialized decision document.
-	OnTransition func(prev, cur Action, dec Decision, body []byte)
-}
-
-// Gate owns event-driven evaluation of one policy over one source. It holds
-// a cap-1 notification channel registered with the source, a single pump
-// goroutine that drains it, and an atomically published Frame the read path
-// serves without locks. Idle sessions never wake the pump: cost is strictly
-// per-mutation.
+// Gate evaluates one policy over one source and caches the decision as an
+// atomically published Frame the read path serves without locks. It is
+// passive — no goroutine, no notifier: whoever watches the source (the hub's
+// pump) calls Evaluate when it moves and reports the transitions.
 type Gate struct {
-	src Source
-	cfg GateConfig
+	src     Source
+	session string
 
 	policy atomic.Pointer[Policy]
 	frame  atomic.Pointer[Frame]
 
-	// evalMu serializes evaluate() between the pump goroutine and
-	// synchronous SetPolicy re-evaluation, keeping transition detection
-	// (prev frame → next frame) race-free.
+	// evalMu serializes evaluations (the driver's and SetPolicy's), keeping
+	// transition detection (prev frame → next frame) race-free.
 	evalMu sync.Mutex
-
-	ch        chan struct{}
-	stop      chan struct{}
-	done      chan struct{}
-	closeOnce sync.Once
 }
 
-// NewGate attaches a policy to a source: it runs one synchronous evaluation
-// (so the frame is never nil and a PUT's response can report the decision),
-// registers for change notifications, and starts the pump.
-func NewGate(p *Policy, src Source, cfg GateConfig) *Gate {
-	g := &Gate{
-		src:  src,
-		cfg:  cfg,
-		ch:   make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
+// NewGate attaches a policy to the named session's source and evaluates it
+// once, synchronously, so the frame is never nil.
+func NewGate(session string, p *Policy, src Source) *Gate {
+	g := &Gate{src: src, session: session}
 	g.policy.Store(p)
-	g.evaluate()
-	src.Notify(g.ch)
-	go g.pump()
+	g.Evaluate()
 	return g
 }
 
@@ -106,66 +69,33 @@ func (g *Gate) Policy() *Policy {
 	return g.policy.Load()
 }
 
-// SetPolicy swaps the policy and synchronously re-evaluates, so the caller
-// observes a decision computed under the new rules.
-func (g *Gate) SetPolicy(p *Policy) {
+// SetPolicy swaps the policy and re-evaluates synchronously, returning what
+// Evaluate returns, so the caller observes the decision under the new rules.
+func (g *Gate) SetPolicy(p *Policy) (f *Frame, from Action, changed bool) {
 	g.policy.Store(p)
-	g.evaluate()
+	return g.Evaluate()
 }
 
 // Stale reports whether the cached decision lags the source (evaluation
-// pending or rate-limited). A quiesce check for tests and the qualitygate
-// example, not a serving concern: the served frame is always internally
-// consistent.
+// pending or rate-limited): the pump evaluates only stale gates, and tests
+// use it as a quiesce check. The served frame is always self-consistent.
 func (g *Gate) Stale() bool {
 	f := g.frame.Load()
 	return f == nil || f.Version != g.src.Version()
 }
 
-// Close unregisters the notifier and stops the pump, waiting for it to exit.
-func (g *Gate) Close() {
-	g.closeOnce.Do(func() {
-		g.src.StopNotify(g.ch)
-		close(g.stop)
-		<-g.done
-	})
-}
-
-func (g *Gate) pump() {
-	defer close(g.done)
-	var timer *time.Timer
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-g.ch:
-		}
-		g.evaluate()
-		if g.cfg.MinInterval > 0 {
-			if timer == nil {
-				timer = time.NewTimer(g.cfg.MinInterval)
-			} else {
-				timer.Reset(g.cfg.MinInterval)
-			}
-			select {
-			case <-g.stop:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-		}
-	}
-}
-
-// evaluate snapshots inputs, applies the policy, serializes the decision
-// once, detects action transitions, and publishes the new frame.
-func (g *Gate) evaluate() {
+// Evaluate snapshots inputs, applies the policy, serializes the decision
+// once and publishes the frame. It returns the cached frame and, when the
+// action changed, the action it changed from (the edge webhooks fire on).
+// An inputs or encode failure keeps the previous frame, unchanged.
+func (g *Gate) Evaluate() (f *Frame, from Action, changed bool) {
 	g.evalMu.Lock()
 	defer g.evalMu.Unlock()
 
+	prev := g.frame.Load()
 	p := g.policy.Load()
 	if p == nil {
-		return
+		return prev, 0, false
 	}
 	in, err := g.src.Inputs(p.Needs())
 	if err != nil {
@@ -173,23 +103,21 @@ func (g *Gate) evaluate() {
 		// window closes). Keep the previous frame; the next mutation will
 		// re-trigger. If there is no previous frame yet, publish an unarmed
 		// proceed so readers never see a nil gate.
-		if g.frame.Load() != nil {
-			return
+		if prev != nil {
+			return prev, 0, false
 		}
 		in = Inputs{Version: g.src.Version()}
 	}
 	dec := p.Evaluate(in)
-	dec.Session = g.cfg.SessionID
+	dec.Session = g.session
 	dec.EvaluatedAt = time.Now().UTC()
 	body, merr := json.Marshal(dec)
 	if merr != nil {
-		return
+		return prev, 0, false
 	}
 	action, _ := ParseAction(dec.Action)
-	next := &Frame{Body: body, Version: dec.Version, Action: action, Decision: dec}
-
-	prev := g.frame.Load()
-	g.frame.Store(next)
+	f = &Frame{Body: body, Version: dec.Version, Action: action, Decision: dec}
+	g.frame.Store(f)
 
 	metricGateEvaluations.Inc()
 	switch action {
@@ -200,10 +128,9 @@ func (g *Gate) evaluate() {
 	default:
 		metricGateDecisionsProceed.Inc()
 	}
-	if prev != nil && prev.Action != action {
-		metricGateTransitions.Inc()
-		if g.cfg.OnTransition != nil {
-			g.cfg.OnTransition(prev.Action, action, dec, body)
-		}
+	if prev == nil || prev.Action == action {
+		return f, 0, false
 	}
+	metricGateTransitions.Inc()
+	return f, prev.Action, true
 }

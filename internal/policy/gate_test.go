@@ -10,13 +10,12 @@ import (
 	"time"
 )
 
-// fakeSource is a minimal Source with engine-like notifier semantics:
-// non-blocking cap-1 sends on every Bump.
+// fakeSource is a minimal Source: Set mutates it like an engine bump, and
+// Inputs counts its calls.
 type fakeSource struct {
 	mu       sync.Mutex
 	version  uint64
 	in       Inputs
-	chans    []chan<- struct{}
 	inErr    error
 	inCalls  atomic.Int64
 	needSeen atomic.Value // Needs
@@ -26,23 +25,6 @@ func (f *fakeSource) Version() uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.version
-}
-
-func (f *fakeSource) Notify(ch chan<- struct{}) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.chans = append(f.chans, ch)
-}
-
-func (f *fakeSource) StopNotify(ch chan<- struct{}) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for i, c := range f.chans {
-		if c == ch {
-			f.chans = append(f.chans[:i], f.chans[i+1:]...)
-			return
-		}
-	}
 }
 
 func (f *fakeSource) Inputs(need Needs) (Inputs, error) {
@@ -58,19 +40,12 @@ func (f *fakeSource) Inputs(need Needs) (Inputs, error) {
 	return in, nil
 }
 
-// Set mutates the source and wakes subscribers, like engine bump().
+// Set mutates the source, advancing its version.
 func (f *fakeSource) Set(in Inputs) {
 	f.mu.Lock()
 	f.version++
 	f.in = in
-	chans := append([]chan<- struct{}(nil), f.chans...)
 	f.mu.Unlock()
-	for _, ch := range chans {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 }
 
 func waitFor(t *testing.T, what string, pred func() bool) {
@@ -92,8 +67,7 @@ func quarantinePolicy() *Policy {
 func TestGateSeedsFrameSynchronously(t *testing.T) {
 	src := &fakeSource{}
 	src.Set(Inputs{Remaining: 50})
-	g := NewGate(quarantinePolicy(), src, GateConfig{SessionID: "s"})
-	defer g.Close()
+	g := NewGate("s", quarantinePolicy(), src)
 	f := g.Frame()
 	if f == nil {
 		t.Fatal("frame nil after NewGate")
@@ -107,93 +81,42 @@ func TestGateSeedsFrameSynchronously(t *testing.T) {
 	if f.Decision.Session != "s" {
 		t.Fatalf("decision session = %q", f.Decision.Session)
 	}
-}
-
-func TestGateEventDrivenReEvaluation(t *testing.T) {
-	src := &fakeSource{}
-	src.Set(Inputs{Remaining: 0})
-	var transitions atomic.Int64
-	g := NewGate(quarantinePolicy(), src, GateConfig{
-		SessionID: "s",
-		OnTransition: func(prev, cur Action, dec Decision, body []byte) {
-			if transitions.Add(1) == 1 {
-				if prev != ActionProceed || cur != ActionQuarantine {
-					t.Errorf("transition %v -> %v, want proceed -> quarantine", prev, cur)
-				}
-				if len(body) == 0 || dec.Action != "quarantine" {
-					t.Errorf("transition payload dec=%+v body=%d bytes", dec, len(body))
-				}
-			}
-		},
-	})
-	defer g.Close()
-
-	if g.Frame().Action != ActionProceed {
-		t.Fatalf("seed action = %v", g.Frame().Action)
-	}
-	calls := src.inCalls.Load()
-
-	// No mutation → no evaluation (event-driven, zero idle cost).
-	time.Sleep(50 * time.Millisecond)
-	if got := src.inCalls.Load(); got != calls {
-		t.Fatalf("gate evaluated %d times while idle", got-calls)
-	}
-
-	src.Set(Inputs{Remaining: 50})
-	waitFor(t, "quarantine frame", func() bool { return g.Frame().Action == ActionQuarantine })
-	if transitions.Load() != 1 {
-		t.Fatalf("transitions = %d, want 1", transitions.Load())
-	}
-	if g.Frame().Version != 2 {
-		t.Fatalf("frame version = %d, want 2", g.Frame().Version)
-	}
-
-	// Back below threshold → transition back.
-	src.Set(Inputs{Remaining: 1})
-	waitFor(t, "proceed frame", func() bool { return g.Frame().Action == ActionProceed })
-}
-
-func TestGateCoalescesBursts(t *testing.T) {
-	src := &fakeSource{}
-	src.Set(Inputs{})
-	g := NewGate(quarantinePolicy(), src, GateConfig{MinInterval: 20 * time.Millisecond})
-	defer g.Close()
-	before := src.inCalls.Load()
-	for i := 0; i < 100; i++ {
-		src.Set(Inputs{Remaining: float64(i)})
-	}
-	waitFor(t, "frame to catch up", func() bool { return !g.Stale() })
-	evals := src.inCalls.Load() - before
-	if evals > 10 {
-		t.Fatalf("burst of 100 mutations triggered %d evaluations, want coalescing", evals)
+	if calls := src.inCalls.Load(); calls != 1 {
+		t.Fatalf("NewGate read inputs %d times, want 1 (a passive gate evaluates only when asked)", calls)
 	}
 }
 
 func TestGateSetPolicySynchronous(t *testing.T) {
 	src := &fakeSource{}
 	src.Set(Inputs{Remaining: 50})
-	g := NewGate(quarantinePolicy(), src, GateConfig{})
-	defer g.Close()
+	g := NewGate("s", quarantinePolicy(), src)
 	if g.Frame().Action != ActionQuarantine {
 		t.Fatalf("seed = %v", g.Frame().Action)
 	}
-	g.SetPolicy(&Policy{Rules: []Rule{{Name: "lax", Metric: MetricRemaining, Op: ">", Value: 1000}}})
-	if g.Frame().Action != ActionProceed {
+	f, from, changed := g.SetPolicy(&Policy{Rules: []Rule{{Name: "lax", Metric: MetricRemaining, Op: ">", Value: 1000}}})
+	if g.Frame() != f || f.Action != ActionProceed {
 		t.Fatalf("after SetPolicy frame = %v, want proceed immediately", g.Frame().Action)
+	}
+	if !changed || from != ActionQuarantine {
+		t.Fatalf("SetPolicy reported changed=%v from %v, want a transition from quarantine", changed, from)
+	}
+	if _, _, changed := g.Evaluate(); changed {
+		t.Fatal("re-evaluation at the same action reported a transition")
 	}
 }
 
 func TestGateInputsErrorKeepsPreviousFrame(t *testing.T) {
 	src := &fakeSource{}
 	src.Set(Inputs{Remaining: 50})
-	g := NewGate(quarantinePolicy(), src, GateConfig{})
-	defer g.Close()
+	g := NewGate("s", quarantinePolicy(), src)
 	want := g.Frame()
 	src.mu.Lock()
 	src.inErr = errTest
 	src.mu.Unlock()
 	src.Set(Inputs{})
-	time.Sleep(20 * time.Millisecond)
+	if f, _, changed := g.Evaluate(); changed || f != want {
+		t.Fatalf("Evaluate on inputs error = (%+v, changed=%v), want the previous frame unchanged", f, changed)
+	}
 	if got := g.Frame(); got.Version != want.Version || got.Action != want.Action {
 		t.Fatalf("frame changed on inputs error: %+v", got)
 	}
@@ -212,25 +135,10 @@ func TestGateNeedsPropagated(t *testing.T) {
 		Rules: []Rule{{Name: "ci", Metric: MetricCIUpper, Op: ">", Value: 9}},
 		CI:    &CIParams{Level: 0.9, Replicates: 50},
 	}
-	g := NewGate(p, src, GateConfig{})
-	defer g.Close()
+	NewGate("s", p, src)
 	need := src.needSeen.Load().(Needs)
 	if !need.CI || need.CILevel != 0.9 || need.CIReplicates != 50 {
 		t.Fatalf("need = %+v", need)
-	}
-}
-
-func TestGateCloseUnregisters(t *testing.T) {
-	src := &fakeSource{}
-	src.Set(Inputs{})
-	g := NewGate(quarantinePolicy(), src, GateConfig{})
-	g.Close()
-	g.Close() // idempotent
-	src.mu.Lock()
-	n := len(src.chans)
-	src.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d notifiers still registered after Close", n)
 	}
 }
 

@@ -11,11 +11,10 @@
 // pipelines poll cheaply (pre-serialized, ETag'd) and alerting hooks react to
 // (webhooks fire on decision transitions, not on every evaluation).
 //
-// Evaluation is event-driven: a Gate registers a version notifier on its
-// session and re-evaluates only when the session mutates, so idle sessions
-// cost zero CPU regardless of how many policies are attached, and ingest
-// stays allocation-free (the notifier send is the engine's existing
-// non-blocking wakeup).
+// A Gate is a passive evaluator; internal/hub's one pump per session
+// re-evaluates it when the session mutates, so idle sessions cost zero CPU
+// regardless of how many policies are attached, and ingest stays
+// allocation-free (the notifier send is the engine's non-blocking wakeup).
 package policy
 
 import (
