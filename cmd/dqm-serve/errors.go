@@ -17,7 +17,6 @@ import (
 // progress counters. HTTP statuses classify coarsely; clients branch on code.
 const (
 	codeSessionNotFound      = "session_not_found"
-	codeSnapshotNotFound     = "snapshot_not_found"
 	codePolicyNotFound       = "policy_not_found"
 	codeSessionExists        = "session_exists"
 	codeInvalidBody          = "invalid_body"
@@ -29,7 +28,6 @@ const (
 	codeInvalidPolicy        = "invalid_policy"
 	codeJournalUnavailable   = "journal_unavailable"
 	codeWindowNotReady       = "window_not_ready"
-	codeConflict             = "conflict"
 	codeInternal             = "internal"
 )
 

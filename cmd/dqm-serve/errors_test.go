@@ -63,6 +63,7 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		{"create unknown field", "POST", "/v1/sessions", "", `{"bogus":1}`, 400, "invalid_body"},
 		{"create bad config", "POST", "/v1/sessions", "", `{"id":"x","items":5,"config":{"tie_policy":"coin-toss"}}`, 400, "invalid_argument"},
 		{"create zero items", "POST", "/v1/sessions", "", `{"id":"x","items":0}`, 400, "invalid_argument"},
+		{"create items over cap", "POST", "/v1/sessions", "", `{"id":"x","items":2000000000}`, 400, "invalid_argument"},
 		{"create duplicate", "POST", "/v1/sessions", "", `{"id":"g","items":5}`, 409, "session_exists"},
 		// GET /v1/sessions
 		{"list bad limit", "GET", "/v1/sessions?limit=nope", "", "", 400, "invalid_argument"},
@@ -99,12 +100,6 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		{"batch empty ids", "POST", "/v1/estimates:batch", "", `{"ids":[]}`, 400, "invalid_argument"},
 		{"batch bad window", "POST", "/v1/estimates:batch", "", `{"ids":["g"],"window":"sideways"}`, 400, "invalid_argument"},
 		{"batch bad json", "POST", "/v1/estimates:batch", "", `{`, 400, "invalid_body"},
-		// Snapshots and restore
-		{"snapshot missing session", "POST", "/v1/sessions/nope/snapshots", "", "", 404, "session_not_found"},
-		{"snapshots list missing session", "GET", "/v1/sessions/nope/snapshots", "", "", 404, "session_not_found"},
-		{"restore missing session", "POST", "/v1/sessions/nope/restore", "", `{"snapshot_id":"snap-1"}`, 404, "session_not_found"},
-		{"restore bad json", "POST", "/v1/sessions/g/restore", "", `{`, 400, "invalid_body"},
-		{"restore unknown snapshot", "POST", "/v1/sessions/g/restore", "", `{"snapshot_id":"snap-404"}`, 404, "snapshot_not_found"},
 		// Gate and policy
 		{"gate missing session", "GET", "/v1/sessions/nope/gate", "", "", 404, "session_not_found"},
 		{"gate no policy", "GET", "/v1/sessions/g/gate", "", "", 404, "policy_not_found"},

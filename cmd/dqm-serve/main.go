@@ -29,7 +29,7 @@
 //	POST   /v1/sessions                    create a session
 //	GET    /v1/sessions                    list session ids
 //	GET    /v1/sessions/{id}               session info (incl. mutation version)
-//	DELETE /v1/sessions/{id}               delete a session (and its snapshots)
+//	DELETE /v1/sessions/{id}               delete a session
 //	POST   /v1/sessions/{id}/votes         append a vote batch / task entries
 //	GET    /v1/sessions/{id}/estimates     estimates (?ci=0.95&replicates=200,
 //	                                       ?window=current|last|decayed); sends
@@ -38,9 +38,6 @@
 //	                                       (?cursor=, ?min_interval=, ?window=;
 //	                                       Last-Event-ID resumes)
 //	POST   /v1/estimates:batch             estimates for many sessions at once
-//	POST   /v1/sessions/{id}/snapshots     snapshot the estimator state
-//	GET    /v1/sessions/{id}/snapshots     list snapshots
-//	POST   /v1/sessions/{id}/restore       restore a snapshot
 //	GET    /v1/sessions/{id}/gate          cached quality-gate decision
 //	                                       (ETag:"<version>", honors If-None-Match)
 //	PUT    /v1/sessions/{id}/policy        attach/replace the session's gate policy
@@ -50,6 +47,10 @@
 // Errors are a uniform JSON envelope {"error":{"code","message","details"}}
 // with stable machine-readable codes (see docs/API.md); partial-ingest
 // failures carry "ingested"/"tasks_ended" resume counters in details.
+//
+// A rollback is DELETE, create and a re-send of the trusted prefix of tasks:
+// every estimate is a deterministic function of the vote stream, so the
+// replay reproduces the estimates at the end of that prefix exactly.
 //
 // Quality gates: a policy (rules over remaining errors, SWITCH total,
 // bootstrap-CI upper bound, windowed drift ratio) attaches per session via
@@ -231,9 +232,6 @@ type serverConfig struct {
 	// MaxBatch bounds the votes accepted per ingest request; 0 selects
 	// 100000.
 	MaxBatch int
-	// MaxSnapshots bounds retained snapshots per session (oldest dropped);
-	// 0 selects 16.
-	MaxSnapshots int
 	// MaxBodyBytes bounds JSON request bodies; 0 selects 32 MiB.
 	MaxBodyBytes int64
 	// WatchMinInterval is the per-subscriber floor between SSE pushes
@@ -269,19 +267,13 @@ type serverConfig struct {
 	Webhook policy.DispatcherConfig
 }
 
-// server is the HTTP front of one dqm.Engine. Snapshots live server-side,
-// keyed per session, so clients checkpoint and roll back with ids instead of
-// shipping estimator state over the wire.
+// server is the HTTP front of one dqm.Engine.
 type server struct {
 	engine *dqm.Engine
 	mux    *http.ServeMux
 	cfg    serverConfig
 
 	sessionSeq atomic.Int64
-
-	snapMu  sync.Mutex
-	snaps   map[string][]namedSnapshot
-	snapSeq atomic.Int64
 
 	// Watch fan-out plane (see hub.go): encode-once broadcast of estimate
 	// frames plus the conditional-read payload cache behind ETag/304.
@@ -301,17 +293,9 @@ type server struct {
 	stats       *statsLogger
 }
 
-type namedSnapshot struct {
-	id   string
-	snap *dqm.Snapshot
-}
-
 func newServer(cfg serverConfig) (*server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 100000
-	}
-	if cfg.MaxSnapshots <= 0 {
-		cfg.MaxSnapshots = 16
 	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 32 << 20
@@ -323,20 +307,17 @@ func newServer(cfg serverConfig) (*server, error) {
 		cfg.GateMinInterval = 50 * time.Millisecond
 	}
 	s := &server{
-		mux:   http.NewServeMux(),
-		cfg:   cfg,
-		snaps: make(map[string][]namedSnapshot),
+		mux: http.NewServeMux(),
+		cfg: cfg,
 	}
 	s.dispatcher = policy.NewDispatcher(cfg.Webhook)
 	engineCfg := dqm.EngineConfig{
 		Shards:      cfg.Shards,
 		MaxSessions: cfg.MaxSessions,
-		// LRU-evicted sessions must not leak their server-side snapshots (or
-		// resurrect them under a reused id), and watch streams and gates must
-		// end rather than go stale on the detached session object (the nil
-		// guard covers evictions during recovery, before the hub exists).
+		// Watch streams and gates of an LRU-evicted session must end rather
+		// than go stale on the detached session object (the nil guard covers
+		// evictions during recovery, before the hub exists).
 		OnEvict: func(id string) {
-			s.dropSnapshots(id)
 			if s.hub != nil {
 				s.hub.Drop(id)
 			}
@@ -378,9 +359,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.route("GET /v1/sessions/{id}/estimates", "estimates", s.handleEstimates)
 	s.route("GET /v1/sessions/{id}/watch", "watch", s.handleWatch)
 	s.route("POST /v1/estimates:batch", "batch_estimates", s.handleBatchEstimates)
-	s.route("POST /v1/sessions/{id}/snapshots", "create_snapshot", s.handleCreateSnapshot)
-	s.route("GET /v1/sessions/{id}/snapshots", "list_snapshots", s.handleListSnapshots)
-	s.route("POST /v1/sessions/{id}/restore", "restore", s.handleRestore)
 	s.route("GET /v1/sessions/{id}/gate", "gate", s.handleGate)
 	s.route("PUT /v1/sessions/{id}/policy", "put_policy", s.handlePutPolicy)
 	s.route("GET /v1/sessions/{id}/policy", "get_policy", s.handleGetPolicy)
@@ -409,13 +387,6 @@ func (s *server) Close() error {
 	s.hub.Close()
 	s.dispatcher.Close()
 	return s.engine.Close()
-}
-
-// dropSnapshots releases every server-side snapshot of a session.
-func (s *server) dropSnapshots(id string) {
-	s.snapMu.Lock()
-	delete(s.snaps, id)
-	s.snapMu.Unlock()
 }
 
 // writeJSON writes v with the given status.
@@ -644,7 +615,6 @@ func (s *server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeSessionNotFound, "unknown session %q", id)
 		return
 	}
-	s.dropSnapshots(id)
 	s.hub.Drop(id)
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -1200,76 +1170,4 @@ func (s *server) handleBatchEstimates(w http.ResponseWriter, r *http.Request) {
 		resp["errors"] = errs
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *server) handleCreateSnapshot(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	snap := sess.Snapshot()
-	id := fmt.Sprintf("snap-%d", s.snapSeq.Add(1))
-	s.snapMu.Lock()
-	list := append(s.snaps[sess.ID()], namedSnapshot{id: id, snap: snap})
-	if len(list) > s.cfg.MaxSnapshots {
-		list = list[len(list)-s.cfg.MaxSnapshots:]
-	}
-	s.snaps[sess.ID()] = list
-	s.snapMu.Unlock()
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"snapshot_id": id,
-		"tasks":       snap.Tasks(),
-		"votes":       snap.TotalVotes(),
-	})
-}
-
-func (s *server) handleListSnapshots(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	s.snapMu.Lock()
-	list := s.snaps[sess.ID()]
-	out := make([]map[string]any, len(list))
-	for i, ns := range list {
-		out[i] = map[string]any{
-			"snapshot_id": ns.id,
-			"tasks":       ns.snap.Tasks(),
-			"votes":       ns.snap.TotalVotes(),
-			"taken_at":    ns.snap.TakenAt().UTC().Format(time.RFC3339Nano),
-		}
-	}
-	s.snapMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"snapshots": out})
-}
-
-func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.session(w, r)
-	if !ok {
-		return
-	}
-	var req struct {
-		SnapshotID string `json:"snapshot_id"`
-	}
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	s.snapMu.Lock()
-	var snap *dqm.Snapshot
-	for _, ns := range s.snaps[sess.ID()] {
-		if ns.id == req.SnapshotID {
-			snap = ns.snap
-			break
-		}
-	}
-	s.snapMu.Unlock()
-	if snap == nil {
-		writeError(w, http.StatusNotFound, codeSnapshotNotFound, "unknown snapshot %q for session %q", req.SnapshotID, sess.ID())
-		return
-	}
-	if err := sess.Restore(snap); err != nil {
-		writeError(w, http.StatusConflict, codeConflict, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, estimatesToJSON(sess))
 }

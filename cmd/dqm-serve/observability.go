@@ -35,17 +35,6 @@ func (s *server) setupObservability() {
 	s.reg.GaugeFunc("dqm_serve_uptime_seconds",
 		"Seconds since this server was created.",
 		func() float64 { return time.Since(s.started).Seconds() })
-	s.reg.GaugeFunc("dqm_serve_snapshots",
-		"Server-side snapshots currently retained across all sessions.",
-		func() float64 {
-			s.snapMu.Lock()
-			n := 0
-			for _, list := range s.snaps {
-				n += len(list)
-			}
-			s.snapMu.Unlock()
-			return float64(n)
-		})
 
 	s.mux.Handle("GET /metrics", metrics.Handler(metrics.Default, s.reg))
 	if s.cfg.EnablePprof {

@@ -19,8 +19,10 @@
 //
 // For serving many datasets concurrently, use an Engine: it manages
 // independent, individually locked sessions (one per dataset) with batch
-// ingest, snapshot/restore of estimator state and LRU eviction. A Recorder
-// is exactly one such session; cmd/dqm-serve exposes the Engine over HTTP.
+// ingest and LRU eviction. A Recorder is exactly one such session;
+// cmd/dqm-serve exposes the Engine over HTTP. Every estimate is a
+// deterministic function of the vote stream, so rolling a session back is
+// Session.Reset followed by a replay of the tasks to keep.
 //
 //	eng := dqm.NewEngine(dqm.EngineConfig{})
 //	sess, _ := eng.CreateSession("orders-2026-07", nItems, dqm.Defaults())
@@ -484,7 +486,9 @@ func (e *Engine) Close() error { return e.e.Close() }
 
 // CreateSession registers a new session over a population of n items. It
 // fails on an empty or duplicate id, a non-positive population, an
-// unregistered estimator name in cfg.Estimators, or an invalid cfg.Window.
+// unregistered estimator name in cfg.Estimators, an invalid cfg.Window, or a
+// population too large for its suites: n × (1 + window panes) may not exceed
+// 2²⁶ per-item states (1 GiB).
 func (e *Engine) CreateSession(id string, n int, cfg Config) (*Session, error) {
 	if err := estimator.ValidateNames(cfg.Estimators); err != nil {
 		return nil, err
@@ -612,9 +616,9 @@ func (s *Session) Tasks() int64 { return s.s.Tasks() }
 func (s *Session) Estimates() Estimates { return fromInternal(s.s.Estimates()) }
 
 // Version returns the session's monotonic mutation counter: it advances on
-// every applied mutation (votes, task boundaries, resets, restores) and
-// never repeats for distinct states. Poll it to detect change without
-// reading estimates (the SSE watch endpoint of dqm-serve is built on it).
+// every applied mutation (votes, task boundaries, resets) and never repeats
+// for distinct states. Poll it to detect change without reading estimates
+// (the SSE watch endpoint of dqm-serve is built on it).
 func (s *Session) Version() uint64 { return s.s.Version() }
 
 // Notify registers ch to receive a non-blocking signal whenever the
@@ -702,39 +706,3 @@ func (s *Session) Chao92CI(replicates int, level float64) (ConfidenceInterval, e
 	}
 	return ConfidenceInterval{Lo: ci.Lo, Hi: ci.Hi, Level: ci.Level}, nil
 }
-
-// Snapshot captures the session's full estimator state as an immutable deep
-// copy; the session keeps ingesting afterwards.
-func (s *Session) Snapshot() *Snapshot { return &Snapshot{s: s.s.Snapshot()} }
-
-// Restore replaces the session's estimator state with the snapshot's. The
-// snapshot stays valid and can seed further restores. The populations must
-// match. Durable sessions reject Restore: a snapshot carries estimator state
-// without the vote stream that produced it, so the write-ahead journal could
-// not represent the rollback.
-func (s *Session) Restore(snap *Snapshot) error {
-	if snap == nil {
-		return fmt.Errorf("dqm: restore from nil snapshot")
-	}
-	return s.s.Restore(snap.s)
-}
-
-// Snapshot is a point-in-time deep copy of a session's estimator state.
-type Snapshot struct {
-	s *engine.Snapshot
-}
-
-// Tasks returns the number of completed tasks at the snapshot point.
-func (sn *Snapshot) Tasks() int64 { return sn.s.Tasks() }
-
-// TotalVotes returns the number of votes ingested at the snapshot point.
-func (sn *Snapshot) TotalVotes() int64 { return sn.s.TotalVotes() }
-
-// NumItems returns the snapshot's population size.
-func (sn *Snapshot) NumItems() int { return sn.s.NumItems() }
-
-// TakenAt returns when the snapshot was captured.
-func (sn *Snapshot) TakenAt() time.Time { return sn.s.TakenAt() }
-
-// Estimates evaluates the snapshot's estimators.
-func (sn *Snapshot) Estimates() Estimates { return fromInternal(sn.s.Estimates()) }

@@ -78,49 +78,6 @@ func TestSessionAppendValidates(t *testing.T) {
 	}
 }
 
-func TestSessionSnapshotRestore(t *testing.T) {
-	eng := NewEngine(EngineConfig{})
-	sess, err := eng.CreateSession("ds", 40, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := func(from, to int) {
-		for task := from; task < to; task++ {
-			var batch []Vote
-			for i := 0; i < 6; i++ {
-				batch = append(batch, Vote{Item: (task*5 + i) % 40, Worker: task % 5, Dirty: i%3 != 0})
-			}
-			if err := sess.AppendVotes(batch, true); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	feed(0, 20)
-	snap := sess.Snapshot()
-	if snap.Tasks() != 20 || snap.NumItems() != 40 {
-		t.Fatalf("snapshot metadata wrong: %d tasks, %d items", snap.Tasks(), snap.NumItems())
-	}
-	atSnap := sess.Estimates()
-	if got := snap.Estimates(); !reflect.DeepEqual(got, atSnap) {
-		t.Fatalf("snapshot estimates %+v != session %+v", got, atSnap)
-	}
-	feed(20, 40)
-	final := sess.Estimates()
-	if err := sess.Restore(snap); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if got := sess.Estimates(); !reflect.DeepEqual(got, atSnap) {
-		t.Fatalf("restored estimates %+v != snapshot %+v", got, atSnap)
-	}
-	feed(20, 40)
-	if got := sess.Estimates(); !reflect.DeepEqual(got, final) {
-		t.Fatalf("replay after restore %+v != original %+v", got, final)
-	}
-	if err := sess.Restore(nil); err == nil {
-		t.Fatal("nil snapshot accepted")
-	}
-}
-
 func TestSessionEstimatorSelection(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
 	cfg := Defaults()
@@ -266,27 +223,6 @@ func TestOpenEngineRecoversBitIdentical(t *testing.T) {
 	ingestDeterministic(t, &ref.Session, 60)
 	if got := ref.Estimates(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("durable ingest diverged from in-memory recorder")
-	}
-}
-
-func TestDurableSessionRejectsRestore(t *testing.T) {
-	eng, err := OpenEngine(t.TempDir(), EngineConfig{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	s, err := eng.CreateSession("no-restore", 10, Defaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Restore(s.Snapshot()); err == nil {
-		t.Fatal("Restore on durable session succeeded")
-	}
-	// Snapshots themselves still work (read-only checkpoints).
-	ingestDeterministic(t, s, 5)
-	snap := s.Snapshot()
-	if snap.TotalVotes() != s.TotalVotes() {
-		t.Fatal("snapshot of durable session broken")
 	}
 }
 

@@ -2,14 +2,18 @@
 // Three datasets are cleaned concurrently by simulated crowds; each streams
 // its votes into its own engine session from its own goroutine — the shape
 // cmd/dqm-serve exposes over HTTP, shown here in-process. One campaign also
-// checkpoints mid-stream and rolls back, demonstrating snapshot/restore of
-// estimator state.
+// rolls back 100 tasks mid-stream. Every estimate is a deterministic function
+// of the vote stream, so the rollback is a Reset followed by a replay of the
+// tasks it keeps; the example exits 1 unless every session's estimates equal
+// those of a fresh Recorder fed the same retained tasks.
 //
 // Run with: go run ./examples/serving
 package main
 
 import (
 	"fmt"
+	"os"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -35,6 +39,9 @@ func main() {
 
 	eng := dqm.NewEngine(dqm.EngineConfig{Shards: 8})
 	truths := make(map[string]int, len(campaigns))
+	// retained[ci] holds the task batches campaign ci's session kept.
+	sessions := make([]*dqm.Session, len(campaigns))
+	retained := make([][][]dqm.Vote, len(campaigns))
 
 	var wg sync.WaitGroup
 	for ci, c := range campaigns {
@@ -44,6 +51,7 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
+		sessions[ci] = sess
 		sim := crowd.NewSimulator(crowd.Config{
 			Truth:        pop.Truth.IsDirty,
 			N:            c.nItems,
@@ -52,37 +60,39 @@ func main() {
 			Seed:         uint64(7 * (ci + 1)),
 		})
 		wg.Add(1)
-		go func(c campaign, sess *dqm.Session) {
+		go func(ci int, c campaign, sess *dqm.Session) {
 			defer wg.Done()
-			var snap *dqm.Snapshot
-			batch := make([]dqm.Vote, 0, 12)
+			var tasks [][]dqm.Vote
 			for t := 1; t <= c.nTasks; t++ {
 				task := sim.NextTask()
-				batch = batch[:0]
+				batch := make([]dqm.Vote, 0, len(task.Items))
 				for i, item := range task.Items {
 					batch = append(batch, dqm.Vote{Item: item, Worker: task.Worker, Dirty: task.Labels[i] == 1})
 				}
 				if err := sess.AppendVotes(batch, true); err != nil {
 					panic(err)
 				}
-				// The first campaign checkpoints halfway, keeps cleaning a
-				// while, then rolls back — e.g. after discovering a batch of
-				// bad worker submissions.
-				if c.id == "restaurant-dedup" {
-					switch t {
-					case c.nTasks / 2:
-						snap = sess.Snapshot()
-					case c.nTasks/2 + 100:
-						before := sess.Estimates().Switch.Total
-						if err := sess.Restore(snap); err != nil {
+				tasks = append(tasks, batch)
+				// The first campaign trusts its first half, keeps cleaning a
+				// while, then rolls back to it — e.g. after discovering a
+				// batch of bad worker submissions — by replaying that half.
+				if c.id == "restaurant-dedup" && t == c.nTasks/2+100 {
+					before := sess.Estimates().Switch.Total
+					tasks = tasks[:c.nTasks/2]
+					if err := sess.Reset(); err != nil {
+						panic(err)
+					}
+					for _, b := range tasks {
+						if err := sess.AppendVotes(b, true); err != nil {
 							panic(err)
 						}
-						fmt.Printf("[%s] rolled back 100 tasks: SWITCH %.1f -> %.1f (snapshot at task %d)\n",
-							c.id, before, sess.Estimates().Switch.Total, snap.Tasks())
 					}
+					fmt.Printf("[%s] rolled back 100 tasks: SWITCH %.1f -> %.1f (replayed %d tasks)\n",
+						c.id, before, sess.Estimates().Switch.Total, len(tasks))
 				}
 			}
-		}(c, sess)
+			retained[ci] = tasks
+		}(ci, c, sess)
 	}
 
 	wg.Wait()
@@ -102,4 +112,19 @@ func main() {
 	}
 	fmt.Printf("\n%d sessions served by one engine; run `go run ./cmd/dqm-serve` for the HTTP version\n",
 		eng.NumSessions())
+
+	// Reset plus replay must leave exactly the state of a fresh stream.
+	for ci, c := range campaigns {
+		rec := dqm.NewRecorder(c.nItems, dqm.Defaults())
+		for _, batch := range retained[ci] {
+			for _, v := range batch {
+				rec.RecordVote(v)
+			}
+			rec.EndTask()
+		}
+		if got, want := sessions[ci].Estimates(), rec.Estimates(); !reflect.DeepEqual(got, want) {
+			fmt.Fprintf(os.Stderr, "serving: session %s estimates %+v differ from a fresh replay's %+v\n", c.id, got, want)
+			os.Exit(1)
+		}
+	}
 }

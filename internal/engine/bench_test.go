@@ -413,23 +413,6 @@ func BenchmarkAppendLog(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionSnapshot measures the cost of a point-in-time snapshot of
-// a loaded session.
-func BenchmarkSessionSnapshot(b *testing.B) {
-	const n = 10000
-	s := NewSession("bench", n, SessionConfig{})
-	for i := 0; i < 2000; i++ {
-		if err := s.Append(syntheticBatch(n, 10, i), true); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Snapshot()
-	}
-}
-
 // BenchmarkSessionIngestDurable is BenchmarkSessionIngest with a write-ahead
 // journal under each fsync policy — the apples-to-apples cost of durability
 // on the ingest hot path (BENCHMARKS.md records the ratios).

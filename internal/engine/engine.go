@@ -3,8 +3,10 @@
 // sessions, each wrapping one estimator suite, behind a mutex-sharded
 // session table. The DQM estimate is consulted continuously while cleaning
 // is in flight, so the engine is built for a long-lived service shape —
-// streaming vote ingest, point-in-time snapshot/restore of estimator state,
-// and LRU eviction to bound memory under millions of short-lived datasets.
+// streaming vote ingest and LRU eviction to bound memory under millions of
+// short-lived datasets. A rollback is Reset and a replay of the trusted
+// prefix: the estimators are deterministic functions of the vote stream, so
+// the replay reproduces the estimates at the end of that prefix exactly.
 //
 // Concurrency model: session lookup shards an FNV hash of the session id
 // over independently locked maps, so create/get/delete traffic scales with
@@ -52,7 +54,7 @@ type Config struct {
 	// the MaxSessions policy (not by explicit Delete), after removal and
 	// after every engine lock (including the durable engine's load lock) has
 	// been released — so the callback may re-enter the engine. Layers holding
-	// per-session state (e.g. server-side snapshots) use it to release theirs.
+	// per-session state (e.g. a watch hub entry) use it to release theirs.
 	OnEvict func(id string)
 	// DataDir enables durability: each session journals to a directory under
 	// it. Engines with a DataDir must be built with Open (which recovers
@@ -473,11 +475,12 @@ func (e *Engine) shardFor(id string) *shard {
 }
 
 // Create registers a new session over a population of n items. It fails on
-// an empty or duplicate id or a non-positive population. When MaxSessions is
-// reached, the least-recently-used session is evicted first. On a durable
-// engine an id with journal files on disk counts as a duplicate even when it
-// is not in memory — recovered-but-evicted state is never silently
-// overwritten; Load it or Delete it first.
+// an empty or duplicate id, a non-positive population, or a population whose
+// suites would hold more than window.MaxItemStates per-item states. When
+// MaxSessions is reached, the least-recently-used session is evicted first.
+// On a durable engine an id with journal files on disk counts as a duplicate
+// even when it is not in memory — recovered-but-evicted state is never
+// silently overwritten; Load it or Delete it first.
 func (e *Engine) Create(id string, n int, cfg SessionConfig) (*Session, error) {
 	if id == "" {
 		return nil, fmt.Errorf("engine: empty session id")
@@ -485,10 +488,20 @@ func (e *Engine) Create(id string, n int, cfg SessionConfig) (*Session, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("engine: population size %d must be positive", n)
 	}
+	suites := 1
 	if cfg.Window != nil {
 		if err := cfg.Window.Validate(); err != nil {
 			return nil, err
 		}
+		suites += cfg.Window.Panes()
+	}
+	// Bound the O(items) allocation before the duplicate check and any
+	// eviction, so a refused create never costs another session its place.
+	// Recovery does not check it: it reads meta written after this check,
+	// and a data dir written by an older build must still open.
+	if n > window.MaxItemStates/suites {
+		return nil, fmt.Errorf("engine: population %d exceeds the limit of %d items for %d suite(s) (%d per-item states)",
+			n, window.MaxItemStates/suites, suites, window.MaxItemStates)
 	}
 	// Reject duplicates before evicting or building anything: a retried
 	// create of an existing id must not cost an unrelated session its state

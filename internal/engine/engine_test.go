@@ -134,39 +134,6 @@ func TestOnEvictCallback(t *testing.T) {
 	}
 }
 
-// TestRestoreConcurrentWithSnapshotReads is the race regression for
-// Restore cloning a snapshot while Snapshot.Estimates mutates evaluation
-// scratch; run with -race.
-func TestRestoreConcurrentWithSnapshotReads(t *testing.T) {
-	_, tasks := simTasks(t, 100, 40, 5)
-	s := NewSession("s", 100, SessionConfig{})
-	if err := feedSession(s, tasks); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				snap.Estimates()
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if err := s.Restore(snap); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func TestAppendValidatesBatch(t *testing.T) {
 	s := NewSession("s", 3, SessionConfig{})
 	batch := []votes.Vote{
@@ -239,64 +206,8 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreReplay checks the snapshot contract: restoring and
-// re-feeding the post-snapshot stream reproduces the original estimates
-// exactly, and the snapshot itself is unaffected by later ingest.
-func TestSnapshotRestoreReplay(t *testing.T) {
-	pop, tasks := simTasks(t, 200, 100, 7)
-	s := NewSession("s", pop.N(), SessionConfig{})
-	half := len(tasks) / 2
-
-	if err := feedSession(s, tasks[:half]); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-	atSnap := s.Estimates()
-	if got := snap.Estimates(); !reflect.DeepEqual(got, atSnap) {
-		t.Fatalf("snapshot estimates %+v != session at snapshot %+v", got, atSnap)
-	}
-
-	if err := feedSession(s, tasks[half:]); err != nil {
-		t.Fatal(err)
-	}
-	final := s.Estimates()
-	if reflect.DeepEqual(final, atSnap) {
-		t.Fatal("post-snapshot ingest did not move the estimates; test is vacuous")
-	}
-	// The snapshot must not have moved.
-	if got := snap.Estimates(); !reflect.DeepEqual(got, atSnap) {
-		t.Fatalf("later ingest leaked into snapshot: %+v != %+v", got, atSnap)
-	}
-
-	// Restore and replay the second half: bit-identical final estimates.
-	if err := s.Restore(snap); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if got := s.Estimates(); !reflect.DeepEqual(got, atSnap) {
-		t.Fatalf("restored estimates %+v != snapshot %+v", got, atSnap)
-	}
-	if err := feedSession(s, tasks[half:]); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Estimates(); !reflect.DeepEqual(got, final) {
-		t.Fatalf("replay after restore %+v != original final %+v", got, final)
-	}
-	if got, want := s.Tasks(), int64(len(tasks)); got != want {
-		t.Fatalf("tasks after restore+replay = %d, want %d", got, want)
-	}
-
-	// A second restore from the same snapshot still works (immutability).
-	if err := s.Restore(snap); err != nil {
-		t.Fatalf("second Restore: %v", err)
-	}
-	if got := s.Estimates(); !reflect.DeepEqual(got, atSnap) {
-		t.Fatalf("second restore %+v != snapshot %+v", got, atSnap)
-	}
-}
-
-// TestWorkersFollowSnapshotAndReset: the session's distinct-worker count is
-// captured by Snapshot, brought back by Restore independently of the
-// snapshot, and cleared by Reset.
+// TestWorkersFollowSnapshotAndReset: the session's distinct-worker count
+// counts each worker once, however sparse its id, and Reset clears it.
 func TestWorkersFollowSnapshotAndReset(t *testing.T) {
 	s := NewSession("workers", 10, SessionConfig{})
 	record := func(workers ...int) {
@@ -313,31 +224,13 @@ func TestWorkersFollowSnapshotAndReset(t *testing.T) {
 		}
 	}
 	record(1, -4, 1)
-	snap := s.Snapshot()
+	check("after two workers", 2)
 	record(1<<40, 2)
-	check("before restore", 4)
-	for i := 0; i < 2; i++ {
-		if err := s.Restore(snap); err != nil {
-			t.Fatal(err)
-		}
-		check("after restore", 2)
-		record(7, 1<<40) // must not leak into the snapshot
-	}
+	check("after four workers", 4)
 	if err := s.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	check("after reset", 0)
-}
-
-func TestRestoreRejectsPopulationMismatch(t *testing.T) {
-	a := NewSession("a", 10, SessionConfig{})
-	b := NewSession("b", 20, SessionConfig{})
-	if err := b.Restore(a.Snapshot()); err == nil {
-		t.Fatal("Restore accepted a snapshot of a different population size")
-	}
-	if err := a.Restore(nil); err == nil {
-		t.Fatal("Restore accepted a nil snapshot")
-	}
 }
 
 // TestSessionCIs exercises the bootstrap CI paths through the session.

@@ -110,6 +110,44 @@ func TestHostileWorkerIDGrowsHeapOnce(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesOversizedPopulation: a create whose suites would hold more
+// than window.MaxItemStates per-item states is refused before anything is
+// allocated or evicted, with or without a window. The refused requests ask
+// for about 32 GB and 1 GiB; the heap must not grow by 1 MB, and the session
+// already registered must keep its place although MaxSessions is reached.
+func TestCreateRefusesOversizedPopulation(t *testing.T) {
+	e := New(Config{MaxSessions: 1})
+	if _, err := e.Create("keep", 5, SessionConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	wide := &window.Config{Size: 64, Stride: 1} // 64 panes: 65 suites
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, c := range []struct {
+		n   int
+		cfg SessionConfig
+	}{
+		{2_000_000_000, SessionConfig{}},
+		{window.MaxItemStates + 1, SessionConfig{}},
+		{window.MaxItemStates/65 + 1, SessionConfig{Window: wide}},
+	} {
+		if _, err := e.Create("huge", c.n, c.cfg); err == nil {
+			t.Fatalf("Create(%d items, window %v) accepted", c.n, c.cfg.Window)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<20 {
+		t.Fatalf("refused creates allocated %d B, want < 1 MB", grown)
+	}
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown >= 1<<20 {
+		t.Fatalf("refused creates grew the heap by %d B, want < 1 MB", grown)
+	}
+	if _, ok := e.Get("keep"); !ok || e.Len() != 1 || e.Evictions() != 0 {
+		t.Fatalf("refused create changed the table: keep live %v, Len %d, evictions %d", ok, e.Len(), e.Evictions())
+	}
+}
+
 // TestRecoverMetaWithHistoryFlag recovers a data dir written before the
 // vote history became opt-in: each session's stored config still carries the
 // removed "WithoutHistory":false field. Recovery must ignore the field and

@@ -13,10 +13,10 @@ import (
 )
 
 // TestIncrementalEstimatesMatchUncachedRandomized is the engine-level
-// incremental-plane property test: a windowed durable session driven by a
-// randomized sequence of votes, task boundaries (which rotate window panes),
-// resets, snapshot/restore cycles and a crash-replay must, at every read
-// point, serve Estimates bit-identical to a full uncached suite recompute.
+// incremental-plane property test: a windowed session, in memory and durable,
+// driven by a randomized sequence of votes, task boundaries (which rotate
+// window panes), resets and a crash-replay must, at every read point, serve
+// Estimates bit-identical to a full uncached suite recompute.
 func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 	const n = 50
 	verify := func(t *testing.T, s *Session, step int) {
@@ -31,12 +31,10 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 			t.Fatalf("step %d: repeated read differs", step)
 		}
 	}
-	// drive runs the randomized op mix; restores only fire when allowed
-	// (durable sessions reject in-memory restore by design).
-	drive := func(t *testing.T, s *Session, seed int64, allowRestore bool) {
+	// drive runs the randomized op mix.
+	drive := func(t *testing.T, s *Session, seed int64) {
 		t.Helper()
 		rng := rand.New(rand.NewSource(seed))
-		var snap *Snapshot
 		for step := 0; step < 600; step++ {
 			switch op := rng.Intn(100); {
 			case op < 60:
@@ -55,15 +53,7 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 				if err := s.EndTask(); err != nil {
 					t.Fatal(err)
 				}
-			case op < 80:
-				snap = s.Snapshot()
-			case op < 85:
-				if snap != nil && allowRestore {
-					if err := s.Restore(snap); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case op < 88:
+			case 85 <= op && op < 88:
 				if err := s.Reset(); err != nil {
 					t.Fatal(err)
 				}
@@ -79,7 +69,7 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 	t.Run("inmemory-snapshot-restore", func(t *testing.T) {
 		scfg := sessionCfg()
 		scfg.Window = &window.Config{Size: 6, Stride: 3, DecayAlpha: 0.4}
-		drive(t, NewSession("inc", n, scfg), 404, true)
+		drive(t, NewSession("inc", n, scfg), 404)
 	})
 
 	t.Run("durable-crash-replay", func(t *testing.T) {
@@ -94,7 +84,7 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		drive(t, s, 405, false)
+		drive(t, s, 405)
 		wantFinal := s.Estimates()
 
 		// Crash-replay: reopen the engine and require the recovered session

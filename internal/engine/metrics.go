@@ -39,15 +39,11 @@ var (
 		"Sessions removed by explicit Delete.")
 	metricResets = metrics.Default.Counter("dqm_engine_resets_total",
 		"Session resets applied.")
-	metricSnapshots = metrics.Default.Counter("dqm_engine_snapshots_total",
-		"Point-in-time session snapshots taken.")
-	metricRestores = metrics.Default.Counter("dqm_engine_restores_total",
-		"Session restores applied from snapshots.")
 
 	// Estimate-read latency by compute path: "cached" reads served from a
 	// valid memo (lock-free or under mu), "incremental" reads that refreshed
 	// a stale memo in place (only changed members re-ran), "full" reads that
-	// evaluated every member from scratch (first read, post-reset/restore).
+	// evaluated every member from scratch (first read, post-reset).
 	metricEstimateCached = metrics.Default.Histogram("dqm_engine_estimate_seconds",
 		"Estimate read latency by compute path.",
 		metrics.DurationBuckets, metrics.Label{Name: "path", Value: "cached"})

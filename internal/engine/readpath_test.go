@@ -64,14 +64,6 @@ func TestVersionAdvancesOnEveryMutation(t *testing.T) {
 	if got := s.Version(); got != 4 {
 		t.Fatalf("reads moved the version to %d", got)
 	}
-	// Restore is a forward mutation.
-	snap := s.Snapshot()
-	if err := s.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Version(); got != 5 {
-		t.Fatalf("restore moved version to %d, want 5", got)
-	}
 }
 
 // TestEstimatesDoNotBlockIngest is the read/ingest isolation regression test:
@@ -189,52 +181,6 @@ func TestWindowedSessionMatchesStandaloneRing(t *testing.T) {
 	plain := NewSession("plain", n, sessionCfg())
 	if _, err := plain.WindowEstimates(window.KindCurrent); err == nil {
 		t.Fatal("windowless session served a windowed read")
-	}
-}
-
-// TestWindowedSnapshotRestore: snapshots carry the ring; restore brings the
-// windowed view back and both sides keep evolving independently.
-func TestWindowedSnapshotRestore(t *testing.T) {
-	const n = 30
-	wcfg := window.Config{Size: 5, DecayAlpha: 0.5}
-	scfg := SessionConfig{Suite: estimator.SuiteConfig{Switch: estimator.SwitchConfig{TrendWindow: 4}}, Window: &wcfg}
-	s := NewSession("snap", n, scfg)
-	ops := genOps(31, 60, n)
-	applyOps(t, s, ops)
-	snap := s.Snapshot()
-	wantLast, errLast := s.WindowEstimates(window.KindLast)
-	if errLast != nil {
-		t.Fatal(errLast)
-	}
-
-	// Diverge, then roll back.
-	applyOps(t, s, genOps(32, 30, n))
-	if got, err := s.WindowEstimates(window.KindLast); err == nil && reflect.DeepEqual(got, wantLast) {
-		t.Log("windowed state did not move after divergence (unlikely but harmless)")
-	}
-	if err := s.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.WindowEstimates(window.KindLast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, wantLast) {
-		t.Fatal("restore did not bring the windowed view back")
-	}
-
-	// Restoring a windowed snapshot into a windowless session (and vice
-	// versa) must fail loudly.
-	plain := NewSession("plain", n, SessionConfig{})
-	if err := plain.Restore(snap); err == nil {
-		t.Fatal("windowless session accepted a windowed snapshot")
-	}
-	otherCfg := scfg
-	other := window.Config{Size: 6}
-	otherCfg.Window = &other
-	mismatch := NewSession("mismatch", n, otherCfg)
-	if err := mismatch.Restore(snap); err == nil {
-		t.Fatal("session accepted a snapshot with a different window config")
 	}
 }
 

@@ -460,24 +460,6 @@ func TestDurableDeleteRemovesFiles(t *testing.T) {
 	}
 }
 
-// TestDurableRestoreRejected: snapshot restore cannot be represented in the
-// journal, so durable sessions refuse it.
-func TestDurableRestoreRejected(t *testing.T) {
-	e, err := Open(durableConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	s, err := e.Create("r", 5, SessionConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-	if err := s.Restore(snap); err == nil {
-		t.Fatal("restore on durable session succeeded")
-	}
-}
-
 // TestNewPanicsOnDataDir: durable engines must go through Open.
 func TestNewPanicsOnDataDir(t *testing.T) {
 	defer func() {

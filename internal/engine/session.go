@@ -52,15 +52,14 @@ type SessionConfig struct {
 	Window *window.Config `json:",omitempty"`
 }
 
-// Session is one independent dataset being cleaned: a vote stream, the
-// selected estimator suite over it, and snapshot/restore of the full
-// estimator state. All methods are safe for concurrent use; a single mutex
-// serializes mutations (votes within one session form one logical stream, so
-// there is nothing to parallelize inside a session — concurrency comes from
-// many sessions). Estimate READS are different: Estimates serves from a
-// version-guarded cache without touching the mutex at all when the session
-// has not mutated since the last read, so heavy read traffic cannot stall
-// ingest (and vice versa).
+// Session is one independent dataset being cleaned: a vote stream and the
+// selected estimator suite over it. All methods are safe for concurrent use;
+// a single mutex serializes mutations (votes within one session form one
+// logical stream, so there is nothing to parallelize inside a session —
+// concurrency comes from many sessions). Estimate READS are different:
+// Estimates serves from a version-guarded cache without touching the mutex
+// at all when the session has not mutated since the last read, so heavy read
+// traffic cannot stall ingest (and vice versa).
 type Session struct {
 	id      string
 	created time.Time
@@ -107,11 +106,11 @@ type Session struct {
 
 	lastUsed atomic.Int64 // unix nanos; read lock-free by the evictor
 
-	// version counts applied mutations; it is published (atomically, after
-	// the state change, still under mu) so lock-free readers can validate
-	// cached estimates and watchers can poll for changes without contending
-	// with ingest. It also advances on Restore — unlike the suite's own
-	// counter, it can never move backwards or repeat for distinct states.
+	// version counts applied mutations, Reset included; it is published
+	// (atomically, after the state change, still under mu) so lock-free
+	// readers can validate cached estimates and watchers can poll for
+	// changes without contending with ingest. It never moves backwards or
+	// repeats for distinct states.
 	version atomic.Uint64
 	// cached is the last published estimate snapshot, immutable once stored.
 	cached atomic.Pointer[estimateCache]
@@ -582,7 +581,7 @@ func (s *Session) estimatesLocked() estimator.Estimates {
 }
 
 // Version returns the session's monotonic mutation counter. It advances on
-// every applied mutation (votes, task boundaries, resets, restores) and
+// every applied mutation (votes, task boundaries, resets) and
 // never repeats for distinct states, so clients — the SSE watch endpoint,
 // dashboard pollers — can cheaply detect "has anything changed since
 // version V" without reading estimates at all.
@@ -806,104 +805,4 @@ func (s *Session) Chao92CI(replicates int, level float64) (estimator.CI, error) 
 			return st.Bootstrap(replicates, level, xrand.New(s.ciSeed), s.ciWorkers)
 		}, nil
 	})
-}
-
-// Snapshot captures the full estimator state (matrix, trackers, trend
-// series, worker set) as an immutable deep copy. Taking a snapshot does not
-// block other sessions and the session keeps ingesting afterwards.
-func (s *Session) Snapshot() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sn := &Snapshot{
-		suite:   s.suite.Clone(),
-		workers: s.workers.Clone(),
-		tasks:   s.tasks,
-		taken:   time.Now(),
-	}
-	if s.ring != nil {
-		sn.ring = s.ring.Clone()
-	}
-	metricSnapshots.Inc()
-	return sn
-}
-
-// Restore replaces the session's estimator state with the snapshot's. The
-// snapshot remains valid and can be restored again (the state is cloned on
-// the way in). The snapshot must come from a session over the same
-// population size; N is immutable for a session's lifetime, which keeps
-// Append's range validation race-free.
-func (s *Session) Restore(sn *Snapshot) error {
-	if sn == nil || sn.suite == nil {
-		return fmt.Errorf("engine: restore from empty snapshot")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal != nil {
-		// A snapshot is a deep clone of estimator state without the vote
-		// stream that produced it, so the write-ahead journal cannot
-		// represent a restore; allowing one would silently diverge recovery.
-		return fmt.Errorf("engine: session %q is durable; in-memory snapshot restore is not supported (replay the journal instead)", s.id)
-	}
-	// Hold the snapshot's own lock while cloning: Snapshot.Estimates mutates
-	// scratch state inside the suite, so an unguarded concurrent Clone would
-	// race (sn.mu is always the innermost lock; nothing under it takes s.mu).
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	if got, want := sn.suite.NumItems(), s.suite.NumItems(); got != want {
-		return fmt.Errorf("engine: snapshot population %d does not match session population %d", got, want)
-	}
-	if (sn.ring == nil) != (s.ring == nil) {
-		return fmt.Errorf("engine: snapshot and session disagree on windowed estimation")
-	}
-	if s.ring != nil && sn.ring.Config() != s.ring.Config() {
-		return fmt.Errorf("engine: snapshot window config %+v does not match session %+v", sn.ring.Config(), s.ring.Config())
-	}
-	s.suite = sn.suite.Clone()
-	if sn.ring != nil {
-		s.ring = sn.ring.Clone()
-	}
-	s.workers = sn.workers.Clone()
-	s.tasks = sn.tasks
-	// Restore is a mutation like any other: the version moves FORWARD (never
-	// back to the snapshot's), so lock-free readers and watch cursors can
-	// treat version equality as state equality.
-	s.bump()
-	s.touch()
-	metricRestores.Inc()
-	return nil
-}
-
-// Snapshot is a point-in-time deep copy of a session's estimator state. It
-// is logically immutable: restores clone it again, so one snapshot can seed
-// many restores (or sessions).
-type Snapshot struct {
-	// mu serializes Estimates: evaluation reuses internal scratch buffers,
-	// so even read-style access must not run concurrently.
-	mu    sync.Mutex
-	suite *estimator.Suite
-	// ring carries the windowed state of a windowed session (nil otherwise),
-	// so Restore brings windows back alongside the all-time suite.
-	ring    *window.Ring
-	workers votes.WorkerSet
-	tasks   int64
-	taken   time.Time
-}
-
-// Tasks returns the number of completed tasks at the snapshot point.
-func (sn *Snapshot) Tasks() int64 { return sn.tasks }
-
-// TakenAt returns when the snapshot was captured.
-func (sn *Snapshot) TakenAt() time.Time { return sn.taken }
-
-// NumItems returns the snapshot's population size.
-func (sn *Snapshot) NumItems() int { return sn.suite.NumItems() }
-
-// TotalVotes returns the number of votes ingested at the snapshot point.
-func (sn *Snapshot) TotalVotes() int64 { return sn.suite.Matrix.TotalVotes() }
-
-// Estimates evaluates the snapshot's estimators.
-func (sn *Snapshot) Estimates() estimator.Estimates {
-	sn.mu.Lock()
-	defer sn.mu.Unlock()
-	return sn.suite.EstimateAll()
 }

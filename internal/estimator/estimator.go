@@ -377,22 +377,6 @@ func (e *SwitchEstimator) Estimate() SwitchEstimate {
 	}
 }
 
-// Clone returns a deep, independent copy of the estimator (tracker, trend
-// series and sticky trend state included), so a snapshot taken mid-stream
-// continues exactly where the original was. shared is the matrix the copy's
-// tracker reads its vote counts from, as in switchstat.Tracker.Clone: the
-// clone of the suite matrix for a suite member, nil for a standalone copy.
-func (e *SwitchEstimator) Clone(shared *votes.Matrix) *SwitchEstimator {
-	return &SwitchEstimator{
-		cfg:       e.cfg,
-		tracker:   e.tracker.Clone(shared),
-		n:         e.n,
-		majPrefix: append([]float64(nil), e.majPrefix...),
-		tasks:     e.tasks,
-		lastTrend: e.lastTrend,
-	}
-}
-
 // Reset clears the estimator for a fresh permutation replay.
 func (e *SwitchEstimator) Reset() {
 	e.tracker.Reset()

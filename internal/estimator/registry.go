@@ -25,11 +25,6 @@ type Estimator interface {
 	Estimate() float64
 	// Reset clears all stream state for a fresh replay.
 	Reset()
-	// Clone returns a deep, independent copy. When the estimator reads a
-	// suite-shared response matrix, shared is the already-cloned matrix to
-	// rebind to; estimators that own all their state ignore it. Pass nil for
-	// a standalone estimator.
-	Clone(shared *votes.Matrix) Estimator
 }
 
 // Env is what a Factory gets to build an estimator instance.
@@ -193,17 +188,6 @@ func (x *matrixMember) Reset() {
 	}
 }
 
-func (x *matrixMember) Clone(shared *votes.Matrix) Estimator {
-	out := *x
-	if shared != nil {
-		out.m, out.owns = shared, false
-	} else {
-		out.m = x.m.Clone()
-		out.owns = true
-	}
-	return &out
-}
-
 // sharesMatrix reports whether the member reads a suite-owned matrix, in
 // which case the suite skips it on the per-vote hot path.
 func (x *matrixMember) sharesMatrix() bool { return !x.owns }
@@ -228,6 +212,3 @@ func (x *switchMember) Observe(v votes.Vote) { x.est.Observe(v) }
 func (x *switchMember) EndTask()             { x.est.EndTask() }
 func (x *switchMember) Estimate() float64    { return x.est.Estimate().Total }
 func (x *switchMember) Reset()               { x.est.Reset() }
-func (x *switchMember) Clone(shared *votes.Matrix) Estimator {
-	return &switchMember{est: x.est.Clone(shared)}
-}

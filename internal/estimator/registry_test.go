@@ -72,52 +72,6 @@ func TestStandaloneEstimators(t *testing.T) {
 	}
 }
 
-// TestSuiteCloneIndependent checks a cloned suite reports identical
-// estimates at the snapshot point and diverges independently afterwards.
-func TestSuiteCloneIndependent(t *testing.T) {
-	s := NewSuite(20, SuiteConfig{})
-	vote := func(su *Suite, item int, dirty bool) {
-		l := votes.Clean
-		if dirty {
-			l = votes.Dirty
-		}
-		su.Observe(votes.Vote{Item: item, Worker: item % 3, Label: l})
-	}
-	for i := 0; i < 20; i++ {
-		vote(s, i%7, i%3 != 0)
-		if i%5 == 4 {
-			s.EndTask()
-		}
-	}
-	clone := s.Clone()
-	if got, want := clone.EstimateAll(), s.EstimateAll(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("clone estimates %+v != original %+v", got, want)
-	}
-	if clone.Matrix == s.Matrix {
-		t.Fatal("clone shares the response matrix")
-	}
-	if clone.Switch == s.Switch {
-		t.Fatal("clone shares the switch estimator")
-	}
-	// Mutating the original must not leak into the clone.
-	before := clone.EstimateAll()
-	for i := 0; i < 10; i++ {
-		vote(s, i, true)
-	}
-	s.EndTask()
-	if got := clone.EstimateAll(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("original ingest leaked into clone: %+v != %+v", got, before)
-	}
-	// And the clone keeps ingesting on its own.
-	for i := 0; i < 10; i++ {
-		vote(clone, i, true)
-	}
-	clone.EndTask()
-	if got, want := clone.EstimateAll(), s.EstimateAll(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("same post-snapshot stream diverged: clone %+v, original %+v", got, want)
-	}
-}
-
 // TestCustomEstimatorExtra registers a toy estimator and checks it flows
 // through suite evaluation into Estimates.Extra and ByName.
 func TestCustomEstimatorExtra(t *testing.T) {
@@ -138,10 +92,6 @@ func TestCustomEstimatorExtra(t *testing.T) {
 	}
 	if got := est.ByName(name); got != 1 {
 		t.Fatalf("ByName(%q) = %v, want 1", name, got)
-	}
-	// Clones carry custom members too.
-	if got := s.Clone().EstimateAll().ByName(name); got != 1 {
-		t.Fatalf("clone ByName(%q) = %v, want 1", name, got)
 	}
 }
 

@@ -32,8 +32,7 @@ type Suite struct {
 
 	// version counts mutations (Observe, EndTask, Reset) monotonically. It is
 	// the cache key of the EstimateAll memo and the signal the session layer
-	// publishes to lock-free readers; Clone carries it so a snapshot and its
-	// source agree on the position of the stream.
+	// publishes to lock-free readers.
 	version uint64
 	// voteVersion counts only the mutations that touch the shared matrix
 	// (Observe, Reset) — EndTask advances version but not voteVersion. It is
@@ -295,24 +294,6 @@ func (s *Suite) EstimateAllUncached() Estimates {
 		}
 	}
 	return e
-}
-
-// Clone returns a deep, independent copy of the suite: the shared matrix is
-// cloned once and every member is rebound to (or deep-copied alongside) it.
-// Snapshots of live sessions are built on it; the clone and the original can
-// ingest independently afterwards.
-func (s *Suite) Clone() *Suite {
-	out := &Suite{
-		Matrix:      s.Matrix.Clone(),
-		cfg:         s.cfg,
-		n:           s.n,
-		version:     s.version,
-		voteVersion: s.voteVersion,
-	}
-	for _, m := range s.members {
-		out.addMember(m.Name(), m.Clone(out.Matrix))
-	}
-	return out
 }
 
 // Reset clears the suite for the next permutation. The mutation version keeps

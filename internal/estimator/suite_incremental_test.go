@@ -18,7 +18,7 @@ func drawLabel(rng *xrand.RNG, p float64) votes.Label {
 
 // TestSuiteIncrementalMatchesUncached is the property test the incremental
 // estimation plane is pinned by: under a randomized operation sequence —
-// votes, task boundaries, resets, clones, interleaved reads — the memoized
+// votes, task boundaries, resets, interleaved reads — the memoized
 // EstimateAll must be bit-identical (reflect.DeepEqual on float64 fields) to
 // EstimateAllUncached at every read point. The read pattern deliberately mixes
 // hot repeats (memo hits), reads right after single votes (incremental
@@ -27,7 +27,6 @@ func TestSuiteIncrementalMatchesUncached(t *testing.T) {
 	rng := xrand.New(2024)
 	const n = 60
 	s := NewSuite(n, SuiteConfig{Switch: SwitchConfig{TrendWindow: 4}})
-	clones := []*Suite{}
 	verify := func(s *Suite, step int, what string) {
 		t.Helper()
 		memo := s.EstimateAll()
@@ -54,17 +53,7 @@ func TestSuiteIncrementalMatchesUncached(t *testing.T) {
 				s.Observe(votes.Vote{Item: rng.IntN(n), Worker: rng.IntN(7), Label: votes.Dirty})
 			}
 			s.EndTask()
-		case op < 85: // snapshot; clones are verified and mutated independently
-			if len(clones) < 3 {
-				clones = append(clones, s.Clone())
-			}
-		case op < 90: // mutate+verify a live clone (memo state is per suite)
-			if len(clones) > 0 {
-				c := clones[rng.IntN(len(clones))]
-				c.Observe(votes.Vote{Item: rng.IntN(n), Worker: rng.IntN(7), Label: votes.Clean})
-				verify(c, step, "clone")
-			}
-		case op < 93:
+		case op < 83:
 			s.Reset()
 		default: // hot repeat: no mutation since the last read
 		}
@@ -73,9 +62,6 @@ func TestSuiteIncrementalMatchesUncached(t *testing.T) {
 		}
 	}
 	verify(s, -1, "final")
-	for _, c := range clones {
-		verify(c, -1, "final clone")
-	}
 }
 
 // TestSuiteMemoSkipsMatrixMembersAfterEndTask: after a memoized read, an

@@ -111,22 +111,3 @@ func TestEstimateAllExtraMapIsPrivate(t *testing.T) {
 		t.Fatal("two cache hits alias one Extra map")
 	}
 }
-
-// TestCloneCarriesVersion: a snapshot clone agrees with its source about the
-// stream position, so version-keyed caches built on either side line up.
-func TestCloneCarriesVersion(t *testing.T) {
-	s := NewSuite(15, SuiteConfig{})
-	memoFeed(s, 5, 4)
-	c := s.Clone()
-	if c.Version() != s.Version() {
-		t.Fatalf("clone version %d != source %d", c.Version(), s.Version())
-	}
-	// Divergence after the clone moves the versions independently.
-	c.EndTask()
-	if c.Version() == s.Version() {
-		t.Fatal("clone and source share a version counter")
-	}
-	if !reflect.DeepEqual(s.EstimateAll(), s.EstimateAllUncached()) {
-		t.Fatal("source memo broken after clone")
-	}
-}

@@ -52,11 +52,6 @@ func (r *RunningFreq) View() Freq { return r.f }
 // Clone returns an independent copy of the underlying fingerprint.
 func (r *RunningFreq) Clone() Freq { return r.f.Clone() }
 
-// CloneRunning returns an independent RunningFreq with the same state.
-func (r *RunningFreq) CloneRunning() RunningFreq {
-	return RunningFreq{f: r.f.Clone(), species: r.species, mass: r.mass, pairSum: r.pairSum}
-}
-
 // F returns f_j.
 func (r *RunningFreq) F(j int) int64 { return r.f.F(j) }
 

@@ -103,26 +103,6 @@ func TestShiftedMatchesFreqShift(t *testing.T) {
 	}
 }
 
-// TestCloneRunningIndependence: a clone must carry the aggregates and then
-// diverge freely from its source.
-func TestCloneRunningIndependence(t *testing.T) {
-	rf := NewRunningFreq(Freq{0})
-	rf.Add(1, 3)
-	rf.Promote(1)
-	cl := rf.CloneRunning()
-	if cl.Species() != rf.Species() || cl.Mass() != rf.Mass() || cl.PairSum() != rf.PairSum() {
-		t.Fatal("clone aggregates differ from source")
-	}
-	cl.Add(1, 5)
-	if cl.Species() == rf.Species() {
-		t.Fatal("clone mutation leaked into source")
-	}
-	f := cl.View()
-	if cl.Species() != f.Species() || cl.PairSum() != f.PairSum() {
-		t.Fatal("clone aggregates out of sync with its fingerprint")
-	}
-}
-
 // TestChao92FromStatsMatchesFreqPath: the scalar entry point and the
 // fingerprint-walking entry point are the same computation.
 func TestChao92FromStatsMatchesFreqPath(t *testing.T) {

@@ -46,17 +46,6 @@ func newOracle(n int, p Policy) *oracle {
 	}
 }
 
-func (o *oracle) clone() *oracle {
-	out := *o
-	out.items = append([]oracleItem(nil), o.items...)
-	out.ledgers = make([][]SwitchEvent, len(o.ledgers))
-	for i, l := range o.ledgers {
-		out.ledgers[i] = append([]SwitchEvent(nil), l...)
-	}
-	out.fPos, out.fNeg = o.fPos.Clone(), o.fNeg.Clone()
-	return &out
-}
-
 func (o *oracle) add(item int, label votes.Label) {
 	st := &o.items[item]
 	wasMajority := st.pos > st.neg
@@ -232,13 +221,9 @@ func TestItemStateIs8Bytes(t *testing.T) {
 
 // TestTrackerMatchesOracle drives seeded random streams through the packed
 // Tracker and the field-based oracle under both policies, with ledgers on and
-// off, standalone and reading a response matrix's counts, cloning and
-// resetting mid-stream, and requires every accessor to agree after every
-// vote. A clone must also stay frozen at the oracle's state when it was taken
-// while the tracker it came from keeps ingesting. A tracker on a matrix is
-// fed the way a suite feeds it (matrix first) and clones either onto the
-// matrix's clone or into a standalone copy, so a clone that kept reading its
-// source's counts would see a matrix nothing feeds any more.
+// off, standalone and reading a response matrix's counts, resetting
+// mid-stream, and requires every accessor to agree after every vote. A
+// tracker on a matrix is fed the way a suite feeds it (matrix first).
 func TestTrackerMatchesOracle(t *testing.T) {
 	for _, policy := range []Policy{PolicyTieFlip, PolicyStrictMajority} {
 		for _, ledgers := range []bool{false, true} {
@@ -274,27 +259,13 @@ func checkOracleStream(t *testing.T, seed uint64, policy Policy, opts []Option, 
 		tr = NewTrackerOn(m, opts...)
 	}
 	o := newOracle(n, policy)
-	var frozen *Tracker
-	var frozenAt *oracle
 	for step := 0; step < 600; step++ {
-		switch r := rng.IntN(100); {
-		case r == 0:
+		if rng.IntN(100) == 0 {
 			if m != nil {
 				m.Reset()
 			}
 			tr.Reset()
 			o = newOracle(n, policy)
-		case r < 3:
-			// Keep ingesting into the clone; the original must keep the
-			// state it was cloned at.
-			frozen, frozenAt = tr, o.clone()
-			if m != nil && rng.IntN(2) == 0 {
-				m = m.Clone()
-				tr = tr.Clone(m)
-			} else {
-				m = nil
-				tr = tr.Clone(nil)
-			}
 		}
 		label := votes.Clean
 		if rng.Float64() < pDirty {
@@ -308,11 +279,6 @@ func checkOracleStream(t *testing.T, seed uint64, policy Policy, opts []Option, 
 		o.add(item, label)
 		if msg := diffOracle(tr, o); msg != "" {
 			t.Fatalf("seed %d step %d: %s", seed, step, msg)
-		}
-		if frozen != nil {
-			if msg := diffOracle(frozen, frozenAt); msg != "" {
-				t.Fatalf("seed %d step %d: clone source moved: %s", seed, step, msg)
-			}
 		}
 	}
 }

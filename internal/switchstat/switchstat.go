@@ -364,43 +364,6 @@ func (t *Tracker) Consensus(item int) bool { return t.items[item].dirty() }
 // ItemSwitches returns the number of switch events observed on item i.
 func (t *Tracker) ItemSwitches(item int) int { return int(t.items[item].events) }
 
-// Clone returns a deep, independent copy of the tracker, including per-item
-// ledgers when retained. Snapshots of live sessions are built on it. When
-// shared is non-nil the copy reads shared's vote counts, which must equal the
-// ones this tracker reads (shared is typically the clone of the matrix the
-// tracker was built on); otherwise the copy keeps a private copy of them.
-func (t *Tracker) Clone(shared *votes.Matrix) *Tracker {
-	out := &Tracker{
-		policy:        t.policy,
-		items:         append([]itemState(nil), t.items...),
-		retainLedgers: t.retainLedgers,
-		fPos:          t.fPos.CloneRunning(),
-		fNeg:          t.fNeg.CloneRunning(),
-		totalVotes:    t.totalVotes,
-		noops:         t.noops,
-		posSw:         t.posSw,
-		negSw:         t.negSw,
-		cPos:          t.cPos,
-		cNeg:          t.cNeg,
-		cAny:          t.cAny,
-		cMajority:     t.cMajority,
-	}
-	if shared != nil {
-		out.tallies, out.shared = shared.Tallies(), true
-	} else {
-		out.tallies = append([]votes.Tally(nil), t.tallies...)
-	}
-	if t.retainLedgers {
-		out.ledgers = make([][]SwitchEvent, len(t.ledgers))
-		for i, l := range t.ledgers {
-			if len(l) > 0 {
-				out.ledgers[i] = append([]SwitchEvent(nil), l...)
-			}
-		}
-	}
-	return out
-}
-
 // Reset clears all state without reallocating. The vote counts of a tracker
 // built with NewTrackerOn belong to its matrix, which is reset on its own.
 func (t *Tracker) Reset() {

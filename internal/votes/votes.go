@@ -247,30 +247,6 @@ func (m *Matrix) Coverage() float64 {
 	return float64(seen) / float64(m.n)
 }
 
-// Clone returns a deep, independent copy of the matrix. The clone shares no
-// mutable state with the receiver, so session engines can snapshot a live
-// matrix and keep ingesting into the original.
-func (m *Matrix) Clone() *Matrix {
-	out := &Matrix{
-		n:         m.n,
-		items:     append([]Tally(nil), m.items...),
-		votes:     m.votes,
-		posVotes:  m.posVotes,
-		cNominal:  m.cNominal,
-		cMajority: m.cMajority,
-		fpos:      m.fpos.CloneRunning(),
-	}
-	if m.history != nil {
-		out.history = make([][]Vote, len(m.history))
-		for i, h := range m.history {
-			if len(h) > 0 {
-				out.history[i] = append([]Vote(nil), h...)
-			}
-		}
-	}
-	return out
-}
-
 // Reset clears the matrix back to all-unseen without reallocating.
 func (m *Matrix) Reset() {
 	clear(m.items)

@@ -197,11 +197,6 @@ func TestHistory(t *testing.T) {
 	if len(m.History(1)) != 0 {
 		t.Fatal("untouched item has history")
 	}
-	c := m.Clone()
-	m.Add(Vote{Item: 0, Worker: 3, Label: Dirty})
-	if !c.RetainsHistory() || len(c.History(0)) != 2 {
-		t.Fatalf("clone history = %v, want the 2 votes before the clone", c.History(0))
-	}
 }
 
 func TestWithoutHistory(t *testing.T) {
@@ -272,7 +267,7 @@ func TestNewMatrixPanicsOnNegative(t *testing.T) {
 
 // TestNumWorkersSparseIDs: the worker bitset must count negative and huge
 // IDs (hand-written vote logs) via the sparse fallback without ballooning,
-// and a clone must not share state with its source.
+// and a reset set must count afresh.
 func TestNumWorkersSparseIDs(t *testing.T) {
 	var s WorkerSet
 	for _, w := range []int{0, 0, -5, -5, 1 << 40, 1 << 40, 7, -9} {
@@ -284,7 +279,6 @@ func TestNumWorkersSparseIDs(t *testing.T) {
 	if len(s.bits) != 1 {
 		t.Fatalf("bitset grew to %d words for dense IDs 0 and 7", len(s.bits))
 	}
-	c := s.Clone()
 	s.Reset()
 	if got := s.Len(); got != 0 {
 		t.Fatalf("Len after reset = %d", got)
@@ -293,10 +287,5 @@ func TestNumWorkersSparseIDs(t *testing.T) {
 	s.Add(2)
 	if got := s.Len(); got != 2 {
 		t.Fatalf("Len after reuse = %d, want 2", got)
-	}
-	c.Add(7)
-	c.Add(-9)
-	if got := c.Len(); got != 5 {
-		t.Fatalf("clone Len = %d, want 5: it shares state with its source", got)
 	}
 }

@@ -48,18 +48,3 @@ func (s *WorkerSet) Reset() {
 	s.count = 0
 	s.sparse = nil
 }
-
-// Clone returns an independent copy of the set.
-func (s *WorkerSet) Clone() WorkerSet {
-	out := WorkerSet{
-		bits:  append([]uint64(nil), s.bits...),
-		count: s.count,
-	}
-	if s.sparse != nil {
-		out.sparse = make(map[int]struct{}, len(s.sparse))
-		for w := range s.sparse {
-			out.sparse[w] = struct{}{}
-		}
-	}
-	return out
-}

@@ -68,13 +68,11 @@ func diffSwitch(s *estimator.Suite, ref *estimator.SwitchEstimator) string {
 
 // TestSuiteSwitchMatchesStandalone: inside a suite the SWITCH tracker reads the
 // suite matrix's per-item vote counts instead of keeping its own. Random
-// streams drive free suites, each beside a standalone NewSwitch fed the same
-// votes, and a sliding window ring, whose every open pane has a standalone
-// reference opened with its window. After every step each suite must match its
-// reference. The steps clone suites mid-stream, after which the clone and its
-// source ingest different votes (a clone reading its source's counts would
-// drift), reset suites, and recycle window panes (a sealed pane is reset and
-// reopened for a later window).
+// streams drive a free suite beside a standalone NewSwitch fed the same votes,
+// and a sliding window ring, whose every open pane has a standalone reference
+// opened with its window. After every step each suite must match its
+// reference. The steps reset the free suite and recycle window panes (a
+// sealed pane is reset and reopened for a later window).
 func TestSuiteSwitchMatchesStandalone(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -82,11 +80,7 @@ func TestSuiteSwitchMatchesStandalone(t *testing.T) {
 		cfg := estimator.SuiteConfig{Switch: estimator.SwitchConfig{TrendWindow: 4, RetainLedgers: true}}
 		paneCfg := cfg.Switch
 		paneCfg.RetainLedgers = false
-		type lane struct {
-			suite *estimator.Suite
-			ref   *estimator.SwitchEstimator
-		}
-		lanes := []lane{{estimator.NewSuite(n, cfg), estimator.NewSwitch(n, cfg.Switch)}}
+		free, freeRef := estimator.NewSuite(n, cfg), estimator.NewSwitch(n, cfg.Switch)
 		ring := New(n, cfg, Config{Size: 5, Stride: 2})
 		panes := map[int64]*estimator.SwitchEstimator{0: estimator.NewSwitch(n, paneCfg)}
 		vote := func() votes.Vote {
@@ -98,16 +92,13 @@ func TestSuiteSwitchMatchesStandalone(t *testing.T) {
 		}
 		sealed := 0
 		for step := 0; step < 800; step++ {
-			l := &lanes[rng.Intn(len(lanes))]
 			switch r := rng.Intn(100); {
-			case r < 3 && len(lanes) < 6:
-				lanes = append(lanes, lane{l.suite.Clone(), l.ref.Clone(nil)})
 			case r < 5:
-				l.suite.Reset()
-				l.ref.Reset()
+				free.Reset()
+				freeRef.Reset()
 			case r < 20:
-				l.suite.EndTask()
-				l.ref.EndTask()
+				free.EndTask()
+				freeRef.EndTask()
 			case r < 35:
 				for _, ref := range panes {
 					ref.EndTask()
@@ -133,18 +124,12 @@ func TestSuiteSwitchMatchesStandalone(t *testing.T) {
 					ref.Observe(v)
 				}
 			default:
-				// Every lane gets its own vote, so clones diverge from their
-				// sources.
-				for i := range lanes {
-					v := vote()
-					lanes[i].suite.Observe(v)
-					lanes[i].ref.Observe(v)
-				}
+				v := vote()
+				free.Observe(v)
+				freeRef.Observe(v)
 			}
-			for i, l := range lanes {
-				if msg := diffSwitch(l.suite, l.ref); msg != "" {
-					t.Fatalf("seed %d step %d lane %d: %s", seed, step, i, msg)
-				}
+			if msg := diffSwitch(free, freeRef); msg != "" {
+				t.Fatalf("seed %d step %d free suite: %s", seed, step, msg)
 			}
 			open := 0
 			for _, p := range ring.panes {
@@ -164,8 +149,8 @@ func TestSuiteSwitchMatchesStandalone(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d open panes, %d references", seed, step, open, len(panes))
 			}
 		}
-		if len(lanes) < 2 || sealed < 2*len(ring.panes) {
-			t.Fatalf("seed %d: %d lanes, %d sealed windows: the stream did not clone or recycle", seed, len(lanes), sealed)
+		if sealed < 2*len(ring.panes) {
+			t.Fatalf("seed %d: %d sealed windows: the stream did not recycle panes", seed, sealed)
 		}
 	}
 }
@@ -176,11 +161,9 @@ func TestSuiteSwitchMatchesStandalone(t *testing.T) {
 func TestPanesKeepNoLedgers(t *testing.T) {
 	cfg := estimator.SuiteConfig{Switch: estimator.SwitchConfig{RetainLedgers: true}}
 	r := New(10, cfg, Config{Size: 4, Stride: 1})
-	for _, ring := range []*Ring{r, r.Clone()} {
-		for i, p := range ring.panes {
-			if p.suite.Switch.Tracker().RetainsLedgers() {
-				t.Fatalf("pane %d keeps switch ledgers", i)
-			}
+	for i, p := range r.panes {
+		if p.suite.Switch.Tracker().RetainsLedgers() {
+			t.Fatalf("pane %d keeps switch ledgers", i)
 		}
 	}
 }

@@ -29,6 +29,11 @@ import (
 // holds an O(N) suite).
 const maxPanes = 64
 
+// MaxItemStates bounds the per-item estimator state a session may allocate:
+// its population times its suites (the all-time suite plus one per pane).
+// A suite holds 16 B per item, so the bound is 1 GiB.
+const MaxItemStates = 1 << 26
+
 // Config parameterizes windowed estimation. The zero value is invalid; Size
 // is required.
 type Config struct {
@@ -377,19 +382,6 @@ func (r *Ring) Estimates(kind Kind) (Result, error) {
 	default:
 		return Result{}, fmt.Errorf("window: unknown kind %v", kind)
 	}
-}
-
-// Clone returns a deep, independent copy of the ring, so session snapshots
-// capture windowed state alongside the all-time suite.
-func (r *Ring) Clone() *Ring {
-	out := *r
-	out.panes = make([]*pane, len(r.panes))
-	for i, p := range r.panes {
-		out.panes[i] = &pane{suite: p.suite.Clone(), start: p.start, tasks: p.tasks}
-	}
-	out.last = r.last.Clone()
-	out.decayed = r.decayed.Clone()
-	return &out
 }
 
 // Reset clears all windowed state back to the start of an empty stream.
