@@ -136,6 +136,35 @@ func BenchmarkSwitchTrackerAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkWideAdd ingests into a matrix and the tracker that reads its
+// counts after both have widened to 32 bits (one item was pushed past
+// votes.MaxNarrowVotes votes, and Reset keeps the layout), the way a suite
+// feeds them: the path every vote takes once any item of a suite has passed
+// the bound. It stays allocation-free like the narrow path.
+func BenchmarkWideAdd(b *testing.B) {
+	const n = 10000
+	stream := benchVoteStream(n, 100000, 5)
+	m := votes.NewMatrix(n)
+	tr := switchstat.NewTrackerOn(m)
+	for k := 0; k <= votes.MaxNarrowVotes; k++ {
+		v := votes.Vote{Item: 0, Label: votes.Clean}
+		m.Add(v)
+		tr.AddVote(v)
+	}
+	m.Reset()
+	tr.Reset()
+	if !m.Counts().Wide() {
+		b.Fatal("matrix did not widen")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := stream[i%len(stream)]
+		m.Add(v)
+		tr.AddVote(v)
+	}
+}
+
 func BenchmarkChao92Estimate(b *testing.B) {
 	const n = 5000
 	m := votes.NewMatrix(n)

@@ -16,6 +16,8 @@ import (
 // structured context where the route defines some — e.g. partial-ingest
 // progress counters. HTTP statuses classify coarsely; clients branch on code.
 const (
+	codeRouteNotFound        = "route_not_found"
+	codeMethodNotAllowed     = "method_not_allowed"
 	codeSessionNotFound      = "session_not_found"
 	codePolicyNotFound       = "policy_not_found"
 	codeSessionExists        = "session_exists"

@@ -111,6 +111,9 @@ func TestErrorEnvelopeGolden(t *testing.T) {
 		{"policy put bad metric", "PUT", "/v1/sessions/g/policy", "", `{"rules":[{"name":"r","metric":"vibes","op":">","value":1}]}`, 400, "invalid_policy"},
 		{"policy delete missing session", "DELETE", "/v1/sessions/nope/policy", "", "", 404, "session_not_found"},
 		{"policy delete none", "DELETE", "/v1/sessions/g/policy", "", "", 404, "policy_not_found"},
+		// Requests no route matches
+		{"unmatched route", "GET", "/v1/nope", "", "", 404, "route_not_found"},
+		{"unmatched method", "PATCH", "/v1/sessions/g", "", "{}", 405, "method_not_allowed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,5 +233,45 @@ func TestPartialIngestDetailsRoundTrip(t *testing.T) {
 	}
 	if out["ingested"].(float64) != 1 {
 		t.Fatalf("ingest response = %v", out)
+	}
+}
+
+// TestUnmatchedRequestsUseEnvelope: a request no route pattern matches gets
+// the JSON v1 envelope, a 405 keeps the Allow header the mux computes, and
+// dqm_http_requests_total counts every such request under the one route label
+// "unmatched", never under its path.
+func TestUnmatchedRequestsUseEnvelope(t *testing.T) {
+	srv := mustServer(t, serverConfig{})
+	for _, path := range []string{"/v1/nope", "/v1/sessions/x/snapshots", "/favicon.ico"} {
+		if code := errCode(t, srv, "GET", path, "", "", 404); code != "route_not_found" {
+			t.Fatalf("GET %s: code = %q", path, code)
+		}
+	}
+	for _, r := range []struct{ method, path, allow string }{
+		{"PATCH", "/v1/sessions/x", "DELETE, GET, HEAD"},
+		{"PUT", "/v1/sessions", "GET, HEAD, POST"},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(r.method, r.path, strings.NewReader("{}")))
+		if rec.Code != http.StatusMethodNotAllowed || rec.Header().Get("Allow") != r.allow ||
+			!strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json") {
+			t.Fatalf("%s %s = %d, Allow %q, Content-Type %q; want 405, Allow %q, JSON",
+				r.method, r.path, rec.Code, rec.Header().Get("Allow"), rec.Header().Get("Content-Type"), r.allow)
+		}
+		if code := errCode(t, srv, r.method, r.path, "", "{}", 405); code != "method_not_allowed" {
+			t.Fatalf("%s %s: code = %q", r.method, r.path, code)
+		}
+	}
+	body := scrape(t, srv)
+	for _, want := range []string{
+		`dqm_http_requests_total{code="404",route="unmatched"} 3`,
+		`dqm_http_requests_total{code="405",route="unmatched"} 4`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %s", want)
+		}
+	}
+	if strings.Contains(body, "nope") || strings.Contains(body, "favicon") {
+		t.Error("/metrics labels a series with a request path")
 	}
 }

@@ -363,6 +363,11 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.route("PUT /v1/sessions/{id}/policy", "put_policy", s.handlePutPolicy)
 	s.route("GET /v1/sessions/{id}/policy", "get_policy", s.handleGetPolicy)
 	s.route("DELETE /v1/sessions/{id}/policy", "delete_policy", s.handleDeletePolicy)
+	// "/" is less specific than every other pattern, so it takes exactly the
+	// requests no route matches under their method. One fixed route label
+	// for all of them keeps the label sets bounded whatever paths clients
+	// send.
+	s.route("/", "unmatched", s.handleUnmatched)
 	// Gates for sessions recovered from a durable data dir (their policies
 	// ride session meta) and for the server default policy attach now, so the
 	// alerting plane is live before the first request.
@@ -378,6 +383,37 @@ func newServer(cfg serverConfig) (*server, error) {
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+
+// allMethods are the request methods handleUnmatched probes, in the sorted
+// order an Allow header lists them.
+var allMethods = []string{
+	http.MethodConnect, http.MethodDelete, http.MethodGet, http.MethodHead, http.MethodOptions,
+	http.MethodPatch, http.MethodPost, http.MethodPut, http.MethodTrace,
+}
+
+// handleUnmatched answers a request no route matches with the v1 error
+// envelope: 405 method_not_allowed when routes match its path under other
+// methods, with the Allow header the mux would send without the "/" pattern
+// (those methods, GET implying HEAD), else 404 route_not_found.
+func (s *server) handleUnmatched(w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	for _, m := range allMethods {
+		if m == r.Method {
+			continue
+		}
+		probe := *r
+		probe.Method = m
+		if _, pattern := s.mux.Handler(&probe); pattern != "/" {
+			allow = append(allow, m)
+		}
+	}
+	if len(allow) > 0 {
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method %s is not allowed on %s", r.Method, r.URL.Path)
+		return
+	}
+	writeError(w, http.StatusNotFound, codeRouteNotFound, "no route for %s %s", r.Method, r.URL.Path)
+}
 
 // Close stops the stats logger, every hub pump (so no gate transition fires
 // afterwards) and the webhook dispatcher, then flushes a final checkpoint of

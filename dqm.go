@@ -488,7 +488,7 @@ func (e *Engine) Close() error { return e.e.Close() }
 // fails on an empty or duplicate id, a non-positive population, an
 // unregistered estimator name in cfg.Estimators, an invalid cfg.Window, or a
 // population too large for its suites: n × (1 + window panes) may not exceed
-// 2²⁶ per-item states (1 GiB).
+// 2²⁶ per-item states (512 MiB).
 func (e *Engine) CreateSession(id string, n int, cfg Config) (*Session, error) {
 	if err := estimator.ValidateNames(cfg.Estimators); err != nil {
 		return nil, err

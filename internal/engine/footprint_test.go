@@ -40,17 +40,18 @@ func footprintTasks(n, tasks int) [][]votes.Vote {
 
 // TestSessionFootprint pins per-session memory to O(items): a default-config
 // 5000-item session that has ingested 150 tasks × 20 votes must hold at most
-// 100 KB of live heap. Its per-item state takes about 80 KB (16 B per item:
-// the matrix's vote counts and the SWITCH tracker's switch state); a second
-// copy of the vote counts would take about 120 KB, and keeping each vote as
-// well about 368 KB, so either fails this. The figure is the live-heap delta
-// after a forced GC, averaged over 64 sessions; the test does not run in
-// parallel with others.
+// 56 KB of live heap. Its per-item state takes about 40 KB (8 B per item: the
+// matrix's 16-bit vote counts and the SWITCH tracker's 16-bit switch state),
+// and the whole session about 44.5 KB; a second narrow copy of either array
+// would add 20 KB, widening either to 32 bits would too, and keeping each
+// vote as well would add about 290 KB, so each of these fails this. The
+// figure is the live-heap delta after a forced GC, averaged over 64
+// sessions; the test does not run in parallel with others.
 func TestSessionFootprint(t *testing.T) {
 	const (
 		sessions = 64
 		n        = 5000
-		limit    = 100 << 10
+		limit    = 56 << 10
 	)
 	stream := footprintTasks(n, 150)
 	var before, after runtime.MemStats

@@ -276,3 +276,36 @@ func TestEMPosteriorsMonotoneInVotes(t *testing.T) {
 		t.Fatalf("posteriors not ordered: %v", p)
 	}
 }
+
+// TestReadersSeeWideCounts: ObservedAgreement and FleissKappa read per-item
+// counts through the matrix accessors, so an item past votes.MaxNarrowVotes
+// votes (here 60,000 dirty and 10,000 clean) counts in full.
+func TestReadersSeeWideCounts(t *testing.T) {
+	m := votes.NewMatrix(2)
+	for k := 0; k < 70000; k++ {
+		label := votes.Dirty
+		if k >= 60000 {
+			label = votes.Clean
+		}
+		m.Add(votes.Vote{Item: 0, Worker: k % 7, Label: label})
+	}
+	m.AddAll([]votes.Vote{
+		{Item: 1, Worker: 0, Label: votes.Dirty},
+		{Item: 1, Worker: 1, Label: votes.Dirty},
+		{Item: 1, Worker: 2, Label: votes.Clean},
+	})
+	if !m.Counts().Wide() || m.Pos(0) != 60000 || m.Seen(0) != 70000 {
+		t.Fatalf("matrix: wide %v, n⁺_0 %d, n_0 %d", m.Counts().Wide(), m.Pos(0), m.Seen(0))
+	}
+	pairs := func(k float64) float64 { return k * (k - 1) }
+	agree0 := (pairs(60000) + pairs(10000)) / pairs(70000)
+	agree1 := (pairs(2) + pairs(1)) / pairs(3)
+	if got, want := ObservedAgreement(m), (agree0+agree1)/2; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("ObservedAgreement = %v, want %v", got, want)
+	}
+	pDirty := 60002.0 / 70003
+	pe := pDirty*pDirty + (1-pDirty)*(1-pDirty)
+	if got, want := FleissKappa(m), ((agree0+agree1)/2-pe)/(1-pe); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("FleissKappa = %v, want %v", got, want)
+	}
+}

@@ -36,4 +36,7 @@ func (t *Tracker) ItemLedger(item int) []SwitchEvent {
 }
 
 // ItemMajorityDirty reports whether item i's strict vote majority is dirty.
-func (t *Tracker) ItemMajorityDirty(item int) bool { return t.tallies[item].MajorityDirty() }
+func (t *Tracker) ItemMajorityDirty(item int) bool {
+	pos, neg := t.counts.Get(item)
+	return pos > neg
+}

@@ -11,15 +11,16 @@ import (
 )
 
 // oracleItem is the field-based per-item switch state: every quantity that
-// itemState derives from its switch count is stored here explicitly.
+// itemState derives from its switch count is stored here explicitly, in 64
+// bits, so no count the tracker narrows can overflow here.
 type oracleItem struct {
-	pos, neg  int32
+	pos, neg  int64
 	dirty     bool // current consensus state; items start clean
 	started   bool // true once the first switch happened
 	lastDirty bool // sign of the most recent switch (true = positive switch)
-	lastFreq  int32
-	posEvents int32
-	negEvents int32
+	lastFreq  int64
+	posEvents int64
+	negEvents int64
 }
 
 // oracle is the reference switch state machine the packed Tracker must match
@@ -213,9 +214,9 @@ func diffOracle(tr *Tracker, o *oracle) string {
 	return ""
 }
 
-func TestItemStateIs8Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(itemState{}); got != 8 {
-		t.Fatalf("unsafe.Sizeof(itemState{}) = %d, want 8", got)
+func TestItemStateIs4Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(itemState{}); got != 4 {
+		t.Fatalf("unsafe.Sizeof(itemState{}) = %d, want 4", got)
 	}
 }
 

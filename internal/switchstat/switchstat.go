@@ -57,32 +57,40 @@ func (p Policy) String() string {
 	}
 }
 
-// itemState is one item's switch state in 8 bytes; its vote counts live in
-// the tracker's tallies. Switch signs alternate per item starting positive, so
+// itemState is one item's switch state in 4 bytes; its vote counts live in
+// the tracker's counts. Switch signs alternate per item starting positive, so
 // the switch count alone determines the rest: switch k is positive iff k is
 // odd, the item has ceil(events/2) positive and floor(events/2) negative
 // switches, and since every switch flips a consensus that starts clean, the
-// consensus is dirty iff events is odd.
+// consensus is dirty iff events is odd. Both fields are at most the item's
+// vote count, so they stay 16 bits wide until the item passes
+// votes.MaxNarrowVotes votes, and the tracker then widens every item's state
+// to a wideState, as its counts do.
 type itemState struct {
-	lastFreq int32 // frequency class of the most recent switch
-	events   int32 // switches so far
+	lastFreq uint16 // frequency class of the most recent switch
+	events   uint16 // switches so far
 }
 
-// dirty reports the current consensus state, which is also the sign of the
-// most recent switch (true = positive).
-func (s *itemState) dirty() bool { return s.events&1 == 1 }
+// wideState is an itemState widened to 32 bits.
+type wideState struct {
+	lastFreq, events int32
+}
 
 // Tracker ingests votes and maintains switch statistics incrementally.
 // All observations are O(1); fingerprint reads are O(max frequency).
 type Tracker struct {
 	policy Policy
-	items  []itemState
-	// tallies holds each item's vote counts (n⁺_i, n⁻_i). A standalone
+	// items holds each item's switch state until some item passes
+	// votes.MaxNarrowVotes votes; wide holds it from then on. Exactly one of
+	// them is non-nil.
+	items []itemState
+	wide  []wideState
+	// counts holds each item's vote counts (n⁺_i, n⁻_i). A standalone
 	// tracker owns them and counts every vote itself; a tracker built with
-	// NewTrackerOn reads the tallies of a response matrix that ingests the
+	// NewTrackerOn reads the counts of a response matrix that ingests the
 	// same stream and has counted each vote before the tracker sees it.
-	tallies []votes.Tally
-	shared  bool
+	counts *votes.Counts
+	shared bool
 
 	retainLedgers bool
 	ledgers       [][]SwitchEvent
@@ -116,51 +124,52 @@ func NewTracker(n int, opts ...Option) *Tracker {
 	if n < 0 {
 		panic(fmt.Sprintf("switchstat: negative item count %d", n))
 	}
-	return newTracker(make([]votes.Tally, n), false, opts)
+	return newTracker(votes.NewCounts(n), false, opts)
 }
 
 // NewTrackerOn creates a tracker over m's items that reads m's per-item vote
 // counts instead of keeping its own. Every vote must be added to m before it
 // is added to the tracker, and the tracker is reset together with m.
 func NewTrackerOn(m *votes.Matrix, opts ...Option) *Tracker {
-	return newTracker(m.Tallies(), true, opts)
+	return newTracker(m.Counts(), true, opts)
 }
 
-func newTracker(tallies []votes.Tally, shared bool, opts []Option) *Tracker {
+func newTracker(counts *votes.Counts, shared bool, opts []Option) *Tracker {
+	n := counts.Len()
 	t := &Tracker{
-		items:   make([]itemState, len(tallies)),
-		tallies: tallies,
-		shared:  shared,
-		fPos:    stats.NewRunningFreq(stats.Freq{0}),
-		fNeg:    stats.NewRunningFreq(stats.Freq{0}),
+		items:  make([]itemState, n),
+		counts: counts,
+		shared: shared,
+		fPos:   stats.NewRunningFreq(stats.Freq{0}),
+		fNeg:   stats.NewRunningFreq(stats.Freq{0}),
 	}
 	for _, o := range opts {
 		o(t)
 	}
 	if t.retainLedgers {
-		t.ledgers = make([][]SwitchEvent, len(tallies))
+		t.ledgers = make([][]SwitchEvent, n)
 	}
 	return t
 }
 
 // NumItems returns the number of tracked items.
-func (t *Tracker) NumItems() int { return len(t.items) }
+func (t *Tracker) NumItems() int { return t.counts.Len() }
 
 // Policy returns the active counting rule.
 func (t *Tracker) Policy() Policy { return t.policy }
 
 // Add ingests one vote on item with the given label.
 func (t *Tracker) Add(item int, label votes.Label) {
-	c := &t.tallies[item]
-	dirtyVote := label == votes.Dirty
-	if !t.shared {
-		if dirtyVote {
-			c.Pos++
-		} else {
-			c.Neg++
-		}
+	var pos, neg int // the item's counts including this vote
+	if t.shared {
+		pos, neg = t.counts.Get(item)
+	} else {
+		pos, neg = t.counts.Add(item, label)
 	}
-	pos, neg := c.Pos, c.Neg // the counts including this vote
+	if t.wide == nil && pos+neg > votes.MaxNarrowVotes {
+		t.widen()
+	}
+	dirtyVote := label == votes.Dirty
 	// One vote moves the strict majority only across a tie: a dirty vote
 	// makes it dirty when it leaves n⁺ = n⁻ + 1, a clean vote unmakes it when
 	// it leaves n⁺ = n⁻.
@@ -171,7 +180,7 @@ func (t *Tracker) Add(item int, label votes.Label) {
 	}
 	t.totalVotes++
 
-	st := &t.items[item]
+	lastFreq, events := t.state(item)
 	flip := false
 	switch t.policy {
 	case PolicyTieFlip:
@@ -183,59 +192,99 @@ func (t *Tracker) Add(item int, label votes.Label) {
 			flip = pos == neg
 		}
 	case PolicyStrictMajority:
-		if pos > neg && !st.dirty() {
+		if pos > neg && !dirty(events) {
 			flip = true
-		} else if neg > pos && st.dirty() {
+		} else if neg > pos && dirty(events) {
 			flip = true
 		}
 	}
 
 	switch {
 	case flip:
-		t.recordSwitch(item, st)
-	case st.events > 0:
-		t.rediscover(item, st)
+		events++
+		t.recordSwitch(item, events)
+		lastFreq = 1
+	case events > 0:
+		t.rediscover(item, lastFreq, events)
+		lastFreq++
 	default:
 		// A vote that confirms the default label before the first switch:
 		// a no-op that contributes to neither the fingerprint nor n_switch.
 		t.noops++
+		return
 	}
+	t.setState(item, lastFreq, events)
+}
+
+// dirty reports the consensus state after events switches, which is also the
+// sign of the most recent switch (true = positive).
+func dirty(events int) bool { return events&1 == 1 }
+
+// state returns item i's switch state.
+func (t *Tracker) state(i int) (lastFreq, events int) {
+	if t.wide != nil {
+		w := t.wide[i]
+		return int(w.lastFreq), int(w.events)
+	}
+	st := t.items[i]
+	return int(st.lastFreq), int(st.events)
+}
+
+// setState stores item i's switch state. Add widens the tracker before an
+// item passes votes.MaxNarrowVotes votes, and both fields are at most that
+// count, so a narrow store never truncates.
+func (t *Tracker) setState(i, lastFreq, events int) {
+	if t.wide != nil {
+		t.wide[i] = wideState{lastFreq: int32(lastFreq), events: int32(events)}
+		return
+	}
+	t.items[i] = itemState{lastFreq: uint16(lastFreq), events: uint16(events)}
+}
+
+// widen copies every item's switch state into the 32-bit layout and drops
+// the narrow one.
+func (t *Tracker) widen() {
+	t.wide = make([]wideState, len(t.items))
+	for i, st := range t.items {
+		t.wide[i] = wideState{lastFreq: int32(st.lastFreq), events: int32(st.events)}
+	}
+	t.items = nil
 }
 
 // AddVote ingests a votes.Vote, ignoring the worker identity (switch
 // statistics are worker-anonymous).
 func (t *Tracker) AddVote(v votes.Vote) { t.Add(v.Item, v.Label) }
 
-func (t *Tracker) recordSwitch(item int, st *itemState) {
-	st.events++
-	positive := st.dirty() // flipped into dirty ⇒ clean→dirty ⇒ positive switch
+// recordSwitch counts item's events-th switch, born a singleton.
+func (t *Tracker) recordSwitch(item, events int) {
+	positive := dirty(events) // flipped into dirty ⇒ clean→dirty ⇒ positive switch
 	if positive {
 		t.posSw++
-		if st.events == 1 { // the item's first switch, and first positive one
+		if events == 1 { // the item's first switch, and first positive one
 			t.cAny++
 			t.cPos++
 		}
 		t.fPos.Add(1, 1)
 	} else {
 		t.negSw++
-		if st.events == 2 { // the item's first negative switch
+		if events == 2 { // the item's first negative switch
 			t.cNeg++
 		}
 		t.fNeg.Add(1, 1)
 	}
-	st.lastFreq = 1
 	if t.retainLedgers {
 		t.ledgers[item] = append(t.ledgers[item], SwitchEvent{Positive: positive, Freq: 1})
 	}
 }
 
-func (t *Tracker) rediscover(item int, st *itemState) {
-	if st.dirty() {
-		t.fPos.Promote(int(st.lastFreq))
+// rediscover moves item's most recent switch, in class lastFreq of the sign
+// events gives it, up one frequency class.
+func (t *Tracker) rediscover(item, lastFreq, events int) {
+	if dirty(events) {
+		t.fPos.Promote(lastFreq)
 	} else {
-		t.fNeg.Promote(int(st.lastFreq))
+		t.fNeg.Promote(lastFreq)
 	}
-	st.lastFreq++
 	if t.retainLedgers {
 		l := t.ledgers[item]
 		l[len(l)-1].Freq++
@@ -359,17 +408,22 @@ func (t *Tracker) FingerprintNegativeView() stats.Freq { return t.fNeg.View() }
 // Consensus reports the tracker's consensus state for item i (true = dirty).
 // Under PolicyStrictMajority this coincides with the strict majority with
 // sticky ties; under PolicyTieFlip it is the Equation-7 state machine.
-func (t *Tracker) Consensus(item int) bool { return t.items[item].dirty() }
+func (t *Tracker) Consensus(item int) bool { return dirty(t.ItemSwitches(item)) }
 
 // ItemSwitches returns the number of switch events observed on item i.
-func (t *Tracker) ItemSwitches(item int) int { return int(t.items[item].events) }
+func (t *Tracker) ItemSwitches(item int) int {
+	_, events := t.state(item)
+	return events
+}
 
-// Reset clears all state without reallocating. The vote counts of a tracker
-// built with NewTrackerOn belong to its matrix, which is reset on its own.
+// Reset clears all state without reallocating; a widened tracker stays wide.
+// The vote counts of a tracker built with NewTrackerOn belong to its matrix,
+// which is reset on its own.
 func (t *Tracker) Reset() {
 	clear(t.items)
+	clear(t.wide)
 	if !t.shared {
-		clear(t.tallies)
+		t.counts.Reset()
 	}
 	if t.retainLedgers {
 		for i := range t.ledgers {

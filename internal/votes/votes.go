@@ -52,25 +52,12 @@ type Vote struct {
 	Label  Label
 }
 
-// Tally is one row of the matrix: the item's positive and negative vote
-// counts (n⁺_i, n⁻_i).
-type Tally struct {
-	Pos, Neg int32
-}
-
-// Total returns n_i = n⁺_i + n⁻_i.
-func (t Tally) Total() int32 { return t.Pos + t.Neg }
-
-// MajorityDirty reports whether the strict majority of votes marks the item
-// dirty: n⁺ − n/2 > 0 ⇔ n⁺ > n⁻ (ties are not a dirty majority).
-func (t Tally) MajorityDirty() bool { return t.Pos > t.Neg }
-
 // Matrix is the incrementally built worker-response matrix.
 //
 // The zero value is not ready for use; construct with NewMatrix.
 type Matrix struct {
-	n     int
-	items []Tally
+	n      int
+	counts Counts
 	// history holds per-item vote sequences in arrival order, nil unless
 	// the matrix was built WithHistory.
 	history [][]Vote
@@ -101,9 +88,9 @@ func NewMatrix(n int, opts ...Option) *Matrix {
 		panic(fmt.Sprintf("votes: negative item count %d", n))
 	}
 	m := &Matrix{
-		n:     n,
-		items: make([]Tally, n),
-		fpos:  stats.NewRunningFreq(stats.Freq{0}),
+		n:      n,
+		counts: Counts{narrow: make([]Tally, n)},
+		fpos:   stats.NewRunningFreq(stats.Freq{0}),
 	}
 	for _, o := range opts {
 		o(m)
@@ -124,35 +111,27 @@ func (m *Matrix) PositiveVotes() int64 { return m.posVotes }
 // semantics: vote streams are produced by this repository's own simulators
 // and loaders, which validate input at the boundary.
 func (m *Matrix) Add(v Vote) {
-	st := &m.items[v.Item]
-	wasNominal := st.Pos > 0
-	wasMajority := st.MajorityDirty()
-
+	pos, neg := m.counts.Add(v.Item, v.Label) // the counts including this vote
 	if v.Label == Dirty {
 		// Maintain the positive-vote fingerprint: the item moves from class
-		// n⁺ to class n⁺+1.
-		if st.Pos > 0 {
-			m.fpos.Promote(int(st.Pos))
+		// n⁺−1 to class n⁺.
+		if pos > 1 {
+			m.fpos.Promote(pos - 1)
 		} else {
 			m.fpos.Add(1, 1)
-		}
-		st.Pos++
-		m.posVotes++
-		if !wasNominal {
 			m.cNominal++
 		}
-	} else {
-		st.Neg++
+		m.posVotes++
+		// One vote moves the strict majority only across a tie: a dirty vote
+		// makes it dirty when it leaves n⁺ = n⁻ + 1, a clean vote unmakes it
+		// when it leaves n⁺ = n⁻.
+		if pos == neg+1 {
+			m.cMajority++
+		}
+	} else if pos == neg {
+		m.cMajority--
 	}
 	m.votes++
-
-	if isMajority := st.MajorityDirty(); isMajority != wasMajority {
-		if isMajority {
-			m.cMajority++
-		} else {
-			m.cMajority--
-		}
-	}
 	if m.history != nil {
 		m.history[v.Item] = append(m.history[v.Item], v)
 	}
@@ -166,22 +145,35 @@ func (m *Matrix) AddAll(vs []Vote) {
 }
 
 // Pos returns n⁺_i.
-func (m *Matrix) Pos(item int) int { return int(m.items[item].Pos) }
+func (m *Matrix) Pos(item int) int {
+	pos, _ := m.counts.Get(item)
+	return pos
+}
 
 // Neg returns n⁻_i.
-func (m *Matrix) Neg(item int) int { return int(m.items[item].Neg) }
+func (m *Matrix) Neg(item int) int {
+	_, neg := m.counts.Get(item)
+	return neg
+}
 
 // Seen returns the number of votes item i has received.
-func (m *Matrix) Seen(item int) int { return int(m.items[item].Total()) }
+func (m *Matrix) Seen(item int) int {
+	pos, neg := m.counts.Get(item)
+	return pos + neg
+}
 
-// MajorityDirty reports the current strict-majority consensus for item i.
-func (m *Matrix) MajorityDirty(item int) bool { return m.items[item].MajorityDirty() }
+// MajorityDirty reports the current strict-majority consensus for item i:
+// n⁺ − n/2 > 0 ⇔ n⁺ > n⁻ (ties are not a dirty majority).
+func (m *Matrix) MajorityDirty(item int) bool {
+	pos, neg := m.counts.Get(item)
+	return pos > neg
+}
 
-// Tallies returns every item's vote counts, indexed by item. The slice
-// aliases the matrix's storage: it must not be modified, and Add and Reset
-// update it in place without ever reallocating it. A consumer of the same
-// vote stream reads it instead of keeping its own copy of the counts.
-func (m *Matrix) Tallies() []Tally { return m.items }
+// Counts returns every item's vote counts. Add and Reset update them in
+// place, and a read through the returned pointer sees a widening at once. A
+// consumer of the same vote stream reads them instead of keeping its own
+// copy; it must not modify them.
+func (m *Matrix) Counts() *Counts { return &m.counts }
 
 // Nominal returns c_nominal = Σ_i 1[n⁺_i > 0] (§2.2.1).
 func (m *Matrix) Nominal() int64 { return m.cNominal }
@@ -227,8 +219,8 @@ func (m *Matrix) RetainsHistory() bool { return m.history != nil }
 // Problem 2 (true = dirty).
 func (m *Matrix) MajorityVector() []bool {
 	out := make([]bool, m.n)
-	for i := range m.items {
-		out[i] = m.items[i].MajorityDirty()
+	for i := range out {
+		out[i] = m.MajorityDirty(i)
 	}
 	return out
 }
@@ -239,8 +231,8 @@ func (m *Matrix) Coverage() float64 {
 		return 0
 	}
 	seen := 0
-	for i := range m.items {
-		if m.items[i].Total() > 0 {
+	for i := 0; i < m.n; i++ {
+		if m.Seen(i) > 0 {
 			seen++
 		}
 	}
@@ -249,7 +241,7 @@ func (m *Matrix) Coverage() float64 {
 
 // Reset clears the matrix back to all-unseen without reallocating.
 func (m *Matrix) Reset() {
-	clear(m.items)
+	m.counts.Reset()
 	for i := range m.history {
 		m.history[i] = m.history[i][:0]
 	}

@@ -240,7 +240,7 @@ func TestReset(t *testing.T) {
 	m.Add(Vote{Item: 0, Worker: 3, Label: Dirty})
 	m.Reset()
 	if m.TotalVotes() != 0 || m.Nominal() != 0 || m.Majority() != 0 ||
-		m.PositiveVotes() != 0 || m.Tallies()[0] != (Tally{}) {
+		m.PositiveVotes() != 0 || m.Pos(0) != 0 || m.Seen(0) != 0 {
 		t.Fatal("Reset left state behind")
 	}
 	if len(m.History(0)) != 0 {
