@@ -14,10 +14,12 @@
 // Gate rules (exit status 1 on any violation):
 //
 //   - ns/op: a benchmark more than -threshold (default 30%) slower than its
-//     baseline fails. Speedups are reported, never gated.
+//     baseline fails. Speedups are reported, never gated. Run the bench with
+//     -count N: a name that repeats is gated on its median ns/op, so one
+//     noisy run of a disk-bound benchmark cannot fail it.
 //   - allocs/op: a benchmark whose baseline is 0 allocs/op fails on ANY
-//     increase — the 0-alloc ingest and cached-read paths are load-bearing
-//     contracts, not noise. Non-zero baselines only warn on growth (pool
+//     increase, in any of its repeated runs — the 0-alloc ingest and
+//     cached-read paths are load-bearing contracts, not noise. Non-zero baselines only warn on growth (pool
 //     warmup makes small counts benchtime-sensitive).
 //   - presence: a baseline benchmark missing from the fresh run fails; a
 //     pinned hot path silently dropping out of the suite is itself a
@@ -129,9 +131,14 @@ func stripProcs(name string) string {
 	return name[:i]
 }
 
-// parseBench reads `go test -bench` output into a benchFile.
+// parseBench reads `go test -bench` output into a benchFile. A name that
+// repeats (-count > 1) keeps the median ns/op and median custom metrics
+// across its lines, so one noisy run cannot decide the ns gate, and the
+// largest B/op and allocs/op, because an allocation in any run is real.
 func parseBench(r io.Reader) (*benchFile, error) {
 	out := &benchFile{SchemaVersion: 1, GoVersion: runtime.Version(), Benchmarks: make(map[string]benchResult)}
+	ns := map[string][]float64{}
+	metrics := map[string]map[string][]float64{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -140,7 +147,7 @@ func parseBench(r io.Reader) (*benchFile, error) {
 			continue
 		}
 		name := stripProcs(m[1])
-		res := out.Benchmarks[name] // merged if a name repeats (-count>1: last wins per field)
+		res := out.Benchmarks[name]
 		fields := strings.Fields(m[2])
 		for i := 0; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
@@ -149,21 +156,44 @@ func parseBench(r io.Reader) (*benchFile, error) {
 			}
 			switch unit := fields[i+1]; unit {
 			case "ns/op":
-				res.NsPerOp = v
+				ns[name] = append(ns[name], v)
 			case "B/op":
-				res.BytesPerOp = v
+				res.BytesPerOp = max(res.BytesPerOp, v)
 			case "allocs/op":
-				res.AllocsPerOp = v
+				res.AllocsPerOp = max(res.AllocsPerOp, v)
 			default:
-				if res.Metrics == nil {
-					res.Metrics = make(map[string]float64)
+				if metrics[name] == nil {
+					metrics[name] = make(map[string][]float64)
 				}
-				res.Metrics[unit] = v
+				metrics[name][unit] = append(metrics[name][unit], v)
 			}
 		}
 		out.Benchmarks[name] = res
 	}
+	for name, res := range out.Benchmarks {
+		res.NsPerOp = median(ns[name])
+		for unit, vs := range metrics[name] {
+			if res.Metrics == nil {
+				res.Metrics = make(map[string]float64)
+			}
+			res.Metrics[unit] = median(vs)
+		}
+		out.Benchmarks[name] = res
+	}
 	return out, sc.Err()
+}
+
+// median returns the median of vs (0 when empty), reordering vs.
+func median(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	if len(vs)%2 == 1 {
+		return vs[mid]
+	}
+	return (vs[mid-1] + vs[mid]) / 2
 }
 
 // readBenchFile loads a baseline JSON.

@@ -43,6 +43,44 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// repeatedBench is one benchmark run five times (-count 5): a slow outlier,
+// and one run that allocated.
+const repeatedBench = `BenchmarkAppendLog/durable/never-2   	  1000	    300000 ns/op	   4.0 Mvotes/s	     0 B/op	       0 allocs/op
+BenchmarkAppendLog/durable/never-2   	  1000	    430000 ns/op	   2.0 Mvotes/s	     0 B/op	       0 allocs/op
+BenchmarkAppendLog/durable/never-2   	  1000	    244000 ns/op	   5.0 Mvotes/s	    48 B/op	       1 allocs/op
+BenchmarkAppendLog/durable/never-2   	  1000	    310000 ns/op	   3.9 Mvotes/s	     0 B/op	       0 allocs/op
+BenchmarkAppendLog/durable/never-2   	  1000	    290000 ns/op	   4.1 Mvotes/s	     0 B/op	       0 allocs/op
+`
+
+// TestParseBenchRepeatedLines: a name repeated by -count keeps the median
+// ns/op and custom metrics and the largest B/op and allocs/op, so the outlier
+// run cannot fail the ns gate while the one allocating run still fails a
+// 0-alloc baseline.
+func TestParseBenchRepeatedLines(t *testing.T) {
+	f, err := parseBench(strings.NewReader(repeatedBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const name = "BenchmarkAppendLog/durable/never"
+	got, ok := f.Benchmarks[name]
+	if !ok || len(f.Benchmarks) != 1 {
+		t.Fatalf("parsed %v, want only %s", f.Benchmarks, name)
+	}
+	if got.NsPerOp != 300000 || got.Metrics["Mvotes/s"] != 4.0 {
+		t.Errorf("ns/op %v, Mvotes/s %v: want the medians 300000 and 4.0", got.NsPerOp, got.Metrics["Mvotes/s"])
+	}
+	if got.AllocsPerOp != 1 || got.BytesPerOp != 48 {
+		t.Errorf("allocs/op %v, B/op %v: want the largest, 1 and 48", got.AllocsPerOp, got.BytesPerOp)
+	}
+	base := &benchFile{Benchmarks: map[string]benchResult{name: {NsPerOp: 280000}}}
+	if pass, out := gateResult(t, base, f, 0.30); pass || !strings.Contains(out, "0-alloc path") || strings.Contains(out, "threshold") {
+		t.Errorf("want only the alloc gate to fail:\n%s", out)
+	}
+	if even := median([]float64{4, 1, 3, 2}); even != 2.5 {
+		t.Errorf("median of an even count = %v, want 2.5", even)
+	}
+}
+
 // gateResult runs compare and collects its log lines.
 func gateResult(t *testing.T, base, fresh *benchFile, threshold float64) (bool, string) {
 	t.Helper()

@@ -171,7 +171,7 @@ func TestDQMVIngestValidation(t *testing.T) {
 	}
 }
 
-// TestDQMVDurableRestartRecovers: binary-ingested votes ride the columnar WAL
+// TestDQMVDurableRestartRecovers: binary-ingested votes ride the WAL block
 // record; a restart must rebuild bit-identical estimates from the journal.
 func TestDQMVDurableRestartRecovers(t *testing.T) {
 	cfg := serverConfig{DataDir: t.TempDir(), Fsync: dqm.FsyncNever}

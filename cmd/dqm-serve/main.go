@@ -81,9 +81,9 @@
 //
 // The votes endpoint also accepts Content-Type: application/x-dqmv — the
 // binary vote-log encoding (what `dqm-gen -votes-format binary` writes).
-// Binary bodies skip JSON entirely: each task's raw vote bytes are
-// journaled verbatim as one columnar WAL record and applied from decoded
-// columns, with the same per-task atomicity, task-boundary rule, and resulting
+// Binary bodies skip JSON entirely: each task's raw vote bytes are decoded
+// once into columns, journaled from them as one WAL block record and applied,
+// with the same per-task atomicity, task-boundary rule, and resulting
 // estimates as the equivalent {"entries": ...} request. Unknown content types
 // get a 415 naming the accepted encodings.
 package main
@@ -776,12 +776,13 @@ func (s *server) handleAppendVotes(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAppendDQMV ingests a binary DQMV vote log through
-// dqm.Session.AppendDQMV: raw vote bytes travel verbatim from the wire into
-// columnar WAL records, and the whole request pays one durability wait. The
-// body is split here only for the empty-batch and batch-size checks. Task
-// boundaries match the {"entries": ...} rule, so both encodings yield
-// byte-identical estimates. An invalid task reports the tasks applied before
-// it, as the entries path does; a journal fault applies nothing.
+// dqm.Session.AppendDQMV: each task is decoded once into columns, journaled
+// from them as one WAL block record, and the whole request pays one
+// durability wait. The body is split here only for the empty-batch and
+// batch-size checks. Task boundaries match the {"entries": ...} rule, so both
+// encodings yield byte-identical estimates. An invalid task reports the tasks
+// applied before it, as the entries path does; a journal fault applies
+// nothing.
 func (s *server) handleAppendDQMV(w http.ResponseWriter, r *http.Request, sess *dqm.Session) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {

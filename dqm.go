@@ -579,9 +579,9 @@ func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
 
 // AppendDQMV ingests a complete binary vote log (the DQMV format of
 // internal/votelog: magic header, 'T' task records, 'V' vote records)
-// through the columnar fast path: each task's raw vote bytes are validated,
-// journaled verbatim as one columnar WAL record, and applied — no per-vote
-// decode into structs and no re-encode on the durability path. Task
+// through the columnar fast path: each task's raw vote bytes are decoded once
+// into columns, validated, journaled from those columns as one WAL block
+// record, and applied — no per-vote decode into structs. Task
 // boundaries follow the format's task-id changes plus one after the final
 // vote, exactly the boundaries the Entry/JSON path produces, so the
 // resulting estimates are identical to ingesting the same log vote by vote.

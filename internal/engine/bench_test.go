@@ -331,10 +331,11 @@ func BenchmarkWindowedIngest(b *testing.B) {
 }
 
 // BenchmarkColumnarIngest measures binary (DQMV) columnar ingest through
-// AppendColumns — the wire bytes journaled verbatim and decoded once into
-// reused columns. Compare "memory" against BenchmarkSessionIngest (the same
-// 10-vote tasks through the Entry path) for the re-encode savings, and
-// "durable" against BenchmarkSessionIngestDurable/batch.
+// AppendColumns — the wire bytes decoded once into reused columns, which are
+// journaled as one block record. Compare "memory" against
+// BenchmarkSessionIngest (the same 10-vote tasks through the Entry path) for
+// the re-encode savings, and "durable" against
+// BenchmarkSessionIngestDurable/batch.
 func BenchmarkColumnarIngest(b *testing.B) {
 	const n, batchSize = 10000, 10
 	raws := make([][]byte, 64)

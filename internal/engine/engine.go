@@ -401,8 +401,8 @@ func (e *Engine) recoverSession(id string, cols *votelog.VoteColumns) (*Session,
 			return nil
 		},
 		Cols: cols,
-		// Vote is the ordered fallback for records outside the columnar int32
-		// domain (possible via the Entry-path journal encoding).
+		// Vote is the ordered fallback for votes outside the columnar int32
+		// domain (JSON and library ingest accept any int worker id).
 		Vote: func(item, worker int, dirty bool) error {
 			if err := checkNoPending(); err != nil {
 				return err

@@ -70,8 +70,8 @@ func buildMixedDataDir(t *testing.T, dir string) []string {
 	applyOps(t, ws, genOps(200, 80, n))
 	ids = append(ids, "windowed")
 
-	// Columnar session: raw DQMV task blocks journaled verbatim as opColumns
-	// records, exercising DecodeAppend on the batched replay path.
+	// Columnar session: raw DQMV task blocks, journaled from their decoded
+	// columns as block records.
 	cs, err := e.Create("columnar", n, sessionCfg())
 	if err != nil {
 		t.Fatal(err)

@@ -338,17 +338,6 @@ func (s *Session) sealedWindow(ahead int) int64 {
 	return -1
 }
 
-// journalBatch write-ahead-logs one vote batch and, when endTask is set, its
-// task boundary. Call under mu, before applying.
-func (s *Session) journalBatch(batch []votes.Vote, endTask bool) error {
-	if endTask {
-		if start := s.sealedWindow(1); start >= 0 {
-			return s.journal.AppendRotation(batch, start)
-		}
-	}
-	return s.journal.Append(batch, endTask)
-}
-
 // publish completes one journaled and applied batch of n votes: it marks the
 // task boundary when endTask is set, publishes the new version to readers
 // and watchers, and counts the batch. Call under mu.
@@ -381,7 +370,11 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal != nil {
-		if err := s.journalBatch(batch, endTask); err != nil {
+		start := int64(-1)
+		if endTask {
+			start = s.sealedWindow(1)
+		}
+		if err := s.journal.Append(batch, endTask, start); err != nil {
 			return &JournalError{SessionID: s.id, Err: err}
 		}
 	}
@@ -395,9 +388,10 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 // AppendLog ingests a binary vote log split into task blocks (see
 // votelog.SplitBinaryTasks). A task boundary follows each block whose
 // successor carries a different task id, and the last block: the boundaries
-// the Entry path produces for the same log. Each block's raw 'V'-record bytes
-// are journaled verbatim as one columnar frame, with its boundary and the
-// window rotation that boundary seals, and applied with one version bump.
+// the Entry path produces for the same log. Each block is decoded once; its
+// columns are journaled as one frame holding one block record, its boundary
+// and the window rotation that boundary seals, and applied with one version
+// bump.
 //
 // The whole log takes one hold of the session mutex and, on a durable
 // session, one durability wait: every frame is staged, the journal commits
@@ -456,6 +450,7 @@ func (s *Session) appendBlocks(blocks []votelog.TaskBlock, endLast bool) (votesI
 	st.ends = st.ends[:0]
 	ahead := 0 // task boundaries staged so far
 	for i, b := range blocks {
+		from := cols.Len()
 		if err = s.decodeBlock(cols, b.Raw); err != nil {
 			break
 		}
@@ -465,7 +460,7 @@ func (s *Session) appendBlocks(blocks []votelog.TaskBlock, endLast bool) (votesI
 				ahead++
 				start = s.sealedWindow(ahead)
 			}
-			if jerr := s.journal.StageColumns(b.Raw, end, start); jerr != nil {
+			if jerr := s.journal.StageColumns(cols, from, cols.Len(), end, start); jerr != nil {
 				return 0, 0, &JournalError{SessionID: s.id, Err: jerr}
 			}
 		}

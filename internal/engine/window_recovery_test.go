@@ -228,7 +228,7 @@ func TestRecoveryRejectsMismatchedRotationRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendRotation(nil, 999); err != nil {
+	if err := j.Append(nil, true, 999); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

@@ -43,10 +43,8 @@ func (c *VoteColumns) Decode(raw []byte) error {
 }
 
 // DecodeAppend is Decode without the reset: decoded votes append to whatever
-// the columns already hold. WAL replay uses it to accumulate consecutive vote
-// records (plain and columnar alike) into one task-sized batch before
-// applying them — the batching that makes recovery look like columnar ingest
-// rather than a stream of single-vote appends.
+// the columns already hold. Binary ingest uses it to decode every task block
+// of one request into one set of reused columns.
 func (c *VoteColumns) DecodeAppend(raw []byte) error {
 	for len(raw) > 0 {
 		if raw[0] != binOpVote {
@@ -74,8 +72,8 @@ func (c *VoteColumns) DecodeAppend(raw []byte) error {
 	return nil
 }
 
-// Append appends one already-decoded vote row — the path single opVote WAL
-// records take into a replay batch, where there are no wire bytes to decode.
+// Append appends one already-decoded vote row — the path every vote takes
+// into a WAL replay batch, whichever record encoding held it.
 func (c *VoteColumns) Append(item, worker int32, dirty bool) {
 	c.Item = append(c.Item, item)
 	c.Worker = append(c.Worker, worker)
@@ -118,8 +116,8 @@ const ContentTypeDQMV = "application/x-dqmv"
 
 // SplitBinaryTasks splits a full binary vote log (magic header included) into
 // per-task blocks without decoding votes into structs: each block's Raw is a
-// subslice of data holding only 'V' records, ready to be journaled verbatim
-// as one columnar WAL record. The stream is validated structurally (header,
+// subslice of data holding only 'V' records, ready to be decoded once into
+// columns (DecodeAppend). The stream is validated structurally (header,
 // opcodes, varints, int32 bounds); item-vs-population range checks remain the
 // caller's.
 func SplitBinaryTasks(data []byte) ([]TaskBlock, error) {

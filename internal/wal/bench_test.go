@@ -37,7 +37,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := j.Append(batch, true); err != nil {
+				if err := j.Append(batch, true, -1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -83,7 +83,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 				}
 				defer j.Close()
 				for pb.Next() {
-					if err := j.Append(batch, true); err != nil {
+					if err := j.Append(batch, true, -1); err != nil {
 						b.Error(err)
 						return
 					}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dqm/internal/votelog"
 	"dqm/internal/votes"
 )
 
@@ -88,10 +89,15 @@ func createSegment(dir string, seq uint64) (*os.File, int64, error) {
 	return f, int64(len(segMagic)), nil
 }
 
-// Append write-ahead-logs one engine batch (the group-commit unit): the
-// votes, plus a task boundary when endTask is set. It must be called before
-// the batch is applied to in-memory state.
-func (j *Journal) Append(batch []votes.Vote, endTask bool) error {
+// Append write-ahead-logs one engine batch (the group-commit unit) as one
+// frame and commits it: the votes as one block record, then a task boundary
+// when endTask is set and, when windowStart >= 0, the window rotation that
+// boundary seals. A boundary and its rotation share the frame, so a torn tail
+// can never separate them: recovery sees both or neither, and replayed window
+// boundaries always match an uninterrupted run. windowStart is the first
+// completed-task index of the sealed window; pass -1 for none. Append must be
+// called before the batch is applied to in-memory state.
+func (j *Journal) Append(batch []votes.Vote, endTask bool, windowStart int64) error {
 	if len(batch) == 0 && !endTask {
 		return nil
 	}
@@ -99,63 +105,33 @@ func (j *Journal) Append(batch []votes.Vote, endTask bool) error {
 		return err
 	}
 	payload := j.buf[:0]
-	for _, v := range batch {
-		payload = appendVote(payload, v)
+	if len(batch) > 0 {
+		payload = appendBlock(payload, batch)
 	}
-	if endTask {
-		payload = append(payload, opEnd)
-	}
+	payload = appendBoundary(payload, endTask, windowStart)
 	j.buf = payload
 	return j.stageCommit(payload)
 }
 
-// AppendRotation logs one engine batch, its task boundary, and the window
-// rotation that boundary seals — as ONE frame, so a torn tail can never
-// separate a task end from the rotation it fired: recovery either sees both
-// or neither, and replayed window boundaries always match an uninterrupted
-// run. windowStart is the first completed-task index of the sealed window.
-func (j *Journal) AppendRotation(batch []votes.Vote, windowStart int64) error {
-	if err := j.lock(); err != nil {
-		return err
-	}
-	payload := j.buf[:0]
-	for _, v := range batch {
-		payload = appendVote(payload, v)
-	}
-	payload = append(payload, opEnd)
-	payload = appendWindow(payload, windowStart)
-	j.buf = payload
-	return j.stageCommit(payload)
-}
-
-// StageColumns writes one columnar batch into the group-commit buffer as one
-// frame, without applying the fsync policy: raw pre-encoded DQMV vote records
-// ('V' opcode streams, see internal/votelog) journaled verbatim as a single
-// opColumns record — no per-vote re-encode, the bytes that came off the wire
-// are the bytes that hit the log. The caller must have validated the raw
-// stream (encoding and item bounds) first: the journal must never hold a
-// record replay would reject. endTask appends a task boundary in the same
-// frame; windowStart >= 0 additionally appends the window rotation that
-// boundary seals (pass -1 for none). A staged frame is durable only after the
-// next Commit returns, so a multi-task write stages every task and commits
-// once before applying any of them.
-func (j *Journal) StageColumns(raw []byte, endTask bool, windowStart int64) error {
-	if len(raw) == 0 && !endTask {
+// StageColumns writes rows [from, to) of decoded vote columns into the
+// group-commit buffer as one frame, without applying the fsync policy: the
+// votes as one block record, then the boundary and rotation as in Append.
+// The caller must have validated the rows (item bounds) first: the journal
+// must never hold a record replay would reject. A staged frame is durable
+// only after the next Commit returns, so a multi-task write stages every task
+// and commits once before applying any of them.
+func (j *Journal) StageColumns(cols *votelog.VoteColumns, from, to int, endTask bool, windowStart int64) error {
+	if from == to && !endTask {
 		return nil
 	}
 	if err := j.lock(); err != nil {
 		return err
 	}
 	payload := j.buf[:0]
-	if len(raw) > 0 {
-		payload = appendColumns(payload, raw)
+	if from < to {
+		payload = appendColumnsBlock(payload, cols, from, to)
 	}
-	if endTask {
-		payload = append(payload, opEnd)
-		if windowStart >= 0 {
-			payload = appendWindow(payload, windowStart)
-		}
-	}
+	payload = appendBoundary(payload, endTask, windowStart)
 	j.buf = payload
 	return j.stage(payload)
 }
@@ -321,11 +297,11 @@ func (j *Journal) rotateLocked() error {
 // compactLocked rewrites snapshot + sealed segments into one new snapshot and
 // deletes the files it covers. Everything before the last opReset is dropped
 // — that is the only place journal history actually shrinks; otherwise the
-// snapshot is the full (compactly re-encoded) record stream, which replays
-// through the same ingest path as live votes and is therefore bit-identical
-// by construction. Columnar records are re-encoded per vote here — snapshots
-// are the compact form by contract, and compaction is a cold path.
-// Call with j.mu held.
+// snapshot is the full record stream, which replays through the same ingest
+// path as live votes and is therefore bit-identical by construction. Votes
+// are read back through the batched replay path and rewritten as one block
+// record per batch, so history from any earlier record encoding comes out in
+// the current one. Call with j.mu held.
 func (j *Journal) compactLocked() error {
 	if j.err != nil {
 		return j.err
@@ -337,12 +313,19 @@ func (j *Journal) compactLocked() error {
 	start := time.Now()
 	body := make([]byte, 0, j.snapBytes+j.sealedBytes)
 	appendHooks := Hooks{
+		Votes: func(cols *votelog.VoteColumns) error {
+			body = appendColumnsBlock(body, cols, 0, cols.Len())
+			return nil
+		},
+		Cols: &votelog.VoteColumns{},
+		// A vote outside the columnar int32 domain arrives alone, in order.
 		Vote: func(item, worker int, dirty bool) error {
 			label := votes.Clean
 			if dirty {
 				label = votes.Dirty
 			}
-			body = appendVote(body, votes.Vote{Item: item, Worker: worker, Label: label})
+			one := [1]votes.Vote{{Item: item, Worker: worker, Label: label}}
+			body = appendBlock(body, one[:])
 			return nil
 		},
 		EndTask: func() { body = append(body, opEnd) },

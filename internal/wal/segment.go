@@ -16,10 +16,26 @@ var (
 	snapMagic = []byte{'D', 'Q', 'M', 'S', 1}
 )
 
-// errBadHeader marks a segment whose header never made it to disk; on the
-// final segment that is a torn tail from a crash at creation time, anywhere
-// else it is fatal corruption.
-var errBadHeader = errors.New("bad segment header")
+// errTornHeader marks a segment whose header never fully reached the disk:
+// shorter than segMagic and a prefix of it, or zero bytes only. On the final
+// segment that is a torn tail from a crash at creation time, anywhere else
+// it is fatal corruption. Any other header is not this codec's, and fails
+// recovery rather than be taken for a torn one.
+var errTornHeader = errors.New("torn segment header")
+
+// tornHeader reports whether hdr, a segment's first min(size, 5) bytes, is
+// what a crash while writing segMagic can leave.
+func tornHeader(hdr []byte) bool {
+	if len(hdr) < len(segMagic) && bytes.HasPrefix(segMagic, hdr) {
+		return true
+	}
+	for _, b := range hdr {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // castagnoli is the CRC32C polynomial table (the storage-standard variant).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -47,8 +63,9 @@ type scanResult struct {
 // scanSegment replays every intact frame of a segment file through h. A
 // truncated or CRC-corrupt frame ends the scan — the caller decides whether a
 // torn tail is tolerable (final segment) or fatal (sealed segment). An error
-// is returned only for structural impossibilities (bad header) or a hook
-// rejection, both of which mean the data must not be trusted at all.
+// is returned only for structural impossibilities (a torn or unknown header)
+// or a hook rejection, both of which mean the data must not be trusted at
+// all.
 //
 // The whole segment is read into scratch (reused across calls) in one pass
 // and parsed in memory: recovery pays one read syscall per segment instead of
@@ -84,7 +101,11 @@ func scanSegment(path string, h Hooks, scratch []byte) (scanResult, []byte, erro
 	}
 
 	if len(buf) < len(segMagic) || !bytes.Equal(buf[:len(segMagic)], segMagic) {
-		return scanResult{}, scratch, fmt.Errorf("wal: %s: %w", filepath.Base(path), errBadHeader)
+		hdr := buf[:min(len(buf), len(segMagic))]
+		if tornHeader(hdr) {
+			return scanResult{}, scratch, fmt.Errorf("wal: %s: %w", filepath.Base(path), errTornHeader)
+		}
+		return scanResult{}, scratch, fmt.Errorf("wal: %s: unknown segment header %q", filepath.Base(path), hdr)
 	}
 	res := scanResult{valid: int64(len(segMagic))}
 	for {

@@ -384,6 +384,8 @@ func readMetaFile(dir string) (Meta, error) {
 // journal tail) through h, in exactly the order it was ingested, and returns
 // a journal positioned to append after the last intact frame. A torn tail on
 // the final segment is truncated; corruption anywhere earlier is an error.
+// A snapshot that cannot be read is left on disk as it is, and named in the
+// error if recovery cannot complete without it.
 func (s *Store) Recover(id string, h Hooks) (*Journal, error) {
 	dir := s.sessionDir(id)
 	snaps, segs, err := listFiles(dir)
@@ -396,25 +398,34 @@ func (s *Store) Recover(id string, h Hooks) (*Journal, error) {
 	var snapSeq uint64
 	var snapBody []byte
 	var snapBytes int64
+	var skipped error // newer snapshots that failed to read
 	for i := len(snaps) - 1; i >= 0; i-- {
 		body, err := readSnapshotBody(snapPath(dir, snaps[i]))
 		if err != nil {
+			skipped = errors.Join(skipped, err)
 			continue
 		}
 		snapSeq, snapBody = snaps[i], body
 		snapBytes = int64(len(body)) + int64(len(snapMagic)) + 4
 		break
 	}
+	fail := func(err error) error {
+		if skipped != nil {
+			return fmt.Errorf("wal: session %q: %w (skipped unreadable snapshot: %w)", id, err, skipped)
+		}
+		return fmt.Errorf("wal: session %q: %w", id, err)
+	}
 	if snapBody != nil {
 		if err := decodeRecords(snapBody, h); err != nil {
-			return nil, fmt.Errorf("wal: session %q: snapshot %d: %w", id, snapSeq, err)
+			return nil, fail(fmt.Errorf("snapshot %d: %w", snapSeq, err))
 		}
 	}
 
 	// Clean up files the snapshot supersedes (crash between snapshot rename
-	// and deletes) and stray temp files.
+	// and deletes) and stray temp files. A newer snapshot is never removed:
+	// it failed to read, and it may hold the only copy of its history.
 	for _, seq := range snaps {
-		if seq != snapSeq {
+		if seq < snapSeq {
 			os.Remove(snapPath(dir, seq))
 		}
 	}
@@ -442,13 +453,13 @@ func (s *Store) Recover(id string, h Hooks) (*Journal, error) {
 	var scratch []byte
 	for i, seq := range live {
 		if want := snapSeq + uint64(i) + 1; seq != want {
-			return nil, fmt.Errorf("wal: session %q: missing segment %d (found %d)", id, want, seq)
+			return nil, fail(fmt.Errorf("missing segment %d (found %d)", want, seq))
 		}
 		last := i == len(live)-1
 		res, sc, err := scanSegment(segPath(dir, seq), h, scratch)
 		scratch = sc
 		if err != nil {
-			if last && errors.Is(err, errBadHeader) {
+			if last && errors.Is(err, errTornHeader) {
 				// The process died while creating this segment: no frame ever
 				// reached it. Recreate it empty.
 				os.Remove(segPath(dir, seq))
@@ -459,10 +470,10 @@ func (s *Store) Recover(id string, h Hooks) (*Journal, error) {
 				j.f, j.seq, j.size = f, seq, size
 				return j, nil
 			}
-			return nil, fmt.Errorf("wal: session %q: %w", id, err)
+			return nil, fail(err)
 		}
 		if !res.clean && !last {
-			return nil, fmt.Errorf("wal: session %q: segment %d is corrupt mid-journal", id, seq)
+			return nil, fail(fmt.Errorf("segment %d is corrupt mid-journal", seq))
 		}
 		if last {
 			f, err := os.OpenFile(segPath(dir, seq), os.O_WRONLY, 0)

@@ -44,7 +44,7 @@ func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op
 						batch[k] = mkVote(rng.Intn(40), rng.Intn(6), rng.Intn(2) == 0)
 						ops = append(ops, op{Kind: opVote, Item: batch[k].Item, Worker: batch[k].Worker, Dirty: batch[k].Label == votes.Dirty})
 					}
-					if err := js[i].Append(batch, true); err != nil {
+					if err := js[i].Append(batch, true, -1); err != nil {
 						errs[i] = err
 						return
 					}
@@ -62,7 +62,7 @@ func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op
 					}
 					ops = append(ops, op{Kind: opEnd})
 				case 2: // bare task boundary
-					if err := js[i].Append(nil, true); err != nil {
+					if err := js[i].Append(nil, true, -1); err != nil {
 						errs[i] = err
 						return
 					}
@@ -202,7 +202,7 @@ func TestSyncerClosedFallsBackToDirectSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]votes.Vote{mkVote(1, 0, true)}, true); err != nil {
+	if err := j.Append([]votes.Vote{mkVote(1, 0, true)}, true, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -212,7 +212,7 @@ func TestSyncerClosedFallsBackToDirectSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The syncer is gone; this append must still succeed and be durable.
-	if err := j.Append([]votes.Vote{mkVote(2, 1, false)}, true); err != nil {
+	if err := j.Append([]votes.Vote{mkVote(2, 1, false)}, true, -1); err != nil {
 		t.Fatalf("append after store close: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -238,10 +238,14 @@ func TestSyncerClosedFallsBackToDirectSync(t *testing.T) {
 	}
 }
 
-// commitColumns journals one columnar batch as its own durable frame:
-// StageColumns, then Commit.
+// commitColumns journals raw DQMV 'V' records as one durable frame: decoded
+// into columns, then StageColumns and Commit.
 func commitColumns(j *Journal, raw []byte, endTask bool, windowStart int64) error {
-	if err := j.StageColumns(raw, endTask, windowStart); err != nil {
+	var cols votelog.VoteColumns
+	if err := cols.Decode(raw); err != nil {
+		return err
+	}
+	if err := j.StageColumns(&cols, 0, cols.Len(), endTask, windowStart); err != nil {
 		return err
 	}
 	return j.Commit()
@@ -293,9 +297,9 @@ func TestAppendColumnsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCompactionRewritesColumnarRecords: snapshots re-encode columnar batches
-// per vote (snapshots are the compact replay form), so history containing
-// opColumns frames must survive compaction bit-identically.
+// TestCompactionRewritesColumnarRecords: history holding the opColumns
+// records earlier builds wrote must survive compaction, which rewrites it as
+// block records.
 func TestCompactionRewritesColumnarRecords(t *testing.T) {
 	s := testStore(t, Options{Fsync: FsyncNever, SegmentBytes: 128, CompactAfter: 256})
 	j, err := s.Create(Meta{ID: "colpack", Items: 50})
@@ -311,7 +315,7 @@ func TestCompactionRewritesColumnarRecords(t *testing.T) {
 			raw = votelog.AppendBinaryVote(raw, item, worker, dirty)
 			want = append(want, op{Kind: opVote, Item: int(item), Worker: int(worker), Dirty: dirty})
 		}
-		if err := commitColumns(j, raw, true, -1); err != nil {
+		if err := commitPayload(j, append(appendColumns(nil, raw), opEnd)); err != nil {
 			t.Fatal(err)
 		}
 		want = append(want, op{Kind: opEnd})

@@ -10,31 +10,39 @@
 //	wal-<seq>.seg      journal segments, appended in seq order
 //	snap-<seq>.bin     one snapshot covering segments 1..seq
 //
-// A segment is a 5-byte header (magic "DQMW", version) followed by frames.
+// A segment is a 5-byte header (magic "DQMW", version 1) followed by frames.
 // Each frame is one engine batch — an Append call, one task block of an
 // AppendLog call, or a Reset — encoded as
 //
 //	uvarint(len(payload)) | crc32c(payload) LE | payload
 //
-// and a payload is a sequence of varint records (opVote item<<1|dirty,
-// zigzag worker; opEnd; opReset; opWindow start — a windowed session's
-// rotation, always in the same frame as the opEnd that sealed it, so task
-// boundaries and their window rotations are crash-atomic). A torn or corrupt
-// frame at the tail of the
-// final segment marks the end of durable history: recovery replays every
-// intact frame before it and truncates the rest, so the journal never admits
-// a gap. Corruption anywhere else is reported as an error instead of being
-// skipped silently.
+// and a payload is a sequence of varint records: opBlock, the batch's votes
+// (a count, the worker once when every vote shares it, then one
+// item<<1|dirty key per vote, each followed by its worker when they differ);
+// opEnd; opReset; opWindow start — a windowed session's rotation, always in
+// the same frame as the opEnd that sealed it, so task boundaries and their
+// window rotations are crash-atomic. Every write path emits opBlock; the
+// opVote and opColumns vote records of earlier builds stay readable, so their
+// data dirs recover. A torn or corrupt frame at the tail of the final segment
+// marks the end of durable history: recovery replays every intact frame
+// before it and truncates the rest, so the journal never admits a gap. A
+// final segment whose header is a torn prefix of the magic (or zeros) was
+// never written to and is recreated; any other unknown header, and
+// corruption anywhere else, is reported as an error instead of being skipped
+// silently, and the file is left as it is.
 //
 // A snapshot is the same record stream, sealed: header (magic "DQMS",
-// version), records, and a trailing whole-file CRC. Compaction rewrites
+// version 1), records, and a trailing whole-file CRC. Compaction rewrites
 // snapshot + sealed segments into a new snapshot (dropping everything before
-// the last opReset) and deletes the covered files; because the snapshot is a
-// literal record stream replayed through the same code path as live ingest,
-// recovered estimator state is bit-identical to an uninterrupted run. The
-// compaction threshold doubles with the snapshot (journal must outgrow the
-// snapshot before a rewrite), keeping total compaction I/O linear-ish in the
-// ingested volume.
+// the last opReset, and rewriting votes of any encoding as opBlock records)
+// and deletes the covered files; because the snapshot is a literal record
+// stream replayed through the same code path as live ingest, recovered
+// estimator state is bit-identical to an uninterrupted run. Recovery removes
+// only snapshots older than the one it replayed: a newer one that fails its
+// checksum stays on disk and is named in the error if recovery cannot
+// complete without it. The compaction threshold doubles with the snapshot
+// (journal must outgrow the snapshot before a rewrite), keeping total
+// compaction I/O linear-ish in the ingested volume.
 package wal
 
 import "time"

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -77,7 +78,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	var want []op
 	append1 := func(batch []votes.Vote, end bool) {
-		if err := j.Append(batch, end); err != nil {
+		if err := j.Append(batch, end, -1); err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range batch {
@@ -89,7 +90,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	append1([]votes.Vote{mkVote(1, 0, true), mkVote(2, 1, false)}, true)
 	append1([]votes.Vote{mkVote(3, -7, true)}, false) // negative worker ids survive zigzag
-	if err := j.Append(nil, true); err != nil {
+	if err := j.Append(nil, true, -1); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, op{Kind: opEnd})
@@ -107,7 +108,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("recovered ops mismatch:\n got %v\nwant %v", got, want)
 	}
 	// The recovered journal keeps appending where the old one stopped.
-	if err := j2.Append([]votes.Vote{mkVote(9, 2, true)}, true); err != nil {
+	if err := j2.Append([]votes.Vote{mkVote(9, 2, true)}, true, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
@@ -135,7 +136,7 @@ func TestAppendRotationRoundTrip(t *testing.T) {
 	}
 	var want []op
 	batch := []votes.Vote{mkVote(4, 1, true), mkVote(9, 2, false)}
-	if err := j.AppendRotation(batch, 30); err != nil {
+	if err := j.Append(batch, true, 30); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range batch {
@@ -143,7 +144,7 @@ func TestAppendRotationRoundTrip(t *testing.T) {
 	}
 	want = append(want, op{Kind: opEnd}, op{Kind: opWindow, Item: 30})
 	// A bare rotation boundary (EndTask with no votes) works too.
-	if err := j.AppendRotation(nil, 40); err != nil {
+	if err := j.Append(nil, true, 40); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, op{Kind: opEnd}, op{Kind: opWindow, Item: 40})
@@ -177,12 +178,12 @@ func TestCompactionPreservesWindowRecords(t *testing.T) {
 		want = append(want, op{Kind: opVote, Item: batch[0].Item, Worker: batch[0].Worker, Dirty: batch[0].Label == votes.Dirty})
 		if i%5 == 4 {
 			start := int64(i - 4)
-			if err := j.AppendRotation(batch, start); err != nil {
+			if err := j.Append(batch, true, start); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, op{Kind: opEnd}, op{Kind: opWindow, Item: int(start)})
 		} else {
-			if err := j.Append(batch, true); err != nil {
+			if err := j.Append(batch, true, -1); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, op{Kind: opEnd})
@@ -214,7 +215,7 @@ func TestClosedJournalRefusesWrites(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]votes.Vote{mkVote(0, 0, true)}, false); err != ErrClosed {
+	if err := j.Append([]votes.Vote{mkVote(0, 0, true)}, false, -1); err != ErrClosed {
 		t.Fatalf("append on closed journal: got %v, want ErrClosed", err)
 	}
 }
@@ -287,7 +288,7 @@ func journalN(t *testing.T, j *Journal, n, itemSpace int, seed int64) []op {
 			batch[k] = mkVote(rng.Intn(itemSpace), rng.Intn(5), rng.Intn(2) == 0)
 			ops = append(ops, op{Kind: opVote, Item: batch[k].Item, Worker: batch[k].Worker, Dirty: batch[k].Label == votes.Dirty})
 		}
-		if err := j.Append(batch, true); err != nil {
+		if err := j.Append(batch, true, -1); err != nil {
 			t.Fatal(err)
 		}
 		ops = append(ops, op{Kind: opEnd})
@@ -477,6 +478,87 @@ func TestRecoverHeaderlessFinalSegment(t *testing.T) {
 	defer j2.Close()
 	if !reflect.DeepEqual(got, full) {
 		t.Fatalf("headerless tail segment: got %d ops, want %d", len(got), len(full))
+	}
+}
+
+// TestRecoverRefusesUnknownSegmentHeader: a final segment whose header is
+// neither segMagic nor what a crash while writing it leaves (a prefix of it,
+// or zeros) belongs to some other format or version. Recovery must fail,
+// name the file and leave it byte for byte, not wipe it as a torn tail.
+func TestRecoverRefusesUnknownSegmentHeader(t *testing.T) {
+	s := testStore(t, Options{Fsync: FsyncNever})
+	j, err := s.Create(Meta{ID: "v2", Items: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalN(t, j, 10, 10, 6)
+	j.Close()
+	seg := segPath(j.Dir(), 1)
+	raw, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[4] = 2 // "DQMW\x02", frames intact
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Recover("v2", Hooks{})
+	if err == nil || !strings.Contains(err.Error(), filepath.Base(seg)) {
+		t.Fatalf("recover over a DQMW\\x02 segment: err = %v, want an error naming %s", err, filepath.Base(seg))
+	}
+	if after, rerr := os.ReadFile(seg); rerr != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("segment changed by a failed recovery: %d bytes before, %d after (err %v)", len(raw), len(after), rerr)
+	}
+
+	// A zero-filled header is what a crash at segment creation can leave:
+	// still a torn tail, recreated empty.
+	if err := os.WriteFile(segPath(j.Dir(), 2), make([]byte, 7), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	raw[4] = 1
+	if err := os.WriteFile(seg, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := s.Recover("v2", Hooks{})
+	if err != nil {
+		t.Fatalf("zero-filled final segment header: %v", err)
+	}
+	j2.Close()
+}
+
+// TestRecoverKeepsUnreadableSnapshot: when the only snapshot of a compacted
+// journal fails its checksum, recovery cannot complete, and it must say which
+// snapshot it could not read and leave that file exactly as it found it: it
+// is the only copy of the history it covers.
+func TestRecoverKeepsUnreadableSnapshot(t *testing.T) {
+	s := testStore(t, Options{Fsync: FsyncNever, SegmentBytes: 256, CompactAfter: 512})
+	j, err := s.Create(Meta{ID: "snap", Items: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalN(t, j, 400, 50, 1)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, _, err := listFiles(j.Dir())
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("want exactly one snapshot, got %v (err %v)", snaps, err)
+	}
+	path := snapPath(j.Dir(), snaps[0])
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = s.Recover("snap", Hooks{})
+	if err == nil || !strings.Contains(err.Error(), filepath.Base(path)) {
+		t.Fatalf("recover with a corrupt only snapshot: err = %v, want an error naming %s", err, filepath.Base(path))
+	}
+	if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, raw) {
+		t.Fatalf("unreadable snapshot not left as it was (err %v)", rerr)
 	}
 }
 
