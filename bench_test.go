@@ -136,34 +136,52 @@ func BenchmarkSwitchTrackerAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkWideAdd ingests into a matrix and the tracker that reads its
-// counts after both have widened to 32 bits (one item was pushed past
-// votes.MaxNarrowVotes votes, and Reset keeps the layout), the way a suite
-// feeds them: the path every vote takes once any item of a suite has passed
-// the bound. It stays allocation-free like the narrow path.
-func BenchmarkWideAdd(b *testing.B) {
+// benchRowsAdd ingests a stream into a matrix and the tracker that keeps its
+// switch state in the matrix's rows, the way a suite feeds them. First it
+// gives one item warm votes and resets, so the rows keep the layout those
+// votes widened them to, and it resets both again at the start of every
+// cycle of the stream, so no item widens them further during the run.
+func benchRowsAdd(b *testing.B, warm, bits int) {
 	const n = 10000
 	stream := benchVoteStream(n, 100000, 5)
 	m := votes.NewMatrix(n)
 	tr := switchstat.NewTrackerOn(m)
-	for k := 0; k <= votes.MaxNarrowVotes; k++ {
+	for k := 0; k < warm; k++ {
 		v := votes.Vote{Item: 0, Label: votes.Clean}
 		m.Add(v)
 		tr.AddVote(v)
 	}
-	m.Reset()
-	tr.Reset()
-	if !m.Counts().Wide() {
-		b.Fatal("matrix did not widen")
+	if got := m.Rows().Bits(); got != bits {
+		b.Fatalf("rows are %d bits wide, want %d", got, bits)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := stream[i%len(stream)]
-		m.Add(v)
-		tr.AddVote(v)
+		k := i % len(stream)
+		if k == 0 {
+			m.Reset()
+			tr.Reset()
+		}
+		m.Add(stream[k])
+		tr.AddVote(stream[k])
+	}
+	b.StopTimer()
+	if got := m.Rows().Bits(); got != bits {
+		b.Fatalf("rows widened to %d bits during the run, want %d", got, bits)
 	}
 }
+
+// BenchmarkAdd8Bit is the path of every vote while no item of a suite has
+// passed votes.MaxVotes8 votes: 4 B rows.
+func BenchmarkAdd8Bit(b *testing.B) { benchRowsAdd(b, 0, 8) }
+
+// BenchmarkAdd16Bit is the path once one item has passed votes.MaxVotes8
+// votes: 8 B rows.
+func BenchmarkAdd16Bit(b *testing.B) { benchRowsAdd(b, votes.MaxVotes8+1, 16) }
+
+// BenchmarkWideAdd is the path once one item has passed votes.MaxVotes16
+// votes: 16 B rows. Every layout stays allocation-free.
+func BenchmarkWideAdd(b *testing.B) { benchRowsAdd(b, votes.MaxVotes16+1, 32) }
 
 func BenchmarkChao92Estimate(b *testing.B) {
 	const n = 5000

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -490,4 +491,46 @@ func TestGateDriftDeliversEveryTransition(t *testing.T) {
 	if dl := srv.dispatcher.DeadLetters(); dl != 0 {
 		t.Errorf("%d webhook dead letters, want 0", dl)
 	}
+}
+
+// TestPolicyKnobBounds: PUT refuses a policy with a knob past its bound with
+// 400 invalid_policy naming the field, and attaches nothing. A policy over a
+// bound that is already stored in session meta (written by a build without
+// the bounds) serves ungated, like any stored policy that no longer parses.
+func TestPolicyKnobBounds(t *testing.T) {
+	srv := mustServer(t, serverConfig{})
+	defer srv.Close()
+	do(t, srv, "POST", "/v1/sessions", map[string]any{"id": "kb", "items": 10}, http.StatusCreated)
+	rule := `{"name":"r","metric":"remaining","op":">","value":1}`
+	var rules []string
+	for i := 0; i < policy.MaxRules+1; i++ {
+		rules = append(rules, fmt.Sprintf(`{"name":"r%d","metric":"remaining","op":">","value":1}`, i))
+	}
+	for _, c := range []struct{ doc, field string }{
+		{`{"rules":[` + rule + `],"ci":{"replicates":5}}`, "ci.replicates"},
+		{`{"rules":[` + rule + `],"ci":{"replicates":2000000000}}`, "ci.replicates"},
+		{`{"rules":[` + rule + `],"webhook":{"url":"http://h","timeout_ms":2000000000}}`, "webhook.timeout_ms"},
+		{`{"rules":[` + rule + `],"webhook":{"url":"http://h","max_attempts":2000000000}}`, "webhook.max_attempts"},
+		{`{"rules":[` + strings.Join(rules, ",") + `]}`, "rules"},
+	} {
+		req := httptest.NewRequest("PUT", "/v1/sessions/kb/policy", strings.NewReader(c.doc))
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		body := rec.Body.String()
+		if rec.Code != http.StatusBadRequest || !strings.Contains(body, `"invalid_policy"`) || !strings.Contains(body, c.field) {
+			t.Fatalf("PUT policy over the %s bound = %d %s, want 400 invalid_policy naming it", c.field, rec.Code, body)
+		}
+	}
+	do(t, srv, "GET", "/v1/sessions/kb/gate", nil, http.StatusNotFound)
+
+	stored := `{"rules":[` + rule + `],"webhook":{"url":"http://h","timeout_ms":2000000000}}`
+	if err := srv.engine.SetSessionPolicy("kb", []byte(stored)); err != nil {
+		t.Fatal(err)
+	}
+	if got := errCode(t, srv, "GET", "/v1/sessions/kb/gate", "", "", http.StatusNotFound); got != codePolicyNotFound {
+		t.Fatalf("gate on a stored policy over a bound: code %q, want %q", got, codePolicyNotFound)
+	}
+	ingestTask(t, srv, "kb", 0, 5, 3)
+	putPolicy(t, srv, "kb", `{"rules":[`+rule+`]}`)
+	gateDecision(t, srv, "kb")
 }

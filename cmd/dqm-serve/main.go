@@ -109,6 +109,7 @@ import (
 	"time"
 
 	"dqm"
+	"dqm/internal/estimator"
 	"dqm/internal/hub"
 	"dqm/internal/metrics"
 	"dqm/internal/policy"
@@ -1014,9 +1015,8 @@ func (s *server) handleEstimates(w http.ResponseWriter, r *http.Request) {
 		// The bootstrap resamples off the session lock (ingest proceeds
 		// concurrently), but each replicate still costs O(N) compute; an
 		// unbounded count would let one request monopolize the CI workers.
-		const maxReplicates = 10000
-		if reps > maxReplicates {
-			writeError(w, http.StatusBadRequest, codeInvalidArgument, "replicates %d exceeds limit %d", reps, maxReplicates)
+		if reps > estimator.MaxReplicates {
+			writeError(w, http.StatusBadRequest, codeInvalidArgument, "replicates %d exceeds limit %d", reps, estimator.MaxReplicates)
 			return
 		}
 		ci, err := sess.SwitchCI(reps, level)

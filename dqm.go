@@ -99,8 +99,9 @@ type Config struct {
 	VChaoShift int
 	// TiePolicy selects the switch-counting rule.
 	TiePolicy TiePolicy
-	// TrendWindow fixes the task window of the §4.3 trend detector;
-	// 0 selects the adaptive default.
+	// TrendWindow fixes the task window of the §4.3 trend detector, capped
+	// at the tasks observed so far; 0 selects the adaptive default
+	// max(12, ⌊observedTasks/3⌋).
 	TrendWindow int
 	// CapToPopulation clamps estimates into [0, N]; enable it when the item
 	// space is a closed candidate set.
@@ -488,7 +489,8 @@ func (e *Engine) Close() error { return e.e.Close() }
 // fails on an empty or duplicate id, a non-positive population, an
 // unregistered estimator name in cfg.Estimators, an invalid cfg.Window, or a
 // population too large for its suites: n × (1 + window panes) may not exceed
-// 2²⁶ per-item states (512 MiB).
+// 2²⁶ per-item states (256 MiB at create: 4 B per item state, 8 B once an
+// item of its suite passes 255 votes, 16 B past 65,535).
 func (e *Engine) CreateSession(id string, n int, cfg Config) (*Session, error) {
 	if err := estimator.ValidateNames(cfg.Estimators); err != nil {
 		return nil, err

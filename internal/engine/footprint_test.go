@@ -40,18 +40,18 @@ func footprintTasks(n, tasks int) [][]votes.Vote {
 
 // TestSessionFootprint pins per-session memory to O(items): a default-config
 // 5000-item session that has ingested 150 tasks × 20 votes must hold at most
-// 56 KB of live heap. Its per-item state takes about 40 KB (8 B per item: the
-// matrix's 16-bit vote counts and the SWITCH tracker's 16-bit switch state),
-// and the whole session about 44.5 KB; a second narrow copy of either array
-// would add 20 KB, widening either to 32 bits would too, and keeping each
-// vote as well would add about 290 KB, so each of these fails this. The
-// figure is the live-heap delta after a forced GC, averaged over 64
-// sessions; the test does not run in parallel with others.
+// 32 KB of live heap. Its per-item state takes about 20 KB (one 4-byte row
+// per item: the matrix's 8-bit vote counts and the SWITCH tracker's 8-bit
+// switch state), and the whole session about 24 KB; a second copy of the row
+// array would add 20 KB, the 16-bit layout would too, and keeping each vote
+// as well would add about 290 KB, so each of these fails this. The figure is
+// the live-heap delta after a forced GC, averaged over 64 sessions; the test
+// does not run in parallel with others.
 func TestSessionFootprint(t *testing.T) {
 	const (
 		sessions = 64
 		n        = 5000
-		limit    = 56 << 10
+		limit    = 32 << 10
 	)
 	stream := footprintTasks(n, 150)
 	var before, after runtime.MemStats

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"dqm/internal/estimator"
 	"dqm/internal/votes"
 	"dqm/internal/wal"
+	"dqm/internal/window"
 )
 
 // walOp is one logical engine mutation == one journal frame.
@@ -717,4 +719,80 @@ func TestOnEvictMayReenterEngine(t *testing.T) {
 	if !e.store.Exists("a") || !e.store.Exists("b") {
 		t.Fatal("eviction removed journal files")
 	}
+}
+
+// TestRepeatedSwitchSessionRecovers creates a durable windowed session that
+// selects SWITCH twice, as a create request may, next to an in-memory session
+// that selects it once. Every estimate, every window view and the
+// per-item majority must be equal after the stream, and again after the
+// durable session is recovered from its journal, whose meta keeps the
+// repeated selection. EstimatorNames must keep the repetition.
+func TestRepeatedSwitchSessionRecovers(t *testing.T) {
+	const n = 8
+	config := func(names ...string) SessionConfig {
+		cfg := sessionCfg()
+		cfg.Suite.Estimators = names
+		cfg.Window = &window.Config{Size: 6, Stride: 3, DecayAlpha: 0.5}
+		return cfg
+	}
+	names := []string{estimator.NameVoting, estimator.NameSwitch, estimator.NameSwitch}
+	dir := t.TempDir()
+	e, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.Create("twice", n, config(names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewSession("once", n, config(estimator.NameVoting, estimator.NameSwitch))
+	// About 3.5 votes a frame over 8 items, and one reset halfway: about
+	// 570 votes an item on each side of it, so the rows widen to 16 bits.
+	var ops []walOp
+	for _, o := range genOps(255, 3000, n) {
+		if !o.reset {
+			ops = append(ops, o)
+		}
+	}
+	ops = slices.Insert(ops, len(ops)/2, walOp{reset: true})
+	applyOps(t, s, ops)
+	applyOps(t, ref, ops)
+	same := func(when string, s *Session) {
+		t.Helper()
+		if got := s.EstimatorNames(); !slices.Equal(got, names) {
+			t.Fatalf("%s: EstimatorNames = %v, want %v", when, got, names)
+		}
+		if got, want := s.Estimates(), ref.Estimates(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: estimates %+v, want %+v", when, got, want)
+		}
+		for _, kind := range []window.Kind{window.KindCurrent, window.KindLast, window.KindDecayed} {
+			got, gerr := s.WindowEstimates(kind)
+			want, werr := ref.WindowEstimates(kind)
+			if !reflect.DeepEqual(got, want) || (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s: %v window %+v (%v), want %+v (%v)", when, kind, got, gerr, want, werr)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if s.MajorityDirty(i) != ref.MajorityDirty(i) {
+				t.Fatalf("%s: item %d majority differs", when, i)
+			}
+		}
+	}
+	same("live", s)
+	if s.suite.Matrix.Rows().Bits() != 16 {
+		t.Fatalf("%d-bit rows, want 16: the stream does not cross votes.MaxVotes8", s.suite.Matrix.Rows().Bits())
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	s2, ok := e2.Get("twice")
+	if !ok {
+		t.Fatal("session not recovered at boot")
+	}
+	same("recovered", s2)
 }

@@ -362,13 +362,22 @@ func bootXi(mode NMode, c int64, a signAcc, nSwitch int64) float64 {
 	return math.Max(0, d-observed)
 }
 
+// Bootstrap replicate bounds. An interval needs at least MinReplicates.
+// Every replicate costs O(N) compute, so MaxReplicates is the most a served
+// interval may ask for: dqm-serve's ?replicates= and a gate policy's
+// ci.replicates both stop there.
+const (
+	MinReplicates = 10
+	MaxReplicates = 10000
+)
+
 // ValidateBootstrapArgs checks the replicate count and confidence level, so
 // API layers can reject a bad CI request before capturing any state.
 func ValidateBootstrapArgs(b int, level float64) error { return checkBootstrapArgs(b, level) }
 
 func checkBootstrapArgs(b int, level float64) error {
-	if b < 10 {
-		return fmt.Errorf("estimator: %d bootstrap replicates is too few (want ≥ 10)", b)
+	if b < MinReplicates {
+		return fmt.Errorf("estimator: %d bootstrap replicates is too few (want ≥ %d)", b, MinReplicates)
 	}
 	if level <= 0 || level >= 1 {
 		return fmt.Errorf("estimator: confidence level %v outside (0,1)", level)

@@ -181,8 +181,9 @@ type SwitchConfig struct {
 	Policy switchstat.Policy
 	// NMode selects n for sign-specific estimation (default NModeGlobal).
 	NMode NMode
-	// TrendWindow is the number of past tasks the trend detector looks back.
-	// 0 selects the adaptive default max(5, observedTasks/10).
+	// TrendWindow is the number of past tasks the trend detector looks back,
+	// capped at the tasks observed so far. 0 selects the adaptive default
+	// max(12, ⌊observedTasks/3⌋). Before 4 tasks no trend is detected.
 	TrendWindow int
 	// CapToPopulation clamps estimates into [observed, N] when true. The
 	// candidate-set experiments know N, so the paper's plotted estimates
@@ -237,8 +238,8 @@ func NewSwitch(n int, cfg SwitchConfig) *SwitchEstimator {
 	return &SwitchEstimator{cfg: cfg, tracker: switchstat.NewTracker(n, cfg.trackerOptions()...), n: n}
 }
 
-// newSwitchOn creates a SWITCH estimator over m's items whose tracker reads
-// m's per-item vote counts: the suite member, fed after the suite matrix.
+// newSwitchOn creates a SWITCH estimator over m's items whose tracker shares
+// m's rows: the suite member, fed after the suite matrix.
 func newSwitchOn(m *votes.Matrix, cfg SwitchConfig) *SwitchEstimator {
 	return &SwitchEstimator{cfg: cfg, tracker: switchstat.NewTrackerOn(m, cfg.trackerOptions()...), n: m.NumItems()}
 }

@@ -201,8 +201,9 @@ type sharedMatrixMember interface {
 
 // switchMember adapts the streaming SWITCH estimator to the registry
 // interface. Inside a suite its tracker reads the per-item vote counts of the
-// shared matrix but keeps its own switch state, so the suite still feeds it
-// every vote, after the matrix; standalone its tracker counts votes itself.
+// shared matrix and keeps its switch state in the matrix's rows, so the suite
+// still feeds it every vote, after the matrix; standalone its tracker owns
+// its rows and counts votes itself.
 type switchMember struct {
 	est *SwitchEstimator
 }

@@ -2,6 +2,7 @@ package estimator
 
 import (
 	"fmt"
+	"slices"
 
 	"dqm/internal/votes"
 )
@@ -23,8 +24,9 @@ type Suite struct {
 	// shared matrix are fed through Matrix once, not per member).
 	members   []Estimator
 	streaming []Estimator
-	// extras are the names of non-standard members, in member order; nil in
-	// the common all-standard case so EstimateAll stays allocation-free.
+	// extras holds, per member, its name if it is not a standard member and
+	// "" if it is; EstimateAll makes an Extra map only for a non-empty one,
+	// so it stays allocation-free in the common all-standard case.
 	extras []string
 
 	cfg SuiteConfig
@@ -81,7 +83,9 @@ func (cfg SuiteConfig) normalize() SuiteConfig {
 
 // NewSuite creates a suite over n items. It panics on an unregistered
 // estimator name (a programmer error; API layers validate selections with
-// ValidateNames before building sessions).
+// ValidateNames before building sessions). A name listed more than once is
+// built once: each later listing reuses the first listing's member, which
+// the suite feeds once per vote, and Names keeps every listing.
 func NewSuite(n int, cfg SuiteConfig) *Suite {
 	cfg = cfg.normalize()
 	s := &Suite{
@@ -91,6 +95,13 @@ func NewSuite(n int, cfg SuiteConfig) *Suite {
 	}
 	env := Env{N: n, Matrix: s.Matrix, Config: cfg}
 	for _, name := range cfg.Estimators {
+		if first := slices.Index(cfg.Estimators, name); first < len(s.members) {
+			// A second SWITCH tracker would keep its state in the same
+			// matrix rows as the first and count each switch twice.
+			s.members = append(s.members, s.members[first])
+			s.extras = append(s.extras, s.extras[first])
+			continue
+		}
 		member, err := New(name, env)
 		if err != nil {
 			panic(fmt.Sprintf("estimator: NewSuite: %v", err))

@@ -3,39 +3,55 @@ package estimator
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dqm/internal/stats"
+	"dqm/internal/switchstat"
 	"dqm/internal/votes"
 	"dqm/internal/xrand"
 )
 
-// preWidened returns a suite like NewSuite(n, cfg) whose matrix and tracker
-// are already in the 32-bit layout: one item is pushed past
-// votes.MaxNarrowVotes votes, and Reset keeps the layout.
+// preWidened returns a suite like NewSuite(n, cfg) whose rows are already in
+// the 32-bit layout: one item is pushed past votes.MaxVotes16 votes, and
+// Reset keeps the layout.
 func preWidened(t *testing.T, n int, cfg SuiteConfig) *Suite {
 	t.Helper()
 	s := NewSuite(n, cfg)
-	for k := 0; k <= votes.MaxNarrowVotes; k++ {
+	for k := 0; k <= votes.MaxVotes16; k++ {
 		s.Observe(votes.Vote{Item: 0, Label: votes.Clean})
 	}
 	s.Reset()
-	if !s.Matrix.Counts().Wide() {
-		t.Fatal("reference suite is not wide")
+	if s.Matrix.Rows().Bits() != 32 {
+		t.Fatal("reference suite is not 32 bits wide")
 	}
 	return s
 }
 
-// TestSuiteWidensPastNarrowVotes runs a default suite past
-// votes.MaxNarrowVotes votes on two items, next to a suite that was wide from
-// its first vote and to 64-bit per-item counts kept by the test. After every
-// task, and after every vote within three votes of either item's crossing,
-// the suites must agree on every estimate (memoized and uncached), on
-// ItemSwitches and Consensus, and the tested suite's counts, c_nominal and
-// c_majority, and the counts CaptureChao92 reads, must equal the reference.
-// Within the crossings, every 100 tasks and after Reset the f-statistics and
-// both switch fingerprints are compared too. Reset must keep the wide layout,
-// and a replay after it must agree the same way.
+// bitsFor returns the narrowest row layout that holds an item with n votes.
+func bitsFor(n int64) int {
+	switch {
+	case n <= votes.MaxVotes8:
+		return 8
+	case n <= votes.MaxVotes16:
+		return 16
+	}
+	return 32
+}
+
+// TestSuiteWidensPastNarrowVotes runs a default suite past votes.MaxVotes8
+// and votes.MaxVotes16 votes on two items, next to a suite that was 32 bits
+// wide from its first vote and to 64-bit per-item counts kept by the test.
+// After every vote the voted item's counts and majority must equal the
+// reference counts, and the rows must be exactly as wide as the most votes
+// any item has held needs. After every task, and after every vote within
+// three votes of either item's crossing of either bound, the suites must
+// agree on every estimate (memoized and uncached), on ItemSwitches and
+// Consensus, and the tested suite's counts, c_nominal and c_majority, and the
+// counts CaptureChao92 reads, must equal the reference. Within the
+// crossings, every 100 tasks and after Reset the f-statistics and both
+// switch fingerprints are compared too. Reset must keep the 32-bit layout,
+// and a replay after it must agree the same way and never widen.
 func TestSuiteWidensPastNarrowVotes(t *testing.T) {
 	const n = 30
 	s := NewSuite(n, SuiteConfig{})
@@ -59,8 +75,10 @@ func TestSuiteWidensPastNarrowVotes(t *testing.T) {
 		}
 		tasks = append(tasks, task)
 	}
+	rows := s.Matrix.Rows()
 	for pass := 0; pass < 2; pass++ {
 		pos, neg := make([]int64, n), make([]int64, n)
+		bits, widened := rows.Bits(), 0
 		for k, task := range tasks {
 			for _, v := range task {
 				s.Observe(v)
@@ -70,9 +88,22 @@ func TestSuiteWidensPastNarrowVotes(t *testing.T) {
 				} else {
 					neg[v.Item]++
 				}
-				if d := pos[v.Item] + neg[v.Item] - votes.MaxNarrowVotes; d >= -3 && d <= 3 {
-					if msg := diffWideSuite(s, ref, pos, neg, true); msg != "" {
-						t.Fatalf("pass %d task %d, item %d at %d votes: %s", pass, k, v.Item, pos[v.Item]+neg[v.Item], msg)
+				seen := pos[v.Item] + neg[v.Item]
+				if want := max(bits, bitsFor(seen)); rows.Bits() != want {
+					t.Fatalf("pass %d task %d: %d-bit rows at %d votes on item %d, want %d bits", pass, k, rows.Bits(), seen, v.Item, want)
+				} else if want != bits {
+					bits = want
+					widened++
+				}
+				if p, q := rows.Get(v.Item); int64(p) != pos[v.Item] || int64(q) != neg[v.Item] ||
+					s.Matrix.MajorityDirty(v.Item) != (pos[v.Item] > neg[v.Item]) {
+					t.Fatalf("pass %d task %d: item %d counts %d/%d, want %d/%d", pass, k, v.Item, p, q, pos[v.Item], neg[v.Item])
+				}
+				for _, bound := range []int64{votes.MaxVotes8, votes.MaxVotes16} {
+					if d := seen - bound; d >= -3 && d <= 3 {
+						if msg := diffWideSuite(s, ref, pos, neg, true); msg != "" {
+							t.Fatalf("pass %d task %d, item %d at %d votes: %s", pass, k, v.Item, seen, msg)
+						}
 					}
 				}
 			}
@@ -82,14 +113,17 @@ func TestSuiteWidensPastNarrowVotes(t *testing.T) {
 				t.Fatalf("pass %d after task %d: %s", pass, k, msg)
 			}
 		}
-		if !s.Matrix.Counts().Wide() || pos[0]+neg[0] <= votes.MaxNarrowVotes || pos[1]+neg[1] <= votes.MaxNarrowVotes {
-			t.Fatalf("pass %d: suite wide %v with %d and %d votes on items 0 and 1",
-				pass, s.Matrix.Counts().Wide(), pos[0]+neg[0], pos[1]+neg[1])
+		if rows.Bits() != 32 || pos[0]+neg[0] <= votes.MaxVotes16 || pos[1]+neg[1] <= votes.MaxVotes16 {
+			t.Fatalf("pass %d: %d-bit rows with %d and %d votes on items 0 and 1",
+				pass, rows.Bits(), pos[0]+neg[0], pos[1]+neg[1])
+		}
+		if want := 2 * (1 - pass); widened != want {
+			t.Fatalf("pass %d: the rows widened %d times, want %d", pass, widened, want)
 		}
 		s.Reset()
 		ref.Reset()
-		if !s.Matrix.Counts().Wide() {
-			t.Fatal("Reset narrowed the suite")
+		if rows.Bits() != 32 {
+			t.Fatalf("Reset narrowed the suite to %d bits", rows.Bits())
 		}
 		if msg := diffWideSuite(s, ref, make([]int64, n), make([]int64, n), true); msg != "" {
 			t.Fatalf("after Reset: %s", msg)
@@ -161,4 +195,90 @@ func sameFreq(a, b stats.Freq) bool {
 		}
 	}
 	return true
+}
+
+// TestSuiteRepeatedSwitchMatchesOne selects SWITCH more than once, which a
+// session create accepts, and checks that the suite behaves as if it had
+// been selected once. A suite's rows hold one SWITCH state per item, so two
+// trackers updating the same rows would each count the other's switches.
+// Under both policies, after every task and across the 8- to 16-bit
+// widening, every estimate (memoized and uncached), each SWITCH member's
+// estimate, ItemSwitches and Consensus must equal those of a suite that
+// lists each name once, and Names must keep every repetition. Reset and a
+// replay must agree the same way.
+func TestSuiteRepeatedSwitchMatchesOne(t *testing.T) {
+	const n = 12
+	for _, policy := range []switchstat.Policy{switchstat.PolicyTieFlip, switchstat.PolicyStrictMajority} {
+		for _, sel := range []struct{ names, once []string }{
+			{[]string{NameSwitch, NameSwitch}, []string{NameSwitch}},
+			{[]string{NameChao92, NameSwitch, NameVoting, NameSwitch, NameSwitch},
+				[]string{NameChao92, NameSwitch, NameVoting}},
+		} {
+			t.Run(fmt.Sprintf("%v/%v", policy, sel.names), func(t *testing.T) {
+				cfg := SuiteConfig{Estimators: sel.names, Switch: SwitchConfig{Policy: policy}}
+				s := NewSuite(n, cfg)
+				cfg.Estimators = sel.once
+				ref := NewSuite(n, cfg)
+				if got := s.Names(); !slices.Equal(got, sel.names) {
+					t.Fatalf("Names = %v, want %v", got, sel.names)
+				}
+				rng := xrand.New(255)
+				// 1,000 tasks of 6 votes over 12 items, about 500 votes an
+				// item, so the rows widen to 16 bits; every vote is a coin
+				// flip, so ties and switches are frequent under both
+				// policies.
+				for pass := 0; pass < 2; pass++ {
+					pos, neg := make([]int64, n), make([]int64, n)
+					for k := 0; k < 1000; k++ {
+						for j := 0; j < 6; j++ {
+							v := votes.Vote{Item: rng.IntN(n), Label: drawLabel(rng, 0.5)}
+							s.Observe(v)
+							ref.Observe(v)
+							if v.Label == votes.Dirty {
+								pos[v.Item]++
+							} else {
+								neg[v.Item]++
+							}
+						}
+						s.EndTask()
+						ref.EndTask()
+						if msg := diffWideSuite(s, ref, pos, neg, k%50 == 49); msg != "" {
+							t.Fatalf("pass %d after task %d: %s", pass, k, msg)
+						}
+						if msg := diffSwitchMembers(s, ref); msg != "" {
+							t.Fatalf("pass %d after task %d: %s", pass, k, msg)
+						}
+					}
+					if s.Matrix.Rows().Bits() != 16 {
+						t.Fatalf("pass %d: %d-bit rows, want 16", pass, s.Matrix.Rows().Bits())
+					}
+					s.Reset()
+					ref.Reset()
+				}
+			})
+		}
+	}
+}
+
+// diffSwitchMembers returns the first way a SWITCH member of s disagrees
+// with ref's SWITCH member, or "".
+func diffSwitchMembers(s, ref *Suite) string {
+	want, rt := ref.Switch.Estimate(), ref.Switch.Tracker()
+	for i, m := range s.members {
+		sw, ok := m.(*switchMember)
+		if !ok {
+			continue
+		}
+		if got := sw.est.Estimate(); got != want {
+			return fmt.Sprintf("member %d: Estimate = %+v, want %+v", i, got, want)
+		}
+		tr := sw.est.Tracker()
+		for item := 0; item < s.NumItems(); item++ {
+			if tr.ItemSwitches(item) != rt.ItemSwitches(item) || tr.Consensus(item) != rt.Consensus(item) {
+				return fmt.Sprintf("member %d, item %d: %d switches, consensus %v; want %d, %v",
+					i, item, tr.ItemSwitches(item), tr.Consensus(item), rt.ItemSwitches(item), rt.Consensus(item))
+			}
+		}
+	}
+	return ""
 }

@@ -343,6 +343,35 @@ func TestFig7bChaoOverestimates(t *testing.T) {
 	}
 }
 
+// TestFig6aOrderings pins Figure 6(a)'s measured result, as
+// dqm-experiments -figure 6a prints it on seeds 42 and 7: at every precision
+// below 1.0 Chao92 has the highest SRMSE of the four estimators and SWITCH's
+// is above VOTING's; at precision 1.0 SWITCH's is below VOTING's.
+func TestFig6aOrderings(t *testing.T) {
+	for _, seed := range []uint64{42, 7} {
+		fig := Fig6a(Options{Seed: seed})
+		voting := fig.FindSeries(estimator.NameVoting)
+		chao := fig.FindSeries(estimator.NameChao92)
+		vchao := fig.FindSeries(estimator.NameVChao92)
+		sw := fig.FindSeries(estimator.NameSwitch)
+		for i, q := range voting.X {
+			v, c, vc, s := voting.Mean[i], chao.Mean[i], vchao.Mean[i], sw.Mean[i]
+			if q == 1 {
+				if s >= v {
+					t.Errorf("seed %d precision 1: SWITCH SRMSE %v not below VOTING's %v", seed, s, v)
+				}
+				continue
+			}
+			if c <= max(v, vc, s) {
+				t.Errorf("seed %d precision %v: Chao92 SRMSE %v is not the highest (VOTING %v, V-CHAO %v, SWITCH %v)", seed, q, c, v, vc, s)
+			}
+			if s <= v {
+				t.Errorf("seed %d precision %v: SWITCH SRMSE %v not above VOTING's %v", seed, q, s, v)
+			}
+		}
+	}
+}
+
 // TestExtRedundancyMarginal checks the §1.2 claim quantitatively: at equal
 // vote budget, the consensus-quality gap between fixed-quorum and random
 // assignment stays below 5% of the population, and the SWITCH estimate from

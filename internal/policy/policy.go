@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"math"
 	"time"
+
+	"dqm/internal/estimator"
 )
 
 // Action is the gate outcome, ordered by severity.
@@ -101,6 +103,18 @@ type Webhook struct {
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
+// Bounds on the knobs of a policy document. Every rule is evaluated on each
+// re-evaluation, each ci.replicates replicate costs O(N) compute, and a
+// webhook attempt holds a dispatcher worker for up to timeout_ms, so Validate
+// refuses a policy past any of them. ci.replicates is bounded by
+// estimator.MinReplicates and estimator.MaxReplicates, the bounds a served
+// ?replicates= request meets.
+const (
+	MaxRules            = 64
+	MaxWebhookTimeoutMS = 60000
+	MaxWebhookAttempts  = 10
+)
+
 // Policy is one session's declarative gate: rules, optional evaluation
 // parameters, and optional transition webhook. The JSON form is the wire
 // format of PUT/GET /v1/sessions/{id}/policy and of the -policy-file server
@@ -127,12 +141,17 @@ func Parse(raw []byte) (*Policy, error) {
 	return &p, nil
 }
 
-// Validate reports whether the policy is evaluable: at least one rule, every
-// rule naming a known metric/op/severity with a finite threshold, rule names
-// unique and non-empty, webhook URL non-empty when a webhook is configured.
+// Validate reports whether the policy is evaluable: between one and MaxRules
+// rules, every rule naming a known metric/op/severity with a finite
+// threshold, rule names unique and non-empty, ci.replicates 0 (the default)
+// or within the served bootstrap bounds, and when a webhook is configured a
+// non-empty URL with timeout_ms and max_attempts within their bounds.
 func (p *Policy) Validate() error {
 	if len(p.Rules) == 0 {
 		return fmt.Errorf("policy: no rules")
+	}
+	if len(p.Rules) > MaxRules {
+		return fmt.Errorf("policy: %d rules exceeds the limit of %d", len(p.Rules), MaxRules)
 	}
 	seen := make(map[string]struct{}, len(p.Rules))
 	for i, r := range p.Rules {
@@ -171,16 +190,20 @@ func (p *Policy) Validate() error {
 		if p.CI.Level != 0 && (p.CI.Level <= 0 || p.CI.Level >= 1) {
 			return fmt.Errorf("policy: ci.level must be in (0, 1)")
 		}
-		if p.CI.Replicates < 0 {
-			return fmt.Errorf("policy: ci.replicates must be non-negative")
+		if r := p.CI.Replicates; r != 0 && (r < estimator.MinReplicates || r > estimator.MaxReplicates) {
+			return fmt.Errorf("policy: ci.replicates must be 0 (default 200) or between %d and %d, got %d",
+				estimator.MinReplicates, estimator.MaxReplicates, r)
 		}
 	}
 	if p.Webhook != nil {
 		if p.Webhook.URL == "" {
 			return fmt.Errorf("policy: webhook.url is empty")
 		}
-		if p.Webhook.TimeoutMS < 0 || p.Webhook.MaxAttempts < 0 {
-			return fmt.Errorf("policy: webhook timeout_ms and max_attempts must be non-negative")
+		if t := p.Webhook.TimeoutMS; t < 0 || t > MaxWebhookTimeoutMS {
+			return fmt.Errorf("policy: webhook.timeout_ms must be between 0 and %d, got %d", MaxWebhookTimeoutMS, t)
+		}
+		if a := p.Webhook.MaxAttempts; a < 0 || a > MaxWebhookAttempts {
+			return fmt.Errorf("policy: webhook.max_attempts must be between 0 and %d, got %d", MaxWebhookAttempts, a)
 		}
 	}
 	return nil

@@ -2,7 +2,10 @@ package policy
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -72,6 +75,97 @@ func TestParseRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// boundedPolicy is a one-rule policy with extra top-level fields.
+func boundedPolicy(rules int, extra string) string {
+	rs := make([]string, rules)
+	for i := range rs {
+		rs[i] = fmt.Sprintf(`{"name":"r%d","metric":"remaining","op":">","value":1}`, i)
+	}
+	if extra != "" {
+		extra = ", " + extra
+	}
+	return `{"rules": [` + strings.Join(rs, ",") + `]` + extra + `}`
+}
+
+// TestParseBounds: Parse accepts every knob at its bound and refuses it one
+// past, naming the field. The refused values include the ones a probe of the
+// unbounded parser accepted: ci.replicates 5 (which then failed every
+// bootstrap the gate ran) and 2,000,000,000, timeout_ms and max_attempts of
+// 2,000,000,000, and 10,000 rules.
+func TestParseBounds(t *testing.T) {
+	const big = 2000000000
+	accepted := []string{
+		boundedPolicy(1, `"ci": {"replicates": 0}`),
+		boundedPolicy(1, `"ci": {"replicates": 10}`),
+		boundedPolicy(1, `"ci": {"replicates": 10000}`),
+		boundedPolicy(1, `"webhook": {"url": "http://h", "timeout_ms": 60000, "max_attempts": 10}`),
+		boundedPolicy(1, `"webhook": {"url": "http://h", "timeout_ms": 0, "max_attempts": 0}`),
+		boundedPolicy(MaxRules, ""),
+	}
+	for _, raw := range accepted {
+		if _, err := Parse([]byte(raw)); err != nil {
+			t.Errorf("Parse refused a policy within bounds: %v", err)
+		}
+	}
+	refused := []struct {
+		name, raw, want string
+	}{
+		{"replicates 5", boundedPolicy(1, `"ci": {"replicates": 5}`), "ci.replicates"},
+		{"replicates 9", boundedPolicy(1, `"ci": {"replicates": 9}`), "ci.replicates"},
+		{"replicates 10001", boundedPolicy(1, `"ci": {"replicates": 10001}`), "ci.replicates"},
+		{"replicates 2e9", boundedPolicy(1, fmt.Sprintf(`"ci": {"replicates": %d}`, big)), "ci.replicates"},
+		{"replicates -1", boundedPolicy(1, `"ci": {"replicates": -1}`), "ci.replicates"},
+		{"timeout 60001", boundedPolicy(1, `"webhook": {"url": "http://h", "timeout_ms": 60001}`), "webhook.timeout_ms"},
+		{"timeout 2e9", boundedPolicy(1, fmt.Sprintf(`"webhook": {"url": "http://h", "timeout_ms": %d}`, big)), "webhook.timeout_ms"},
+		{"timeout -1", boundedPolicy(1, `"webhook": {"url": "http://h", "timeout_ms": -1}`), "webhook.timeout_ms"},
+		{"attempts 11", boundedPolicy(1, `"webhook": {"url": "http://h", "max_attempts": 11}`), "webhook.max_attempts"},
+		{"attempts 2e9", boundedPolicy(1, fmt.Sprintf(`"webhook": {"url": "http://h", "max_attempts": %d}`, big)), "webhook.max_attempts"},
+		{"attempts -1", boundedPolicy(1, `"webhook": {"url": "http://h", "max_attempts": -1}`), "webhook.max_attempts"},
+		{"65 rules", boundedPolicy(MaxRules+1, ""), "rules"},
+		{"10000 rules", boundedPolicy(10000, ""), "rules"},
+	}
+	for _, tc := range refused {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse([]byte(tc.raw))
+			if err == nil {
+				t.Fatal("Parse accepted it")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not name %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestDocumentedPoliciesParse: every policy document in the README and the
+// API reference (a JSON code block with a "rules" array) stays within the
+// bounds Parse enforces.
+func TestDocumentedPoliciesParse(t *testing.T) {
+	block := regexp.MustCompile("(?s)```json\n(.*?)```")
+	found := 0
+	for _, path := range []string{"../../README.md", "../../docs/API.md"} {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range block.FindAllSubmatch(doc, -1) {
+			var probe struct {
+				Rules json.RawMessage `json:"rules"`
+			}
+			if json.Unmarshal(m[1], &probe) != nil || len(probe.Rules) == 0 || probe.Rules[0] != '[' {
+				continue
+			}
+			found++
+			if _, err := Parse(m[1]); err != nil {
+				t.Errorf("%s: documented policy refused: %v\n%s", path, err, m[1])
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no documented policy found")
 	}
 }
 

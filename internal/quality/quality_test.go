@@ -278,7 +278,7 @@ func TestEMPosteriorsMonotoneInVotes(t *testing.T) {
 }
 
 // TestReadersSeeWideCounts: ObservedAgreement and FleissKappa read per-item
-// counts through the matrix accessors, so an item past votes.MaxNarrowVotes
+// counts through the matrix accessors, so an item past votes.MaxVotes16
 // votes (here 60,000 dirty and 10,000 clean) counts in full.
 func TestReadersSeeWideCounts(t *testing.T) {
 	m := votes.NewMatrix(2)
@@ -294,8 +294,8 @@ func TestReadersSeeWideCounts(t *testing.T) {
 		{Item: 1, Worker: 1, Label: votes.Dirty},
 		{Item: 1, Worker: 2, Label: votes.Clean},
 	})
-	if !m.Counts().Wide() || m.Pos(0) != 60000 || m.Seen(0) != 70000 {
-		t.Fatalf("matrix: wide %v, n⁺_0 %d, n_0 %d", m.Counts().Wide(), m.Pos(0), m.Seen(0))
+	if m.Rows().Bits() != 32 || m.Pos(0) != 60000 || m.Seen(0) != 70000 {
+		t.Fatalf("matrix: %d-bit rows, n⁺_0 %d, n_0 %d", m.Rows().Bits(), m.Pos(0), m.Seen(0))
 	}
 	pairs := func(k float64) float64 { return k * (k - 1) }
 	agree0 := (pairs(60000) + pairs(10000)) / pairs(70000)

@@ -37,6 +37,6 @@ func (t *Tracker) ItemLedger(item int) []SwitchEvent {
 
 // ItemMajorityDirty reports whether item i's strict vote majority is dirty.
 func (t *Tracker) ItemMajorityDirty(item int) bool {
-	pos, neg := t.counts.Get(item)
+	pos, neg := t.rows.Get(item)
 	return pos > neg
 }

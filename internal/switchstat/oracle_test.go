@@ -3,16 +3,16 @@ package switchstat
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"testing"
-	"unsafe"
 
 	"dqm/internal/stats"
 	"dqm/internal/votes"
 )
 
 // oracleItem is the field-based per-item switch state: every quantity that
-// itemState derives from its switch count is stored here explicitly, in 64
-// bits, so no count the tracker narrows can overflow here.
+// the tracker derives from an item's switch count is stored here explicitly,
+// in 64 bits, so no count the tracker narrows can overflow here.
 type oracleItem struct {
 	pos, neg  int64
 	dirty     bool // current consensus state; items start clean
@@ -214,9 +214,29 @@ func diffOracle(tr *Tracker, o *oracle) string {
 	return ""
 }
 
+// TestItemStateIs4Bytes: an item's switch state shares one row with its vote
+// counts, 4 B per item while the rows are 8 bits wide, so a standalone
+// tracker costs 4 B per item and a tracker on a response matrix adds nothing
+// per item to the matrix's rows.
 func TestItemStateIs4Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(itemState{}); got != 4 {
-		t.Fatalf("unsafe.Sizeof(itemState{}) = %d, want 4", got)
+	const n = 1 << 20
+	m := votes.NewMatrix(n)
+	for _, c := range []struct {
+		name string
+		make func() *Tracker
+		want uint64
+	}{
+		{"standalone", func() *Tracker { return NewTracker(n) }, 4},
+		{"on a matrix", func() *Tracker { return NewTrackerOn(m) }, 0},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr := c.make()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tr)
+		if perItem := (after.TotalAlloc - before.TotalAlloc) / n; perItem != c.want {
+			t.Fatalf("%s tracker over %d items: %d B per item, want %d", c.name, n, perItem, c.want)
+		}
 	}
 }
 

@@ -57,39 +57,21 @@ func (p Policy) String() string {
 	}
 }
 
-// itemState is one item's switch state in 4 bytes; its vote counts live in
-// the tracker's counts. Switch signs alternate per item starting positive, so
-// the switch count alone determines the rest: switch k is positive iff k is
-// odd, the item has ceil(events/2) positive and floor(events/2) negative
-// switches, and since every switch flips a consensus that starts clean, the
-// consensus is dirty iff events is odd. Both fields are at most the item's
-// vote count, so they stay 16 bits wide until the item passes
-// votes.MaxNarrowVotes votes, and the tracker then widens every item's state
-// to a wideState, as its counts do.
-type itemState struct {
-	lastFreq uint16 // frequency class of the most recent switch
-	events   uint16 // switches so far
-}
-
-// wideState is an itemState widened to 32 bits.
-type wideState struct {
-	lastFreq, events int32
-}
-
 // Tracker ingests votes and maintains switch statistics incrementally.
 // All observations are O(1); fingerprint reads are O(max frequency).
 type Tracker struct {
 	policy Policy
-	// items holds each item's switch state until some item passes
-	// votes.MaxNarrowVotes votes; wide holds it from then on. Exactly one of
-	// them is non-nil.
-	items []itemState
-	wide  []wideState
-	// counts holds each item's vote counts (n⁺_i, n⁻_i). A standalone
-	// tracker owns them and counts every vote itself; a tracker built with
-	// NewTrackerOn reads the counts of a response matrix that ingests the
-	// same stream and has counted each vote before the tracker sees it.
-	counts *votes.Counts
+	// rows holds each item's vote counts (n⁺_i, n⁻_i) and switch state.
+	// Switch signs alternate per item starting positive, so the switch count
+	// alone determines the rest: switch k is positive iff k is odd, the item
+	// has ceil(events/2) positive and floor(events/2) negative switches, and
+	// since every switch flips a consensus that starts clean, the consensus
+	// is dirty iff events is odd. A standalone tracker owns its rows and
+	// counts every vote itself; a tracker built with NewTrackerOn shares the
+	// rows of a response matrix that ingests the same stream and has counted
+	// each vote before the tracker sees it. Either way the rows have widened
+	// for a vote before the tracker stores the switch state it leads to.
+	rows   *votes.Rows
 	shared bool
 
 	retainLedgers bool
@@ -119,26 +101,26 @@ func WithPolicy(p Policy) Option {
 }
 
 // NewTracker creates a tracker over n items, all starting with the default
-// "clean" consensus. It keeps its own per-item vote counts.
+// "clean" consensus. It owns its rows and counts every vote itself.
 func NewTracker(n int, opts ...Option) *Tracker {
 	if n < 0 {
 		panic(fmt.Sprintf("switchstat: negative item count %d", n))
 	}
-	return newTracker(votes.NewCounts(n), false, opts)
+	return newTracker(votes.NewRows(n), false, opts)
 }
 
-// NewTrackerOn creates a tracker over m's items that reads m's per-item vote
-// counts instead of keeping its own. Every vote must be added to m before it
-// is added to the tracker, and the tracker is reset together with m.
+// NewTrackerOn creates a tracker over m's items that keeps its switch state
+// in m's rows, beside the vote counts it reads there, instead of keeping rows
+// of its own. Every vote must be added to m before it is added to the
+// tracker, and the tracker is reset together with m. A row holds one
+// tracker's switch state, so build at most one tracker on m.
 func NewTrackerOn(m *votes.Matrix, opts ...Option) *Tracker {
-	return newTracker(m.Counts(), true, opts)
+	return newTracker(m.Rows(), true, opts)
 }
 
-func newTracker(counts *votes.Counts, shared bool, opts []Option) *Tracker {
-	n := counts.Len()
+func newTracker(rows *votes.Rows, shared bool, opts []Option) *Tracker {
 	t := &Tracker{
-		items:  make([]itemState, n),
-		counts: counts,
+		rows:   rows,
 		shared: shared,
 		fPos:   stats.NewRunningFreq(stats.Freq{0}),
 		fNeg:   stats.NewRunningFreq(stats.Freq{0}),
@@ -147,13 +129,13 @@ func newTracker(counts *votes.Counts, shared bool, opts []Option) *Tracker {
 		o(t)
 	}
 	if t.retainLedgers {
-		t.ledgers = make([][]SwitchEvent, n)
+		t.ledgers = make([][]SwitchEvent, rows.Len())
 	}
 	return t
 }
 
 // NumItems returns the number of tracked items.
-func (t *Tracker) NumItems() int { return t.counts.Len() }
+func (t *Tracker) NumItems() int { return t.rows.Len() }
 
 // Policy returns the active counting rule.
 func (t *Tracker) Policy() Policy { return t.policy }
@@ -162,12 +144,9 @@ func (t *Tracker) Policy() Policy { return t.policy }
 func (t *Tracker) Add(item int, label votes.Label) {
 	var pos, neg int // the item's counts including this vote
 	if t.shared {
-		pos, neg = t.counts.Get(item)
+		pos, neg = t.rows.Get(item)
 	} else {
-		pos, neg = t.counts.Add(item, label)
-	}
-	if t.wide == nil && pos+neg > votes.MaxNarrowVotes {
-		t.widen()
+		pos, neg = t.rows.Add(item, label)
 	}
 	dirtyVote := label == votes.Dirty
 	// One vote moves the strict majority only across a tie: a dirty vote
@@ -180,7 +159,7 @@ func (t *Tracker) Add(item int, label votes.Label) {
 	}
 	t.totalVotes++
 
-	lastFreq, events := t.state(item)
+	lastFreq, events := t.rows.Switch(item)
 	flip := false
 	switch t.policy {
 	case PolicyTieFlip:
@@ -213,43 +192,12 @@ func (t *Tracker) Add(item int, label votes.Label) {
 		t.noops++
 		return
 	}
-	t.setState(item, lastFreq, events)
+	t.rows.SetSwitch(item, lastFreq, events)
 }
 
 // dirty reports the consensus state after events switches, which is also the
 // sign of the most recent switch (true = positive).
 func dirty(events int) bool { return events&1 == 1 }
-
-// state returns item i's switch state.
-func (t *Tracker) state(i int) (lastFreq, events int) {
-	if t.wide != nil {
-		w := t.wide[i]
-		return int(w.lastFreq), int(w.events)
-	}
-	st := t.items[i]
-	return int(st.lastFreq), int(st.events)
-}
-
-// setState stores item i's switch state. Add widens the tracker before an
-// item passes votes.MaxNarrowVotes votes, and both fields are at most that
-// count, so a narrow store never truncates.
-func (t *Tracker) setState(i, lastFreq, events int) {
-	if t.wide != nil {
-		t.wide[i] = wideState{lastFreq: int32(lastFreq), events: int32(events)}
-		return
-	}
-	t.items[i] = itemState{lastFreq: uint16(lastFreq), events: uint16(events)}
-}
-
-// widen copies every item's switch state into the 32-bit layout and drops
-// the narrow one.
-func (t *Tracker) widen() {
-	t.wide = make([]wideState, len(t.items))
-	for i, st := range t.items {
-		t.wide[i] = wideState{lastFreq: int32(st.lastFreq), events: int32(st.events)}
-	}
-	t.items = nil
-}
 
 // AddVote ingests a votes.Vote, ignoring the worker identity (switch
 // statistics are worker-anonymous).
@@ -412,18 +360,16 @@ func (t *Tracker) Consensus(item int) bool { return dirty(t.ItemSwitches(item)) 
 
 // ItemSwitches returns the number of switch events observed on item i.
 func (t *Tracker) ItemSwitches(item int) int {
-	_, events := t.state(item)
+	_, events := t.rows.Switch(item)
 	return events
 }
 
-// Reset clears all state without reallocating; a widened tracker stays wide.
-// The vote counts of a tracker built with NewTrackerOn belong to its matrix,
-// which is reset on its own.
+// Reset clears all state without reallocating; widened rows stay wide. The
+// rows of a tracker built with NewTrackerOn belong to its matrix, which is
+// reset on its own.
 func (t *Tracker) Reset() {
-	clear(t.items)
-	clear(t.wide)
 	if !t.shared {
-		t.counts.Reset()
+		t.rows.Reset()
 	}
 	if t.retainLedgers {
 		for i := range t.ledgers {

@@ -16,7 +16,7 @@ type wideVote struct {
 }
 
 // wideStream builds a vote stream over 6 items in which three items pass
-// votes.MaxNarrowVotes votes at different times:
+// votes.MaxVotes8 and then votes.MaxVotes16 votes at different times:
 //
 //   - item 1 repeats dirty, clean, clean, dirty, two votes a round: about one
 //     switch per two votes under both policies, so it is the first item to
@@ -27,7 +27,7 @@ type wideVote struct {
 //     pass the bound;
 //   - every third round, one of items 3–5 gets a random label.
 func wideStream() []wideVote {
-	const rounds = votes.MaxNarrowVotes + 700
+	const rounds = votes.MaxVotes16 + 700
 	rng := rand.New(rand.NewPCG(16, 32))
 	pattern := [4]votes.Label{votes.Dirty, votes.Clean, votes.Clean, votes.Dirty}
 	var out []wideVote
@@ -52,16 +52,19 @@ func wideStream() []wideVote {
 	return out
 }
 
-// TestTrackerWidensPastNarrowVotes drives items past votes.MaxNarrowVotes
-// votes through a standalone tracker and through a tracker on a response
-// matrix, under both policies, and compares them with the 64-bit oracle.
-// After every vote the voted item's counts, switch count and consensus and
-// every scalar aggregate must agree; within three votes of any item's
-// crossing, every 65,536 votes and at the end, every accessor (fingerprints
-// included) must agree, and so must the matrix's counts, f-statistics,
-// c_nominal and c_majority. The tracker must be narrow until the first
-// crossing and wide from that vote on. Reset must keep the wide layout and
-// clear everything, and a replay of the stream after it must agree too.
+// TestTrackerWidensPastNarrowVotes drives items past votes.MaxVotes8 and
+// votes.MaxVotes16 votes through a standalone tracker and through a tracker
+// on a response matrix, under both policies, and compares them with the
+// 64-bit oracle. After every vote the voted item's counts, switch count and
+// consensus and every scalar aggregate must agree; within three votes of any
+// item's crossing of either bound, every 65,536 votes and at the end, every
+// accessor (fingerprints included) must agree, and so must the matrix's
+// counts, f-statistics, c_nominal and c_majority. The rows must be 8 bits
+// wide until the first crossing of votes.MaxVotes8, 16 bits wide from that
+// vote until the first crossing of votes.MaxVotes16, and 32 bits wide from
+// then on; a tracker on a matrix must keep its switch state in the matrix's
+// rows. Reset must keep the 32-bit layout and clear everything, and a replay
+// of the stream after it must agree too and never widen.
 func TestTrackerWidensPastNarrowVotes(t *testing.T) {
 	stream := wideStream()
 	for _, policy := range []Policy{PolicyTieFlip, PolicyStrictMajority} {
@@ -73,14 +76,17 @@ func TestTrackerWidensPastNarrowVotes(t *testing.T) {
 					m = votes.NewMatrix(6)
 					tr = NewTrackerOn(m, WithPolicy(policy))
 				}
-				o := newOracle(6, policy)
-				if checkWideStream(t, stream, tr, m, o) <= 0 {
-					t.Fatal("the tracker did not widen during the stream")
+				if m != nil && tr.rows != m.Rows() {
+					t.Fatal("the tracker keeps rows of its own beside the matrix's")
 				}
-				// Every narrowed field must have passed the bound somewhere.
-				if o.items[0].pos <= votes.MaxNarrowVotes || o.items[0].lastFreq <= votes.MaxNarrowVotes ||
-					o.items[1].posEvents+o.items[1].negEvents <= votes.MaxNarrowVotes ||
-					o.items[2].neg <= votes.MaxNarrowVotes {
+				o := newOracle(6, policy)
+				if widened := checkWideStream(t, stream, tr, m, o); len(widened) != 2 {
+					t.Fatalf("the rows widened to %v during the stream, want 16 and 32 bits", widened)
+				}
+				// Every field must have passed both bounds somewhere.
+				if o.items[0].pos <= votes.MaxVotes16 || o.items[0].lastFreq <= votes.MaxVotes16 ||
+					o.items[1].posEvents+o.items[1].negEvents <= votes.MaxVotes16 ||
+					o.items[2].neg <= votes.MaxVotes16 {
 					t.Fatalf("stream too short: item states %+v", o.items[:3])
 				}
 				if m != nil {
@@ -88,14 +94,14 @@ func TestTrackerWidensPastNarrowVotes(t *testing.T) {
 				}
 				tr.Reset()
 				o = newOracle(6, policy)
-				if tr.wide == nil || !tr.counts.Wide() {
-					t.Fatal("Reset narrowed the tracker")
+				if tr.rows.Bits() != 32 {
+					t.Fatalf("Reset narrowed the rows to %d bits", tr.rows.Bits())
 				}
 				if msg := diffWide(tr, m, o); msg != "" {
 					t.Fatalf("after Reset: %s", msg)
 				}
-				if checkWideStream(t, stream, tr, m, o) != 0 {
-					t.Fatal("a reset tracker widened again")
+				if widened := checkWideStream(t, stream, tr, m, o); len(widened) != 0 {
+					t.Fatalf("a reset tracker widened again: %v", widened)
 				}
 			})
 		}
@@ -104,14 +110,12 @@ func TestTrackerWidensPastNarrowVotes(t *testing.T) {
 
 // checkWideStream feeds stream to tr (through m first when m is non-nil) and
 // to o, checking as TestTrackerWidensPastNarrowVotes describes. It returns
-// the index of the vote that widened tr: 0 if tr was wide before the stream,
-// -1 if it never widened.
-func checkWideStream(t *testing.T, stream []wideVote, tr *Tracker, m *votes.Matrix, o *oracle) int {
+// each layout tr's rows widened to during the stream, with the index of the
+// vote that widened them.
+func checkWideStream(t *testing.T, stream []wideVote, tr *Tracker, m *votes.Matrix, o *oracle) map[int]int {
 	t.Helper()
-	widened := -1
-	if tr.wide != nil {
-		widened = 0
-	}
+	widened := map[int]int{}
+	bits := tr.rows.Bits()
 	for step, v := range stream {
 		if m != nil {
 			m.Add(votes.Vote{Item: v.item, Label: v.label})
@@ -120,21 +124,16 @@ func checkWideStream(t *testing.T, stream []wideVote, tr *Tracker, m *votes.Matr
 		o.add(v.item, v.label)
 		st := &o.items[v.item]
 		n := st.pos + st.neg
-		if widened < 0 {
-			switch {
-			case tr.wide != nil && n <= votes.MaxNarrowVotes:
-				t.Fatalf("step %d: tracker widened at %d votes on item %d", step, n, v.item)
-			case tr.wide == nil && n > votes.MaxNarrowVotes:
-				t.Fatalf("step %d: tracker still narrow at %d votes on item %d", step, n, v.item)
-			case tr.wide != nil:
-				widened = step
-			}
+		want := max(bits, bitsFor(n))
+		if got := tr.rows.Bits(); got != want {
+			t.Fatalf("step %d: %d-bit rows at %d votes on item %d, want %d bits", step, got, n, v.item, want)
 		}
-		if tr.counts.Wide() != (tr.wide != nil) || (m != nil && m.Counts().Wide() != (tr.wide != nil)) {
-			t.Fatalf("step %d: counts and switch state disagree on the layout", step)
+		if want != bits {
+			widened[want] = step
+			bits = want
 		}
 		msg := diffWideItem(tr, m, o, v.item)
-		if msg == "" && (step%65536 == 0 || step == len(stream)-1 || abs(n-votes.MaxNarrowVotes) <= 3) {
+		if msg == "" && (step%65536 == 0 || step == len(stream)-1 || nearBound(n)) {
 			msg = diffWide(tr, m, o)
 		}
 		if msg != "" {
@@ -142,6 +141,22 @@ func checkWideStream(t *testing.T, stream []wideVote, tr *Tracker, m *votes.Matr
 		}
 	}
 	return widened
+}
+
+// bitsFor returns the narrowest row layout that holds an item with n votes.
+func bitsFor(n int64) int {
+	switch {
+	case n <= votes.MaxVotes8:
+		return 8
+	case n <= votes.MaxVotes16:
+		return 16
+	}
+	return 32
+}
+
+// nearBound reports whether n votes are within three of either bound.
+func nearBound(n int64) bool {
+	return abs(n-votes.MaxVotes8) <= 3 || abs(n-votes.MaxVotes16) <= 3
 }
 
 func abs(x int64) int64 {
@@ -155,7 +170,7 @@ func abs(x int64) int64 {
 // and every scalar aggregate of tr (and m) with o.
 func diffWideItem(tr *Tracker, m *votes.Matrix, o *oracle, item int) string {
 	st := &o.items[item]
-	pos, neg := tr.counts.Get(item)
+	pos, neg := tr.rows.Get(item)
 	type pair struct {
 		name      string
 		got, want int64
@@ -199,7 +214,7 @@ func diffWide(tr *Tracker, m *votes.Matrix, o *oracle) string {
 		return msg
 	}
 	for i := range o.items {
-		pos, neg := tr.counts.Get(i)
+		pos, neg := tr.rows.Get(i)
 		if int64(pos) != o.items[i].pos || int64(neg) != o.items[i].neg {
 			return fmt.Sprintf("counts(%d) = %d/%d, want %d/%d", i, pos, neg, o.items[i].pos, o.items[i].neg)
 		}

@@ -56,8 +56,10 @@ type Vote struct {
 //
 // The zero value is not ready for use; construct with NewMatrix.
 type Matrix struct {
-	n      int
-	counts Counts
+	n int
+	// rows holds each item's counts, and the switch state of a tracker
+	// built on the matrix (switchstat.NewTrackerOn).
+	rows Rows
 	// history holds per-item vote sequences in arrival order, nil unless
 	// the matrix was built WithHistory.
 	history [][]Vote
@@ -88,9 +90,9 @@ func NewMatrix(n int, opts ...Option) *Matrix {
 		panic(fmt.Sprintf("votes: negative item count %d", n))
 	}
 	m := &Matrix{
-		n:      n,
-		counts: Counts{narrow: make([]Tally, n)},
-		fpos:   stats.NewRunningFreq(stats.Freq{0}),
+		n:    n,
+		rows: *NewRows(n),
+		fpos: stats.NewRunningFreq(stats.Freq{0}),
 	}
 	for _, o := range opts {
 		o(m)
@@ -111,7 +113,7 @@ func (m *Matrix) PositiveVotes() int64 { return m.posVotes }
 // semantics: vote streams are produced by this repository's own simulators
 // and loaders, which validate input at the boundary.
 func (m *Matrix) Add(v Vote) {
-	pos, neg := m.counts.Add(v.Item, v.Label) // the counts including this vote
+	pos, neg := m.rows.Add(v.Item, v.Label) // the counts including this vote
 	if v.Label == Dirty {
 		// Maintain the positive-vote fingerprint: the item moves from class
 		// n⁺−1 to class n⁺.
@@ -146,34 +148,35 @@ func (m *Matrix) AddAll(vs []Vote) {
 
 // Pos returns n⁺_i.
 func (m *Matrix) Pos(item int) int {
-	pos, _ := m.counts.Get(item)
+	pos, _ := m.rows.Get(item)
 	return pos
 }
 
 // Neg returns n⁻_i.
 func (m *Matrix) Neg(item int) int {
-	_, neg := m.counts.Get(item)
+	_, neg := m.rows.Get(item)
 	return neg
 }
 
 // Seen returns the number of votes item i has received.
 func (m *Matrix) Seen(item int) int {
-	pos, neg := m.counts.Get(item)
+	pos, neg := m.rows.Get(item)
 	return pos + neg
 }
 
 // MajorityDirty reports the current strict-majority consensus for item i:
 // n⁺ − n/2 > 0 ⇔ n⁺ > n⁻ (ties are not a dirty majority).
 func (m *Matrix) MajorityDirty(item int) bool {
-	pos, neg := m.counts.Get(item)
+	pos, neg := m.rows.Get(item)
 	return pos > neg
 }
 
-// Counts returns every item's vote counts. Add and Reset update them in
-// place, and a read through the returned pointer sees a widening at once. A
-// consumer of the same vote stream reads them instead of keeping its own
-// copy; it must not modify them.
-func (m *Matrix) Counts() *Counts { return &m.counts }
+// Rows returns every item's row. Add and Reset update the rows in place, and
+// a read through the returned pointer sees a widening at once. A switch
+// tracker fed the same vote stream reads the counts there and keeps its
+// switch state in the same rows instead of an array of its own; nothing else
+// may modify them.
+func (m *Matrix) Rows() *Rows { return &m.rows }
 
 // Nominal returns c_nominal = Σ_i 1[n⁺_i > 0] (§2.2.1).
 func (m *Matrix) Nominal() int64 { return m.cNominal }
@@ -241,7 +244,7 @@ func (m *Matrix) Coverage() float64 {
 
 // Reset clears the matrix back to all-unseen without reallocating.
 func (m *Matrix) Reset() {
-	m.counts.Reset()
+	m.rows.Reset()
 	for i := range m.history {
 		m.history[i] = m.history[i][:0]
 	}

@@ -31,8 +31,8 @@ const maxPanes = 64
 
 // MaxItemStates bounds the per-item estimator state a session may allocate:
 // its population times its suites (the all-time suite plus one per pane).
-// A suite holds 8 B per item when created (16 B once one of its items passes
-// 65,535 votes), so the bound is 512 MiB at create.
+// A suite holds 4 B per item when created (8 B once one of its items passes
+// 255 votes, 16 B past 65,535), so the bound is 256 MiB at create.
 const MaxItemStates = 1 << 26
 
 // Config parameterizes windowed estimation. The zero value is invalid; Size
