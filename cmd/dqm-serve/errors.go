@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -61,8 +62,11 @@ func writeErrorDetails(w http.ResponseWriter, status int, code string, details m
 // ingestStatus: journal (disk) faults are the server's problem, everything
 // else is the request's.
 func ingestCode(err error) string {
-	if dqm.IsJournalError(err) {
+	switch {
+	case dqm.IsJournalError(err):
 		return codeJournalUnavailable
+	case errors.Is(err, dqm.ErrBatchTooLarge):
+		return codeBatchTooLarge
 	}
 	return codeInvalidBatch
 }

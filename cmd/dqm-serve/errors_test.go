@@ -2,10 +2,13 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"dqm"
 )
 
 // errCode issues one request and returns the envelope's code, asserting the
@@ -273,5 +276,26 @@ func TestUnmatchedRequestsUseEnvelope(t *testing.T) {
 	}
 	if strings.Contains(body, "nope") || strings.Contains(body, "favicon") {
 		t.Error("/metrics labels a series with a request path")
+	}
+}
+
+// TestIngestErrorClassification: a batch the journal refuses as too large
+// for one frame is the request's fault and answers 413 batch_too_large, not
+// a journal fault's 503; any other ingest error is a 400 invalid_batch.
+func TestIngestErrorClassification(t *testing.T) {
+	for _, c := range []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{fmt.Errorf("engine: session %q: %w", "s", dqm.ErrBatchTooLarge), http.StatusRequestEntityTooLarge, codeBatchTooLarge},
+		{fmt.Errorf("engine: vote 0: item 9 outside population [0, 5)"), http.StatusBadRequest, codeInvalidBatch},
+	} {
+		if got := ingestStatus(c.err); got != c.status {
+			t.Errorf("ingestStatus(%v) = %d, want %d", c.err, got, c.status)
+		}
+		if got := ingestCode(c.err); got != c.code {
+			t.Errorf("ingestCode(%v) = %q, want %q", c.err, got, c.code)
+		}
 	}
 }

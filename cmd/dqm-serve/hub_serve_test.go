@@ -46,7 +46,7 @@ func (w *failingWriter) Flush() { w.flushes++ }
 // immediately instead of spinning until context teardown (the old handler
 // discarded Fprintf/Flush errors).
 func TestWatchTerminatesOnWriteError(t *testing.T) {
-	srv := mustServerT(t, serverConfig{WatchMinInterval: 5 * time.Millisecond})
+	srv := mustServer(t, serverConfig{WatchMinInterval: 5 * time.Millisecond})
 	do(t, srv, "POST", "/v1/sessions", map[string]any{"id": "w", "items": 10}, http.StatusCreated)
 	ingestTasks(t, srv, "w", 10, 0, 1)
 
@@ -92,7 +92,7 @@ func TestWatchTerminatesOnWriteError(t *testing.T) {
 // If-None-Match on the current version answers 304 from the version check
 // alone, and any mutation invalidates the tag.
 func TestEstimatesETagConditionalReads(t *testing.T) {
-	srv := mustServerT(t, serverConfig{})
+	srv := mustServer(t, serverConfig{})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	do(t, srv, "POST", "/v1/sessions", map[string]any{
@@ -164,7 +164,7 @@ func TestEstimatesETagConditionalReads(t *testing.T) {
 // stream exactly like ?cursor= — a stale id re-delivers the latest version,
 // a current id stays silent.
 func TestWatchLastEventIDResume(t *testing.T) {
-	srv := mustServerT(t, serverConfig{WatchMinInterval: 5 * time.Millisecond})
+	srv := mustServer(t, serverConfig{WatchMinInterval: 5 * time.Millisecond})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	do(t, srv, "POST", "/v1/sessions", map[string]any{"id": "r", "items": 10}, http.StatusCreated)
@@ -228,7 +228,7 @@ func TestWatchLastEventIDResume(t *testing.T) {
 // stream (the hub drops the session) — and the session must still revive
 // from its journal for subsequent reads, on which a NEW stream works.
 func TestWatchEndsOnEvictRevive(t *testing.T) {
-	srv := mustServerT(t, serverConfig{
+	srv := mustServer(t, serverConfig{
 		DataDir:          t.TempDir(),
 		MaxSessions:      1,
 		WatchMinInterval: 5 * time.Millisecond,
@@ -290,7 +290,7 @@ ended:
 // TestWatchEncodeErrorMetricRegistered: the encode-failure counter is part
 // of the scrape surface even while zero (dashboards can alert on it).
 func TestWatchEncodeErrorMetricRegistered(t *testing.T) {
-	srv := mustServerT(t, serverConfig{})
+	srv := mustServer(t, serverConfig{})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	resp, err := http.Get(hs.URL + "/metrics")

@@ -828,8 +828,11 @@ func (s *server) handleAppendDQMV(w http.ResponseWriter, r *http.Request, sess *
 // ingestStatus classifies an ingest failure: journal (disk) faults are the
 // server's problem, everything else is the request's.
 func ingestStatus(err error) int {
-	if dqm.IsJournalError(err) {
+	switch {
+	case dqm.IsJournalError(err):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, dqm.ErrBatchTooLarge):
+		return http.StatusRequestEntityTooLarge
 	}
 	return http.StatusBadRequest
 }

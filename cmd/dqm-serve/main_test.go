@@ -242,13 +242,16 @@ func TestMaxSessionsEviction(t *testing.T) {
 	}
 }
 
-// mustServer builds a server or fails the test.
+// mustServer builds a server or fails the test, and closes it when the test
+// ends: a gate or watcher left running would outlive its test (Close is
+// idempotent, so a test may close it itself too).
 func mustServer(t *testing.T, cfg serverConfig) *server {
 	t.Helper()
 	srv, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { srv.Close() })
 	return srv
 }
 

@@ -18,15 +18,6 @@ import (
 	"dqm/internal/hub"
 )
 
-func mustServerT(t *testing.T, cfg serverConfig) *server {
-	t.Helper()
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
-}
-
 // ingestTasks streams deterministic tasks into a session over HTTP.
 func ingestTasks(t *testing.T, srv http.Handler, id string, items, from, to int) {
 	t.Helper()
@@ -42,7 +33,7 @@ func ingestTasks(t *testing.T, srv http.Handler, id string, items, from, to int)
 // TestWindowedEstimatesEndpoint: ?window= serves the three views with span
 // metadata; unavailable views and bad kinds fail with useful statuses.
 func TestWindowedEstimatesEndpoint(t *testing.T) {
-	srv := mustServerT(t, serverConfig{})
+	srv := mustServer(t, serverConfig{})
 	do(t, srv, "POST", "/v1/sessions", map[string]any{
 		"id": "win", "items": 30,
 		"config": map[string]any{"window": map[string]any{"size": 5, "stride": 5, "decay_alpha": 0.5}},
@@ -92,7 +83,7 @@ func TestWindowedEstimatesEndpoint(t *testing.T) {
 // reporting unknown ids and per-session windowed errors without failing the
 // batch.
 func TestBatchEstimatesEndpoint(t *testing.T) {
-	srv := mustServerT(t, serverConfig{})
+	srv := mustServer(t, serverConfig{})
 	for _, id := range []string{"a", "b"} {
 		do(t, srv, "POST", "/v1/sessions", map[string]any{"id": id, "items": 20}, http.StatusCreated)
 	}
@@ -132,7 +123,7 @@ func TestBatchEstimatesEndpoint(t *testing.T) {
 // TestMaxBodyBytes: oversized JSON bodies get a clean 413 instead of being
 // buffered.
 func TestMaxBodyBytes(t *testing.T) {
-	srv := mustServerT(t, serverConfig{MaxBodyBytes: 1024})
+	srv := mustServer(t, serverConfig{MaxBodyBytes: 1024})
 	do(t, srv, "POST", "/v1/sessions", map[string]any{"id": "s", "items": 10}, http.StatusCreated)
 	big := bytes.Repeat([]byte("x"), 4096)
 	req := httptest.NewRequest("POST", "/v1/sessions/s/votes", bytes.NewReader(append([]byte(`{"votes":[{"item":1}],"pad":"`), append(big, []byte(`"}`)...)...)))
@@ -197,7 +188,7 @@ func watchStream(t *testing.T, ctx context.Context, base, path string) (<-chan s
 // advances, coalesces bursts, resumes from a cursor, and stays silent on an
 // idle session.
 func TestWatchStreamsUpdates(t *testing.T) {
-	srv := mustServerT(t, serverConfig{WatchMinInterval: 10 * time.Millisecond})
+	srv := mustServer(t, serverConfig{WatchMinInterval: 10 * time.Millisecond})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	do(t, srv, "POST", "/v1/sessions", map[string]any{"id": "w", "items": 20}, http.StatusCreated)
@@ -279,7 +270,7 @@ resumed:
 // TestWatchWindowedStream: ?window= watchers receive windowed payloads once a
 // window completes.
 func TestWatchWindowedStream(t *testing.T) {
-	srv := mustServerT(t, serverConfig{WatchMinInterval: 10 * time.Millisecond})
+	srv := mustServer(t, serverConfig{WatchMinInterval: 10 * time.Millisecond})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	do(t, srv, "POST", "/v1/sessions", map[string]any{
@@ -308,7 +299,7 @@ func TestWatchWindowedStream(t *testing.T) {
 // (no window config, no decay aggregate) fails up front with 409 instead of
 // heartbeating forever; an unknown session is 404.
 func TestWatchRejectsImpossibleStreams(t *testing.T) {
-	srv := mustServerT(t, serverConfig{})
+	srv := mustServer(t, serverConfig{})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	do(t, srv, "POST", "/v1/sessions", map[string]any{"id": "plain", "items": 10}, http.StatusCreated)
@@ -335,7 +326,7 @@ func TestWatchRejectsImpossibleStreams(t *testing.T) {
 // TestWatchEndsWhenSessionDeleted: deleting the session closes the stream
 // instead of leaving the subscriber silently pinned to a detached object.
 func TestWatchEndsWhenSessionDeleted(t *testing.T) {
-	srv := mustServerT(t, serverConfig{WatchMinInterval: 10 * time.Millisecond})
+	srv := mustServer(t, serverConfig{WatchMinInterval: 10 * time.Millisecond})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	do(t, srv, "POST", "/v1/sessions", map[string]any{"id": "doomed", "items": 10}, http.StatusCreated)

@@ -348,6 +348,12 @@ func IsJournalError(err error) bool {
 	return errors.As(err, &je)
 }
 
+// ErrBatchTooLarge is wrapped by the error a durable session returns for a
+// vote batch, or a DQMV task, too large for one journal frame (64 MiB). It
+// is invalid input, not a journal fault: nothing of the batch is applied and
+// the session keeps accepting writes.
+var ErrBatchTooLarge = wal.ErrBatchTooLarge
+
 // Extrapolate is the §2.2.3 predictive baseline: scale the errsFound
 // discovered in a perfectly cleaned sample of sampleSize up to the
 // population.
@@ -566,7 +572,10 @@ func (s *Session) EstimatorNames() []string { return s.s.EstimatorNames() }
 // AppendVotes ingests a batch of votes under one lock acquisition and, when
 // endTask is set, marks a task boundary after the batch; AppendVotes(nil,
 // true) marks a bare boundary. Items outside [0, N) fail the whole batch
-// before any vote is applied.
+// before any vote is applied. On a durable engine a batch must fit in one
+// 64 MiB journal frame, at 1 to 20 bytes a vote: any batch of up to three
+// million votes does. A larger one that does not is refused whole with an
+// error wrapping ErrBatchTooLarge, and the session keeps working.
 func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
 	vs := make([]votes.Vote, len(batch))
 	for i, v := range batch {
@@ -593,10 +602,11 @@ func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
 //
 // It returns the number of votes and task boundaries ingested. A malformed
 // stream fails before anything is applied. An out-of-population item in one
-// task leaves every earlier task applied (and, on a durable engine,
+// task, or a task too large for one journal frame (ErrBatchTooLarge, see
+// AppendVotes), leaves every earlier task applied (and, on a durable engine,
 // journaled), applies nothing of that task or any later one, and reports how
 // far it got. A journal error applies nothing of the log in memory and
-// returns (0, 0) with an error that IsJournalError reports. Frames staged
+// returns (0, 0) with an error that IsJournalError reports. Tasks staged
 // before the fault may already be on disk and come back when the session is
 // reloaded (after a restart, or on revival after eviction), so compare Tasks
 // after the reload before re-sending the log.

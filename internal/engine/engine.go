@@ -239,8 +239,8 @@ func Open(cfg Config) (*Engine, error) {
 // recoverAll replays ids across a bounded worker pool and inserts the
 // recovered sessions into the shard table, all or nothing. Workers claim ids
 // in slice order off an atomic cursor; each session replays independently
-// with a per-worker columnar scratch, so results are bit-identical at any
-// worker count. Error semantics are deterministic too: the error of the
+// with a per-worker scratch, so results are bit-identical at any worker
+// count. Error semantics are deterministic too: the error of the
 // lowest-index failing id is returned — the same one serial recovery would
 // hit — regardless of which worker stumbled first. (Claims are monotone, so
 // once any id fails, every unclaimed id has a higher index than every failing
@@ -270,13 +270,13 @@ func (e *Engine) recoverAll(ids []string) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var cols votelog.VoteColumns // reused across this worker's sessions
+			var sc replayScratch // reused across this worker's sessions
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(ids) || failed.Load() {
 					return
 				}
-				s, err := e.recoverSession(ids[i], &cols)
+				s, err := e.recoverSession(ids[i], &sc)
 				results[i] = outcome{s: s, err: err}
 				if err != nil {
 					failed.Store(true)
@@ -324,22 +324,31 @@ func (e *Engine) Durable() bool { return e.store != nil }
 // replays a burst of duplicate loads actually performed.
 var testRecoverStall func(id string)
 
+// replayScratch is the memory a journal replay reuses: the columnar vote
+// scratch and the segment read buffer. Each boot worker keeps one across the
+// sessions it recovers.
+type replayScratch struct {
+	cols votelog.VoteColumns
+	buf  []byte
+}
+
 // recoverSession rebuilds one session from its journal: latest snapshot plus
-// journal tail. Replay is columnar — vote records are decoded into cols
-// (reused across sessions by the boot workers; pass nil to allocate) and
-// applied in task-sized batches, so recovery looks like AppendColumns rather
-// than a stream of single-vote appends: one bounds-check pass and one
-// rotation cross-check per batch instead of per vote, no per-vote hook
-// indirection, and no estimate-cache or per-vote metric traffic until the
-// session goes live (the version is published once, at the end).
-func (e *Engine) recoverSession(id string, cols *votelog.VoteColumns) (*Session, error) {
+// journal tail. Replay is columnar — vote records are decoded into sc's
+// columns (sc is reused across sessions by the boot workers; pass nil to
+// allocate) and applied in task-sized batches, so recovery looks like
+// AppendColumns rather than a stream of single-vote appends: one
+// bounds-check pass and one rotation cross-check per batch instead of per
+// vote, no per-vote hook indirection, and no estimate-cache or per-vote
+// metric traffic until the session goes live (the version is published once,
+// at the end).
+func (e *Engine) recoverSession(id string, sc *replayScratch) (*Session, error) {
 	start := time.Now()
 	defer metricRecoverySeconds.ObserveSince(start)
 	if testRecoverStall != nil {
 		testRecoverStall(id)
 	}
-	if cols == nil {
-		cols = &votelog.VoteColumns{}
+	if sc == nil {
+		sc = &replayScratch{}
 	}
 	meta, err := e.store.ReadMeta(id)
 	if err != nil {
@@ -367,16 +376,17 @@ func (e *Engine) recoverSession(id string, cols *votelog.VoteColumns) (*Session,
 	s.setPolicy(meta.Policy)
 	n := meta.Items
 	// Window rotations replay deterministically from the task stream; the
-	// journaled opWindow records are the cross-check. Every rotation the
-	// replayed ring seals is stashed here and must be consumed by the
-	// rotation record in the same frame — a mismatch means the journal and
-	// the window state machine disagree, which recovery must refuse rather
-	// than serve silently wrong windows.
-	var pending *window.Rotation
+	// journaled opWindow records are the cross-check. The start of every
+	// window the replayed ring seals is stashed here (-1 when none is
+	// pending) and must be consumed by the rotation record that follows its
+	// task boundary — a mismatch means the journal and the window state
+	// machine disagree, which recovery must refuse rather than serve silently
+	// wrong windows.
+	pending := int64(-1)
 	var replayErr error
 	checkNoPending := func() error {
-		if pending != nil {
-			return fmt.Errorf("engine: session %q: window rotation at task %d has no journal record", id, pending.Start)
+		if pending >= 0 {
+			return fmt.Errorf("engine: session %q: window rotation at task %d has no journal record", id, pending)
 		}
 		return nil
 	}
@@ -400,7 +410,8 @@ func (e *Engine) recoverSession(id string, cols *votelog.VoteColumns) (*Session,
 			s.applyColumns(cols, 0, cols.Len())
 			return nil
 		},
-		Cols: cols,
+		Cols: &sc.cols,
+		Buf:  &sc.buf,
 		// Vote is the ordered fallback for votes outside the columnar int32
 		// domain (JSON and library ingest accept any int worker id).
 		Vote: func(item, worker int, dirty bool) error {
@@ -424,21 +435,21 @@ func (e *Engine) recoverSession(id string, cols *votelog.VoteColumns) (*Session,
 				replayErr = err
 			}
 			if rot, ok := s.applyEndTask(); ok {
-				pending = &rot
+				pending = rot.Start
 			}
 		},
 		Reset: func() {
 			s.applyReset()
-			pending = nil
+			pending = -1
 		},
 		Window: func(start int64) error {
-			if pending == nil {
+			if pending < 0 {
 				return fmt.Errorf("engine: session %q: journaled window rotation at task %d, but replay sealed none", id, start)
 			}
-			if pending.Start != start {
-				return fmt.Errorf("engine: session %q: journaled window rotation at task %d, replay sealed task %d", id, start, pending.Start)
+			if pending != start {
+				return fmt.Errorf("engine: session %q: journaled window rotation at task %d, replay sealed task %d", id, start, pending)
 			}
-			pending = nil
+			pending = -1
 			return nil
 		},
 	})

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"dqm/internal/votelog"
 	"dqm/internal/votes"
@@ -21,11 +22,17 @@ import (
 const goldenFixture = "testdata/journal-golden"
 
 // blockFixture is goldenStream written by the first build that journals every
-// vote batch as one block record. The journal encoding is a compatibility
-// contract, so any build must write the same segment bytes from the same
-// stream. Its estimates.json equals goldenFixture's: the encoding changed, the
-// recovered state did not.
+// vote batch as one block record, each batch in a frame of its own. Its
+// estimates.json equals goldenFixture's: the encoding changed, the recovered
+// state did not.
 const blockFixture = "testdata/journal-block"
+
+// flushFixture is goldenStream written by the first build that seals one
+// frame per buffer flush instead of one per batch: the same records, fewer
+// frames. The journal encoding is a compatibility contract, so any build
+// must write the same segment bytes from the same stream under the same
+// flushes. Its estimates.json equals goldenFixture's.
+const flushFixture = "testdata/journal-flush"
 
 var goldenIDs = []string{"plain", "windowed"}
 
@@ -144,18 +151,24 @@ func segments(t *testing.T, dir string) map[string][]byte {
 
 // TestJournalGoldenBytes writes goldenStream with this build and checks it
 // against the fixtures: the same served estimates, journal segments
-// byte-identical to blockFixture's, and recovery of both fixtures' data dirs
-// to their recorded estimates.
+// byte-identical to flushFixture's, and recovery of every fixture's data dir
+// to its recorded estimates.
 func TestJournalGoldenBytes(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join(goldenFixture, "estimates.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, err := os.ReadFile(filepath.Join(blockFixture, "estimates.json")); err != nil || !bytes.Equal(b, want) {
-		t.Fatalf("%s/estimates.json differs from %s's (err %v)", blockFixture, goldenFixture, err)
+	for _, fixture := range []string{blockFixture, flushFixture} {
+		if b, err := os.ReadFile(filepath.Join(fixture, "estimates.json")); err != nil || !bytes.Equal(b, want) {
+			t.Fatalf("%s/estimates.json differs from %s's (err %v)", fixture, goldenFixture, err)
+		}
 	}
 	dir := t.TempDir()
-	e, err := Open(goldenConfig(dir))
+	// Frames are sealed only by the flushes the stream itself causes (here
+	// only the final Close): no timed syncer pass may fall inside it.
+	cfg := goldenConfig(dir)
+	cfg.WAL.BatchInterval = time.Hour
+	e, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +180,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 	}
 	for _, id := range goldenIDs {
 		got := segments(t, filepath.Join(dir, id))
-		fixture := segments(t, filepath.Join(blockFixture, "data", id))
+		fixture := segments(t, filepath.Join(flushFixture, "data", id))
 		if len(got) != len(fixture) {
 			t.Fatalf("%s: wrote %d segments, fixture has %d", id, len(got), len(fixture))
 		}
@@ -178,7 +191,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 		}
 	}
 
-	for _, fixture := range []string{goldenFixture, blockFixture} {
+	for _, fixture := range []string{goldenFixture, blockFixture, flushFixture} {
 		rdir := t.TempDir()
 		copyDir(t, filepath.Join(fixture, "data"), rdir)
 		e2, err := Open(goldenConfig(rdir))

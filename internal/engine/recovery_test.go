@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,7 +20,7 @@ import (
 	"dqm/internal/window"
 )
 
-// walOp is one logical engine mutation == one journal frame.
+// walOp is one logical engine mutation: one batch staged into the journal.
 type walOp struct {
 	batch []votes.Vote
 	end   bool
@@ -61,6 +63,52 @@ func applyOps(t *testing.T, s *Session, ops []walOp) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// applyOpsSealed is applyOps that also seals the journal's open frame after
+// about every other op, through Sync or a checkpoint, both drawn from an
+// rng seeded with seed: a segment written under FsyncNever then holds many
+// frames of a few batches each for a crash test to cut through.
+func applyOpsSealed(t *testing.T, s *Session, ops []walOp, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for _, o := range ops {
+		applyOps(t, s, []walOp{o})
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		seal := s.journal.Sync
+		if rng.Intn(2) == 0 {
+			seal = s.checkpointJournal
+		}
+		if err := seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// countFrames counts the frames of a segment file up to the first one that is
+// torn or fails its CRC32C, and reports whether they end the file.
+func countFrames(t *testing.T, path string) (frames int, clean bool) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 5 // past the "DQMW\x01" header
+	for off < len(raw) {
+		size, k := binary.Uvarint(raw[off:])
+		if k <= 0 || off+k+4+int(size) > len(raw) {
+			break
+		}
+		payload := raw[off+k+4 : off+k+4+int(size)]
+		if crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(raw[off+k:]) {
+			break
+		}
+		off += k + 4 + int(size)
+		frames++
+	}
+	return frames, off == len(raw)
 }
 
 func durableConfig(dir string) Config {
@@ -244,9 +292,12 @@ func TestCrashRecoveryMatchesCleanReplayPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := genOps(21, 160, n)
-	applyOps(t, s, ops)
+	applyOpsSealed(t, s, ops, 22)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if f, _ := countFrames(t, activeSegment(t, dir, "crash")); f < 15 {
+		t.Fatalf("active segment holds %d frames, want at least 15 to cut through", f)
 	}
 
 	prefixes := prefixStates(t, n, ops)
@@ -335,9 +386,12 @@ func TestCrashRecoveryCorruptTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := genOps(31, 80, n)
-	applyOps(t, s, ops)
+	applyOpsSealed(t, s, ops, 32)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if f, _ := countFrames(t, activeSegment(t, dir, "corrupt")); f < 15 {
+		t.Fatalf("active segment holds %d frames, want at least 15", f)
 	}
 	prefixes := prefixStates(t, n, ops)
 

@@ -36,6 +36,16 @@ func (e *JournalError) Error() string {
 
 func (e *JournalError) Unwrap() error { return e.Err }
 
+// journalErr reports a journal failure: a *JournalError, except for a batch
+// the journal refused as too large for one frame, which is invalid input and
+// leaves the journal healthy.
+func (s *Session) journalErr(err error) error {
+	if errors.Is(err, wal.ErrBatchTooLarge) {
+		return fmt.Errorf("engine: session %q: %w", s.id, err)
+	}
+	return &JournalError{SessionID: s.id, Err: err}
+}
+
 // SessionConfig parameterizes one dataset session.
 type SessionConfig struct {
 	// Suite selects and parameterizes the estimators (see
@@ -357,9 +367,11 @@ func (s *Session) publish(n int, endTask bool) {
 // marks a bare boundary. It validates item ranges up front — the whole batch
 // is rejected before any vote is applied, so a bad request cannot leave a
 // half-ingested task behind. On a durable session the batch is journaled
-// (one group-commit frame) before it is applied; a journal error rejects the
-// batch with in-memory state untouched and is returned as a *JournalError.
-// Every vote mutation goes through here or AppendLog.
+// (staged into the journal's open frame and committed) before it is applied;
+// a journal error rejects the batch with in-memory state untouched and is
+// returned as a *JournalError. A batch too large for one journal frame is
+// refused the same way, but with an error wrapping wal.ErrBatchTooLarge: the
+// journal stays healthy. Every vote mutation goes through here or AppendLog.
 func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 	n := s.items
 	for i, v := range batch {
@@ -375,7 +387,7 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 			start = s.sealedWindow(1)
 		}
 		if err := s.journal.Append(batch, endTask, start); err != nil {
-			return &JournalError{SessionID: s.id, Err: err}
+			return s.journalErr(err)
 		}
 	}
 	for _, v := range batch {
@@ -389,20 +401,20 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 // votelog.SplitBinaryTasks). A task boundary follows each block whose
 // successor carries a different task id, and the last block: the boundaries
 // the Entry path produces for the same log. Each block is decoded once; its
-// columns are journaled as one frame holding one block record, its boundary
-// and the window rotation that boundary seals, and applied with one version
-// bump.
+// columns are journaled as one block record followed by its boundary and the
+// window rotation that boundary seals, and applied with one version bump.
 //
 // The whole log takes one hold of the session mutex and, on a durable
-// session, one durability wait: every frame is staged, the journal commits
+// session, one durability wait: every block is staged, the journal commits
 // once, and only then is anything applied or published. It returns the votes
-// and task boundaries applied. An invalid block (undecodable, or an item
-// outside the population) leaves every block before it applied and durable,
-// applies nothing from it on, and returns the validation error. A journal
-// error applies nothing in memory and returns (0, 0, *JournalError); frames
-// staged before the fault may already be on disk and come back when the
-// session is reloaded (after a restart, or on revival after eviction), so
-// compare Tasks after the reload before re-sending.
+// and task boundaries applied. An invalid block (undecodable, an item
+// outside the population, or too large for one journal frame) leaves every
+// block before it applied and durable, applies nothing from it on, and
+// returns the validation error. A journal error applies nothing in memory
+// and returns (0, 0, *JournalError); blocks staged before the fault may
+// already be on disk and come back when the session is reloaded (after a
+// restart, or on revival after eviction), so compare Tasks after the reload
+// before re-sending.
 func (s *Session) AppendLog(blocks []votelog.TaskBlock) (votesIngested, tasksEnded int, err error) {
 	return s.appendBlocks(blocks, true)
 }
@@ -461,7 +473,10 @@ func (s *Session) appendBlocks(blocks []votelog.TaskBlock, endLast bool) (votesI
 				start = s.sealedWindow(ahead)
 			}
 			if jerr := s.journal.StageColumns(cols, from, cols.Len(), end, start); jerr != nil {
-				return 0, 0, &JournalError{SessionID: s.id, Err: jerr}
+				if err = s.journalErr(jerr); !errors.Is(err, wal.ErrBatchTooLarge) {
+					return 0, 0, err
+				}
+				break
 			}
 		}
 		st.ends = append(st.ends, cols.Len())

@@ -145,9 +145,12 @@ func TestWindowedCrashRecoveryMatchesCleanReplayPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := genOps(63, 160, n)
-	applyOps(t, s, ops)
+	applyOpsSealed(t, s, ops, 64)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if f, _ := countFrames(t, activeSegment(t, dir, "win-crash")); f < 15 {
+		t.Fatalf("active segment holds %d frames, want at least 15 to cut through", f)
 	}
 
 	prefixes := winPrefixStates(t, n, ops)

@@ -33,6 +33,23 @@ func blockSeeds() [][]byte {
 	return seeds
 }
 
+// appendFrame appends payload to buf as one sealed frame.
+func appendFrame(buf, payload []byte) []byte {
+	return append(buf, sealFrame(append(make([]byte, frameHead), payload...))...)
+}
+
+// multiBatchSeed is one frame payload holding several batches, as a flush
+// seals them: a shared-worker task, a mixed-worker task that seals a window,
+// a reset, a batch with no boundary and a bare boundary.
+func multiBatchSeed() []byte {
+	v := func(item, worker int, dirty bool) votes.Vote { return mkVote(item, worker, dirty) }
+	p := append(appendBlock(nil, []votes.Vote{v(1, 3, true), v(2, 3, false)}), opEnd)
+	p = appendBoundary(appendBlock(p, []votes.Vote{v(4, 1, true), v(5, -2, false), v(6, 9, true)}), true, 0)
+	p = append(p, opReset)
+	p = appendBlock(p, []votes.Vote{v(7, 4, false)})
+	return appendBoundary(p, true, -1)
+}
+
 // FuzzSegmentScan feeds arbitrary bytes to the segment scanner: it must never
 // panic, never report more valid bytes than exist, and always replay a
 // record stream that the codec itself could have produced.
@@ -58,6 +75,9 @@ func FuzzSegmentScan(f *testing.F) {
 	for _, p := range blockSeeds() {
 		f.Add(append(append([]byte{}, segMagic...), appendFrame(nil, p)...))
 	}
+	// Frames of several batches each, as one flush seals them.
+	multi := append(append([]byte{}, segMagic...), appendFrame(nil, multiBatchSeed())...)
+	f.Add(appendFrame(multi, append(blockSeeds()[1], multiBatchSeed()...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -160,6 +180,7 @@ func FuzzRecordDecode(f *testing.F) {
 	for _, p := range blockSeeds() {
 		f.Add(p)
 	}
+	f.Add(multiBatchSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		perVote, batched, errV, errB, colsCap := decodeBoth(data)
 		if (errV == nil) != (errB == nil) {

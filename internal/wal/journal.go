@@ -27,7 +27,7 @@ type Journal struct {
 	opts Options
 
 	// sy is the store-wide group-commit syncer that applies the fsync policy
-	// to committed frames.
+	// to committed batches.
 	sy *Syncer
 	// queued marks the journal as enqueued for the syncer's next pass; the
 	// syncer clears it when it snapshots the queue. Lock-free so MarkDirty
@@ -35,7 +35,7 @@ type Journal struct {
 	queued atomic.Bool
 
 	// mu guards all file and buffer state below. Appends hold it only for
-	// the in-memory work (frame encode, buffer drain, rotation); FsyncAlways
+	// the in-memory work (record encode, buffer drain, rotation); FsyncAlways
 	// appends park on the syncer after releasing it, so a parked committer
 	// never blocks the pass that will cover it.
 	mu sync.Mutex
@@ -44,13 +44,15 @@ type Journal struct {
 	seq  uint64   // active segment sequence number
 	size int64    // bytes written (flushed) to the active segment
 
-	// wbuf accumulates committed frames not yet handed to the OS: the
-	// user-space half of group commit. It drains on flushChunk overflow,
-	// Sync, rotation, Close, and every syncer pass that covers this journal.
-	// Under FsyncAlways a commit does not return before a pass drained and
-	// fsynced it, so nothing acknowledged ever sits here; under
-	// FsyncBatch/FsyncNever a crash can lose it, which those policies
-	// permit by contract.
+	// wbuf is the open frame, the user-space half of group commit: empty, or
+	// a reserved head of frameHead bytes followed by the records of every
+	// batch staged since the last flush. Appends encode straight into it.
+	// It is sealed into one frame and handed to the OS on flushChunk
+	// overflow, Sync, rotation, Checkpoint, Close, and every syncer pass that
+	// covers this journal. Under FsyncAlways a commit does not return before
+	// a pass sealed, wrote and fsynced it, so nothing acknowledged ever sits
+	// here; under FsyncBatch/FsyncNever a crash can lose it, which those
+	// policies permit by contract.
 	wbuf []byte
 
 	snapSeq     uint64 // highest segment covered by the snapshot (0 = none)
@@ -64,8 +66,6 @@ type Journal struct {
 	err error
 
 	dirty bool // unsynced frames in the active segment
-
-	buf []byte // payload scratch, reused across appends
 }
 
 func segPath(dir string, seq uint64) string {
@@ -76,7 +76,10 @@ func snapPath(dir string, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%016d.bin", seq))
 }
 
-// createSegment opens a fresh segment file and writes its header.
+// createSegment opens a fresh segment file, writes its header and fsyncs
+// dir: POSIX makes a new file's name durable only once its directory is
+// synced, so without it a crash could take the segment, and every batch
+// acknowledged in it, away whole.
 func createSegment(dir string, seq uint64) (*os.File, int64, error) {
 	f, err := os.OpenFile(segPath(dir, seq), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -86,17 +89,28 @@ func createSegment(dir string, seq uint64) (*os.File, int64, error) {
 		f.Close()
 		return nil, 0, err
 	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, 0, err
+	}
 	return f, int64(len(segMagic)), nil
 }
 
-// Append write-ahead-logs one engine batch (the group-commit unit) as one
-// frame and commits it: the votes as one block record, then a task boundary
-// when endTask is set and, when windowStart >= 0, the window rotation that
-// boundary seals. A boundary and its rotation share the frame, so a torn tail
-// can never separate them: recovery sees both or neither, and replayed window
-// boundaries always match an uninterrupted run. windowStart is the first
-// completed-task index of the sealed window; pass -1 for none. Append must be
-// called before the batch is applied to in-memory state.
+// ErrBatchTooLarge refuses a batch whose records cannot fit in one frame
+// (maxFramePayload, 64 MiB). A vote takes 1 to 20 bytes, so any batch of up
+// to three million votes fits. The refusal stages nothing and leaves the
+// journal healthy: later appends proceed as if the batch had never come.
+var ErrBatchTooLarge = errors.New("wal: batch does not fit in one journal frame (64 MiB)")
+
+// Append write-ahead-logs one engine batch and commits it: it stages the
+// votes as one block record into the open frame, then a task boundary when
+// endTask is set and, when windowStart >= 0, the window rotation that
+// boundary seals. Frames are sealed only between batches, so a boundary and
+// its rotation always share a frame and a torn tail can never separate them:
+// recovery sees both or neither, and replayed window boundaries always match
+// an uninterrupted run. windowStart is the first completed-task index of the
+// sealed window; pass -1 for none. Append must be called before the batch is
+// applied to in-memory state.
 func (j *Journal) Append(batch []votes.Vote, endTask bool, windowStart int64) error {
 	if len(batch) == 0 && !endTask {
 		return nil
@@ -104,22 +118,26 @@ func (j *Journal) Append(batch []votes.Vote, endTask bool, windowStart int64) er
 	if err := j.lock(); err != nil {
 		return err
 	}
-	payload := j.buf[:0]
+	start := time.Now()
+	buf := j.openFrame()
+	from := len(buf)
 	if len(batch) > 0 {
-		payload = appendBlock(payload, batch)
+		buf = appendBlock(buf, batch)
 	}
-	payload = appendBoundary(payload, endTask, windowStart)
-	j.buf = payload
-	return j.stageCommit(payload)
+	j.wbuf = appendBoundary(buf, endTask, windowStart)
+	if err := j.staged(start, from); err != nil {
+		return err
+	}
+	return j.Commit()
 }
 
-// StageColumns writes rows [from, to) of decoded vote columns into the
-// group-commit buffer as one frame, without applying the fsync policy: the
-// votes as one block record, then the boundary and rotation as in Append.
-// The caller must have validated the rows (item bounds) first: the journal
-// must never hold a record replay would reject. A staged frame is durable
-// only after the next Commit returns, so a multi-task write stages every task
-// and commits once before applying any of them.
+// StageColumns stages rows [from, to) of decoded vote columns into the open
+// frame without applying the fsync policy: the votes as one block record,
+// then the boundary and rotation as in Append. The caller must have
+// validated the rows (item bounds) first: the journal must never hold a
+// record replay would reject. A staged batch is durable only after the next
+// Commit returns, so a multi-task write stages every task and commits once
+// before applying any of them.
 func (j *Journal) StageColumns(cols *votelog.VoteColumns, from, to int, endTask bool, windowStart int64) error {
 	if from == to && !endTask {
 		return nil
@@ -127,13 +145,14 @@ func (j *Journal) StageColumns(cols *votelog.VoteColumns, from, to int, endTask 
 	if err := j.lock(); err != nil {
 		return err
 	}
-	payload := j.buf[:0]
+	start := time.Now()
+	buf := j.openFrame()
+	at := len(buf)
 	if from < to {
-		payload = appendColumnsBlock(payload, cols, from, to)
+		buf = appendColumnsBlock(buf, cols, from, to)
 	}
-	payload = appendBoundary(payload, endTask, windowStart)
-	j.buf = payload
-	return j.stage(payload)
+	j.wbuf = appendBoundary(buf, endTask, windowStart)
+	return j.staged(start, at)
 }
 
 // Reset logs a session reset. The next compaction discards everything before
@@ -142,7 +161,14 @@ func (j *Journal) Reset() error {
 	if err := j.lock(); err != nil {
 		return err
 	}
-	return j.stageCommit([]byte{opReset})
+	start := time.Now()
+	buf := j.openFrame()
+	from := len(buf)
+	j.wbuf = append(buf, opReset)
+	if err := j.staged(start, from); err != nil {
+		return err
+	}
+	return j.Commit()
 }
 
 // lock takes j.mu for an append, unless the journal is in its sticky error
@@ -157,37 +183,56 @@ func (j *Journal) lock() error {
 	return nil
 }
 
-// flushChunk drains the user-space frame buffer to the OS once it exceeds
-// this size, bounding both memory and write-syscall frequency.
+// flushChunk seals the open frame and hands it to the OS once the buffer
+// exceeds this size, bounding both memory and write-syscall frequency.
 const flushChunk = 64 << 10
 
-// stage commits one frame into the group-commit buffer. Called with j.mu
-// held; unlocks it.
-func (j *Journal) stage(payload []byte) error {
-	start := time.Now()
-	err := j.commitLocked(payload)
+// openFrame returns wbuf, first reserving the head of a new frame when none
+// is open. Call with j.mu held.
+func (j *Journal) openFrame() []byte {
+	if len(j.wbuf) == 0 {
+		j.wbuf = append(j.wbuf, make([]byte, frameHead)...)
+	}
+	return j.wbuf
+}
+
+// staged completes one batch that an append encoded into the open frame from
+// offset from: it keeps the frame within maxFramePayload, then commits the
+// batch to the buffer. Called with j.mu held; unlocks it.
+func (j *Journal) staged(start time.Time, from int) error {
+	err := j.fitLocked(from)
+	if err == nil {
+		err = j.commitLocked()
+		metricFrames.Inc()
+	}
 	j.mu.Unlock()
-	metricFrames.Inc()
 	metricAppendSeconds.ObserveSince(start)
 	return err
 }
 
-// stageCommit is stage followed by Commit: the single-frame append. Called
-// with j.mu held; unlocks it before any syncer interaction, so a parked
-// committer cannot deadlock the pass that must flush its journal.
-func (j *Journal) stageCommit(payload []byte) error {
-	if err := j.stage(payload); err != nil {
-		return err
+// fitLocked keeps the open frame's payload within maxFramePayload after a
+// batch was encoded into it from offset from. When the batch fits a frame of
+// its own, what was staged before it is sealed first and the batch opens the
+// next frame; when it cannot fit even alone, it is dropped and
+// ErrBatchTooLarge returned. Call with j.mu held.
+func (j *Journal) fitLocked(from int) error {
+	if len(j.wbuf)-frameHead <= maxFramePayload {
+		return nil
 	}
-	return j.Commit()
+	if len(j.wbuf)-from > maxFramePayload {
+		// Copy what stays staged, so the buffer that held the batch is freed.
+		j.wbuf = append([]byte(nil), j.wbuf[:from]...)
+		return ErrBatchTooLarge
+	}
+	return j.sealLocked(from)
 }
 
-// Commit applies the fsync policy to every frame staged since the last
-// Commit. Under FsyncAlways it parks until a syncer pass has flushed and
-// fsynced them — one wait however many frames were staged, shared with every
-// other journal committing in the same pass — and returns the journal's
-// sticky error if that failed. Under FsyncBatch and FsyncNever it enqueues
-// the journal for the syncer's next pass and returns at once.
+// Commit applies the fsync policy to every batch staged since the last
+// Commit. Under FsyncAlways it parks until a syncer pass has sealed, flushed
+// and fsynced them — one wait however many batches were staged, shared with
+// every other journal committing in the same pass — and returns the
+// journal's sticky error if that failed. Under FsyncBatch and FsyncNever it
+// enqueues the journal for the syncer's next pass and returns at once.
 func (j *Journal) Commit() error {
 	if j.opts.Fsync != FsyncAlways {
 		j.sy.MarkDirty(j)
@@ -199,10 +244,10 @@ func (j *Journal) Commit() error {
 	return err
 }
 
-// commitLocked appends one frame to the group-commit buffer, rotating and
-// compacting when thresholds are crossed. Call with j.mu held.
-func (j *Journal) commitLocked(payload []byte) error {
-	j.wbuf = appendFrame(j.wbuf, payload)
+// commitLocked accounts for a batch staged into the open frame: it seals the
+// frame once the buffer passes flushChunk, and rotates and compacts when
+// thresholds are crossed. Call with j.mu held.
+func (j *Journal) commitLocked() error {
 	j.dirty = true
 	if len(j.wbuf) >= flushChunk {
 		if err := j.flushLocked(); err != nil {
@@ -222,22 +267,33 @@ func (j *Journal) commitLocked(payload []byte) error {
 	return nil
 }
 
-// flushLocked drains buffered frames to the OS without fsyncing. Syncer
-// passes call it under FsyncNever so acknowledged frames cannot sit in
-// process memory indefinitely. Call with j.mu held.
+// flushLocked seals the open frame, if it holds anything, and hands it to the
+// OS without fsyncing. Every frame boundary is a flush: buffer overflow, a
+// syncer pass, Sync, rotation, Checkpoint and Close. Syncer passes call it
+// under FsyncNever so acknowledged batches cannot sit in process memory
+// indefinitely. Call with j.mu held.
 func (j *Journal) flushLocked() error {
-	if len(j.wbuf) == 0 {
+	if len(j.wbuf) <= frameHead {
 		return nil
 	}
-	n, err := j.f.Write(j.wbuf)
+	return j.sealLocked(len(j.wbuf))
+}
+
+// sealLocked seals the payload staged in wbuf[frameHead:end] as one frame and
+// writes it in one call; records staged after end move behind a fresh head,
+// as the next open frame. Call with j.mu held.
+func (j *Journal) sealLocked(end int) error {
+	frame := sealFrame(j.wbuf[:end])
+	n, err := j.f.Write(frame)
 	if err != nil {
 		j.err = fmt.Errorf("wal: append: %w", err)
 		metricWriteErrors.Inc()
 		return j.err
 	}
 	j.size += int64(n)
-	j.wbuf = j.wbuf[:0]
 	metricFlushedBytes.Add(uint64(n))
+	rest := copy(j.wbuf[frameHead:], j.wbuf[end:])
+	j.wbuf = j.wbuf[:frameHead+rest]
 	return nil
 }
 

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"time"
 
 	"dqm/internal/votes"
 )
@@ -24,11 +25,16 @@ func appendColumns(buf []byte, raw []byte) []byte {
 	return append(buf, raw...)
 }
 
-// commitPayload commits payload, a record stream in any encoding, to j as
-// one frame.
+// commitPayload stages payload, a record stream in any encoding, into j's
+// open frame as one batch and commits it.
 func commitPayload(j *Journal, payload []byte) error {
 	if err := j.lock(); err != nil {
 		return err
 	}
-	return j.stageCommit(payload)
+	buf := j.openFrame()
+	j.wbuf = append(buf, payload...)
+	if err := j.staged(time.Now(), len(buf)); err != nil {
+		return err
+	}
+	return j.Commit()
 }

@@ -4,13 +4,13 @@ import "dqm/internal/metrics"
 
 // WAL-plane instruments on the shared Default registry, cumulative across
 // every journal in the process. The append path is a hot path with a 0-alloc
-// guarantee (BenchmarkJournalAppend): everything recorded per frame is an
+// guarantee (BenchmarkJournalAppend): everything recorded per batch is an
 // atomic add or a fixed-bucket histogram observation, both allocation-free.
 var (
 	metricFrames = metrics.Default.Counter("dqm_wal_append_frames_total",
-		"Frames committed to journals (one engine batch, task block, task end or reset each).")
+		"Batches staged into journals (one engine batch, task block, task end or reset each); a flush seals every batch staged since the last into one frame.")
 	metricAppendSeconds = metrics.Default.Histogram("dqm_wal_append_seconds",
-		"Journal frame commit latency: buffering the frame plus any flush, rotation or compaction it triggered (not the durability wait; see dqm_wal_commit_wait_seconds).",
+		"Journal append latency: encoding the batch into the open frame plus any flush, rotation or compaction it triggered (not the durability wait; see dqm_wal_commit_wait_seconds).",
 		metrics.DurationBuckets)
 	metricCommitWaitSeconds = metrics.Default.Histogram("dqm_wal_commit_wait_seconds",
 		"Durability wait per FsyncAlways commit: parked on the group-commit syncer, or syncing directly once it has stopped. A multi-task binary request commits once, however many frames it staged.",

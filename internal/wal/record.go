@@ -57,9 +57,11 @@ type Hooks struct {
 	// Votes, when set, selects the batched replay path: runs of consecutive
 	// votes — whatever records hold them — are decoded into Cols and
 	// delivered as one batch per flush point (the next non-vote record, or
-	// the end of the frame payload). Frames are the group-commit unit, so
-	// batches arrive task-sized, and batch order equals record order —
-	// replayed state is bit-identical to the per-vote path. The rare vote
+	// the end of the frame payload). A frame holds every batch staged
+	// between two buffer flushes, each task's ending in opEnd, so batches
+	// arrive task-sized (votes staged without a boundary join the next
+	// task's), and batch order equals record order — replayed state is
+	// bit-identical to the per-vote path. The rare vote
 	// whose item or worker does not fit the columnar int32 domain is
 	// delivered through Vote instead (after a flush, preserving order), so
 	// Vote should still be set as the fallback.
@@ -68,6 +70,11 @@ type Hooks struct {
 	// refills it per batch, so long journals replay without per-batch
 	// allocation. Required when Votes is set.
 	Cols *votelog.VoteColumns
+	// Buf, when set, is the reused segment read buffer of Store.Recover:
+	// each segment is read whole into *Buf, which grows only for a segment
+	// larger than any before, so a caller recovering many sessions reads
+	// them all through one buffer.
+	Buf *[]byte
 }
 
 // zigzag maps signed onto unsigned varint-friendly integers.

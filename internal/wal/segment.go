@@ -40,15 +40,30 @@ func tornHeader(hdr []byte) bool {
 // castagnoli is the CRC32C polynomial table (the storage-standard variant).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// maxFramePayload rejects absurd frame lengths before allocating; real frames
-// are bounded by the engine's ingest batch limits.
-const maxFramePayload = 1 << 26
+// maxFramePayload bounds one frame's payload. The journal never writes a
+// longer one (it refuses a batch that cannot fit, see ErrBatchTooLarge), and
+// the scanner reads a longer length as a torn frame before allocating. A
+// variable only so tests can lower it.
+var maxFramePayload = 1 << 26
 
-// appendFrame appends one CRC32C-framed payload to buf.
-func appendFrame(buf, payload []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
-	return append(buf, payload...)
+// frameHead is the room a frame's head takes in front of its payload while
+// the frame is open: the longest uvarint length a payload can have, then the
+// CRC32C. sealFrame writes the head right-aligned into it.
+const frameHead = binary.MaxVarintLen32 + crc32.Size
+
+// sealFrame frames buf[frameHead:] in place, writing the payload's uvarint
+// length and CRC32C (little endian) right-aligned into buf[:frameHead], and
+// returns the frame:
+//
+//	uvarint(len(payload)) | crc32c(payload) LE | payload
+func sealFrame(buf []byte) []byte {
+	payload := buf[frameHead:]
+	var n [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(n[:], uint64(len(payload)))
+	start := frameHead - crc32.Size - k
+	copy(buf[start:], n[:k])
+	binary.LittleEndian.PutUint32(buf[frameHead-crc32.Size:], crc32.Checksum(payload, castagnoli))
+	return buf[start:]
 }
 
 // scanResult reports how far a segment scan got.
@@ -115,7 +130,7 @@ func scanSegment(path string, h Hooks, scratch []byte) (scanResult, []byte, erro
 			return res, scratch, nil
 		}
 		size, un := binary.Uvarint(buf[off:])
-		if un <= 0 || size > maxFramePayload {
+		if un <= 0 || size > uint64(maxFramePayload) {
 			return res, scratch, nil // torn or absurd length prefix
 		}
 		off += int64(un)
@@ -199,9 +214,18 @@ func readSnapshotBody(path string) ([]byte, error) {
 	return body, nil
 }
 
-// syncDir fsyncs a directory so renames and removals inside it are durable.
-// Failures are reported but non-fatal on filesystems that reject dir fsync.
+// testSyncDir, when set (tests only), observes every syncDir call before the
+// directory is synced: the hook tests use to pin which names each directory
+// fsync covers.
+var testSyncDir func(dir string)
+
+// syncDir fsyncs a directory so new names, renames and removals inside it are
+// durable. Failures are reported but non-fatal on filesystems that reject dir
+// fsync.
 func syncDir(dir string) error {
+	if testSyncDir != nil {
+		testSyncDir(dir)
+	}
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

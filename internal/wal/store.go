@@ -53,7 +53,7 @@ func OpenStore(dir string, opts Options) (*Store, error) {
 }
 
 // Close stops the store's group-commit syncer after one final pass, so every
-// frame committed before Close is flushed (and, per policy, fsynced). Safe to
+// batch committed before Close is flushed (and, per policy, fsynced). Safe to
 // call more than once. Journals stay usable — they self-sync afterwards —
 // but callers should close them first: the engine closes sessions, then the
 // store.
@@ -300,14 +300,17 @@ func (s *Store) Create(meta Meta) (*Journal, error) {
 		os.RemoveAll(dir)
 		return nil, err
 	}
+	// createSegment's fsync of the session directory made both names in it
+	// durable, meta.json's and the segment's; the store directory's makes
+	// the session's own.
 	_ = syncDir(s.dir)
 	return &Journal{dir: dir, opts: s.opts, sy: s.sy, f: f, seq: 1, size: size}, nil
 }
 
-// writeMeta atomically persists meta.json: temp file, fsync, rename, dir
-// fsync — the same discipline as writeSnapshot. The content fsync before the
-// rename matters: without it a power loss can leave a visible-but-empty
-// meta.json, and one unparsable meta fails recovery for the whole store.
+// writeMeta atomically replaces meta.json: temp file, fsync, rename. The
+// content fsync before the rename matters: without it a power loss can leave
+// a visible-but-empty meta.json, and one unparsable meta fails recovery for
+// the whole store. The caller fsyncs dir to make the rename durable.
 func writeMeta(dir string, meta Meta) error {
 	b, err := json.Marshal(meta)
 	if err != nil {
@@ -333,7 +336,7 @@ func writeMeta(dir string, meta Meta) error {
 		os.Remove(tmp)
 		return err
 	}
-	return syncDir(dir)
+	return nil
 }
 
 // ReadMeta loads a session's metadata.
@@ -361,7 +364,10 @@ func (s *Store) UpdateMeta(id string, mutate func(*Meta)) error {
 	mutate(&next)
 	next.Version, next.ID, next.Items, next.CreatedAt, next.Config =
 		cur.Version, cur.ID, cur.Items, cur.CreatedAt, cur.Config
-	return writeMeta(dir, next)
+	if err := writeMeta(dir, next); err != nil {
+		return err
+	}
+	return syncDir(dir)
 }
 
 // readMetaFile loads and validates the meta.json inside a session directory.
@@ -451,6 +457,10 @@ func (s *Store) Recover(id string, h Hooks) (*Journal, error) {
 
 	// Replay the tail segments in order. Only the final one may be torn.
 	var scratch []byte
+	if h.Buf != nil {
+		scratch = *h.Buf
+		defer func() { *h.Buf = scratch }()
+	}
 	for i, seq := range live {
 		if want := snapSeq + uint64(i) + 1; seq != want {
 			return nil, fail(fmt.Errorf("missing segment %d (found %d)", want, seq))

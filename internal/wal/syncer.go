@@ -17,8 +17,9 @@ import (
 //
 // Durability semantics per policy are unchanged:
 //
-//   - FsyncAlways: Commit does not return before the frames it covers are
-//     fsynced (the fsync just batches with every other session's).
+//   - FsyncAlways: Commit does not return before the batches it covers are
+//     sealed into frames and fsynced (the fsync just batches with every
+//     other session's).
 //   - FsyncBatch: a pass runs at least every BatchInterval and fsyncs all
 //     dirty journals; a crash loses at most roughly one interval.
 //   - FsyncNever: passes only drain user-space buffers to the OS.
@@ -81,7 +82,7 @@ func (sy *Syncer) run() {
 }
 
 // pass snapshots the dirty-journal queue and syncs each journal in it. The
-// queued flag is cleared before the journal is synced, so a frame committed
+// queued flag is cleared before the journal is synced, so a batch committed
 // while the pass is in flight re-enqueues its journal for the next pass
 // rather than being silently considered covered.
 func (sy *Syncer) pass() {
@@ -127,7 +128,7 @@ func (sy *Syncer) MarkDirty(j *Journal) {
 }
 
 // Commit enqueues a journal and parks until a pass that began after the
-// enqueue has completed — at which point the journal's frames (including the
+// enqueue has completed — at which point the journal's batches (including the
 // caller's) are flushed and fsynced, or its sticky error says why not. This
 // is the FsyncAlways path: every concurrent committer in the store shares the
 // pass's fsyncs.
@@ -204,7 +205,7 @@ func (j *Journal) passSync(fsync bool) {
 
 // commitErr reports the journal's sticky error to a parked committer after
 // its pass completed. ErrClosed maps to nil: Close syncs before closing, so
-// the committed frame is durable.
+// the committed batch is durable.
 func (j *Journal) commitErr() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -15,8 +15,10 @@ import (
 )
 
 // journalConcurrent drives n appender goroutines, one per journal, through the
-// store's shared syncer, mixing plain, columnar and rotation frames. It
-// returns each journal's logical op stream (the per-session recovery truth).
+// store's shared syncer, mixing plain batches, columnar batches and bare
+// boundaries, and sealing the open frame (Sync) after a seeded random third
+// of the tasks. It returns each journal's logical op stream (the per-session
+// recovery truth).
 func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op) {
 	t.Helper()
 	js := make([]*Journal, n)
@@ -68,6 +70,12 @@ func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op
 					}
 					ops = append(ops, op{Kind: opEnd})
 				}
+				if rng.Intn(3) == 0 {
+					if err := js[i].Sync(); err != nil {
+						errs[i] = err
+						return
+					}
+				}
 			}
 			streams[i] = ops
 		}(i)
@@ -82,7 +90,7 @@ func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op
 }
 
 // TestMultiSessionTornTailThroughSharedSyncer is the crash/recovery property
-// test for group commit: frames from several sessions interleave through one
+// test for group commit: batches from several sessions interleave through one
 // store's syncer, and truncating any one session's segment at an arbitrary
 // byte offset must recover exactly a frame-aligned clean prefix of that
 // session's own stream — sessions share fsync passes, never frames.
@@ -100,6 +108,9 @@ func TestMultiSessionTornTailThroughSharedSyncer(t *testing.T) {
 				raw, err := os.ReadFile(segPath(j.Dir(), 1))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if n := countFrames(raw); n < 10 {
+					t.Fatalf("session %d: segment holds %d frames, want at least 10 to cut through", i, n)
 				}
 				full := streams[i]
 				prev := -1

@@ -11,16 +11,19 @@
 //	snap-<seq>.bin     one snapshot covering segments 1..seq
 //
 // A segment is a 5-byte header (magic "DQMW", version 1) followed by frames.
-// Each frame is one engine batch — an Append call, one task block of an
-// AppendLog call, or a Reset — encoded as
+// Each frame is one flush of the journal's group-commit buffer: every batch
+// staged since the previous flush — Append calls, task blocks of AppendLog
+// calls, Resets — encoded as
 //
 //	uvarint(len(payload)) | crc32c(payload) LE | payload
 //
-// and a payload is a sequence of varint records: opBlock, the batch's votes
-// (a count, the worker once when every vote shares it, then one
-// item<<1|dirty key per vote, each followed by its worker when they differ);
-// opEnd; opReset; opWindow start — a windowed session's rotation, always in
-// the same frame as the opEnd that sealed it, so task boundaries and their
+// Frames are sealed only when the buffer drains (64 KiB overflow, a syncer
+// pass, Sync, rotation, Checkpoint, Close), and so always between batches.
+// A payload is a sequence of varint records: opBlock, a batch's votes (a
+// count, the worker once when every vote shares it, then one item<<1|dirty
+// key per vote, each followed by its worker when they differ); opEnd;
+// opReset; opWindow start — a windowed session's rotation, always in the
+// same frame as the opEnd that sealed it, so task boundaries and their
 // window rotations are crash-atomic. Every write path emits opBlock; the
 // opVote and opColumns vote records of earlier builds stay readable, so their
 // data dirs recover. A torn or corrupt frame at the tail of the final segment
@@ -51,17 +54,17 @@ import "time"
 type FsyncPolicy int
 
 const (
-	// FsyncBatch (the default) group-commits: frames accumulate in a
+	// FsyncBatch (the default) group-commits: batches accumulate in a
 	// user-space buffer that drains to the OS on overflow, and the store's
 	// shared Syncer fsyncs every dirty journal at least once per
 	// BatchInterval (and always on rotation, checkpoint and close). A crash
 	// loses at most roughly the last interval of acknowledged votes.
 	FsyncBatch FsyncPolicy = iota
-	// FsyncAlways fsyncs every frame before the commit that covers it
-	// returns. Nothing acknowledged is ever lost. Commits park on the
-	// store's Syncer, so concurrent sessions share fsync rounds
+	// FsyncAlways seals and fsyncs every staged batch before the commit that
+	// covers it returns. Nothing acknowledged is ever lost. Commits park on
+	// the store's Syncer, so concurrent sessions share fsync rounds
 	// (cross-session group commit) instead of each paying device sync
-	// latency alone, and a multi-task request stages all its frames and
+	// latency alone, and a multi-task request stages all its batches and
 	// parks once.
 	FsyncAlways
 	// FsyncNever leaves fsync to the OS: frames are still handed to the

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -277,10 +279,22 @@ func TestDirEncodingWeirdIDs(t *testing.T) {
 	}
 }
 
-// journalN appends n single-vote tasks, returning the logical op stream.
+// journalN appends n tasks of one to four votes, returning the logical op
+// stream.
 func journalN(t *testing.T, j *Journal, n, itemSpace int, seed int64) []op {
 	t.Helper()
+	return journalSealed(t, j, n, itemSpace, seed, 0)
+}
+
+// journalSealed is journalN that also seals the open frame after about one
+// append in sealOdds (none when 0), through Sync or Checkpoint, both drawn
+// from a second rng seeded from seed: a segment written under FsyncNever
+// then holds many frames of a few batches each. The op stream is journalN's
+// for the same seed.
+func journalSealed(t *testing.T, j *Journal, n, itemSpace int, seed int64, sealOdds int) []op {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	sealRng := rand.New(rand.NewSource(^seed))
 	var ops []op
 	for i := 0; i < n; i++ {
 		batch := make([]votes.Vote, 1+rng.Intn(4))
@@ -292,8 +306,36 @@ func journalN(t *testing.T, j *Journal, n, itemSpace int, seed int64) []op {
 			t.Fatal(err)
 		}
 		ops = append(ops, op{Kind: opEnd})
+		if sealOdds > 0 && sealRng.Intn(sealOdds) == 0 {
+			seal := j.Sync
+			if sealRng.Intn(2) == 0 {
+				seal = j.Checkpoint
+			}
+			if err := seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	return ops
+}
+
+// countFrames counts the frames of a segment's bytes up to the first one that
+// is torn or fails its CRC.
+func countFrames(raw []byte) int {
+	frames, off := 0, len(segMagic)
+	for off < len(raw) {
+		size, k := binary.Uvarint(raw[off:])
+		if k <= 0 || off+k+4+int(size) > len(raw) {
+			break
+		}
+		payload := raw[off+k+4 : off+k+4+int(size)]
+		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(raw[off+k:]) {
+			break
+		}
+		off += k + 4 + int(size)
+		frames++
+	}
+	return frames
 }
 
 func TestRotationAndCompaction(t *testing.T) {
@@ -373,7 +415,7 @@ func TestTornTailIsTruncatedFrameAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := journalN(t, j, 60, 30, 4)
+	full := journalSealed(t, j, 60, 30, 4, 3)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -381,6 +423,9 @@ func TestTornTailIsTruncatedFrameAligned(t *testing.T) {
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := countFrames(raw); n < 15 {
+		t.Fatalf("segment holds %d frames, want at least 15 to cut through", n)
 	}
 
 	// Frame boundaries = prefixes that recovery can yield. Compute them by
@@ -433,7 +478,7 @@ func TestCorruptTailFrameIsDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := journalN(t, j, 40, 30, 5)
+	full := journalSealed(t, j, 40, 30, 5, 3)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -441,6 +486,9 @@ func TestCorruptTailFrameIsDropped(t *testing.T) {
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := countFrames(raw); n < 10 {
+		t.Fatalf("segment holds %d frames, want at least 10", n)
 	}
 	raw[len(raw)-1] ^= 0xff // flip a byte inside the last frame
 	if err := os.WriteFile(seg, raw, 0o644); err != nil {
@@ -452,8 +500,9 @@ func TestCorruptTailFrameIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if len(got) >= len(full) || !reflect.DeepEqual(got, full[:len(got)]) {
-		t.Fatalf("corrupt tail: recovered %d ops of %d, prefix=%v", len(got), len(full), reflect.DeepEqual(got, full[:len(got)]))
+	// Only the last frame is lost: the frames before it come back.
+	if len(got) == 0 || len(got) >= len(full) || !reflect.DeepEqual(got, full[:len(got)]) {
+		t.Fatalf("corrupt tail: recovered %d ops of %d, want a non-empty proper prefix", len(got), len(full))
 	}
 }
 
