@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -21,10 +22,20 @@ import (
 // hubSession adapts *dqm.Session to hub.Session. Inputs reads the version
 // BEFORE the estimates (the read plane's at-least-once discipline) and only
 // computes the bootstrap CI or windowed drift view when the policy needs it.
-type hubSession struct{ *dqm.Session }
+type hubSession struct {
+	*dqm.Session
+	// noSwitch marks a session that does not select SWITCH, read once when
+	// the hub resolves it: its rules over remaining, switch_total and
+	// drift_ratio are unavailable.
+	noSwitch bool
+}
+
+func newHubSession(sess *dqm.Session) hubSession {
+	return hubSession{sess, !slices.Contains(sess.EstimatorNames(), "SWITCH")}
+}
 
 func (sess hubSession) Inputs(need policy.Needs) (policy.Inputs, error) {
-	in := policy.Inputs{Version: sess.Version()}
+	in := policy.Inputs{Version: sess.Version(), NoSwitch: sess.noSwitch}
 	est := sess.Estimates()
 	in.Remaining = est.Remaining()
 	in.SwitchTotal = est.Switch.Total
@@ -38,7 +49,7 @@ func (sess hubSession) Inputs(need policy.Needs) (policy.Inputs, error) {
 			in.HasCI = true
 		}
 	}
-	if need.Drift {
+	if need.Drift && !sess.noSwitch {
 		if we, err := sess.WindowEstimates(dqm.WindowDecayed); err == nil {
 			in.DriftRatio = policy.DriftRatio(we.Estimates.Remaining(), in.Remaining)
 			in.HasDrift = true

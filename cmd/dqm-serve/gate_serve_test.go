@@ -376,6 +376,47 @@ func TestGateDriftRuleWiring(t *testing.T) {
 	}
 }
 
+// TestGateWithoutSwitchReportsUnavailable: remaining, switch_total and
+// drift_ratio all derive from SWITCH, so on a session that does not select
+// it their rules are listed as unavailable and never fire, while the same
+// stream quarantines a session that does.
+func TestGateWithoutSwitchReportsUnavailable(t *testing.T) {
+	srv := mustServer(t, serverConfig{GateMinInterval: time.Millisecond})
+	defer srv.Close()
+	doc := `{"rules":[
+		{"name":"total","metric":"switch_total","op":">","value":5},
+		{"name":"left","metric":"remaining","op":">=","value":0,"severity":"warning"},
+		{"name":"drifting","metric":"drift_ratio","op":">","value":0}]}`
+	window := map[string]any{"size": 2, "decay_alpha": 0.5}
+	for id, names := range map[string][]string{"both": {"VOTING", "SWITCH"}, "voting": {"VOTING"}} {
+		do(t, srv, "POST", "/v1/sessions", map[string]any{
+			"id": id, "items": 50, "config": map[string]any{"estimators": names, "window": window},
+		}, http.StatusCreated)
+		putPolicy(t, srv, id, doc)
+		for task := 0; task < 6; task++ {
+			ingestTask(t, srv, id, task*5, 5, 2)
+		}
+	}
+	dec := waitGateAction(t, srv, "both", "quarantine")
+	if _, ok := dec["unavailable"]; ok {
+		t.Fatalf("a SWITCH session reports unavailable rules: %v", dec)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for dec = gateDecision(t, srv, "voting"); dec["tasks"] != float64(6); dec = gateDecision(t, srv, "voting") {
+		if time.Now().After(deadline) {
+			t.Fatalf("gate never evaluated all 6 tasks: %v", dec)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	unavailable, _ := dec["unavailable"].([]any)
+	if dec["action"] != "proceed" || fmt.Sprint(unavailable) != "[total left drifting]" {
+		t.Fatalf("VOTING-only decision %v, want proceed with all three rules unavailable", dec)
+	}
+	if _, ok := dec["inputs"].(map[string]any)["drift_ratio"]; ok {
+		t.Fatalf("VOTING-only decision echoes a drift ratio: %v", dec)
+	}
+}
+
 // TestGateDriftDeliversEveryTransition drives the production gate wiring
 // (each gate's transition callback feeding the server's webhook dispatcher)
 // with drifting ingest on two windowed sessions. Every session must

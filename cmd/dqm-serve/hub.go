@@ -55,7 +55,7 @@ func (s *server) setupHub() {
 			if !ok {
 				return nil, false
 			}
-			return hubSession{sess}, true
+			return newHubSession(sess), true
 		},
 		Encode: s.encodeEstimates,
 		// The pump's publish floor: mutation bursts within it collapse into

@@ -852,15 +852,14 @@ func writePartialIngest(w http.ResponseWriter, sess *dqm.Session, err error, vot
 
 // estimatesJSON is the wire form of dqm.Estimates.
 type estimatesJSON struct {
-	Nominal   float64            `json:"nominal"`
-	Voting    float64            `json:"voting"`
-	Chao92    float64            `json:"chao92"`
-	VChao92   float64            `json:"v_chao92"`
-	Switch    switchJSON         `json:"switch"`
-	Remaining float64            `json:"remaining"`
-	Extra     map[string]float64 `json:"extra,omitempty"`
-	Tasks     int64              `json:"tasks"`
-	Votes     int64              `json:"votes"`
+	Nominal   float64    `json:"nominal"`
+	Voting    float64    `json:"voting"`
+	Chao92    float64    `json:"chao92"`
+	VChao92   float64    `json:"v_chao92"`
+	Switch    switchJSON `json:"switch"`
+	Remaining float64    `json:"remaining"`
+	Tasks     int64      `json:"tasks"`
+	Votes     int64      `json:"votes"`
 	// Version is the session's mutation counter at (or just before) the
 	// read; pass it back as the watch cursor to resume change detection.
 	Version  uint64      `json:"version"`
@@ -911,7 +910,6 @@ func estimatesBody(e dqm.Estimates) estimatesJSON {
 			Trend:             trend,
 		},
 		Remaining: e.Remaining(),
-		Extra:     e.Extra,
 	}
 }
 

@@ -45,9 +45,15 @@ func TestHealthAndEstimators(t *testing.T) {
 		t.Fatalf("health = %v", h)
 	}
 	e := do(t, srv, "GET", "/v1/estimators", nil, http.StatusOK)
-	names, _ := e["estimators"].([]any)
-	if len(names) < 5 {
-		t.Fatalf("estimators = %v", e)
+	if got := fmt.Sprint(e["estimators"]); got != "[CHAO92 NOMINAL SWITCH V-CHAO VOTING]" {
+		t.Fatalf("estimators = %v, want [CHAO92 NOMINAL SWITCH V-CHAO VOTING]", got)
+	}
+	bad := do(t, srv, "POST", "/v1/sessions", map[string]any{
+		"id": "bad", "items": 5, "config": map[string]any{"estimators": []string{"VOTING", "NOPE"}},
+	}, http.StatusBadRequest)
+	const want = `estimator: unknown estimator "NOPE" (registered: [CHAO92 NOMINAL SWITCH V-CHAO VOTING])`
+	if msg := bad["error"].(map[string]any)["message"]; msg != want {
+		t.Fatalf("unknown estimator message = %v, want %s", msg, want)
 	}
 }
 

@@ -50,10 +50,10 @@
 //   - Switch (§4) — the paper's contribution: estimate remaining consensus
 //     switches and correct the majority vote with the trend-selected side.
 //
-// The estimator set is pluggable: estimators register by name (package
-// internal/estimator) and sessions select a subset via Config.Estimators.
-// The internal packages supply the full reproduction substrate (datasets,
-// crowd simulation, prioritization, experiment harness); see DESIGN.md.
+// A session evaluates all five of NOMINAL, VOTING, CHAO92, V-CHAO and SWITCH,
+// or the subset Config.Estimators names. The internal packages supply the
+// full reproduction substrate (datasets, crowd simulation, prioritization,
+// experiment harness); see DESIGN.md.
 package dqm
 
 import (
@@ -110,9 +110,9 @@ type Config struct {
 	// Recorder.SwitchCI can compute bootstrap confidence intervals. Costs
 	// O(observed switches) extra memory.
 	TrackConfidence bool
-	// Estimators selects the evaluated estimators by registered name (see
-	// EstimatorNames); nil selects the full paper suite. Estimators left out
-	// report zero in Estimates.
+	// Estimators selects the evaluated estimators by name, out of the five
+	// EstimatorNames returns; nil selects all five. Estimators left out report
+	// zero in Estimates.
 	Estimators []string
 	// Window, when set, additionally runs the selected estimators over
 	// task-count windows — "the quality of the last N tasks" — alongside the
@@ -219,8 +219,8 @@ func (c Config) sessionConfig() engine.SessionConfig {
 	return sc
 }
 
-// EstimatorNames returns every registered estimator name, sorted; these are
-// the values Config.Estimators accepts.
+// EstimatorNames returns the five estimator names, sorted; these are the
+// values Config.Estimators accepts.
 func EstimatorNames() []string { return estimator.RegisteredNames() }
 
 // SwitchEstimate mirrors the full SWITCH output (§4): the corrected total,
@@ -229,6 +229,10 @@ func EstimatorNames() []string { return estimator.RegisteredNames() }
 type SwitchEstimate struct {
 	// Total is the trend-corrected total error estimate of §4.3.
 	Total float64
+	// Majority is the majority-vote count SWITCH corrects: the same strict
+	// majority count as Estimates.Voting, kept whether or not VOTING is
+	// selected.
+	Majority float64
 	// XiPos and XiNeg estimate the remaining positive (clean→dirty) and
 	// negative (dirty→clean) consensus switches.
 	XiPos, XiNeg float64
@@ -253,16 +257,13 @@ type Estimates struct {
 	VChao92 float64
 	// Switch is the paper's SWITCH estimate.
 	Switch SwitchEstimate
-	// Extra holds estimates of non-standard registered estimators selected
-	// via Config.Estimators, keyed by name; nil otherwise.
-	Extra map[string]float64
 }
 
 // Remaining returns the estimated number of still-undetected errors
 // according to the SWITCH estimator: its total minus the current majority
 // count, floored at zero.
 func (e Estimates) Remaining() float64 {
-	r := e.Switch.Total - e.Voting
+	r := e.Switch.Total - e.Switch.Majority
 	if r < 0 {
 		return 0
 	}
@@ -278,13 +279,13 @@ func fromInternal(e estimator.Estimates) Estimates {
 		VChao92: e.VChao92,
 		Switch: SwitchEstimate{
 			Total:             e.Switch.Total,
+			Majority:          e.Switch.Majority,
 			XiPos:             e.Switch.XiPos,
 			XiNeg:             e.Switch.XiNeg,
 			RemainingSwitches: e.Switch.RemainingSwitches,
 			TrendUp:           e.Switch.Trend == estimator.TrendUp,
 			TrendDown:         e.Switch.Trend == estimator.TrendDown,
 		},
-		Extra: e.Extra,
 	}
 }
 
@@ -309,9 +310,9 @@ type Recorder struct {
 }
 
 // NewRecorder creates a recorder over a population of n items (records, or
-// candidate pairs for entity resolution). It panics on an unregistered name
-// in Config.Estimators and on an invalid Config.Window; validate user input
-// with EstimatorNames/WindowConfig.Validate first, or create sessions
+// candidate pairs for entity resolution). It panics on an unknown estimator
+// name in Config.Estimators and on an invalid Config.Window; validate user
+// input with EstimatorNames/WindowConfig.Validate first, or create sessions
 // through an Engine, which returns errors instead.
 func NewRecorder(n int, cfg Config) *Recorder {
 	return &Recorder{Session{s: engine.NewSession("", n, cfg.sessionConfig())}}
@@ -493,7 +494,7 @@ func (e *Engine) Close() error { return e.e.Close() }
 
 // CreateSession registers a new session over a population of n items. It
 // fails on an empty or duplicate id, a non-positive population, an
-// unregistered estimator name in cfg.Estimators, an invalid cfg.Window, or a
+// unknown estimator name in cfg.Estimators, an invalid cfg.Window, or a
 // population too large for its suites: n × (1 + window panes) may not exceed
 // 2²⁶ per-item states (256 MiB at create: 4 B per item state, 8 B once an
 // item of its suite passes 255 votes, 16 B past 65,535).

@@ -40,11 +40,11 @@ func TestRecordVote(t *testing.T) {
 }
 
 func TestRemainingFloorsAtZero(t *testing.T) {
-	e := Estimates{Voting: 10, Switch: SwitchEstimate{Total: 7}}
+	e := Estimates{Switch: SwitchEstimate{Total: 7, Majority: 10}}
 	if got := e.Remaining(); got != 0 {
 		t.Fatalf("Remaining = %v", got)
 	}
-	e = Estimates{Voting: 10, Switch: SwitchEstimate{Total: 14}}
+	e = Estimates{Switch: SwitchEstimate{Total: 14, Majority: 10}}
 	if got := e.Remaining(); got != 4 {
 		t.Fatalf("Remaining = %v", got)
 	}

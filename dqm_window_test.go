@@ -1,6 +1,7 @@
 package dqm
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"testing"
 )
@@ -153,5 +154,86 @@ func TestParseWindowKindPublic(t *testing.T) {
 	}
 	if _, err := ParseWindowKind("all"); err == nil {
 		t.Fatal("ParseWindowKind accepted garbage")
+	}
+}
+
+// TestRemainingSameForEverySwitchSelection replays one stream through a
+// windowed recorder for every selection that contains SWITCH. Remaining
+// reads SWITCH's own majority count, so in the all-time view and in every
+// window view it must equal the full suite's, whether or not VOTING is
+// selected.
+func TestRemainingSameForEverySwitchSelection(t *testing.T) {
+	names := []string{"NOMINAL", "VOTING", "CHAO92", "V-CHAO"}
+	var recs []*Recorder
+	var sels [][]string
+	for mask := 0; mask < 1<<len(names); mask++ {
+		sel := []string{"SWITCH"}
+		for i, name := range names {
+			if mask&(1<<i) != 0 {
+				sel = append(sel, name)
+			}
+		}
+		cfg := windowedDefaults()
+		cfg.Estimators = sel
+		recs = append(recs, NewRecorder(40, cfg))
+		sels = append(sels, sel)
+	}
+	full := NewRecorder(40, windowedDefaults())
+	kinds := []WindowKind{WindowCurrent, WindowLast, WindowDecayed}
+	var nonzero [2]int // all-time and windowed reads with remaining > 0
+	rng := rand.New(rand.NewPCG(7, 11))
+	for task := 0; task < 60; task++ {
+		for j := 0; j < 12; j++ {
+			// Items below 12 are dirty; workers miss an error 30% of the
+			// time and flag a clean item 5% of the time, so consensus
+			// switches keep SWITCH's remaining estimate above zero.
+			item := rng.IntN(40)
+			dirty := rng.Float64() < 0.05
+			if item < 12 {
+				dirty = rng.Float64() >= 0.3
+			}
+			v := Vote{Item: item, Worker: j % 4, Dirty: dirty}
+			full.RecordVote(v)
+			for _, r := range recs {
+				r.RecordVote(v)
+			}
+		}
+		full.EndTask()
+		for _, r := range recs {
+			r.EndTask()
+		}
+		want := full.Estimates()
+		if want.Remaining() > 0 {
+			nonzero[0]++
+		}
+		for i, r := range recs {
+			got := r.Estimates()
+			if got.Switch != want.Switch || got.Remaining() != want.Remaining() {
+				t.Fatalf("task %d, %v: Switch %+v remaining %v, want %+v remaining %v",
+					task, sels[i], got.Switch, got.Remaining(), want.Switch, want.Remaining())
+			}
+		}
+		for _, kind := range kinds {
+			we, err := full.WindowEstimates(kind)
+			if err != nil {
+				continue // no completed window yet
+			}
+			if we.Estimates.Remaining() > 0 {
+				nonzero[1]++
+			}
+			for i, r := range recs {
+				got, err := r.WindowEstimates(kind)
+				if err != nil {
+					t.Fatalf("task %d, %v, %v: %v", task, sels[i], kind, err)
+				}
+				if got.Estimates.Switch != we.Estimates.Switch || got.Estimates.Remaining() != we.Estimates.Remaining() {
+					t.Fatalf("task %d, %v, %v: remaining %v, want %v",
+						task, sels[i], kind, got.Estimates.Remaining(), we.Estimates.Remaining())
+				}
+			}
+		}
+	}
+	if nonzero[0] == 0 || nonzero[1] == 0 {
+		t.Fatalf("remaining above zero after %d tasks, in %d window reads: the test compares zeros", nonzero[0], nonzero[1])
 	}
 }

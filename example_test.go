@@ -42,8 +42,7 @@ func ExampleExtrapolate() {
 // majority already found.
 func ExampleEstimates_Remaining() {
 	e := dqm.Estimates{
-		Voting: 40,
-		Switch: dqm.SwitchEstimate{Total: 52.5},
+		Switch: dqm.SwitchEstimate{Total: 52.5, Majority: 40},
 	}
 	fmt.Printf("%.1f\n", e.Remaining())
 	// Output:

@@ -43,18 +43,6 @@ func New(name string, fn func(item int) votes.Label) Judge {
 	return funcJudge{name: name, fn: fn}
 }
 
-// ThresholdJudge builds a similarity-threshold classifier: item i is dirty
-// when score(i) ≥ threshold. This is the entity-resolution flavor of an
-// algorithmic cleaner (CrowdER's first stage run to completion).
-func ThresholdJudge(name string, score func(item int) float64, threshold float64) Judge {
-	return New(name, func(item int) votes.Label {
-		if score(item) >= threshold {
-			return votes.Dirty
-		}
-		return votes.Clean
-	})
-}
-
 // RuleJudge builds a Judge from a rule subset over address records: item i
 // is dirty when any of the rules fires on records[i]. Different subsets
 // yield semi-independent detectors with different coverage — the

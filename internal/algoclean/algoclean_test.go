@@ -170,3 +170,15 @@ func TestCommitteeEndToEnd(t *testing.T) {
 		t.Fatal("nominal below majority")
 	}
 }
+
+// ThresholdJudge builds a similarity-threshold classifier: item i is dirty
+// when score(i) ≥ threshold. This is the entity-resolution flavor of an
+// algorithmic cleaner (CrowdER's first stage run to completion).
+func ThresholdJudge(name string, score func(item int) float64, threshold float64) Judge {
+	return New(name, func(item int) votes.Label {
+		if score(item) >= threshold {
+			return votes.Dirty
+		}
+		return votes.Clean
+	})
+}

@@ -326,29 +326,27 @@ var testRecoverStall func(id string)
 
 // replayScratch is the memory a journal replay reuses: the columnar vote
 // scratch and the segment read buffer. Each boot worker keeps one across the
-// sessions it recovers.
+// sessions it recovers; cold loads borrow one from replayScratchPool.
 type replayScratch struct {
 	cols votelog.VoteColumns
 	buf  []byte
 }
 
+var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
+
 // recoverSession rebuilds one session from its journal: latest snapshot plus
 // journal tail. Replay is columnar — vote records are decoded into sc's
-// columns (sc is reused across sessions by the boot workers; pass nil to
-// allocate) and applied in task-sized batches, so recovery looks like
-// AppendColumns rather than a stream of single-vote appends: one
-// bounds-check pass and one rotation cross-check per batch instead of per
-// vote, no per-vote hook indirection, and no estimate-cache or per-vote
-// metric traffic until the session goes live (the version is published once,
-// at the end).
+// columns (sc is reused across sessions) and applied in task-sized batches,
+// so recovery looks like binary ingest rather than a stream of single-vote
+// appends: one bounds-check pass and one rotation cross-check per batch
+// instead of per vote, no per-vote hook indirection, and no estimate-cache or
+// per-vote metric traffic until the session goes live (the version is
+// published once, at the end).
 func (e *Engine) recoverSession(id string, sc *replayScratch) (*Session, error) {
 	start := time.Now()
 	defer metricRecoverySeconds.ObserveSince(start)
 	if testRecoverStall != nil {
 		testRecoverStall(id)
-	}
-	if sc == nil {
-		sc = &replayScratch{}
 	}
 	meta, err := e.store.ReadMeta(id)
 	if err != nil {
@@ -689,7 +687,9 @@ func (e *Engine) Load(id string) (*Session, error) {
 		}
 	}
 	metricLoadsInflight.Inc()
-	s, err := e.recoverSession(id, nil)
+	sc := replayScratchPool.Get().(*replayScratch)
+	s, err := e.recoverSession(id, sc)
+	replayScratchPool.Put(sc)
 	metricLoadsInflight.Dec()
 	if err != nil {
 		return nil, err

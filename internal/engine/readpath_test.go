@@ -289,3 +289,13 @@ func TestConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// CachedVersion returns the version of the currently published estimate
+// snapshot (0 before the first read). Version()−CachedVersion() is the
+// staleness of the read cache in mutations.
+func (s *Session) CachedVersion() uint64 {
+	if c := s.cached.Load(); c != nil {
+		return c.version
+	}
+	return 0
+}

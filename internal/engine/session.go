@@ -419,19 +419,6 @@ func (s *Session) AppendLog(blocks []votelog.TaskBlock) (votesIngested, tasksEnd
 	return s.appendBlocks(blocks, true)
 }
 
-// AppendColumns ingests one columnar batch — raw DQMV 'V'-record bytes, one
-// task block of a binary vote log — marking a task boundary after it when
-// endTask is set: the one-block case of AppendLog, with the same contract.
-// It returns the number of votes ingested.
-func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
-	if len(raw) == 0 && !endTask {
-		return 0, nil
-	}
-	one := [1]votelog.TaskBlock{{Raw: raw}}
-	n, _, err := s.appendBlocks(one[:], endTask)
-	return n, err
-}
-
 // staging is the scratch of one appendBlocks call: the staged blocks decoded
 // into one set of columns, and the row where each block ends.
 type staging struct {
@@ -443,9 +430,9 @@ type staging struct {
 // does not allocate after warm-up and a session keeps no decode buffer.
 var stagingPool = sync.Pool{New: func() any { return new(staging) }}
 
-// appendBlocks is the core of AppendLog and AppendColumns; endLast says
-// whether the last block ends its task. Under mu it decodes, validates and
-// stages blocks up to the first invalid one, commits once, then applies.
+// appendBlocks is the core of AppendLog; endLast says whether the last block
+// ends its task. Under mu it decodes, validates and stages blocks up to the
+// first invalid one, commits once, then applies.
 func (s *Session) appendBlocks(blocks []votelog.TaskBlock, endLast bool) (votesIngested, tasksEnded int, err error) {
 	endsTask := func(i int) bool {
 		if i+1 < len(blocks) {
@@ -550,7 +537,7 @@ func (s *Session) Estimates() estimator.Estimates {
 	if c := s.cached.Load(); c != nil && c.version == v {
 		s.touch()
 		metricEstimateHits.Inc()
-		return c.est.Clone()
+		return c.est
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -582,7 +569,7 @@ func (s *Session) estimatesLocked() estimator.Estimates {
 	v := s.version.Load()
 	if c := s.cached.Load(); c == nil || c.version != v {
 		if s.lastEstimateVersion == v {
-			s.cached.Store(&estimateCache{version: v, est: e.Clone()})
+			s.cached.Store(&estimateCache{version: v, est: e})
 		} else {
 			s.lastEstimateVersion = v
 		}
@@ -596,16 +583,6 @@ func (s *Session) estimatesLocked() estimator.Estimates {
 // dashboard pollers — can cheaply detect "has anything changed since
 // version V" without reading estimates at all.
 func (s *Session) Version() uint64 { return s.version.Load() }
-
-// CachedVersion returns the version of the currently published estimate
-// snapshot (0 before the first read). Version()−CachedVersion() is the
-// staleness of the read cache in mutations.
-func (s *Session) CachedVersion() uint64 {
-	if c := s.cached.Load(); c != nil {
-		return c.version
-	}
-	return 0
-}
 
 // Windowed reports whether the session runs windowed estimation.
 func (s *Session) Windowed() bool { return s.ring != nil }

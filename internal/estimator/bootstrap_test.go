@@ -14,20 +14,18 @@ func TestCIHelpers(t *testing.T) {
 	if !ci.Contains(15) || ci.Contains(9) || ci.Contains(21) {
 		t.Fatal("Contains wrong")
 	}
-	if ci.Width() != 10 {
-		t.Fatalf("Width = %v", ci.Width())
-	}
 }
 
 func TestBootstrapArgsValidation(t *testing.T) {
-	m := votes.NewMatrix(5)
-	if _, err := BootstrapChao92(m, 5, 0.95, xrand.New(1)); err == nil {
+	st := CaptureChao92(votes.NewMatrix(5))
+	defer st.Release()
+	if _, err := st.Bootstrap(5, 0.95, xrand.New(1), 1); err == nil {
 		t.Fatal("too few replicates accepted")
 	}
-	if _, err := BootstrapChao92(m, 100, 1.5, xrand.New(1)); err == nil {
+	if _, err := st.Bootstrap(100, 1.5, xrand.New(1), 1); err == nil {
 		t.Fatal("bad level accepted")
 	}
-	if _, err := BootstrapChao92(m, 100, 0, xrand.New(1)); err == nil {
+	if _, err := st.Bootstrap(100, 0, xrand.New(1), 1); err == nil {
 		t.Fatal("zero level accepted")
 	}
 }
@@ -58,7 +56,9 @@ func bootstrapScenario(t *testing.T) (*votes.Matrix, *SwitchEstimator, *dataset.
 
 func TestBootstrapChao92CoversPointEstimate(t *testing.T) {
 	m, _, _ := bootstrapScenario(t)
-	ci, err := BootstrapChao92(m, 200, 0.95, xrand.New(9))
+	st := CaptureChao92(m)
+	defer st.Release()
+	ci, err := st.Bootstrap(200, 0.95, xrand.New(9), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestBootstrapSwitchCoversTruthAndPoint(t *testing.T) {
 		t.Logf("note: CI [%v, %v] does not cover truth %d (allowed, but unusual)",
 			ci.Lo, ci.Hi, pop.NumDirty())
 	}
-	if ci.Width() <= 0 {
+	if ci.Hi <= ci.Lo {
 		t.Fatalf("degenerate interval %+v", ci)
 	}
 }
@@ -132,9 +132,10 @@ func TestBootstrapSwitchNarrowsWithData(t *testing.T) {
 	}
 	// Relative width must shrink as evidence accumulates.
 	mid := func(c CI) float64 { return (c.Lo + c.Hi) / 2 }
-	if late.Width()/mid(late) >= early.Width()/mid(early) {
+	width := func(c CI) float64 { return c.Hi - c.Lo }
+	if width(late)/mid(late) >= width(early)/mid(early) {
 		t.Fatalf("interval did not narrow: early %v/%v, late %v/%v",
-			early.Width(), mid(early), late.Width(), mid(late))
+			width(early), mid(early), width(late), mid(late))
 	}
 }
 

@@ -41,12 +41,6 @@ func Extrapolate(errsFound, sampleSize, population int) float64 {
 	return float64(errsFound) * float64(population) / float64(sampleSize)
 }
 
-// ExtrapolateRemaining returns the remaining-error form
-// (1/s)·err_s − err_s used in the paper's introduction of the baseline.
-func ExtrapolateRemaining(errsFound, sampleSize, population int) float64 {
-	return Extrapolate(errsFound, sampleSize, population) - float64(errsFound)
-}
-
 // Chao92Option configures the species estimators.
 type Chao92Option func(*chao92cfg)
 

@@ -27,12 +27,9 @@ func TestNominalVoting(t *testing.T) {
 
 func TestExtrapolate(t *testing.T) {
 	// The paper's running example: a 1% sample with 4 errors extrapolates
-	// to 400 total and 396 remaining.
+	// to 400 total.
 	if got := Extrapolate(4, 10, 1000); got != 400 {
 		t.Fatalf("Extrapolate = %v, want 400", got)
-	}
-	if got := ExtrapolateRemaining(4, 10, 1000); got != 396 {
-		t.Fatalf("ExtrapolateRemaining = %v, want 396", got)
 	}
 	if got := Extrapolate(4, 0, 1000); got != 0 {
 		t.Fatalf("zero sample = %v", got)

@@ -84,30 +84,3 @@ func TestEstimateAllMemoInvalidatedByMutation(t *testing.T) {
 		t.Fatal("post-mutation memo diverges from recompute")
 	}
 }
-
-// TestEstimateAllExtraMapIsPrivate: callers mutating the returned Extra map
-// must not corrupt later reads (the memo clones on the way in and out).
-func TestEstimateAllExtraMapIsPrivate(t *testing.T) {
-	name := "memo-extra-probe"
-	Register(name, func(env Env) Estimator {
-		return newMatrixMember(env, name, false, func(m *votes.Matrix, _ SuiteConfig) float64 {
-			return float64(m.TotalVotes())
-		})
-	})
-	s := NewSuite(10, SuiteConfig{Estimators: []string{NameVoting, name}})
-	s.Observe(votes.Vote{Item: 0, Worker: 0, Label: votes.Dirty})
-	first := s.EstimateAll()
-	if first.Extra[name] != 1 {
-		t.Fatalf("extra estimate = %v, want 1", first.Extra[name])
-	}
-	first.Extra[name] = -999 // hostile caller
-	if got := s.EstimateAll().Extra[name]; got != 1 {
-		t.Fatalf("cache corrupted by caller mutation: got %v, want 1", got)
-	}
-	second := s.EstimateAll()
-	third := s.EstimateAll()
-	second.Extra[name] = -1
-	if third.Extra[name] != 1 {
-		t.Fatal("two cache hits alias one Extra map")
-	}
-}

@@ -202,8 +202,8 @@ func sameFreq(a, b stats.Freq) bool {
 // been selected once. A suite's rows hold one SWITCH state per item, so two
 // trackers updating the same rows would each count the other's switches.
 // Under both policies, after every task and across the 8- to 16-bit
-// widening, every estimate (memoized and uncached), each SWITCH member's
-// estimate, ItemSwitches and Consensus must equal those of a suite that
+// widening, every estimate (memoized and uncached), the SWITCH estimate, the
+// switch counts, ItemSwitches and Consensus must equal those of a suite that
 // lists each name once, and Names must keep every repetition. Reset and a
 // replay must agree the same way.
 func TestSuiteRepeatedSwitchMatchesOne(t *testing.T) {
@@ -260,24 +260,21 @@ func TestSuiteRepeatedSwitchMatchesOne(t *testing.T) {
 	}
 }
 
-// diffSwitchMembers returns the first way a SWITCH member of s disagrees
-// with ref's SWITCH member, or "".
+// diffSwitchMembers returns the first way the SWITCH estimator of s
+// disagrees with ref's, or "".
 func diffSwitchMembers(s, ref *Suite) string {
-	want, rt := ref.Switch.Estimate(), ref.Switch.Tracker()
-	for i, m := range s.members {
-		sw, ok := m.(*switchMember)
-		if !ok {
-			continue
-		}
-		if got := sw.est.Estimate(); got != want {
-			return fmt.Sprintf("member %d: Estimate = %+v, want %+v", i, got, want)
-		}
-		tr := sw.est.Tracker()
-		for item := 0; item < s.NumItems(); item++ {
-			if tr.ItemSwitches(item) != rt.ItemSwitches(item) || tr.Consensus(item) != rt.Consensus(item) {
-				return fmt.Sprintf("member %d, item %d: %d switches, consensus %v; want %d, %v",
-					i, item, tr.ItemSwitches(item), tr.Consensus(item), rt.ItemSwitches(item), rt.Consensus(item))
-			}
+	if got, want := s.Switch.Estimate(), ref.Switch.Estimate(); got != want {
+		return fmt.Sprintf("SWITCH Estimate = %+v, want %+v", got, want)
+	}
+	tr, rt := s.Switch.Tracker(), ref.Switch.Tracker()
+	if tr.Switches() != rt.Switches() || tr.NSwitch() != rt.NSwitch() {
+		return fmt.Sprintf("%d switches over n_switch %d, want %d over %d",
+			tr.Switches(), tr.NSwitch(), rt.Switches(), rt.NSwitch())
+	}
+	for item := 0; item < s.NumItems(); item++ {
+		if tr.ItemSwitches(item) != rt.ItemSwitches(item) || tr.Consensus(item) != rt.Consensus(item) {
+			return fmt.Sprintf("item %d: %d switches, consensus %v; want %d, %v",
+				item, tr.ItemSwitches(item), tr.Consensus(item), rt.ItemSwitches(item), rt.Consensus(item))
 		}
 	}
 	return ""

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -434,4 +435,45 @@ func TestExtAlgorithmicConvergesToCeiling(t *testing.T) {
 	if math.Abs(last-ceiling) > 0.15*ceiling {
 		t.Fatalf("SWITCH %v did not converge to the ceiling %v", last, ceiling)
 	}
+}
+
+// Const returns the named constant, or 0 when absent.
+func (f *Figure) Const(name string) float64 {
+	for _, c := range f.Consts {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// EstimatorSeries returns the figure's series whose names are standard
+// estimator names, in the canonical order of the shared name table.
+func (f *Figure) EstimatorSeries() []*Series {
+	var out []*Series
+	for _, name := range estimator.StandardNames() {
+		if s := f.FindSeries(name); s != nil {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// Lookup returns the mean series by name, panicking on unknown names.
+func (r *RunResult) Lookup(name string) []float64 {
+	s, ok := r.Mean[name]
+	if !ok {
+		panic(fmt.Sprintf("experiment: unknown series %q", name))
+	}
+	return s
+}
+
+// FindSeries returns the named series, or nil.
+func (f *Figure) FindSeries(name string) *Series {
+	for i := range f.Series {
+		if f.Series[i].Name == name {
+			return &f.Series[i]
+		}
+	}
+	return nil
 }

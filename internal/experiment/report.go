@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"dqm/internal/estimator"
 )
 
 // Series is one plotted line of a figure: a label, x coordinates, the mean
@@ -33,40 +31,6 @@ type Figure struct {
 	Series []Series
 	Consts []Constant
 	Notes  []string
-}
-
-// Const returns the named constant, or 0 when absent.
-func (f *Figure) Const(name string) float64 {
-	for _, c := range f.Consts {
-		if c.Name == name {
-			return c.Value
-		}
-	}
-	return 0
-}
-
-// EstimatorSeries returns the figure's series whose names are standard
-// estimator names, in the canonical order of the shared name table — the
-// subset a generic renderer plots as estimator lines (as opposed to extras
-// like the ξ decompositions or ground-truth annotations).
-func (f *Figure) EstimatorSeries() []*Series {
-	var out []*Series
-	for _, name := range estimator.StandardNames() {
-		if s := f.FindSeries(name); s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// FindSeries returns the named series, or nil.
-func (f *Figure) FindSeries(name string) *Series {
-	for i := range f.Series {
-		if f.Series[i].Name == name {
-			return &f.Series[i]
-		}
-	}
-	return nil
 }
 
 // WriteTable renders the figure as an aligned text table: one row per x

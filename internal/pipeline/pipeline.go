@@ -8,7 +8,6 @@ package pipeline
 import (
 	"dqm/internal/dataset"
 	"dqm/internal/entity"
-	"dqm/internal/heuristic"
 	"dqm/internal/similarity"
 )
 
@@ -149,13 +148,6 @@ func ProductCandidates(data *dataset.ProductData, alpha, beta float64) *Candidat
 	}
 	out.Truth = dataset.NewGroundTruth(len(out.Pairs), dirty)
 	return &out
-}
-
-// ScoreWindow partitions arbitrary scored items with heuristic.Split; it is
-// re-exported here so pipeline users need not import the heuristic package
-// for the common case.
-func ScoreWindow(scores []float64, alpha, beta float64) heuristic.Partition {
-	return heuristic.Split(scores, alpha, beta)
 }
 
 func pairSet(pairs [][2]int) map[entity.Pair]bool {

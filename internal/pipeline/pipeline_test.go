@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dqm/internal/dataset"
+	"dqm/internal/heuristic"
 	"dqm/internal/similarity"
 )
 
@@ -89,4 +90,9 @@ func TestScoreWindow(t *testing.T) {
 	if len(p.Candidates) != 1 || p.Candidates[0] != 1 {
 		t.Fatalf("candidates = %v", p.Candidates)
 	}
+}
+
+// ScoreWindow partitions arbitrary scored items with heuristic.Split.
+func ScoreWindow(scores []float64, alpha, beta float64) heuristic.Partition {
+	return heuristic.Split(scores, alpha, beta)
 }

@@ -241,9 +241,10 @@ func (p *Policy) Needs() Needs {
 	return n
 }
 
-// Inputs is one metrics snapshot a policy is evaluated against. HasCI and
-// HasDrift report availability: a rule over an unavailable metric is skipped
-// and surfaced in Decision.Unavailable rather than guessed at.
+// Inputs is one metrics snapshot a policy is evaluated against. HasCI,
+// HasDrift and NoSwitch report availability: a rule over an unavailable
+// metric is skipped and surfaced in Decision.Unavailable rather than guessed
+// at.
 type Inputs struct {
 	Remaining   float64
 	SwitchTotal float64
@@ -251,8 +252,11 @@ type Inputs struct {
 	HasCI       bool
 	DriftRatio  float64
 	HasDrift    bool
-	Tasks       int64
-	Votes       int64
+	// NoSwitch marks a session that does not select SWITCH: remaining,
+	// switch_total and drift_ratio all derive from it, so none is available.
+	NoSwitch bool
+	Tasks    int64
+	Votes    int64
 	// Version is the session version the snapshot was read at (read BEFORE
 	// the estimates, so concurrent mutation yields re-evaluation, not a skip).
 	Version uint64
@@ -340,24 +344,10 @@ func (p *Policy) Evaluate(in Inputs) Decision {
 	}
 	action := ActionProceed
 	for _, r := range p.Rules {
-		var value float64
-		switch r.Metric {
-		case MetricRemaining:
-			value = in.Remaining
-		case MetricSwitchTotal:
-			value = in.SwitchTotal
-		case MetricCIUpper:
-			if !in.HasCI {
-				dec.Unavailable = append(dec.Unavailable, r.Name)
-				continue
-			}
-			value = in.CIUpper
-		case MetricDriftRatio:
-			if !in.HasDrift {
-				dec.Unavailable = append(dec.Unavailable, r.Name)
-				continue
-			}
-			value = in.DriftRatio
+		value, ok := in.metric(r.Metric)
+		if !ok {
+			dec.Unavailable = append(dec.Unavailable, r.Name)
+			continue
 		}
 		var hit bool
 		switch r.Op {
@@ -394,6 +384,22 @@ func (p *Policy) Evaluate(in Inputs) Decision {
 	}
 	dec.Action = action.String()
 	return dec
+}
+
+// metric returns the value a rule over the named metric reads, and whether
+// the snapshot has it.
+func (in Inputs) metric(name string) (float64, bool) {
+	switch name {
+	case MetricRemaining:
+		return in.Remaining, !in.NoSwitch
+	case MetricSwitchTotal:
+		return in.SwitchTotal, !in.NoSwitch
+	case MetricCIUpper:
+		return in.CIUpper, in.HasCI
+	case MetricDriftRatio:
+		return in.DriftRatio, in.HasDrift && !in.NoSwitch
+	}
+	return 0, true
 }
 
 // ParseAction inverts Action.String (the decision wire form).

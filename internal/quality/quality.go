@@ -31,14 +31,6 @@ type WorkerSkill struct {
 	Votes int
 }
 
-// Accuracy returns the balanced accuracy (mean of sensitivity and
-// specificity).
-func (w WorkerSkill) Accuracy() float64 { return (w.Sensitivity + w.Specificity) / 2 }
-
-// BetterThanRandom reports whether the worker satisfies the paper's core
-// assumption (sensitivity + specificity > 1, i.e. informative votes).
-func (w WorkerSkill) BetterThanRandom() bool { return w.Sensitivity+w.Specificity > 1 }
-
 // EMResult is the output of expectation maximization.
 type EMResult struct {
 	// Posterior[i] = P(item i dirty | votes, skills). Items with no votes
@@ -207,29 +199,6 @@ func clampProb(p float64) float64 {
 	return p
 }
 
-// ObservedAgreement returns the mean pairwise agreement across items with
-// at least two votes: for each such item, the fraction of concordant vote
-// pairs. Returns 0 when no item has two votes.
-func ObservedAgreement(m *votes.Matrix) float64 {
-	var sum float64
-	var items int
-	for i := 0; i < m.NumItems(); i++ {
-		pos, tot := float64(m.Pos(i)), float64(m.Seen(i))
-		if tot < 2 {
-			continue
-		}
-		neg := tot - pos
-		pairs := tot * (tot - 1) / 2
-		agree := pos*(pos-1)/2 + neg*(neg-1)/2
-		sum += agree / pairs
-		items++
-	}
-	if items == 0 {
-		return 0
-	}
-	return sum / float64(items)
-}
-
 // FleissKappa computes Fleiss' kappa over the items with at least two
 // votes, treating each vote as coming from an interchangeable rater — the
 // appropriate form for crowdsourcing where item-rater assignment is random.
@@ -259,32 +228,4 @@ func FleissKappa(m *votes.Matrix) float64 {
 		return 0
 	}
 	return (pBar - pe) / (1 - pe)
-}
-
-// WorkerAccuracyVsConsensus scores each worker against the current majority
-// consensus — the cheap online proxy for skill that deployments use before
-// enough data exists for EM. Items where the worker's vote is the sole vote
-// are skipped (the consensus would be the vote itself). Like EM it reads the
-// vote history, so a matrix built without votes.WithHistory scores no one.
-func WorkerAccuracyVsConsensus(m *votes.Matrix) map[int]float64 {
-	agree := make(map[int]int)
-	total := make(map[int]int)
-	for i := 0; i < m.NumItems(); i++ {
-		h := m.History(i)
-		if len(h) < 2 {
-			continue
-		}
-		maj := m.MajorityDirty(i)
-		for _, v := range h {
-			total[v.Worker]++
-			if (v.Label == votes.Dirty) == maj {
-				agree[v.Worker]++
-			}
-		}
-	}
-	out := make(map[int]float64, len(total))
-	for w, t := range total {
-		out[w] = float64(agree[w]) / float64(t)
-	}
-	return out
 }

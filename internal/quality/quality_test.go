@@ -148,26 +148,6 @@ func TestWorkerSkillHelpers(t *testing.T) {
 	}
 }
 
-func TestObservedAgreement(t *testing.T) {
-	m := votes.NewMatrix(2)
-	// Item 0: 3 dirty votes → perfect agreement.
-	for w := 0; w < 3; w++ {
-		m.Add(votes.Vote{Item: 0, Worker: w, Label: votes.Dirty})
-	}
-	if got := ObservedAgreement(m); got != 1 {
-		t.Fatalf("unanimous agreement = %v", got)
-	}
-	// Item 1: 1 dirty, 1 clean → 0 agreement; mean = 0.5.
-	m.Add(votes.Vote{Item: 1, Worker: 0, Label: votes.Dirty})
-	m.Add(votes.Vote{Item: 1, Worker: 1, Label: votes.Clean})
-	if got := ObservedAgreement(m); got != 0.5 {
-		t.Fatalf("mean agreement = %v", got)
-	}
-	if got := ObservedAgreement(votes.NewMatrix(5)); got != 0 {
-		t.Fatalf("empty agreement = %v", got)
-	}
-}
-
 func TestFleissKappaRegimes(t *testing.T) {
 	// Perfect raters on a mixed population → high kappa.
 	perfect := votes.NewMatrix(10)
@@ -209,32 +189,8 @@ func TestFleissKappaOrdersCrowdsByQuality(t *testing.T) {
 	}
 }
 
-func TestWorkerAccuracyVsConsensus(t *testing.T) {
-	m := votes.NewMatrix(4, votes.WithHistory())
-	// Three workers; worker 2 always disagrees with the other two.
-	for i := 0; i < 4; i++ {
-		m.Add(votes.Vote{Item: i, Worker: 0, Label: votes.Dirty})
-		m.Add(votes.Vote{Item: i, Worker: 1, Label: votes.Dirty})
-		m.Add(votes.Vote{Item: i, Worker: 2, Label: votes.Clean})
-	}
-	acc := WorkerAccuracyVsConsensus(m)
-	if acc[0] != 1 || acc[1] != 1 {
-		t.Fatalf("majority workers scored %v", acc)
-	}
-	if acc[2] != 0 {
-		t.Fatalf("contrarian worker scored %v", acc[2])
-	}
-	// Single-vote items are excluded.
-	m2 := votes.NewMatrix(1, votes.WithHistory())
-	m2.Add(votes.Vote{Item: 0, Worker: 5, Label: votes.Dirty})
-	if got := WorkerAccuracyVsConsensus(m2); len(got) != 0 {
-		t.Fatalf("lone votes scored: %v", got)
-	}
-}
-
 func TestKappaAndAgreementBounds(t *testing.T) {
-	// Property: on arbitrary vote streams, kappa ∈ [-1, 1] and observed
-	// agreement ∈ [0, 1].
+	// Property: on arbitrary vote streams, kappa ∈ [-1, 1].
 	rng := xrand.New(99)
 	for trial := 0; trial < 100; trial++ {
 		n := 2 + rng.IntN(40)
@@ -249,9 +205,6 @@ func TestKappaAndAgreementBounds(t *testing.T) {
 		}
 		if k := FleissKappa(m); k < -1.0000001 || k > 1.0000001 || math.IsNaN(k) {
 			t.Fatalf("trial %d: kappa = %v", trial, k)
-		}
-		if a := ObservedAgreement(m); a < 0 || a > 1 || math.IsNaN(a) {
-			t.Fatalf("trial %d: agreement = %v", trial, a)
 		}
 	}
 }
@@ -277,9 +230,9 @@ func TestEMPosteriorsMonotoneInVotes(t *testing.T) {
 	}
 }
 
-// TestReadersSeeWideCounts: ObservedAgreement and FleissKappa read per-item
-// counts through the matrix accessors, so an item past votes.MaxVotes16
-// votes (here 60,000 dirty and 10,000 clean) counts in full.
+// TestReadersSeeWideCounts: FleissKappa reads per-item counts through the
+// matrix accessors, so an item past votes.MaxVotes16 votes (here 60,000
+// dirty and 10,000 clean) counts in full.
 func TestReadersSeeWideCounts(t *testing.T) {
 	m := votes.NewMatrix(2)
 	for k := 0; k < 70000; k++ {
@@ -300,12 +253,17 @@ func TestReadersSeeWideCounts(t *testing.T) {
 	pairs := func(k float64) float64 { return k * (k - 1) }
 	agree0 := (pairs(60000) + pairs(10000)) / pairs(70000)
 	agree1 := (pairs(2) + pairs(1)) / pairs(3)
-	if got, want := ObservedAgreement(m), (agree0+agree1)/2; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("ObservedAgreement = %v, want %v", got, want)
-	}
 	pDirty := 60002.0 / 70003
 	pe := pDirty*pDirty + (1-pDirty)*(1-pDirty)
 	if got, want := FleissKappa(m), ((agree0+agree1)/2-pe)/(1-pe); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("FleissKappa = %v, want %v", got, want)
 	}
 }
+
+// Accuracy returns the balanced accuracy (mean of sensitivity and
+// specificity).
+func (w WorkerSkill) Accuracy() float64 { return (w.Sensitivity + w.Specificity) / 2 }
+
+// BetterThanRandom reports whether the worker satisfies the paper's core
+// assumption (sensitivity + specificity > 1, i.e. informative votes).
+func (w WorkerSkill) BetterThanRandom() bool { return w.Sensitivity+w.Specificity > 1 }

@@ -211,15 +211,3 @@ func (d *Detector) Dirty(a dataset.Address) bool {
 	}
 	return false
 }
-
-// Sweep runs the detector over a dataset and returns the flagged record
-// indices.
-func (d *Detector) Sweep(records []dataset.Address) []int {
-	var out []int
-	for i, a := range records {
-		if d.Dirty(a) {
-			out = append(out, i)
-		}
-	}
-	return out
-}

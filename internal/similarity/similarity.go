@@ -1,8 +1,7 @@
 // Package similarity provides the string-similarity measures used by the
 // CrowdER-style prioritization heuristics: normalized edit-distance
-// similarity (the measure the paper uses to window candidate pairs), Jaccard
-// similarity over token sets (the measure CrowdER's first stage uses), and
-// n-gram similarity.
+// similarity (the measure the paper uses to window candidate pairs), on raw
+// and on token-sorted strings.
 package similarity
 
 import (
@@ -274,9 +273,6 @@ func NewCharProfile(s string) CharProfile {
 	return p
 }
 
-// Length returns the rune count of the profiled string.
-func (p CharProfile) Length() int { return p.length }
-
 // MinDistance returns a lower bound on Levenshtein(a, b) computed from the
 // histograms alone.
 func (p CharProfile) MinDistance(q CharProfile) int {
@@ -316,69 +312,6 @@ func Tokenize(s string) []string {
 	return strings.FieldsFunc(strings.ToLower(s), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
-}
-
-// Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of the token sets of
-// a and b. Two token-less strings have similarity 1.
-func Jaccard(a, b string) float64 {
-	ta, tb := Tokenize(a), Tokenize(b)
-	if len(ta) == 0 && len(tb) == 0 {
-		return 1
-	}
-	set := make(map[string]uint8, len(ta)+len(tb))
-	for _, t := range ta {
-		set[t] |= 1
-	}
-	for _, t := range tb {
-		set[t] |= 2
-	}
-	inter := 0
-	for _, m := range set {
-		if m == 3 {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(set))
-}
-
-// NGrams returns the multiset of character n-grams of s (as a count map).
-// Strings shorter than n yield the whole string as a single gram.
-func NGrams(s string, n int) map[string]int {
-	r := []rune(strings.ToLower(s))
-	out := make(map[string]int)
-	if len(r) == 0 {
-		return out
-	}
-	if len(r) <= n {
-		out[string(r)]++
-		return out
-	}
-	for i := 0; i+n <= len(r); i++ {
-		out[string(r[i:i+n])]++
-	}
-	return out
-}
-
-// NGramSimilarity returns the Dice coefficient over character n-gram
-// multisets: 2·|A∩B| / (|A|+|B|).
-func NGramSimilarity(a, b string, n int) float64 {
-	ga, gb := NGrams(a, n), NGrams(b, n)
-	var sa, sb, inter int
-	for _, c := range ga {
-		sa += c
-	}
-	for _, c := range gb {
-		sb += c
-	}
-	if sa+sb == 0 {
-		return 1
-	}
-	for g, ca := range ga {
-		if cb, ok := gb[g]; ok {
-			inter += min2(ca, cb)
-		}
-	}
-	return 2 * float64(inter) / float64(sa+sb)
 }
 
 // TokenSortKey normalizes a string for order-insensitive comparison:

@@ -111,58 +111,6 @@ func TestTokenize(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	if got := Jaccard("", ""); got != 1 {
-		t.Fatalf("empty Jaccard = %v", got)
-	}
-	if got := Jaccard("a b c", "a b c"); got != 1 {
-		t.Fatalf("equal Jaccard = %v", got)
-	}
-	if got := Jaccard("a b", "c d"); got != 0 {
-		t.Fatalf("disjoint Jaccard = %v", got)
-	}
-	if got := Jaccard("a b c", "b c d"); got != 0.5 {
-		t.Fatalf("Jaccard = %v, want 0.5", got)
-	}
-	// Case and punctuation insensitivity.
-	if got := Jaccard("Ritz-Carlton Cafe", "cafe RITZ carlton"); got != 1 {
-		t.Fatalf("normalized Jaccard = %v", got)
-	}
-}
-
-func TestNGrams(t *testing.T) {
-	g := NGrams("abab", 2)
-	if g["ab"] != 2 || g["ba"] != 1 || len(g) != 2 {
-		t.Fatalf("NGrams = %v", g)
-	}
-	short := NGrams("a", 3)
-	if short["a"] != 1 || len(short) != 1 {
-		t.Fatalf("short NGrams = %v", short)
-	}
-	if len(NGrams("", 2)) != 0 {
-		t.Fatal("empty NGrams should be empty")
-	}
-}
-
-func TestNGramSimilarity(t *testing.T) {
-	if got := NGramSimilarity("night", "night", 2); got != 1 {
-		t.Fatalf("equal ngram sim = %v", got)
-	}
-	if got := NGramSimilarity("abc", "xyz", 2); got != 0 {
-		t.Fatalf("disjoint ngram sim = %v", got)
-	}
-	if got := NGramSimilarity("", "", 2); got != 1 {
-		t.Fatalf("empty ngram sim = %v", got)
-	}
-	rng := rand.New(rand.NewPCG(5, 6))
-	for i := 0; i < 200; i++ {
-		s := NGramSimilarity(randStr(rng, 10), randStr(rng, 10), 2)
-		if s < 0 || s > 1 {
-			t.Fatalf("ngram sim out of bounds: %v", s)
-		}
-	}
-}
-
 func TestTokenSortKey(t *testing.T) {
 	// The paper's duplicate example: reordering plus punctuation drift.
 	a := TokenSortKey("Ritz-Carlton Cafe (buckhead)")

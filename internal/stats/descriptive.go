@@ -29,11 +29,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// MeanStd returns both moments in one pass over the data.
-func MeanStd(xs []float64) (mean, std float64) {
-	return Mean(xs), Std(xs)
-}
-
 // SRMSE computes the scaled root-mean-square error of Section 6.2:
 //
 //	SRMSE = (1/D) · sqrt( (1/r) Σ (D̂_i − D)² )
@@ -59,18 +54,6 @@ func SRMSE(estimates []float64, truth float64) float64 {
 		return math.Inf(1)
 	}
 	return rmse / truth
-}
-
-// RelativeError returns |est − truth| / truth, or +Inf when truth = 0 and
-// est ≠ 0.
-func RelativeError(est, truth float64) float64 {
-	if truth == 0 {
-		if est == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(est-truth) / truth
 }
 
 // Clamp restricts v to [lo, hi].

@@ -96,3 +96,20 @@ func TestStdSeries(t *testing.T) {
 		t.Fatal("StdSeries(nil) should be nil")
 	}
 }
+
+// MeanStd returns both moments in one pass over the data.
+func MeanStd(xs []float64) (mean, std float64) {
+	return Mean(xs), Std(xs)
+}
+
+// RelativeError returns |est − truth| / truth, or +Inf when truth = 0 and
+// est ≠ 0.
+func RelativeError(est, truth float64) float64 {
+	if truth == 0 {
+		if est == 0 {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	return math.Abs(est-truth) / truth
+}

@@ -12,7 +12,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -180,42 +179,4 @@ func (f Freq) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of the species observation
-// counts implied by the fingerprint, using the nearest-rank definition. It
-// returns 0 when no species were observed.
-func (f Freq) Quantile(q float64) int {
-	c := f.Species()
-	if c == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(q*float64(c-1)) + 1
-	var cum int64
-	for j := 1; j < len(f); j++ {
-		cum += f[j]
-		if cum >= rank {
-			return j
-		}
-	}
-	return len(f) - 1
-}
-
-// Counts expands the fingerprint back into a sorted multiset of per-species
-// counts. Useful in tests for round-tripping.
-func (f Freq) Counts() []int {
-	out := make([]int, 0, f.Species())
-	for j := 1; j < len(f); j++ {
-		for k := int64(0); k < f[j]; k++ {
-			out = append(out, j)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math/rand/v2"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -165,33 +166,6 @@ func TestFreqCountsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFreqQuantile(t *testing.T) {
-	f := NewFreqFromCounts([]int{1, 1, 1, 1, 2, 2, 3, 10})
-	if got := f.Quantile(0); got != 1 {
-		t.Fatalf("q0 = %d", got)
-	}
-	// Counts sorted: 1,1,1,1,2,2,3,10 — the nearest-rank median is the 4th
-	// element, 1.
-	if got := f.Quantile(0.5); got != 1 {
-		t.Fatalf("q0.5 = %d", got)
-	}
-	if got := f.Quantile(0.75); got != 2 {
-		t.Fatalf("q0.75 = %d", got)
-	}
-	if got := f.Quantile(1); got != 10 {
-		t.Fatalf("q1 = %d", got)
-	}
-	if got := (Freq{0}).Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %d", got)
-	}
-	if got := f.Quantile(-1); got != 1 {
-		t.Fatalf("clamped low quantile = %d", got)
-	}
-	if got := f.Quantile(2); got != 10 {
-		t.Fatalf("clamped high quantile = %d", got)
-	}
-}
-
 func TestFreqString(t *testing.T) {
 	f := NewFreqFromCounts([]int{1, 1, 3})
 	if got := f.String(); got != "{f1:2 f3:1}" {
@@ -235,4 +209,17 @@ func TestPromoteConsistentWithRebuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Counts expands the fingerprint back into a sorted multiset of per-species
+// counts. Useful in tests for round-tripping.
+func (f Freq) Counts() []int {
+	out := make([]int, 0, f.Species())
+	for j := 1; j < len(f); j++ {
+		for k := int64(0); k < f[j]; k++ {
+			out = append(out, j)
+		}
+	}
+	sort.Ints(out)
+	return out
 }

@@ -303,3 +303,49 @@ func checkOracleStream(t *testing.T, seed uint64, policy Policy, opts []Option, 
 		}
 	}
 }
+
+// Fingerprint returns the f′-statistics over all switch species (positive
+// and negative merged).
+func (t *Tracker) Fingerprint() stats.Freq { return t.FingerprintInto(nil) }
+
+// FingerprintPositive returns the f′-statistics over positive switches only.
+func (t *Tracker) FingerprintPositive() stats.Freq { return t.fPos.Clone() }
+
+// FingerprintNegative returns the f′-statistics over negative switches only.
+func (t *Tracker) FingerprintNegative() stats.Freq { return t.fNeg.Clone() }
+
+// CountSwitches replays a full vote history and returns switch(I) for it,
+// the closed-form of Equation 7. It is the reference implementation used by
+// tests to validate the incremental tracker.
+func CountSwitches(histories [][]votes.Label, policy Policy) int64 {
+	t := NewTracker(len(histories), WithPolicy(policy))
+	for i, h := range histories {
+		for _, l := range h {
+			t.Add(i, l)
+		}
+	}
+	return t.Switches()
+}
+
+// FingerprintInto merges both sign fingerprints into dst (grown as needed)
+// and returns it.
+func (t *Tracker) FingerprintInto(dst stats.Freq) stats.Freq {
+	fPos, fNeg := t.fPos.View(), t.fNeg.View()
+	n := len(fPos)
+	if len(fNeg) > n {
+		n = len(fNeg)
+	}
+	if cap(dst) < n {
+		dst = make(stats.Freq, n)
+	} else {
+		dst = dst[:n]
+		clear(dst)
+	}
+	for j := 1; j < len(fPos); j++ {
+		dst[j] += fPos[j]
+	}
+	for j := 1; j < len(fNeg); j++ {
+		dst[j] += fNeg[j]
+	}
+	return dst
+}

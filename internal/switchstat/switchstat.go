@@ -273,34 +273,6 @@ func (t *Tracker) CSwitchPositive() int64 { return t.cPos }
 // CSwitchNegative returns the number of records with ≥1 negative switch.
 func (t *Tracker) CSwitchNegative() int64 { return t.cNeg }
 
-// Fingerprint returns the f′-statistics over all switch species (positive
-// and negative merged).
-func (t *Tracker) Fingerprint() stats.Freq { return t.FingerprintInto(nil) }
-
-// FingerprintInto merges both sign fingerprints into dst (grown as needed)
-// and returns it, letting streaming estimators reuse one scratch buffer per
-// estimate instead of allocating a merge each time.
-func (t *Tracker) FingerprintInto(dst stats.Freq) stats.Freq {
-	fPos, fNeg := t.fPos.View(), t.fNeg.View()
-	n := len(fPos)
-	if len(fNeg) > n {
-		n = len(fNeg)
-	}
-	if cap(dst) < n {
-		dst = make(stats.Freq, n)
-	} else {
-		dst = dst[:n]
-		clear(dst)
-	}
-	for j := 1; j < len(fPos); j++ {
-		dst[j] += fPos[j]
-	}
-	for j := 1; j < len(fNeg); j++ {
-		dst[j] += fNeg[j]
-	}
-	return dst
-}
-
 // FingerprintStats is the Chao92 sufficient statistic of one switch
 // fingerprint, read in O(1) from the running aggregates.
 type FingerprintStats struct {
@@ -336,12 +308,6 @@ func (t *Tracker) MergedStats() FingerprintStats {
 		Mass: p.Mass + n.Mass, PairSum: p.PairSum + n.PairSum,
 	}
 }
-
-// FingerprintPositive returns the f′-statistics over positive switches only.
-func (t *Tracker) FingerprintPositive() stats.Freq { return t.fPos.Clone() }
-
-// FingerprintNegative returns the f′-statistics over negative switches only.
-func (t *Tracker) FingerprintNegative() stats.Freq { return t.fNeg.Clone() }
 
 // FingerprintPositiveView returns the positive fingerprint without copying;
 // the slice aliases internal storage and is invalidated by the next Add or
@@ -381,17 +347,4 @@ func (t *Tracker) Reset() {
 	t.totalVotes, t.noops = 0, 0
 	t.posSw, t.negSw = 0, 0
 	t.cPos, t.cNeg, t.cAny, t.cMajority = 0, 0, 0, 0
-}
-
-// CountSwitches replays a full vote history and returns switch(I) for it,
-// the closed-form of Equation 7. It is the reference implementation used by
-// tests to validate the incremental tracker.
-func CountSwitches(histories [][]votes.Label, policy Policy) int64 {
-	t := NewTracker(len(histories), WithPolicy(policy))
-	for i, h := range histories {
-		for _, l := range h {
-			t.Add(i, l)
-		}
-	}
-	return t.Switches()
 }

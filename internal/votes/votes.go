@@ -218,16 +218,6 @@ func (m *Matrix) History(item int) []Vote {
 // RetainsHistory reports whether the matrix was built WithHistory.
 func (m *Matrix) RetainsHistory() bool { return m.history != nil }
 
-// MajorityVector materializes the current consensus vector V ∈ {0,1}^N of
-// Problem 2 (true = dirty).
-func (m *Matrix) MajorityVector() []bool {
-	out := make([]bool, m.n)
-	for i := range out {
-		out[i] = m.MajorityDirty(i)
-	}
-	return out
-}
-
 // Coverage returns the fraction of items with at least one vote.
 func (m *Matrix) Coverage() float64 {
 	if m.n == 0 {

@@ -289,3 +289,13 @@ func TestNumWorkersSparseIDs(t *testing.T) {
 		t.Fatalf("Len after reuse = %d, want 2", got)
 	}
 }
+
+// MajorityVector materializes the current consensus vector V ∈ {0,1}^N of
+// Problem 2 (true = dirty).
+func (m *Matrix) MajorityVector() []bool {
+	out := make([]bool, m.n)
+	for i := range out {
+		out[i] = m.MajorityDirty(i)
+	}
+	return out
+}

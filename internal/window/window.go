@@ -100,8 +100,8 @@ const (
 	KindLast
 	// KindDecayed is the exponentially decayed aggregate over completed
 	// windows: decayed = α·window + (1−α)·decayed, folded at every rotation.
-	// Scalar estimates (and Extra members) are averaged; the Switch trend
-	// reports the latest window's direction.
+	// Scalar estimates are averaged; the Switch trend reports the latest
+	// window's direction.
 	KindDecayed
 )
 
@@ -189,7 +189,7 @@ type Ring struct {
 // given estimator selection. Panes keep no switch ledgers: bootstrap
 // intervals are served over the all-time suite only. It panics on an invalid
 // config (validate user-supplied configs with Config.Validate first) and on
-// unregistered estimator names (NewSuite's contract).
+// unknown estimator names (NewSuite's contract).
 func New(n int, suiteCfg estimator.SuiteConfig, cfg Config) *Ring {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("window: New: %v", err))
@@ -304,7 +304,7 @@ func (r *Ring) foldDecay(e estimator.Estimates) {
 	}
 	r.decayStart = r.lastStart
 	if !r.haveDecay {
-		r.decayed = e.Clone()
+		r.decayed = e
 		r.haveDecay = true
 		return
 	}
@@ -322,16 +322,6 @@ func (r *Ring) foldDecay(e estimator.Estimates) {
 	d.Switch.DNeg = mix(d.Switch.DNeg, e.Switch.DNeg)
 	d.Switch.RemainingSwitches = mix(d.Switch.RemainingSwitches, e.Switch.RemainingSwitches)
 	d.Switch.Trend = e.Switch.Trend // direction is categorical: report the newest
-	for name, v := range e.Extra {
-		if d.Extra == nil {
-			d.Extra = make(map[string]float64, len(e.Extra))
-		}
-		if acc, ok := d.Extra[name]; ok {
-			d.Extra[name] = mix(acc, v)
-		} else {
-			d.Extra[name] = v
-		}
-	}
 }
 
 // Estimates returns the selected windowed view. KindLast and KindDecayed
@@ -358,7 +348,7 @@ func (r *Ring) Estimates(kind Kind) (Result, error) {
 			return Result{}, fmt.Errorf("window: no completed window yet (%d of %d tasks)", r.tasks, r.cfg.Size)
 		}
 		return Result{
-			Estimates: r.last.Clone(),
+			Estimates: r.last,
 			Kind:      KindLast,
 			Start:     r.lastStart,
 			End:       r.lastStart + int64(r.cfg.Size),
@@ -373,7 +363,7 @@ func (r *Ring) Estimates(kind Kind) (Result, error) {
 			return Result{}, fmt.Errorf("window: no completed window yet (%d of %d tasks)", r.tasks, r.cfg.Size)
 		}
 		return Result{
-			Estimates: r.decayed.Clone(),
+			Estimates: r.decayed,
 			Kind:      KindDecayed,
 			Start:     r.decayStart,
 			End:       r.decayStart + int64(r.cfg.Size),

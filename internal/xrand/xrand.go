@@ -173,31 +173,6 @@ func Choice[T any](r *RNG, items []T) T {
 	return items[r.IntN(len(items))]
 }
 
-// WeightedChoice returns an index drawn proportionally to weights. Negative
-// weights are treated as zero; if all weights are zero the draw is uniform.
-func (r *RNG) WeightedChoice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return r.IntN(len(weights))
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // TruncNorm returns a normal deviate with the given mean and standard
 // deviation truncated to [lo, hi] by resampling (falling back to clamping
 // after a bounded number of attempts).

@@ -197,32 +197,6 @@ func TestSampleSliceAndChoice(t *testing.T) {
 	}
 }
 
-func TestWeightedChoice(t *testing.T) {
-	r := New(8)
-	weights := []float64{0, 1, 3}
-	counts := make([]int, 3)
-	for i := 0; i < 20000; i++ {
-		counts[r.WeightedChoice(weights)]++
-	}
-	if counts[0] != 0 {
-		t.Fatalf("zero-weight index drawn %d times", counts[0])
-	}
-	ratio := float64(counts[2]) / float64(counts[1])
-	if ratio < 2.6 || ratio > 3.4 {
-		t.Fatalf("weight-3 vs weight-1 ratio %.2f, want ≈3", ratio)
-	}
-	// All-zero weights degrade to uniform.
-	uniform := make([]int, 3)
-	for i := 0; i < 3000; i++ {
-		uniform[r.WeightedChoice([]float64{0, 0, 0})]++
-	}
-	for i, c := range uniform {
-		if c == 0 {
-			t.Fatalf("uniform fallback never drew index %d", i)
-		}
-	}
-}
-
 func TestTruncNormBounds(t *testing.T) {
 	r := New(9)
 	for i := 0; i < 5000; i++ {
