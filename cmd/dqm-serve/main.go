@@ -60,13 +60,14 @@
 // (proceed/warn/quarantine) POST the decision document to the policy's
 // webhook through a bounded async dispatcher with retry and backoff.
 //
-// Estimate reads ride a per-session version-guarded cache: polling an
-// unchanged session is lock-free and O(1), If-None-Match on the current
-// version answers 304 from one atomic check, and all watch subscribers of a
-// session share a fan-out hub (internal/hub) that serializes each version's
-// SSE frame once and multicasts the bytes with coalesce-to-latest semantics
-// (floor: -watch-min-interval), woken by the engine's version-change
-// notifier rather than per-subscriber tickers. Sessions created with
+// Estimate reads copy a per-session slot that every mutation fills while the
+// session is being read, so polling is lock-free and O(1), If-None-Match on
+// the current version answers 304 from one atomic check, and all watch
+// subscribers of a session share a fan-out hub (internal/hub) that
+// serializes each version's SSE frame once and multicasts the bytes with
+// coalesce-to-latest semantics (floor: -watch-min-interval), woken by the
+// engine's version-change notifier rather than per-subscriber tickers.
+// Sessions created with
 // "config":{"window":{"size":N,...}} additionally serve windowed estimates —
 // the quality of the last N tasks — via ?window=.
 //

@@ -152,7 +152,6 @@ func (s *server) startStatsLogger(interval time.Duration) *statsLogger {
 		lastVotes, _ := metrics.Default.Value("dqm_engine_votes_total")
 		lastPasses, lastSessions, _ := metrics.Default.HistogramStats("dqm_wal_group_commit_sessions")
 		lastCIs, lastCISecs, _ := metrics.Default.HistogramStats("dqm_engine_bootstrap_seconds")
-		lastFull := estimatePathCounts()
 		lastTick := time.Now()
 		for {
 			select {
@@ -177,38 +176,25 @@ func (s *server) startStatsLogger(interval time.Duration) *statsLogger {
 					meanGC = (sessions - lastSessions) / float64(d)
 				}
 				waiters, _ := metrics.Default.Value("dqm_wal_sync_waiters")
-				// Bootstrap CIs and full (non-memoized) estimate recomputes
-				// over the interval: both should stay near zero on a healthy
-				// read-heavy server — the CI runs off the session lock and the
-				// dirty-read path refreshes the memo incrementally.
+				// Bootstrap CIs over the interval, which run off the session
+				// lock.
 				cis, ciSecs, _ := metrics.Default.HistogramStats("dqm_engine_bootstrap_seconds")
 				ciMeanMS := 0.0
 				if d := cis - lastCIs; d > 0 {
 					ciMeanMS = 1000 * (ciSecs - lastCISecs) / float64(d)
 				}
-				full := estimatePathCounts()
-				log.Printf("stats: sessions=%d votes=%.0f (+%.0f/s) tasks=%.0f cache_hit=%.1f%% watch=%d inflight=%d evictions=%d gc_passes=%d gc_mean=%.1f sync_waiters=%.0f ci=%d ci_mean=%.1fms est_full=%d",
+				log.Printf("stats: sessions=%d votes=%.0f (+%.0f/s) tasks=%.0f cache_hit=%.1f%% watch=%d inflight=%d evictions=%d gc_passes=%d gc_mean=%.1f sync_waiters=%.0f ci=%d ci_mean=%.1fms",
 					s.engine.NumSessions(), votes, rate, tasks, hitPct,
 					s.watchers.Value(), s.inflight.Value(), s.engine.Evictions(),
 					passes-lastPasses, meanGC, waiters,
-					cis-lastCIs, ciMeanMS, full-lastFull)
+					cis-lastCIs, ciMeanMS)
 				lastVotes, lastTick = votes, now
 				lastPasses, lastSessions = passes, sessions
 				lastCIs, lastCISecs = cis, ciSecs
-				lastFull = full
 			}
 		}
 	}()
 	return sl
-}
-
-// estimatePathCounts returns the cumulative count of estimate reads that fell
-// off the memo entirely (path="full") — the expensive recompute the
-// incremental plane exists to avoid.
-func estimatePathCounts() uint64 {
-	n, _, _ := metrics.Default.HistogramStats("dqm_engine_estimate_seconds",
-		metrics.Label{Name: "path", Value: "full"})
-	return n
 }
 
 // Stop terminates the logger and waits for the goroutine to exit.

@@ -34,11 +34,12 @@
 // recovers all sessions on reopen with bit-identical estimator state, so the
 // estimate survives a crash of the process consulting it mid-cleaning.
 //
-// The read path is built for heavy polling: Estimates on an unchanged
-// session is a lock-free cache hit (Session.Version exposes the underlying
-// mutation counter for change detection), and sessions created with
-// Config.Window additionally serve windowed estimates — the quality of the
-// last N tasks, tumbling or sliding, plus an exponentially decayed aggregate
+// The read path is built for heavy polling: while a session is being read,
+// every mutation publishes its estimates to a slot that Estimates copies
+// without the session lock (Session.Version exposes the underlying mutation
+// counter for change detection), and sessions created with Config.Window
+// additionally serve windowed estimates — the quality of the last N tasks,
+// tumbling or sliding, plus an exponentially decayed aggregate
 // (Session.WindowEstimates) — for streams whose error rate drifts.
 //
 // Estimators implemented (paper section in parentheses):
@@ -572,7 +573,8 @@ func (s *Session) EstimatorNames() []string { return s.s.EstimatorNames() }
 
 // AppendVotes ingests a batch of votes under one lock acquisition and, when
 // endTask is set, marks a task boundary after the batch; AppendVotes(nil,
-// true) marks a bare boundary. Items outside [0, N) fail the whole batch
+// true) marks a bare boundary, and AppendVotes(nil, false) does nothing,
+// leaving the version where it was. Items outside [0, N) fail the whole batch
 // before any vote is applied. On a durable engine a batch must fit in one
 // 64 MiB journal frame, at 1 to 20 bytes a vote: any batch of up to three
 // million votes does. A larger one that does not is refused whole with an
@@ -623,9 +625,10 @@ func (s *Session) AppendDQMV(body []byte) (votesIngested, tasksEnded int, err er
 func (s *Session) Tasks() int64 { return s.s.Tasks() }
 
 // Estimates returns all selected estimators' values at the current position.
-// Reads of an unchanged session are served lock-free from a version-guarded
-// cache (two atomic loads and a struct copy), so estimate polling never
-// contends with ingest; only the first read after a mutation recomputes.
+// While the session is being read, every mutation publishes its estimates to
+// a slot that Estimates copies without the session lock, so estimate polling
+// never contends with ingest; the first read of a session that went unread
+// for more than 64 mutations evaluates them under the lock.
 func (s *Session) Estimates() Estimates { return fromInternal(s.s.Estimates()) }
 
 // Version returns the session's monotonic mutation counter: it advances on

@@ -17,7 +17,6 @@ import (
 var testOnlyExports = map[string]string{
 	"estimator.NewSwitch":                        "BenchmarkSwitchEstimate, BenchmarkBootstrapSwitchCI; internal/window diffTrackers",
 	"estimator.SwitchEstimator.BootstrapSwitch":  "BenchmarkBootstrapSwitchCI",
-	"estimator.Suite.EstimateAllUncached":        "internal/engine BenchmarkEstimatesCached, TestIncrementalEstimatesMatchUncachedRandomized",
 	"similarity.TokenSortedEditSimilarity":       "BenchmarkTokenSortedEditSimilarity; internal/pipeline TestRestaurantCandidatesClassifiesEveryDuplicate",
 	"stats.NewFreqFromCounts":                    "internal/votes, internal/switchstat and internal/estimator fingerprint oracles",
 	"switchstat.Tracker.NoOps":                   "internal/window diffTrackers",

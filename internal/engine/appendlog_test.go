@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dqm/internal/votelog"
 	"dqm/internal/wal"
@@ -95,11 +96,17 @@ func TestDurableAppendLogMatchesPerBlockCommits(t *testing.T) {
 			cfg := sessionCfg()
 			cfg.Window = wcfg
 			logDir, refDir := t.TempDir(), t.TempDir()
-			logEng, err := Open(durableConfig(logDir))
+			// A timed syncer pass seals the open frame wherever it finds
+			// it, so it would split the two engines' frames, and their
+			// segment rotations, at different points; an hour-long interval
+			// leaves every frame boundary to the writes themselves.
+			logCfg, refCfg := durableConfig(logDir), durableConfig(refDir)
+			logCfg.WAL.BatchInterval, refCfg.WAL.BatchInterval = time.Hour, time.Hour
+			logEng, err := Open(logCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refEng, err := Open(durableConfig(refDir))
+			refEng, err := Open(refCfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -164,11 +164,11 @@ func BenchmarkEngineParallelIngest(b *testing.B) {
 	b.ReportMetric(float64(b.N*batchSize)/b.Elapsed().Seconds(), "votes/s")
 }
 
-// BenchmarkEstimatesCached measures the estimate read path: "cold" is the
-// full recompute (every estimator re-evaluated — what every read cost before
-// the version-guarded cache), "cached" is a lock-free cache hit on an
-// unchanged session, and "parallel" is the many-readers shape of dashboard
-// fan-out. The acceptance bar is cached ≥ 50x faster than cold.
+// BenchmarkEstimatesCached measures the estimate read path: "cold" is a task
+// appended and then read (the append publishes the estimates the read
+// copies), "idle-recompute" one evaluation of the suite, "cached" a lock-free
+// slot read of an unchanged session, and "parallel" the many-readers shape of
+// dashboard fan-out.
 func BenchmarkEstimatesCached(b *testing.B) {
 	// 2M votes over 10k items: the switch/fingerprint state a recompute has
 	// to walk is what makes the old read path O(state).
@@ -179,11 +179,9 @@ func BenchmarkEstimatesCached(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	// "cold" is the polling-while-cleaning regime the old read path paid on
-	// EVERY poll: the session saw a task boundary since the last read, so
-	// every estimator (and the switch tracker's per-task state) must
-	// recompute. The 10-vote append is ~0.35 µs of the reported time; the
-	// rest is the recompute the cache now amortizes to once per mutation.
+	// "cold" is the polling-while-cleaning regime: the session saw a task
+	// boundary since the last read. The append evaluates every estimator and
+	// publishes them to the slot, which the read then copies.
 	batches := make([][]votes.Vote, 64)
 	for i := range batches {
 		batches[i] = syntheticBatch(n, 10, i)
@@ -197,16 +195,16 @@ func BenchmarkEstimatesCached(b *testing.B) {
 			s.Estimates()
 		}
 	})
-	// "idle-recompute" is the old per-poll cost on an UNCHANGED session (no
-	// lazy state to rebuild — the best case of the old path).
+	// "idle-recompute" is one evaluation of the suite, the cost a publishing
+	// mutation and a read under the session mutex add.
 	b.Run("idle-recompute", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.suite.EstimateAllUncached()
+			s.suite.EstimateAll()
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
-		s.Estimates() // publish the cache once
+		s.Estimates() // publish the slot once
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -225,10 +223,10 @@ func BenchmarkEstimatesCached(b *testing.B) {
 	})
 }
 
-// BenchmarkEstimatesDirty measures the dirty-read path the incremental plane
-// targets: every read follows a single-vote mutation, so the memo refreshes
-// from the running sufficient statistics instead of walking fingerprints.
-// Gated at 0 allocs/op (the vote itself and the refresh both reuse state).
+// BenchmarkEstimatesDirty measures the dirty-read path: every read follows a
+// single-vote mutation, which evaluates the estimates from the running
+// sufficient statistics and publishes them to the slot the read copies.
+// Gated at 0 allocs/op.
 func BenchmarkEstimatesDirty(b *testing.B) {
 	const n, preTasks = 10000, 200000
 	s := NewSession("bench", n, SessionConfig{})
@@ -284,8 +282,8 @@ func BenchmarkBootstrapCI(b *testing.B) {
 }
 
 // BenchmarkWindowedEstimates measures the windowed dirty-read path: every
-// read follows an appended task, so the current pane's suite memo refreshes
-// incrementally just like the all-time one.
+// read follows an appended task and evaluates the panes' suites under the
+// session mutex.
 func BenchmarkWindowedEstimates(b *testing.B) {
 	const n, batchSize = 10000, 10
 	wcfg := window.Config{Size: 100, Stride: 50, DecayAlpha: 0.3}

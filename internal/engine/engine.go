@@ -339,9 +339,13 @@ var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
 // columns (sc is reused across sessions) and applied in task-sized batches,
 // so recovery looks like binary ingest rather than a stream of single-vote
 // appends: one bounds-check pass and one rotation cross-check per batch
-// instead of per vote, no per-vote hook indirection, and no estimate-cache or
-// per-vote metric traffic until the session goes live (the version is
-// published once, at the end).
+// instead of per vote, no per-vote hook indirection, and no estimate
+// publication or per-vote metric traffic until the session goes live (the
+// version is published once, at the end).
+//
+// The version counts the replayed votes, task boundaries and resets, from
+// the version the last reset published when meta.json records it, since
+// compaction drops everything before that reset.
 func (e *Engine) recoverSession(id string, sc *replayScratch) (*Session, error) {
 	start := time.Now()
 	defer metricRecoverySeconds.ObserveSince(start)
@@ -437,6 +441,10 @@ func (e *Engine) recoverSession(id string, sc *replayScratch) (*Session, error) 
 			}
 		},
 		Reset: func() {
+			if meta.ResetVersion == 0 {
+				// No floor: count the reset and what it clears.
+				s.version.Add(uint64(s.suite.Matrix.TotalVotes()+s.tasks) + 1)
+			}
 			s.applyReset()
 			pending = -1
 		},
@@ -463,7 +471,7 @@ func (e *Engine) recoverSession(id string, sc *replayScratch) (*Session, error) 
 	}
 	// Publish the replayed position to lock-free readers (the session is not
 	// shared yet, but keep the invariant: version reflects applied state).
-	s.version.Store(s.suite.Version())
+	s.version.Add(meta.ResetVersion + uint64(s.suite.Matrix.TotalVotes()+s.tasks))
 	s.journal = j
 	metricSessionsRecovered.Inc()
 	return s, nil
@@ -781,7 +789,7 @@ func (e *Engine) SetPolicy(id string, raw []byte) error {
 	}
 	if e.store != nil {
 		l := e.lockID(id)
-		err := e.store.UpdateMeta(id, func(m *wal.Meta) { m.Policy = raw })
+		err := e.store.SetPolicy(id, raw)
 		e.unlockID(id, l)
 		if err != nil {
 			return fmt.Errorf("engine: session %q: persist policy: %w", id, err)

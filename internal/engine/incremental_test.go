@@ -12,20 +12,20 @@ import (
 	"dqm/internal/window"
 )
 
-// TestIncrementalEstimatesMatchUncachedRandomized is the engine-level
-// incremental-plane property test: a windowed session, in memory and durable,
-// driven by a randomized sequence of votes, task boundaries (which rotate
-// window panes), resets and a crash-replay must, at every read point, serve
-// Estimates bit-identical to a full uncached suite recompute.
+// TestIncrementalEstimatesMatchUncachedRandomized is the engine-level read
+// property test: a windowed session, in memory and durable, driven by a
+// randomized sequence of votes, task boundaries (which rotate window panes),
+// resets and a crash-replay must, at every read point, serve Estimates
+// bit-identical to an evaluation of its suite.
 func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 	const n = 50
 	verify := func(t *testing.T, s *Session, step int) {
 		t.Helper()
 		got := s.Estimates()
-		// The uncached walk over the full stream is the ground truth.
-		want := s.suite.EstimateAllUncached()
+		// The suite's own evaluation is the ground truth.
+		want := s.suite.EstimateAll()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: Estimates %+v != uncached recompute %+v", step, got, want)
+			t.Fatalf("step %d: Estimates %+v != EstimateAll %+v", step, got, want)
 		}
 		if again := s.Estimates(); !reflect.DeepEqual(again, got) {
 			t.Fatalf("step %d: repeated read differs", step)
@@ -57,7 +57,7 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 				if err := s.Reset(); err != nil {
 					t.Fatal(err)
 				}
-			default: // read-only step: back-to-back reads hit the memo
+			default: // read-only step: back-to-back reads hit the slot
 			}
 			if rng.Intn(2) == 0 {
 				verify(t, s, step)
@@ -88,7 +88,7 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 		wantFinal := s.Estimates()
 
 		// Crash-replay: reopen the engine and require the recovered session
-		// to serve the same estimates through the same incremental read path.
+		// to serve the same estimates through the same read path.
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -105,8 +105,8 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 		if !reflect.DeepEqual(got, wantFinal) {
 			t.Fatalf("recovered estimates %+v != pre-close %+v", got, wantFinal)
 		}
-		if want := s2.suite.EstimateAllUncached(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("recovered estimates %+v != uncached recompute %+v", got, want)
+		if want := s2.suite.EstimateAll(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("recovered estimates %+v != EstimateAll %+v", got, want)
 		}
 	})
 }

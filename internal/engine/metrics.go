@@ -19,9 +19,9 @@ var (
 	metricTasks = metrics.Default.Counter("dqm_engine_tasks_total",
 		"Task boundaries marked across all sessions.")
 	metricEstimateHits = metrics.Default.Counter("dqm_engine_estimate_cache_hits_total",
-		"Estimate reads served lock-free from the version-guarded cache.")
+		"Estimate reads copied lock-free from the session's published slot.")
 	metricEstimateMisses = metrics.Default.Counter("dqm_engine_estimate_cache_misses_total",
-		"Estimate reads that recomputed under the session mutex (first read after a mutation).")
+		"Estimate reads evaluated under the session mutex (the slot did not hold the version read).")
 	metricSessionsCreated = metrics.Default.Counter("dqm_engine_sessions_created_total",
 		"Sessions created (excluding recovery and revival).")
 	metricSessionsRecovered = metrics.Default.Counter("dqm_engine_sessions_recovered_total",
@@ -40,19 +40,6 @@ var (
 	metricResets = metrics.Default.Counter("dqm_engine_resets_total",
 		"Session resets applied.")
 
-	// Estimate-read latency by compute path: "cached" reads served from a
-	// valid memo (lock-free or under mu), "incremental" reads that refreshed
-	// a stale memo in place (only changed members re-ran), "full" reads that
-	// evaluated every member from scratch (first read, post-reset).
-	metricEstimateCached = metrics.Default.Histogram("dqm_engine_estimate_seconds",
-		"Estimate read latency by compute path.",
-		metrics.DurationBuckets, metrics.Label{Name: "path", Value: "cached"})
-	metricEstimateIncremental = metrics.Default.Histogram("dqm_engine_estimate_seconds",
-		"Estimate read latency by compute path.",
-		metrics.DurationBuckets, metrics.Label{Name: "path", Value: "incremental"})
-	metricEstimateFull = metrics.Default.Histogram("dqm_engine_estimate_seconds",
-		"Estimate read latency by compute path.",
-		metrics.DurationBuckets, metrics.Label{Name: "path", Value: "full"})
 	metricBootstrapSeconds = metrics.Default.Histogram("dqm_engine_bootstrap_seconds",
 		"Off-mutex bootstrap confidence-interval compute duration (capture and cache bookkeeping excluded).",
 		metrics.DurationBuckets)

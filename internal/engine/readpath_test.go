@@ -2,6 +2,7 @@ package engine
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,8 +13,8 @@ import (
 	"dqm/internal/window"
 )
 
-// TestEstimatesCacheTracksMutations: the lock-free cache must serve exactly
-// the recompute value at every version, and never a stale snapshot after a
+// TestEstimatesCacheTracksMutations: the lock-free slot must serve exactly
+// the evaluated value at every version, and never a stale snapshot after a
 // mutation.
 func TestEstimatesCacheTracksMutations(t *testing.T) {
 	const n = 50
@@ -26,12 +27,12 @@ func TestEstimatesCacheTracksMutations(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := s.Estimates()
-		// Second read comes from the lock-free cache; must be identical.
+		// Second read comes from the lock-free slot; must be identical.
 		if again := s.Estimates(); !reflect.DeepEqual(again, got) {
-			t.Fatalf("op %d: cached read differs from first read", i)
+			t.Fatalf("op %d: slot read differs from first read", i)
 		}
 		if v, cv := s.Version(), s.CachedVersion(); v != cv {
-			t.Fatalf("op %d: cache not published (version %d, cached %d)", i, v, cv)
+			t.Fatalf("op %d: slot not published (version %d, slot %d)", i, v, cv)
 		}
 	}
 	// Reference: a fresh session over the same ops recomputes everything.
@@ -39,6 +40,95 @@ func TestEstimatesCacheTracksMutations(t *testing.T) {
 	applyOps(t, ref, ops)
 	if !reflect.DeepEqual(ref.Estimates(), s.Estimates()) {
 		t.Fatal("cached session diverges from uncached replay")
+	}
+}
+
+// TestEstimatesRacingWriterMatchReference is the property behind the
+// lock-free read: while one writer applies random votes, task boundaries and
+// resets, every Estimates result must equal EstimateAll of a reference
+// session at some version between the Version reads before and after the
+// call. A read after more than publishWindow unread mutations, which finds
+// the slot stale, must match the reference too.
+func TestEstimatesRacingWriterMatchReference(t *testing.T) {
+	const n, readers = 40, 3
+	ops := genOps(31, 4000, n)
+	for i := range ops {
+		if i%9 == 4 && !ops[i].reset {
+			ops[i] = walOp{end: true} // a bare task boundary
+		}
+	}
+	// want[v] is the reference's estimates at version v.
+	ref := NewSession("ref", n, sessionCfg())
+	want := []estimator.Estimates{ref.suite.EstimateAll()}
+	for _, o := range ops {
+		applyOps(t, ref, []walOp{o})
+		want = append(want, ref.suite.EstimateAll())
+	}
+
+	s := NewSession("race", n, sessionCfg())
+	var (
+		done  atomic.Bool
+		reads atomic.Int64
+		wg    sync.WaitGroup
+	)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				before := s.Version()
+				got := s.Estimates()
+				after := s.Version()
+				if !slices.Contains(want[before:after+1], got) {
+					t.Errorf("Estimates %+v matches the reference at no version in [%d, %d]", got, before, after)
+					return
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	for reads.Load() < readers {
+		time.Sleep(time.Millisecond)
+	}
+	applyOps(t, s, ops)
+	done.Store(true)
+	wg.Wait()
+
+	more := genOps(32, 2*publishWindow, n)
+	applyOps(t, s, more)
+	applyOps(t, ref, more)
+	if got, want := s.Estimates(), ref.suite.EstimateAll(); got != want {
+		t.Fatalf("after %d unread mutations: Estimates %+v, reference %+v", len(more), got, want)
+	}
+}
+
+// TestSlotCarriesEveryEstimate: the slot's words must carry every field of
+// estimator.Estimates, so a field added there cannot be dropped silently.
+func TestSlotCarriesEveryEstimate(t *testing.T) {
+	var want estimator.Estimates
+	k := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			k++
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Struct:
+				fill(f)
+			case reflect.Float64:
+				f.SetFloat(float64(k) + 0.5)
+			case reflect.Int:
+				f.SetInt(int64(-k))
+			default:
+				t.Fatalf("field %s (%v) has no slot word", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	fill(reflect.ValueOf(&want).Elem())
+	var sl estimateSlot
+	sl.store(7, &want)
+	var got estimator.Estimates
+	if v, ok := sl.load(&got); !ok || v != 7 || got != want {
+		t.Fatalf("slot load = %+v at %d (%v), want %+v at 7", got, v, ok, want)
 	}
 }
 
@@ -290,12 +380,6 @@ func TestConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 	wg.Wait()
 }
 
-// CachedVersion returns the version of the currently published estimate
-// snapshot (0 before the first read). Version()−CachedVersion() is the
-// staleness of the read cache in mutations.
-func (s *Session) CachedVersion() uint64 {
-	if c := s.cached.Load(); c != nil {
-		return c.version
-	}
-	return 0
-}
+// CachedVersion returns the version of the estimates in the slot.
+// Version()−CachedVersion() is the staleness of the slot in mutations.
+func (s *Session) CachedVersion() uint64 { return s.slot.version.Load() }

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -849,4 +850,96 @@ func TestRepeatedSwitchSessionRecovers(t *testing.T) {
 		t.Fatal("session not recovered at boot")
 	}
 	same("recovered", s2)
+}
+
+// TestVersionNeverFallsAcrossRestart: compaction drops everything before the
+// last reset, so a version counted over the replay alone fell below the one
+// served before a restart (1401 to 800 in the first shape below, 4501 to
+// 3000 in the second), and one ETag or watch cursor could name two states.
+// The recovered version must be at least the one served before every reopen:
+// after a compacted reset, after a second reopen, after empty appends (which
+// journal nothing), and after a reset on a recovered session. A policy
+// attached in between must survive the reset's rewrite of meta.json, and the
+// reset floor the policy's.
+func TestVersionNeverFallsAcrossRestart(t *testing.T) {
+	for _, shape := range []struct{ boundaries, tasks int }{{1000, 400}, {3000, 1500}} {
+		t.Run(fmt.Sprintf("%d-boundaries-%d-tasks", shape.boundaries, shape.tasks), func(t *testing.T) {
+			cfg := Config{DataDir: t.TempDir(), WAL: wal.Options{SegmentBytes: 256, CompactAfter: 1}}
+			e, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { e.Close() }) // the engine open last
+			s, err := e.Create("s", 10, SessionConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tasks := func(k int) {
+				t.Helper()
+				for i := 0; i < k; i++ {
+					if err := s.Append([]votes.Vote{{Item: i % 10, Worker: i % 3, Label: votes.Dirty}}, true); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			reopen := func(when string) {
+				t.Helper()
+				before, est := s.Version(), s.Estimates()
+				if err := e.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if e, err = Open(cfg); err != nil {
+					t.Fatal(err)
+				}
+				var ok bool
+				if s, ok = e.Get("s"); !ok {
+					t.Fatalf("%s: session not recovered", when)
+				}
+				if after := s.Version(); after < before {
+					t.Fatalf("%s: version %d before the reopen, %d after", when, before, after)
+				}
+				if got := s.Estimates(); got != est {
+					t.Fatalf("%s: estimates %+v after the reopen, %+v before", when, got, est)
+				}
+			}
+			for i := 0; i < shape.boundaries; i++ {
+				if err := s.EndTask(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			tasks(shape.tasks)
+			reopen("compacted reset")
+			reopen("second reopen")
+			for i := 0; i < 10; i++ {
+				if err := s.Append(nil, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reopen("empty appends")
+
+			policy := []byte(`{"rules":[]}`)
+			if err := e.SetPolicy("s", policy); err != nil {
+				t.Fatal(err)
+			}
+			tasks(shape.tasks)
+			if err := s.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			tasks(10)
+			reopen("reset after a reopen")
+			if got := s.PolicyJSON(); string(got) != string(policy) {
+				t.Fatalf("policy %q after the reset and reopen, want %q", got, policy)
+			}
+			if err := e.SetPolicy("s", nil); err != nil {
+				t.Fatal(err)
+			}
+			reopen("policy detached")
+		})
+	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,10 +67,11 @@ type SessionConfig struct {
 // selected estimator suite over it. All methods are safe for concurrent use;
 // a single mutex serializes mutations (votes within one session form one
 // logical stream, so there is nothing to parallelize inside a session —
-// concurrency comes from many sessions). Estimate READS are different:
-// Estimates serves from a version-guarded cache without touching the mutex
-// at all when the session has not mutated since the last read, so heavy read
-// traffic cannot stall ingest (and vice versa).
+// concurrency comes from many sessions). Estimate READS are different: while
+// a session is being read, every mutation publishes its estimates to a
+// seqlock slot before it advances the version, and Estimates copies them out
+// without touching the mutex, so heavy read traffic cannot stall ingest (and
+// vice versa).
 type Session struct {
 	id      string
 	created time.Time
@@ -107,23 +109,19 @@ type Session struct {
 	// version) so a follower never receives an interval for a different state
 	// than it asked about. Guarded by mu.
 	ciFlights map[ciFlightKey]*ciFlight
-	// lastEstimateVersion is the session version of the most recent
-	// under-mutex estimate read. The lock-free cache is published lazily — on
-	// the SECOND read of the same version — so a write-mostly session never
-	// pays the publication allocation and the dirty-read path stays 0-alloc.
-	// Guarded by mu.
-	lastEstimateVersion uint64
 
 	lastUsed atomic.Int64 // unix nanos; read lock-free by the evictor
 
 	// version counts applied mutations, Reset included; it is published
 	// (atomically, after the state change, still under mu) so lock-free
-	// readers can validate cached estimates and watchers can poll for
-	// changes without contending with ingest. It never moves backwards or
-	// repeats for distinct states.
+	// readers can validate the slot and watchers can poll for changes
+	// without contending with ingest. It never moves backwards or repeats
+	// for distinct states.
 	version atomic.Uint64
-	// cached is the last published estimate snapshot, immutable once stored.
-	cached atomic.Pointer[estimateCache]
+	// asked is the newest version a reader loaded (racing readers may lower
+	// it); bump publishes while it is within publishWindow.
+	asked atomic.Uint64
+	slot  estimateSlot // the estimates of one version, written under mu
 
 	// notifiers is the registered set of version-advance signal channels,
 	// published copy-on-write so bump() reads it with one atomic load and no
@@ -138,13 +136,6 @@ type Session struct {
 	// persists it in session meta and hands it back). Atomic so readers on the
 	// request path never take the session mutex; nil means none attached.
 	policy atomic.Pointer[[]byte]
-}
-
-// estimateCache pairs an estimate snapshot with the session version it was
-// computed at. The struct is never mutated after publication.
-type estimateCache struct {
-	version uint64
-	est     estimator.Estimates
 }
 
 // ciKey identifies one bootstrap-CI request shape.
@@ -195,6 +186,8 @@ func NewSession(id string, n int, cfg SessionConfig) *Session {
 	if cfg.Window != nil {
 		s.ring = window.New(n, cfg.Suite, *cfg.Window)
 	}
+	e := s.suite.EstimateAll()
+	s.slot.store(0, &e)
 	s.lastUsed.Store(now.UnixNano())
 	return s
 }
@@ -234,12 +227,18 @@ func (s *Session) setPolicy(raw []byte) {
 }
 
 // bump publishes one applied mutation to lock-free readers. Call under mu,
-// after the state change. Registered notifiers get a non-blocking signal: a
-// full channel means the receiver already has a pending wakeup and will see
-// this version when it drains, so the send is skipped — ingest never blocks
-// or allocates on account of watchers.
+// after the state change. While readers ask, the new version's estimates go
+// to the slot before the version advances. Registered notifiers get a
+// non-blocking signal: a full channel means the receiver already has a
+// pending wakeup and will see this version when it drains, so the send is
+// skipped — ingest never blocks or allocates on account of watchers.
 func (s *Session) bump() {
-	s.version.Add(1)
+	next := s.version.Load() + 1
+	if next-s.asked.Load() <= publishWindow {
+		e := s.suite.EstimateAll()
+		s.slot.store(next, &e)
+	}
+	s.version.Store(next)
 	if ns := s.notifiers.Load(); ns != nil {
 		for _, ch := range *ns {
 			select {
@@ -364,7 +363,8 @@ func (s *Session) publish(n int, endTask bool) {
 
 // Append ingests a batch of votes under one lock acquisition and, when
 // endTask is set, marks a task boundary after the batch; Append(nil, true)
-// marks a bare boundary. It validates item ranges up front — the whole batch
+// marks a bare boundary, and Append(nil, false) does nothing. It validates
+// item ranges up front — the whole batch
 // is rejected before any vote is applied, so a bad request cannot leave a
 // half-ingested task behind. On a durable session the batch is journaled
 // (staged into the journal's open frame and committed) before it is applied;
@@ -378,6 +378,9 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 		if v.Item < 0 || v.Item >= n {
 			return fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, v.Item, n)
 		}
+	}
+	if len(batch) == 0 && !endTask {
+		return nil // no mutation: journaling nothing, it must not move the version
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -527,53 +530,36 @@ func (s *Session) Tasks() int64 {
 }
 
 // Estimates returns every selected estimator's value at the current
-// position. The fast path is lock-free: if the session has not mutated since
-// the last read (version unchanged), the cached snapshot is returned without
-// acquiring the session mutex at all — a read costs two atomic loads and a
-// struct copy, so estimate polling never contends with ingest. Only the
-// first read after a mutation recomputes, under the mutex.
+// position. It copies them from the slot without taking the session mutex
+// when the slot holds the version it loaded, or a newer one that has already
+// been announced: while the session is being read, every mutation publishes
+// there. A copy that races a store is retried. Otherwise it evaluates under
+// the mutex and publishes.
 func (s *Session) Estimates() estimator.Estimates {
+	s.touch()
 	v := s.version.Load()
-	if c := s.cached.Load(); c != nil && c.version == v {
-		s.touch()
-		metricEstimateHits.Inc()
-		return c.est
+	if s.asked.Load() < v {
+		s.asked.Store(v)
+	}
+	var e estimator.Estimates
+	for try := 0; try < slotReadTries; try++ {
+		sv, ok := s.slot.load(&e)
+		if ok && sv <= s.version.Load() {
+			if sv >= v {
+				metricEstimateHits.Inc()
+				return e
+			}
+			break
+		}
+		// A store in flight: bump finishes it within nanoseconds, unless its
+		// goroutine lost its processor, which yielding hands back.
+		runtime.Gosched()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.touch()
 	metricEstimateMisses.Inc()
-	return s.estimatesLocked()
-}
-
-// estimatesLocked recomputes (or revalidates) the estimate snapshot and
-// lazily publishes it to the lock-free cache. Call under mu.
-func (s *Session) estimatesLocked() estimator.Estimates {
-	start := time.Now()
-	memoValid, memoUpToDate := s.suite.MemoState()
-	e := s.suite.EstimateAll() // incremental: only changed members re-run
-	switch {
-	case memoUpToDate:
-		metricEstimateCached.ObserveSince(start)
-	case memoValid:
-		metricEstimateIncremental.ObserveSince(start)
-	default:
-		metricEstimateFull.ObserveSince(start)
-	}
-	// Under mu no mutator can run, so the version read here is exactly the
-	// version of the state e was computed from. Publication is lazy — only
-	// the second read of one version publishes — so a mutate/read/mutate
-	// workload (the dirty-read hot path) never allocates a cache entry it
-	// would immediately invalidate, while a poll-heavy workload still
-	// upgrades to lock-free reads after one extra recompute.
-	v := s.version.Load()
-	if c := s.cached.Load(); c == nil || c.version != v {
-		if s.lastEstimateVersion == v {
-			s.cached.Store(&estimateCache{version: v, est: e})
-		} else {
-			s.lastEstimateVersion = v
-		}
-	}
+	e = s.suite.EstimateAll()
+	s.slot.store(s.version.Load(), &e)
 	return e
 }
 
@@ -598,8 +584,7 @@ func (s *Session) WindowConfig() (window.Config, bool) {
 // WindowEstimates evaluates the selected windowed view (see window.Kind). It
 // fails on sessions without a window config and on views that are not
 // available yet (no completed window). Windowed reads take the session
-// mutex, but the per-pane suites memoize, so repeated reads of an unchanged
-// window are cheap.
+// mutex.
 func (s *Session) WindowEstimates(kind window.Kind) (window.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -643,14 +628,15 @@ func (s *Session) MajorityDirty(item int) bool {
 }
 
 // Reset clears the vote stream and every estimator, keeping the session
-// registered. On a durable session the reset is journaled first — the next
-// compaction discards all pre-reset history — and a journal error leaves the
-// session untouched and is returned as a *JournalError.
+// registered. On a durable session the reset is journaled first, with the
+// version it publishes — the next compaction discards all pre-reset history,
+// and recovery counts the version on from there — and a journal error leaves
+// the session untouched and is returned as a *JournalError.
 func (s *Session) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal != nil {
-		if err := s.journal.Reset(); err != nil {
+		if err := s.journal.Reset(s.version.Load() + 1); err != nil {
 			return &JournalError{SessionID: s.id, Err: err}
 		}
 	}

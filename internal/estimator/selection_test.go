@@ -13,7 +13,7 @@ import (
 // subset of the five estimators, listed in canonical and in reversed order,
 // and through one that lists SWITCH twice, next to the full suite. After
 // every task, across the 8- to 16-bit widening, and after Reset and a
-// replay, each selected estimate (memoized and uncached) must equal the full
+// replay, each selected estimate must equal the full
 // suite's and every other one must be zero. Names must return the selection
 // as given, and EstimateAll must not allocate.
 func TestSuiteSelection(t *testing.T) {
@@ -51,9 +51,6 @@ func TestSuiteSelection(t *testing.T) {
 			want := selectedOf(ref, sels[i])
 			if got := s.EstimateAll(); got != want {
 				t.Fatalf("%s, %v: EstimateAll = %+v, want %+v", when, sels[i], got, want)
-			}
-			if got := s.EstimateAllUncached(); got != want {
-				t.Fatalf("%s, %v: EstimateAllUncached = %+v, want %+v", when, sels[i], got, want)
 			}
 		}
 	}

@@ -31,23 +31,6 @@ type Suite struct {
 
 	cfg SuiteConfig
 	n   int
-
-	// version counts mutations (Observe, EndTask, Reset) monotonically. It is
-	// the cache key of the EstimateAll memo and the signal the session layer
-	// publishes to lock-free readers.
-	version uint64
-	// voteVersion counts only the mutations that touch the shared matrix
-	// (Observe, Reset) — EndTask advances version but not voteVersion. It is
-	// the dirty bit of the matrix-derived estimators: when a stale memo
-	// differs from the live state only by EndTask calls, they are provably
-	// unchanged and EstimateAll skips re-evaluating them.
-	voteVersion uint64
-	// memo caches the last EstimateAll result and is refreshed IN PLACE on
-	// stale reads: only the estimators whose inputs changed re-run.
-	memo            Estimates
-	memoVersion     uint64
-	memoVoteVersion uint64
-	memoValid       bool
 }
 
 // SuiteConfig configures a Suite.
@@ -111,25 +94,9 @@ func (s *Suite) Config() SuiteConfig { return s.cfg }
 // NumItems returns the population size N.
 func (s *Suite) NumItems() int { return s.n }
 
-// Version returns the monotonic mutation counter: it advances on every
-// Observe, EndTask and Reset, and never goes backwards within one suite.
-// Two reads of an equal version are guaranteed to see identical estimates.
-func (s *Suite) Version() uint64 { return s.version }
-
-// MemoState reports the memo's relationship to the live stream. EstimateAll
-// will serve the memo (upToDate), refresh it in place re-running only the
-// estimators whose inputs changed (valid but not upToDate), or evaluate every
-// selected estimator (not valid). The session layer reads this to classify
-// estimate latency by compute path.
-func (s *Suite) MemoState() (valid, upToDate bool) {
-	return s.memoValid, s.memoValid && s.memoVersion == s.version
-}
-
 // Observe ingests one vote into the shared matrix and then the SWITCH
 // tracker, which reads the vote counts the matrix has just updated.
 func (s *Suite) Observe(v votes.Vote) {
-	s.version++
-	s.voteVersion++
 	s.Matrix.Add(v)
 	if s.Switch != nil {
 		s.Switch.Observe(v)
@@ -146,7 +113,6 @@ func (s *Suite) ObserveTask(task []votes.Vote) {
 
 // EndTask marks a task boundary for the SWITCH trend detector.
 func (s *Suite) EndTask() {
-	s.version++
 	if s.Switch != nil {
 		s.Switch.EndTask()
 	}
@@ -175,55 +141,28 @@ func (e Estimates) ByName(name string) float64 {
 }
 
 // EstimateAll evaluates every selected estimator at the current stream
-// position, memoized on the mutation version: repeated reads of an unchanged
-// stream return the cached snapshot instead of re-running every estimator,
-// and a stale memo is refreshed in place — when only EndTask calls separate
-// it from the live state, the matrix-derived estimators are skipped. The
-// result is bit-identical to EstimateAllUncached at every stream position
-// (estimators are deterministic pure functions of their stream state; the
-// property test in suite_incremental_test.go pins this). Estimators not
-// selected leave their zero value in the snapshot.
+// position. Every estimate is a closed form over running counts, so a call
+// costs O(1) whatever the stream length. Estimators not selected leave their
+// zero value in the snapshot.
 func (s *Suite) EstimateAll() Estimates {
-	if !s.memoValid || s.memoVersion != s.version {
-		s.evaluate(&s.memo, s.memoValid && s.memoVoteVersion == s.voteVersion)
-		s.memoVersion = s.version
-		s.memoVoteVersion = s.voteVersion
-		s.memoValid = true
-	}
-	return s.memo
-}
-
-// EstimateAllUncached evaluates every selected estimator unconditionally,
-// bypassing the version memo. It is the raw recompute path (and the baseline
-// the read-path benchmarks compare the cache against).
-func (s *Suite) EstimateAllUncached() Estimates {
 	var e Estimates
-	s.evaluate(&e, false)
-	return e
-}
-
-// evaluate writes every selected estimate into e. When votesClean, the
-// estimators that read only the shared matrix keep their values in e: their
-// input did not change, so those values are still exact.
-func (s *Suite) evaluate(e *Estimates, votesClean bool) {
-	if !votesClean {
-		m := s.Matrix
-		if s.selected&selNominal != 0 {
-			e.Nominal = Nominal(m)
-		}
-		if s.selected&selVoting != 0 {
-			e.Voting = Voting(m)
-		}
-		if s.selected&selChao92 != 0 {
-			e.Chao92 = s.capped(chao92(m, true))
-		}
-		if s.selected&selVChao92 != 0 {
-			e.VChao92 = s.capped(VChao92(m, s.cfg.VChao92))
-		}
+	m := s.Matrix
+	if s.selected&selNominal != 0 {
+		e.Nominal = Nominal(m)
+	}
+	if s.selected&selVoting != 0 {
+		e.Voting = Voting(m)
+	}
+	if s.selected&selChao92 != 0 {
+		e.Chao92 = s.capped(chao92(m, true))
+	}
+	if s.selected&selVChao92 != 0 {
+		e.VChao92 = s.capped(VChao92(m, s.cfg.VChao92))
 	}
 	if s.Switch != nil {
 		e.Switch = s.Switch.Estimate()
 	}
+	return e
 }
 
 // capped applies the population cap to a species estimate.
@@ -234,13 +173,8 @@ func (s *Suite) capped(v float64) float64 {
 	return v
 }
 
-// Reset clears the suite for the next permutation. The mutation version keeps
-// advancing (a reset is a mutation), so memoized estimates from before the
-// reset can never be served afterwards.
+// Reset clears the suite for the next permutation.
 func (s *Suite) Reset() {
-	s.version++
-	s.voteVersion++
-	s.memoValid = false
 	s.Matrix.Reset()
 	if s.Switch != nil {
 		s.Switch.Reset()

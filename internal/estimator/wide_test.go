@@ -46,7 +46,7 @@ func bitsFor(n int64) int {
 // reference counts, and the rows must be exactly as wide as the most votes
 // any item has held needs. After every task, and after every vote within
 // three votes of either item's crossing of either bound, the suites must
-// agree on every estimate (memoized and uncached), on ItemSwitches and
+// agree on every estimate, on ItemSwitches and
 // Consensus, and the tested suite's counts, c_nominal and c_majority, and the
 // counts CaptureChao92 reads, must equal the reference. Within the
 // crossings, every 100 tasks and after Reset the f-statistics and both
@@ -138,9 +138,6 @@ func diffWideSuite(s, ref *Suite, pos, neg []int64, full bool) string {
 	if got, want := s.EstimateAll(), ref.EstimateAll(); !reflect.DeepEqual(got, want) {
 		return fmt.Sprintf("EstimateAll = %+v, want %+v", got, want)
 	}
-	if got, want := s.EstimateAllUncached(), ref.EstimateAll(); !reflect.DeepEqual(got, want) {
-		return fmt.Sprintf("EstimateAllUncached = %+v, want %+v", got, want)
-	}
 	m := s.Matrix
 	posCounts := make([]int, len(pos))
 	var nominal, majority int64
@@ -202,7 +199,7 @@ func sameFreq(a, b stats.Freq) bool {
 // been selected once. A suite's rows hold one SWITCH state per item, so two
 // trackers updating the same rows would each count the other's switches.
 // Under both policies, after every task and across the 8- to 16-bit
-// widening, every estimate (memoized and uncached), the SWITCH estimate, the
+// widening, every estimate, the SWITCH estimate, the
 // switch counts, ItemSwitches and Consensus must equal those of a suite that
 // lists each name once, and Names must keep every repetition. Reset and a
 // replay must agree the same way.

@@ -29,6 +29,8 @@ type Journal struct {
 	// sy is the store-wide group-commit syncer that applies the fsync policy
 	// to committed batches.
 	sy *Syncer
+	// metaMu is the store's lock on meta.json rewrites (see Store.metaMu).
+	metaMu *sync.Mutex
 	// queued marks the journal as enqueued for the syncer's next pass; the
 	// syncer clears it when it snapshots the queue. Lock-free so MarkDirty
 	// stays off the syncer lock on the already-queued fast path.
@@ -156,9 +158,16 @@ func (j *Journal) StageColumns(cols *votelog.VoteColumns, from, to int, endTask 
 }
 
 // Reset logs a session reset. The next compaction discards everything before
-// it.
-func (j *Journal) Reset() error {
+// it, so first the session version the reset publishes is stored in
+// meta.json as ResetVersion: recovery counts the version on from there, not
+// from a replay that compaction shortened. When that write fails, nothing is
+// journaled and the journal stays usable.
+func (j *Journal) Reset(version uint64) error {
 	if err := j.lock(); err != nil {
+		return err
+	}
+	if err := rewriteMeta(j.metaMu, j.dir, func(m *Meta) { m.ResetVersion = version }); err != nil {
+		j.mu.Unlock()
 		return err
 	}
 	start := time.Now()

@@ -29,6 +29,9 @@ type Store struct {
 
 	sy        *Syncer
 	closeOnce sync.Once
+	// metaMu serializes every rewrite of a meta.json (SetPolicy and
+	// Journal.Reset).
+	metaMu sync.Mutex
 }
 
 // OpenStore opens (creating if needed) a data directory. Session directories
@@ -82,8 +85,8 @@ func (s *Store) Dir() string { return s.dir }
 
 // Meta is the descriptor of one journaled session, persisted as meta.json in
 // its directory. Identity fields (ID, Items, CreatedAt, Config) are written
-// once at Create and never change; Policy is the one mutable field — attached
-// and detached over the session's lifetime via UpdateMeta.
+// once at Create and never change; Policy is rewritten by SetPolicy and
+// ResetVersion by Journal.Reset.
 type Meta struct {
 	Version   int             `json:"version"`
 	ID        string          `json:"id"`
@@ -93,6 +96,9 @@ type Meta struct {
 	// Policy is the session's quality-gate policy document (opaque to the
 	// WAL layer); empty means none attached.
 	Policy json.RawMessage `json:"policy,omitempty"`
+	// ResetVersion is the session version published by the last reset, 0
+	// when none was recorded (no reset, or one written by an older build).
+	ResetVersion uint64 `json:"reset_version,omitempty"`
 }
 
 // maxHexID bounds the raw-byte length hex-escaped into a directory name;
@@ -304,7 +310,7 @@ func (s *Store) Create(meta Meta) (*Journal, error) {
 	// durable, meta.json's and the segment's; the store directory's makes
 	// the session's own.
 	_ = syncDir(s.dir)
-	return &Journal{dir: dir, opts: s.opts, sy: s.sy, f: f, seq: 1, size: size}, nil
+	return &Journal{dir: dir, opts: s.opts, sy: s.sy, metaMu: &s.metaMu, f: f, seq: 1, size: size}, nil
 }
 
 // writeMeta atomically replaces meta.json: temp file, fsync, rename. The
@@ -348,23 +354,25 @@ func (s *Store) ReadMeta(id string) (Meta, error) {
 	return m, nil
 }
 
-// UpdateMeta rewrites a session's meta.json through mutate, with the same
-// atomic temp+fsync+rename discipline as Create. Identity fields set by
-// mutate are ignored — only the mutable ones (currently Policy) are taken
-// from the mutated copy, so an update can never corrupt the descriptor the
-// recovery path depends on. The caller must serialize against concurrent
-// Create/Delete of the same id (the engine holds its per-id transition lock).
-func (s *Store) UpdateMeta(id string, mutate func(*Meta)) error {
-	dir := s.sessionDir(id)
-	cur, err := readMetaFile(dir)
+// SetPolicy rewrites the Policy of a session's meta.json (empty detaches).
+// The caller must serialize against concurrent Create/Delete of the same id
+// (the engine holds its per-id transition lock).
+func (s *Store) SetPolicy(id string, policy json.RawMessage) error {
+	return rewriteMeta(&s.metaMu, s.sessionDir(id), func(m *Meta) { m.Policy = policy })
+}
+
+// rewriteMeta applies mutate to the meta.json in dir and replaces it with
+// the same atomic temp+fsync+rename discipline as Create, holding mu across
+// the read and the write.
+func rewriteMeta(mu *sync.Mutex, dir string, mutate func(*Meta)) error {
+	mu.Lock()
+	defer mu.Unlock()
+	m, err := readMetaFile(dir)
 	if err != nil {
 		return err
 	}
-	next := cur
-	mutate(&next)
-	next.Version, next.ID, next.Items, next.CreatedAt, next.Config =
-		cur.Version, cur.ID, cur.Items, cur.CreatedAt, cur.Config
-	if err := writeMeta(dir, next); err != nil {
+	mutate(&m)
+	if err := writeMeta(dir, m); err != nil {
 		return err
 	}
 	return syncDir(dir)
@@ -445,7 +453,7 @@ func (s *Store) Recover(id string, h Hooks) (*Journal, error) {
 	}
 	removeTemp(dir)
 
-	j := &Journal{dir: dir, opts: s.opts, sy: s.sy, snapSeq: snapSeq, snapBytes: snapBytes}
+	j := &Journal{dir: dir, opts: s.opts, sy: s.sy, metaMu: &s.metaMu, snapSeq: snapSeq, snapBytes: snapBytes}
 	if len(live) == 0 {
 		f, size, err := createSegment(dir, snapSeq+1)
 		if err != nil {

@@ -382,8 +382,16 @@ func TestResetTruncatesCompactedHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	pre := journalN(t, j, 50, 20, 2)
-	if err := j.Reset(); err != nil {
+	if err := j.Reset(51); err != nil {
 		t.Fatal(err)
+	}
+	// The reset's version goes to meta.json before the reset is journaled,
+	// and a policy update keeps it.
+	if err := s.SetPolicy("reset", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := s.ReadMeta("reset"); err != nil || m.ResetVersion != 51 || string(m.Policy) != `{}` {
+		t.Fatalf("meta after Reset(51) and a policy update: %+v, %v", m, err)
 	}
 	post := journalN(t, j, 50, 20, 3)
 	if err := j.Checkpoint(); err != nil {

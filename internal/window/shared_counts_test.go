@@ -49,7 +49,7 @@ func diffTrackers(got, want *switchstat.Tracker) string {
 
 // diffSwitch compares a suite's SWITCH member against a standalone estimator
 // fed the same stream: tracker accessors, the full estimate, and the
-// suite's memoized estimate.
+// suite's estimate.
 func diffSwitch(s *estimator.Suite, ref *estimator.SwitchEstimator) string {
 	if msg := diffTrackers(s.Switch.Tracker(), ref.Tracker()); msg != "" {
 		return msg
