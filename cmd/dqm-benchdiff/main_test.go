@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ BenchmarkJournalAppend/never-8         	   12868	     11776 ns/op	        84.92 
 BenchmarkJournalAppend/always-8        	     100	    157113 ns/op	         6.365 Mvotes/s	     332 B/op	       0 allocs/op
 BenchmarkEstimatesCached/cached-8      	14905130	        78.00 ns/op	       0 B/op	       0 allocs/op
 BenchmarkSessionIngest   	 1766679	       651.7 ns/op	  15428884 votes/s	      43 B/op	       0 allocs/op
+BenchmarkHubEncodeOnce/subs=1-8   	  100000	      2083 ns/op	         1.000 encodes/version	  480012 events/s	     112 B/op	       2 allocs/op
 PASS
 ok  	dqm/internal/wal	12.3s
 `
@@ -24,18 +26,21 @@ func TestParseBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Benchmarks) != 4 {
-		t.Fatalf("parsed %d benchmarks, want 4: %v", len(f.Benchmarks), f.Benchmarks)
+	if len(f.Benchmarks) != 5 {
+		t.Fatalf("parsed %d benchmarks, want 5: %v", len(f.Benchmarks), f.Benchmarks)
 	}
 	never, ok := f.Benchmarks["BenchmarkJournalAppend/never"]
 	if !ok {
 		t.Fatalf("GOMAXPROCS suffix not stripped: %v", f.Benchmarks)
 	}
-	if never.NsPerOp != 11776 || never.AllocsPerOp != 0 || never.BytesPerOp != 5544 {
-		t.Errorf("never = %+v", never)
+	if never.AllocsPerOp != 0 || never.BytesPerOp != 5544 || never.Metrics != nil {
+		t.Errorf("never = %+v: want 5544 B/op, 0 allocs/op and no rate", never)
 	}
-	if never.Metrics["Mvotes/s"] != 84.92 {
-		t.Errorf("custom metric lost: %+v", never.Metrics)
+	// A metric that is not a rate is kept; a rate, like ns/op, measures the
+	// host and is dropped.
+	enc := f.Benchmarks["BenchmarkHubEncodeOnce/subs=1"]
+	if len(enc.Metrics) != 1 || enc.Metrics["encodes/version"] != 1 {
+		t.Errorf("metrics %v: want only encodes/version", enc.Metrics)
 	}
 	// A name with no -P suffix parses as-is.
 	if _, ok := f.Benchmarks["BenchmarkSessionIngest"]; !ok {
@@ -45,36 +50,35 @@ func TestParseBench(t *testing.T) {
 
 // repeatedBench is one benchmark run five times (-count 5): a slow outlier,
 // and one run that allocated.
-const repeatedBench = `BenchmarkAppendLog/durable/never-2   	  1000	    300000 ns/op	   4.0 Mvotes/s	     0 B/op	       0 allocs/op
-BenchmarkAppendLog/durable/never-2   	  1000	    430000 ns/op	   2.0 Mvotes/s	     0 B/op	       0 allocs/op
-BenchmarkAppendLog/durable/never-2   	  1000	    244000 ns/op	   5.0 Mvotes/s	    48 B/op	       1 allocs/op
-BenchmarkAppendLog/durable/never-2   	  1000	    310000 ns/op	   3.9 Mvotes/s	     0 B/op	       0 allocs/op
-BenchmarkAppendLog/durable/never-2   	  1000	    290000 ns/op	   4.1 Mvotes/s	     0 B/op	       0 allocs/op
+const repeatedBench = `BenchmarkHubEncodeOnce/subs=1000-2   	  1000	    300000 ns/op	   1.0 encodes/version	     0 B/op	       0 allocs/op
+BenchmarkHubEncodeOnce/subs=1000-2   	  1000	    430000 ns/op	   3.0 encodes/version	     0 B/op	       0 allocs/op
+BenchmarkHubEncodeOnce/subs=1000-2   	  1000	    244000 ns/op	   1.0 encodes/version	    48 B/op	       1 allocs/op
+BenchmarkHubEncodeOnce/subs=1000-2   	  1000	    310000 ns/op	   1.0 encodes/version	     0 B/op	       0 allocs/op
+BenchmarkHubEncodeOnce/subs=1000-2   	  1000	    290000 ns/op	   2.0 encodes/version	     0 B/op	       0 allocs/op
 `
 
 // TestParseBenchRepeatedLines: a name repeated by -count keeps the median
-// ns/op and custom metrics and the largest B/op and allocs/op, so the outlier
-// run cannot fail the ns gate while the one allocating run still fails a
-// 0-alloc baseline.
+// of its custom metrics and the largest B/op and allocs/op, so the one
+// allocating run still fails a 0-alloc baseline.
 func TestParseBenchRepeatedLines(t *testing.T) {
 	f, err := parseBench(strings.NewReader(repeatedBench))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const name = "BenchmarkAppendLog/durable/never"
+	const name = "BenchmarkHubEncodeOnce/subs=1000"
 	got, ok := f.Benchmarks[name]
 	if !ok || len(f.Benchmarks) != 1 {
 		t.Fatalf("parsed %v, want only %s", f.Benchmarks, name)
 	}
-	if got.NsPerOp != 300000 || got.Metrics["Mvotes/s"] != 4.0 {
-		t.Errorf("ns/op %v, Mvotes/s %v: want the medians 300000 and 4.0", got.NsPerOp, got.Metrics["Mvotes/s"])
+	if got.Metrics["encodes/version"] != 1.0 {
+		t.Errorf("encodes/version %v: want the median, 1", got.Metrics["encodes/version"])
 	}
 	if got.AllocsPerOp != 1 || got.BytesPerOp != 48 {
 		t.Errorf("allocs/op %v, B/op %v: want the largest, 1 and 48", got.AllocsPerOp, got.BytesPerOp)
 	}
-	base := &benchFile{Benchmarks: map[string]benchResult{name: {NsPerOp: 280000}}}
-	if pass, out := gateResult(t, base, f, 0.30); pass || !strings.Contains(out, "0-alloc path") || strings.Contains(out, "threshold") {
-		t.Errorf("want only the alloc gate to fail:\n%s", out)
+	base := &benchFile{Benchmarks: map[string]benchResult{name: {}}}
+	if pass, out := gateResult(t, base, f); pass || !strings.Contains(out, "0-alloc path") {
+		t.Errorf("want the alloc gate to fail:\n%s", out)
 	}
 	if even := median([]float64{4, 1, 3, 2}); even != 2.5 {
 		t.Errorf("median of an even count = %v, want 2.5", even)
@@ -82,10 +86,10 @@ func TestParseBenchRepeatedLines(t *testing.T) {
 }
 
 // gateResult runs compare and collects its log lines.
-func gateResult(t *testing.T, base, fresh *benchFile, threshold float64) (bool, string) {
+func gateResult(t *testing.T, base, fresh *benchFile) (bool, string) {
 	t.Helper()
 	var lines []string
-	pass := compare(base, fresh, threshold, func(format string, args ...any) {
+	pass := compare(base, fresh, func(format string, args ...any) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	})
 	return pass, strings.Join(lines, "\n")
@@ -93,60 +97,55 @@ func gateResult(t *testing.T, base, fresh *benchFile, threshold float64) (bool, 
 
 func TestCompareGates(t *testing.T) {
 	base := &benchFile{Benchmarks: map[string]benchResult{
-		"BenchmarkA": {NsPerOp: 100, AllocsPerOp: 0},
-		"BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 5},
+		"BenchmarkA": {AllocsPerOp: 0},
+		"BenchmarkB": {AllocsPerOp: 5},
 	}}
 
-	// Within threshold: pass (even with B's alloc growth, which only warns).
+	// Allocations within the contract: pass (even with B's alloc growth,
+	// which only warns).
 	fresh := &benchFile{Benchmarks: map[string]benchResult{
-		"BenchmarkA": {NsPerOp: 120, AllocsPerOp: 0},
-		"BenchmarkB": {NsPerOp: 900, AllocsPerOp: 6},
+		"BenchmarkA": {AllocsPerOp: 0},
+		"BenchmarkB": {AllocsPerOp: 6},
 	}}
-	if pass, out := gateResult(t, base, fresh, 0.30); !pass {
-		t.Errorf("in-threshold run failed:\n%s", out)
-	}
-
-	// ns regression beyond threshold: fail.
-	fresh.Benchmarks["BenchmarkA"] = benchResult{NsPerOp: 140, AllocsPerOp: 0}
-	if pass, out := gateResult(t, base, fresh, 0.30); pass || !strings.Contains(out, "FAIL BenchmarkA") {
-		t.Errorf("+40%% ns/op passed:\n%s", out)
+	if pass, out := gateResult(t, base, fresh); !pass || !strings.Contains(out, "warn BenchmarkB") {
+		t.Errorf("in-contract run failed, or B's alloc growth went unreported:\n%s", out)
 	}
 
 	// Any alloc on a 0-alloc path: fail.
-	fresh.Benchmarks["BenchmarkA"] = benchResult{NsPerOp: 100, AllocsPerOp: 1}
-	if pass, out := gateResult(t, base, fresh, 0.30); pass || !strings.Contains(out, "0-alloc path") {
+	fresh.Benchmarks["BenchmarkA"] = benchResult{AllocsPerOp: 1}
+	if pass, out := gateResult(t, base, fresh); pass || !strings.Contains(out, "0-alloc path") {
 		t.Errorf("alloc regression on 0-alloc path passed:\n%s", out)
 	}
 
 	// Pinned benchmark missing: fail.
 	delete(fresh.Benchmarks, "BenchmarkA")
-	if pass, out := gateResult(t, base, fresh, 0.30); pass || !strings.Contains(out, "missing") {
+	if pass, out := gateResult(t, base, fresh); pass || !strings.Contains(out, "missing") {
 		t.Errorf("missing pinned benchmark passed:\n%s", out)
 	}
 
 	// Unknown fresh benchmarks are ignored.
 	fresh = &benchFile{Benchmarks: map[string]benchResult{
-		"BenchmarkA": {NsPerOp: 100},
-		"BenchmarkB": {NsPerOp: 1000, AllocsPerOp: 5},
-		"BenchmarkC": {NsPerOp: 1, AllocsPerOp: 99},
+		"BenchmarkA": {},
+		"BenchmarkB": {AllocsPerOp: 5},
+		"BenchmarkC": {AllocsPerOp: 99},
 	}}
-	if pass, out := gateResult(t, base, fresh, 0.30); !pass {
+	if pass, out := gateResult(t, base, fresh); !pass {
 		t.Errorf("extra benchmark failed the gate:\n%s", out)
 	}
 
 	// Go-version skew warns (never gates) so toolchain codegen shifts are the
-	// first hypothesis on a threshold failure, not a mystery.
+	// first hypothesis on an alloc gate failure, not a mystery.
 	base.GoVersion, fresh.GoVersion = "go1.22.9", "go1.24.0"
-	if pass, out := gateResult(t, base, fresh, 0.30); !pass || !strings.Contains(out, "go1.22.9") || !strings.Contains(out, "go1.24.0") {
+	if pass, out := gateResult(t, base, fresh); !pass || !strings.Contains(out, "go1.22.9") || !strings.Contains(out, "go1.24.0") {
 		t.Errorf("version skew not warned (pass=%v):\n%s", pass, out)
 	}
 	// Same version, or a baseline predating the field: silent.
 	fresh.GoVersion = base.GoVersion
-	if _, out := gateResult(t, base, fresh, 0.30); strings.Contains(out, "toolchain") {
+	if _, out := gateResult(t, base, fresh); strings.Contains(out, "toolchain") {
 		t.Errorf("same-version run warned:\n%s", out)
 	}
 	base.GoVersion = ""
-	if _, out := gateResult(t, base, fresh, 0.30); strings.Contains(out, "toolchain") {
+	if _, out := gateResult(t, base, fresh); strings.Contains(out, "toolchain") {
 		t.Errorf("versionless baseline warned:\n%s", out)
 	}
 }
@@ -174,5 +173,88 @@ func TestBaselineFileParses(t *testing.T) {
 		if r.AllocsPerOp != 0 {
 			t.Errorf("%s: baseline allocs/op = %v, the 0-alloc contract is gone", name, r.AllocsPerOp)
 		}
+	}
+}
+
+// pairedBench is three alternating pairs of runs of one benchmark, as the
+// base and fresh sides of a paired gate write them.
+const (
+	pairedBase = `BenchmarkMatrixAdd-2   	 1000	   100 ns/op
+BenchmarkMatrixAdd-2   	 1000	   200 ns/op
+BenchmarkMatrixAdd-2   	 1000	   100 ns/op
+BenchmarkGone-2   	 1000	   5 ns/op
+`
+	pairedFresh = `BenchmarkMatrixAdd-2   	 1000	   %d ns/op
+BenchmarkMatrixAdd-2   	 1000	   %d ns/op
+BenchmarkMatrixAdd-2   	 1000	   %d ns/op
+BenchmarkNew-2   	 1000	   7 ns/op
+`
+)
+
+// pairedResult writes a base and a fresh run to files, reads them back and
+// runs the paired gate on them, collecting its log lines.
+func pairedResult(t *testing.T, base, fresh string, threshold float64) (bool, string) {
+	t.Helper()
+	dir := t.TempDir()
+	read := func(name, text string) map[string][]float64 {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runs, err := readRuns(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runs
+	}
+	b, f := read("base.txt", base), read("fresh.txt", fresh)
+	var lines []string
+	pass := comparePaired(b, f, threshold, func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
+	})
+	return pass, strings.Join(lines, "\n")
+}
+
+// TestComparePaired: the paired gate divides the i-th fresh run by the
+// i-th base run and gates the median ratio, so a host whose speed drifts
+// between pairs (the base's second run is twice as slow) is not read as a
+// regression, while a change 40% slower in every pair is. A base benchmark
+// missing from the fresh side fails; a new one is only reported, and so is
+// a disk-bound one.
+func TestComparePaired(t *testing.T) {
+	steady := strings.Replace(pairedBase, "BenchmarkGone-2   	 1000	   5 ns/op\n", "", 1)
+	pass, out := pairedResult(t, steady, fmt.Sprintf(pairedFresh, 95, 210, 104), 0.30)
+	if !pass || !strings.Contains(out, "median 1.040 (q1 0.995, q3 1.045") || !strings.Contains(out, "faster in 1 of 3") {
+		t.Errorf("drifting host, unchanged code: want a pass at median 1.040, faster in 1 of 3:\n%s", out)
+	}
+	if !strings.Contains(out, "new  BenchmarkNew") {
+		t.Errorf("a benchmark the base lacks was not reported as new:\n%s", out)
+	}
+	pass, out = pairedResult(t, steady, fmt.Sprintf(pairedFresh, 140, 280, 140), 0.30)
+	if pass || !strings.Contains(out, "FAIL BenchmarkMatrixAdd") || !strings.Contains(out, "faster in 0 of 3") {
+		t.Errorf("40%% slower in every pair passed:\n%s", out)
+	}
+	pass, out = pairedResult(t, pairedBase, fmt.Sprintf(pairedFresh, 100, 200, 100), 0.30)
+	if pass || !strings.Contains(out, "FAIL BenchmarkGone") || strings.Contains(out, "FAIL BenchmarkMatrixAdd") {
+		t.Errorf("want only the missing benchmark to fail:\n%s", out)
+	}
+	// A disk-bound name is reported with its ratios, and never fails.
+	disk := strings.ReplaceAll(steady, "BenchmarkMatrixAdd", "BenchmarkGroupCommit/batch")
+	pass, out = pairedResult(t, disk, strings.ReplaceAll(fmt.Sprintf(pairedFresh, 140, 280, 140), "BenchmarkMatrixAdd", "BenchmarkGroupCommit/batch"), 0.30)
+	if !pass || !strings.Contains(out, "disk BenchmarkGroupCommit/batch: paired ns/op ratio median 1.400") || !strings.Contains(out, "not gated") {
+		t.Errorf("a disk-bound name 40%% slower failed, or went unreported:\n%s", out)
+	}
+}
+
+// TestQuantile pins the interpolation the paired gate's quartiles use.
+func TestQuantile(t *testing.T) {
+	vs := []float64{4, 1, 3, 2, 5}
+	for _, c := range []struct{ p, want float64 }{{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}} {
+		if got := quantile(vs, c.p); got != c.want {
+			t.Errorf("quantile(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+	if got := quantile([]float64{1, 2}, 0.25); got != 1.25 {
+		t.Errorf("quantile of two values at 0.25 = %v, want 1.25", got)
 	}
 }

@@ -83,7 +83,7 @@
 // The votes endpoint also accepts Content-Type: application/x-dqmv — the
 // binary vote-log encoding (what `dqm-gen -votes-format binary` writes).
 // Binary bodies skip JSON entirely: each task's raw vote bytes are decoded
-// once into columns, journaled from them as one WAL block record and applied,
+// once into columns, journaled from them as one packed WAL record and applied,
 // with the same per-task atomicity, task-boundary rule, and resulting
 // estimates as the equivalent {"entries": ...} request. Unknown content types
 // get a 415 naming the accepted encodings.
@@ -574,8 +574,13 @@ func (s *server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		status, code := http.StatusBadRequest, codeInvalidArgument
-		if exists {
+		switch {
+		case exists:
 			status, code = http.StatusConflict, codeSessionExists
+		case dqm.IsJournalError(err):
+			// The data dir refused the session's files: a disk fault, not
+			// the request's.
+			status, code = http.StatusServiceUnavailable, codeJournalUnavailable
 		}
 		writeError(w, status, code, "%v", err)
 		return
@@ -779,7 +784,7 @@ func (s *server) handleAppendVotes(w http.ResponseWriter, r *http.Request) {
 
 // handleAppendDQMV ingests a binary DQMV vote log through
 // dqm.Session.AppendDQMV: each task is decoded once into columns, journaled
-// from them as one WAL block record, and the whole request pays one
+// from them as one packed WAL record, and the whole request pays one
 // durability wait. The body is split here only for the empty-batch and
 // batch-size checks. Task boundaries match the {"entries": ...} rule, so both
 // encodings yield byte-identical estimates. An invalid task reports the tasks

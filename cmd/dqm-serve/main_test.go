@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -393,6 +395,30 @@ func TestJournalFaultMapsTo503(t *testing.T) {
 	if got := ingestStatus(fmt.Errorf("engine: vote 0: item 9 outside population")); got != http.StatusBadRequest {
 		t.Fatalf("validation error status = %d, want 400", got)
 	}
+}
+
+// TestCreateDiskFaultMapsTo503: a create the data dir refuses is a disk
+// fault, not a bad request. Replacing the data dir with a regular file after
+// boot makes every Mkdir in it fail with ENOTDIR, even as root; the create
+// must answer 503 journal_unavailable, with an id or without one, and the
+// id must stay unknown.
+func TestCreateDiskFaultMapsTo503(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	srv := mustServer(t, serverConfig{DataDir: dir, Fsync: dqm.FsyncAlways})
+	defer srv.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []map[string]any{{"id": "doomed", "items": 5}, {"items": 5}} {
+		out := do(t, srv, "POST", "/v1/sessions", body, http.StatusServiceUnavailable)
+		if env, _ := out["error"].(map[string]any); env == nil || env["code"] != codeJournalUnavailable {
+			t.Fatalf("create on a broken data dir: body %v, want code %q", out, codeJournalUnavailable)
+		}
+	}
+	do(t, srv, "GET", "/v1/sessions/doomed", nil, http.StatusNotFound)
 }
 
 // TestAutoSessionIDsSurviveRestart: the auto-id counter is in-memory and

@@ -576,8 +576,8 @@ func (s *Session) EstimatorNames() []string { return s.s.EstimatorNames() }
 // true) marks a bare boundary, and AppendVotes(nil, false) does nothing,
 // leaving the version where it was. Items outside [0, N) fail the whole batch
 // before any vote is applied. On a durable engine a batch must fit in one
-// 64 MiB journal frame, at 1 to 20 bytes a vote: any batch of up to three
-// million votes does. A larger one that does not is refused whole with an
+// 64 MiB journal frame, at most 4 bytes a vote plus its worker varint: any
+// batch of up to three million votes does. A larger one that does not is refused whole with an
 // error wrapping ErrBatchTooLarge, and the session keeps working.
 func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
 	vs := make([]votes.Vote, len(batch))

@@ -330,7 +330,7 @@ func BenchmarkWindowedIngest(b *testing.B) {
 
 // BenchmarkColumnarIngest measures binary (DQMV) columnar ingest through
 // AppendColumns — the wire bytes decoded once into reused columns, which are
-// journaled as one block record. Compare "memory" against
+// journaled as one packed record. Compare "memory" against
 // BenchmarkSessionIngest (the same 10-vote tasks through the Entry path) for
 // the re-encode savings, and "durable" against
 // BenchmarkSessionIngestDurable/batch.

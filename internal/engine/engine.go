@@ -497,7 +497,9 @@ func (e *Engine) shardFor(id string) *shard {
 // MaxSessions is reached, the least-recently-used session is evicted first.
 // On a durable engine an id with journal files on disk counts as a duplicate
 // even when it is not in memory — recovered-but-evicted state is never
-// silently overwritten; Load it or Delete it first.
+// silently overwritten; Load it or Delete it first. A store that cannot make
+// the session's files durable fails the create with a *JournalError and
+// keeps nothing of it.
 func (e *Engine) Create(id string, n int, cfg SessionConfig) (*Session, error) {
 	if id == "" {
 		return nil, fmt.Errorf("engine: empty session id")
@@ -562,7 +564,7 @@ func (e *Engine) Create(id string, n int, cfg SessionConfig) (*Session, error) {
 		}
 		j, err := e.store.Create(wal.Meta{ID: id, Items: n, CreatedAt: s.created, Config: raw})
 		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+			return nil, &JournalError{SessionID: id, Err: err}
 		}
 		s.journal = j
 	}

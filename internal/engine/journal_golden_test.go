@@ -28,11 +28,16 @@ const goldenFixture = "testdata/journal-golden"
 const blockFixture = "testdata/journal-block"
 
 // flushFixture is goldenStream written by the first build that seals one
-// frame per buffer flush instead of one per batch: the same records, fewer
-// frames. The journal encoding is a compatibility contract, so any build
-// must write the same segment bytes from the same stream under the same
-// flushes. Its estimates.json equals goldenFixture's.
+// frame per buffer flush instead of one per batch: the same block records,
+// fewer frames. Its estimates.json equals goldenFixture's.
 const flushFixture = "testdata/journal-flush"
+
+// packedFixture is goldenStream written by the first build that journals
+// every vote batch as one bit-packed record, with the task boundary that
+// ends it folded in. The journal encoding is a compatibility contract, so
+// any build must write the same segment bytes from the same stream under the
+// same flushes. Its estimates.json equals goldenFixture's.
+const packedFixture = "testdata/journal-packed"
 
 var goldenIDs = []string{"plain", "windowed"}
 
@@ -151,14 +156,14 @@ func segments(t *testing.T, dir string) map[string][]byte {
 
 // TestJournalGoldenBytes writes goldenStream with this build and checks it
 // against the fixtures: the same served estimates, journal segments
-// byte-identical to flushFixture's, and recovery of every fixture's data dir
+// byte-identical to packedFixture's, and recovery of every fixture's data dir
 // to its recorded estimates.
 func TestJournalGoldenBytes(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join(goldenFixture, "estimates.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fixture := range []string{blockFixture, flushFixture} {
+	for _, fixture := range []string{blockFixture, flushFixture, packedFixture} {
 		if b, err := os.ReadFile(filepath.Join(fixture, "estimates.json")); err != nil || !bytes.Equal(b, want) {
 			t.Fatalf("%s/estimates.json differs from %s's (err %v)", fixture, goldenFixture, err)
 		}
@@ -180,7 +185,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 	}
 	for _, id := range goldenIDs {
 		got := segments(t, filepath.Join(dir, id))
-		fixture := segments(t, filepath.Join(flushFixture, "data", id))
+		fixture := segments(t, filepath.Join(packedFixture, "data", id))
 		if len(got) != len(fixture) {
 			t.Fatalf("%s: wrote %d segments, fixture has %d", id, len(got), len(fixture))
 		}
@@ -191,7 +196,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 		}
 	}
 
-	for _, fixture := range []string{goldenFixture, blockFixture, flushFixture} {
+	for _, fixture := range []string{goldenFixture, blockFixture, flushFixture, packedFixture} {
 		rdir := t.TempDir()
 		copyDir(t, filepath.Join(fixture, "data"), rdir)
 		e2, err := Open(goldenConfig(rdir))
@@ -271,15 +276,22 @@ func goldenMore(t *testing.T, sessions []*Session, tasks int) {
 	}
 }
 
-// TestGoldenFixtureUpgradesThroughCompaction recovers goldenFixture, whose
-// votes are in the per-vote and columnar records of earlier builds, keeps
-// ingesting under thresholds small enough to rotate and compact repeatedly,
-// so compaction reads old and new records together, and checks the served
-// estimates and window views against a fresh in-memory replay of the same
-// stream: live, and again after a reopen.
+// TestGoldenFixtureUpgradesThroughCompaction recovers the data dirs earlier
+// builds wrote — goldenFixture, whose votes are in per-vote and columnar
+// records, and flushFixture, in block records — keeps ingesting under
+// thresholds small enough to rotate and compact repeatedly, so compaction
+// reads old and new records together, and checks the served estimates and
+// window views against a fresh in-memory replay of the same stream: live,
+// and again after a reopen.
 func TestGoldenFixtureUpgradesThroughCompaction(t *testing.T) {
+	for _, fixture := range []string{goldenFixture, flushFixture} {
+		t.Run(filepath.Base(fixture), func(t *testing.T) { upgradeThroughCompaction(t, fixture) })
+	}
+}
+
+func upgradeThroughCompaction(t *testing.T, fixture string) {
 	dir := t.TempDir()
-	copyDir(t, filepath.Join(goldenFixture, "data"), dir)
+	copyDir(t, filepath.Join(fixture, "data"), dir)
 	cfg := Config{DataDir: dir, WAL: wal.Options{Fsync: wal.FsyncNever, SegmentBytes: 256, CompactAfter: 512}}
 	e, err := Open(cfg)
 	if err != nil {

@@ -71,7 +71,7 @@ func buildMixedDataDir(t *testing.T, dir string) []string {
 	ids = append(ids, "windowed")
 
 	// Columnar session: raw DQMV task blocks, journaled from their decoded
-	// columns as block records.
+	// columns as packed records.
 	cs, err := e.Create("columnar", n, sessionCfg())
 	if err != nil {
 		t.Fatal(err)

@@ -88,6 +88,26 @@ func applyOpsSealed(t *testing.T, s *Session, ops []walOp, seed int64) {
 	}
 }
 
+// sealUntilFrames applies ops from more, each sealed into a frame of its own,
+// until the active segment of s in dataDir holds at least minFrames frames,
+// and returns ops with them appended. A crash test then has minFrames frames
+// to cut through, whatever size the journal's records take.
+func sealUntilFrames(t *testing.T, s *Session, dataDir string, ops, more []walOp, minFrames int) []walOp {
+	t.Helper()
+	for _, o := range more {
+		if f, _ := countFrames(t, activeSegment(t, dataDir, s.id)); f >= minFrames {
+			return ops
+		}
+		applyOps(t, s, []walOp{o})
+		if err := s.journal.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		ops = append(ops, o)
+	}
+	t.Fatalf("active segment holds fewer than %d frames after %d more ops", minFrames, len(more))
+	return nil
+}
+
 // countFrames counts the frames of a segment file up to the first one that is
 // torn or fails its CRC32C, and reports whether they end the file.
 func countFrames(t *testing.T, path string) (frames int, clean bool) {
@@ -294,11 +314,9 @@ func TestCrashRecoveryMatchesCleanReplayPrefix(t *testing.T) {
 	}
 	ops := genOps(21, 160, n)
 	applyOpsSealed(t, s, ops, 22)
+	ops = sealUntilFrames(t, s, dir, ops, genOps(23, 200, n), 15)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if f, _ := countFrames(t, activeSegment(t, dir, "crash")); f < 15 {
-		t.Fatalf("active segment holds %d frames, want at least 15 to cut through", f)
 	}
 
 	prefixes := prefixStates(t, n, ops)
@@ -388,11 +406,9 @@ func TestCrashRecoveryCorruptTail(t *testing.T) {
 	}
 	ops := genOps(31, 80, n)
 	applyOpsSealed(t, s, ops, 32)
+	ops = sealUntilFrames(t, s, dir, ops, genOps(33, 200, n), 15)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if f, _ := countFrames(t, activeSegment(t, dir, "corrupt")); f < 15 {
-		t.Fatalf("active segment holds %d frames, want at least 15", f)
 	}
 	prefixes := prefixStates(t, n, ops)
 

@@ -404,8 +404,9 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 // votelog.SplitBinaryTasks). A task boundary follows each block whose
 // successor carries a different task id, and the last block: the boundaries
 // the Entry path produces for the same log. Each block is decoded once; its
-// columns are journaled as one block record followed by its boundary and the
-// window rotation that boundary seals, and applied with one version bump.
+// columns are journaled as one packed record, its boundary folded in and the
+// window rotation that boundary seals behind it, and applied with one version
+// bump.
 //
 // The whole log takes one hold of the session mutex and, on a durable
 // session, one durability wait: every block is staged, the journal commits

@@ -28,7 +28,7 @@ func TestOversizedBatchIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want []op
-	// batch builds k votes on distinct workers (no shared worker: two bytes a
+	// batch builds k votes on distinct workers (no shared worker: a byte a
 	// vote and more), appending their ops to want when keep is set.
 	batch := func(k, base int, keep bool) []votes.Vote {
 		b := make([]votes.Vote, k)
@@ -42,7 +42,7 @@ func TestOversizedBatchIsRefused(t *testing.T) {
 	}
 	var cols votelog.VoteColumns
 	for round := 0; round < 12; round++ {
-		// About 40 bytes staged, then a batch of about 40 more: it fits
+		// About 40 bytes staged, then a batch of about 20 more: it fits
 		// alone, so the staged batches are sealed before it.
 		for i := 0; i < 2; i++ {
 			if err := j.Append(batch(9, round, true), true, -1); err != nil {
@@ -50,7 +50,7 @@ func TestOversizedBatchIsRefused(t *testing.T) {
 			}
 			want = append(want, op{Kind: opEnd})
 		}
-		// 40 votes need at least 80 bytes: refused whole.
+		// 40 votes on distinct workers take 87 bytes: refused whole.
 		if err := j.Append(batch(40, 100, false), true, -1); !errors.Is(err, ErrBatchTooLarge) {
 			t.Fatalf("round %d: oversized Append: err = %v, want ErrBatchTooLarge", round, err)
 		}
@@ -80,12 +80,12 @@ func TestOversizedBatchIsRefused(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, segs, err := listFiles(j.Dir())
+	_, segs, err := listFiles(j.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seq := range segs {
-		res, _, err := scanSegment(segPath(j.Dir(), seq), Hooks{}, nil)
+		res, _, err := scanSegment(segPath(j.dir, seq), Hooks{}, nil)
 		if err != nil || !res.clean {
 			t.Fatalf("segment %d: clean=%v err=%v: a frame exceeds the bound", seq, res.clean, err)
 		}
@@ -115,7 +115,7 @@ func TestNewSegmentNamesAreSynced(t *testing.T) {
 		mu    sync.Mutex
 		calls []call
 	)
-	testSyncDir = func(dir string) {
+	testSyncDir = func(dir string) error {
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Error(err)
@@ -127,6 +127,7 @@ func TestNewSegmentNamesAreSynced(t *testing.T) {
 		mu.Lock()
 		calls = append(calls, c)
 		mu.Unlock()
+		return nil
 	}
 	defer func() { testSyncDir = nil }()
 	// synced reports whether some recorded fsync of dir listed name.
@@ -146,13 +147,13 @@ func TestNewSegmentNamesAreSynced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := j.Dir()
+	sess := j.dir
 	mu.Lock()
 	got := append([]call(nil), calls...)
 	mu.Unlock()
 	want := []call{
 		{dir: sess, names: []string{"meta.json", filepath.Base(segPath(sess, 1))}},
-		{dir: s.Dir(), names: []string{"names"}},
+		{dir: s.dir, names: []string{"names"}},
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Create's directory fsyncs:\n got %+v\nwant %+v", got, want)
@@ -193,7 +194,7 @@ func TestNewSegmentNamesAreSynced(t *testing.T) {
 		t.Fatal(err)
 	}
 	j3.Close()
-	if err := os.Remove(segPath(j3.Dir(), 1)); err != nil {
+	if err := os.Remove(segPath(j3.dir, 1)); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -204,7 +205,78 @@ func TestNewSegmentNamesAreSynced(t *testing.T) {
 		t.Fatal(err)
 	}
 	j4.Close()
-	if !synced(j3.Dir(), filepath.Base(segPath(j3.Dir(), 1))) {
+	if !synced(j3.dir, filepath.Base(segPath(j3.dir, 1))) {
 		t.Fatal("recovery created a segment with no fsync of its directory")
+	}
+}
+
+// TestDirSyncErrorsAreReported injects directory fsync failures through
+// testSyncDir. A create whose session or store directory cannot be synced
+// returns the error, leaves no directory behind and frees its id. A rotation
+// whose new segment's directory cannot be synced wedges the journal with a
+// sticky error, never a panic, and recovery afterwards gives back every
+// batch that was acknowledged.
+func TestDirSyncErrorsAreReported(t *testing.T) {
+	injected := errors.New("injected directory fsync failure")
+	defer func() { testSyncDir = nil }()
+	s := testStore(t, Options{Fsync: FsyncAlways, SegmentBytes: 128})
+	for _, which := range []string{"store", "session"} {
+		testSyncDir = func(dir string) error {
+			if (dir == s.dir) == (which == "store") {
+				return injected
+			}
+			return nil
+		}
+		if _, err := s.Create(Meta{ID: "c", Items: 10}); !errors.Is(err, injected) {
+			t.Fatalf("create with a failing sync of the %s directory: err = %v, want the injected error", which, err)
+		}
+		if _, err := os.Stat(filepath.Join(s.dir, "c")); !os.IsNotExist(err) {
+			t.Fatalf("a failed create left its directory behind (stat err %v)", err)
+		}
+	}
+	testSyncDir = nil
+	j, err := s.Create(Meta{ID: "c", Items: 10})
+	if err != nil {
+		t.Fatalf("create after the failures: %v: the id was not freed", err)
+	}
+
+	testSyncDir = func(dir string) error {
+		if dir == j.dir {
+			return injected
+		}
+		return nil
+	}
+	var acked []op
+	var failed error
+	for i := 0; i < 100 && failed == nil; i++ {
+		batch := []votes.Vote{mkVote(i%10, 1, i%2 == 0), mkVote((i+3)%10, 1, false)}
+		if failed = j.Append(batch, true, -1); failed == nil {
+			for _, v := range batch {
+				acked = append(acked, op{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
+			}
+			acked = append(acked, op{Kind: opEnd})
+		}
+	}
+	if !errors.Is(failed, injected) {
+		t.Fatalf("appends across a rotation whose directory sync fails: err = %v, want the injected error", failed)
+	}
+	if err := j.Append([]votes.Vote{mkVote(1, 1, true)}, true, -1); !errors.Is(err, injected) {
+		t.Fatalf("append after the failed rotation: err = %v, want the sticky injected error", err)
+	}
+	if err := j.Sync(); !errors.Is(err, injected) {
+		t.Fatalf("Sync after the failed rotation: err = %v, want the sticky injected error", err)
+	}
+	j.Close()
+	testSyncDir = nil
+	var got []op
+	j2, err := s.Recover("c", recHooks(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	// The failing batch reached the old segment before the rotation failed,
+	// so it may come back too; every acknowledged one must.
+	if len(got) < len(acked) || !reflect.DeepEqual(got[:len(acked)], acked) {
+		t.Fatalf("recovered %d ops, want the %d acknowledged ones first", len(got), len(acked))
 	}
 }

@@ -99,20 +99,24 @@ func createSegment(dir string, seq uint64) (*os.File, int64, error) {
 }
 
 // ErrBatchTooLarge refuses a batch whose records cannot fit in one frame
-// (maxFramePayload, 64 MiB). A vote takes 1 to 20 bytes, so any batch of up
-// to three million votes fits. The refusal stages nothing and leaves the
-// journal healthy: later appends proceed as if the batch had never come.
+// (maxFramePayload, 64 MiB). A vote takes at most 4 bytes plus its worker
+// varint (up to 10 bytes, and none when the batch shares its worker), so any
+// batch of up to three million votes fits. The refusal stages nothing and
+// leaves the journal healthy: later appends proceed as if the batch had
+// never come.
 var ErrBatchTooLarge = errors.New("wal: batch does not fit in one journal frame (64 MiB)")
 
 // Append write-ahead-logs one engine batch and commits it: it stages the
-// votes as one block record into the open frame, then a task boundary when
-// endTask is set and, when windowStart >= 0, the window rotation that
-// boundary seals. Frames are sealed only between batches, so a boundary and
-// its rotation always share a frame and a torn tail can never separate them:
-// recovery sees both or neither, and replayed window boundaries always match
-// an uninterrupted run. windowStart is the first completed-task index of the
-// sealed window; pass -1 for none. Append must be called before the batch is
-// applied to in-memory state.
+// votes as one packed record into the open frame, with the task boundary
+// folded in when endTask is set (a bare opEnd when the batch is empty) and,
+// when windowStart >= 0, the window rotation that boundary seals behind it.
+// Frames are sealed only between batches, so a boundary and its rotation
+// always share a frame and a torn tail can never separate them: recovery
+// sees both or neither, and replayed window boundaries always match an
+// uninterrupted run. windowStart is the first completed-task index of the
+// sealed window; pass -1 for none. An item outside [0, 2^31) is refused
+// whole, staging nothing. Append must be called before the batch is applied
+// to in-memory state.
 func (j *Journal) Append(batch []votes.Vote, endTask bool, windowStart int64) error {
 	if len(batch) == 0 && !endTask {
 		return nil
@@ -124,9 +128,13 @@ func (j *Journal) Append(batch []votes.Vote, endTask bool, windowStart int64) er
 	buf := j.openFrame()
 	from := len(buf)
 	if len(batch) > 0 {
-		buf = appendBlock(buf, batch)
+		var err error
+		if buf, err = appendPacked(buf, batch, endTask); err != nil {
+			j.mu.Unlock()
+			return err
+		}
 	}
-	j.wbuf = appendBoundary(buf, endTask, windowStart)
+	j.wbuf = appendTaskEnd(buf, endTask, len(batch) > 0, windowStart)
 	if err := j.staged(start, from); err != nil {
 		return err
 	}
@@ -134,8 +142,8 @@ func (j *Journal) Append(batch []votes.Vote, endTask bool, windowStart int64) er
 }
 
 // StageColumns stages rows [from, to) of decoded vote columns into the open
-// frame without applying the fsync policy: the votes as one block record,
-// then the boundary and rotation as in Append. The caller must have
+// frame without applying the fsync policy: the votes as one packed record,
+// with the boundary and rotation as in Append. The caller must have
 // validated the rows (item bounds) first: the journal must never hold a
 // record replay would reject. A staged batch is durable only after the next
 // Commit returns, so a multi-task write stages every task and commits once
@@ -151,9 +159,13 @@ func (j *Journal) StageColumns(cols *votelog.VoteColumns, from, to int, endTask 
 	buf := j.openFrame()
 	at := len(buf)
 	if from < to {
-		buf = appendColumnsBlock(buf, cols, from, to)
+		var err error
+		if buf, err = appendPackedColumns(buf, cols, from, to, endTask); err != nil {
+			j.mu.Unlock()
+			return err
+		}
 	}
-	j.wbuf = appendBoundary(buf, endTask, windowStart)
+	j.wbuf = appendTaskEnd(buf, endTask, from < to, windowStart)
 	return j.staged(start, at)
 }
 
@@ -364,9 +376,10 @@ func (j *Journal) rotateLocked() error {
 // — that is the only place journal history actually shrinks; otherwise the
 // snapshot is the full record stream, which replays through the same ingest
 // path as live votes and is therefore bit-identical by construction. Votes
-// are read back through the batched replay path and rewritten as one block
-// record per batch, so history from any earlier record encoding comes out in
-// the current one. Call with j.mu held.
+// are read back through the batched replay path and rewritten as one packed
+// record per batch, with the task boundary that ends the batch folded in, so
+// history from any earlier record encoding comes out in the current one.
+// Call with j.mu held.
 func (j *Journal) compactLocked() error {
 	if j.err != nil {
 		return j.err
@@ -377,10 +390,19 @@ func (j *Journal) compactLocked() error {
 	}
 	start := time.Now()
 	body := make([]byte, 0, j.snapBytes+j.sealedBytes)
+	// open is the offset of the head of body's last record while that is a
+	// packed record a task boundary can still fold into, else -1.
+	open := -1
+	packed := func(b []byte, err error) error {
+		if err == nil {
+			open = len(body) + 1
+			body = b
+		}
+		return err
+	}
 	appendHooks := Hooks{
 		Votes: func(cols *votelog.VoteColumns) error {
-			body = appendColumnsBlock(body, cols, 0, cols.Len())
-			return nil
+			return packed(appendPackedColumns(body, cols, 0, cols.Len(), false))
 		},
 		Cols: &votelog.VoteColumns{},
 		// A vote outside the columnar int32 domain arrives alone, in order.
@@ -390,12 +412,20 @@ func (j *Journal) compactLocked() error {
 				label = votes.Dirty
 			}
 			one := [1]votes.Vote{{Item: item, Worker: worker, Label: label}}
-			body = appendBlock(body, one[:])
-			return nil
+			return packed(appendPacked(body, one[:], false))
 		},
-		EndTask: func() { body = append(body, opEnd) },
-		Reset:   func() { body = body[:0] },
+		EndTask: func() {
+			if open < 0 {
+				body = append(body, opEnd)
+				return
+			}
+			// The end flag is bit 0 of the head varint's first byte.
+			body[open] |= 1
+			open = -1
+		},
+		Reset: func() { body, open = body[:0], -1 },
 		Window: func(start int64) error {
+			open = -1
 			body = appendWindow(body, start)
 			return nil
 		},
@@ -435,6 +465,9 @@ func (j *Journal) compactLocked() error {
 	if j.snapSeq > 0 {
 		os.Remove(snapPath(j.dir, j.snapSeq))
 	}
+	// Best-effort: the new snapshot's name is already durable, so a crash
+	// that undoes these removals leaves only covered files, which recovery
+	// deletes again.
 	_ = syncDir(j.dir)
 	fi, err := os.Stat(newSnap)
 	if err != nil {
@@ -485,6 +518,3 @@ func (j *Journal) Close() error {
 	j.err = ErrClosed
 	return err
 }
-
-// Dir returns the journal's directory (diagnostics and tests).
-func (j *Journal) Dir() string { return j.dir }

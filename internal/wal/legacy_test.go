@@ -4,12 +4,13 @@ import (
 	"encoding/binary"
 	"time"
 
+	"dqm/internal/votelog"
 	"dqm/internal/votes"
 )
 
 // Writers for the vote records earlier builds emitted. This build writes
-// neither opVote nor opColumns, but every data dir those builds wrote must
-// still recover, so tests build such journals with these.
+// none of opVote, opColumns and opBlock, but every data dir those builds
+// wrote must still recover, so tests build such journals with these.
 
 // appendVote appends one opVote record.
 func appendVote(buf []byte, v votes.Vote) []byte {
@@ -23,6 +24,64 @@ func appendColumns(buf []byte, raw []byte) []byte {
 	buf = append(buf, opColumns)
 	buf = binary.AppendUvarint(buf, uint64(len(raw)))
 	return append(buf, raw...)
+}
+
+// appendBlockHead opens one opBlock record of n votes; worker is written
+// only when shared.
+func appendBlockHead(buf []byte, n int, shared bool, worker int64) []byte {
+	head := uint64(n) << 1
+	if shared {
+		head |= 1
+	}
+	buf = append(buf, opBlock)
+	buf = binary.AppendUvarint(buf, head)
+	if shared {
+		buf = binary.AppendUvarint(buf, zigzag(worker))
+	}
+	return buf
+}
+
+// appendBlock appends batch as one opBlock record. The batch must not be
+// empty.
+func appendBlock(buf []byte, batch []votes.Vote) []byte {
+	w := batch[0].Worker
+	shared := true
+	for _, v := range batch[1:] {
+		if v.Worker != w {
+			shared = false
+			break
+		}
+	}
+	buf = appendBlockHead(buf, len(batch), shared, int64(w))
+	for _, v := range batch {
+		buf = binary.AppendUvarint(buf, voteKey(uint64(v.Item), v.Label == votes.Dirty))
+		if !shared {
+			buf = binary.AppendUvarint(buf, zigzag(int64(v.Worker)))
+		}
+	}
+	return buf
+}
+
+// appendColumnsBlock appends rows [from, to) of cols as one opBlock record.
+// The range must not be empty.
+func appendColumnsBlock(buf []byte, cols *votelog.VoteColumns, from, to int) []byte {
+	items, workers, dirty := cols.Item[from:to], cols.Worker[from:to], cols.Dirty[from:to]
+	w := workers[0]
+	shared := true
+	for _, x := range workers[1:] {
+		if x != w {
+			shared = false
+			break
+		}
+	}
+	buf = appendBlockHead(buf, len(items), shared, int64(w))
+	for i, item := range items {
+		buf = binary.AppendUvarint(buf, voteKey(uint64(uint32(item)), dirty[i]))
+		if !shared {
+			buf = binary.AppendUvarint(buf, zigzag(int64(workers[i])))
+		}
+	}
+	return buf
 }
 
 // commitPayload stages payload, a record stream in any encoding, into j's

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"dqm/internal/votelog"
 	"dqm/internal/votes"
@@ -24,16 +26,35 @@ const (
 	// earlier builds copied from binary request bodies. Readable, never
 	// written.
 	opColumns byte = 0x05
-	// opBlock is one vote batch, the only vote record this build writes:
+	// opBlock is one vote batch as the builds before opPacked wrote it:
 	//
 	//	uvarint(n<<1 | shared)
 	//	zigzag-varint(worker)          only when shared: every vote's worker
 	//	n × uvarint(item<<1 | dirty)   each followed by zigzag-varint(worker)
 	//	                               when not shared
 	//
-	// A crowd task is one worker judging a batch of items, so a task's
-	// votes normally share their worker and it is written once.
+	// Readable, never written.
 	opBlock byte = 0x06
+	// opPacked is one vote batch, the only vote record this build writes.
+	// Its opcode carries the bit width w of the batch's largest item, so a
+	// record decodes without meta.json:
+	//
+	//	0x80 | w                        w = bits.Len(largest item), 0..31
+	//	uvarint(n<<2 | shared<<1 | end) end: a task boundary follows the votes
+	//	zigzag-varint(worker)           only when shared: every vote's worker
+	//	ceil(n·(w+1)/8) bytes           n × (item<<1 | dirty), w+1 bits each,
+	//	                                least significant bit first
+	//	n × zigzag-varint(worker)       only when not shared
+	//
+	// A crowd task is one worker judging a batch of items, so a task's votes
+	// normally share their worker, and the boundary that ends the task
+	// folds into the record's head. A bare boundary stays opEnd.
+	opPacked byte = 0x80
+	// opPackedMask selects the bits that mark an opPacked opcode; the rest
+	// hold w.
+	opPackedMask byte = 0xe0
+	// maxPackedWidth is the widest item an opPacked record holds, in bits.
+	maxPackedWidth = 31
 )
 
 // maxColumnsLen bounds one opColumns record; matching the frame-payload bound
@@ -51,14 +72,15 @@ type Hooks struct {
 	Reset   func()
 	// Window observes a window-rotation record: the window starting at
 	// completed-task index start sealed at the task boundary logged
-	// immediately before it (always in the same frame as its opEnd).
+	// immediately before it (always in the same frame as that boundary).
 	Window func(start int64) error
 
 	// Votes, when set, selects the batched replay path: runs of consecutive
 	// votes — whatever records hold them — are decoded into Cols and
-	// delivered as one batch per flush point (the next non-vote record, or
-	// the end of the frame payload). A frame holds every batch staged
-	// between two buffer flushes, each task's ending in opEnd, so batches
+	// delivered as one batch per flush point (a task boundary, whether an
+	// opEnd or folded into a vote record, any other non-vote record, or the
+	// end of the frame payload). A frame holds every batch staged between
+	// two buffer flushes, each task's ending in a boundary, so batches
 	// arrive task-sized (votes staged without a boundary join the next
 	// task's), and batch order equals record order — replayed state is
 	// bit-identical to the per-vote path. The rare vote
@@ -83,7 +105,7 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// voteKey packs an item and its label into one varint key.
+// voteKey packs an item and its label into one key.
 func voteKey(item uint64, dirty bool) uint64 {
 	if dirty {
 		return item<<1 | 1
@@ -91,14 +113,23 @@ func voteKey(item uint64, dirty bool) uint64 {
 	return item << 1
 }
 
-// appendBlockHead opens one opBlock record of n votes; worker is written
-// only when shared.
-func appendBlockHead(buf []byte, n int, shared bool, worker int64) []byte {
-	head := uint64(n) << 1
+// errItemTooWide refuses a vote whose item lies outside [0, 2^31), the range
+// an opPacked record holds. No session can send one (populations are capped
+// far below it); the encoder refuses it rather than truncate it, and stages
+// nothing.
+var errItemTooWide = errors.New("wal: vote item does not fit the 31 bits a journal record holds")
+
+// appendPackedHead opens one opPacked record of n votes whose items take
+// width bits; worker is written only when shared.
+func appendPackedHead(buf []byte, width, n int, shared bool, worker int64, end bool) []byte {
+	head := uint64(n) << 2
 	if shared {
+		head |= 2
+	}
+	if end {
 		head |= 1
 	}
-	buf = append(buf, opBlock)
+	buf = append(buf, opPacked|byte(width))
 	buf = binary.AppendUvarint(buf, head)
 	if shared {
 		buf = binary.AppendUvarint(buf, zigzag(worker))
@@ -106,56 +137,117 @@ func appendBlockHead(buf []byte, n int, shared bool, worker int64) []byte {
 	return buf
 }
 
-// appendBlock appends batch as one opBlock record. The batch must not be
-// empty.
-func appendBlock(buf []byte, batch []votes.Vote) []byte {
+// bitWriter packs keys of kw bits each into out, least significant bit
+// first. out must hold exactly the ceil(n·kw/8) bytes n keys take; whole
+// 32-bit words are written as they fill, and done writes the rest.
+type bitWriter struct {
+	out []byte
+	k   int    // bytes of out written
+	acc uint64 // bits not yet written, in its low n bits
+	n   uint
+	kw  uint // bits a key takes
+}
+
+// newBitWriter grows buf by the bytes n keys of kw bits take, and returns the
+// grown buffer and a bitWriter over those bytes.
+func newBitWriter(buf []byte, n int, kw uint) ([]byte, bitWriter) {
+	size := (n*int(kw) + 7) / 8
+	buf = slices.Grow(buf, size)
+	at := len(buf)
+	buf = buf[:at+size]
+	return buf, bitWriter{out: buf[at:], kw: kw}
+}
+
+// put packs one key.
+func (b *bitWriter) put(key uint64) {
+	b.acc |= key << b.n
+	b.n += b.kw
+	if b.n >= 32 {
+		binary.LittleEndian.PutUint32(b.out[b.k:], uint32(b.acc))
+		b.k += 4
+		b.acc >>= 32
+		b.n -= 32
+	}
+}
+
+// done writes the bits still held, filling out.
+func (b *bitWriter) done() {
+	for ; b.k < len(b.out); b.k++ {
+		b.out[b.k] = byte(b.acc)
+		b.acc >>= 8
+	}
+}
+
+// appendPacked appends batch as one opPacked record, with the task boundary
+// that follows it folded in when end is set. The batch must not be empty. An
+// item outside [0, 2^31) fails with errItemTooWide and leaves buf as it was.
+func appendPacked(buf []byte, batch []votes.Vote, end bool) ([]byte, error) {
 	w := batch[0].Worker
 	shared := true
-	for _, v := range batch[1:] {
-		if v.Worker != w {
-			shared = false
-			break
-		}
-	}
-	buf = appendBlockHead(buf, len(batch), shared, int64(w))
+	var top uint64
 	for _, v := range batch {
-		buf = binary.AppendUvarint(buf, voteKey(uint64(v.Item), v.Label == votes.Dirty))
-		if !shared {
+		top |= uint64(v.Item)
+		shared = shared && v.Worker == w
+	}
+	width := bits.Len64(top) // the largest item's: top has its highest bit
+	if width > maxPackedWidth {
+		i := slices.IndexFunc(batch, func(v votes.Vote) bool { return uint64(v.Item) > math.MaxInt32 })
+		return buf, fmt.Errorf("%w: item %d", errItemTooWide, batch[i].Item)
+	}
+	buf = appendPackedHead(buf, width, len(batch), shared, int64(w), end)
+	buf, bw := newBitWriter(buf, len(batch), uint(width)+1)
+	for _, v := range batch {
+		bw.put(voteKey(uint64(v.Item), v.Label == votes.Dirty))
+	}
+	bw.done()
+	if !shared {
+		for _, v := range batch {
 			buf = binary.AppendUvarint(buf, zigzag(int64(v.Worker)))
 		}
 	}
-	return buf
+	return buf, nil
 }
 
-// appendColumnsBlock appends rows [from, to) of cols as one opBlock record.
-// The range must not be empty.
-func appendColumnsBlock(buf []byte, cols *votelog.VoteColumns, from, to int) []byte {
+// appendPackedColumns appends rows [from, to) of cols as one opPacked record,
+// as appendPacked does a batch. The range must not be empty.
+func appendPackedColumns(buf []byte, cols *votelog.VoteColumns, from, to int, end bool) ([]byte, error) {
 	items, workers, dirty := cols.Item[from:to], cols.Worker[from:to], cols.Dirty[from:to]
 	w := workers[0]
 	shared := true
-	for _, x := range workers[1:] {
-		if x != w {
-			shared = false
-			break
-		}
-	}
-	buf = appendBlockHead(buf, len(items), shared, int64(w))
+	var top uint32
 	for i, item := range items {
-		buf = binary.AppendUvarint(buf, voteKey(uint64(uint32(item)), dirty[i]))
-		if !shared {
-			buf = binary.AppendUvarint(buf, zigzag(int64(workers[i])))
+		top |= uint32(item)
+		shared = shared && workers[i] == w
+	}
+	width := bits.Len32(top)
+	if width > maxPackedWidth {
+		i := slices.IndexFunc(items, func(item int32) bool { return item < 0 })
+		return buf, fmt.Errorf("%w: item %d", errItemTooWide, items[i])
+	}
+	buf = appendPackedHead(buf, width, len(items), shared, int64(w), end)
+	buf, bw := newBitWriter(buf, len(items), uint(width)+1)
+	for i, item := range items {
+		bw.put(voteKey(uint64(item), dirty[i]))
+	}
+	bw.done()
+	if !shared {
+		for _, x := range workers {
+			buf = binary.AppendUvarint(buf, zigzag(int64(x)))
 		}
 	}
-	return buf
+	return buf, nil
 }
 
-// appendBoundary appends a task boundary when endTask is set and, when
-// windowStart >= 0, the window rotation that boundary seals.
-func appendBoundary(buf []byte, endTask bool, windowStart int64) []byte {
+// appendTaskEnd appends what follows a batch's votes when endTask is set: the
+// task boundary as opEnd unless the batch's vote record folded it in, then,
+// when windowStart >= 0, the window rotation that boundary seals.
+func appendTaskEnd(buf []byte, endTask, folded bool, windowStart int64) []byte {
 	if !endTask {
 		return buf
 	}
-	buf = append(buf, opEnd)
+	if !folded {
+		buf = append(buf, opEnd)
+	}
 	if windowStart >= 0 {
 		buf = appendWindow(buf, windowStart)
 	}
@@ -205,6 +297,12 @@ func decodeRecords(p []byte, h Hooks) error {
 		op := p[0]
 		p = p[1:]
 		var err error
+		if op&opPackedMask == opPacked {
+			if p, err = d.packed(p, uint(op&^opPackedMask)); err != nil {
+				return err
+			}
+			continue
+		}
 		switch op {
 		case opBlock:
 			p, err = d.block(p)
@@ -223,9 +321,7 @@ func decodeRecords(p []byte, h Hooks) error {
 			err = d.columns(p[n : n+int(size)])
 			p = p[n+int(size):]
 		case opEnd:
-			if err = d.flush(); err == nil && h.EndTask != nil {
-				h.EndTask()
-			}
+			err = d.endTask()
 		case opReset:
 			if err = d.flush(); err == nil && h.Reset != nil {
 				h.Reset()
@@ -309,6 +405,73 @@ func (d *decoder) block(p []byte) ([]byte, error) {
 	return p, nil
 }
 
+// packed decodes the body of one opPacked record whose items take width bits
+// (its opcode's low bits) and returns what follows it.
+func (d *decoder) packed(p []byte, width uint) ([]byte, error) {
+	head, n := binary.Uvarint(p)
+	if n <= 0 {
+		return p, fmt.Errorf("wal: bad packed vote header varint")
+	}
+	p = p[n:]
+	count, shared, end := head>>2, head&2 != 0, head&1 != 0
+	var worker int64
+	if shared {
+		w, rest, err := readWorker(p)
+		if err != nil {
+			return p, err
+		}
+		p, worker = rest, unzigzag(w)
+	}
+	// The votes take count·(width+1) bits, and a byte each at least for
+	// their workers when not shared, so a count the remaining bytes cannot
+	// hold is corrupt; refusing it before any vote is decoded keeps a forged
+	// count from driving the loop or any buffer growth. A key takes at least
+	// one bit, so count is bounded first and the product cannot overflow.
+	kw := uint64(width) + 1
+	left := uint64(len(p))
+	size := uint64(math.MaxUint64)
+	if count <= 8*left {
+		size = (count*kw + 7) / 8
+	}
+	if size > left || (!shared && count > left-size) {
+		return p, fmt.Errorf("wal: packed block of %d votes overruns its record", count)
+	}
+	keys := p[:size]
+	p = p[size:]
+	mask := uint64(1)<<kw - 1
+	var acc, have uint64 // bits read from keys and not yet consumed
+	k := 0
+	for i := uint64(0); i < count; i++ {
+		if have < kw {
+			if k+4 <= len(keys) {
+				acc |= uint64(binary.LittleEndian.Uint32(keys[k:])) << have
+				k, have = k+4, have+32
+			} else {
+				for ; have < kw; k, have = k+1, have+8 {
+					acc |= uint64(keys[k]) << have
+				}
+			}
+		}
+		key := acc & mask
+		acc >>= kw
+		have -= kw
+		if !shared {
+			w, rest, err := readWorker(p)
+			if err != nil {
+				return p, err
+			}
+			p, worker = rest, unzigzag(w)
+		}
+		if err := d.vote(key>>1, worker, key&1 == 1); err != nil {
+			return p, err
+		}
+	}
+	if end {
+		return p, d.endTask()
+	}
+	return p, nil
+}
+
 // columns decodes the raw 'V' records of one opColumns record. The records
 // are votelog's wire encoding, bounded to its int32 domain.
 func (d *decoder) columns(raw []byte) error {
@@ -355,6 +518,17 @@ func (d *decoder) vote(item uint64, worker int64, dirty bool) error {
 		return nil
 	}
 	return d.h.Vote(int(item), int(worker), dirty)
+}
+
+// endTask delivers the open batch, then a task boundary.
+func (d *decoder) endTask() error {
+	if err := d.flush(); err != nil {
+		return err
+	}
+	if d.h.EndTask != nil {
+		d.h.EndTask()
+	}
+	return nil
 }
 
 // flush delivers the open batch, if any.

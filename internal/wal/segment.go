@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"syscall"
 )
 
 var (
@@ -216,21 +217,25 @@ func readSnapshotBody(path string) ([]byte, error) {
 
 // testSyncDir, when set (tests only), observes every syncDir call before the
 // directory is synced: the hook tests use to pin which names each directory
-// fsync covers.
-var testSyncDir func(dir string)
+// fsync covers. An error it returns stands in for the fsync's.
+var testSyncDir func(dir string) error
 
 // syncDir fsyncs a directory so new names, renames and removals inside it are
-// durable. Failures are reported but non-fatal on filesystems that reject dir
-// fsync.
+// durable, and returns the fsync's error. Filesystems that cannot fsync a
+// directory at all answer EINVAL or ErrUnsupported; those are not failures.
 func syncDir(dir string) error {
 	if testSyncDir != nil {
-		testSyncDir(dir)
+		if err := testSyncDir(dir); err != nil {
+			return err
+		}
 	}
 	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	_ = d.Sync() // best-effort: some filesystems refuse directory fsync
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, errors.ErrUnsupported) {
+		return err
+	}
 	return nil
 }

@@ -65,9 +65,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// Syncer exposes the store's group-commit plane (tests).
-func (s *Store) Syncer() *Syncer { return s.sy }
-
 // abortedCreate reports whether a session directory was abandoned by a crash
 // between Mkdir and writeMeta: it exists but has no meta.json. Such a
 // directory predates the first durable byte of its session, so removing it
@@ -79,9 +76,6 @@ func abortedCreate(dir string) bool {
 	_, err := os.Stat(filepath.Join(dir, "meta.json"))
 	return os.IsNotExist(err)
 }
-
-// Dir returns the data directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Meta is the descriptor of one journaled session, persisted as meta.json in
 // its directory. Identity fields (ID, Items, CreatedAt, Config) are written
@@ -308,8 +302,13 @@ func (s *Store) Create(meta Meta) (*Journal, error) {
 	}
 	// createSegment's fsync of the session directory made both names in it
 	// durable, meta.json's and the segment's; the store directory's makes
-	// the session's own.
-	_ = syncDir(s.dir)
+	// the session's own. Until it succeeds the session is not acknowledged,
+	// so a failure undoes the create.
+	if err := syncDir(s.dir); err != nil {
+		f.Close()
+		os.RemoveAll(dir)
+		return nil, err
+	}
 	return &Journal{dir: dir, opts: s.opts, sy: s.sy, metaMu: &s.metaMu, f: f, seq: 1, size: size}, nil
 }
 

@@ -105,7 +105,7 @@ func TestMultiSessionTornTailThroughSharedSyncer(t *testing.T) {
 				}
 			}
 			for i, j := range js {
-				raw, err := os.ReadFile(segPath(j.Dir(), 1))
+				raw, err := os.ReadFile(segPath(j.dir, 1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +130,7 @@ func TestMultiSessionTornTailThroughSharedSyncer(t *testing.T) {
 					if err := os.WriteFile(filepath.Join(dir, id, "meta.json"), mustMeta(t, id, 40), 0o644); err != nil {
 						t.Fatal(err)
 					}
-					if err := os.WriteFile(filepath.Join(dir, id, filepath.Base(segPath(j.Dir(), 1))), raw[:cut], 0o644); err != nil {
+					if err := os.WriteFile(filepath.Join(dir, id, filepath.Base(segPath(j.dir, 1))), raw[:cut], 0o644); err != nil {
 						t.Fatal(err)
 					}
 					var got []op

@@ -19,14 +19,16 @@
 //
 // Frames are sealed only when the buffer drains (64 KiB overflow, a syncer
 // pass, Sync, rotation, Checkpoint, Close), and so always between batches.
-// A payload is a sequence of varint records: opBlock, a batch's votes (a
-// count, the worker once when every vote shares it, then one item<<1|dirty
-// key per vote, each followed by its worker when they differ); opEnd;
-// opReset; opWindow start — a windowed session's rotation, always in the
-// same frame as the opEnd that sealed it, so task boundaries and their
-// window rotations are crash-atomic. Every write path emits opBlock; the
-// opVote and opColumns vote records of earlier builds stay readable, so their
-// data dirs recover. A torn or corrupt frame at the tail of the final segment
+// A payload is a sequence of records: opPacked, a batch's votes (an opcode
+// carrying the bit width w of the batch's largest item; a varint of the
+// count, whether the votes share their worker and whether a task boundary
+// follows them; the worker once when shared; the item<<1|dirty keys
+// bit-packed at w+1 bits each; then each vote's worker when they differ);
+// opEnd, a bare task boundary; opReset; opWindow start — a windowed
+// session's rotation, always in the same frame as the boundary that sealed
+// it, so task boundaries and their window rotations are crash-atomic. Every
+// write path emits opPacked; the opVote, opColumns and opBlock vote records
+// of earlier builds stay readable, so their data dirs recover. A torn or corrupt frame at the tail of the final segment
 // marks the end of durable history: recovery replays every intact frame
 // before it and truncates the rest, so the journal never admits a gap. A
 // final segment whose header is a torn prefix of the magic (or zeros) was
@@ -37,7 +39,7 @@
 // A snapshot is the same record stream, sealed: header (magic "DQMS",
 // version 1), records, and a trailing whole-file CRC. Compaction rewrites
 // snapshot + sealed segments into a new snapshot (dropping everything before
-// the last opReset, and rewriting votes of any encoding as opBlock records)
+// the last opReset, and rewriting votes of any encoding as opPacked records)
 // and deletes the covered files; because the snapshot is a literal record
 // stream replayed through the same code path as live ingest, recovered
 // estimator state is bit-identical to an uninterrupted run. Recovery removes

@@ -352,7 +352,7 @@ func TestRotationAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Covered segments are deleted; only the snapshot and the tail remain.
-	snaps, segs, err := listFiles(j.Dir())
+	snaps, segs, err := listFiles(j.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +427,7 @@ func TestTornTailIsTruncatedFrameAligned(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := segPath(j.Dir(), 1)
+	seg := segPath(j.dir, 1)
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +490,7 @@ func TestCorruptTailFrameIsDropped(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := segPath(j.Dir(), 1)
+	seg := segPath(j.dir, 1)
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -524,7 +524,7 @@ func TestRecoverHeaderlessFinalSegment(t *testing.T) {
 	j.Close()
 	// Simulate a crash during rotation: a second segment exists but its
 	// header never hit the disk.
-	if err := os.WriteFile(segPath(j.Dir(), 2), []byte{'D', 'Q'}, 0o644); err != nil {
+	if err := os.WriteFile(segPath(j.dir, 2), []byte{'D', 'Q'}, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var got []op
@@ -550,7 +550,7 @@ func TestRecoverRefusesUnknownSegmentHeader(t *testing.T) {
 	}
 	journalN(t, j, 10, 10, 6)
 	j.Close()
-	seg := segPath(j.Dir(), 1)
+	seg := segPath(j.dir, 1)
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -569,7 +569,7 @@ func TestRecoverRefusesUnknownSegmentHeader(t *testing.T) {
 
 	// A zero-filled header is what a crash at segment creation can leave:
 	// still a torn tail, recreated empty.
-	if err := os.WriteFile(segPath(j.Dir(), 2), make([]byte, 7), 0o644); err != nil {
+	if err := os.WriteFile(segPath(j.dir, 2), make([]byte, 7), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	raw[4] = 1
@@ -597,11 +597,11 @@ func TestRecoverKeepsUnreadableSnapshot(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, _, err := listFiles(j.Dir())
+	snaps, _, err := listFiles(j.dir)
 	if err != nil || len(snaps) != 1 {
 		t.Fatalf("want exactly one snapshot, got %v (err %v)", snaps, err)
 	}
-	path := snapPath(j.Dir(), snaps[0])
+	path := snapPath(j.dir, snaps[0])
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -728,7 +728,7 @@ func TestStoreIDsByMTimeOrderingForRecovery(t *testing.T) {
 		"delta": base,
 	}
 	for id, ts := range stamp {
-		dir := filepath.Join(s.Dir(), id)
+		dir := filepath.Join(s.dir, id)
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -746,5 +746,23 @@ func TestStoreIDsByMTimeOrderingForRecovery(t *testing.T) {
 	want := []string{"gamma", "alpha", "beta", "delta"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("IDsByMTime() = %v, want %v", got, want)
+	}
+}
+
+// TestPackedTaskBytes pins the size of the typical crowd task: 20 votes from
+// one worker over a population of 5,000 items, whose largest item takes 13
+// bits, journal in 38 bytes — opcode, head, worker, and 20 keys of 14 bits —
+// with the task boundary folded in.
+func TestPackedTaskBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	batch := make([]votes.Vote, 20)
+	for i := range batch {
+		batch[i] = mkVote(rng.Intn(5000), 17, rng.Intn(20) == 0)
+	}
+	batch[3].Item = 4999
+	var buf []byte
+	buf = appendTaskEnd(mustPacked(buf, batch, true), true, true, -1)
+	if len(buf) != 38 {
+		t.Fatalf("a 20-vote single-worker task journals in %d bytes, want 38", len(buf))
 	}
 }
