@@ -83,7 +83,7 @@
 // The votes endpoint also accepts Content-Type: application/x-dqmv — the
 // binary vote-log encoding (what `dqm-gen -votes-format binary` writes).
 // Binary bodies skip JSON entirely: each task's raw vote bytes are decoded
-// once into columns, journaled from them as one packed WAL record and applied,
+// once into a vote batch, journaled as one packed WAL record and applied,
 // with the same per-task atomicity, task-boundary rule, and resulting
 // estimates as the equivalent {"entries": ...} request. Unknown content types
 // get a 415 naming the accepted encodings.
@@ -677,7 +677,7 @@ type entryJSON struct {
 	Dirty  bool `json:"dirty"`
 }
 
-// contentTypeDQMV is the media type of the binary columnar vote-log encoding
+// contentTypeDQMV is the media type of the binary vote-log encoding
 // (internal/votelog's DQMV format).
 const contentTypeDQMV = votelog.ContentTypeDQMV
 
@@ -687,8 +687,8 @@ func (s *server) handleAppendVotes(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Dispatch on the request encoding instead of assuming JSON: binary DQMV
-	// bodies take the columnar fast path, JSON (or an absent header) takes the
-	// classic path, and anything else is a clean 415 naming what is accepted.
+	// bodies go to AppendDQMV, JSON (or an absent header) to AppendVotes, and
+	// anything else is a clean 415 naming what is accepted.
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		mt, _, err := mime.ParseMediaType(ct)
 		if err != nil {
@@ -783,8 +783,8 @@ func (s *server) handleAppendVotes(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAppendDQMV ingests a binary DQMV vote log through
-// dqm.Session.AppendDQMV: each task is decoded once into columns, journaled
-// from them as one packed WAL record, and the whole request pays one
+// dqm.Session.AppendDQMV: each task is decoded once into a vote batch,
+// journaled as one packed WAL record, and the whole request pays one
 // durability wait. The body is split here only for the empty-batch and
 // batch-size checks. Task boundaries match the {"entries": ...} rule, so both
 // encodings yield byte-identical estimates. An invalid task reports the tasks

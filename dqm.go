@@ -403,12 +403,8 @@ type EngineConfig struct {
 	// no engine lock held (the callback may call back into the engine) — use
 	// it to release any per-session state held outside the engine.
 	OnEvict func(sessionID string)
-	// DataDir enables durability: every session write-ahead-journals its
-	// votes under this directory and is recovered — bit-identical — when the
-	// engine is reopened. Empty means in-memory only. Prefer OpenEngine,
-	// which reports recovery errors; NewEngine panics on them.
-	DataDir string
-	// Fsync selects the journal flush policy when DataDir is set.
+	// Fsync selects the journal flush policy of an engine built by
+	// OpenEngine.
 	Fsync FsyncPolicy
 	// FsyncInterval is the maximum fsync staleness under FsyncBatch;
 	// 0 selects 100ms.
@@ -427,13 +423,14 @@ type EngineConfig struct {
 	BootstrapParallelism int
 }
 
-// walOptions lowers the public durability knobs.
-func (cfg EngineConfig) engineConfig() engine.Config {
+// engineConfig lowers the public knobs, for an engine journaling under dir
+// (in memory when dir is empty).
+func (cfg EngineConfig) engineConfig(dir string) engine.Config {
 	return engine.Config{
 		Shards:               cfg.Shards,
 		MaxSessions:          cfg.MaxSessions,
 		OnEvict:              cfg.OnEvict,
-		DataDir:              cfg.DataDir,
+		DataDir:              dir,
 		RecoveryParallelism:  cfg.RecoveryParallelism,
 		BootstrapParallelism: cfg.BootstrapParallelism,
 		WAL: wal.Options{
@@ -449,18 +446,9 @@ type Engine struct {
 	e *engine.Engine
 }
 
-// NewEngine creates an engine. With cfg.DataDir set it behaves like
-// OpenEngine but panics on a recovery error; programs that must handle
-// corrupt or unreadable data directories should call OpenEngine instead.
+// NewEngine creates an in-memory engine. OpenEngine builds a durable one.
 func NewEngine(cfg EngineConfig) *Engine {
-	if cfg.DataDir == "" {
-		return &Engine{e: engine.New(cfg.engineConfig())}
-	}
-	eng, err := OpenEngine(cfg.DataDir, cfg)
-	if err != nil {
-		panic(fmt.Sprintf("dqm: NewEngine: %v", err))
-	}
-	return eng
+	return &Engine{e: engine.New(cfg.engineConfig(""))}
 }
 
 // OpenEngine opens a durable engine over the data directory dir (created if
@@ -469,11 +457,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 // returns, with estimator state bit-identical to the moment of its last
 // durable write. Close the engine to flush final checkpoints.
 func OpenEngine(dir string, cfg EngineConfig) (*Engine, error) {
-	cfg.DataDir = dir
 	if dir == "" {
 		return nil, fmt.Errorf("dqm: OpenEngine: empty data directory")
 	}
-	eng, err := engine.Open(cfg.engineConfig())
+	eng, err := engine.Open(cfg.engineConfig(dir))
 	if err != nil {
 		return nil, err
 	}
@@ -593,15 +580,15 @@ func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
 
 // AppendDQMV ingests a complete binary vote log (the DQMV format of
 // internal/votelog: magic header, 'T' task records, 'V' vote records)
-// through the columnar fast path: each task's raw vote bytes are decoded once
-// into columns, validated, journaled from those columns as one WAL block
-// record, and applied — no per-vote decode into structs. Task
-// boundaries follow the format's task-id changes plus one after the final
-// vote, exactly the boundaries the Entry/JSON path produces, so the
-// resulting estimates are identical to ingesting the same log vote by vote.
-// On a durable engine every task is journaled before any is applied and the
-// journal commits once, so under FsyncAlways the call waits for one group
-// commit that covers all its tasks, however many there are.
+// without an Entry per vote: each task's raw vote bytes are decoded once into
+// a pooled vote batch, validated, journaled as one packed WAL record (the
+// record AppendVotes writes too) and applied through the same path as
+// AppendVotes. Task boundaries follow the format's task-id changes plus one
+// after the final vote, exactly the boundaries the Entry/JSON path produces,
+// so the resulting estimates are identical to ingesting the same log vote by
+// vote. On a durable engine every task is journaled before any is applied
+// and the journal commits once, so under FsyncAlways the call waits for one
+// group commit that covers all its tasks, however many there are.
 //
 // It returns the number of votes and task boundaries ingested. A malformed
 // stream fails before anything is applied. An out-of-population item in one

@@ -132,15 +132,15 @@ func TestDurableColumnarIngestRecovers(t *testing.T) {
 	}
 }
 
-// AppendColumns ingests one columnar batch — raw DQMV 'V'-record bytes, one
-// task block of a binary vote log — marking a task boundary after it when
-// endTask is set: the one-block case of AppendLog, with the same contract.
-// It returns the number of votes ingested.
+// AppendColumns ingests raw DQMV 'V'-record bytes, one task block of a
+// binary vote log, marking a task boundary after it when endTask is set: the
+// one-block case of AppendLog, with the same contract. It returns the number
+// of votes ingested.
 func (s *Session) AppendColumns(raw []byte, endTask bool) (int, error) {
 	if len(raw) == 0 && !endTask {
 		return 0, nil
 	}
 	one := [1]votelog.TaskBlock{{Raw: raw}}
-	n, _, err := s.appendBlocks(one[:], endTask)
+	n, _, err := s.appendTaskBlocks(one[:], endTask)
 	return n, err
 }

@@ -26,7 +26,6 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -34,7 +33,6 @@ import (
 	"time"
 
 	"dqm/internal/estimator"
-	"dqm/internal/votelog"
 	"dqm/internal/votes"
 	"dqm/internal/wal"
 	"dqm/internal/window"
@@ -324,20 +322,20 @@ func (e *Engine) Durable() bool { return e.store != nil }
 // replays a burst of duplicate loads actually performed.
 var testRecoverStall func(id string)
 
-// replayScratch is the memory a journal replay reuses: the columnar vote
+// replayScratch is the memory a journal replay reuses: the vote batch
 // scratch and the segment read buffer. Each boot worker keeps one across the
 // sessions it recovers; cold loads borrow one from replayScratchPool.
 type replayScratch struct {
-	cols votelog.VoteColumns
-	buf  []byte
+	batch []votes.Vote
+	buf   []byte
 }
 
 var replayScratchPool = sync.Pool{New: func() any { return new(replayScratch) }}
 
 // recoverSession rebuilds one session from its journal: latest snapshot plus
-// journal tail. Replay is columnar — vote records are decoded into sc's
-// columns (sc is reused across sessions) and applied in task-sized batches,
-// so recovery looks like binary ingest rather than a stream of single-vote
+// journal tail. Replay is batched — vote records are decoded into sc's batch
+// (sc is reused across sessions) and applied in task-sized batches, so
+// recovery looks like live ingest rather than a stream of single-vote
 // appends: one bounds-check pass and one rotation cross-check per batch
 // instead of per vote, no per-vote hook indirection, and no estimate
 // publication or per-vote metric traffic until the session goes live (the
@@ -392,44 +390,23 @@ func (e *Engine) recoverSession(id string, sc *replayScratch) (*Session, error) 
 		}
 		return nil
 	}
-	// The batched path range-checks against the int32 image of the
-	// population; a population beyond int32 admits every decodable item
-	// (columnar encoding cannot express larger ones).
-	limit := int32(math.MaxInt32)
-	if n <= math.MaxInt32 {
-		limit = int32(n)
-	}
 	j, err := e.store.Recover(id, wal.Hooks{
-		Votes: func(cols *votelog.VoteColumns) error {
+		Votes: func(batch []votes.Vote) error {
 			if err := checkNoPending(); err != nil {
 				return err
 			}
-			for _, item := range cols.Item {
-				if item >= limit {
-					return fmt.Errorf("engine: journaled item %d outside population [0, %d)", item, n)
+			for _, v := range batch {
+				if v.Item < 0 || v.Item >= n {
+					return fmt.Errorf("engine: journaled item %d outside population [0, %d)", v.Item, n)
 				}
 			}
-			s.applyColumns(cols, 0, cols.Len())
+			for _, v := range batch {
+				s.applyVote(v)
+			}
 			return nil
 		},
-		Cols: &sc.cols,
-		Buf:  &sc.buf,
-		// Vote is the ordered fallback for votes outside the columnar int32
-		// domain (JSON and library ingest accept any int worker id).
-		Vote: func(item, worker int, dirty bool) error {
-			if err := checkNoPending(); err != nil {
-				return err
-			}
-			if item < 0 || item >= n {
-				return fmt.Errorf("engine: journaled item %d outside population [0, %d)", item, n)
-			}
-			label := votes.Clean
-			if dirty {
-				label = votes.Dirty
-			}
-			s.applyVote(votes.Vote{Item: item, Worker: worker, Label: label})
-			return nil
-		},
+		Batch: &sc.batch,
+		Buf:   &sc.buf,
 		EndTask: func() {
 			// The hook cannot return an error; stash the violation and fail
 			// after Recover returns (the session is discarded on error anyway).

@@ -300,18 +300,6 @@ func (s *Session) applyVote(v votes.Vote) {
 	}
 }
 
-// applyColumns feeds rows [from, to) of decoded columns through applyVote in
-// order; AppendLog and recovery replay share it.
-func (s *Session) applyColumns(cols *votelog.VoteColumns, from, to int) {
-	for i := from; i < to; i++ {
-		label := votes.Clean
-		if cols.Dirty[i] {
-			label = votes.Dirty
-		}
-		s.applyVote(votes.Vote{Item: int(cols.Item[i]), Worker: int(cols.Worker[i]), Label: label})
-	}
-}
-
 // applyEndTask marks one task boundary everywhere, returning the window
 // rotation it sealed (if any).
 func (s *Session) applyEndTask() (window.Rotation, bool) {
@@ -371,42 +359,38 @@ func (s *Session) publish(n int, endTask bool) {
 // a journal error rejects the batch with in-memory state untouched and is
 // returned as a *JournalError. A batch too large for one journal frame is
 // refused the same way, but with an error wrapping wal.ErrBatchTooLarge: the
-// journal stays healthy. Every vote mutation goes through here or AppendLog.
+// journal stays healthy. Every vote mutation goes through here or AppendLog,
+// and both through appendBlocks.
 func (s *Session) Append(batch []votes.Vote, endTask bool) error {
+	if err := s.checkItems(batch); err != nil {
+		return err
+	}
+	if len(batch) == 0 && !endTask {
+		return nil // no mutation: journaling nothing, it must not move the version
+	}
+	one := [1]block{{end: len(batch), endTask: endTask}}
+	_, _, err := s.appendBlocks(batch, one[:])
+	return err
+}
+
+// checkItems checks every item of batch against the population.
+func (s *Session) checkItems(batch []votes.Vote) error {
 	n := s.items
 	for i, v := range batch {
 		if v.Item < 0 || v.Item >= n {
 			return fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, v.Item, n)
 		}
 	}
-	if len(batch) == 0 && !endTask {
-		return nil // no mutation: journaling nothing, it must not move the version
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.journal != nil {
-		start := int64(-1)
-		if endTask {
-			start = s.sealedWindow(1)
-		}
-		if err := s.journal.Append(batch, endTask, start); err != nil {
-			return s.journalErr(err)
-		}
-	}
-	for _, v := range batch {
-		s.applyVote(v)
-	}
-	s.publish(len(batch), endTask)
 	return nil
 }
 
 // AppendLog ingests a binary vote log split into task blocks (see
 // votelog.SplitBinaryTasks). A task boundary follows each block whose
 // successor carries a different task id, and the last block: the boundaries
-// the Entry path produces for the same log. Each block is decoded once; its
-// columns are journaled as one packed record, its boundary folded in and the
-// window rotation that boundary seals behind it, and applied with one version
-// bump.
+// the Entry path produces for the same log. Each block is decoded once into
+// a batch; the batch is journaled as one packed record, its boundary folded
+// in and the window rotation that boundary seals behind it, and applied with
+// one version bump.
 //
 // The whole log takes one hold of the session mutex and, on a durable
 // session, one durability wait: every block is staged, the journal commits
@@ -420,91 +404,101 @@ func (s *Session) Append(batch []votes.Vote, endTask bool) error {
 // restart, or on revival after eviction), so compare Tasks after the reload
 // before re-sending.
 func (s *Session) AppendLog(blocks []votelog.TaskBlock) (votesIngested, tasksEnded int, err error) {
-	return s.appendBlocks(blocks, true)
+	return s.appendTaskBlocks(blocks, true)
 }
 
-// staging is the scratch of one appendBlocks call: the staged blocks decoded
-// into one set of columns, and the row where each block ends.
+// block is one task block of an appendBlocks call: its votes end at row end
+// of the batch, and a task boundary follows them when endTask is set.
+type block struct {
+	end     int
+	endTask bool
+}
+
+// staging is the scratch of one AppendLog call: the blocks decoded into one
+// batch, and where each block ends.
 type staging struct {
-	cols votelog.VoteColumns
-	ends []int
+	batch  []votes.Vote
+	blocks []block
 }
 
-// stagingPool lends every appendBlocks call its scratch, so binary ingest
-// does not allocate after warm-up and a session keeps no decode buffer.
+// stagingPool lends every AppendLog call its scratch, so binary ingest does
+// not allocate after warm-up and a session keeps no decode buffer.
 var stagingPool = sync.Pool{New: func() any { return new(staging) }}
 
-// appendBlocks is the core of AppendLog; endLast says whether the last block
-// ends its task. Under mu it decodes, validates and stages blocks up to the
-// first invalid one, commits once, then applies.
-func (s *Session) appendBlocks(blocks []votelog.TaskBlock, endLast bool) (votesIngested, tasksEnded int, err error) {
-	endsTask := func(i int) bool {
-		if i+1 < len(blocks) {
-			return blocks[i+1].Task != blocks[i].Task
-		}
-		return endLast
-	}
+// appendTaskBlocks is AppendLog; endLast says whether the last block ends its
+// task. It decodes and validates the blocks up to the first invalid one,
+// outside the session mutex (the population never changes), and hands them
+// to appendBlocks; the decode error, if any, is returned once the blocks
+// before it are applied.
+func (s *Session) appendTaskBlocks(blocks []votelog.TaskBlock, endLast bool) (votesIngested, tasksEnded int, err error) {
 	st := stagingPool.Get().(*staging)
 	defer stagingPool.Put(st)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cols := &st.cols
-	cols.Reset()
-	st.ends = st.ends[:0]
-	ahead := 0 // task boundaries staged so far
+	st.batch, st.blocks = st.batch[:0], st.blocks[:0]
+	var invalid error
 	for i, b := range blocks {
-		from := cols.Len()
-		if err = s.decodeBlock(cols, b.Raw); err != nil {
+		from := len(st.batch)
+		if st.batch, invalid = votelog.DecodeVotes(st.batch, b.Raw); invalid == nil {
+			invalid = s.checkItems(st.batch[from:])
+		}
+		if invalid != nil {
 			break
 		}
-		if s.journal != nil {
-			end, start := endsTask(i), int64(-1)
-			if end {
-				ahead++
-				start = s.sealedWindow(ahead)
-			}
-			if jerr := s.journal.StageColumns(cols, from, cols.Len(), end, start); jerr != nil {
-				if err = s.journalErr(jerr); !errors.Is(err, wal.ErrBatchTooLarge) {
-					return 0, 0, err
-				}
-				break
-			}
+		endTask := endLast
+		if i+1 < len(blocks) {
+			endTask = blocks[i+1].Task != b.Task
 		}
-		st.ends = append(st.ends, cols.Len())
+		st.blocks = append(st.blocks, block{end: len(st.batch), endTask: endTask})
 	}
-	if s.journal != nil && len(st.ends) > 0 {
-		if jerr := s.journal.Commit(); jerr != nil {
-			return 0, 0, &JournalError{SessionID: s.id, Err: jerr}
-		}
-	}
-	from := 0
-	for i, to := range st.ends {
-		end := endsTask(i)
-		s.applyColumns(cols, from, to)
-		s.publish(to-from, end)
-		votesIngested += to - from
-		if end {
-			tasksEnded++
-		}
-		from = to
+	votesIngested, tasksEnded, err = s.appendBlocks(st.batch, st.blocks)
+	if err == nil {
+		err = invalid
 	}
 	return votesIngested, tasksEnded, err
 }
 
-// decodeBlock appends one block's raw vote bytes to cols and checks every
-// item of the block against the population.
-func (s *Session) decodeBlock(cols *votelog.VoteColumns, raw []byte) error {
-	from := cols.Len()
-	if err := cols.DecodeAppend(raw); err != nil {
-		return err
-	}
-	n := int32(s.items)
-	for i, item := range cols.Item[from:] {
-		if item >= n {
-			return fmt.Errorf("engine: vote %d: item %d outside population [0, %d)", i, item, n)
+// appendBlocks journals and applies batch as consecutive blocks: block i
+// holds the votes from the previous block's end to its own. Under mu it
+// stages blocks up to the first one the journal refuses as too large,
+// commits once, then applies and publishes each staged block.
+func (s *Session) appendBlocks(batch []votes.Vote, blocks []block) (votesIngested, tasksEnded int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.journal != nil {
+		ahead, from := 0, 0 // task boundaries staged so far, first row of block i
+		for i, b := range blocks {
+			start := int64(-1)
+			if b.endTask {
+				ahead++
+				start = s.sealedWindow(ahead)
+			}
+			if jerr := s.journal.Stage(batch[from:b.end], b.endTask, start); jerr != nil {
+				if err = s.journalErr(jerr); !errors.Is(err, wal.ErrBatchTooLarge) {
+					return 0, 0, err
+				}
+				blocks = blocks[:i]
+				break
+			}
+			from = b.end
+		}
+		if len(blocks) > 0 {
+			if jerr := s.journal.Commit(); jerr != nil {
+				return 0, 0, &JournalError{SessionID: s.id, Err: jerr}
+			}
 		}
 	}
-	return nil
+	from := 0
+	for _, b := range blocks {
+		for _, v := range batch[from:b.end] {
+			s.applyVote(v)
+		}
+		s.publish(b.end-from, b.endTask)
+		votesIngested += b.end - from
+		if b.endTask {
+			tasksEnded++
+		}
+		from = b.end
+	}
+	return votesIngested, tasksEnded, err
 }
 
 // Record ingests one vote: Append of a one-vote batch without a task

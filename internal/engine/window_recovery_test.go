@@ -229,7 +229,7 @@ func TestRecoveryRejectsMismatchedRotationRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(nil, true, 999); err != nil {
+	if err := j.Stage(nil, true, 999); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

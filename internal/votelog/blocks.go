@@ -5,83 +5,54 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"dqm/internal/votes"
 )
 
-// Columnar access to the binary (DQMV) vote-log encoding: the ingest hot path
-// hands raw 'V'-record bytes from the wire straight to the write-ahead
-// journal and decodes them once into parallel item/worker/dirty columns for
-// matrix application — no per-vote materialization of Entry structs, no
-// per-vote re-encode into a second wire format.
+// Batch access to the binary (DQMV) vote-log encoding: the ingest hot path
+// splits a request body into per-task blocks of raw 'V' records without
+// decoding them, then decodes each block once, straight into the
+// []votes.Vote batch that the journal encodes and the session applies.
 
-// VoteColumns is one decoded columnar vote batch: parallel slices, one row
-// per vote. The backing arrays are reused across Decode calls, so a
-// long-lived ingest path decodes batches without allocating after warmup.
-type VoteColumns struct {
-	Item   []int32
-	Worker []int32
-	Dirty  []bool
-}
-
-// Len returns the number of votes in the batch.
-func (c *VoteColumns) Len() int { return len(c.Item) }
-
-// Reset empties the columns, keeping capacity.
-func (c *VoteColumns) Reset() {
-	c.Item = c.Item[:0]
-	c.Worker = c.Worker[:0]
-	c.Dirty = c.Dirty[:0]
-}
-
-// Decode resets the columns and fills them from raw 'V' records (the DQMV
-// vote encoding, without the file magic or 'T' task records — exactly the
-// per-task byte ranges SplitBinaryTasks returns). It validates the encoding;
-// range-checking items against a population is the caller's job, because only
-// the caller knows N.
-func (c *VoteColumns) Decode(raw []byte) error {
-	c.Reset()
-	return c.DecodeAppend(raw)
-}
-
-// DecodeAppend is Decode without the reset: decoded votes append to whatever
-// the columns already hold. Binary ingest uses it to decode every task block
-// of one request into one set of reused columns.
-func (c *VoteColumns) DecodeAppend(raw []byte) error {
-	for len(raw) > 0 {
+// DecodeVotes decodes raw 'V' records (the DQMV vote encoding, without the
+// file magic or 'T' task records: exactly the per-task byte ranges
+// SplitBinaryTasks returns), appends the votes to dst and returns the
+// extended slice, so a caller reusing dst decodes without allocating after
+// warm-up. It validates the encoding and the format's int32 bounds;
+// range-checking items against a population is the caller's job, because
+// only the caller knows N. On an error the votes decoded before it stay
+// appended.
+func DecodeVotes(dst []votes.Vote, raw []byte) ([]votes.Vote, error) {
+	for i := 0; len(raw) > 0; i++ {
 		if raw[0] != binOpVote {
-			return fmt.Errorf("votelog: columnar batch: vote %d: unknown opcode 0x%02x", len(c.Item), raw[0])
+			return dst, fmt.Errorf("votelog: vote batch: vote %d: unknown opcode 0x%02x", i, raw[0])
 		}
 		raw = raw[1:]
 		key, n := binary.Uvarint(raw)
 		if n <= 0 || key>>1 > math.MaxInt32 {
-			return fmt.Errorf("votelog: columnar batch: vote %d: bad item", len(c.Item))
+			return dst, fmt.Errorf("votelog: vote batch: vote %d: bad item", i)
 		}
 		raw = raw[n:]
 		w, n := binary.Uvarint(raw)
 		if n <= 0 {
-			return fmt.Errorf("votelog: columnar batch: vote %d: bad worker", len(c.Item))
+			return dst, fmt.Errorf("votelog: vote batch: vote %d: bad worker", i)
 		}
 		raw = raw[n:]
 		worker := unzigzag(w)
 		if worker < math.MinInt32 || worker > math.MaxInt32 {
-			return fmt.Errorf("votelog: columnar batch: vote %d: worker id %d out of range", len(c.Item), worker)
+			return dst, fmt.Errorf("votelog: vote batch: vote %d: worker id %d out of range", i, worker)
 		}
-		c.Item = append(c.Item, int32(key>>1))
-		c.Worker = append(c.Worker, int32(worker))
-		c.Dirty = append(c.Dirty, key&1 == 1)
+		label := votes.Clean
+		if key&1 == 1 {
+			label = votes.Dirty
+		}
+		dst = append(dst, votes.Vote{Item: int(key >> 1), Worker: int(worker), Label: label})
 	}
-	return nil
-}
-
-// Append appends one already-decoded vote row — the path every vote takes
-// into a WAL replay batch, whichever record encoding held it.
-func (c *VoteColumns) Append(item, worker int32, dirty bool) {
-	c.Item = append(c.Item, item)
-	c.Worker = append(c.Worker, worker)
-	c.Dirty = append(c.Dirty, dirty)
+	return dst, nil
 }
 
 // AppendBinaryVote appends one raw 'V' record — the building block for
-// constructing columnar batches (tests, load generators) without an []Entry
+// constructing DQMV vote blocks (tests, load generators) without an []Entry
 // detour.
 func AppendBinaryVote(buf []byte, item, worker int32, dirty bool) []byte {
 	buf = append(buf, binOpVote)
@@ -115,9 +86,8 @@ func BinaryMagic() []byte { return append([]byte(nil), binaryMagic...) }
 const ContentTypeDQMV = "application/x-dqmv"
 
 // SplitBinaryTasks splits a full binary vote log (magic header included) into
-// per-task blocks without decoding votes into structs: each block's Raw is a
-// subslice of data holding only 'V' records, ready to be decoded once into
-// columns (DecodeAppend). The stream is validated structurally (header,
+// per-task blocks without decoding votes: each block's Raw is a subslice of
+// data holding only 'V' records, ready to be decoded once (DecodeVotes). The stream is validated structurally (header,
 // opcodes, varints, int32 bounds); item-vs-population range checks remain the
 // caller's.
 func SplitBinaryTasks(data []byte) ([]TaskBlock, error) {

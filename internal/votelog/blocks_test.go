@@ -2,41 +2,45 @@ package votelog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
+
+	"dqm/internal/votes"
 )
 
 // splitDecodeAll runs SplitBinaryTasks and decodes every block's raw bytes
 // back into Entry values, reproducing the stream the Entry decoder would have
-// produced — the equivalence the columnar fast path promises.
+// produced — the equivalence the block path promises.
 func splitDecodeAll(t *testing.T, data []byte) []Entry {
 	t.Helper()
 	blocks, err := SplitBinaryTasks(data)
 	if err != nil {
 		t.Fatalf("split: %v", err)
 	}
-	var cols VoteColumns
+	var batch []votes.Vote
 	var out []Entry
 	for _, b := range blocks {
-		if err := cols.Decode(b.Raw); err != nil {
+		if batch, err = DecodeVotes(batch[:0], b.Raw); err != nil {
 			t.Fatalf("decode block task %d: %v", b.Task, err)
 		}
-		if cols.Len() != b.Votes {
-			t.Fatalf("block task %d: split counted %d votes, decode found %d", b.Task, b.Votes, cols.Len())
+		if len(batch) != b.Votes {
+			t.Fatalf("block task %d: split counted %d votes, decode found %d", b.Task, b.Votes, len(batch))
 		}
-		for i := 0; i < cols.Len(); i++ {
+		for _, v := range batch {
 			out = append(out, Entry{
 				Task:   int(b.Task),
-				Item:   int(cols.Item[i]),
-				Worker: int(cols.Worker[i]),
-				Dirty:  cols.Dirty[i],
+				Item:   v.Item,
+				Worker: v.Worker,
+				Dirty:  v.Label == votes.Dirty,
 			})
 		}
 	}
 	return out
 }
 
-// TestSplitBinaryTasksMatchesEntryDecoder: the zero-copy split plus columnar
+// TestSplitBinaryTasksMatchesEntryDecoder: the zero-copy split plus block
 // decode must reconstruct exactly what ReadBinary yields for any well-formed
 // log — same votes, same task assignment, same order.
 func TestSplitBinaryTasksMatchesEntryDecoder(t *testing.T) {
@@ -51,7 +55,7 @@ func TestSplitBinaryTasksMatchesEntryDecoder(t *testing.T) {
 		}
 		got := splitDecodeAll(t, buf.Bytes())
 		if !reflect.DeepEqual(got, entries) {
-			t.Fatalf("columnar path diverged from Entry decoder: got %d entries, want %d", len(got), len(entries))
+			t.Fatalf("block path diverged from Entry decoder: got %d entries, want %d", len(got), len(entries))
 		}
 	}
 }
@@ -77,16 +81,16 @@ func TestSplitBinaryTasksEmptyAndErrors(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// The same malformed vote bodies must also fail the columnar decoder.
+	// The same malformed vote bodies must also fail the block decoder.
 	for name, raw := range map[string][]byte{
 		"bad opcode":     {0xEE},
 		"truncated item": {binOpVote},
 		"truncated worker": AppendBinaryVote(nil, 3, 1, true)[:len(
 			AppendBinaryVote(nil, 3, 1, true))-1],
+		"huge worker": binary.AppendUvarint([]byte{binOpVote, 0x02}, zigzag(math.MaxInt32+1)),
 	} {
-		var cols VoteColumns
-		if err := cols.Decode(raw); err == nil {
-			t.Errorf("Decode %s: accepted", name)
+		if _, err := DecodeVotes(nil, raw); err == nil {
+			t.Errorf("DecodeVotes %s: accepted", name)
 		}
 	}
 }
@@ -111,40 +115,45 @@ func TestSplitBinaryTasksRedundantTaskRecord(t *testing.T) {
 		t.Fatalf("blocks = %+v, want two task-3 blocks", blocks)
 	}
 	for i, b := range blocks {
-		var cols VoteColumns
-		if err := cols.Decode(b.Raw); err != nil {
+		batch, err := DecodeVotes(nil, b.Raw)
+		if err != nil {
 			t.Fatalf("block %d raw contains non-vote bytes: %v", i, err)
 		}
-		if cols.Len() != 1 || b.Votes != 1 {
-			t.Fatalf("block %d: votes=%d len=%d, want 1", i, b.Votes, cols.Len())
+		if len(batch) != 1 || b.Votes != 1 {
+			t.Fatalf("block %d: votes=%d len=%d, want 1", i, b.Votes, len(batch))
 		}
 	}
 }
 
-// TestVoteColumnsDecodeReusesBacking: a second Decode into the same
-// VoteColumns must not allocate fresh columns when capacity suffices.
-func TestVoteColumnsDecodeReusesBacking(t *testing.T) {
+// TestDecodeVotesReusesBacking: a second decode into the same slice must not
+// allocate a fresh one when capacity suffices, and a decode appends to what
+// the slice holds.
+func TestDecodeVotesReusesBacking(t *testing.T) {
 	big := AppendBinaryVote(AppendBinaryVote(nil, 1, 1, true), 2, 2, false)
 	small := AppendBinaryVote(nil, 3, 3, true)
-	var cols VoteColumns
-	if err := cols.Decode(big); err != nil {
+	batch, err := DecodeVotes(nil, big)
+	if err != nil {
 		t.Fatal(err)
 	}
-	p := &cols.Item[0]
-	if err := cols.Decode(small); err != nil {
+	p := &batch[0]
+	if batch, err = DecodeVotes(batch[:0], small); err != nil {
 		t.Fatal(err)
 	}
-	if cols.Len() != 1 || &cols.Item[0] != p {
-		t.Fatal("Decode reallocated columns despite spare capacity")
+	if len(batch) != 1 || &batch[0] != p {
+		t.Fatal("DecodeVotes reallocated the batch despite spare capacity")
 	}
-	if cols.Item[0] != 3 || cols.Worker[0] != 3 || !cols.Dirty[0] {
-		t.Fatalf("reused decode wrong: %+v", cols)
+	if want := (votes.Vote{Item: 3, Worker: 3, Label: votes.Dirty}); batch[0] != want {
+		t.Fatalf("reused decode wrong: %+v", batch)
+	}
+	if batch, err = DecodeVotes(batch, big); err != nil || len(batch) != 3 || batch[2].Item != 2 {
+		t.Fatalf("appending decode: %+v, %v", batch, err)
 	}
 }
 
 // FuzzColumnarSplit: arbitrary bytes must never panic the splitter or the
-// columnar decoder, anything accepted must agree with the Entry decoder, and
-// every accepted block's Raw must itself decode with the advertised count.
+// block decoder (DecodeVotes), anything accepted must agree with the Entry
+// decoder, and every accepted block's Raw must itself decode with the
+// advertised count.
 func FuzzColumnarSplit(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(BinaryMagic())
@@ -170,27 +179,25 @@ func FuzzColumnarSplit(f *testing.F) {
 		if err != nil {
 			t.Fatalf("split accepted what ReadBinary rejects: %v", err)
 		}
-		var cols VoteColumns
+		var batch []votes.Vote
 		n := 0
 		for _, b := range blocks {
-			if err := cols.Decode(b.Raw); err != nil {
-				t.Fatalf("accepted block failed columnar decode: %v", err)
+			if batch, err = DecodeVotes(batch[:0], b.Raw); err != nil {
+				t.Fatalf("accepted block failed to decode: %v", err)
 			}
-			if cols.Len() != b.Votes {
-				t.Fatalf("block advertises %d votes, decodes %d", b.Votes, cols.Len())
+			if len(batch) != b.Votes {
+				t.Fatalf("block advertises %d votes, decodes %d", b.Votes, len(batch))
 			}
-			for i := 0; i < cols.Len(); i++ {
+			for _, v := range batch {
 				e := entries[n]
-				if e.Task != int(b.Task) || e.Item != int(cols.Item[i]) ||
-					e.Worker != int(cols.Worker[i]) || e.Dirty != cols.Dirty[i] {
-					t.Fatalf("vote %d: columnar %v/%d/%d/%v, entry %+v",
-						n, b.Task, cols.Item[i], cols.Worker[i], cols.Dirty[i], e)
+				if e.Task != int(b.Task) || e.Item != v.Item || e.Worker != v.Worker || e.Dirty != (v.Label == votes.Dirty) {
+					t.Fatalf("vote %d: block %d/%+v, entry %+v", n, b.Task, v, e)
 				}
 				n++
 			}
 		}
 		if n != len(entries) {
-			t.Fatalf("columnar path yields %d votes, Entry path %d", n, len(entries))
+			t.Fatalf("block path yields %d votes, Entry path %d", n, len(entries))
 		}
 	})
 }

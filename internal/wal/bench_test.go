@@ -2,6 +2,11 @@ package wal
 
 import (
 	"fmt"
+	"io/fs"
+	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,23 +14,39 @@ import (
 	"dqm/internal/votes"
 )
 
-// BenchmarkJournalAppend measures raw journal throughput per fsync policy,
-// appending 1000-vote tasks (the group-commit unit the engine hands down).
-// Compare against BenchmarkEngineAppend in internal/engine for the in-memory
-// baseline the acceptance criteria reference.
-func BenchmarkJournalAppend(b *testing.B) {
-	const batchSize = 1000
-	batch := make([]votes.Vote, batchSize)
+// benchBatch is a 1000-vote task over 512 items, a third of the votes dirty:
+// from 25 workers in turn, or from worker 7 alone when shared is set.
+func benchBatch(shared bool) []votes.Vote {
+	batch := make([]votes.Vote, 1000)
 	for i := range batch {
 		label := votes.Clean
 		if i%3 == 0 {
 			label = votes.Dirty
 		}
-		batch[i] = votes.Vote{Item: i % 512, Worker: i % 25, Label: label}
+		w := i % 25
+		if shared {
+			w = 7
+		}
+		batch[i] = votes.Vote{Item: i % 512, Worker: w, Label: label}
 	}
+	return batch
+}
+
+// noCompaction keeps compaction out of a benchmark's reach: no run writes
+// that much sealed journal. BenchmarkCompaction measures compaction alone.
+const noCompaction = math.MaxInt64
+
+// BenchmarkJournalAppend measures raw journal throughput per fsync policy,
+// staging and committing 1000-vote tasks (the group-commit unit the engine
+// hands down), segment rotation included. Compare against
+// BenchmarkSessionIngestDurable in internal/engine for the same writes
+// journaled and applied by a session.
+func BenchmarkJournalAppend(b *testing.B) {
+	const batchSize = 1000
+	batch := benchBatch(false)
 	for _, p := range []FsyncPolicy{FsyncNever, FsyncBatch, FsyncAlways} {
 		b.Run(p.String(), func(b *testing.B) {
-			s, err := OpenStore(b.TempDir(), Options{Fsync: p, BatchInterval: 100 * time.Millisecond})
+			s, err := OpenStore(b.TempDir(), Options{Fsync: p, BatchInterval: 100 * time.Millisecond, CompactAfter: noCompaction})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -37,7 +58,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := j.Append(batch, true, -1); err != nil {
+				if err := appendCommit(j, batch, true, -1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -53,21 +74,14 @@ func BenchmarkJournalAppend(b *testing.B) {
 // group-commit shape. Under FsyncAlways every append waits for durability,
 // but concurrent waiters share fsync passes instead of each paying its own;
 // compare against BenchmarkJournalAppend/always (one lone committer) to see
-// the sharing win, and against BenchmarkSessionIngest for the acceptance
-// ratio the ISSUE pins.
+// the sharing win, and against BenchmarkSessionIngest for the cost of the
+// journal beside an in-memory session's.
 func BenchmarkGroupCommit(b *testing.B) {
 	const batchSize = 1000
-	batch := make([]votes.Vote, batchSize)
-	for i := range batch {
-		label := votes.Clean
-		if i%3 == 0 {
-			label = votes.Dirty
-		}
-		batch[i] = votes.Vote{Item: i % 512, Worker: i % 25, Label: label}
-	}
+	batch := benchBatch(false)
 	for _, p := range []FsyncPolicy{FsyncBatch, FsyncAlways} {
 		b.Run(p.String(), func(b *testing.B) {
-			s, err := OpenStore(b.TempDir(), Options{Fsync: p, BatchInterval: 100 * time.Millisecond})
+			s, err := OpenStore(b.TempDir(), Options{Fsync: p, BatchInterval: 100 * time.Millisecond, CompactAfter: noCompaction})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -83,7 +97,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 				}
 				defer j.Close()
 				for pb.Next() {
-					if err := j.Append(batch, true, -1); err != nil {
+					if err := appendCommit(j, batch, true, -1); err != nil {
 						b.Error(err)
 						return
 					}
@@ -94,4 +108,102 @@ func BenchmarkGroupCommit(b *testing.B) {
 			b.ReportMetric(votesPerSec/1e6, "Mvotes/s")
 		})
 	}
+}
+
+// BenchmarkCompaction measures one compaction. Each op rewrites the same
+// sealed history into a snapshot: 200 tasks of 1000 votes, one worker per
+// task in every other task and 25 in turn in the rest, in 64 KiB segments.
+// Copying the history into a fresh directory and recovering it are set-up,
+// off the timer.
+func BenchmarkCompaction(b *testing.B) {
+	const tasks = 200
+	opts := Options{Fsync: FsyncNever, SegmentBytes: 64 << 10, CompactAfter: noCompaction}
+	history := b.TempDir()
+	s, err := OpenStore(history, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j, err := s.Create(Meta{ID: "compact", Items: 512, CreatedAt: time.Now()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	shared, mixed := benchBatch(true), benchBatch(false)
+	for t := 0; t < tasks; t++ {
+		batch := mixed
+		if t%2 == 0 {
+			batch = shared
+		}
+		if err := appendCommit(j, batch, true, -1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	work := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(work, strconv.Itoa(i))
+		if err := copyTree(dir, history); err != nil {
+			b.Fatal(err)
+		}
+		s, err := OpenStore(dir, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		j, err := s.Recover("compact", Hooks{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if j.sealedBytes == 0 {
+			b.Fatal("the history has no sealed segment to compact")
+		}
+		b.StartTimer()
+		j.mu.Lock()
+		err = j.compactLocked()
+		j.mu.Unlock()
+		b.StopTimer()
+		if err != nil || j.snapSeq == 0 {
+			b.Fatalf("compaction: snapshot %d, err %v", j.snapSeq, err)
+		}
+		if err := j.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		if err := os.RemoveAll(dir); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*tasks*1000/b.Elapsed().Seconds()/1e6, "Mvotes/s")
+}
+
+// copyTree copies the directory tree at src to dst.
+func copyTree(dst, src string) error {
+	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		to := filepath.Join(dst, rel)
+		if d.IsDir() {
+			return os.MkdirAll(to, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(to, data, 0o644)
+	})
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"dqm/internal/votelog"
 	"dqm/internal/votes"
 )
 
@@ -40,34 +39,25 @@ func TestOversizedBatchIsRefused(t *testing.T) {
 		}
 		return b
 	}
-	var cols votelog.VoteColumns
 	for round := 0; round < 12; round++ {
 		// About 40 bytes staged, then a batch of about 20 more: it fits
 		// alone, so the staged batches are sealed before it.
 		for i := 0; i < 2; i++ {
-			if err := j.Append(batch(9, round, true), true, -1); err != nil {
+			if err := appendCommit(j, batch(9, round, true), true, -1); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, op{Kind: opEnd})
 		}
 		// 40 votes on distinct workers take 87 bytes: refused whole.
-		if err := j.Append(batch(40, 100, false), true, -1); !errors.Is(err, ErrBatchTooLarge) {
+		if err := appendCommit(j, batch(40, 100, false), true, -1); !errors.Is(err, ErrBatchTooLarge) {
 			t.Fatalf("round %d: oversized Append: err = %v, want ErrBatchTooLarge", round, err)
 		}
-		cols.Reset()
-		for _, v := range batch(40, 200, false) {
-			cols.Append(int32(v.Item), int32(v.Worker), v.Label == votes.Dirty)
-		}
-		if err := j.StageColumns(&cols, 0, cols.Len(), true, -1); !errors.Is(err, ErrBatchTooLarge) {
-			t.Fatalf("round %d: oversized StageColumns: err = %v, want ErrBatchTooLarge", round, err)
+		if err := j.Stage(batch(40, 200, false), true, -1); !errors.Is(err, ErrBatchTooLarge) {
+			t.Fatalf("round %d: oversized Stage: err = %v, want ErrBatchTooLarge", round, err)
 		}
 		// The journal stays healthy: a batch that fits goes through.
-		cols.Reset()
-		for _, v := range batch(3, 300+round, true) {
-			cols.Append(int32(v.Item), int32(v.Worker), v.Label == votes.Dirty)
-		}
-		if err := j.StageColumns(&cols, 0, cols.Len(), true, 7); err != nil {
-			t.Fatalf("round %d: StageColumns after a refusal: %v", round, err)
+		if err := j.Stage(batch(3, 300+round, true), true, 7); err != nil {
+			t.Fatalf("round %d: Stage after a refusal: %v", round, err)
 		}
 		if err := j.Commit(); err != nil {
 			t.Fatal(err)
@@ -250,7 +240,7 @@ func TestDirSyncErrorsAreReported(t *testing.T) {
 	var failed error
 	for i := 0; i < 100 && failed == nil; i++ {
 		batch := []votes.Vote{mkVote(i%10, 1, i%2 == 0), mkVote((i+3)%10, 1, false)}
-		if failed = j.Append(batch, true, -1); failed == nil {
+		if failed = appendCommit(j, batch, true, -1); failed == nil {
 			for _, v := range batch {
 				acked = append(acked, op{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
 			}
@@ -260,7 +250,7 @@ func TestDirSyncErrorsAreReported(t *testing.T) {
 	if !errors.Is(failed, injected) {
 		t.Fatalf("appends across a rotation whose directory sync fails: err = %v, want the injected error", failed)
 	}
-	if err := j.Append([]votes.Vote{mkVote(1, 1, true)}, true, -1); !errors.Is(err, injected) {
+	if err := appendCommit(j, []votes.Vote{mkVote(1, 1, true)}, true, -1); !errors.Is(err, injected) {
 		t.Fatalf("append after the failed rotation: err = %v, want the sticky injected error", err)
 	}
 	if err := j.Sync(); !errors.Is(err, injected) {

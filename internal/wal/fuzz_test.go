@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"dqm/internal/votelog"
@@ -28,10 +29,7 @@ func blockSeeds() [][]byte {
 	add(append(appendBlock(nil, []votes.Vote{v(4, 1<<40, true), v(5, 1<<40, false)}), opEnd))
 	add(append(appendBlock(nil, []votes.Vote{v(4, 1, true), v(5, -(1 << 35), false), v(6, 1, true)}), opEnd))
 	add(append(appendBlock(nil, []votes.Vote{v(1<<33, 2, true)}), opEnd))
-	var cols votelog.VoteColumns
-	cols.Append(9, 4, true)
-	cols.Append(10, 4, false)
-	add(append(appendColumnsBlock(nil, &cols, 0, cols.Len()), opEnd))
+	add(append(appendBlock(nil, []votes.Vote{v(9, 4, true), v(10, 4, false)}), opEnd))
 	add([]byte{opBlock, 0x00, opEnd})
 	add([]byte{opBlock, 0x01, 0x04, opEnd})
 	huge := binary.AppendUvarint([]byte{opBlock}, 1<<41|1)
@@ -135,11 +133,13 @@ func FuzzSegmentScan(f *testing.F) {
 		}
 		n := 0
 		hooks := Hooks{
-			Vote: func(item, worker int, dirty bool) error {
-				if item < 0 {
-					t.Fatalf("scanner surfaced negative item %d", item)
+			Votes: func(batch []votes.Vote) error {
+				for _, v := range batch {
+					if v.Item < 0 {
+						t.Fatalf("scanner surfaced negative item %d", v.Item)
+					}
 				}
-				n++
+				n += len(batch)
 				return nil
 			},
 			EndTask: func() { n++ },
@@ -162,7 +162,7 @@ func FuzzSegmentScan(f *testing.F) {
 	})
 }
 
-// event is one replayed record as a decode path reports it.
+// event is one replayed record.
 type event struct {
 	Kind   byte
 	Item   int
@@ -171,47 +171,90 @@ type event struct {
 	Start  int64
 }
 
-// decodeBoth decodes p through the per-vote hooks and through the batched
-// Votes/Cols path, returning each path's event stream and error, and the
-// capacity the batched path's scratch ended with.
-func decodeBoth(p []byte) (perVote, batched []event, errV, errB error, colsCap int) {
-	hooks := func(out *[]event) Hooks {
-		return Hooks{
-			Vote: func(item, worker int, dirty bool) error {
-				*out = append(*out, event{Kind: opVote, Item: item, Worker: worker, Dirty: dirty})
-				return nil
-			},
-			EndTask: func() { *out = append(*out, event{Kind: opEnd}) },
-			Reset:   func() { *out = append(*out, event{Kind: opReset}) },
-			Window: func(start int64) error {
-				*out = append(*out, event{Kind: opWindow, Start: start})
-				return nil
-			},
+// decodeEvents decodes p through the batched hooks, returning its event
+// stream, the batches as delivered, the capacity the scratch ended with, and
+// the error. With keepVotes unset the Votes hook is left nil, so votes are
+// decoded and dropped.
+func decodeEvents(p []byte, keepVotes bool) (events []event, batches [][]votes.Vote, scratchCap int, err error) {
+	var scratch []votes.Vote
+	h := Hooks{
+		EndTask: func() { events = append(events, event{Kind: opEnd}) },
+		Reset:   func() { events = append(events, event{Kind: opReset}) },
+		Window: func(start int64) error {
+			events = append(events, event{Kind: opWindow, Start: start})
+			return nil
+		},
+		Batch: &scratch,
+	}
+	if keepVotes {
+		h.Votes = func(batch []votes.Vote) error {
+			if len(batch) == 0 {
+				panic("empty batch delivered")
+			}
+			batches = append(batches, slices.Clone(batch))
+			for _, v := range batch {
+				events = append(events, event{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
+			}
+			return nil
 		}
 	}
-	errV = decodeRecords(p, hooks(&perVote))
-	h := hooks(&batched)
-	var cols votelog.VoteColumns
-	h.Cols = &cols
-	h.Votes = func(c *votelog.VoteColumns) error {
-		if c.Len() == 0 {
-			panic("empty batch delivered")
-		}
-		for i := range c.Item {
-			batched = append(batched, event{Kind: opVote, Item: int(c.Item[i]), Worker: int(c.Worker[i]), Dirty: c.Dirty[i]})
-		}
-		return nil
-	}
-	errB = decodeRecords(p, h)
-	return perVote, batched, errV, errB, cap(cols.Item)
+	err = decodeRecords(p, h)
+	return events, batches, cap(scratch), err
 }
 
-// FuzzRecordDecode is a differential check of the record codec: every payload
-// decodes through the per-vote hooks and through the batched Votes/Cols
-// path, and both must report the same vote, end, reset and window stream, or
-// both must reject it. A packed vote takes at least one bit, so a payload
-// holds at most eight votes per byte, and the batched path's scratch, which
-// grows by append, can never need to outgrow twice that.
+// withoutVotes returns the events that are not votes.
+func withoutVotes(events []event) []event {
+	var out []event
+	for _, e := range events {
+		if e.Kind != opVote {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// reencode writes events back as this build writes records, the way
+// compaction does: each batch as one packed record, each boundary folded
+// into the record before it when that is a batch. ok is false when a batch
+// holds an item no packed record can hold.
+func reencode(events []event, batches [][]votes.Vote) (p []byte, ok bool) {
+	open := -1
+	for i := 0; i < len(events); {
+		switch e := events[i]; e.Kind {
+		case opVote:
+			b := batches[0]
+			batches = batches[1:]
+			q, err := appendPacked(p, b, false)
+			if err != nil {
+				return nil, false
+			}
+			open, p = len(p)+1, q
+			i += len(b)
+			continue
+		case opEnd:
+			if open < 0 {
+				p = append(p, opEnd)
+			} else {
+				p[open] |= 1
+			}
+		case opReset:
+			p = append(p, opReset)
+		case opWindow:
+			p = appendWindow(p, e.Start)
+		}
+		open = -1
+		i++
+	}
+	return p, true
+}
+
+// FuzzRecordDecode checks the record decoder on arbitrary payloads. Decoding
+// with and without a Votes hook must accept and reject the same payloads and
+// report the same end, reset and window stream. What is accepted, written
+// back as compaction writes it, must decode to the same stream. A packed
+// vote takes at least one bit, so a payload holds at most eight votes per
+// byte, and the scratch, which grows by append, can never need to outgrow
+// twice that.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{opEnd, opReset})
 	var rec []byte
@@ -221,7 +264,7 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add(appendColumns(nil, votelog.AppendBinaryVote(nil, 9, 4, true)))
 	// A columnar record whose declared length overruns the payload.
 	f.Add([]byte{opColumns, 0xff, 0xff, 0x7f, 'V'})
-	// Votes outside the columnar int32 domain, between batchable ones.
+	// A worker outside int32 between small ones, across record kinds.
 	mixed := appendVote(nil, votes.Vote{Item: 2, Worker: 1})
 	mixed = appendVote(mixed, votes.Vote{Item: 3, Worker: math.MaxInt32 + 1, Label: votes.Dirty})
 	mixed = appendColumns(mixed, votelog.AppendBinaryVote(nil, 4, 1, false))
@@ -231,26 +274,37 @@ func FuzzRecordDecode(f *testing.F) {
 	}
 	f.Add(multiBatchSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		perVote, batched, errV, errB, colsCap := decodeBoth(data)
-		if (errV == nil) != (errB == nil) {
-			t.Fatalf("paths disagree on rejection: per-vote %v, batched %v", errV, errB)
+		events, batches, scratchCap, err := decodeEvents(data, true)
+		bare, _, _, errBare := decodeEvents(data, false)
+		if (err == nil) != (errBare == nil) {
+			t.Fatalf("the Votes hook changes rejection: with %v, without %v", err, errBare)
 		}
-		if errV == nil && !reflect.DeepEqual(perVote, batched) {
-			t.Fatalf("paths disagree:\nper-vote %v\n batched %v", perVote, batched)
+		if limit := 16*len(data) + 16; scratchCap > limit {
+			t.Fatalf("scratch grew to %d votes for a %d-byte payload", scratchCap, len(data))
 		}
-		if limit := 16*len(data) + 16; colsCap > limit {
-			t.Fatalf("batched scratch grew to %d rows for a %d-byte payload", colsCap, len(data))
+		if err != nil {
+			return
+		}
+		if want := withoutVotes(events); !reflect.DeepEqual(bare, want) {
+			t.Fatalf("dropping votes changes the other records:\n without %v\n    with %v", bare, want)
+		}
+		p, ok := reencode(events, batches)
+		if !ok {
+			return
+		}
+		again, _, _, err := decodeEvents(p, true)
+		if err != nil || !reflect.DeepEqual(again, events) {
+			t.Fatalf("written back, the stream changes (err %v):\n was %v\n now %v", err, events, again)
 		}
 	})
 }
 
 // FuzzPackedRoundTrip encodes random batches as opPacked records — widths 0
 // to 31, a shared worker or mixed ones (some outside int32), with and
-// without a folded task boundary — and decodes them through the per-vote and
-// the batched hooks: both must give back the batch's votes in order, then
+// without a folded task boundary — and decodes them through the batched
+// hooks: they must give back the batch's votes in order, as one batch, then
 // the boundary when it was folded in. The record's opcode must carry the
-// largest item's bit width, and the columnar encoder must write the same
-// bytes whenever the batch fits its int32 domain.
+// largest item's bit width.
 func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(20), uint8(13), uint8(0), true)
 	f.Add(int64(2), uint16(1), uint8(0), uint8(1), false)
@@ -298,39 +352,23 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			t.Fatalf("opcode 0x%02x, want 0x%02x", p[0], opPacked|width)
 		}
 		var want []event
-		inInt32 := true
-		for _, v := range batch {
-			want = append(want, event{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
-			inInt32 = inInt32 && v.Worker >= math.MinInt32 && v.Worker <= math.MaxInt32
-		}
 		if end {
 			want = append(want, event{Kind: opEnd})
 		}
-		perVote, batched, errV, errB, _ := decodeBoth(p)
-		if errV != nil || errB != nil {
-			t.Fatalf("decode: per-vote %v, batched %v", errV, errB)
+		events, batches, _, err := decodeEvents(p, true)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
 		}
-		if !reflect.DeepEqual(perVote, want) || !reflect.DeepEqual(batched, want) {
-			t.Fatalf("round trip lost votes:\n     want %v\nper-vote %v\n batched %v", want, perVote, batched)
-		}
-		if inInt32 {
-			var cols votelog.VoteColumns
-			cols.Append(0, 0, false) // rows before from are not encoded
-			for _, v := range batch {
-				cols.Append(int32(v.Item), int32(v.Worker), v.Label == votes.Dirty)
-			}
-			c, err := appendPackedColumns(nil, &cols, 1, cols.Len(), end)
-			if err != nil || !bytes.Equal(c, p) {
-				t.Fatalf("columnar encoding differs (err %v):\n%x\n%x", err, c, p)
-			}
+		if len(batches) != 1 || !reflect.DeepEqual(batches[0], batch) || !reflect.DeepEqual(withoutVotes(events), want) {
+			t.Fatalf("round trip lost votes:\nwant %v then %v\n got %v", batch, want, events)
 		}
 	})
 }
 
 // TestPackedRefusesWideItems: an item outside [0, 2^31) does not fit an
-// opPacked record. Both encoders refuse it with errItemTooWide and leave the
+// opPacked record. The encoder refuses it with errItemTooWide and leaves the
 // buffer as it was, and the journal stages nothing for the batch and stays
-// healthy: later batches are recovered, the refused one is not.
+// healthy: later batches are recovered, the refused ones are not.
 func TestPackedRefusesWideItems(t *testing.T) {
 	for _, item := range []int{math.MaxInt32 + 1, -1, 1 << 40} {
 		batch := []votes.Vote{mkVote(3, 1, true), mkVote(item, 1, false)}
@@ -338,25 +376,19 @@ func TestPackedRefusesWideItems(t *testing.T) {
 			t.Errorf("item %d: appendPacked = (%x, %v), want the buffer untouched and errItemTooWide", item, buf, err)
 		}
 	}
-	var cols votelog.VoteColumns
-	cols.Append(2, 1, true)
-	cols.Append(-5, 1, false)
-	if buf, err := appendPackedColumns(nil, &cols, 0, 2, false); !errors.Is(err, errItemTooWide) || len(buf) != 0 {
-		t.Errorf("appendPackedColumns = (%x, %v), want nothing and errItemTooWide", buf, err)
-	}
 
 	s := testStore(t, Options{Fsync: FsyncNever})
 	j, err := s.Create(Meta{ID: "wide", Items: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]votes.Vote{mkVote(1, 1, true), mkVote(math.MaxInt32+1, 1, true)}, true, 4); !errors.Is(err, errItemTooWide) {
+	if err := appendCommit(j, []votes.Vote{mkVote(1, 1, true), mkVote(math.MaxInt32+1, 1, true)}, true, 4); !errors.Is(err, errItemTooWide) {
 		t.Fatalf("Append of a wide item: err = %v, want errItemTooWide", err)
 	}
-	if err := j.StageColumns(&cols, 0, 2, true, -1); !errors.Is(err, errItemTooWide) {
-		t.Fatalf("StageColumns of a negative item: err = %v, want errItemTooWide", err)
+	if err := j.Stage([]votes.Vote{mkVote(2, 1, true), mkVote(-5, 1, false)}, true, -1); !errors.Is(err, errItemTooWide) {
+		t.Fatalf("Stage of a negative item: err = %v, want errItemTooWide", err)
 	}
-	if err := j.Append([]votes.Vote{mkVote(7, 2, false)}, true, -1); err != nil {
+	if err := appendCommit(j, []votes.Vote{mkVote(7, 2, false)}, true, -1); err != nil {
 		t.Fatalf("Append after a refusal: %v", err)
 	}
 	if err := j.Close(); err != nil {

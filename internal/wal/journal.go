@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dqm/internal/votelog"
 	"dqm/internal/votes"
 )
 
@@ -106,18 +105,21 @@ func createSegment(dir string, seq uint64) (*os.File, int64, error) {
 // never come.
 var ErrBatchTooLarge = errors.New("wal: batch does not fit in one journal frame (64 MiB)")
 
-// Append write-ahead-logs one engine batch and commits it: it stages the
-// votes as one packed record into the open frame, with the task boundary
-// folded in when endTask is set (a bare opEnd when the batch is empty) and,
-// when windowStart >= 0, the window rotation that boundary seals behind it.
-// Frames are sealed only between batches, so a boundary and its rotation
-// always share a frame and a torn tail can never separate them: recovery
-// sees both or neither, and replayed window boundaries always match an
-// uninterrupted run. windowStart is the first completed-task index of the
+// Stage write-ahead-logs one engine batch into the open frame without
+// applying the fsync policy: the votes as one packed record, with the task
+// boundary folded in when endTask is set (a bare opEnd when the batch is
+// empty) and, when windowStart >= 0, the window rotation that boundary seals
+// behind it. Frames are sealed only between batches, so a boundary and its
+// rotation always share a frame and a torn tail can never separate them:
+// recovery sees both or neither, and replayed window boundaries always match
+// an uninterrupted run. windowStart is the first completed-task index of the
 // sealed window; pass -1 for none. An item outside [0, 2^31) is refused
-// whole, staging nothing. Append must be called before the batch is applied
-// to in-memory state.
-func (j *Journal) Append(batch []votes.Vote, endTask bool, windowStart int64) error {
+// whole, staging nothing. The caller must have validated the batch's items
+// against the population first: the journal must never hold a record replay
+// would reject. A staged batch is durable only after the next Commit
+// returns, so a write stages every batch, commits once, and only then
+// applies them to in-memory state.
+func (j *Journal) Stage(batch []votes.Vote, endTask bool, windowStart int64) error {
 	if len(batch) == 0 && !endTask {
 		return nil
 	}
@@ -135,38 +137,7 @@ func (j *Journal) Append(batch []votes.Vote, endTask bool, windowStart int64) er
 		}
 	}
 	j.wbuf = appendTaskEnd(buf, endTask, len(batch) > 0, windowStart)
-	if err := j.staged(start, from); err != nil {
-		return err
-	}
-	return j.Commit()
-}
-
-// StageColumns stages rows [from, to) of decoded vote columns into the open
-// frame without applying the fsync policy: the votes as one packed record,
-// with the boundary and rotation as in Append. The caller must have
-// validated the rows (item bounds) first: the journal must never hold a
-// record replay would reject. A staged batch is durable only after the next
-// Commit returns, so a multi-task write stages every task and commits once
-// before applying any of them.
-func (j *Journal) StageColumns(cols *votelog.VoteColumns, from, to int, endTask bool, windowStart int64) error {
-	if from == to && !endTask {
-		return nil
-	}
-	if err := j.lock(); err != nil {
-		return err
-	}
-	start := time.Now()
-	buf := j.openFrame()
-	at := len(buf)
-	if from < to {
-		var err error
-		if buf, err = appendPackedColumns(buf, cols, from, to, endTask); err != nil {
-			j.mu.Unlock()
-			return err
-		}
-	}
-	j.wbuf = appendTaskEnd(buf, endTask, from < to, windowStart)
-	return j.staged(start, at)
+	return j.staged(start, from)
 }
 
 // Reset logs a session reset. The next compaction discards everything before
@@ -393,27 +364,16 @@ func (j *Journal) compactLocked() error {
 	// open is the offset of the head of body's last record while that is a
 	// packed record a task boundary can still fold into, else -1.
 	open := -1
-	packed := func(b []byte, err error) error {
-		if err == nil {
-			open = len(body) + 1
-			body = b
-		}
-		return err
-	}
 	appendHooks := Hooks{
-		Votes: func(cols *votelog.VoteColumns) error {
-			return packed(appendPackedColumns(body, cols, 0, cols.Len(), false))
-		},
-		Cols: &votelog.VoteColumns{},
-		// A vote outside the columnar int32 domain arrives alone, in order.
-		Vote: func(item, worker int, dirty bool) error {
-			label := votes.Clean
-			if dirty {
-				label = votes.Dirty
+		Votes: func(batch []votes.Vote) error {
+			b, err := appendPacked(body, batch, false)
+			if err == nil {
+				open = len(body) + 1
+				body = b
 			}
-			one := [1]votes.Vote{{Item: item, Worker: worker, Label: label}}
-			return packed(appendPacked(body, one[:], false))
+			return err
 		},
+		Batch: new([]votes.Vote),
 		EndTask: func() {
 			if open < 0 {
 				body = append(body, opEnd)

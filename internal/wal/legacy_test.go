@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"time"
 
-	"dqm/internal/votelog"
 	"dqm/internal/votes"
 )
 
@@ -57,28 +56,6 @@ func appendBlock(buf []byte, batch []votes.Vote) []byte {
 		buf = binary.AppendUvarint(buf, voteKey(uint64(v.Item), v.Label == votes.Dirty))
 		if !shared {
 			buf = binary.AppendUvarint(buf, zigzag(int64(v.Worker)))
-		}
-	}
-	return buf
-}
-
-// appendColumnsBlock appends rows [from, to) of cols as one opBlock record.
-// The range must not be empty.
-func appendColumnsBlock(buf []byte, cols *votelog.VoteColumns, from, to int) []byte {
-	items, workers, dirty := cols.Item[from:to], cols.Worker[from:to], cols.Dirty[from:to]
-	w := workers[0]
-	shared := true
-	for _, x := range workers[1:] {
-		if x != w {
-			shared = false
-			break
-		}
-	}
-	buf = appendBlockHead(buf, len(items), shared, int64(w))
-	for i, item := range items {
-		buf = binary.AppendUvarint(buf, voteKey(uint64(uint32(item)), dirty[i]))
-		if !shared {
-			buf = binary.AppendUvarint(buf, zigzag(int64(workers[i])))
 		}
 	}
 	return buf

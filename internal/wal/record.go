@@ -8,7 +8,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"dqm/internal/votelog"
 	"dqm/internal/votes"
 )
 
@@ -61,13 +60,21 @@ const (
 // keeps a corrupt length varint from asking the decoder to slice gigabytes.
 const maxColumnsLen = 1 << 26
 
-// Hooks receives the decoded record stream during replay. Vote may reject a
-// record (e.g. an out-of-population item after external tampering) and
+// Hooks receives the decoded record stream during replay. Votes may reject
+// a batch (e.g. an out-of-population item after external tampering) and
 // Window a rotation that does not match the deterministically replayed
 // window state; either error aborts replay and is reported as corruption,
 // not as a torn tail.
 type Hooks struct {
-	Vote    func(item, worker int, dirty bool) error
+	// Votes receives runs of consecutive votes — whatever records hold them
+	// — as one batch per flush point: a task boundary, whether an opEnd or
+	// folded into a vote record, any other non-vote record, or the end of
+	// the frame payload. A frame holds every batch staged between two
+	// buffer flushes, each task's ending in a boundary, so batches arrive
+	// task-sized (votes staged without a boundary join the next task's), in
+	// record order. The batch is the decoder's scratch, valid only during
+	// the call. When Votes is nil, votes are decoded and dropped.
+	Votes   func(batch []votes.Vote) error
 	EndTask func()
 	Reset   func()
 	// Window observes a window-rotation record: the window starting at
@@ -75,23 +82,10 @@ type Hooks struct {
 	// immediately before it (always in the same frame as that boundary).
 	Window func(start int64) error
 
-	// Votes, when set, selects the batched replay path: runs of consecutive
-	// votes — whatever records hold them — are decoded into Cols and
-	// delivered as one batch per flush point (a task boundary, whether an
-	// opEnd or folded into a vote record, any other non-vote record, or the
-	// end of the frame payload). A frame holds every batch staged between
-	// two buffer flushes, each task's ending in a boundary, so batches
-	// arrive task-sized (votes staged without a boundary join the next
-	// task's), and batch order equals record order — replayed state is
-	// bit-identical to the per-vote path. The rare vote
-	// whose item or worker does not fit the columnar int32 domain is
-	// delivered through Vote instead (after a flush, preserving order), so
-	// Vote should still be set as the fallback.
-	Votes func(cols *votelog.VoteColumns) error
-	// Cols is the reused decode scratch for Votes; replay grows it once and
-	// refills it per batch, so long journals replay without per-batch
-	// allocation. Required when Votes is set.
-	Cols *votelog.VoteColumns
+	// Batch, when set, is the reused decode scratch for Votes: replay grows
+	// it once and refills it per batch, so long journals replay without
+	// per-batch allocation.
+	Batch *[]votes.Vote
 	// Buf, when set, is the reused segment read buffer of Store.Recover:
 	// each segment is read whole into *Buf, which grows only for a segment
 	// larger than any before, so a caller recovering many sessions reads
@@ -208,36 +202,6 @@ func appendPacked(buf []byte, batch []votes.Vote, end bool) ([]byte, error) {
 	return buf, nil
 }
 
-// appendPackedColumns appends rows [from, to) of cols as one opPacked record,
-// as appendPacked does a batch. The range must not be empty.
-func appendPackedColumns(buf []byte, cols *votelog.VoteColumns, from, to int, end bool) ([]byte, error) {
-	items, workers, dirty := cols.Item[from:to], cols.Worker[from:to], cols.Dirty[from:to]
-	w := workers[0]
-	shared := true
-	var top uint32
-	for i, item := range items {
-		top |= uint32(item)
-		shared = shared && workers[i] == w
-	}
-	width := bits.Len32(top)
-	if width > maxPackedWidth {
-		i := slices.IndexFunc(items, func(item int32) bool { return item < 0 })
-		return buf, fmt.Errorf("%w: item %d", errItemTooWide, items[i])
-	}
-	buf = appendPackedHead(buf, width, len(items), shared, int64(w), end)
-	buf, bw := newBitWriter(buf, len(items), uint(width)+1)
-	for i, item := range items {
-		bw.put(voteKey(uint64(item), dirty[i]))
-	}
-	bw.done()
-	if !shared {
-		for _, x := range workers {
-			buf = binary.AppendUvarint(buf, zigzag(int64(x)))
-		}
-	}
-	return buf, nil
-}
-
 // appendTaskEnd appends what follows a batch's votes when endTask is set: the
 // task boundary as opEnd unless the batch's vote record folded it in, then,
 // when windowStart >= 0, the window rotation that boundary seals.
@@ -264,13 +228,11 @@ func appendWindow(buf []byte, start int64) []byte {
 // payloads are streams of exactly these records.
 const binOpVote byte = 'V'
 
-// decoder streams one record payload through Hooks. In batched mode (cols
-// set) votes collect in cols until a flush point; otherwise each goes to
-// h.Vote as it is decoded. Every vote record decodes through vote, so the two
-// modes see one vote stream by construction.
+// decoder streams one record payload through Hooks: votes collect in batch
+// until a flush point delivers them to h.Votes.
 type decoder struct {
-	h    Hooks
-	cols *votelog.VoteColumns
+	h     Hooks
+	batch []votes.Vote
 }
 
 var (
@@ -278,21 +240,23 @@ var (
 	errVoteWorker = errors.New("wal: bad vote worker varint")
 )
 
-// decodeRecords streams one frame payload (or snapshot body) through h,
-// selecting the batched path when h.Votes is set. Record order is preserved
-// exactly — batches are contiguous runs of votes — which keeps replayed state
-// bit-identical to the per-vote path.
+// decodeRecords streams one frame payload (or snapshot body) through h.
+// Record order is preserved exactly — batches are contiguous runs of votes —
+// which keeps replayed state bit-identical to the stream that was journaled.
 func decodeRecords(p []byte, h Hooks) error {
 	d := decoder{h: h}
-	if h.Votes != nil {
-		d.cols = h.Cols
-		if d.cols == nil {
-			// Callers pass a reused scratch; tolerate its absence at the cost
-			// of one allocation per payload.
-			d.cols = &votelog.VoteColumns{}
-		}
-		d.cols.Reset()
+	if h.Batch != nil {
+		d.batch = (*h.Batch)[:0]
 	}
+	err := d.records(p)
+	if h.Batch != nil {
+		*h.Batch = d.batch[:0]
+	}
+	return err
+}
+
+// records decodes every record of p.
+func (d *decoder) records(p []byte) error {
 	for len(p) > 0 {
 		op := p[0]
 		p = p[1:]
@@ -323,8 +287,8 @@ func decodeRecords(p []byte, h Hooks) error {
 		case opEnd:
 			err = d.endTask()
 		case opReset:
-			if err = d.flush(); err == nil && h.Reset != nil {
-				h.Reset()
+			if err = d.flush(); err == nil && d.h.Reset != nil {
+				d.h.Reset()
 			}
 		case opWindow:
 			start, n := binary.Uvarint(p)
@@ -332,8 +296,8 @@ func decodeRecords(p []byte, h Hooks) error {
 				return fmt.Errorf("wal: bad window start varint")
 			}
 			p = p[n:]
-			if err = d.flush(); err == nil && h.Window != nil {
-				err = h.Window(int64(start))
+			if err = d.flush(); err == nil && d.h.Window != nil {
+				err = d.h.Window(int64(start))
 			}
 		default:
 			return fmt.Errorf("wal: unknown record opcode 0x%02x", op)
@@ -500,24 +464,20 @@ func (d *decoder) columns(raw []byte) error {
 	return nil
 }
 
-// vote delivers one decoded vote: into the open batch when it fits the
-// columnar int32 domain, otherwise (and in per-vote mode) through h.Vote,
-// after flushing the batch so order is kept.
+// vote adds one decoded vote to the open batch, or drops it when no Votes
+// hook is set.
 func (d *decoder) vote(item uint64, worker int64, dirty bool) error {
 	if int64(int(worker)) != worker {
 		return fmt.Errorf("wal: worker id %d out of range", worker)
 	}
-	if d.cols != nil && item <= math.MaxInt32 && worker >= math.MinInt32 && worker <= math.MaxInt32 {
-		d.cols.Append(int32(item), int32(worker), dirty)
-		return nil
+	if d.h.Votes != nil {
+		label := votes.Clean
+		if dirty {
+			label = votes.Dirty
+		}
+		d.batch = append(d.batch, votes.Vote{Item: int(item), Worker: int(worker), Label: label})
 	}
-	if err := d.flush(); err != nil {
-		return err
-	}
-	if d.h.Vote == nil {
-		return nil
-	}
-	return d.h.Vote(int(item), int(worker), dirty)
+	return nil
 }
 
 // endTask delivers the open batch, then a task boundary.
@@ -533,10 +493,10 @@ func (d *decoder) endTask() error {
 
 // flush delivers the open batch, if any.
 func (d *decoder) flush() error {
-	if d.cols == nil || d.cols.Len() == 0 {
+	if len(d.batch) == 0 {
 		return nil
 	}
-	err := d.h.Votes(d.cols)
-	d.cols.Reset()
+	err := d.h.Votes(d.batch)
+	d.batch = d.batch[:0]
 	return err
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -46,7 +47,7 @@ func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op
 						batch[k] = mkVote(rng.Intn(40), rng.Intn(6), rng.Intn(2) == 0)
 						ops = append(ops, op{Kind: opVote, Item: batch[k].Item, Worker: batch[k].Worker, Dirty: batch[k].Label == votes.Dirty})
 					}
-					if err := js[i].Append(batch, true, -1); err != nil {
+					if err := appendCommit(js[i], batch, true, -1); err != nil {
 						errs[i] = err
 						return
 					}
@@ -64,7 +65,7 @@ func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op
 					}
 					ops = append(ops, op{Kind: opEnd})
 				case 2: // bare task boundary
-					if err := js[i].Append(nil, true, -1); err != nil {
+					if err := appendCommit(js[i], nil, true, -1); err != nil {
 						errs[i] = err
 						return
 					}
@@ -213,7 +214,7 @@ func TestSyncerClosedFallsBackToDirectSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]votes.Vote{mkVote(1, 0, true)}, true, -1); err != nil {
+	if err := appendCommit(j, []votes.Vote{mkVote(1, 0, true)}, true, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -223,7 +224,7 @@ func TestSyncerClosedFallsBackToDirectSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The syncer is gone; this append must still succeed and be durable.
-	if err := j.Append([]votes.Vote{mkVote(2, 1, false)}, true, -1); err != nil {
+	if err := appendCommit(j, []votes.Vote{mkVote(2, 1, false)}, true, -1); err != nil {
 		t.Fatalf("append after store close: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -249,21 +250,19 @@ func TestSyncerClosedFallsBackToDirectSync(t *testing.T) {
 	}
 }
 
-// commitColumns journals raw DQMV 'V' records as one durable frame: decoded
-// into columns, then StageColumns and Commit.
+// commitColumns journals raw DQMV 'V' records as binary ingest does: decoded
+// into a batch, then Stage and Commit.
 func commitColumns(j *Journal, raw []byte, endTask bool, windowStart int64) error {
-	var cols votelog.VoteColumns
-	if err := cols.Decode(raw); err != nil {
+	batch, err := votelog.DecodeVotes(nil, raw)
+	if err != nil {
 		return err
 	}
-	if err := j.StageColumns(&cols, 0, cols.Len(), endTask, windowStart); err != nil {
-		return err
-	}
-	return j.Commit()
+	return appendCommit(j, batch, endTask, windowStart)
 }
 
-// TestAppendColumnsRoundTrip: columnar frames recover through the same Vote
-// hook as per-vote frames — encoding is a journal detail, not a recovery one.
+// TestAppendColumnsRoundTrip: batches decoded from DQMV vote records recover
+// through the same Votes hook as library batches — where a batch came from
+// is an ingest detail, not a recovery one.
 func TestAppendColumnsRoundTrip(t *testing.T) {
 	s := testStore(t, Options{Fsync: FsyncNever})
 	j, err := s.Create(Meta{ID: "cols", Items: 100})
@@ -310,7 +309,7 @@ func TestAppendColumnsRoundTrip(t *testing.T) {
 
 // TestCompactionRewritesColumnarRecords: history holding the opColumns
 // records earlier builds wrote must survive compaction, which rewrites it as
-// block records.
+// packed records.
 func TestCompactionRewritesColumnarRecords(t *testing.T) {
 	s := testStore(t, Options{Fsync: FsyncNever, SegmentBytes: 128, CompactAfter: 256})
 	j, err := s.Create(Meta{ID: "colpack", Items: 50})
@@ -345,5 +344,59 @@ func TestCompactionRewritesColumnarRecords(t *testing.T) {
 	defer j2.Close()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("columnar history lost through compaction: got %d ops, want %d", len(got), len(want))
+	}
+}
+
+// TestRecoverWideWorkersFromLegacyRecords: the opVote and opBlock records of
+// earlier builds carry any int worker, so a segment holding workers outside
+// int32 in both, shared and per vote, must replay them in order, and
+// compaction must carry them into its snapshot.
+func TestRecoverWideWorkersFromLegacyRecords(t *testing.T) {
+	s := testStore(t, Options{Fsync: FsyncNever, SegmentBytes: 128, CompactAfter: 256})
+	j, err := s.Create(Meta{ID: "legacywide", Items: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := []int{1 << 40, -(1 << 40), math.MaxInt32 + 1, math.MinInt32 - 1}
+	var want []op
+	keep := func(b []votes.Vote) []votes.Vote {
+		for _, v := range b {
+			want = append(want, op{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
+		}
+		return b
+	}
+	rng := rand.New(rand.NewSource(40))
+	for i := 0; i < 120; i++ {
+		w := wide[i%len(wide)]
+		var p []byte
+		switch i % 3 {
+		case 0: // one opVote per vote
+			for _, v := range keep([]votes.Vote{mkVote(rng.Intn(50), w, true), mkVote(rng.Intn(50), 3, false)}) {
+				p = appendVote(p, v)
+			}
+		case 1: // a block sharing a wide worker
+			p = appendBlock(nil, keep([]votes.Vote{mkVote(rng.Intn(50), w, false), mkVote(rng.Intn(50), w, true)}))
+		case 2: // a block of mixed workers
+			p = appendBlock(nil, keep([]votes.Vote{mkVote(rng.Intn(50), 2, true), mkVote(rng.Intn(50), w, false), mkVote(rng.Intn(50), -w, true)}))
+		}
+		if err := commitPayload(j, append(p, opEnd)); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, op{Kind: opEnd})
+	}
+	if j.snapSeq == 0 {
+		t.Fatal("no compaction happened despite tiny thresholds")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []op
+	j2, err := s.Recover("legacywide", recHooks(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("wide workers lost: got %d ops, want %d\n got %v\nwant %v", len(got), len(want), got, want)
 	}
 }

@@ -12,8 +12,8 @@
 //
 // A segment is a 5-byte header (magic "DQMW", version 1) followed by frames.
 // Each frame is one flush of the journal's group-commit buffer: every batch
-// staged since the previous flush — Append calls, task blocks of AppendLog
-// calls, Resets — encoded as
+// staged since the previous flush — a Stage call per engine batch (an Append,
+// or one task block of an AppendLog), and Resets — encoded as
 //
 //	uvarint(len(payload)) | crc32c(payload) LE | payload
 //
@@ -27,9 +27,12 @@
 // opEnd, a bare task boundary; opReset; opWindow start — a windowed
 // session's rotation, always in the same frame as the boundary that sealed
 // it, so task boundaries and their window rotations are crash-atomic. Every
-// write path emits opPacked; the opVote, opColumns and opBlock vote records
-// of earlier builds stay readable, so their data dirs recover. A torn or corrupt frame at the tail of the final segment
-// marks the end of durable history: recovery replays every intact frame
+// write path stages a []votes.Vote batch, which Stage writes as opPacked;
+// the opVote, opColumns and opBlock vote records of earlier builds stay
+// readable, so their data dirs recover, and replay decodes every vote
+// record, whatever its item or worker, into the one batch shape Hooks.Votes
+// receives. A torn or corrupt frame at the tail of the final segment marks
+// the end of durable history: recovery replays every intact frame
 // before it and truncates the rest, so the journal never admits a gap. A
 // final segment whose header is a torn prefix of the magic (or zeros) was
 // never written to and is recreated; any other unknown header, and

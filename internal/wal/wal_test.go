@@ -27,8 +27,10 @@ type op struct {
 // recHooks collects replayed records. Window starts are recorded in Item.
 func recHooks(out *[]op) Hooks {
 	return Hooks{
-		Vote: func(item, worker int, dirty bool) error {
-			*out = append(*out, op{Kind: opVote, Item: item, Worker: worker, Dirty: dirty})
+		Votes: func(batch []votes.Vote) error {
+			for _, v := range batch {
+				*out = append(*out, op{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
+			}
 			return nil
 		},
 		EndTask: func() { *out = append(*out, op{Kind: opEnd}) },
@@ -64,6 +66,15 @@ func testStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// appendCommit stages batch and commits it, the write every engine mutation
+// makes.
+func appendCommit(j *Journal, batch []votes.Vote, endTask bool, windowStart int64) error {
+	if err := j.Stage(batch, endTask, windowStart); err != nil {
+		return err
+	}
+	return j.Commit()
+}
+
 func mkVote(item, worker int, dirty bool) votes.Vote {
 	l := votes.Clean
 	if dirty {
@@ -80,7 +91,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	var want []op
 	append1 := func(batch []votes.Vote, end bool) {
-		if err := j.Append(batch, end, -1); err != nil {
+		if err := appendCommit(j, batch, end, -1); err != nil {
 			t.Fatal(err)
 		}
 		for _, v := range batch {
@@ -92,7 +103,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	append1([]votes.Vote{mkVote(1, 0, true), mkVote(2, 1, false)}, true)
 	append1([]votes.Vote{mkVote(3, -7, true)}, false) // negative worker ids survive zigzag
-	if err := j.Append(nil, true, -1); err != nil {
+	if err := appendCommit(j, nil, true, -1); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, op{Kind: opEnd})
@@ -110,7 +121,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("recovered ops mismatch:\n got %v\nwant %v", got, want)
 	}
 	// The recovered journal keeps appending where the old one stopped.
-	if err := j2.Append([]votes.Vote{mkVote(9, 2, true)}, true, -1); err != nil {
+	if err := appendCommit(j2, []votes.Vote{mkVote(9, 2, true)}, true, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
@@ -138,7 +149,7 @@ func TestAppendRotationRoundTrip(t *testing.T) {
 	}
 	var want []op
 	batch := []votes.Vote{mkVote(4, 1, true), mkVote(9, 2, false)}
-	if err := j.Append(batch, true, 30); err != nil {
+	if err := appendCommit(j, batch, true, 30); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range batch {
@@ -146,7 +157,7 @@ func TestAppendRotationRoundTrip(t *testing.T) {
 	}
 	want = append(want, op{Kind: opEnd}, op{Kind: opWindow, Item: 30})
 	// A bare rotation boundary (EndTask with no votes) works too.
-	if err := j.Append(nil, true, 40); err != nil {
+	if err := appendCommit(j, nil, true, 40); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, op{Kind: opEnd}, op{Kind: opWindow, Item: 40})
@@ -180,12 +191,12 @@ func TestCompactionPreservesWindowRecords(t *testing.T) {
 		want = append(want, op{Kind: opVote, Item: batch[0].Item, Worker: batch[0].Worker, Dirty: batch[0].Label == votes.Dirty})
 		if i%5 == 4 {
 			start := int64(i - 4)
-			if err := j.Append(batch, true, start); err != nil {
+			if err := appendCommit(j, batch, true, start); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, op{Kind: opEnd}, op{Kind: opWindow, Item: int(start)})
 		} else {
-			if err := j.Append(batch, true, -1); err != nil {
+			if err := appendCommit(j, batch, true, -1); err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, op{Kind: opEnd})
@@ -217,7 +228,7 @@ func TestClosedJournalRefusesWrites(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append([]votes.Vote{mkVote(0, 0, true)}, false, -1); err != ErrClosed {
+	if err := appendCommit(j, []votes.Vote{mkVote(0, 0, true)}, false, -1); err != ErrClosed {
 		t.Fatalf("append on closed journal: got %v, want ErrClosed", err)
 	}
 }
@@ -302,7 +313,7 @@ func journalSealed(t *testing.T, j *Journal, n, itemSpace int, seed int64, sealO
 			batch[k] = mkVote(rng.Intn(itemSpace), rng.Intn(5), rng.Intn(2) == 0)
 			ops = append(ops, op{Kind: opVote, Item: batch[k].Item, Worker: batch[k].Worker, Dirty: batch[k].Label == votes.Dirty})
 		}
-		if err := j.Append(batch, true, -1); err != nil {
+		if err := appendCommit(j, batch, true, -1); err != nil {
 			t.Fatal(err)
 		}
 		ops = append(ops, op{Kind: opEnd})
