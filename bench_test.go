@@ -6,7 +6,9 @@
 //
 // Micro-benchmarks cover the hot paths (vote ingestion, switch tracking,
 // estimator evaluation, similarity scoring), and BenchmarkAblation* measure
-// the design alternatives called out in DESIGN.md §5.
+// the design alternatives internal/experiment ablates: the switch-counting
+// policy, the n of sign-specific switch estimation, the vChao92 shift and
+// the estimator baselines.
 package dqm
 
 import (
@@ -60,7 +62,8 @@ func BenchmarkFig7cBothErrors(b *testing.B)            { benchFigure(b, "7c") }
 func BenchmarkFig8EpsilonSweep(b *testing.B)           { benchFigure(b, "8") }
 func BenchmarkSec321WorkedExamples(b *testing.B)       { benchFigure(b, "sec321") }
 
-// Ablation benches for the design choices in DESIGN.md §5.
+// Ablation benches for the design choices internal/experiment/ablation.go
+// compares.
 
 func BenchmarkAblationSwitchVariants(b *testing.B) { benchFigure(b, "ablation-switch") }
 func BenchmarkAblationVChaoShift(b *testing.B)     { benchFigure(b, "ablation-vchao") }
@@ -84,7 +87,7 @@ func BenchmarkBootstrapSwitchCI(b *testing.B) {
 	})
 	e := estimator.NewSwitch(pop.N(), estimator.SwitchConfig{RetainLedgers: true})
 	for _, task := range sim.Tasks(300) {
-		for _, v := range task.Votes() {
+		for _, v := range task.AppendVotes(nil) {
 			e.Observe(v)
 		}
 		e.EndTask()
@@ -93,7 +96,13 @@ func BenchmarkBootstrapSwitchCI(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.BootstrapSwitch(50, 0.95, rng); err != nil {
+		st, err := e.CaptureBootstrap()
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = st.Bootstrap(50, 0.95, rng, 1)
+		st.Release()
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,9 +336,9 @@ func BenchmarkCrowdSimulatorTask(b *testing.B) {
 }
 
 func BenchmarkFingerprintShift(b *testing.B) {
-	f := stats.Freq{0, 100, 50, 25, 12, 6, 3, 1}
+	rf := stats.NewRunningFreq(stats.Freq{0, 100, 50, 25, 12, 6, 3, 1})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = f.Shift(1)
+		_ = rf.Shifted(1)
 	}
 }

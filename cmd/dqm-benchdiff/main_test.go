@@ -85,6 +85,53 @@ func TestParseBenchRepeatedLines(t *testing.T) {
 	}
 }
 
+// tenRuns is ten runs of one benchmark, the last of them reading allocs/op.
+func tenRuns(name string, allocs []float64, last float64) string {
+	var b strings.Builder
+	for i := 0; i < 10; i++ {
+		a := allocs[i%len(allocs)]
+		if i == 9 {
+			a = last
+		}
+		fmt.Fprintf(&b, "%s-2   \t  1000\t    300000 ns/op\t  4732 B/op\t  %.0f allocs/op\n", name, a)
+	}
+	return b.String()
+}
+
+// TestCompareWarnsOnMedianRun: against a baseline that allocates, one run in
+// ten reading 232 allocs/op does not warn, since the median run reads 50 or
+// less, while a 0-alloc row that allocates in one run of ten still fails.
+func TestCompareWarnsOnMedianRun(t *testing.T) {
+	const name = "BenchmarkHubEncodeOnce/subs=1000"
+	f, err := parseBench(strings.NewReader(tenRuns(name, []float64{27, 50, 78, 31, 44}, 232)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Benchmarks[name].AllocsPerOp; got != 232 {
+		t.Fatalf("allocs/op %v: -out must keep the largest run, 232", got)
+	}
+	base := &benchFile{Benchmarks: map[string]benchResult{name: {AllocsPerOp: 50}}}
+	if pass, out := gateResult(t, base, f); !pass || strings.Contains(out, "warn") {
+		t.Errorf("one outlier run warned or failed (pass=%v):\n%s", pass, out)
+	}
+	// The median run above the baseline still warns.
+	if f, err = parseBench(strings.NewReader(tenRuns(name, []float64{60, 70}, 50))); err != nil {
+		t.Fatal(err)
+	}
+	if pass, out := gateResult(t, base, f); !pass || !strings.Contains(out, "warn "+name+": allocs/op 50 -> 60") {
+		t.Errorf("a median run above the baseline went unreported (pass=%v):\n%s", pass, out)
+	}
+
+	const zero = "BenchmarkSessionIngest"
+	if f, err = parseBench(strings.NewReader(tenRuns(zero, []float64{0}, 1))); err != nil {
+		t.Fatal(err)
+	}
+	base = &benchFile{Benchmarks: map[string]benchResult{zero: {}}}
+	if pass, out := gateResult(t, base, f); pass || !strings.Contains(out, "FAIL "+zero+": 1 allocs/op on a 0-alloc path") {
+		t.Errorf("a 0-alloc row allocating in one run of ten passed:\n%s", out)
+	}
+}
+
 // gateResult runs compare and collects its log lines.
 func gateResult(t *testing.T, base, fresh *benchFile) (bool, string) {
 	t.Helper()

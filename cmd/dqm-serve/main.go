@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	dqm-serve [-addr :8334] [-shards 32] [-max-sessions 0] [-max-batch 100000]
+//	dqm-serve [-addr :8334] [-max-sessions 0] [-max-batch 100000]
 //	          [-data-dir DIR] [-fsync batch|always|never] [-fsync-interval 100ms]
 //	          [-policy-file policy.json] [-pprof] [-log-stats-interval 30s]
 //
@@ -121,7 +121,6 @@ func main() {
 	fs := flag.NewFlagSet("dqm-serve", flag.ExitOnError)
 	var (
 		addr        = fs.String("addr", ":8334", "listen address")
-		shards      = fs.Int("shards", 32, "session-table shards (rounded up to a power of two)")
 		maxSessions = fs.Int("max-sessions", 0, "max live sessions, LRU-evicted beyond (0 = unlimited)")
 		maxBatch    = fs.Int("max-batch", 100000, "max votes per ingest request")
 		maxBody     = fs.Int64("max-body-bytes", 32<<20, "max JSON request body size in bytes")
@@ -129,8 +128,6 @@ func main() {
 		dataDir     = fs.String("data-dir", "", "durable data directory (empty = in-memory only)")
 		fsyncMode   = fs.String("fsync", "batch", "journal fsync policy: batch, always or never")
 		fsyncEvery  = fs.Duration("fsync-interval", 100*time.Millisecond, "max fsync staleness under -fsync batch")
-		recoverPar  = fs.Int("recovery-parallelism", 0, "concurrent session replays during boot recovery (0 = GOMAXPROCS, 1 = serial)")
-		bootPar     = fs.Int("bootstrap-parallelism", 0, "worker goroutines per bootstrap CI (0 = per-CPU default, 1 = serial; intervals are identical at any setting)")
 		drainWait   = fs.Duration("shutdown-timeout", 10*time.Second, "graceful-shutdown drain deadline")
 		enablePprof = fs.Bool("pprof", false, "expose /debug/pprof/ runtime profiles")
 		statsEvery  = fs.Duration("log-stats-interval", 0, "log a one-line stats summary at this interval (0 = off)")
@@ -154,19 +151,16 @@ func main() {
 		defaultPolicy = raw
 	}
 	srv, err := newServer(serverConfig{
-		Shards:               *shards,
-		MaxSessions:          *maxSessions,
-		MaxBatch:             *maxBatch,
-		MaxBodyBytes:         *maxBody,
-		WatchMinInterval:     *watchMinIv,
-		DataDir:              *dataDir,
-		Fsync:                fsync,
-		FsyncInterval:        *fsyncEvery,
-		RecoveryParallelism:  *recoverPar,
-		BootstrapParallelism: *bootPar,
-		EnablePprof:          *enablePprof,
-		LogStatsInterval:     *statsEvery,
-		DefaultPolicy:        defaultPolicy,
+		MaxSessions:      *maxSessions,
+		MaxBatch:         *maxBatch,
+		MaxBodyBytes:     *maxBody,
+		WatchMinInterval: *watchMinIv,
+		DataDir:          *dataDir,
+		Fsync:            fsync,
+		FsyncInterval:    *fsyncEvery,
+		EnablePprof:      *enablePprof,
+		LogStatsInterval: *statsEvery,
+		DefaultPolicy:    defaultPolicy,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -229,7 +223,6 @@ func parseFsync(mode string) (dqm.FsyncPolicy, error) {
 
 // serverConfig parameterizes the HTTP layer.
 type serverConfig struct {
-	Shards      int
 	MaxSessions int
 	// MaxBatch bounds the votes accepted per ingest request; 0 selects
 	// 100000.
@@ -245,13 +238,6 @@ type serverConfig struct {
 	// Fsync and FsyncInterval tune the journal flush policy under DataDir.
 	Fsync         dqm.FsyncPolicy
 	FsyncInterval time.Duration
-	// RecoveryParallelism bounds concurrent session replays during boot
-	// recovery; 0 selects GOMAXPROCS, 1 recovers serially.
-	RecoveryParallelism int
-	// BootstrapParallelism bounds worker goroutines per bootstrap CI; 0
-	// selects a per-CPU default, 1 computes serially. Intervals are
-	// bit-identical at any setting.
-	BootstrapParallelism int
 	// EnablePprof exposes /debug/pprof/ runtime profiles.
 	EnablePprof bool
 	// LogStatsInterval, when positive, logs a one-line operational summary
@@ -314,7 +300,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	s.dispatcher = policy.NewDispatcher(cfg.Webhook)
 	engineCfg := dqm.EngineConfig{
-		Shards:      cfg.Shards,
 		MaxSessions: cfg.MaxSessions,
 		// Watch streams and gates of an LRU-evicted session must end rather
 		// than go stale on the detached session object (the nil guard covers
@@ -324,10 +309,8 @@ func newServer(cfg serverConfig) (*server, error) {
 				s.hub.Drop(id)
 			}
 		},
-		Fsync:                cfg.Fsync,
-		FsyncInterval:        cfg.FsyncInterval,
-		RecoveryParallelism:  cfg.RecoveryParallelism,
-		BootstrapParallelism: cfg.BootstrapParallelism,
+		Fsync:         cfg.Fsync,
+		FsyncInterval: cfg.FsyncInterval,
 	}
 	if cfg.DataDir != "" {
 		eng, err := dqm.OpenEngine(cfg.DataDir, engineCfg)

@@ -15,7 +15,7 @@
 //	    rec.EndTask()
 //	}
 //	est := rec.Estimates()
-//	fmt.Println(est.Switch.Total, est.Switch.Total-est.Voting) // total, remaining
+//	fmt.Println(est.Switch.Total, est.Remaining()) // total, remaining
 //
 // For serving many datasets concurrently, use an Engine: it manages
 // independent, individually locked sessions (one per dataset) with batch
@@ -54,12 +54,14 @@
 // A session evaluates all five of NOMINAL, VOTING, CHAO92, V-CHAO and SWITCH,
 // or the subset Config.Estimators names. The internal packages supply the
 // full reproduction substrate (datasets, crowd simulation, prioritization,
-// experiment harness); see DESIGN.md.
+// experiment harness); README.md maps them and shows how to reproduce the
+// paper's figures.
 package dqm
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"dqm/internal/engine"
@@ -383,12 +385,13 @@ const (
 // String returns the policy's flag spelling ("batch", "always", "never").
 func (p FsyncPolicy) String() string { return wal.FsyncPolicy(p).String() }
 
-// EngineConfig parameterizes an Engine.
+// EngineConfig parameterizes an Engine. Three things are not settings,
+// because no answer depends on them: the session table is split over 32
+// independently locked shards, a durable engine's boot recovery replays
+// sessions on GOMAXPROCS workers, and each bootstrap confidence interval
+// fans its replicates over GOMAXPROCS workers, at most 8. Recovered state
+// and intervals are bit-identical at any worker count.
 type EngineConfig struct {
-	// Shards is the number of independently locked session-table shards
-	// (rounded up to a power of two); 0 selects 16. Raise it when many
-	// goroutines create and look up sessions concurrently.
-	Shards int
 	// MaxSessions bounds the number of live sessions; creating one more
 	// evicts the least-recently-used session first. 0 means unlimited. On a
 	// durable engine eviction only releases memory — the session's journal
@@ -409,30 +412,13 @@ type EngineConfig struct {
 	// FsyncInterval is the maximum fsync staleness under FsyncBatch;
 	// 0 selects 100ms.
 	FsyncInterval time.Duration
-	// RecoveryParallelism bounds how many journaled sessions OpenEngine
-	// replays concurrently during boot recovery. 0 selects GOMAXPROCS; 1
-	// recovers serially. Recovered state is bit-identical at any setting —
-	// sessions are independent journals — so this only trades boot wall-clock
-	// against replay CPU/IO concurrency.
-	RecoveryParallelism int
-	// BootstrapParallelism bounds the worker pool each session fans
-	// bootstrap confidence-interval replicates over. 0 selects a per-CPU
-	// default (capped at 8); 1 computes replicates serially. Intervals are
-	// bit-identical at any setting — replicate RNG streams are addressed by
-	// index, so the fan-out only changes wall-clock.
-	BootstrapParallelism int
 }
 
-// engineConfig lowers the public knobs, for an engine journaling under dir
-// (in memory when dir is empty).
-func (cfg EngineConfig) engineConfig(dir string) engine.Config {
+// engineConfig lowers the public knobs.
+func (cfg EngineConfig) engineConfig() engine.Config {
 	return engine.Config{
-		Shards:               cfg.Shards,
-		MaxSessions:          cfg.MaxSessions,
-		OnEvict:              cfg.OnEvict,
-		DataDir:              dir,
-		RecoveryParallelism:  cfg.RecoveryParallelism,
-		BootstrapParallelism: cfg.BootstrapParallelism,
+		MaxSessions: cfg.MaxSessions,
+		OnEvict:     cfg.OnEvict,
 		WAL: wal.Options{
 			Fsync:         wal.FsyncPolicy(cfg.Fsync),
 			BatchInterval: cfg.FsyncInterval,
@@ -448,7 +434,7 @@ type Engine struct {
 
 // NewEngine creates an in-memory engine. OpenEngine builds a durable one.
 func NewEngine(cfg EngineConfig) *Engine {
-	return &Engine{e: engine.New(cfg.engineConfig(""))}
+	return &Engine{e: engine.New(cfg.engineConfig())}
 }
 
 // OpenEngine opens a durable engine over the data directory dir (created if
@@ -460,7 +446,7 @@ func OpenEngine(dir string, cfg EngineConfig) (*Engine, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("dqm: OpenEngine: empty data directory")
 	}
-	eng, err := engine.Open(cfg.engineConfig(dir))
+	eng, err := engine.Open(dir, cfg.engineConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -531,9 +517,8 @@ func (e *Engine) NumSessions() int { return e.e.Len() }
 func (e *Engine) Evictions() int64 { return e.e.Evictions() }
 
 // BootRecovery reports what OpenEngine's boot recovery did: how many
-// journaled sessions were replayed eagerly and how long the (possibly
-// parallel — see EngineConfig.RecoveryParallelism) replay took. Zero values
-// on in-memory engines and empty data directories.
+// journaled sessions were replayed eagerly and how long the parallel replay
+// took. Zero values on in-memory engines and empty data directories.
 func (e *Engine) BootRecovery() (sessions int, elapsed time.Duration) { return e.e.BootRecovery() }
 
 // Session is one engine-managed dataset session. All methods are safe for
@@ -567,16 +552,23 @@ func (s *Session) EstimatorNames() []string { return s.s.EstimatorNames() }
 // batch of up to three million votes does. A larger one that does not is refused whole with an
 // error wrapping ErrBatchTooLarge, and the session keeps working.
 func (s *Session) AppendVotes(batch []Vote, endTask bool) error {
-	vs := make([]votes.Vote, len(batch))
-	for i, v := range batch {
+	vs := votePool.Get().(*[]votes.Vote)
+	defer votePool.Put(vs)
+	*vs = (*vs)[:0]
+	for _, v := range batch {
 		label := votes.Clean
 		if v.Dirty {
 			label = votes.Dirty
 		}
-		vs[i] = votes.Vote{Item: v.Item, Worker: v.Worker, Label: label}
+		*vs = append(*vs, votes.Vote{Item: v.Item, Worker: v.Worker, Label: label})
 	}
-	return s.s.Append(vs, endTask)
+	return s.s.Append(*vs, endTask)
 }
+
+// votePool lends AppendVotes the batch it converts the public votes into, so
+// ingest does not allocate after warm-up; the engine's Append does not
+// retain the batch.
+var votePool = sync.Pool{New: func() any { return new([]votes.Vote) }}
 
 // AppendDQMV ingests a complete binary vote log (the DQMV format of
 // internal/votelog: magic header, 'T' task records, 'V' vote records)

@@ -64,6 +64,30 @@ func TestSessionMatchesRecorder(t *testing.T) {
 	}
 }
 
+// TestAppendVotesDoesNotAllocate: AppendVotes converts the public votes into
+// a pooled batch, so a 20-vote task on an in-memory session allocates
+// nothing after warm-up.
+func TestAppendVotesDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled objects at random")
+	}
+	sess, err := NewEngine(EngineConfig{}).CreateSession("a", 100, Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]Vote, 20)
+	for i := range batch {
+		batch[i] = Vote{Item: 5 * i, Worker: 3, Dirty: i%4 == 0}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := sess.AppendVotes(batch, true); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("AppendVotes of %d votes: %v allocs/op, want 0", len(batch), a)
+	}
+}
+
 func TestSessionAppendValidates(t *testing.T) {
 	eng := NewEngine(EngineConfig{})
 	sess, err := eng.CreateSession("ds", 5, Defaults())
@@ -121,7 +145,7 @@ func TestEstimatorNamesIncludesStandardSuite(t *testing.T) {
 // TestEngineConcurrentSessions checks cross-session isolation under
 // concurrency: every session sees exactly its own stream.
 func TestEngineConcurrentSessions(t *testing.T) {
-	eng := NewEngine(EngineConfig{Shards: 8})
+	eng := NewEngine(EngineConfig{})
 	const nSessions = 6
 	var wg sync.WaitGroup
 	for g := 0; g < nSessions; g++ {

@@ -21,11 +21,13 @@
 // the warning latches: the windowed view persistently reports fresh errors
 // (the drift ratio pegs at its clamp) that the anchored all-time estimate
 // never re-reports — exactly the blind spot the drift rule exists to cover.
-// Each transition is POSTed to the webhook receiver, which prints the
-// decision document it was paged with. (Exact transition versions vary with
-// scheduling: evaluation is asynchronous by design.) The example exits 1
-// unless at least one transition reached the receiver and no delivery was
-// dead-lettered.
+// Each transition is POSTed to the webhook receiver, which records the
+// decision document it was paged with. The hub's pump and the receiver run on
+// goroutines of their own, so they only record what they saw: at each report
+// main waits until the gate has decided on the current version and every page
+// has landed, then prints the transitions in order and the pages by version,
+// so every run prints the same bytes. The example exits 1 unless at least one
+// transition reached the receiver and no delivery was dead-lettered.
 //
 // Run with: go run ./examples/qualitygate
 package main
@@ -37,7 +39,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"sync/atomic"
+	"sort"
+	"sync"
 	"time"
 
 	"dqm"
@@ -49,9 +52,18 @@ import (
 // dqm-serve uses: the session's version notifier plus the gate inputs. The
 // version is read BEFORE the estimates so a concurrent mutation makes the
 // snapshot look stale (forcing a fresh evaluation) rather than current.
-type source struct{ *dqm.Session }
+// Unlike dqm-serve's, it reads under ingest, which main holds while it
+// ingests a burst of tasks: the gate decides at the versions main reports,
+// not at whatever version its pump finds, so every run takes the same
+// decisions.
+type source struct {
+	*dqm.Session
+	ingest *sync.RWMutex
+}
 
 func (s source) Inputs(need policy.Needs) (policy.Inputs, error) {
+	s.ingest.RLock()
+	defer s.ingest.RUnlock()
 	in := policy.Inputs{Version: s.Version()}
 	est := s.Estimates()
 	in.Remaining = est.Remaining()
@@ -93,19 +105,29 @@ func main() {
 	}
 	plant(nItems * 2 / 100)
 
-	// A local webhook receiver standing in for a pager: prints every decision
-	// document the dispatcher delivers.
+	// What the hub's pump and the webhook receiver saw, for main to print:
+	// transition lines in pump order, the action the last one moved to and
+	// how many there were, and the decision documents paged.
+	var (
+		mu          sync.Mutex
+		transitions []string
+		lastAction  = policy.ActionProceed
+		enqueued    int64
+		pages       []policy.Decision
+	)
+
+	// A local webhook receiver standing in for a pager: records every
+	// decision document the dispatcher delivers.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}
-	var received atomic.Int64
 	hookSrv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var dec policy.Decision
 		if err := json.NewDecoder(r.Body).Decode(&dec); err == nil {
-			received.Add(1)
-			fmt.Printf("  WEBHOOK %-10s session=%s version=%d tasks=%d violations=%d\n",
-				dec.Action, dec.Session, dec.Version, dec.Tasks, len(dec.Violations))
+			mu.Lock()
+			pages = append(pages, dec)
+			mu.Unlock()
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})}
@@ -142,16 +164,19 @@ func main() {
 
 	dispatcher := policy.NewDispatcher(policy.DispatcherConfig{})
 	defer dispatcher.Close()
-	var transitions atomic.Int64
+	var ingest sync.RWMutex
 	h := hub.New(hub.Config{
-		Resolve: func(string) (hub.Session, bool) { return source{sess}, true },
+		Resolve: func(string) (hub.Session, bool) { return source{sess, &ingest}, true },
 		// Nothing here watches or reads estimates, so no frame is encoded.
 		Encode:          func(hub.Session, hub.View) ([]byte, uint64, error) { return nil, 0, nil },
 		GateMinInterval: time.Millisecond,
 		OnTransition: func(_ *policy.Gate, from policy.Action, f *policy.Frame) {
-			transitions.Add(1)
-			fmt.Printf("TRANSITION %s -> %s at version %d (remaining=%.0f)\n",
-				from, f.Action, f.Version, f.Decision.Inputs.Remaining)
+			mu.Lock()
+			transitions = append(transitions, fmt.Sprintf("TRANSITION %s -> %s at version %d (remaining=%.0f)",
+				from, f.Action, f.Version, f.Decision.Inputs.Remaining))
+			lastAction = f.Action
+			enqueued++
+			mu.Unlock()
 			dispatcher.Enqueue(policy.Delivery{URL: hookURL, Body: f.Body})
 		},
 	})
@@ -177,6 +202,38 @@ func main() {
 		}
 	}
 
+	// flush waits until the gate has decided on the current version, the pump
+	// has recorded the transition to that decision's action, and every page
+	// enqueued so far was delivered or dead-lettered (for at most 5 s), then
+	// prints the transitions and the pages recorded since the last flush. It
+	// returns how many pages it printed.
+	flush := func() int {
+		for i := 0; i < 5000; i++ {
+			mu.Lock()
+			settled := !gate.Stale() && gate.Frame().Action == lastAction &&
+				dispatcher.Deliveries()+dispatcher.DeadLetters() == enqueued
+			mu.Unlock()
+			if settled {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		for _, line := range transitions {
+			fmt.Println(line)
+		}
+		sort.SliceStable(pages, func(i, j int) bool { return pages[i].Version < pages[j].Version })
+		for _, dec := range pages {
+			fmt.Printf("  WEBHOOK %-10s session=%s version=%d tasks=%d violations=%d\n",
+				dec.Action, dec.Session, dec.Version, dec.Tasks, len(dec.Violations))
+		}
+		n := len(pages)
+		transitions, pages = transitions[:0], pages[:0]
+		return n
+	}
+
+	paged := 0
 	report := func(task int) {
 		// Wait out the gate's coalescing interval so the decision reflects
 		// this task — a real client just reads GET .../gate, which serves the
@@ -184,6 +241,7 @@ func main() {
 		for gate.Stale() {
 			time.Sleep(time.Millisecond)
 		}
+		paged += flush()
 		f := gate.Frame()
 		drift := 0.0
 		if f.Decision.Inputs.DriftRatio != nil {
@@ -193,33 +251,33 @@ func main() {
 			task, f.Action, f.Decision.Inputs.Remaining, drift, f.Decision.Armed)
 	}
 
-	fmt.Printf("gate policy: quarantine while remaining > 25; drift warning > 10\n\n")
+	// run ingests n tasks in bursts of 50, reporting after each. The gate's
+	// reads wait for the burst to end.
 	task := 0
-	for ; task < phase1Tasks; task++ {
-		oneTask(task % 25)
-		if (task+1)%50 == 0 {
-			report(task + 1)
+	run := func(n int) {
+		for end := task + n; task < end; {
+			ingest.Lock()
+			for k := 0; k < 50; k++ {
+				oneTask(task % 25)
+				task++
+			}
+			ingest.Unlock()
+			report(task)
 		}
 	}
 
+	fmt.Printf("gate policy: quarantine while remaining > 25; drift warning > 10\n\n")
+	run(phase1Tasks)
 	plant(nItems * 6 / 100)
 	fmt.Printf("        ---- bad deploy: %d items corrupted ----\n", nItems*6/100)
-
-	for ; task < phase1Tasks+phase2Tasks; task++ {
-		oneTask(task % 25)
-		if (task+1)%50 == 0 {
-			report(task + 1)
-		}
-	}
+	run(phase2Tasks)
 
 	// Let in-flight webhook deliveries drain before exiting: every transition
 	// terminates as exactly one delivery or one dead letter.
-	for i := 0; i < 500 && dispatcher.Deliveries()+dispatcher.DeadLetters() < transitions.Load(); i++ {
-		time.Sleep(10 * time.Millisecond)
-	}
+	paged += flush()
 	fmt.Printf("\nwebhook deliveries=%d dead_letters=%d\n",
 		dispatcher.Deliveries(), dispatcher.DeadLetters())
-	if received.Load() == 0 || dispatcher.DeadLetters() != 0 {
+	if paged == 0 || dispatcher.DeadLetters() != 0 {
 		fmt.Fprintln(os.Stderr, "qualitygate: want at least one transition delivered and no dead letters")
 		os.Exit(1)
 	}

@@ -37,7 +37,7 @@ func main() {
 		{"product-match", 800, 60, 500, crowd.Profile{FPRate: 0.01, FNRate: 0.30, Jitter: 0.3}},
 	}
 
-	eng := dqm.NewEngine(dqm.EngineConfig{Shards: 8})
+	eng := dqm.NewEngine(dqm.EngineConfig{})
 	truths := make(map[string]int, len(campaigns))
 	// retained[ci] holds the task batches campaign ci's session kept.
 	sessions := make([]*dqm.Session, len(campaigns))

@@ -153,7 +153,7 @@ func TestCommitteeEndToEnd(t *testing.T) {
 	)
 	m := votes.NewMatrix(len(data.Records))
 	for _, task := range c.Tasks(len(data.Records), 10, xrand.New(2)) {
-		for _, v := range task.Votes() {
+		for _, v := range task.AppendVotes(nil) {
 			m.Add(v)
 		}
 	}

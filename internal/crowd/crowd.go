@@ -111,11 +111,6 @@ type Task struct {
 	Labels []votes.Label
 }
 
-// Votes converts the task to matrix entries.
-func (t Task) Votes() []votes.Vote {
-	return t.AppendVotes(make([]votes.Vote, 0, len(t.Items)))
-}
-
 // AppendVotes appends the task's matrix entries to dst and returns the
 // extended slice. Replay loops pass a reused buffer (dst[:0]) to keep the
 // per-task hot path allocation-free.
@@ -207,10 +202,6 @@ func NewSimulator(cfg Config) *Simulator {
 	}
 	return s
 }
-
-// Pool exposes the realized workers (used by tests and the fixed-quorum
-// builder).
-func (s *Simulator) Pool() *Pool { return s.pool }
 
 // nextDraws makes the per-task random draws in the canonical order (worker,
 // item sample, one response per item). NextTask and AppendTask share it so

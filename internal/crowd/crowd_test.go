@@ -116,9 +116,11 @@ func TestNewPoolPanics(t *testing.T) {
 	NewPool(0, Profile{}, xrand.New(1))
 }
 
+// TestTaskVotes: a task converts to one matrix entry per item, in item
+// order, each carrying the task's worker.
 func TestTaskVotes(t *testing.T) {
 	task := Task{Worker: 7, Items: []int{3, 5}, Labels: []votes.Label{votes.Dirty, votes.Clean}}
-	vs := task.Votes()
+	vs := task.AppendVotes(nil)
 	if len(vs) != 2 {
 		t.Fatalf("votes = %v", vs)
 	}
@@ -413,7 +415,7 @@ func TestAppendTaskMatchesNextTask(t *testing.T) {
 	a, b := mkSim(), mkSim()
 	var buf []votes.Vote
 	for i := 0; i < 50; i++ {
-		want := a.NextTask().Votes()
+		want := a.NextTask().AppendVotes(nil)
 		buf = b.AppendTask(buf[:0])
 		if len(buf) != len(want) {
 			t.Fatalf("task %d: %d votes vs %d", i, len(buf), len(want))

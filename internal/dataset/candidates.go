@@ -10,8 +10,10 @@ import (
 // over: N items of which some known subset is dirty. For entity resolution
 // the items are candidate pairs; for the address dataset they are records.
 // The figure-reproduction experiments construct Populations directly with
-// the paper's published counts (see DESIGN.md §3); the end-to-end examples
-// derive them from generated datasets via the entity and heuristic packages.
+// the paper's published counts, since the estimators see only how many items
+// there are and the votes on them, not the records behind them; the
+// end-to-end examples derive them from generated datasets via the entity and
+// heuristic packages.
 type Population struct {
 	Truth *GroundTruth
 	// Describe labels the population in reports, e.g. "restaurant candidates".

@@ -12,8 +12,10 @@
 // The paper used the published real datasets plus Amazon Mechanical Turk
 // labels. Neither is available offline, so the generators plant the same
 // structure (sizes, error counts, error character) and the crowd package
-// synthesizes worker responses; DESIGN.md §3 documents why this preserves
-// the behaviour the estimators are sensitive to.
+// synthesizes worker responses. The estimators see only the vote stream, so
+// this preserves what they are sensitive to: the population, the number of
+// errors and the balance of false positives and false negatives among the
+// votes (internal/experiment/profiles.go calibrates the last per dataset).
 package dataset
 
 import (
@@ -62,16 +64,6 @@ func (g *GroundTruth) DirtyItems() []int {
 		out = append(out, i)
 	}
 	sort.Ints(out)
-	return out
-}
-
-// Labels materializes the ground-truth vector E ∈ {0,1}^N of Problem 2
-// (true = dirty).
-func (g *GroundTruth) Labels() []bool {
-	out := make([]bool, g.n)
-	for i := range g.dirty {
-		out[i] = true
-	}
 	return out
 }
 

@@ -16,10 +16,6 @@ func TestGroundTruthBasics(t *testing.T) {
 	if len(items) != 3 || items[0] != 2 || items[1] != 5 || items[2] != 7 {
 		t.Fatalf("DirtyItems = %v", items)
 	}
-	labels := gt.Labels()
-	if !labels[2] || labels[3] {
-		t.Fatalf("Labels = %v", labels)
-	}
 }
 
 func TestGroundTruthCountErrors(t *testing.T) {

@@ -103,29 +103,16 @@ func parenthesize(r *xrand.RNG, s string) string {
 	return strings.Join(words, " ")
 }
 
-// PerturbLevel controls how aggressively a duplicate is mangled; higher
-// levels produce lower-similarity duplicates (harder for both heuristics and
-// workers).
-type PerturbLevel int
-
-const (
-	// PerturbLight applies a single cosmetic change.
-	PerturbLight PerturbLevel = iota
-	// PerturbMedium applies two independent changes.
-	PerturbMedium
-	// PerturbHeavy applies three changes including token-level surgery.
-	PerturbHeavy
-)
-
 var perturbOps = []func(*xrand.RNG, string) string{
 	typo, abbreviate, reorderTokens, parenthesize, dropToken,
 }
 
-// Perturb produces a duplicate-style variant of s at the given level.
-func Perturb(r *xrand.RNG, s string, level PerturbLevel) string {
-	n := 1 + int(level)
+// Perturb produces a duplicate-style variant of s by applying changes random
+// edits; more changes produce lower-similarity duplicates (harder for both
+// heuristics and workers).
+func Perturb(r *xrand.RNG, s string, changes int) string {
 	out := s
-	for i := 0; i < n; i++ {
+	for i := 0; i < changes; i++ {
 		op := perturbOps[r.IntN(len(perturbOps))]
 		out = op(r, out)
 	}

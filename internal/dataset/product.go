@@ -109,7 +109,7 @@ func GenerateProducts(cfg ProductConfig) *ProductData {
 			name = strings.ToLower(name)
 		}
 		if r.Bernoulli(0.25) {
-			name = Perturb(r, name, PerturbLight)
+			name = Perturb(r, name, 1)
 		}
 		return name
 	}

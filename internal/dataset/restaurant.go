@@ -81,16 +81,16 @@ func GenerateRestaurants(cfg RestaurantConfig) *RestaurantData {
 	pairs := make([][2]int, 0, cfg.Duplicates)
 	for _, bi := range r.SampleWithoutReplacement(base, cfg.Duplicates) {
 		orig := records[bi]
-		level := PerturbLevel(r.IntN(3))
+		changes := 1 + r.IntN(3)
 		dup := Restaurant{
 			ID:       len(records),
-			Name:     Perturb(r, orig.Name, level),
+			Name:     Perturb(r, orig.Name, changes),
 			Address:  orig.Address,
 			City:     orig.City,
 			Category: orig.Category,
 		}
 		if r.Bernoulli(0.4) {
-			dup.Address = Perturb(r, orig.Address, PerturbLight)
+			dup.Address = Perturb(r, orig.Address, 1)
 		}
 		records = append(records, dup)
 		pairs = append(pairs, [2]int{bi, dup.ID})

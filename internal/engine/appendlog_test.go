@@ -100,13 +100,13 @@ func TestDurableAppendLogMatchesPerBlockCommits(t *testing.T) {
 			// it, so it would split the two engines' frames, and their
 			// segment rotations, at different points; an hour-long interval
 			// leaves every frame boundary to the writes themselves.
-			logCfg, refCfg := durableConfig(logDir), durableConfig(refDir)
-			logCfg.WAL.BatchInterval, refCfg.WAL.BatchInterval = time.Hour, time.Hour
-			logEng, err := Open(logCfg)
+			engCfg := durableConfig()
+			engCfg.WAL.BatchInterval = time.Hour
+			logEng, err := Open(logDir, engCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refEng, err := Open(refCfg)
+			refEng, err := Open(refDir, engCfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +152,7 @@ func TestDurableAppendLogMatchesPerBlockCommits(t *testing.T) {
 			if wantFiles := journalFiles(t, filepath.Join(refDir, "s")); !reflect.DeepEqual(gotFiles, wantFiles) {
 				t.Fatalf("journal files differ: AppendLog wrote %d files, per-block commits %d", len(gotFiles), len(wantFiles))
 			}
-			reopened, err := Open(durableConfig(logDir))
+			reopened, err := Open(logDir, durableConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestDurableAppendLogInvalidTaskKeepsPrefix(t *testing.T) {
 	cfg := sessionCfg()
 	cfg.Window = &wcfg
 	dir := t.TempDir()
-	e, err := Open(Config{DataDir: dir, WAL: wal.Options{Fsync: wal.FsyncAlways}})
+	e, err := Open(dir, Config{WAL: wal.Options{Fsync: wal.FsyncAlways}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestDurableAppendLogInvalidTaskKeepsPrefix(t *testing.T) {
 	}
 	crashed := t.TempDir()
 	copyDir(t, dir, crashed)
-	e2, err := Open(Config{DataDir: crashed, WAL: wal.Options{Fsync: wal.FsyncAlways}})
+	e2, err := Open(crashed, Config{WAL: wal.Options{Fsync: wal.FsyncAlways}})
 	if err != nil {
 		t.Fatal(err)
 	}

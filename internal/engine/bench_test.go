@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -137,7 +138,7 @@ func BenchmarkSessionIngestAndEstimate(b *testing.B) {
 // dqm-serve is built for.
 func BenchmarkEngineParallelIngest(b *testing.B) {
 	const n, batchSize = 10000, 10
-	e := New(Config{Shards: 32})
+	e := New(Config{})
 	var sessionID atomic.Int64
 	batches := make([][]votes.Vote, 64)
 	for i := range batches {
@@ -357,7 +358,7 @@ func BenchmarkColumnarIngest(b *testing.B) {
 		run(b, NewSession("bench", n, SessionConfig{}))
 	})
 	b.Run("durable", func(b *testing.B) {
-		e, err := Open(Config{DataDir: b.TempDir(), WAL: wal.Options{Fsync: wal.FsyncBatch}})
+		e, err := Open(b.TempDir(), Config{WAL: wal.Options{Fsync: wal.FsyncBatch}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -398,7 +399,7 @@ func BenchmarkAppendLog(b *testing.B) {
 	})
 	for _, p := range []wal.FsyncPolicy{wal.FsyncNever, wal.FsyncBatch, wal.FsyncAlways} {
 		b.Run("durable/"+p.String(), func(b *testing.B) {
-			e, err := Open(Config{DataDir: b.TempDir(), WAL: wal.Options{Fsync: p}})
+			e, err := Open(b.TempDir(), Config{WAL: wal.Options{Fsync: p}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -419,7 +420,7 @@ func BenchmarkSessionIngestDurable(b *testing.B) {
 	const n, batchSize = 10000, 10
 	for _, p := range []wal.FsyncPolicy{wal.FsyncNever, wal.FsyncBatch, wal.FsyncAlways} {
 		b.Run(p.String(), func(b *testing.B) {
-			e, err := Open(Config{DataDir: b.TempDir(), WAL: wal.Options{Fsync: p}})
+			e, err := Open(b.TempDir(), Config{WAL: wal.Options{Fsync: p}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -445,8 +446,8 @@ func BenchmarkSessionIngestDurable(b *testing.B) {
 }
 
 // BenchmarkRecovery measures the recovery plane. "boot/serial" and
-// "boot/parallel" replay a 64-session data dir through Open with
-// RecoveryParallelism 1 and GOMAXPROCS respectively (on multi-core hardware
+// "boot/parallel" replay a 64-session data dir through Open's recovery on 1
+// and GOMAXPROCS workers respectively (on multi-core hardware
 // the parallel ratio is the tentpole number; on one core they coincide).
 // "coldload" is the on-demand path: one evicted session replayed per op
 // through Load under the per-id singleflight.
@@ -459,7 +460,7 @@ func BenchmarkRecovery(b *testing.B) {
 	)
 	dir := b.TempDir()
 	walOpts := wal.Options{Fsync: wal.FsyncNever}
-	e, err := Open(Config{DataDir: dir, WAL: walOpts})
+	e, err := Open(dir, Config{WAL: walOpts})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -484,7 +485,7 @@ func BenchmarkRecovery(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e, err := Open(Config{DataDir: dir, WAL: walOpts, RecoveryParallelism: workers})
+			e, err := open(dir, Config{WAL: walOpts}, workers)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -501,12 +502,12 @@ func BenchmarkRecovery(b *testing.B) {
 		b.ReportMetric(float64(nSessions*tasks*batchSize)*float64(b.N)/b.Elapsed().Seconds(), "votes/s")
 	}
 	b.Run("boot/serial", func(b *testing.B) { boot(b, 1) })
-	b.Run("boot/parallel", func(b *testing.B) { boot(b, 0) })
+	b.Run("boot/parallel", func(b *testing.B) { boot(b, runtime.GOMAXPROCS(0)) })
 
 	b.Run("coldload", func(b *testing.B) {
 		// MaxSessions=1: every Load evicts the previous session, so each op is
 		// one full journal replay through the singleflight path.
-		e, err := Open(Config{DataDir: dir, WAL: walOpts, MaxSessions: 1})
+		e, err := Open(dir, Config{WAL: walOpts, MaxSessions: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -87,7 +87,7 @@ func TestAppendColumnsValidates(t *testing.T) {
 // to bit-identical estimates.
 func TestDurableColumnarIngestRecovers(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDurableColumnarIngestRecovers(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Open(durableConfig(dir))
+	e2, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

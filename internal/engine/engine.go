@@ -9,12 +9,12 @@
 // the replay reproduces the estimates at the end of that prefix exactly.
 //
 // Concurrency model: session lookup shards an FNV hash of the session id
-// over independently locked maps, so create/get/delete traffic scales with
-// shard count; each session serializes its own vote stream with a private
-// mutex (votes within a session form one logical stream — cross-session
-// ingest is what runs in parallel).
+// over 32 independently locked maps, so create/get/delete traffic from many
+// goroutines rarely meets on one lock; each session serializes its own vote
+// stream with a private mutex (votes within a session form one logical
+// stream — cross-session ingest is what runs in parallel).
 //
-// Durability: with Config.DataDir set (engines built via Open), every session
+// Durability: in an engine built by Open over a data directory, every session
 // owns a write-ahead journal (package wal). Mutations are journaled before
 // they are applied, under the same session mutex, so the journal order is the
 // apply order; recovery replays the journal through the ordinary ingest path
@@ -40,9 +40,6 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Shards is the number of independently locked session-table shards,
-	// rounded up to a power of two. 0 selects 16.
-	Shards int
 	// MaxSessions bounds the number of live sessions; creating one more
 	// evicts the least-recently-used session. 0 means unlimited. On a durable
 	// engine eviction only releases memory: the evicted session's journal is
@@ -54,29 +51,17 @@ type Config struct {
 	// been released — so the callback may re-enter the engine. Layers holding
 	// per-session state (e.g. a watch hub entry) use it to release theirs.
 	OnEvict func(id string)
-	// DataDir enables durability: each session journals to a directory under
-	// it. Engines with a DataDir must be built with Open (which recovers
-	// every journaled session); New panics on a non-empty DataDir.
-	DataDir string
-	// WAL tunes the journals when DataDir is set.
+	// WAL tunes the journals of an engine built by Open.
 	WAL wal.Options
-	// RecoveryParallelism bounds how many sessions Open replays concurrently
-	// during boot recovery. 0 selects GOMAXPROCS; 1 recovers serially.
-	// Sessions are independent journals, so recovered state is bit-identical
-	// at any setting — only wall-clock boot time changes.
-	RecoveryParallelism int
-	// BootstrapParallelism bounds the worker pool each session fans bootstrap
-	// confidence-interval replicates over. 0 selects a per-CPU default
-	// (capped); 1 computes replicates serially. Intervals are bit-identical
-	// at any setting — replicate RNG streams are addressed by index, not by
-	// worker.
-	BootstrapParallelism int
 }
+
+// numShards is the number of independently locked session-table shards, a
+// power of two so that shard selection is a mask.
+const numShards = 32
 
 // Engine manages many concurrent estimation sessions.
 type Engine struct {
-	shards  []shard
-	mask    uint64
+	shards  [numShards]shard
 	max     int
 	onEvict func(id string)
 	count   atomic.Int64
@@ -85,12 +70,6 @@ type Engine struct {
 
 	// store is the durability layer; nil for in-memory engines.
 	store *wal.Store
-	// recoverWorkers bounds boot-recovery concurrency (resolved from
-	// Config.RecoveryParallelism; 0 = GOMAXPROCS at Open time).
-	recoverWorkers int
-	// ciWorkers is the per-session bootstrap pool width (resolved lazily by
-	// the bootstrap itself when 0; see Config.BootstrapParallelism).
-	ciWorkers int
 	// bootSessions/bootNanos record what Open's boot recovery did, for the
 	// serving layer's startup log and healthz.
 	bootSessions int
@@ -125,33 +104,12 @@ type shard struct {
 	sessions map[string]*Session
 }
 
-// New creates an in-memory engine. It panics when cfg.DataDir is set: durable
-// engines must go through Open, which can report recovery errors.
+// New creates an in-memory engine. Open builds a durable one.
 func New(cfg Config) *Engine {
-	if cfg.DataDir != "" {
-		panic("engine: New cannot open a durable engine; use Open")
-	}
-	return newEngine(cfg)
-}
-
-func newEngine(cfg Config) *Engine {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two so shard selection is a mask, not a mod.
-	size := 1
-	for size < n {
-		size <<= 1
-	}
 	e := &Engine{
-		shards:         make([]shard, size),
-		mask:           uint64(size - 1),
-		max:            cfg.MaxSessions,
-		onEvict:        cfg.OnEvict,
-		recoverWorkers: cfg.RecoveryParallelism,
-		ciWorkers:      cfg.BootstrapParallelism,
-		inflight:       make(map[string]*idLock),
+		max:      cfg.MaxSessions,
+		onEvict:  cfg.OnEvict,
+		inflight: make(map[string]*idLock),
 	}
 	for i := range e.shards {
 		e.shards[i].sessions = make(map[string]*Session)
@@ -186,17 +144,21 @@ func (e *Engine) unlockID(id string, l *idLock) {
 	e.idMu.Unlock()
 }
 
-// Open creates an engine and, when cfg.DataDir is set, attaches the
-// durability layer: every journaled session found under the data directory
+// Open creates a durable engine over the data directory dir: each session
+// journals to a directory under it, and every journaled session found there
 // is recovered into memory (estimator state bit-identical to the moment of
-// the last durable frame) before Open returns. With an empty DataDir it is
-// equivalent to New.
-func Open(cfg Config) (*Engine, error) {
-	e := newEngine(cfg)
-	if cfg.DataDir == "" {
-		return e, nil
-	}
-	store, err := wal.OpenStore(cfg.DataDir, cfg.WAL)
+// the last durable frame) before Open returns. Recovery replays sessions on
+// GOMAXPROCS workers.
+func Open(dir string, cfg Config) (*Engine, error) {
+	return open(dir, cfg, runtime.GOMAXPROCS(0))
+}
+
+// open is Open with boot recovery on the given number of workers. Sessions
+// are independent journals, so the recovered state is bit-identical at any
+// worker count; only the boot's wall-clock time changes.
+func open(dir string, cfg Config, workers int) (*Engine, error) {
+	e := New(cfg)
+	store, err := wal.OpenStore(dir, cfg.WAL)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +182,7 @@ func Open(cfg Config) (*Engine, error) {
 		ids = recent[:e.max]
 	}
 	start := time.Now()
-	if err := e.recoverAll(ids); err != nil {
+	if err := e.recoverAll(ids, workers); err != nil {
 		// Nothing was inserted into the shard table on error; close the
 		// journals the successful workers opened, then the store.
 		store.Close()
@@ -234,7 +196,7 @@ func Open(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// recoverAll replays ids across a bounded worker pool and inserts the
+// recoverAll replays ids across a pool of workers and inserts the
 // recovered sessions into the shard table, all or nothing. Workers claim ids
 // in slice order off an atomic cursor; each session replays independently
 // with a per-worker scratch, so results are bit-identical at any worker
@@ -243,13 +205,9 @@ func Open(cfg Config) (*Engine, error) {
 // hit — regardless of which worker stumbled first. (Claims are monotone, so
 // once any id fails, every unclaimed id has a higher index than every failing
 // claimed one; skipping the remainder can never hide an earlier error.)
-func (e *Engine) recoverAll(ids []string) error {
+func (e *Engine) recoverAll(ids []string, workers int) error {
 	if len(ids) == 0 {
 		return nil
-	}
-	workers := e.recoverWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(ids) {
 		workers = len(ids)
@@ -369,7 +327,6 @@ func (e *Engine) recoverSession(id string, sc *replayScratch) (*Session, error) 
 		}
 	}
 	s := NewSession(id, meta.Items, cfg)
-	s.ciWorkers = e.ciWorkers
 	if !meta.CreatedAt.IsZero() {
 		s.created = meta.CreatedAt
 	}
@@ -465,7 +422,7 @@ func (e *Engine) shardFor(id string) *shard {
 		h ^= uint64(id[i])
 		h *= prime64
 	}
-	return &e.shards[h&e.mask]
+	return &e.shards[h&(numShards-1)]
 }
 
 // Create registers a new session over a population of n items. It fails on
@@ -533,7 +490,6 @@ func (e *Engine) Create(id string, n int, cfg SessionConfig) (*Session, error) {
 	// Build the suite outside the shard lock: construction is O(N) and must
 	// not stall unrelated lookups on the same shard.
 	s := NewSession(id, n, cfg)
-	s.ciWorkers = e.ciWorkers
 	if e.store != nil {
 		raw, err := json.Marshal(cfg)
 		if err != nil {

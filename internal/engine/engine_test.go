@@ -71,7 +71,7 @@ func TestEngineCreateGetDelete(t *testing.T) {
 }
 
 func TestEngineEvictsLRU(t *testing.T) {
-	e := New(Config{MaxSessions: 2, Shards: 4})
+	e := New(Config{MaxSessions: 2})
 	a, _ := e.Create("a", 5, SessionConfig{})
 	if _, err := e.Create("b", 5, SessionConfig{}); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestConcurrentSessionsMatchSequential(t *testing.T) {
 	}
 	want := ref.EstimateAll()
 
-	e := New(Config{Shards: 4})
+	e := New(Config{})
 	var wg sync.WaitGroup
 	errs := make(chan error, nSessions)
 	for i := 0; i < nSessions; i++ {
@@ -268,7 +268,7 @@ func TestSessionCIs(t *testing.T) {
 // TestEngineConcurrentChurn hammers create/ingest/delete from many
 // goroutines; run with -race.
 func TestEngineConcurrentChurn(t *testing.T) {
-	e := New(Config{Shards: 8, MaxSessions: 32})
+	e := New(Config{MaxSessions: 32})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

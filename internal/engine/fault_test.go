@@ -14,9 +14,9 @@ import (
 // must return an error wrapping *JournalError — never panic — and leave the
 // session's version, votes and tasks where they were.
 func TestJournalFaultNeverPanics(t *testing.T) {
-	cfg := durableConfig(t.TempDir())
+	cfg := durableConfig()
 	cfg.MaxSessions = 1
-	e, err := Open(cfg)
+	e, err := Open(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

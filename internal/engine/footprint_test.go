@@ -163,7 +163,7 @@ func TestRecoverMetaWithHistoryFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

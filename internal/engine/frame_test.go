@@ -18,7 +18,7 @@ import (
 func TestAlwaysAcknowledgesOnlySealedFrames(t *testing.T) {
 	const n = 40
 	dir := t.TempDir()
-	e, err := Open(Config{DataDir: dir, WAL: wal.Options{Fsync: wal.FsyncAlways}})
+	e, err := Open(dir, Config{WAL: wal.Options{Fsync: wal.FsyncAlways}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAlwaysAcknowledgesOnlySealedFrames(t *testing.T) {
 
 		clone := t.TempDir()
 		copyDir(t, dir, clone)
-		e2, err := Open(durableConfig(clone))
+		e2, err := Open(clone, durableConfig())
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -87,8 +87,8 @@ func TestAlwaysAcknowledgesOnlySealedFrames(t *testing.T) {
 func TestRecoveryAllocatesPerSessionNotPerTask(t *testing.T) {
 	const n = 200
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, WAL: wal.Options{Fsync: wal.FsyncNever}}
-	e, err := Open(cfg)
+	cfg := Config{WAL: wal.Options{Fsync: wal.FsyncNever}}
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestRecoveryAllocatesPerSessionNotPerTask(t *testing.T) {
 
 	// An engine on the store with nothing recovered, so each replay below is
 	// the only holder of its journal.
-	r := newEngine(cfg)
+	r := New(cfg)
 	if r.store, err = wal.OpenStore(dir, cfg.WAL); err != nil {
 		t.Fatal(err)
 	}

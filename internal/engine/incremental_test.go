@@ -10,6 +10,7 @@ import (
 	"dqm/internal/estimator"
 	"dqm/internal/votes"
 	"dqm/internal/window"
+	"dqm/internal/xrand"
 )
 
 // TestIncrementalEstimatesMatchUncachedRandomized is the engine-level read
@@ -74,7 +75,7 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 
 	t.Run("durable-crash-replay", func(t *testing.T) {
 		dir := t.TempDir()
-		e, err := Open(durableConfig(dir))
+		e, err := Open(dir, durableConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestIncrementalEstimatesMatchUncachedRandomized(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
-		e2, err := Open(durableConfig(dir))
+		e2, err := Open(dir, durableConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,37 +254,53 @@ func TestCISingleflightCoalesces(t *testing.T) {
 	}
 }
 
-// TestSessionCIWorkerCountInvariant: the interval a session serves must not
-// depend on the engine's configured bootstrap parallelism.
+// TestSessionCIWorkerCountInvariant: the intervals a session serves, whose
+// replicates fan over the default bootstrap pool, equal the ones its captured
+// state gives on 1, 2 and 8 workers.
 func TestSessionCIWorkerCountInvariant(t *testing.T) {
 	const n = 70
 	cfg := SessionConfig{Suite: estimator.SuiteConfig{
 		Switch: estimator.SwitchConfig{TrendWindow: 4, RetainLedgers: true},
 	}}
-	var want estimator.CI
-	for i, workers := range []int{1, 2, 8} {
-		e := New(Config{BootstrapParallelism: workers})
-		s, err := e.Create("w", n, cfg)
+	e := New(Config{})
+	defer e.Close()
+	s, err := e.Create("w", n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyOps(t, s, genOps(67, 90, n))
+	ci, err := s.SwitchCI(300, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chao, err := s.Chao92CI(300, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chao.Lo > chao.Hi {
+		t.Fatalf("malformed Chao92 CI %+v", chao)
+	}
+	for _, workers := range []int{1, 2, 8} {
+		st, err := s.suite.Switch.CaptureBootstrap()
 		if err != nil {
 			t.Fatal(err)
 		}
-		applyOps(t, s, genOps(67, 90, n))
-		ci, err := s.SwitchCI(300, 0.95)
+		got, err := st.Bootstrap(300, 0.95, xrand.New(ciSeed), workers)
+		st.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
-		chao, err := s.Chao92CI(300, 0.95)
+		if got != ci {
+			t.Fatalf("workers=%d: SWITCH CI %+v, session served %+v", workers, got, ci)
+		}
+		cst := estimator.CaptureChao92(s.suite.Matrix)
+		got, err = cst.Bootstrap(300, 0.95, xrand.New(ciSeed), workers)
+		cst.Release()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 {
-			want = ci
-		} else if ci != want {
-			t.Fatalf("workers=%d: SWITCH CI %+v != workers=1 %+v", workers, ci, want)
+		if got != chao {
+			t.Fatalf("workers=%d: Chao92 CI %+v, session served %+v", workers, got, chao)
 		}
-		if chao.Lo > chao.Hi {
-			t.Fatalf("workers=%d: malformed Chao92 CI %+v", workers, chao)
-		}
-		e.Close()
 	}
 }

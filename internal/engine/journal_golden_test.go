@@ -41,8 +41,8 @@ const packedFixture = "testdata/journal-packed"
 
 var goldenIDs = []string{"plain", "windowed"}
 
-func goldenConfig(dir string) Config {
-	return Config{DataDir: dir, WAL: wal.Options{Fsync: wal.FsyncNever}}
+func goldenConfig() Config {
+	return Config{WAL: wal.Options{Fsync: wal.FsyncNever}}
 }
 
 // goldenStream drives a fixed mutation stream through every mutator —
@@ -171,9 +171,9 @@ func TestJournalGoldenBytes(t *testing.T) {
 	dir := t.TempDir()
 	// Frames are sealed only by the flushes the stream itself causes (here
 	// only the final Close): no timed syncer pass may fall inside it.
-	cfg := goldenConfig(dir)
+	cfg := goldenConfig()
 	cfg.WAL.BatchInterval = time.Hour
-	e, err := Open(cfg)
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 	for _, fixture := range []string{goldenFixture, blockFixture, flushFixture, packedFixture} {
 		rdir := t.TempDir()
 		copyDir(t, filepath.Join(fixture, "data"), rdir)
-		e2, err := Open(goldenConfig(rdir))
+		e2, err := Open(rdir, goldenConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +292,8 @@ func TestGoldenFixtureUpgradesThroughCompaction(t *testing.T) {
 func upgradeThroughCompaction(t *testing.T, fixture string) {
 	dir := t.TempDir()
 	copyDir(t, filepath.Join(fixture, "data"), dir)
-	cfg := Config{DataDir: dir, WAL: wal.Options{Fsync: wal.FsyncNever, SegmentBytes: 256, CompactAfter: 512}}
-	e, err := Open(cfg)
+	cfg := Config{WAL: wal.Options{Fsync: wal.FsyncNever, SegmentBytes: 256, CompactAfter: 512}}
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,10 +305,7 @@ func upgradeThroughCompaction(t *testing.T, fixture string) {
 		}
 		durable = append(durable, s)
 	}
-	ref, err := Open(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := New(Config{})
 	defer ref.Close()
 	fresh := goldenStream(t, ref)
 	if got, want := goldenJSON(t, durable), goldenJSON(t, fresh); !bytes.Equal(got, want) {
@@ -333,7 +330,7 @@ func upgradeThroughCompaction(t *testing.T, fixture string) {
 			t.Fatalf("%s: the fixture's own segment survived compaction (stat err %v)", id, err)
 		}
 	}
-	e2, err := Open(cfg)
+	e2, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func stateOf(s *Session) sessionState {
 // session ids.
 func buildMixedDataDir(t *testing.T, dir string) []string {
 	t.Helper()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +125,7 @@ func TestRecoveryParallelBitIdentical(t *testing.T) {
 		// every worker count must start from the same bytes.
 		clone := t.TempDir()
 		copyDir(t, src, clone)
-		cfg := durableConfig(clone)
-		cfg.RecoveryParallelism = workers
-		e, err := Open(cfg)
+		e, err := open(clone, durableConfig(), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: open: %v", workers, err)
 		}
@@ -160,7 +158,7 @@ func TestRecoveryParallelBitIdentical(t *testing.T) {
 // recovery would hit — at every worker count.
 func TestRecoveryFirstErrorDeterministic(t *testing.T) {
 	src := t.TempDir()
-	e, err := Open(durableConfig(src))
+	e, err := Open(src, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +185,7 @@ func TestRecoveryFirstErrorDeterministic(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, runtime.GOMAXPROCS(0)} {
 		clone := t.TempDir()
 		copyDir(t, src, clone)
-		cfg := durableConfig(clone)
-		cfg.RecoveryParallelism = workers
-		_, err := Open(cfg)
+		_, err := open(clone, durableConfig(), workers)
 		if err == nil {
 			t.Fatalf("workers=%d: open succeeded over broken journals", workers)
 		}
@@ -204,9 +200,9 @@ func TestRecoveryFirstErrorDeterministic(t *testing.T) {
 // on the id's transition lock and find the live session.
 func TestRecoveryLoadSingleflightCoalesces(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir)
+	cfg := durableConfig()
 	cfg.MaxSessions = 1
-	e, err := Open(cfg)
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,9 +262,9 @@ func TestRecoveryLoadSingleflightCoalesces(t *testing.T) {
 // a cold load of a DIFFERENT session must complete.
 func TestRecoveryDistinctLoadsDoNotSerialize(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir)
+	cfg := durableConfig()
 	cfg.MaxSessions = 1
-	e, err := Open(cfg)
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +322,7 @@ func TestRecoveryDistinctLoadsDoNotSerialize(t *testing.T) {
 // modified journals, not an arbitrary prefix of the sorted listing.
 func TestRecoveryBootPrefersMostRecentlyModified(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +360,9 @@ func TestRecoveryBootPrefersMostRecentlyModified(t *testing.T) {
 		}
 	}
 
-	cfg := durableConfig(dir)
+	cfg := durableConfig()
 	cfg.MaxSessions = 2
-	e2, err := Open(cfg)
+	e2, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,11 +132,8 @@ func countFrames(t *testing.T, path string) (frames int, clean bool) {
 	return frames, off == len(raw)
 }
 
-func durableConfig(dir string) Config {
-	return Config{
-		DataDir: dir,
-		WAL:     wal.Options{Fsync: wal.FsyncNever, SegmentBytes: 512, CompactAfter: 1024},
-	}
+func durableConfig() Config {
+	return Config{WAL: wal.Options{Fsync: wal.FsyncNever, SegmentBytes: 512, CompactAfter: 1024}}
 }
 
 func sessionCfg() SessionConfig {
@@ -151,7 +148,7 @@ func sessionCfg() SessionConfig {
 // uninterrupted in-memory run.
 func TestDurableRoundTripBitIdentical(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +173,7 @@ func TestDurableRoundTripBitIdentical(t *testing.T) {
 		t.Fatal("in-memory reference diverges from durable session (journaling changed semantics)")
 	}
 
-	e2, err := Open(durableConfig(dir))
+	e2, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +195,7 @@ func TestDurableRoundTripBitIdentical(t *testing.T) {
 	if !s2.CreatedAt().Equal(wantCreated) {
 		t.Fatalf("created-at not restored: %v vs %v", s2.CreatedAt(), wantCreated)
 	}
-	if !s2.Durable() {
+	if s2.journal == nil {
 		t.Fatal("recovered session lost its journal")
 	}
 
@@ -209,7 +206,7 @@ func TestDurableRoundTripBitIdentical(t *testing.T) {
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e3, err := Open(durableConfig(dir))
+	e3, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +301,7 @@ func prefixStates(t *testing.T, n int, ops []walOp) []prefixState {
 func TestCrashRecoveryMatchesCleanReplayPrefix(t *testing.T) {
 	const n = 30
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +351,7 @@ func TestCrashRecoveryMatchesCleanReplayPrefix(t *testing.T) {
 		if err := os.Truncate(segClone, cut); err != nil {
 			t.Fatal(err)
 		}
-		e2, err := Open(durableConfig(clone))
+		e2, err := Open(clone, durableConfig())
 		if err != nil {
 			t.Fatalf("cut=%d: open: %v", cut, err)
 		}
@@ -396,7 +393,7 @@ func TestCrashRecoveryMatchesCleanReplayPrefix(t *testing.T) {
 func TestCrashRecoveryCorruptTail(t *testing.T) {
 	const n = 25
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +423,7 @@ func TestCrashRecoveryCorruptTail(t *testing.T) {
 		if err := os.WriteFile(segClone, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		e2, err := Open(durableConfig(clone))
+		e2, err := Open(clone, durableConfig())
 		if err != nil {
 			t.Fatalf("off=%d: open: %v", off, err)
 		}
@@ -454,11 +451,11 @@ func TestCrashRecoveryCorruptTail(t *testing.T) {
 // with identical state.
 func TestEvictedDurableSessionRevives(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir)
+	cfg := durableConfig()
 	cfg.MaxSessions = 1
 	evicted := make([]string, 0, 2)
 	cfg.OnEvict = func(id string) { evicted = append(evicted, id) }
-	e, err := Open(cfg)
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,9 +505,9 @@ func TestEvictedDurableSessionRevives(t *testing.T) {
 // creatable again; Create refuses ids that still have files.
 func TestDurableDeleteRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir)
+	cfg := durableConfig()
 	cfg.MaxSessions = 1
-	e, err := Open(cfg)
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,22 +530,12 @@ func TestDurableDeleteRemovesFiles(t *testing.T) {
 	}
 }
 
-// TestNewPanicsOnDataDir: durable engines must go through Open.
-func TestNewPanicsOnDataDir(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New with DataDir did not panic")
-		}
-	}()
-	New(Config{DataDir: t.TempDir()})
-}
-
 // TestRecoveryRejectsUnregisteredEstimator: a journaled session whose config
 // names an estimator this binary does not register must fail recovery with a
 // clear error, not panic.
 func TestRecoveryRejectsUnregisteredEstimator(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +563,7 @@ func TestRecoveryRejectsUnregisteredEstimator(t *testing.T) {
 	if err := os.WriteFile(metaPath, mut, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(durableConfig(dir)); err == nil {
+	if _, err := Open(dir, durableConfig()); err == nil {
 		t.Fatal("open succeeded with unregistered estimator in stored config")
 	}
 }
@@ -587,8 +574,8 @@ func TestRecoveryRejectsUnregisteredEstimator(t *testing.T) {
 // documented loss bound.
 func TestBackgroundFlusherBoundsIdleLoss(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, WAL: wal.Options{Fsync: wal.FsyncBatch, BatchInterval: 10 * time.Millisecond}}
-	e, err := Open(cfg)
+	cfg := Config{WAL: wal.Options{Fsync: wal.FsyncBatch, BatchInterval: 10 * time.Millisecond}}
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +593,7 @@ func TestBackgroundFlusherBoundsIdleLoss(t *testing.T) {
 	for {
 		clone := t.TempDir()
 		copyDir(t, dir, clone)
-		e2, err := Open(Config{DataDir: clone, WAL: cfg.WAL})
+		e2, err := Open(clone, Config{WAL: cfg.WAL})
 		if err == nil {
 			s2, ok := e2.Get("idle")
 			if ok && s2.TotalVotes() == 1 && s2.Tasks() == 1 {
@@ -625,7 +612,7 @@ func TestBackgroundFlusherBoundsIdleLoss(t *testing.T) {
 // TestEngineCloseIdempotent: a second Close (defer + explicit shutdown path)
 // must be a harmless no-op, not a spurious journal-closed error.
 func TestEngineCloseIdempotent(t *testing.T) {
-	e, err := Open(durableConfig(t.TempDir()))
+	e, err := Open(t.TempDir(), durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,9 +632,9 @@ func TestEngineCloseIdempotent(t *testing.T) {
 // recovery, and a consistent final state.
 func TestConcurrentLoadCreateDeleteNoDoubleJournal(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir)
+	cfg := durableConfig()
 	cfg.MaxSessions = 1
-	e, err := Open(cfg)
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +670,7 @@ func TestConcurrentLoadCreateDeleteNoDoubleJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Whatever survived must recover cleanly.
-	if _, err := Open(durableConfig(dir)); err != nil {
+	if _, err := Open(dir, durableConfig()); err != nil {
 		t.Fatalf("post-churn recovery failed: %v", err)
 	}
 }
@@ -693,7 +680,7 @@ func TestConcurrentLoadCreateDeleteNoDoubleJournal(t *testing.T) {
 // whole data dir, and its id must be reusable.
 func TestOpenSkipsAbortedCreateDir(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -712,7 +699,7 @@ func TestOpenSkipsAbortedCreateDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2, err := Open(durableConfig(dir))
+	e2, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatalf("Open with orphan session dir: %v", err)
 	}
@@ -734,7 +721,7 @@ func TestOpenSkipsAbortedCreateDir(t *testing.T) {
 // (unlistable, unloadable, yet blocking Create) until manual cleanup.
 func TestDeleteRemovesAbortedCreateDir(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -756,7 +743,7 @@ func TestDeleteRemovesAbortedCreateDir(t *testing.T) {
 // and Load invoked the callback while holding loadMu.
 func TestOnEvictMayReenterEngine(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableConfig(dir)
+	cfg := durableConfig()
 	cfg.MaxSessions = 1
 	var e *Engine
 	var evicted []string
@@ -766,7 +753,7 @@ func TestOnEvictMayReenterEngine(t *testing.T) {
 		// the callback fired under it.
 		e.Delete(id + "-ghost")
 	}
-	e, err := Open(cfg)
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -808,7 +795,7 @@ func TestRepeatedSwitchSessionRecovers(t *testing.T) {
 	}
 	names := []string{estimator.NameVoting, estimator.NameSwitch, estimator.NameSwitch}
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -856,7 +843,7 @@ func TestRepeatedSwitchSessionRecovers(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Open(durableConfig(dir))
+	e2, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -880,8 +867,8 @@ func TestRepeatedSwitchSessionRecovers(t *testing.T) {
 func TestVersionNeverFallsAcrossRestart(t *testing.T) {
 	for _, shape := range []struct{ boundaries, tasks int }{{1000, 400}, {3000, 1500}} {
 		t.Run(fmt.Sprintf("%d-boundaries-%d-tasks", shape.boundaries, shape.tasks), func(t *testing.T) {
-			cfg := Config{DataDir: t.TempDir(), WAL: wal.Options{SegmentBytes: 256, CompactAfter: 1}}
-			e, err := Open(cfg)
+			dir, cfg := t.TempDir(), Config{WAL: wal.Options{SegmentBytes: 256, CompactAfter: 1}}
+			e, err := Open(dir, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -907,7 +894,7 @@ func TestVersionNeverFallsAcrossRestart(t *testing.T) {
 				if err := e.Close(); err != nil {
 					t.Fatal(err)
 				}
-				if e, err = Open(cfg); err != nil {
+				if e, err = Open(dir, cfg); err != nil {
 					t.Fatal(err)
 				}
 				var ok bool

@@ -16,9 +16,9 @@ import (
 	"dqm/internal/xrand"
 )
 
-// defaultCISeed mirrors the historical dqm.Recorder bootstrap seed so the
-// compat wrapper stays bit-identical.
-const defaultCISeed = 0x5eed
+// ciSeed seeds every bootstrap confidence interval, so an interval is a
+// function of the vote stream, the replicate count and the level alone.
+const ciSeed = 0x5eed
 
 // JournalError wraps a write-ahead journal failure. The mutation was NOT
 // applied — write-ahead means the journal is consulted first — and the
@@ -53,9 +53,6 @@ type SessionConfig struct {
 	// estimator.SuiteConfig); the zero value is the paper-faithful default
 	// set.
 	Suite estimator.SuiteConfig
-	// CISeed seeds the bootstrap confidence-interval RNG; 0 selects the
-	// default.
-	CISeed uint64
 	// Window, when set, additionally runs the selected estimators over
 	// tumbling/sliding task-count windows (see package window). Nil disables
 	// windowed estimation. The config is persisted with the session, so a
@@ -94,11 +91,6 @@ type Session struct {
 	// order equals apply order and recovery replays to bit-identical state.
 	journal *wal.Journal
 
-	ciSeed uint64
-	// ciWorkers is the bootstrap worker-pool width (0 = per-CPU default,
-	// capped). Set once at construction (Engine.Create plumbs
-	// Config.BootstrapParallelism), immutable afterwards.
-	ciWorkers int
 	// ciCache memoizes bootstrap confidence intervals by (kind, replicates,
 	// level); entries are valid while their version still matches. Guarded by
 	// mu. The bootstrap itself runs OFF the mutex: only the state capture and
@@ -172,16 +164,12 @@ type ciFlight struct {
 // window.Config.Validate, or create sessions through an Engine, which
 // returns an error instead).
 func NewSession(id string, n int, cfg SessionConfig) *Session {
-	if cfg.CISeed == 0 {
-		cfg.CISeed = defaultCISeed
-	}
 	now := time.Now()
 	s := &Session{
 		id:      id,
 		created: now,
 		items:   n,
 		suite:   estimator.NewSuite(n, cfg.Suite),
-		ciSeed:  cfg.CISeed,
 	}
 	if cfg.Window != nil {
 		s.ring = window.New(n, cfg.Suite, *cfg.Window)
@@ -642,9 +630,6 @@ func (s *Session) Reset() error {
 	return nil
 }
 
-// Durable reports whether the session journals its mutations.
-func (s *Session) Durable() bool { return s.journal != nil }
-
 // checkpointJournal forces a durable point (fsync + compaction when due).
 // An already-closed journal (evicted session, repeated engine Close) is a
 // no-op, not an error.
@@ -757,7 +742,7 @@ func (s *Session) SwitchCI(replicates int, level float64) (estimator.CI, error) 
 		}
 		return func() (estimator.CI, error) {
 			defer st.Release()
-			return st.Bootstrap(replicates, level, xrand.New(s.ciSeed), s.ciWorkers)
+			return st.Bootstrap(replicates, level, xrand.New(ciSeed), estimator.DefaultBootstrapWorkers())
 		}, nil
 	})
 }
@@ -770,7 +755,7 @@ func (s *Session) Chao92CI(replicates int, level float64) (estimator.CI, error) 
 		st := estimator.CaptureChao92(s.suite.Matrix)
 		return func() (estimator.CI, error) {
 			defer st.Release()
-			return st.Bootstrap(replicates, level, xrand.New(s.ciSeed), s.ciWorkers)
+			return st.Bootstrap(replicates, level, xrand.New(ciSeed), estimator.DefaultBootstrapWorkers())
 		}, nil
 	})
 }

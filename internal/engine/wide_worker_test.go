@@ -42,8 +42,8 @@ func TestDurableWideWorkersMatchInMemory(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, WAL: wal.Options{Fsync: wal.FsyncNever}}
-	e, err := Open(cfg)
+	cfg := Config{WAL: wal.Options{Fsync: wal.FsyncNever}}
+	e, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDurableWideWorkersMatchInMemory(t *testing.T) {
 	reopen := func(when string, cfg Config) {
 		t.Helper()
 		must(e.Close())
-		if e, err = Open(cfg); err != nil {
+		if e, err = Open(dir, cfg); err != nil {
 			t.Fatalf("%s: %v", when, err)
 		}
 		var ok bool

@@ -66,7 +66,7 @@ func winPrefixStates(t *testing.T, n int, ops []walOp) []winState {
 // (rotation and compaction included) bit-identically.
 func TestWindowedDurableRoundTripBitIdentical(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestWindowedDurableRoundTripBitIdentical(t *testing.T) {
 		t.Fatal("in-memory windowed reference diverges from durable session")
 	}
 
-	e2, err := Open(durableConfig(dir))
+	e2, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestWindowedDurableRoundTripBitIdentical(t *testing.T) {
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e3, err := Open(durableConfig(dir))
+	e3, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestWindowedDurableRoundTripBitIdentical(t *testing.T) {
 func TestWindowedCrashRecoveryMatchesCleanReplayPrefix(t *testing.T) {
 	const n = 30
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestWindowedCrashRecoveryMatchesCleanReplayPrefix(t *testing.T) {
 		if err := os.Truncate(segClone, cut); err != nil {
 			t.Fatal(err)
 		}
-		e2, err := Open(durableConfig(clone))
+		e2, err := Open(clone, durableConfig())
 		if err != nil {
 			t.Fatalf("cut=%d: open: %v", cut, err)
 		}
@@ -202,7 +202,7 @@ func TestWindowedCrashRecoveryMatchesCleanReplayPrefix(t *testing.T) {
 // recovery loudly, not serve silently wrong windows.
 func TestRecoveryRejectsMismatchedRotationRecord(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(durableConfig(dir))
+	e, err := Open(dir, durableConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRecoveryRejectsMismatchedRotationRecord(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(durableConfig(dir)); err == nil || !strings.Contains(err.Error(), "window rotation") {
+	if _, err := Open(dir, durableConfig()); err == nil || !strings.Contains(err.Error(), "window rotation") {
 		t.Fatalf("recovery with forged rotation record: err = %v, want window-rotation mismatch", err)
 	}
 }

@@ -28,7 +28,7 @@ func runScenario(t *testing.T, profile crowd.Profile, nTasks int, seed uint64) (
 	})
 	suite := NewSuite(pop.N(), SuiteConfig{})
 	for _, task := range sim.Tasks(nTasks) {
-		suite.ObserveTask(task.Votes())
+		suite.ObserveTask(task.AppendVotes(nil))
 	}
 	return suite, pop
 }

@@ -38,9 +38,6 @@ type CI struct {
 	Replicates int
 }
 
-// Contains reports whether v lies within the interval.
-func (c CI) Contains(v float64) bool { return v >= c.Lo && v <= c.Hi }
-
 func percentileCI(samples []float64, level float64, reps int) CI {
 	sort.Float64s(samples)
 	alpha := (1 - level) / 2
@@ -86,9 +83,9 @@ func runReplicates(b, workers int, base *xrand.RNG, f func(rep int, rng *xrand.R
 	wg.Wait()
 }
 
-// DefaultBootstrapWorkers is the worker-pool width used when a caller passes
-// workers ≤ 0: one per CPU, capped — replicate loops are compute-bound and
-// wider pools only add scheduling noise.
+// DefaultBootstrapWorkers is the worker-pool width a served interval uses:
+// one per CPU, capped — replicate loops are compute-bound and wider pools
+// only add scheduling noise.
 func DefaultBootstrapWorkers() int {
 	w := runtime.GOMAXPROCS(0)
 	if w > 8 {
@@ -142,15 +139,12 @@ func (st *Chao92BootstrapState) Release() { chao92StatePool.Put(st) }
 
 // Bootstrap computes the percentile CI from the captured state. Replicate i
 // draws from rng.SplitAt(i), so the result is independent of the worker
-// count; workers ≤ 0 selects DefaultBootstrapWorkers. Each replicate
+// count; workers ≤ 1 runs the replicates inline. Each replicate
 // accumulates the Chao92 sufficient statistic (c, f₁, pair sum, n) directly
 // from the n item draws — no per-replicate fingerprint or count buffer.
 func (st *Chao92BootstrapState) Bootstrap(b int, level float64, rng *xrand.RNG, workers int) (CI, error) {
 	if err := checkBootstrapArgs(b, level); err != nil {
 		return CI{}, err
-	}
-	if workers <= 0 {
-		workers = DefaultBootstrapWorkers()
 	}
 	n := len(st.pos)
 	ests := getEsts(b)
@@ -249,9 +243,6 @@ func (st *SwitchBootstrapState) Bootstrap(b int, level float64, rng *xrand.RNG, 
 	if err := checkBootstrapArgs(b, level); err != nil {
 		return CI{}, err
 	}
-	if workers <= 0 {
-		workers = DefaultBootstrapWorkers()
-	}
 	ests := getEsts(b)
 	defer estsPool.Put(ests)
 	runReplicates(b, workers, rng, func(rep int, rng *xrand.RNG) {
@@ -316,18 +307,6 @@ func (st *SwitchBootstrapState) replicate(rng *xrand.RNG) float64 {
 		total = 0
 	}
 	return total
-}
-
-// BootstrapSwitch returns a percentile CI for the SWITCH total-error
-// estimate. It is the one-shot form of CaptureBootstrap + Bootstrap, run on
-// the caller's goroutine.
-func (e *SwitchEstimator) BootstrapSwitch(b int, level float64, rng *xrand.RNG) (CI, error) {
-	st, err := e.CaptureBootstrap()
-	if err != nil {
-		return CI{}, err
-	}
-	defer st.Release()
-	return st.Bootstrap(b, level, rng, 1)
 }
 
 // bootXi is the replicate-side ξ: the estimated remaining switches of one

@@ -263,9 +263,6 @@ func (e *SwitchEstimator) EndTask() {
 	e.trend()
 }
 
-// Tasks returns the number of completed tasks.
-func (e *SwitchEstimator) Tasks() int { return e.tasks }
-
 // Tracker exposes the underlying switch statistics (read-only use).
 func (e *SwitchEstimator) Tracker() *switchstat.Tracker { return e.tracker }
 

@@ -224,7 +224,7 @@ func TestSwitchReset(t *testing.T) {
 	e.Observe(votes.Vote{Item: 0, Label: votes.Dirty})
 	e.EndTask()
 	e.Reset()
-	if e.Tasks() != 0 {
+	if e.tasks != 0 {
 		t.Fatal("Reset left task count")
 	}
 	est := e.Estimate()
@@ -314,16 +314,26 @@ func TestSwitchNModeSignMass(t *testing.T) {
 		if math.IsNaN(est.Total) || math.IsInf(est.Total, 0) || est.Total < 0 {
 			t.Fatalf("mode %v: bad total %v", mode, est.Total)
 		}
-		if est.DPos < float64(e.Tracker().PositiveSwitches()) {
+		if est.DPos < float64(e.tracker.PositiveSwitches()) {
 			t.Fatalf("mode %v: D⁺ %v below observed switches", mode, est.DPos)
 		}
 	}
 }
 
+// TestSwitchPolicyOption: SwitchConfig.Policy reaches the tracker. A dirty
+// vote and then a clean one tie item 0; only the default tie-flip rule
+// counts the tie as a switch back to clean.
 func TestSwitchPolicyOption(t *testing.T) {
-	e := NewSwitch(1, SwitchConfig{Policy: switchstat.PolicyStrictMajority})
-	if got := e.Tracker().Policy(); got != switchstat.PolicyStrictMajority {
-		t.Fatalf("policy not propagated: %v", got)
+	for _, tt := range []struct {
+		policy switchstat.Policy
+		want   int64
+	}{{switchstat.PolicyTieFlip, 2}, {switchstat.PolicyStrictMajority, 1}} {
+		e := NewSwitch(1, SwitchConfig{Policy: tt.policy})
+		e.Observe(votes.Vote{Item: 0, Label: votes.Dirty})
+		e.Observe(votes.Vote{Item: 0, Label: votes.Clean})
+		if got := e.tracker.Switches(); got != tt.want {
+			t.Fatalf("%v: %d switches, want %d: policy not propagated", tt.policy, got, tt.want)
+		}
 	}
 }
 
@@ -341,7 +351,7 @@ func TestSuiteByName(t *testing.T) {
 
 func TestSuiteDefaultShift(t *testing.T) {
 	s := NewSuite(10, SuiteConfig{})
-	if got := s.Config().VChao92.Shift; got != 1 {
+	if got := s.cfg.VChao92.Shift; got != 1 {
 		t.Fatalf("default vChao92 shift = %d, want 1", got)
 	}
 }

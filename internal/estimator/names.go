@@ -22,8 +22,6 @@ const (
 	// sample-driven rather than vote-stream-driven, so a suite cannot select
 	// it.
 	NameExtrapolate = "EXTRAPOL"
-	// NameGT labels ground truth, where plotted.
-	NameGT = "GT"
 )
 
 // Selection bits of a suite, one per estimator of standardEstimates.

@@ -14,7 +14,7 @@ func TestRegistryHasStandardNames(t *testing.T) {
 	if err := ValidateNames(StandardNames()); err != nil {
 		t.Fatalf("ValidateNames(standard) = %v", err)
 	}
-	for _, name := range []string{"NOPE", NameExtrapolate, NameGT, ""} {
+	for _, name := range []string{"NOPE", NameExtrapolate, "GT", ""} {
 		err := ValidateNames([]string{NameVoting, name})
 		want := `estimator: unknown estimator "` + name + `" (registered: [CHAO92 NOMINAL SWITCH V-CHAO VOTING])`
 		if err == nil || err.Error() != want {

@@ -88,12 +88,6 @@ func NewSuite(n int, cfg SuiteConfig) *Suite {
 // Names returns the selected estimator names as given to NewSuite.
 func (s *Suite) Names() []string { return slices.Clone(s.names) }
 
-// Config returns the (normalized) configuration the suite was built with.
-func (s *Suite) Config() SuiteConfig { return s.cfg }
-
-// NumItems returns the population size N.
-func (s *Suite) NumItems() int { return s.n }
-
 // Observe ingests one vote into the shared matrix and then the SWITCH
 // tracker, which reads the vote counts the matrix has just updated.
 func (s *Suite) Observe(v votes.Vote) {

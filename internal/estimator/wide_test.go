@@ -46,8 +46,8 @@ func bitsFor(n int64) int {
 // reference counts, and the rows must be exactly as wide as the most votes
 // any item has held needs. After every task, and after every vote within
 // three votes of either item's crossing of either bound, the suites must
-// agree on every estimate, on ItemSwitches and
-// Consensus, and the tested suite's counts, c_nominal and c_majority, and the
+// agree on every estimate and on each item's switch state, and the tested
+// suite's counts, c_nominal and c_majority, and the
 // counts CaptureChao92 reads, must equal the reference. Within the
 // crossings, every 100 tasks and after Reset the f-statistics and both
 // switch fingerprints are compared too. Reset must keep the 32-bit layout,
@@ -163,7 +163,7 @@ func diffWideSuite(s, ref *Suite, pos, neg []int64, full bool) string {
 	if m.Nominal() != nominal || m.Majority() != majority {
 		return fmt.Sprintf("c_nominal/c_majority = %d/%d, want %d/%d", m.Nominal(), m.Majority(), nominal, majority)
 	}
-	tr, rt := s.Switch.Tracker(), ref.Switch.Tracker()
+	tr, rt := s.Switch.tracker, ref.Switch.tracker
 	if full {
 		f := stats.NewFreqFromCounts(posCounts)
 		if !sameFreq(m.DirtyFingerprintView(), f) {
@@ -174,11 +174,8 @@ func diffWideSuite(s, ref *Suite, pos, neg []int64, full bool) string {
 			return "switch fingerprints differ"
 		}
 	}
-	for i := range pos {
-		if tr.ItemSwitches(i) != rt.ItemSwitches(i) || tr.Consensus(i) != rt.Consensus(i) {
-			return fmt.Sprintf("item %d: %d switches, consensus %v; want %d, %v",
-				i, tr.ItemSwitches(i), tr.Consensus(i), rt.ItemSwitches(i), rt.Consensus(i))
-		}
+	if msg := diffSwitchRows(s, ref); msg != "" {
+		return msg
 	}
 	return ""
 }
@@ -200,7 +197,7 @@ func sameFreq(a, b stats.Freq) bool {
 // trackers updating the same rows would each count the other's switches.
 // Under both policies, after every task and across the 8- to 16-bit
 // widening, every estimate, the SWITCH estimate, the
-// switch counts, ItemSwitches and Consensus must equal those of a suite that
+// switch counts and each item's switch state must equal those of a suite that
 // lists each name once, and Names must keep every repetition. Reset and a
 // replay must agree the same way.
 func TestSuiteRepeatedSwitchMatchesOne(t *testing.T) {
@@ -263,15 +260,25 @@ func diffSwitchMembers(s, ref *Suite) string {
 	if got, want := s.Switch.Estimate(), ref.Switch.Estimate(); got != want {
 		return fmt.Sprintf("SWITCH Estimate = %+v, want %+v", got, want)
 	}
-	tr, rt := s.Switch.Tracker(), ref.Switch.Tracker()
+	tr, rt := s.Switch.tracker, ref.Switch.tracker
 	if tr.Switches() != rt.Switches() || tr.NSwitch() != rt.NSwitch() {
 		return fmt.Sprintf("%d switches over n_switch %d, want %d over %d",
 			tr.Switches(), tr.NSwitch(), rt.Switches(), rt.NSwitch())
 	}
-	for item := 0; item < s.NumItems(); item++ {
-		if tr.ItemSwitches(item) != rt.ItemSwitches(item) || tr.Consensus(item) != rt.Consensus(item) {
-			return fmt.Sprintf("item %d: %d switches, consensus %v; want %d, %v",
-				item, tr.ItemSwitches(item), tr.Consensus(item), rt.ItemSwitches(item), rt.Consensus(item))
+	return diffSwitchRows(s, ref)
+}
+
+// diffSwitchRows returns the first item whose SWITCH state (last frequency
+// and switch count), which the tracker keeps in its suite matrix's rows,
+// differs between s and ref, or "".
+func diffSwitchRows(s, ref *Suite) string {
+	rows, want := s.Matrix.Rows(), ref.Matrix.Rows()
+	for item := 0; item < s.n; item++ {
+		gotFreq, gotEvents := rows.Switch(item)
+		wantFreq, wantEvents := want.Switch(item)
+		if gotFreq != wantFreq || gotEvents != wantEvents {
+			return fmt.Sprintf("item %d: %d switches, last frequency %d; want %d, %d",
+				item, gotEvents, gotFreq, wantEvents, wantFreq)
 		}
 	}
 	return ""

@@ -11,9 +11,10 @@ import (
 	"dqm/internal/votes"
 )
 
-// The ablations quantify the design choices DESIGN.md §5 calls out: the
-// switch-counting policy, the n used for sign-specific switch estimation,
-// and the vChao92 shift/adjustment.
+// The ablations quantify the design choices the paper's estimators leave to
+// the implementation: the switch-counting policy (Equation 7's tie flip or a
+// strict majority), the n used for sign-specific switch estimation, and the
+// vChao92 shift/adjustment.
 
 // switchVariant is one configuration of the SWITCH estimator under ablation.
 type switchVariant struct {

@@ -3,8 +3,9 @@ package experiment
 import "dqm/internal/crowd"
 
 // Worker profiles calibrated to reproduce the qualitative signatures the
-// paper reports for each AMT deployment (DESIGN.md §3). The estimators only
-// see the vote stream, so matching the error *balance* is what matters:
+// paper reports for each AMT deployment, whose labels are not available
+// offline (see package dataset). The estimators only see the vote stream, so
+// matching the error *balance* is what matters:
 //
 //   - Restaurant (§6.1.1): "the workers make a lot of false positive
 //     errors"; VOTING monotonically decreases; negative switches dominate.

@@ -1,9 +1,9 @@
 // Package heuristic implements Section 5's prioritization model: a
-// confidence function H : R → R⁺, the (α, β) window that splits the item
-// space into obviously-clean, ambiguous (R_H, routed to the crowd) and
-// obviously-dirty regions, and the ε-randomized sampler that hedges against
-// imperfect heuristics by occasionally showing workers items from outside
-// the window.
+// heuristic's window R_H, the ambiguous items routed to the crowd (a
+// confidence function H and the (α, β) window over it; internal/pipeline
+// applies one to candidate pairs), and the ε-randomized sampler that hedges
+// against imperfect heuristics by occasionally showing workers items from
+// outside the window.
 package heuristic
 
 import (
@@ -11,39 +11,6 @@ import (
 
 	"dqm/internal/xrand"
 )
-
-// Partition is the three-way split induced by H and the window [α, β]:
-// items with H < α are auto-classified clean, H > β auto-classified dirty,
-// and the window in between becomes the crowd's candidate set R_H.
-type Partition struct {
-	Alpha, Beta float64
-	// Candidates is R_H = {r : α ≤ H(r) ≤ β}, sorted by item id.
-	Candidates []int
-	// AutoDirty is {r : H(r) > β}, auto-merged without crowd review.
-	AutoDirty []int
-	// AutoClean is {r : H(r) < α}.
-	AutoClean []int
-}
-
-// Split partitions items 0..n−1 by their confidence scores. scores[i] is
-// H(item i).
-func Split(scores []float64, alpha, beta float64) Partition {
-	if alpha > beta {
-		panic(fmt.Sprintf("heuristic: alpha %v > beta %v", alpha, beta))
-	}
-	p := Partition{Alpha: alpha, Beta: beta}
-	for i, s := range scores {
-		switch {
-		case s > beta:
-			p.AutoDirty = append(p.AutoDirty, i)
-		case s < alpha:
-			p.AutoClean = append(p.AutoClean, i)
-		default:
-			p.Candidates = append(p.Candidates, i)
-		}
-	}
-	return p
-}
 
 // Synthetic builds the heuristic abstraction the Figure 8 sensitivity sweep
 // needs: a candidate set R_H that captures a controllable fraction of the

@@ -7,35 +7,6 @@ import (
 	"dqm/internal/xrand"
 )
 
-func TestSplit(t *testing.T) {
-	scores := []float64{0.1, 0.6, 0.95, 0.5, 0.9, 0.3}
-	p := Split(scores, 0.5, 0.9)
-	wantCands := []int{1, 3, 4} // 0.6, 0.5, 0.9 (inclusive window)
-	if len(p.Candidates) != len(wantCands) {
-		t.Fatalf("candidates = %v", p.Candidates)
-	}
-	for i, id := range wantCands {
-		if p.Candidates[i] != id {
-			t.Fatalf("candidates = %v, want %v", p.Candidates, wantCands)
-		}
-	}
-	if len(p.AutoDirty) != 1 || p.AutoDirty[0] != 2 {
-		t.Fatalf("auto dirty = %v", p.AutoDirty)
-	}
-	if len(p.AutoClean) != 2 {
-		t.Fatalf("auto clean = %v", p.AutoClean)
-	}
-}
-
-func TestSplitPanicsOnInvertedWindow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("inverted window did not panic")
-		}
-	}()
-	Split([]float64{0.5}, 0.9, 0.1)
-}
-
 func TestSyntheticPerfect(t *testing.T) {
 	r := xrand.New(1)
 	dirty := []int{5, 10, 15, 20}

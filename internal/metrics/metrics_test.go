@@ -19,7 +19,11 @@ func TestExpositionGolden(t *testing.T) {
 	r.Counter("test_votes_total", "Votes ingested.").Add(42)
 	r.Counter("test_requests_total", "Requests.", Label{"route", "estimates"}, Label{"code", "200"}).Add(3)
 	r.Counter("test_requests_total", "Requests.", Label{"route", "votes"}, Label{"code", "200"}).Inc()
-	r.Gauge("test_sessions", "Live sessions.").Set(7)
+	sessions := r.Gauge("test_sessions", "Live sessions.")
+	for i := 0; i < 8; i++ {
+		sessions.Inc()
+	}
+	sessions.Dec()
 	r.GaugeFunc("test_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
 	h := r.Histogram("test_latency_seconds", "Latency.", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
@@ -150,7 +154,9 @@ func TestLabelEscaping(t *testing.T) {
 func TestHandler(t *testing.T) {
 	r1, r2 := NewRegistry(), NewRegistry()
 	r1.Counter("one_total", "one.").Inc()
-	r2.Gauge("two", "two.").Set(2)
+	two := r2.Gauge("two", "two.")
+	two.Inc()
+	two.Inc()
 	rec := httptest.NewRecorder()
 	Handler(r1, r2).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {

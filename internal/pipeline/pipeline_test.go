@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dqm/internal/dataset"
-	"dqm/internal/heuristic"
 	"dqm/internal/similarity"
 )
 
@@ -83,16 +82,4 @@ func TestProductCandidatesFindMostMatches(t *testing.T) {
 	if found < 40 { // at least 2/3 of the 60 matches survive stage 1
 		t.Fatalf("pipeline found only %d/60 matches", found)
 	}
-}
-
-func TestScoreWindow(t *testing.T) {
-	p := ScoreWindow([]float64{0.2, 0.6, 0.95}, 0.5, 0.9)
-	if len(p.Candidates) != 1 || p.Candidates[0] != 1 {
-		t.Fatalf("candidates = %v", p.Candidates)
-	}
-}
-
-// ScoreWindow partitions arbitrary scored items with heuristic.Split.
-func ScoreWindow(scores []float64, alpha, beta float64) heuristic.Partition {
-	return heuristic.Split(scores, alpha, beta)
 }

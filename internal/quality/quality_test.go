@@ -25,7 +25,7 @@ func buildMatrix(t *testing.T, fp, fn float64, tasks int) (*votes.Matrix, *datas
 	})
 	m := votes.NewMatrix(pop.N(), votes.WithHistory())
 	for _, task := range sim.Tasks(tasks) {
-		for _, v := range task.Votes() {
+		for _, v := range task.AppendVotes(nil) {
 			m.Add(v)
 		}
 	}
@@ -137,9 +137,6 @@ func TestEMRequiresHistory(t *testing.T) {
 
 func TestWorkerSkillHelpers(t *testing.T) {
 	sk := WorkerSkill{Sensitivity: 0.9, Specificity: 0.7}
-	if math.Abs(sk.Accuracy()-0.8) > 1e-12 {
-		t.Fatalf("Accuracy = %v", sk.Accuracy())
-	}
 	if !sk.BetterThanRandom() {
 		t.Fatal("informative worker flagged as random")
 	}
@@ -259,10 +256,6 @@ func TestReadersSeeWideCounts(t *testing.T) {
 		t.Fatalf("FleissKappa = %v, want %v", got, want)
 	}
 }
-
-// Accuracy returns the balanced accuracy (mean of sensitivity and
-// specificity).
-func (w WorkerSkill) Accuracy() float64 { return (w.Sensitivity + w.Specificity) / 2 }
 
 // BetterThanRandom reports whether the worker satisfies the paper's core
 // assumption (sensitivity + specificity > 1, i.e. informative votes).

@@ -177,7 +177,7 @@ func AllRules() []Rule {
 	}
 }
 
-// Detector applies a rule set to records and reports violations.
+// Detector applies a rule set to records.
 type Detector struct {
 	Rules []Rule
 }
@@ -188,18 +188,6 @@ func NewDetector(rs ...Rule) *Detector {
 		rs = AllRules()
 	}
 	return &Detector{Rules: rs}
-}
-
-// Violations returns the names of the rules record a violates (nil when
-// clean under this rule set).
-func (d *Detector) Violations(a dataset.Address) []string {
-	var out []string
-	for _, r := range d.Rules {
-		if r.Check(a) {
-			out = append(out, r.Name())
-		}
-	}
-	return out
 }
 
 // Dirty reports whether any rule fires.

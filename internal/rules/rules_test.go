@@ -134,7 +134,11 @@ func TestDetectorAgainstGenerator(t *testing.T) {
 	if fp != 0 {
 		for _, i := range flagged {
 			if !data.Truth.IsDirty(i) {
-				t.Logf("false positive %d: %v -> %v", i, data.Records[i], det.Violations(data.Records[i]))
+				for _, r := range det.Rules {
+					if r.Check(data.Records[i]) {
+						t.Logf("false positive %d: %v -> %s", i, data.Records[i], r.Name())
+					}
+				}
 			}
 		}
 		t.Fatalf("%d false positives from the rule detector", fp)
@@ -167,21 +171,28 @@ func TestDetectorAgainstGenerator(t *testing.T) {
 	}
 }
 
+// TestDetectorViolationNames: the catalog rule named zip-city-fd flags a
+// record whose city does not match its zip, a detector over it or over the
+// whole catalog fires, and neither fires on a clean record.
 func TestDetectorViolationNames(t *testing.T) {
 	a := cleanAddr()
 	a.City = "Seattle" // FD violation AND wrong state for the zip
-	v := NewDetector().Violations(a)
-	found := false
-	for _, name := range v {
-		if name == "zip-city-fd" {
-			found = true
+	var fd Rule
+	for _, r := range AllRules() {
+		if r.Name() == "zip-city-fd" {
+			fd = r
 		}
 	}
-	if !found {
-		t.Fatalf("violations = %v, want zip-city-fd", v)
+	if fd == nil {
+		t.Fatal("catalog has no zip-city-fd rule")
 	}
-	if len(NewDetector().Violations(cleanAddr())) != 0 {
-		t.Fatal("clean address has violations")
+	for _, det := range []*Detector{NewDetector(fd), NewDetector()} {
+		if !det.Dirty(a) {
+			t.Fatalf("detector over %d rules missed the zip-city-fd violation", len(det.Rules))
+		}
+		if det.Dirty(cleanAddr()) {
+			t.Fatalf("detector over %d rules flagged a clean address", len(det.Rules))
+		}
 	}
 }
 

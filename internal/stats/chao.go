@@ -23,21 +23,13 @@ func Coverage(singletons, n int64) float64 {
 	return c
 }
 
-// CV2 returns the squared coefficient-of-variation estimate γ̂² of
-// Equation 5:
+// CV2FromStats returns the squared coefficient-of-variation estimate γ̂² of
+// Equation 5 from f₁ and the pair sum Σ j(j−1)f_j:
 //
 //	γ̂² = max( (c/Ĉ) · Σ j(j−1)f_j / (n(n−1)) − 1, 0 )
 //
 // It measures the skew of the species abundance distribution; γ̂² = 0
 // corresponds to the homogeneous (no-skew) model.
-func CV2(c int64, f Freq, n int64) float64 {
-	return CV2FromStats(c, f.Singletons(), f.PairSum(), n)
-}
-
-// CV2FromStats is CV2 taking the two fingerprint aggregates (f₁ and the pair
-// sum Σ j(j−1)f_j) directly, for callers that maintain them incrementally
-// (RunningFreq). CV2 delegates here, so the two paths share one float
-// expression and agree bit for bit.
 func CV2FromStats(c, f1, pairSum, n int64) float64 {
 	if n <= 1 {
 		return 0

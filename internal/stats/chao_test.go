@@ -129,21 +129,22 @@ func TestChao92AtLeastObserved(t *testing.T) {
 }
 
 func TestCV2(t *testing.T) {
+	cv2 := func(c int64, f Freq, n int64) float64 { return CV2FromStats(c, f.Singletons(), f.PairSum(), n) }
 	// A perfectly homogeneous sample (all doubletons) has γ̂² = 0.
 	f := Freq{0, 0, 10}
-	if got := CV2(10, f, 20); got != 0 {
+	if got := cv2(10, f, 20); got != 0 {
 		t.Fatalf("homogeneous CV2 = %v", got)
 	}
 	// Skewed fingerprints produce positive γ̂².
 	skewed := Freq{0, 30, 0, 0, 0, 0, 0, 0, 0, 0, 5} // 30 singletons, 5 ten-times
-	if got := CV2(35, skewed, 80); got <= 0 {
+	if got := cv2(35, skewed, 80); got <= 0 {
 		t.Fatalf("skewed CV2 = %v, want > 0", got)
 	}
-	if got := CV2(5, Freq{0, 5}, 1); got != 0 {
+	if got := cv2(5, Freq{0, 5}, 1); got != 0 {
 		t.Fatalf("n≤1 CV2 = %v", got)
 	}
 	// Zero coverage (all singletons) must not NaN.
-	if got := CV2(5, Freq{0, 5}, 5); got != 0 {
+	if got := cv2(5, Freq{0, 5}, 5); got != 0 {
 		t.Fatalf("zero-coverage CV2 = %v", got)
 	}
 }

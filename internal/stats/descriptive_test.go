@@ -18,10 +18,6 @@ func TestMeanStd(t *testing.T) {
 	if got := Std([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("Std = %v, want 2", got)
 	}
-	m, s := MeanStd([]float64{1, 3})
-	if m != 2 || s != 1 {
-		t.Fatalf("MeanStd = %v, %v", m, s)
-	}
 }
 
 func TestSRMSE(t *testing.T) {
@@ -95,11 +91,6 @@ func TestStdSeries(t *testing.T) {
 	if StdSeries(nil) != nil {
 		t.Fatal("StdSeries(nil) should be nil")
 	}
-}
-
-// MeanStd returns both moments in one pass over the data.
-func MeanStd(xs []float64) (mean, std float64) {
-	return Mean(xs), Std(xs)
 }
 
 // RelativeError returns |est − truth| / truth, or +Inf when truth = 0 and

@@ -117,44 +117,6 @@ func (f Freq) PairSum() int64 {
 	return s
 }
 
-// Shift returns the fingerprint shifted by s classes: the returned Freq has
-// f'_j = f_{j+s}. Shifting discards the s lowest (most false-positive-prone)
-// frequency classes; it is the robustness device behind vChao92
-// (Section 3.3). Shift(0) returns a copy.
-func (f Freq) Shift(s int) Freq {
-	if s < 0 {
-		panic(fmt.Sprintf("stats: negative shift %d", s))
-	}
-	if len(f) <= s+1 {
-		return Freq{0}
-	}
-	out := make(Freq, len(f)-s)
-	out[0] = 0
-	copy(out[1:], f[1+s:])
-	return out
-}
-
-// DroppedCount returns Σ_{i=1..s} f_i, the number of species discarded by a
-// shift of s. The paper adjusts n by this quantity: n^{+,s} = n⁺ − Σ f_i.
-func (f Freq) DroppedCount(s int) int64 {
-	var d int64
-	for i := 1; i <= s; i++ {
-		d += f.F(i)
-	}
-	return d
-}
-
-// DroppedMass returns Σ_{i=1..s} i·f_i, the observation mass carried by the
-// discarded classes. This is the mass-preserving alternative adjustment
-// discussed in DESIGN.md and ablated in the benchmarks.
-func (f Freq) DroppedMass(s int) int64 {
-	var d int64
-	for i := 1; i <= s; i++ {
-		d += int64(i) * f.F(i)
-	}
-	return d
-}
-
 // Clone returns an independent copy.
 func (f Freq) Clone() Freq {
 	out := make(Freq, len(f))

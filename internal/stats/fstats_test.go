@@ -3,7 +3,6 @@ package stats
 import (
 	"math/rand/v2"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -95,21 +94,27 @@ func TestFreqPromotePanicsOnEmptyClass(t *testing.T) {
 	f.Promote(1)
 }
 
+// TestFreqShift pins RunningFreq.Shifted, the vChao92 shift f'_j = f_{j+s},
+// on a small fingerprint: the s lowest classes drop out, and a shift past
+// the largest class empties it.
 func TestFreqShift(t *testing.T) {
-	f := Freq{0, 5, 3, 2, 1} // f1..f4
-	s1 := f.Shift(1)
-	if !reflect.DeepEqual(s1, Freq{0, 3, 2, 1}) {
-		t.Fatalf("shift 1 = %v", s1)
+	rf := NewRunningFreq(Freq{0, 5, 3, 2, 1}) // f1..f4
+	tests := []struct {
+		s    int
+		want ShiftedStats
+	}{
+		// f' = {f1:5 f2:3 f3:2 f4:1}
+		{0, ShiftedStats{F1: 5, Species: 11, Mass: 21, PairSum: 30}},
+		// f' = {f1:3 f2:2 f3:1}
+		{1, ShiftedStats{F1: 3, Species: 6, Mass: 10, PairSum: 10, DroppedCount: 5, DroppedMass: 5}},
+		// f' = {f1:1}
+		{3, ShiftedStats{F1: 1, Species: 1, Mass: 1, DroppedCount: 10, DroppedMass: 17}},
+		{10, ShiftedStats{DroppedCount: 11, DroppedMass: 21}},
 	}
-	s3 := f.Shift(3)
-	if !reflect.DeepEqual(s3, Freq{0, 1}) {
-		t.Fatalf("shift 3 = %v", s3)
-	}
-	if got := f.Shift(0); !reflect.DeepEqual(got, f) {
-		t.Fatalf("shift 0 = %v, want identical copy", got)
-	}
-	if got := f.Shift(10); got.Species() != 0 {
-		t.Fatalf("over-shift should empty the fingerprint: %v", got)
+	for _, tt := range tests {
+		if got := rf.Shifted(tt.s); got != tt.want {
+			t.Fatalf("shift %d = %+v, want %+v", tt.s, got, tt.want)
+		}
 	}
 }
 
@@ -119,18 +124,21 @@ func TestFreqShiftPanicsOnNegative(t *testing.T) {
 			t.Fatal("negative shift did not panic")
 		}
 	}()
-	Freq{0, 1}.Shift(-1)
+	rf := NewRunningFreq(Freq{0, 1})
+	rf.Shifted(-1)
 }
 
+// TestFreqDropped pins the species and mass a shift discards, the two
+// adjustments of n that V-CHAO chooses between.
 func TestFreqDropped(t *testing.T) {
-	f := Freq{0, 5, 3, 2}
-	if got := f.DroppedCount(1); got != 5 {
+	rf := NewRunningFreq(Freq{0, 5, 3, 2})
+	if got := rf.Shifted(1).DroppedCount; got != 5 {
 		t.Fatalf("dropped count s=1: %d", got)
 	}
-	if got := f.DroppedCount(2); got != 8 {
+	if got := rf.Shifted(2).DroppedCount; got != 8 {
 		t.Fatalf("dropped count s=2: %d", got)
 	}
-	if got := f.DroppedMass(2); got != 5+6 {
+	if got := rf.Shifted(2).DroppedMass; got != 5+6 {
 		t.Fatalf("dropped mass s=2: %d", got)
 	}
 }
@@ -142,24 +150,27 @@ func TestFreqCountsRoundTrip(t *testing.T) {
 			counts[i] = int(r % 9) // counts 0..8
 		}
 		f := NewFreqFromCounts(counts)
-		// Species = number of non-zero counts; Mass = sum of counts.
+		// Species = number of non-zero counts; Mass = sum of counts; and f_j
+		// counts exactly the counts equal to j, so the fingerprint gives the
+		// multiset of non-zero counts back.
 		var wantC, wantN int64
-		nonZero := make([]int, 0, len(counts))
+		wantF := make([]int64, 9)
 		for _, c := range counts {
 			if c > 0 {
 				wantC++
 				wantN += int64(c)
-				nonZero = append(nonZero, c)
+				wantF[c]++
 			}
 		}
 		if f.Species() != wantC || f.Mass() != wantN {
 			return false
 		}
-		back := f.Counts()
-		if len(back) != len(nonZero) {
-			return false
+		for j := 1; j < len(wantF); j++ {
+			if f.F(j) != wantF[j] {
+				return false
+			}
 		}
-		return NewFreqFromCounts(back).String() == f.String()
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -209,17 +220,4 @@ func TestPromoteConsistentWithRebuild(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Counts expands the fingerprint back into a sorted multiset of per-species
-// counts. Useful in tests for round-tripping.
-func (f Freq) Counts() []int {
-	out := make([]int, 0, f.Species())
-	for j := 1; j < len(f); j++ {
-		for k := int64(0); k < f[j]; k++ {
-			out = append(out, j)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

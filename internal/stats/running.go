@@ -52,9 +52,6 @@ func (r *RunningFreq) View() Freq { return r.f }
 // Clone returns an independent copy of the underlying fingerprint.
 func (r *RunningFreq) Clone() Freq { return r.f.Clone() }
 
-// F returns f_j.
-func (r *RunningFreq) F(j int) int64 { return r.f.F(j) }
-
 // Species returns c = Σ f_j in O(1).
 func (r *RunningFreq) Species() int64 { return r.species }
 
@@ -66,9 +63,6 @@ func (r *RunningFreq) PairSum() int64 { return r.pairSum }
 
 // Singletons returns f₁.
 func (r *RunningFreq) Singletons() int64 { return r.f.F(1) }
-
-// Doubletons returns f₂.
-func (r *RunningFreq) Doubletons() int64 { return r.f.F(2) }
 
 // ShiftedStats carries the aggregate statistics of a fingerprint shifted by s
 // classes (f'_j = f_{j+s}, the vChao92 device) without materializing the
@@ -90,7 +84,7 @@ type ShiftedStats struct {
 //	PairSum' = Σ_{k>s} (k−s)(k−s−1)·f_k
 //	         = (PairSum − Σ_{k≤s} k(k−1)f_k) − 2s·(Mass − DroppedMass) + s(s+1)·Species'
 //
-// which agree with Freq.Shift followed by full walks (pinned by tests).
+// which agree with walks over the shifted classes (pinned by tests).
 func (r *RunningFreq) Shifted(s int) ShiftedStats {
 	if s < 0 {
 		panic("stats: negative shift")

@@ -66,8 +66,8 @@ func TestRunningFreqMatchesWalks(t *testing.T) {
 }
 
 // TestShiftedMatchesFreqShift pins the closed-form shifted aggregates against
-// the materialized Freq.Shift walk for every shift the V-CHAO member can ask
-// for, over random fingerprints.
+// walks over the shifted classes (f'_j = f_{j+s}) for every shift the V-CHAO
+// member can ask for, over random fingerprints.
 func TestShiftedMatchesFreqShift(t *testing.T) {
 	rng := xrand.New(17)
 	for trial := 0; trial < 200; trial++ {
@@ -77,27 +77,23 @@ func TestShiftedMatchesFreqShift(t *testing.T) {
 			c := 1 + rng.IntN(8)
 			rf.Add(c, 1)
 		}
+		f := rf.View()
 		for s := 0; s <= 6; s++ {
-			got := rf.Shifted(s)
-			f := rf.View()
-			shifted := f.Shift(s)
-			if g, w := got.F1, shifted.Singletons(); g != w {
-				t.Fatalf("trial %d shift %d: F1 = %d, want %d", trial, s, g, w)
+			var want ShiftedStats
+			want.F1 = f.F(1 + s)
+			for k := 1; k < len(f); k++ {
+				if k <= s {
+					want.DroppedCount += f[k]
+					want.DroppedMass += int64(k) * f[k]
+					continue
+				}
+				j := int64(k - s)
+				want.Species += f[k]
+				want.Mass += j * f[k]
+				want.PairSum += j * (j - 1) * f[k]
 			}
-			if g, w := got.Species, shifted.Species(); g != w {
-				t.Fatalf("trial %d shift %d: Species = %d, want %d", trial, s, g, w)
-			}
-			if g, w := got.Mass, shifted.Mass(); g != w {
-				t.Fatalf("trial %d shift %d: Mass = %d, want %d", trial, s, g, w)
-			}
-			if g, w := got.PairSum, shifted.PairSum(); g != w {
-				t.Fatalf("trial %d shift %d: PairSum = %d, want %d", trial, s, g, w)
-			}
-			if g, w := got.DroppedCount, f.DroppedCount(s); g != w {
-				t.Fatalf("trial %d shift %d: DroppedCount = %d, want %d", trial, s, g, w)
-			}
-			if g, w := got.DroppedMass, f.DroppedMass(s); g != w {
-				t.Fatalf("trial %d shift %d: DroppedMass = %d, want %d", trial, s, g, w)
+			if got := rf.Shifted(s); got != want {
+				t.Fatalf("trial %d shift %d: %+v, want %+v", trial, s, got, want)
 			}
 		}
 	}

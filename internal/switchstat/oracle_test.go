@@ -137,9 +137,9 @@ func diffOracle(tr *Tracker, o *oracle) string {
 	}
 	for _, p := range []pair{
 		{"NumItems", int64(tr.NumItems()), int64(len(o.items))},
-		{"Policy", int64(tr.Policy()), int64(o.policy)},
-		{"TotalVotes", tr.TotalVotes(), o.totalVotes},
-		{"NoOps", tr.NoOps(), o.noops},
+		{"Policy", int64(tr.policy), int64(o.policy)},
+		{"TotalVotes", tr.totalVotes, o.totalVotes},
+		{"NoOps", tr.noops, o.noops},
 		{"NSwitch", tr.NSwitch(), o.totalVotes - o.noops},
 		{"Switches", tr.Switches(), o.posSw + o.negSw},
 		{"PositiveSwitches", tr.PositiveSwitches(), o.posSw},
@@ -186,10 +186,10 @@ func diffOracle(tr *Tracker, o *oracle) string {
 	}
 	for i := range o.items {
 		st := &o.items[i]
-		if got := tr.Consensus(i); got != st.dirty {
+		if got := dirty(itemSwitches(tr, i)); got != st.dirty {
 			return fmt.Sprintf("Consensus(%d) = %v, want %v", i, got, st.dirty)
 		}
-		if got, want := tr.ItemSwitches(i), int(st.posEvents+st.negEvents); got != want {
+		if got, want := itemSwitches(tr, i), int(st.posEvents+st.negEvents); got != want {
 			return fmt.Sprintf("ItemSwitches(%d) = %d, want %d", i, got, want)
 		}
 		if got := tr.ItemMajorityDirty(i); got != (st.pos > st.neg) {
@@ -348,4 +348,10 @@ func (t *Tracker) FingerprintInto(dst stats.Freq) stats.Freq {
 		dst[j] += fNeg[j]
 	}
 	return dst
+}
+
+// itemSwitches returns the number of switch events observed on item.
+func itemSwitches(tr *Tracker, item int) int {
+	_, events := tr.rows.Switch(item)
+	return events
 }

@@ -137,9 +137,6 @@ func newTracker(rows *votes.Rows, shared bool, opts []Option) *Tracker {
 // NumItems returns the number of tracked items.
 func (t *Tracker) NumItems() int { return t.rows.Len() }
 
-// Policy returns the active counting rule.
-func (t *Tracker) Policy() Policy { return t.policy }
-
 // Add ingests one vote on item with the given label.
 func (t *Tracker) Add(item int, label votes.Label) {
 	var pos, neg int // the item's counts including this vote
@@ -239,15 +236,10 @@ func (t *Tracker) rediscover(item, lastFreq, events int) {
 	}
 }
 
-// TotalVotes returns the number of votes ingested.
-func (t *Tracker) TotalVotes() int64 { return t.totalVotes }
-
-// NoOps returns the number of default-confirming votes seen before each
-// item's first switch (the quantity subtracted from n in Section 4.2).
-func (t *Tracker) NoOps() int64 { return t.noops }
-
-// NSwitch returns n_switch = TotalVotes − NoOps, the observation count used
-// by the switch estimator. It equals the total mass of the switch ledger.
+// NSwitch returns n_switch, the observation count used by the switch
+// estimator: the votes ingested less the no-ops, the default-confirming votes
+// seen before each item's first switch (the quantity subtracted from n in
+// Section 4.2). It equals the total mass of the switch ledger.
 func (t *Tracker) NSwitch() int64 { return t.totalVotes - t.noops }
 
 // Switches returns switch(I), the total number of switch events observed.
@@ -318,17 +310,6 @@ func (t *Tracker) FingerprintPositiveView() stats.Freq { return t.fPos.View() }
 // the slice aliases internal storage and is invalidated by the next Add or
 // Reset.
 func (t *Tracker) FingerprintNegativeView() stats.Freq { return t.fNeg.View() }
-
-// Consensus reports the tracker's consensus state for item i (true = dirty).
-// Under PolicyStrictMajority this coincides with the strict majority with
-// sticky ties; under PolicyTieFlip it is the Equation-7 state machine.
-func (t *Tracker) Consensus(item int) bool { return dirty(t.ItemSwitches(item)) }
-
-// ItemSwitches returns the number of switch events observed on item i.
-func (t *Tracker) ItemSwitches(item int) int {
-	_, events := t.rows.Switch(item)
-	return events
-}
 
 // Reset clears all state without reallocating; widened rows stay wide. The
 // rows of a tracker built with NewTrackerOn belong to its matrix, which is

@@ -65,7 +65,7 @@ func TestTieFlipTraces(t *testing.T) {
 			if got := tr.NegativeSwitches(); got != tt.neg {
 				t.Errorf("NegativeSwitches = %d, want %d", got, tt.neg)
 			}
-			if got := tr.NoOps(); got != tt.noops {
+			if got := tr.noops; got != tt.noops {
 				t.Errorf("NoOps = %d, want %d", got, tt.noops)
 			}
 			if got := tr.NSwitch(); got != tt.nswitch {
@@ -162,7 +162,7 @@ func TestCSwitchCounts(t *testing.T) {
 	if got := tr.CSwitchNegative(); got != 1 {
 		t.Fatalf("CSwitchNegative = %d, want 1", got)
 	}
-	if tr.ItemSwitches(0) != 2 || tr.ItemSwitches(1) != 1 || tr.ItemSwitches(2) != 0 {
+	if itemSwitches(tr, 0) != 2 || itemSwitches(tr, 1) != 1 || itemSwitches(tr, 2) != 0 {
 		t.Fatal("per-item switch counts wrong")
 	}
 }
@@ -196,7 +196,7 @@ func TestLedgerInvariants(t *testing.T) {
 		}
 		// 1. votes = no-ops + ledger mass.
 		mass := tr.FingerprintPositive().Mass() + tr.FingerprintNegative().Mass()
-		if tr.NSwitch() != mass || tr.TotalVotes() != tr.NoOps()+mass {
+		if tr.NSwitch() != mass || tr.totalVotes != tr.noops+mass {
 			return false
 		}
 		// 2. species counts match switch counts.
@@ -212,7 +212,7 @@ func TestLedgerInvariants(t *testing.T) {
 			return false
 		}
 		// 4. switches never exceed votes.
-		return tr.Switches() <= tr.TotalVotes()
+		return tr.Switches() <= tr.totalVotes
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -221,15 +221,15 @@ func TestLedgerInvariants(t *testing.T) {
 
 func TestConsensusStateMachine(t *testing.T) {
 	tr := NewTracker(1)
-	if tr.Consensus(0) {
+	if dirty(itemSwitches(tr, 0)) {
 		t.Fatal("items must start clean")
 	}
 	tr.Add(0, d)
-	if !tr.Consensus(0) {
+	if !dirty(itemSwitches(tr, 0)) {
 		t.Fatal("positive first vote must flip to dirty")
 	}
 	tr.Add(0, c) // tie → flip back
-	if tr.Consensus(0) {
+	if dirty(itemSwitches(tr, 0)) {
 		t.Fatal("tie must flip the consensus")
 	}
 }
@@ -240,7 +240,7 @@ func TestReset(t *testing.T) {
 	tr.Add(0, c)
 	tr.Add(1, c)
 	tr.Reset()
-	if tr.Switches() != 0 || tr.NoOps() != 0 || tr.TotalVotes() != 0 ||
+	if tr.Switches() != 0 || tr.noops != 0 || tr.totalVotes != 0 ||
 		tr.CSwitch() != 0 || tr.Majority() != 0 {
 		t.Fatal("Reset left state")
 	}

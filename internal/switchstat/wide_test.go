@@ -178,9 +178,9 @@ func diffWideItem(tr *Tracker, m *votes.Matrix, o *oracle, item int) string {
 	pairs := [...]pair{
 		{"pos", int64(pos), st.pos},
 		{"neg", int64(neg), st.neg},
-		{"ItemSwitches", int64(tr.ItemSwitches(item)), st.posEvents + st.negEvents},
-		{"TotalVotes", tr.TotalVotes(), o.totalVotes},
-		{"NoOps", tr.NoOps(), o.noops},
+		{"ItemSwitches", int64(itemSwitches(tr, item)), st.posEvents + st.negEvents},
+		{"TotalVotes", tr.totalVotes, o.totalVotes},
+		{"NoOps", tr.noops, o.noops},
 		{"PositiveSwitches", tr.PositiveSwitches(), o.posSw},
 		{"NegativeSwitches", tr.NegativeSwitches(), o.negSw},
 		{"CSwitch", tr.CSwitch(), o.cAny},
@@ -198,7 +198,7 @@ func diffWideItem(tr *Tracker, m *votes.Matrix, o *oracle, item int) string {
 		return fmt.Sprintf("matrix counts %d/%d, %d votes, c_majority %d; want %d/%d, %d, %d",
 			m.Pos(item), m.Neg(item), m.TotalVotes(), m.Majority(), st.pos, st.neg, o.totalVotes, o.cMajority)
 	}
-	if got := tr.Consensus(item); got != st.dirty {
+	if got := dirty(itemSwitches(tr, item)); got != st.dirty {
 		return fmt.Sprintf("Consensus = %v, want %v", got, st.dirty)
 	}
 	if m != nil && m.MajorityDirty(item) != (st.pos > st.neg) {

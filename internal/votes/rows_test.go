@@ -111,7 +111,7 @@ func TestCountsWidenExactlyPastNarrowVotes(t *testing.T) {
 				p1, f.F(p1), f.Species(), m.Nominal(), m.Majority())
 		}
 		m.Reset()
-		if r.Bits() != 32 || m.Seen(1) != 0 || m.Coverage() != 0 || m.TotalVotes() != 0 {
+		if r.Bits() != 32 || m.Seen(1) != 0 || m.TotalVotes() != 0 {
 			t.Fatalf("Reset: %d bits, seen %d", r.Bits(), m.Seen(1))
 		}
 		for i := 0; i < n; i++ {

@@ -218,20 +218,6 @@ func (m *Matrix) History(item int) []Vote {
 // RetainsHistory reports whether the matrix was built WithHistory.
 func (m *Matrix) RetainsHistory() bool { return m.history != nil }
 
-// Coverage returns the fraction of items with at least one vote.
-func (m *Matrix) Coverage() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	seen := 0
-	for i := 0; i < m.n; i++ {
-		if m.Seen(i) > 0 {
-			seen++
-		}
-	}
-	return float64(seen) / float64(m.n)
-}
-
 // Reset clears the matrix back to all-unseen without reallocating.
 func (m *Matrix) Reset() {
 	m.rows.Reset()

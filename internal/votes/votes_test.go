@@ -211,27 +211,15 @@ func TestWithoutHistory(t *testing.T) {
 	}
 }
 
+// TestMajorityVector: the consensus vector V ∈ {0,1}^N of Problem 2, read
+// per item, is dirty exactly where the dirty votes hold a strict majority.
 func TestMajorityVector(t *testing.T) {
 	m := NewMatrix(3)
 	m.Add(Vote{Item: 1, Label: Dirty})
-	v := m.MajorityVector()
-	if v[0] || !v[1] || v[2] {
-		t.Fatalf("MajorityVector = %v", v)
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	m := NewMatrix(4)
-	if m.Coverage() != 0 {
-		t.Fatal("empty coverage nonzero")
-	}
-	m.Add(Vote{Item: 0, Label: Clean})
-	m.Add(Vote{Item: 1, Label: Dirty})
-	if got := m.Coverage(); got != 0.5 {
-		t.Fatalf("Coverage = %v", got)
-	}
-	if got := NewMatrix(0).Coverage(); got != 0 {
-		t.Fatalf("zero-item coverage = %v", got)
+	m.Add(Vote{Item: 2, Label: Dirty})
+	m.Add(Vote{Item: 2, Label: Clean})
+	if v := []bool{m.MajorityDirty(0), m.MajorityDirty(1), m.MajorityDirty(2)}; v[0] || !v[1] || v[2] {
+		t.Fatalf("MajorityVector = %v, want [false true false]", v)
 	}
 }
 
@@ -288,14 +276,4 @@ func TestNumWorkersSparseIDs(t *testing.T) {
 	if got := s.Len(); got != 2 {
 		t.Fatalf("Len after reuse = %d, want 2", got)
 	}
-}
-
-// MajorityVector materializes the current consensus vector V ∈ {0,1}^N of
-// Problem 2 (true = dirty).
-func (m *Matrix) MajorityVector() []bool {
-	out := make([]bool, m.n)
-	for i := range out {
-		out[i] = m.MajorityDirty(i)
-	}
-	return out
 }
