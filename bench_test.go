@@ -149,10 +149,19 @@ func BenchmarkSwitchTrackerAdd(b *testing.B) {
 // switch state in the matrix's rows, the way a suite feeds them. First it
 // gives one item warm votes and resets, so the rows keep the layout those
 // votes widened them to, and it resets both again at the start of every
-// cycle of the stream, so no item widens them further during the run.
+// cycle of the stream, so no item widens them further during the run: the
+// stream is cut before the first vote that would take an item past the
+// bits-wide layout.
 func benchRowsAdd(b *testing.B, warm, bits int) {
 	const n = 10000
 	stream := benchVoteStream(n, 100000, 5)
+	seen := make([]int, n)
+	for k, v := range stream {
+		if seen[v.Item]++; bits < 32 && seen[v.Item] >= 1<<bits {
+			stream = stream[:k]
+			break
+		}
+	}
 	m := votes.NewMatrix(n)
 	tr := switchstat.NewTrackerOn(m)
 	for k := 0; k < warm; k++ {
@@ -180,9 +189,13 @@ func benchRowsAdd(b *testing.B, warm, bits int) {
 	}
 }
 
-// BenchmarkAdd8Bit is the path of every vote while no item of a suite has
-// passed votes.MaxVotes8 votes: 4 B rows.
-func BenchmarkAdd8Bit(b *testing.B) { benchRowsAdd(b, 0, 8) }
+// BenchmarkAdd4Bit is the path of every vote while no item of a suite has
+// passed votes.MaxVotes4 votes: 2 B rows.
+func BenchmarkAdd4Bit(b *testing.B) { benchRowsAdd(b, 0, 4) }
+
+// BenchmarkAdd8Bit is the path once one item has passed votes.MaxVotes4
+// votes, while none has passed votes.MaxVotes8: 4 B rows.
+func BenchmarkAdd8Bit(b *testing.B) { benchRowsAdd(b, votes.MaxVotes4+1, 8) }
 
 // BenchmarkAdd16Bit is the path once one item has passed votes.MaxVotes8
 // votes: 8 B rows.

@@ -470,8 +470,8 @@ func (e *Engine) Close() error { return e.e.Close() }
 // fails on an empty or duplicate id, a non-positive population, an
 // unknown estimator name in cfg.Estimators, an invalid cfg.Window, or a
 // population too large for its suites: n × (1 + window panes) may not exceed
-// 2²⁶ per-item states (256 MiB at create: 4 B per item state, 8 B once an
-// item of its suite passes 255 votes, 16 B past 65,535).
+// 2²⁶ per-item states (128 MiB at create: 2 B per item state, 4 B once an
+// item of its suite passes 15 votes, 8 B past 255, 16 B past 65,535).
 func (e *Engine) CreateSession(id string, n int, cfg Config) (*Session, error) {
 	if err := estimator.ValidateNames(cfg.Estimators); err != nil {
 		return nil, err

@@ -61,14 +61,16 @@ func main() {
 
 	// The same registry dqm-serve exposes on /metrics. Here we print the
 	// engine and WAL families (skipping the histogram bucket walls for
-	// readability — a real scraper wants them all).
+	// readability, and the timing sums so two runs print the same bytes —
+	// a real scraper wants them all).
 	var b strings.Builder
 	if err := metrics.Default.WritePrometheus(&b); err != nil {
 		panic(err)
 	}
-	fmt.Println("\n--- /metrics (engine + WAL families, buckets elided) ---")
+	fmt.Println("\n--- /metrics (engine + WAL families, buckets and timing sums elided) ---")
 	for _, line := range strings.Split(b.String(), "\n") {
-		if strings.HasPrefix(line, "# HELP") || strings.Contains(line, "_bucket{") {
+		if strings.HasPrefix(line, "# HELP") || strings.Contains(line, "_bucket{") ||
+			strings.Contains(line, "_seconds_sum") {
 			continue
 		}
 		if line != "" {

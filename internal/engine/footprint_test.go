@@ -40,18 +40,19 @@ func footprintTasks(n, tasks int) [][]votes.Vote {
 
 // TestSessionFootprint pins per-session memory to O(items): a default-config
 // 5000-item session that has ingested 150 tasks × 20 votes must hold at most
-// 32 KB of live heap. Its per-item state takes about 20 KB (one 4-byte row
-// per item: the matrix's 8-bit vote counts and the SWITCH tracker's 8-bit
-// switch state), and the whole session about 24 KB; a second copy of the row
-// array would add 20 KB, the 16-bit layout would too, and keeping each vote
-// as well would add about 290 KB, so each of these fails this. The figure is
-// the live-heap delta after a forced GC, averaged over 64 sessions; the test
-// does not run in parallel with others.
+// 16 KB of live heap. No item holds more than 15 votes, so its per-item state
+// takes about 10 KB (one 2-byte row per item: the matrix's 4-bit vote counts
+// and the SWITCH tracker's 4-bit switch state), and the whole session about
+// 11 KB. Rows that start 8 bits wide (about 23 KB a session) fail this, and
+// so do a second copy of the row array (10 KB more) and keeping each vote as
+// well (about 290 KB more). The figure is the live-heap delta after a forced
+// GC, averaged over 64 sessions; the test does not run in parallel with
+// others.
 func TestSessionFootprint(t *testing.T) {
 	const (
 		sessions = 64
 		n        = 5000
-		limit    = 32 << 10
+		limit    = 16 << 10
 	)
 	stream := footprintTasks(n, 150)
 	var before, after runtime.MemStats

@@ -855,6 +855,61 @@ func TestRepeatedSwitchSessionRecovers(t *testing.T) {
 	same("recovered", s2)
 }
 
+// TestNibbleRowsWidenBeforeRestart: a durable windowed session whose
+// all-time suite passes votes.MaxVotes4 votes on its items, but never
+// votes.MaxVotes8, widens its rows from 4 to 8 bits before a restart. The
+// recovered session must come back 8 bits wide, with the estimates, every
+// window view, the per-item majority and the vote total of an in-memory
+// session fed the same stream.
+func TestNibbleRowsWidenBeforeRestart(t *testing.T) {
+	const n = 8
+	cfg := SessionConfig{Window: &window.Config{Size: 6, Stride: 3, DecayAlpha: 0.5}}
+	dir := t.TempDir()
+	e, err := Open(dir, durableConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := e.Create("nibble", n, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewSession("ref", n, cfg)
+	// About 3.5 votes a frame over 8 items and no reset: about 130 votes an
+	// item.
+	var ops []walOp
+	for _, o := range genOps(15, 300, n) {
+		if !o.reset {
+			ops = append(ops, o)
+		}
+	}
+	applyOps(t, s, ops)
+	applyOps(t, ref, ops)
+	if msg := diffWideSessions(s, ref); msg != "" {
+		t.Fatalf("live: %s", msg)
+	}
+	if bits := s.suite.Matrix.Rows().Bits(); bits != 8 {
+		t.Fatalf("%d-bit rows before the restart, want 8", bits)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2, err := Open(dir, durableConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.Close()
+	s2, ok := e2.Get("nibble")
+	if !ok {
+		t.Fatal("session not recovered at boot")
+	}
+	if bits := s2.suite.Matrix.Rows().Bits(); bits != 8 {
+		t.Fatalf("%d-bit rows after the restart, want 8", bits)
+	}
+	if msg := diffWideSessions(s2, ref); msg != "" {
+		t.Fatalf("recovered: %s", msg)
+	}
+}
+
 // TestVersionNeverFallsAcrossRestart: compaction drops everything before the
 // last reset, so a version counted over the replay alone fell below the one
 // served before a restart (1401 to 800 in the first shape below, 4501 to

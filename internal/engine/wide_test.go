@@ -11,17 +11,17 @@ import (
 )
 
 // TestWindowedSessionWidensPastNarrowVotes runs a windowed session whose
-// all-time suite and both panes pass votes.MaxVotes8 and then
-// votes.MaxVotes16 votes on one item, next to a session of the same config
-// whose suites were all 32 bits wide before its first vote (a warm-up pushed
-// item 0 past votes.MaxVotes16 votes in every pane, and Reset keeps the
+// all-time suite and both panes pass votes.MaxVotes4, votes.MaxVotes8 and
+// then votes.MaxVotes16 votes on one item, next to a session of the same
+// config whose suites were all 32 bits wide before its first vote (a warm-up
+// pushed item 0 past votes.MaxVotes16 votes in every pane, and Reset keeps the
 // layout). After every vote the voted item's all-time counts and majority
 // must equal 64-bit counts kept by the test, and the all-time rows must be
 // exactly as wide as the most votes any item has held needs. After every
-// task, and after every vote within three votes of a crossing of either
-// bound in any suite, the all-time estimates, every window view, the majority
-// of every item and the vote total must be equal. Reset must keep the 32-bit
-// layout, and a replay after it must agree too and never widen.
+// task, and after every vote within three votes of a crossing of any bound in
+// any suite, the all-time estimates, every window view, the majority of every
+// item and the vote total must be equal. Reset must keep the 32-bit layout,
+// and a replay after it must agree too and never widen.
 func TestWindowedSessionWidensPastNarrowVotes(t *testing.T) {
 	const n = 40
 	cfg := SessionConfig{Window: &window.Config{Size: 8, Stride: 4, DecayAlpha: 0.5}}
@@ -48,7 +48,7 @@ func TestWindowedSessionWidensPastNarrowVotes(t *testing.T) {
 	}
 
 	// 16 tasks of 10,000 votes: item 0 gets 9,000 (70% dirty), so it passes
-	// votes.MaxVotes8 in the first task and votes.MaxVotes16 in task 8 of
+	// votes.MaxVotes4 and votes.MaxVotes8 in the first task and votes.MaxVotes16 in task 8 of
 	// the all-time suite and of each pane; item 1
 	// cycles dirty, clean, clean, dirty with 500; the rest go to random items.
 	rng := xrand.New(1 << 16)
@@ -107,7 +107,7 @@ func TestWindowedSessionWidensPastNarrowVotes(t *testing.T) {
 				}
 				heavy++
 				for start := 0; start <= k; start += 4 {
-					for _, bound := range []int{votes.MaxVotes8, votes.MaxVotes16} {
+					for _, bound := range []int{votes.MaxVotes4, votes.MaxVotes8, votes.MaxVotes16} {
 						if d := heavy - heavyAt[start] - bound; d >= -3 && d <= 3 {
 							if msg := diffWideSessions(s, ref); msg != "" {
 								t.Fatalf("pass %d task %d, %d votes on item 0 since task %d: %s", pass, k, heavy-heavyAt[start], start, msg)
@@ -126,7 +126,7 @@ func TestWindowedSessionWidensPastNarrowVotes(t *testing.T) {
 				t.Fatalf("pass %d after task %d: %s", pass, k, msg)
 			}
 		}
-		if want := 2 * (1 - pass); rows.Bits() != 32 || widened != want {
+		if want := 3 * (1 - pass); rows.Bits() != 32 || widened != want {
 			t.Fatalf("pass %d: the all-time rows widened %d times to %d bits, want %d times to 32", pass, widened, rows.Bits(), want)
 		}
 		for _, sess := range []*Session{s, ref} {
@@ -146,6 +146,8 @@ func TestWindowedSessionWidensPastNarrowVotes(t *testing.T) {
 // bitsFor returns the narrowest row layout that holds an item with n votes.
 func bitsFor(n int64) int {
 	switch {
+	case n <= votes.MaxVotes4:
+		return 4
 	case n <= votes.MaxVotes8:
 		return 8
 	case n <= votes.MaxVotes16:

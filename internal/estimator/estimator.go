@@ -215,11 +215,19 @@ type SwitchEstimator struct {
 	cfg     SwitchConfig
 	tracker *switchstat.Tracker
 	n       int
-	// majPrefix[i] is the sum of the majority counts recorded at the first
-	// i EndTask calls (len tasks+1 once a task ended), so window means in
-	// the trend detector are O(1) instead of O(window).
-	majPrefix []float64
-	tasks     int
+	tasks   int
+	// The trend detector compares the majority counts of two adjacent
+	// half-windows of tasks: tasks start+1 through mid and mid+1 through
+	// tasks. older and recent are their sums, moved with the window at every
+	// EndTask, so a trend reads two sums whatever the window's width.
+	start, mid    int
+	older, recent int64
+	// majority[k] is the majority count recorded at the end of task
+	// dropped+1+k. Only tasks from start on are live: no later window starts
+	// more than one task before this one, so the counts before it are dead,
+	// and they are dropped once they are half the slice.
+	majority []uint32
+	dropped  int
 	// lastTrend makes the branch decision sticky: an inconclusive window
 	// keeps the previously detected direction instead of flapping between
 	// the ξ⁺ and ξ⁻ corrections (§4.3 commits to one side per dataset once
@@ -250,18 +258,44 @@ func (cfg SwitchConfig) trackerOptions() []switchstat.Option {
 func (e *SwitchEstimator) Observe(v votes.Vote) { e.tracker.AddVote(v) }
 
 // EndTask marks a task boundary: the current majority count is appended to
-// the trend series and the sticky trend state advances. Updating here (not
-// in Estimate) makes the detected trend a function of the vote stream alone,
-// independent of when estimates are read.
+// the trend series, the trend window moves to cover it and the sticky trend
+// state advances. Updating here (not in Estimate) makes the detected trend a
+// function of the vote stream alone, independent of when estimates are read.
 func (e *SwitchEstimator) EndTask() {
 	e.tasks++
-	maj := e.tracker.Majority()
-	if len(e.majPrefix) == 0 {
-		e.majPrefix = append(e.majPrefix, 0)
+	t := e.tasks
+	maj := uint32(e.tracker.Majority())
+	e.majority = append(e.majority, maj)
+	e.recent += int64(maj)
+	// The window covers tasks t-2·half+1 through t. Its halves never shrink,
+	// so mid only moves forward, and start moves one task either way.
+	w := e.cfg.TrendWindow
+	if w <= 0 {
+		// A wide adaptive window captures the macro trend of the majority
+		// series rather than its task-to-task noise.
+		w = max(12, t/3)
 	}
-	e.majPrefix = append(e.majPrefix, e.majPrefix[len(e.majPrefix)-1]+float64(maj))
+	half := min(w, t) / 2
+	for ; e.mid < t-half; e.mid++ {
+		c := e.count(e.mid + 1)
+		e.recent -= c
+		e.older += c
+	}
+	for ; e.start < t-2*half; e.start++ {
+		e.older -= e.count(e.start + 1)
+	}
+	for ; e.start > t-2*half; e.start-- {
+		e.older += e.count(e.start)
+	}
+	if dead := e.start - 1 - e.dropped; dead > 0 && 2*dead >= len(e.majority) {
+		e.majority = e.majority[:copy(e.majority, e.majority[dead:])]
+		e.dropped += dead
+	}
 	e.trend()
 }
+
+// count returns the majority count recorded at the end of task k.
+func (e *SwitchEstimator) count(k int) int64 { return int64(e.majority[k-1-e.dropped]) }
 
 // Tracker exposes the underlying switch statistics (read-only use).
 func (e *SwitchEstimator) Tracker() *switchstat.Tracker { return e.tracker }
@@ -271,26 +305,12 @@ func (e *SwitchEstimator) Tracker() *switchstat.Tracker { return e.tracker }
 // before it. Differences below half an item are inconclusive and keep the
 // previous direction.
 func (e *SwitchEstimator) trend() Trend {
-	t := e.tasks
-	if t < 4 {
+	if e.tasks < 4 {
 		return e.lastTrend
 	}
-	w := e.cfg.TrendWindow
-	if w <= 0 {
-		// A wide adaptive window captures the macro trend of the majority
-		// series rather than its task-to-task noise.
-		w = t / 3
-		if w < 12 {
-			w = 12
-		}
-	}
-	if w > t {
-		w = t
-	}
-	half := w / 2
-	sum := func(from, to int) float64 { return e.majPrefix[to] - e.majPrefix[from] }
-	recent := sum(t-half, t) / float64(half)
-	older := sum(t-2*half, t-half) / float64(half)
+	half := float64(e.tasks - e.mid)
+	recent := float64(e.recent) / half
+	older := float64(e.older) / half
 	diff := recent - older
 	// The tolerance scales with the majority level so large populations
 	// (product: majority ≈ 500) are not oversensitive to ±1-item noise.
@@ -372,7 +392,7 @@ func (e *SwitchEstimator) Estimate() SwitchEstimate {
 // Reset clears the estimator for a fresh permutation replay.
 func (e *SwitchEstimator) Reset() {
 	e.tracker.Reset()
-	e.majPrefix = e.majPrefix[:0]
-	e.tasks = 0
+	e.tasks, e.start, e.mid, e.older, e.recent = 0, 0, 0, 0, 0
+	e.majority, e.dropped = e.majority[:0], 0
 	e.lastTrend = TrendFlat
 }

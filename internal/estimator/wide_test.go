@@ -31,6 +31,8 @@ func preWidened(t *testing.T, n int, cfg SuiteConfig) *Suite {
 // bitsFor returns the narrowest row layout that holds an item with n votes.
 func bitsFor(n int64) int {
 	switch {
+	case n <= votes.MaxVotes4:
+		return 4
 	case n <= votes.MaxVotes8:
 		return 8
 	case n <= votes.MaxVotes16:
@@ -39,13 +41,13 @@ func bitsFor(n int64) int {
 	return 32
 }
 
-// TestSuiteWidensPastNarrowVotes runs a default suite past votes.MaxVotes8
-// and votes.MaxVotes16 votes on two items, next to a suite that was 32 bits
-// wide from its first vote and to 64-bit per-item counts kept by the test.
-// After every vote the voted item's counts and majority must equal the
-// reference counts, and the rows must be exactly as wide as the most votes
-// any item has held needs. After every task, and after every vote within
-// three votes of either item's crossing of either bound, the suites must
+// TestSuiteWidensPastNarrowVotes runs a default suite past votes.MaxVotes4,
+// votes.MaxVotes8 and votes.MaxVotes16 votes on two items, next to a suite
+// that was 32 bits wide from its first vote and to 64-bit per-item counts kept
+// by the test. After every vote the voted item's counts and majority must
+// equal the reference counts, and the rows must be exactly as wide as the most
+// votes any item has held needs. After every task, and after every vote within
+// three votes of either item's crossing of any bound, the suites must
 // agree on every estimate and on each item's switch state, and the tested
 // suite's counts, c_nominal and c_majority, and the
 // counts CaptureChao92 reads, must equal the reference. Within the
@@ -99,7 +101,7 @@ func TestSuiteWidensPastNarrowVotes(t *testing.T) {
 					s.Matrix.MajorityDirty(v.Item) != (pos[v.Item] > neg[v.Item]) {
 					t.Fatalf("pass %d task %d: item %d counts %d/%d, want %d/%d", pass, k, v.Item, p, q, pos[v.Item], neg[v.Item])
 				}
-				for _, bound := range []int64{votes.MaxVotes8, votes.MaxVotes16} {
+				for _, bound := range []int64{votes.MaxVotes4, votes.MaxVotes8, votes.MaxVotes16} {
 					if d := seen - bound; d >= -3 && d <= 3 {
 						if msg := diffWideSuite(s, ref, pos, neg, true); msg != "" {
 							t.Fatalf("pass %d task %d, item %d at %d votes: %s", pass, k, v.Item, seen, msg)
@@ -117,7 +119,7 @@ func TestSuiteWidensPastNarrowVotes(t *testing.T) {
 			t.Fatalf("pass %d: %d-bit rows with %d and %d votes on items 0 and 1",
 				pass, rows.Bits(), pos[0]+neg[0], pos[1]+neg[1])
 		}
-		if want := 2 * (1 - pass); widened != want {
+		if want := 3 * (1 - pass); widened != want {
 			t.Fatalf("pass %d: the rows widened %d times, want %d", pass, widened, want)
 		}
 		s.Reset()

@@ -214,11 +214,11 @@ func diffOracle(tr *Tracker, o *oracle) string {
 	return ""
 }
 
-// TestItemStateIs4Bytes: an item's switch state shares one row with its vote
-// counts, 4 B per item while the rows are 8 bits wide, so a standalone
-// tracker costs 4 B per item and a tracker on a response matrix adds nothing
+// TestItemStateIs2Bytes: an item's switch state shares one row with its vote
+// counts, 2 B per item while the rows are 4 bits wide, so a standalone
+// tracker costs 2 B per item and a tracker on a response matrix adds nothing
 // per item to the matrix's rows.
-func TestItemStateIs4Bytes(t *testing.T) {
+func TestItemStateIs2Bytes(t *testing.T) {
 	const n = 1 << 20
 	m := votes.NewMatrix(n)
 	for _, c := range []struct {
@@ -226,7 +226,7 @@ func TestItemStateIs4Bytes(t *testing.T) {
 		make func() *Tracker
 		want uint64
 	}{
-		{"standalone", func() *Tracker { return NewTracker(n) }, 4},
+		{"standalone", func() *Tracker { return NewTracker(n) }, 2},
 		{"on a matrix", func() *Tracker { return NewTrackerOn(m) }, 0},
 	} {
 		var before, after runtime.MemStats

@@ -16,7 +16,8 @@ type wideVote struct {
 }
 
 // wideStream builds a vote stream over 6 items in which three items pass
-// votes.MaxVotes8 and then votes.MaxVotes16 votes at different times:
+// votes.MaxVotes4, votes.MaxVotes8 and then votes.MaxVotes16 votes at
+// different times:
 //
 //   - item 1 repeats dirty, clean, clean, dirty, two votes a round: about one
 //     switch per two votes under both policies, so it is the first item to
@@ -52,15 +53,16 @@ func wideStream() []wideVote {
 	return out
 }
 
-// TestTrackerWidensPastNarrowVotes drives items past votes.MaxVotes8 and
-// votes.MaxVotes16 votes through a standalone tracker and through a tracker
-// on a response matrix, under both policies, and compares them with the
-// 64-bit oracle. After every vote the voted item's counts, switch count and
-// consensus and every scalar aggregate must agree; within three votes of any
-// item's crossing of either bound, every 65,536 votes and at the end, every
-// accessor (fingerprints included) must agree, and so must the matrix's
-// counts, f-statistics, c_nominal and c_majority. The rows must be 8 bits
-// wide until the first crossing of votes.MaxVotes8, 16 bits wide from that
+// TestTrackerWidensPastNarrowVotes drives items past votes.MaxVotes4,
+// votes.MaxVotes8 and votes.MaxVotes16 votes through a standalone tracker and
+// through a tracker on a response matrix, under both policies, and compares
+// them with the 64-bit oracle. After every vote the voted item's counts,
+// switch count and consensus and every scalar aggregate must agree; within
+// three votes of any item's crossing of any bound, every 65,536 votes and at
+// the end, every accessor (fingerprints included) must agree, and so must the
+// matrix's counts, f-statistics, c_nominal and c_majority. The rows must be 4
+// bits wide until the first crossing of votes.MaxVotes4, 8 bits wide from that
+// vote until the first crossing of votes.MaxVotes8, 16 bits wide from that
 // vote until the first crossing of votes.MaxVotes16, and 32 bits wide from
 // then on; a tracker on a matrix must keep its switch state in the matrix's
 // rows. Reset must keep the 32-bit layout and clear everything, and a replay
@@ -80,10 +82,10 @@ func TestTrackerWidensPastNarrowVotes(t *testing.T) {
 					t.Fatal("the tracker keeps rows of its own beside the matrix's")
 				}
 				o := newOracle(6, policy)
-				if widened := checkWideStream(t, stream, tr, m, o); len(widened) != 2 {
-					t.Fatalf("the rows widened to %v during the stream, want 16 and 32 bits", widened)
+				if widened := checkWideStream(t, stream, tr, m, o); len(widened) != 3 {
+					t.Fatalf("the rows widened to %v during the stream, want 8, 16 and 32 bits", widened)
 				}
-				// Every field must have passed both bounds somewhere.
+				// Every field must have passed every bound somewhere.
 				if o.items[0].pos <= votes.MaxVotes16 || o.items[0].lastFreq <= votes.MaxVotes16 ||
 					o.items[1].posEvents+o.items[1].negEvents <= votes.MaxVotes16 ||
 					o.items[2].neg <= votes.MaxVotes16 {
@@ -146,6 +148,8 @@ func checkWideStream(t *testing.T, stream []wideVote, tr *Tracker, m *votes.Matr
 // bitsFor returns the narrowest row layout that holds an item with n votes.
 func bitsFor(n int64) int {
 	switch {
+	case n <= votes.MaxVotes4:
+		return 4
 	case n <= votes.MaxVotes8:
 		return 8
 	case n <= votes.MaxVotes16:
@@ -154,9 +158,9 @@ func bitsFor(n int64) int {
 	return 32
 }
 
-// nearBound reports whether n votes are within three of either bound.
+// nearBound reports whether n votes are within three of any bound.
 func nearBound(n int64) bool {
-	return abs(n-votes.MaxVotes8) <= 3 || abs(n-votes.MaxVotes16) <= 3
+	return abs(n-votes.MaxVotes4) <= 3 || abs(n-votes.MaxVotes8) <= 3 || abs(n-votes.MaxVotes16) <= 3
 }
 
 func abs(x int64) int64 {

@@ -2,16 +2,18 @@ package votes
 
 import "math"
 
-// MaxVotes8 and MaxVotes16 are the most votes one item can hold while its
-// row stays 8 and 16 bits wide. Every field of a row (n⁺_i and n⁻_i here, the
-// switch tracker's frequency class and switch count) is at most the item's
-// vote count n_i, so n_i alone decides when a row outgrows its layout.
+// MaxVotes4, MaxVotes8 and MaxVotes16 are the most votes one item can hold
+// while its row stays 4, 8 and 16 bits wide. Every field of a row (n⁺_i and
+// n⁻_i here, the switch tracker's frequency class and switch count) is at most
+// the item's vote count n_i, so n_i alone decides when a row outgrows its
+// layout.
 const (
+	MaxVotes4  = 15
 	MaxVotes8  = math.MaxUint8
 	MaxVotes16 = math.MaxUint16
 )
 
-// field is the type of every field of a row in one layout.
+// field is the type of every field of a row in one of the wider layouts.
 type field interface{ uint8 | uint16 | int32 }
 
 // row is one item's per-suite state: its vote counts, which the matrix keeps,
@@ -21,28 +23,38 @@ type row[T field] struct {
 	lastFreq, events T // frequency class of the most recent switch, switches so far
 }
 
+// A 4-bit row is one uint16 holding the four fields of row as nibbles:
+// lastFreq, events, n⁺_i and n⁻_i at bits 0, 4, 8 and 12. The switch state
+// takes the low byte so that SetSwitch, which a tracker calls on most votes,
+// stays cheap enough for the compiler to inline.
+const nibble = 1<<4 - 1
+
 // Rows holds every item's row: the one per-item array of a suite. Rows start
-// 8 bits wide (4 B per item). The first vote that takes any item past
-// MaxVotes8 votes copies every row to 16 bits (8 B per item), and the first
-// that takes one past MaxVotes16 copies them to 32 bits (16 B per item).
-// Rows never narrow again, Reset included. Exactly one of r8, r16 and r32 is
-// non-nil. Callers read and write fields as ints, so the logic over them is
+// 4 bits wide (2 B per item). The first vote that takes any item past
+// MaxVotes4 votes copies every row to 8 bits (4 B per item), the first that
+// takes one past MaxVotes8 copies them to 16 bits (8 B per item), and the
+// first that takes one past MaxVotes16 copies them to 32 bits (16 B per item).
+// Rows never narrow again, Reset included. Exactly one of r4, r8, r16 and r32
+// is non-nil. Callers read and write fields as ints, so the logic over them is
 // the same in every layout.
 type Rows struct {
+	r4  []uint16
 	r8  []row[uint8]
 	r16 []row[uint16]
 	r32 []row[int32]
 }
 
 // NewRows creates rows over n items, all zero.
-func NewRows(n int) *Rows { return &Rows{r8: make([]row[uint8], n)} }
+func NewRows(n int) *Rows { return &Rows{r4: make([]uint16, n)} }
 
 // Len returns the number of items.
-func (r *Rows) Len() int { return max(len(r.r8), len(r.r16), len(r.r32)) }
+func (r *Rows) Len() int { return max(len(r.r4), len(r.r8), len(r.r16), len(r.r32)) }
 
-// Bits returns the width of every field: 8, 16 or 32.
+// Bits returns the width of every field: 4, 8, 16 or 32.
 func (r *Rows) Bits() int {
 	switch {
+	case r.r4 != nil:
+		return 4
 	case r.r8 != nil:
 		return 8
 	case r.r16 != nil:
@@ -54,6 +66,9 @@ func (r *Rows) Bits() int {
 // Get returns item i's vote counts (n⁺_i, n⁻_i).
 func (r *Rows) Get(i int) (pos, neg int) {
 	switch {
+	case r.r4 != nil:
+		x := r.r4[i]
+		return int(x >> 8 & nibble), int(x >> 12)
 	case r.r8 != nil:
 		x := r.r8[i]
 		return int(x.pos), int(x.neg)
@@ -70,6 +85,8 @@ func (r *Rows) Get(i int) (pos, neg int) {
 // is widened first.
 func (r *Rows) Add(i int, l Label) (pos, neg int) {
 	switch {
+	case r.r4 != nil:
+		pos, neg = count4(&r.r4[i], l)
 	case r.r8 != nil:
 		pos, neg = count(&r.r8[i], l, MaxVotes8)
 	case r.r16 != nil:
@@ -86,11 +103,33 @@ func (r *Rows) Add(i int, l Label) (pos, neg int) {
 
 // widen copies every row into the next wider layout.
 func (r *Rows) widen() {
-	if r.r8 != nil {
+	switch {
+	case r.r4 != nil:
+		r.r8 = make([]row[uint8], len(r.r4))
+		for i, x := range r.r4 {
+			r.r8[i] = row[uint8]{uint8(x >> 8 & nibble), uint8(x >> 12), uint8(x & nibble), uint8(x >> 4 & nibble)}
+		}
+		r.r4 = nil
+	case r.r8 != nil:
 		r.r16, r.r8 = widenRows[uint16](r.r8), nil
-	} else {
+	default:
 		r.r32, r.r16 = widenRows[int32](r.r16), nil
 	}
+}
+
+// count4 is count for a 4-bit row x.
+func count4(x *uint16, l Label) (pos, neg int) {
+	pos, neg = int(*x>>8&nibble), int(*x>>12)
+	if pos+neg == MaxVotes4 {
+		return -1, -1
+	}
+	if l == Dirty {
+		pos++
+	} else {
+		neg++
+	}
+	*x = *x&(nibble<<4|nibble) | uint16(neg<<4|pos)<<8
+	return pos, neg
 }
 
 // count adds one vote with label l to x and returns its counts including it,
@@ -122,6 +161,9 @@ func widenRows[W, T field](rows []row[T]) []row[W] {
 // recent switch and its number of switches.
 func (r *Rows) Switch(i int) (lastFreq, events int) {
 	switch {
+	case r.r4 != nil:
+		x := r.r4[i]
+		return int(x & nibble), int(x >> 4 & nibble)
 	case r.r8 != nil:
 		x := r.r8[i]
 		return int(x.lastFreq), int(x.events)
@@ -137,6 +179,8 @@ func (r *Rows) Switch(i int) (lastFreq, events int) {
 // vote count, which the layout already holds, so a store never truncates.
 func (r *Rows) SetSwitch(i, lastFreq, events int) {
 	switch {
+	case r.r4 != nil:
+		r.r4[i] = r.r4[i]&^(nibble<<4|nibble) | uint16(events<<4|lastFreq)
 	case r.r8 != nil:
 		r.r8[i].lastFreq, r.r8[i].events = uint8(lastFreq), uint8(events)
 	case r.r16 != nil:
@@ -148,6 +192,7 @@ func (r *Rows) SetSwitch(i, lastFreq, events int) {
 
 // Reset zeroes every row in place, keeping the layout.
 func (r *Rows) Reset() {
+	clear(r.r4)
 	clear(r.r8)
 	clear(r.r16)
 	clear(r.r32)

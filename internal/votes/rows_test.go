@@ -6,17 +6,17 @@ import (
 	"unsafe"
 )
 
-// TestTallyIs4Bytes: fresh rows are 8 bits wide and cost 4 B per item, the
+// TestTallyIs2Bytes: fresh rows are 4 bits wide and cost 2 B per item, the
 // item's tally (n⁺_i, n⁻_i) and its switch state together.
-func TestTallyIs4Bytes(t *testing.T) {
+func TestTallyIs2Bytes(t *testing.T) {
 	const n = 1 << 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r := NewRows(n)
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(r)
-	if perItem := (after.TotalAlloc - before.TotalAlloc) / n; perItem != 4 || r.Bits() != 8 {
-		t.Fatalf("NewRows(%d): %d B per item, %d bits wide, want 4 B and 8 bits", n, perItem, r.Bits())
+	if perItem := (after.TotalAlloc - before.TotalAlloc) / n; perItem != 2 || r.Bits() != 4 {
+		t.Fatalf("NewRows(%d): %d B per item, %d bits wide, want 2 B and 4 bits", n, perItem, r.Bits())
 	}
 }
 
@@ -24,6 +24,7 @@ func TestRowBytes(t *testing.T) {
 	for _, c := range []struct {
 		got, want uintptr
 	}{
+		{unsafe.Sizeof(Rows{}.r4[0]), 2},
 		{unsafe.Sizeof(row[uint8]{}), 4},
 		{unsafe.Sizeof(row[uint16]{}), 8},
 		{unsafe.Sizeof(row[int32]{}), 16},
@@ -37,6 +38,8 @@ func TestRowBytes(t *testing.T) {
 // bitsFor returns the narrowest layout that holds an item with n votes.
 func bitsFor(n int64) int {
 	switch {
+	case n <= MaxVotes4:
+		return 4
 	case n <= MaxVotes8:
 		return 8
 	case n <= MaxVotes16:
@@ -45,9 +48,10 @@ func bitsFor(n int64) int {
 	return 32
 }
 
-// TestCountsWidenExactlyPastNarrowVotes: rows stay 8 bits wide while every
-// item holds at most MaxVotes8 votes, widen to 16 bits at the vote that takes
-// one item past it and to 32 bits at the vote that takes one past MaxVotes16.
+// TestCountsWidenExactlyPastNarrowVotes: rows stay 4 bits wide while every
+// item holds at most MaxVotes4 votes, widen to 8 bits at the vote that takes
+// one item past it, to 16 bits at the vote that takes one past MaxVotes8 and
+// to 32 bits at the vote that takes one past MaxVotes16.
 // After every vote, every item's counts must equal 64-bit reference counts,
 // and every item's switch fields the values last stored (each vote stores
 // the largest value its item's count allows, so the fields cross the bounds
@@ -99,8 +103,8 @@ func TestCountsWidenExactlyPastNarrowVotes(t *testing.T) {
 				}
 			}
 		}
-		if pass == 0 && (!widened[16] || !widened[32]) {
-			t.Fatalf("widened to %v, want 16 and 32 bits", widened)
+		if pass == 0 && (!widened[8] || !widened[16] || !widened[32]) {
+			t.Fatalf("widened to %v, want 8, 16 and 32 bits", widened)
 		}
 		if pass == 1 && len(widened) != 0 {
 			t.Fatalf("a reset matrix widened again to %v", widened)

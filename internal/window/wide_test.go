@@ -11,6 +11,8 @@ import (
 // bitsFor returns the narrowest row layout that holds an item with n votes.
 func bitsFor(n int64) int {
 	switch {
+	case n <= votes.MaxVotes4:
+		return 4
 	case n <= votes.MaxVotes8:
 		return 8
 	case n <= votes.MaxVotes16:
@@ -20,21 +22,21 @@ func bitsFor(n int64) int {
 }
 
 // TestPanesWidenPastNarrowVotes drives a sliding ring of two panes past
-// votes.MaxVotes8 and votes.MaxVotes16 votes on one item in every pane, with
-// 64-bit counts per pane kept by the test. After every vote, every open
-// pane's counts for the voted item must equal the pane's reference counts,
-// and every pane's rows must be exactly as wide as the most votes any of its
-// items has held since the pane was built needs: a pane recycled for a later
-// window keeps its layout. Ring.Reset must keep every pane's layout, and a
-// replay after it must never widen.
+// votes.MaxVotes4, votes.MaxVotes8 and votes.MaxVotes16 votes on one item in
+// every pane, with 64-bit counts per pane kept by the test. After every vote,
+// every open pane's counts for the voted item must equal the pane's reference
+// counts, and every pane's rows must be exactly as wide as the most votes any
+// of its items has held since the pane was built needs: a pane recycled for a
+// later window keeps its layout. Ring.Reset must keep every pane's layout, and
+// a replay after it must never widen.
 func TestPanesWidenPastNarrowVotes(t *testing.T) {
 	const n = 6
 	r := New(n, estimator.SuiteConfig{}, Config{Size: 8, Stride: 4})
 	// Tasks 0–15 hold 9,000 votes, 8,000 of them on item 0 (70% dirty), so
-	// every window passes votes.MaxVotes8 in its first task but holds at most
-	// 64,000 votes on item 0. Tasks 16–19 give item 0 17,000 votes each, so
-	// both panes (the windows opening at tasks 12 and 16) pass
-	// votes.MaxVotes16 there.
+	// every window passes votes.MaxVotes4 and votes.MaxVotes8 in its first
+	// task but holds at most 64,000 votes on item 0. Tasks 16–19 give item 0
+	// 17,000 votes each, so both panes (the windows opening at tasks 12 and
+	// 16) pass votes.MaxVotes16 there.
 	rng := xrand.New(255)
 	var tasks [][]votes.Vote
 	for k := 0; k < 20; k++ {
@@ -98,8 +100,8 @@ func TestPanesWidenPastNarrowVotes(t *testing.T) {
 		}
 		if pass == 0 {
 			for i := range r.panes {
-				if bits[i] != 32 || widened[i] != 2 {
-					t.Fatalf("pane %d widened %d times to %d bits, want 2 times to 32", i, widened[i], bits[i])
+				if bits[i] != 32 || widened[i] != 3 {
+					t.Fatalf("pane %d widened %d times to %d bits, want 3 times to 32", i, widened[i], bits[i])
 				}
 			}
 		} else {

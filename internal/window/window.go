@@ -31,8 +31,9 @@ const maxPanes = 64
 
 // MaxItemStates bounds the per-item estimator state a session may allocate:
 // its population times its suites (the all-time suite plus one per pane).
-// A suite holds 4 B per item when created (8 B once one of its items passes
-// 255 votes, 16 B past 65,535), so the bound is 256 MiB at create.
+// A suite holds 2 B per item when created (4 B once one of its items passes
+// 15 votes, 8 B past 255, 16 B past 65,535), so the bound is 128 MiB at
+// create.
 const MaxItemStates = 1 << 26
 
 // Config parameterizes windowed estimation. The zero value is invalid; Size
