@@ -25,7 +25,7 @@ head=$(cd "$2" && pwd)
 mkdir -p "$3"
 out=$(cd "$3" && pwd)
 pairs=${4:-10}
-pinned='BenchmarkJournalAppend|BenchmarkGroupCommit|BenchmarkSessionIngest$|BenchmarkSessionIngestGated|BenchmarkColumnarIngest|BenchmarkAppendLog/memory|BenchmarkAppendLog/durable/never|BenchmarkEstimatesCached|BenchmarkEstimatesDirty|BenchmarkBootstrapCI|BenchmarkWindowedIngest|BenchmarkWindowedEstimates|BenchmarkRecovery|BenchmarkMatrixAdd$|BenchmarkSwitchTrackerAdd$|BenchmarkAdd4Bit$|BenchmarkAdd8Bit$|BenchmarkAdd16Bit$|BenchmarkWideAdd$|BenchmarkLevenshtein$|BenchmarkHubEncodeOnce|BenchmarkWatchFanout|BenchmarkGateEvaluate'
+pinned='BenchmarkJournalAppend|BenchmarkTaskRecords|BenchmarkGroupCommit|BenchmarkSessionIngest$|BenchmarkSessionIngestGated|BenchmarkColumnarIngest|BenchmarkAppendLog/memory|BenchmarkAppendLog/durable/never|BenchmarkEstimatesCached|BenchmarkEstimatesDirty|BenchmarkBootstrapCI|BenchmarkWindowedIngest|BenchmarkWindowedEstimates|BenchmarkRecovery|BenchmarkMatrixAdd$|BenchmarkSwitchTrackerAdd$|BenchmarkAdd4Bit$|BenchmarkAdd8Bit$|BenchmarkAdd16Bit$|BenchmarkWideAdd$|BenchmarkLevenshtein$|BenchmarkHubEncodeOnce|BenchmarkWatchFanout|BenchmarkGateEvaluate'
 pkgs=(. ./internal/engine ./internal/wal ./internal/hub ./internal/policy ./cmd/dqm-serve)
 sides=(base head)
 [ "$base" = "$head" ] && sides=(head)

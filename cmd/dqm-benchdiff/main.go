@@ -23,6 +23,13 @@
 //     cached-read paths are load-bearing contracts, not noise. Non-zero
 //     baselines only warn on growth (pool warmup makes small counts
 //     benchtime-sensitive).
+//   - custom metrics (-baseline): a pinned benchmark fails when the median
+//     over its runs of a metric the baseline records (one that is neither a
+//     time nor a rate, such as encodes/version or B/vote) rises above the
+//     baseline's value, or when the fresh run no longer reports it. Such a
+//     metric counts something of the code, not of the host, so it is gated
+//     on its value; BenchmarkTaskRecords/encode's B/vote gates the
+//     journal's bytes per vote, which no time can.
 //   - presence: a baseline benchmark missing from the fresh run fails; a
 //     pinned hot path silently dropping out of the suite is itself a
 //     regression.
@@ -38,8 +45,8 @@
 //     are reported with their ratios and never fail.
 //
 // The JSON keeps what does not depend on the host's speed: B/op, allocs/op
-// and the custom metrics that are not rates. ns/op and the per-second
-// metrics stay in the raw bench output.
+// and the custom metrics that are neither times nor rates. ns/op, the other
+// ns/ metrics and the per-second ones stay in the raw bench output.
 //
 // GOMAXPROCS name suffixes ("-8") are stripped, so baselines compare across
 // machines with different core counts.
@@ -64,8 +71,9 @@ import (
 type benchResult struct {
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	// Metrics carries the ReportMetric extras that are not rates (e.g.
-	// "encodes/version"); a rate ("votes/s") measures the host, as ns/op does.
+	// Metrics carries the ReportMetric extras that are neither times nor
+	// rates (e.g. "encodes/version", "B/vote"); a time ("ns/vote") or a rate
+	// ("votes/s") measures the host, as ns/op does.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	// allocRuns holds the allocs/op of each run parseBench read; -out
 	// writes only the largest.
@@ -202,7 +210,7 @@ func scanBench(r io.Reader, fn func(name string, value float64, unit string)) er
 // parseBench reads `go test -bench` output into a benchFile. A name that
 // repeats (-count > 1) keeps the largest B/op and allocs/op across its
 // lines, because an allocation in any run is real, and the median of each
-// custom metric; it also keeps each run's allocs/op for compare. ns/op and
+// custom metric; it also keeps each run's allocs/op for compare. Times and
 // rates are dropped.
 func parseBench(r io.Reader) (*benchFile, error) {
 	out := &benchFile{SchemaVersion: 1, GoVersion: runtime.Version(), Benchmarks: make(map[string]benchResult)}
@@ -210,7 +218,7 @@ func parseBench(r io.Reader) (*benchFile, error) {
 	err := scanBench(r, func(name string, v float64, unit string) {
 		res := out.Benchmarks[name]
 		switch {
-		case unit == "ns/op" || strings.HasSuffix(unit, "/s"):
+		case strings.HasPrefix(unit, "ns/") || strings.HasSuffix(unit, "/s"):
 		case unit == "B/op":
 			res.BytesPerOp = max(res.BytesPerOp, v)
 		case unit == "allocs/op":
@@ -293,12 +301,15 @@ func readBenchFile(path string) (*benchFile, error) {
 	return &f, nil
 }
 
-// compare gates fresh's allocations against base, logging one line per
-// benchmark. It returns false when any gate fails: a 0-alloc row of base
-// fails when any run of fresh allocates. A row of base that allocates only
-// warns, when the median run of fresh allocates more: paths that allocate
-// per goroutine wake-up read high in the odd run (BenchmarkHubEncodeOnce/
-// subs=1000 read 27 to 78 allocs/op in nine of ten runs and 232 in one).
+// compare gates fresh's allocations and custom metrics against base, logging
+// one line per benchmark and one per failing metric. It returns false when
+// any gate fails: a 0-alloc row of base fails when any run of fresh
+// allocates, and a row fails when the median of one of its custom metrics
+// rises above base's value or goes missing. A row of base that allocates
+// only warns, when the median run of fresh allocates more: paths that
+// allocate per goroutine wake-up read high in the odd run
+// (BenchmarkHubEncodeOnce/subs=1000 read 27 to 78 allocs/op in nine of ten
+// runs and 232 in one).
 func compare(base, fresh *benchFile, logf func(string, ...any)) bool {
 	if base.GoVersion != "" && fresh.GoVersion != "" && base.GoVersion != fresh.GoVersion {
 		logf("warn: baseline measured on %s, fresh run on %s — allocation counts can move with the toolchain's escape analysis; refresh the baseline to re-anchor",
@@ -319,6 +330,18 @@ func compare(base, fresh *benchFile, logf func(string, ...any)) bool {
 			logf("warn %s: allocs/op %.0f -> %.0f (median run)", name, b.AllocsPerOp, f.medianAllocs())
 		default:
 			logf("ok   %s: %.0f allocs/op, %.0f B/op (baseline %.0f, %.0f)", name, f.medianAllocs(), f.BytesPerOp, b.AllocsPerOp, b.BytesPerOp)
+		}
+		for _, unit := range sortedNames(b.Metrics) {
+			v, reported := f.Metrics[unit]
+			switch {
+			case !ok:
+			case !reported:
+				logf("FAIL %s: pinned metric %s missing from the fresh run", name, unit)
+				pass = false
+			case v > b.Metrics[unit]:
+				logf("FAIL %s: %s %g above its baseline %g (median run)", name, unit, v, b.Metrics[unit])
+				pass = false
+			}
 		}
 	}
 	return pass

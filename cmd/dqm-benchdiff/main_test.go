@@ -197,6 +197,38 @@ func TestCompareGates(t *testing.T) {
 	}
 }
 
+// TestCompareGatesMetrics: a custom metric of a pinned benchmark is gated on
+// its value: a higher B/vote fails, an equal or lower one passes, and a
+// metric the fresh run no longer reports fails.
+func TestCompareGatesMetrics(t *testing.T) {
+	base := &benchFile{Benchmarks: map[string]benchResult{
+		"BenchmarkTaskRecords/encode": {Metrics: map[string]float64{"B/vote": 1.474}},
+	}}
+	fresh := func(m map[string]float64) *benchFile {
+		return &benchFile{Benchmarks: map[string]benchResult{"BenchmarkTaskRecords/encode": {Metrics: m}}}
+	}
+	if pass, out := gateResult(t, base, fresh(map[string]float64{"B/vote": 1.474})); !pass {
+		t.Errorf("an equal B/vote failed:\n%s", out)
+	}
+	if pass, out := gateResult(t, base, fresh(map[string]float64{"B/vote": 1.2})); !pass {
+		t.Errorf("a lower B/vote failed:\n%s", out)
+	}
+	if pass, out := gateResult(t, base, fresh(map[string]float64{"B/vote": 1.475})); pass || !strings.Contains(out, "B/vote 1.475 above its baseline 1.474") {
+		t.Errorf("a higher B/vote passed:\n%s", out)
+	}
+	if pass, out := gateResult(t, base, fresh(nil)); pass || !strings.Contains(out, "pinned metric B/vote missing") {
+		t.Errorf("a missing B/vote passed:\n%s", out)
+	}
+	// Times are not recorded, so they cannot be gated across hosts.
+	f, err := parseBench(strings.NewReader("BenchmarkTaskRecords/encode-2  1000  560.0 ns/op  28.00 ns/vote  1.474 B/vote  0 B/op  0 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Benchmarks["BenchmarkTaskRecords/encode"].Metrics; len(got) != 1 || got["B/vote"] != 1.474 {
+		t.Errorf("parsed metrics %v, want B/vote alone", got)
+	}
+}
+
 // TestBaselineFileParses keeps the committed baseline loadable by the gate:
 // if BENCH_baseline.json rots (bad JSON, emptied), CI's compare step would
 // die in a confusing way — this catches it at test time.

@@ -83,7 +83,7 @@
 // The votes endpoint also accepts Content-Type: application/x-dqmv — the
 // binary vote-log encoding (what `dqm-gen -votes-format binary` writes).
 // Binary bodies skip JSON entirely: each task's raw vote bytes are decoded
-// once into a vote batch, journaled as one packed WAL record and applied,
+// once into a vote batch, journaled as one WAL vote record and applied,
 // with the same per-task atomicity, task-boundary rule, and resulting
 // estimates as the equivalent {"entries": ...} request. Unknown content types
 // get a 415 naming the accepted encodings.
@@ -767,7 +767,7 @@ func (s *server) handleAppendVotes(w http.ResponseWriter, r *http.Request) {
 
 // handleAppendDQMV ingests a binary DQMV vote log through
 // dqm.Session.AppendDQMV: each task is decoded once into a vote batch,
-// journaled as one packed WAL record, and the whole request pays one
+// journaled as one WAL vote record, and the whole request pays one
 // durability wait. The body is split here only for the empty-batch and
 // batch-size checks. Task boundaries match the {"entries": ...} rule, so both
 // encodings yield byte-identical estimates. An invalid task reports the tasks

@@ -573,7 +573,7 @@ var votePool = sync.Pool{New: func() any { return new([]votes.Vote) }}
 // AppendDQMV ingests a complete binary vote log (the DQMV format of
 // internal/votelog: magic header, 'T' task records, 'V' vote records)
 // without an Entry per vote: each task's raw vote bytes are decoded once into
-// a pooled vote batch, validated, journaled as one packed WAL record (the
+// a pooled vote batch, validated, journaled as one WAL vote record (the
 // record AppendVotes writes too) and applied through the same path as
 // AppendVotes. Task boundaries follow the format's task-id changes plus one
 // after the final vote, exactly the boundaries the Entry/JSON path produces,

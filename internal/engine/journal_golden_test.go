@@ -34,10 +34,15 @@ const flushFixture = "testdata/journal-flush"
 
 // packedFixture is goldenStream written by the first build that journals
 // every vote batch as one bit-packed record, with the task boundary that
-// ends it folded in. The journal encoding is a compatibility contract, so
-// any build must write the same segment bytes from the same stream under the
-// same flushes. Its estimates.json equals goldenFixture's.
+// ends it folded in. Its estimates.json equals goldenFixture's.
 const packedFixture = "testdata/journal-packed"
+
+// sortedFixture is goldenStream written by the first build that journals
+// every vote batch as one record of its votes sorted by item, the gaps
+// between items Rice-coded. The journal encoding is a compatibility
+// contract, so any build must write the same segment bytes from the same
+// stream under the same flushes. Its estimates.json equals goldenFixture's.
+const sortedFixture = "testdata/journal-sorted"
 
 var goldenIDs = []string{"plain", "windowed"}
 
@@ -156,14 +161,14 @@ func segments(t *testing.T, dir string) map[string][]byte {
 
 // TestJournalGoldenBytes writes goldenStream with this build and checks it
 // against the fixtures: the same served estimates, journal segments
-// byte-identical to packedFixture's, and recovery of every fixture's data dir
+// byte-identical to sortedFixture's, and recovery of every fixture's data dir
 // to its recorded estimates.
 func TestJournalGoldenBytes(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join(goldenFixture, "estimates.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fixture := range []string{blockFixture, flushFixture, packedFixture} {
+	for _, fixture := range []string{blockFixture, flushFixture, packedFixture, sortedFixture} {
 		if b, err := os.ReadFile(filepath.Join(fixture, "estimates.json")); err != nil || !bytes.Equal(b, want) {
 			t.Fatalf("%s/estimates.json differs from %s's (err %v)", fixture, goldenFixture, err)
 		}
@@ -185,7 +190,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 	}
 	for _, id := range goldenIDs {
 		got := segments(t, filepath.Join(dir, id))
-		fixture := segments(t, filepath.Join(packedFixture, "data", id))
+		fixture := segments(t, filepath.Join(sortedFixture, "data", id))
 		if len(got) != len(fixture) {
 			t.Fatalf("%s: wrote %d segments, fixture has %d", id, len(got), len(fixture))
 		}
@@ -196,7 +201,7 @@ func TestJournalGoldenBytes(t *testing.T) {
 		}
 	}
 
-	for _, fixture := range []string{goldenFixture, blockFixture, flushFixture, packedFixture} {
+	for _, fixture := range []string{goldenFixture, blockFixture, flushFixture, packedFixture, sortedFixture} {
 		rdir := t.TempDir()
 		copyDir(t, filepath.Join(fixture, "data"), rdir)
 		e2, err := Open(rdir, goldenConfig())
@@ -278,13 +283,14 @@ func goldenMore(t *testing.T, sessions []*Session, tasks int) {
 
 // TestGoldenFixtureUpgradesThroughCompaction recovers the data dirs earlier
 // builds wrote — goldenFixture, whose votes are in per-vote and columnar
-// records, and flushFixture, in block records — keeps ingesting under
-// thresholds small enough to rotate and compact repeatedly, so compaction
-// reads old and new records together, and checks the served estimates and
-// window views against a fresh in-memory replay of the same stream: live,
-// and again after a reopen.
+// records, flushFixture, in block records, and packedFixture, in bit-packed
+// ones — keeps ingesting under thresholds small enough to rotate and compact
+// repeatedly, so compaction reads old and new records together and rewrites
+// them as sorted ones, and checks the served estimates and window views
+// against a fresh in-memory replay of the same stream: live, and again
+// after a reopen.
 func TestGoldenFixtureUpgradesThroughCompaction(t *testing.T) {
-	for _, fixture := range []string{goldenFixture, flushFixture} {
+	for _, fixture := range []string{goldenFixture, flushFixture, packedFixture} {
 		t.Run(filepath.Base(fixture), func(t *testing.T) { upgradeThroughCompaction(t, fixture) })
 	}
 }

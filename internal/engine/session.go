@@ -376,7 +376,7 @@ func (s *Session) checkItems(batch []votes.Vote) error {
 // votelog.SplitBinaryTasks). A task boundary follows each block whose
 // successor carries a different task id, and the last block: the boundaries
 // the Entry path produces for the same log. Each block is decoded once into
-// a batch; the batch is journaled as one packed record, its boundary folded
+// a batch; the batch is journaled as one vote record, its boundary folded
 // in and the window rotation that boundary seals behind it, and applied with
 // one version bump.
 //

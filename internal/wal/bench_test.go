@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -30,6 +31,68 @@ func benchBatch(shared bool) []votes.Vote {
 		batch[i] = votes.Vote{Item: i % 512, Worker: w, Label: label}
 	}
 	return batch
+}
+
+// taskStream is a fixed stream of 1,000 bench-shaped crowd tasks: 20 votes
+// each, from one worker per task, over 5,000 items, about 5% of them dirty.
+func taskStream() [][]votes.Vote {
+	rng := rand.New(rand.NewSource(1))
+	tasks := make([][]votes.Vote, 1000)
+	for i := range tasks {
+		task := make([]votes.Vote, 20)
+		worker := rng.Intn(200)
+		for j := range task {
+			task[j] = mkVote(rng.Intn(5000), worker, rng.Intn(20) == 0)
+		}
+		tasks[i] = task
+	}
+	return tasks
+}
+
+// BenchmarkTaskRecords times the journal's vote record on taskStream: encode
+// writes one task a op as Stage does, its boundary folded in; decode replays
+// the whole stream a op through the batched hooks, as recovery does. encode
+// also reports B/vote, the stream's encoded bytes per vote: it depends on
+// the record format alone, not on b.N or the host, so the baseline gate
+// holds it to a count where it cannot hold a disk-bound time.
+func BenchmarkTaskRecords(b *testing.B) {
+	tasks := taskStream()
+	var stream []byte
+	n := 0
+	for _, task := range tasks {
+		stream = mustSorted(stream, task, true)
+		n += len(task)
+	}
+	perVote := float64(len(stream)) / float64(n)
+	b.Run("encode", func(b *testing.B) {
+		buf := make([]byte, 0, 64)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if buf, err = appendSorted(buf[:0], tasks[i%len(tasks)], true); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*20), "ns/vote")
+		b.ReportMetric(perVote, "B/vote")
+	})
+	b.Run("decode", func(b *testing.B) {
+		got := 0
+		h := Hooks{Votes: func(batch []votes.Vote) error { got += len(batch); return nil }, Batch: new([]votes.Vote)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := decodeRecords(stream, h); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		if got != b.N*n {
+			b.Fatalf("decoded %d votes, want %d", got, b.N*n)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/vote")
+	})
 }
 
 // noCompaction keeps compaction out of a benchmark's reach: no run writes

@@ -33,9 +33,9 @@ func TestOversizedBatchIsRefused(t *testing.T) {
 		b := make([]votes.Vote, k)
 		for i := range b {
 			b[i] = mkVote(base+i, i, i%2 == 0)
-			if keep {
-				want = append(want, op{Kind: opVote, Item: b[i].Item, Worker: b[i].Worker, Dirty: b[i].Label == votes.Dirty})
-			}
+		}
+		if keep {
+			want = append(want, replayOps(b)...)
 		}
 		return b
 	}
@@ -241,10 +241,7 @@ func TestDirSyncErrorsAreReported(t *testing.T) {
 	for i := 0; i < 100 && failed == nil; i++ {
 		batch := []votes.Vote{mkVote(i%10, 1, i%2 == 0), mkVote((i+3)%10, 1, false)}
 		if failed = appendCommit(j, batch, true, -1); failed == nil {
-			for _, v := range batch {
-				acked = append(acked, op{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
-			}
-			acked = append(acked, op{Kind: opEnd})
+			acked = append(append(acked, replayOps(batch)...), op{Kind: opEnd})
 		}
 	}
 	if !errors.Is(failed, injected) {

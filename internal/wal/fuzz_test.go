@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -78,6 +79,68 @@ func packedSeeds() [][]byte {
 	return seeds
 }
 
+// mustSorted is appendSorted for batches known to fit.
+func mustSorted(buf []byte, batch []votes.Vote, end bool) []byte {
+	buf, err := appendSorted(buf, batch, end)
+	if err != nil {
+		panic(err)
+	}
+	return buf
+}
+
+// sortedSeeds are opSorted payloads for both fuzz corpora: shared and mixed
+// workers, workers outside int32, duplicate items, Rice parameters 0 and 30,
+// folded boundaries with and without a window rotation behind them, an
+// empty record, and forgeries every one of which must fail: a count the
+// remaining bits cannot hold, a unary run past the record's end, gaps that
+// sum past 2^31-1, and a Rice parameter past 30.
+func sortedSeeds() [][]byte {
+	v := func(item, worker int, dirty bool) votes.Vote { return mkVote(item, worker, dirty) }
+	var seeds [][]byte
+	add := func(b []byte) { seeds = append(seeds, b) }
+	add(mustSorted(nil, []votes.Vote{v(300, 7, true), v(2, 7, false), v(1, 7, true)}, true))
+	add(appendWindow(mustSorted(nil, []votes.Vote{v(5000, 9, true), v(1, 7, true), v(2, -3, false)}, true), 12))
+	add(append(mustSorted(nil, []votes.Vote{v(5, 1<<40, true), v(4, 1<<40, false)}, false), opEnd))
+	add(mustSorted(nil, []votes.Vote{v(6, 1, true), v(5, -(1 << 35), false), v(6, 2, false), v(4, 1, true)}, true))
+	add(mustSorted(nil, []votes.Vote{v(0, 2, true), v(0, 2, false), v(0, 2, true)}, true))
+	add(appendWindow(mustSorted(nil, []votes.Vote{v(math.MaxInt32, 5, true), v(0, 6, false)}, true), 1<<40))
+	add(mustSorted(mustSorted(nil, []votes.Vote{v(17, 1, false)}, false), []votes.Vote{v(3, 1, true)}, true))
+	add([]byte{opSorted, 0x00})
+	// 100 votes of at least 9 bits cannot fit in the three bytes that follow.
+	add(append(binary.AppendUvarint([]byte{opSorted | 7}, 100<<2|2), 0x04, 0xff, 0xff, 0xff))
+	// Two 2-bit votes fit in one byte, but its bits are all zero: the first
+	// vote's unary run never ends.
+	add([]byte{opSorted, 2<<2 | 2, 0x04, 0x00})
+	// Three gaps of 2^30 at Rice parameter 30 (a zero bit, the one that ends
+	// it, 30 zero bits of remainder and a clean dirty bit each): the second
+	// vote's item passes 2^31-1.
+	gaps, bw := newBitWriter(append(binary.AppendUvarint([]byte{opSorted | 30}, 3<<2|2), 0x04), 3*33)
+	for range 3 {
+		bw.put(0b10, 2)
+		bw.put(0, 31)
+	}
+	bw.done()
+	add(gaps)
+	add([]byte{opSorted | 31, 1<<2 | 2, 0x04, 0x01, 0x00, 0x00, 0x00, 0x00})
+	return seeds
+}
+
+// TestSortedRecordRefusesForgeries decodes the forged opSorted records that
+// close sortedSeeds — a count the bits cannot hold, a unary run past the
+// record's end, gaps summing past 2^31-1 and a Rice parameter of 31 — with
+// and without a Votes hook: each must fail, and the scratch must not grow
+// past the votes the record's bytes could hold, four a byte.
+func TestSortedRecordRefusesForgeries(t *testing.T) {
+	seeds := sortedSeeds()
+	for i, p := range seeds[len(seeds)-4:] {
+		for _, keep := range []bool{true, false} {
+			if _, _, scratchCap, err := decodeEvents(p, keep); err == nil || scratchCap > 4*len(p) {
+				t.Errorf("forgery %d (votes kept %v): err %v, scratch of %d votes for %d bytes", i, keep, err, scratchCap, len(p))
+			}
+		}
+	}
+}
+
 // appendFrame appends payload to buf as one sealed frame.
 func appendFrame(buf, payload []byte) []byte {
 	return append(buf, sealFrame(append(make([]byte, frameHead), payload...))...)
@@ -124,6 +187,10 @@ func FuzzSegmentScan(f *testing.F) {
 	multi := append(append([]byte{}, segMagic...), appendFrame(nil, multiBatchSeed())...)
 	f.Add(appendFrame(multi, append(blockSeeds()[1], multiBatchSeed()...)))
 	f.Add(appendFrame(multi, append(packedSeeds()[1], packedSeeds()[7]...)))
+	for _, p := range sortedSeeds() {
+		f.Add(append(append([]byte{}, segMagic...), appendFrame(nil, p)...))
+	}
+	f.Add(appendFrame(multi, append(sortedSeeds()[1], packedSeeds()[7]...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -192,9 +259,7 @@ func decodeEvents(p []byte, keepVotes bool) (events []event, batches [][]votes.V
 				panic("empty batch delivered")
 			}
 			batches = append(batches, slices.Clone(batch))
-			for _, v := range batch {
-				events = append(events, event{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
-			}
+			events = append(events, voteEvents(batch)...)
 			return nil
 		}
 	}
@@ -213,22 +278,41 @@ func withoutVotes(events []event) []event {
 	return out
 }
 
+// byItem stable-sorts a copy of batch by item, the order an opSorted record
+// gives back.
+func byItem(batch []votes.Vote) []votes.Vote {
+	out := slices.Clone(batch)
+	slices.SortStableFunc(out, func(a, b votes.Vote) int { return cmp.Compare(a.Item, b.Item) })
+	return out
+}
+
+// voteEvents returns batch as vote events.
+func voteEvents(batch []votes.Vote) []event {
+	out := make([]event, len(batch))
+	for i, v := range batch {
+		out[i] = event{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty}
+	}
+	return out
+}
+
 // reencode writes events back as this build writes records, the way
-// compaction does: each batch as one packed record, each boundary folded
-// into the record before it when that is a batch. ok is false when a batch
-// holds an item no packed record can hold.
-func reencode(events []event, batches [][]votes.Vote) (p []byte, ok bool) {
+// compaction does: each batch as one sorted record, each boundary folded
+// into the record before it when that is a batch. It also returns the
+// stream the records decode to: events with each batch stable-sorted by
+// item. ok is false when a batch holds an item no record can hold.
+func reencode(events []event, batches [][]votes.Vote) (p []byte, want []event, ok bool) {
 	open := -1
 	for i := 0; i < len(events); {
 		switch e := events[i]; e.Kind {
 		case opVote:
 			b := batches[0]
 			batches = batches[1:]
-			q, err := appendPacked(p, b, false)
+			q, err := appendSorted(p, b, false)
 			if err != nil {
-				return nil, false
+				return nil, nil, false
 			}
 			open, p = len(p)+1, q
+			want = append(want, voteEvents(byItem(b))...)
 			i += len(b)
 			continue
 		case opEnd:
@@ -242,19 +326,20 @@ func reencode(events []event, batches [][]votes.Vote) (p []byte, ok bool) {
 		case opWindow:
 			p = appendWindow(p, e.Start)
 		}
+		want = append(want, events[i])
 		open = -1
 		i++
 	}
-	return p, true
+	return p, want, true
 }
 
 // FuzzRecordDecode checks the record decoder on arbitrary payloads. Decoding
 // with and without a Votes hook must accept and reject the same payloads and
 // report the same end, reset and window stream. What is accepted, written
-// back as compaction writes it, must decode to the same stream. A packed
-// vote takes at least one bit, so a payload holds at most eight votes per
-// byte, and the scratch, which grows by append, can never need to outgrow
-// twice that.
+// back as compaction writes it, must decode to the same stream with each
+// batch stable-sorted by item. A packed vote takes at least one bit and a
+// sorted one two, so a payload holds at most eight votes per byte, and the
+// scratch, which grows by append, can never need to outgrow twice that.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{opEnd, opReset})
 	var rec []byte
@@ -273,6 +358,9 @@ func FuzzRecordDecode(f *testing.F) {
 		f.Add(p)
 	}
 	f.Add(multiBatchSeed())
+	for _, p := range sortedSeeds() {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, batches, scratchCap, err := decodeEvents(data, true)
 		bare, _, _, errBare := decodeEvents(data, false)
@@ -288,32 +376,48 @@ func FuzzRecordDecode(f *testing.F) {
 		if want := withoutVotes(events); !reflect.DeepEqual(bare, want) {
 			t.Fatalf("dropping votes changes the other records:\n without %v\n    with %v", bare, want)
 		}
-		p, ok := reencode(events, batches)
+		p, want, ok := reencode(events, batches)
 		if !ok {
 			return
 		}
 		again, _, _, err := decodeEvents(p, true)
-		if err != nil || !reflect.DeepEqual(again, events) {
-			t.Fatalf("written back, the stream changes (err %v):\n was %v\n now %v", err, events, again)
+		if err != nil || !reflect.DeepEqual(again, want) {
+			t.Fatalf("written back, the stream changes (err %v):\nwant %v\n now %v", err, want, again)
 		}
 	})
 }
 
-// FuzzPackedRoundTrip encodes random batches as opPacked records — widths 0
-// to 31, a shared worker or mixed ones (some outside int32), with and
+// riceBits returns the bits the vote stream of an opSorted record of batch
+// takes at Rice parameter k, counted from the batch sorted by item.
+func riceBits(sorted []votes.Vote, k uint) uint64 {
+	total, prev := uint64(0), 0
+	for _, v := range sorted {
+		total += uint64(v.Item-prev)>>k + uint64(k) + 2
+		prev = v.Item
+	}
+	return total
+}
+
+// FuzzPackedRoundTrip encodes random batches as the journal's vote record,
+// opSorted — 1 to 3,000 votes, items of every width 0 to 31, duplicate
+// items, a shared worker or mixed ones (some outside int32), with and
 // without a folded task boundary — and decodes them through the batched
-// hooks: they must give back the batch's votes in order, as one batch, then
-// the boundary when it was folded in. The record's opcode must carry the
-// largest item's bit width.
+// hooks: they must give back the batch stable-sorted by item, each vote
+// with its worker and label, as one batch, then the boundary when it was
+// folded in. The opcode's Rice parameter must be the smallest that
+// minimizes the record, and the record no more than a byte longer than the
+// batch's opPacked record when its largest item is not 0.
 func FuzzPackedRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint16(20), uint8(13), uint8(0), true)
 	f.Add(int64(2), uint16(1), uint8(0), uint8(1), false)
 	f.Add(int64(3), uint16(300), uint8(31), uint8(2), true)
 	f.Add(int64(4), uint16(7), uint8(5), uint8(3), false)
+	f.Add(int64(5), uint16(2999), uint8(20), uint8(4), true)
+	f.Add(int64(6), uint16(64), uint8(31), uint8(7), false)
 	f.Fuzz(func(t *testing.T, seed int64, n uint16, width, mode uint8, end bool) {
 		rng := rand.New(rand.NewSource(seed))
-		width %= maxPackedWidth + 1
-		count := 1 + int(n)%512
+		width %= 32
+		count := 1 + int(n)%3000
 		// worker draws a worker id: mode 0 shares a small one, 1 shares one
 		// outside int32, 2 mixes small ones and 3 mixes in some outside int32.
 		shared := int(rng.Int63n(1<<40)) - 1<<39
@@ -332,24 +436,49 @@ func FuzzPackedRoundTrip(f *testing.F) {
 			}
 			return rng.Intn(9)
 		}
+		// mode 4 to 7 draws items from a handful, so most repeat.
+		var pool []int
+		if mode&4 != 0 && width > 0 {
+			pool = make([]int, 1+rng.Intn(8))
+			for i := range pool {
+				pool[i] = int(rng.Int63n(1 << width))
+			}
+		}
 		batch := make([]votes.Vote, count)
 		for i := range batch {
 			item := 0
-			if width > 0 {
+			switch {
+			case pool != nil:
+				item = pool[rng.Intn(len(pool))]
+			case width > 0:
 				item = int(rng.Int63n(1 << width))
 			}
 			batch[i] = mkVote(item, worker(), rng.Intn(2) == 0)
 		}
 		if width > 0 {
-			// One item takes all width bits, so the record's width is width.
+			// One item takes all width bits, so the batch's width is width.
 			batch[rng.Intn(count)].Item |= 1 << (width - 1)
 		}
-		p, err := appendPacked(nil, batch, end)
+		in := slices.Clone(batch)
+		p, err := appendSorted(nil, batch, end)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p[0] != opPacked|width {
-			t.Fatalf("opcode 0x%02x, want 0x%02x", p[0], opPacked|width)
+		if !reflect.DeepEqual(batch, in) {
+			t.Fatal("appendSorted modified its batch")
+		}
+		sorted := byItem(batch)
+		best := uint(0)
+		for k := uint(1); k <= maxRiceParam; k++ {
+			if riceBits(sorted, k) < riceBits(sorted, best) {
+				best = k
+			}
+		}
+		if p[0] != opSorted|byte(best) {
+			t.Fatalf("opcode 0x%02x, want 0x%02x", p[0], opSorted|byte(best))
+		}
+		if packed, _ := appendPacked(nil, batch, end); width > 0 && len(p) > len(packed)+1 {
+			t.Fatalf("the sorted record takes %d bytes, the packed one %d", len(p), len(packed))
 		}
 		var want []event
 		if end {
@@ -359,21 +488,21 @@ func FuzzPackedRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if len(batches) != 1 || !reflect.DeepEqual(batches[0], batch) || !reflect.DeepEqual(withoutVotes(events), want) {
-			t.Fatalf("round trip lost votes:\nwant %v then %v\n got %v", batch, want, events)
+		if len(batches) != 1 || !reflect.DeepEqual(batches[0], sorted) || !reflect.DeepEqual(withoutVotes(events), want) {
+			t.Fatalf("round trip lost votes:\nwant %v then %v\n got %v", sorted, want, events)
 		}
 	})
 }
 
-// TestPackedRefusesWideItems: an item outside [0, 2^31) does not fit an
-// opPacked record. The encoder refuses it with errItemTooWide and leaves the
+// TestPackedRefusesWideItems: an item outside [0, 2^31) does not fit a
+// journal record. The encoder refuses it with errItemTooWide and leaves the
 // buffer as it was, and the journal stages nothing for the batch and stays
 // healthy: later batches are recovered, the refused ones are not.
 func TestPackedRefusesWideItems(t *testing.T) {
 	for _, item := range []int{math.MaxInt32 + 1, -1, 1 << 40} {
 		batch := []votes.Vote{mkVote(3, 1, true), mkVote(item, 1, false)}
-		if buf, err := appendPacked([]byte{opEnd}, batch, true); !errors.Is(err, errItemTooWide) || !bytes.Equal(buf, []byte{opEnd}) {
-			t.Errorf("item %d: appendPacked = (%x, %v), want the buffer untouched and errItemTooWide", item, buf, err)
+		if buf, err := appendSorted([]byte{opEnd}, batch, true); !errors.Is(err, errItemTooWide) || !bytes.Equal(buf, []byte{opEnd}) {
+			t.Errorf("item %d: appendSorted = (%x, %v), want the buffer untouched and errItemTooWide", item, buf, err)
 		}
 	}
 

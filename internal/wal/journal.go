@@ -98,15 +98,18 @@ func createSegment(dir string, seq uint64) (*os.File, int64, error) {
 }
 
 // ErrBatchTooLarge refuses a batch whose records cannot fit in one frame
-// (maxFramePayload, 64 MiB). A vote takes at most 4 bytes plus its worker
-// varint (up to 10 bytes, and none when the batch shares its worker), so any
-// batch of up to three million votes fits. The refusal stages nothing and
+// (maxFramePayload, 64 MiB). A sorted record's votes take at most 32 bits
+// each and one bit more for the whole batch (its Rice parameter is never
+// worse than 30, at which a gap below 2^31 takes 32 bits, and only one gap
+// can reach 2^30), plus each vote's worker varint (up to 10 bytes, and none
+// when the batch shares its worker), so any batch of up to three million
+// votes fits. The refusal stages nothing and
 // leaves the journal healthy: later appends proceed as if the batch had
 // never come.
 var ErrBatchTooLarge = errors.New("wal: batch does not fit in one journal frame (64 MiB)")
 
 // Stage write-ahead-logs one engine batch into the open frame without
-// applying the fsync policy: the votes as one packed record, with the task
+// applying the fsync policy: the votes as one opSorted record, with the task
 // boundary folded in when endTask is set (a bare opEnd when the batch is
 // empty) and, when windowStart >= 0, the window rotation that boundary seals
 // behind it. Frames are sealed only between batches, so a boundary and its
@@ -131,7 +134,7 @@ func (j *Journal) Stage(batch []votes.Vote, endTask bool, windowStart int64) err
 	from := len(buf)
 	if len(batch) > 0 {
 		var err error
-		if buf, err = appendPacked(buf, batch, endTask); err != nil {
+		if buf, err = appendSorted(buf, batch, endTask); err != nil {
 			j.mu.Unlock()
 			return err
 		}
@@ -346,10 +349,11 @@ func (j *Journal) rotateLocked() error {
 // deletes the files it covers. Everything before the last opReset is dropped
 // — that is the only place journal history actually shrinks; otherwise the
 // snapshot is the full record stream, which replays through the same ingest
-// path as live votes and is therefore bit-identical by construction. Votes
-// are read back through the batched replay path and rewritten as one packed
-// record per batch, with the task boundary that ends the batch folded in, so
-// history from any earlier record encoding comes out in the current one.
+// path as live votes and is therefore bit-identical by construction (each
+// item's votes keep their order; see decodeRecords). Votes are read back
+// through the batched replay path and rewritten as one opSorted record per
+// batch, with the task boundary that ends the batch folded in, so history
+// from any earlier record encoding comes out in the current one.
 // Call with j.mu held.
 func (j *Journal) compactLocked() error {
 	if j.err != nil {
@@ -362,11 +366,11 @@ func (j *Journal) compactLocked() error {
 	start := time.Now()
 	body := make([]byte, 0, j.snapBytes+j.sealedBytes)
 	// open is the offset of the head of body's last record while that is a
-	// packed record a task boundary can still fold into, else -1.
+	// vote record a task boundary can still fold into, else -1.
 	open := -1
 	appendHooks := Hooks{
 		Votes: func(batch []votes.Vote) error {
-			b, err := appendPacked(body, batch, false)
+			b, err := appendSorted(body, batch, false)
 			if err == nil {
 				open = len(body) + 1
 				body = b

@@ -2,14 +2,26 @@ package wal
 
 import (
 	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"time"
 
 	"dqm/internal/votes"
 )
 
 // Writers for the vote records earlier builds emitted. This build writes
-// none of opVote, opColumns and opBlock, but every data dir those builds
-// wrote must still recover, so tests build such journals with these.
+// none of opVote, opColumns, opBlock and opPacked, but every data dir those
+// builds wrote must still recover, so tests build such journals with these.
+
+// voteKey packs an item and its label into one key.
+func voteKey(item uint64, dirty bool) uint64 {
+	if dirty {
+		return item<<1 | 1
+	}
+	return item << 1
+}
 
 // appendVote appends one opVote record.
 func appendVote(buf []byte, v votes.Vote) []byte {
@@ -59,6 +71,38 @@ func appendBlock(buf []byte, batch []votes.Vote) []byte {
 		}
 	}
 	return buf
+}
+
+// appendPacked appends batch as one opPacked record, as the builds before
+// opSorted wrote it, with the task boundary that follows it folded in when
+// end is set. The batch must not be empty. An item outside [0, 2^31) fails
+// with errItemTooWide and leaves buf as it was.
+func appendPacked(buf []byte, batch []votes.Vote, end bool) ([]byte, error) {
+	w := batch[0].Worker
+	shared := true
+	var top uint64
+	for _, v := range batch {
+		top |= uint64(v.Item)
+		shared = shared && v.Worker == w
+	}
+	width := bits.Len64(top) // the largest item's: top has its highest bit
+	if width > 31 {
+		i := slices.IndexFunc(batch, func(v votes.Vote) bool { return uint64(v.Item) > math.MaxInt32 })
+		return buf, fmt.Errorf("%w: item %d", errItemTooWide, batch[i].Item)
+	}
+	buf = appendRecordHead(buf, opPacked|byte(width), len(batch), shared, int64(w), end)
+	kw := uint(width) + 1
+	buf, bw := newBitWriter(buf, uint64(len(batch))*uint64(kw))
+	for _, v := range batch {
+		bw.put(voteKey(uint64(v.Item), v.Label == votes.Dirty), kw)
+	}
+	bw.done()
+	if !shared {
+		for _, v := range batch {
+			buf = binary.AppendUvarint(buf, zigzag(int64(v.Worker)))
+		}
+	}
+	return buf, nil
 }
 
 // commitPayload stages payload, a record stream in any encoding, into j's

@@ -169,7 +169,13 @@ func writeSnapshot(path string, body []byte) error {
 	sum = crc32.Update(sum, castagnoli, body)
 	var trailer [4]byte
 	binary.LittleEndian.PutUint32(trailer[:], sum)
-	_, err = f.Write(segBodyTrailer(snapMagic, body, trailer[:]))
+	// Header, body and trailer go to the temp file in turn, so the body is
+	// never copied; the rename is what makes the snapshot appear whole.
+	for _, b := range [][]byte{snapMagic, body, trailer[:]} {
+		if err == nil {
+			_, err = f.Write(b)
+		}
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -185,14 +191,6 @@ func writeSnapshot(path string, body []byte) error {
 		return err
 	}
 	return syncDir(filepath.Dir(path))
-}
-
-// segBodyTrailer concatenates the snapshot sections into one write.
-func segBodyTrailer(magic, body, trailer []byte) []byte {
-	out := make([]byte, 0, len(magic)+len(body)+len(trailer))
-	out = append(out, magic...)
-	out = append(out, body...)
-	return append(out, trailer...)
 }
 
 // readSnapshotBody loads and integrity-checks a snapshot file, returning its

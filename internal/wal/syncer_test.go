@@ -45,25 +45,25 @@ func journalConcurrent(t *testing.T, s *Store, n, tasks int) ([]*Journal, [][]op
 					batch := make([]votes.Vote, 1+rng.Intn(3))
 					for k := range batch {
 						batch[k] = mkVote(rng.Intn(40), rng.Intn(6), rng.Intn(2) == 0)
-						ops = append(ops, op{Kind: opVote, Item: batch[k].Item, Worker: batch[k].Worker, Dirty: batch[k].Label == votes.Dirty})
 					}
 					if err := appendCommit(js[i], batch, true, -1); err != nil {
 						errs[i] = err
 						return
 					}
-					ops = append(ops, op{Kind: opEnd})
+					ops = append(append(ops, replayOps(batch)...), op{Kind: opEnd})
 				case 1: // columnar batch
 					var raw []byte
+					var batch []votes.Vote
 					for k := 0; k < 1+rng.Intn(3); k++ {
 						item, worker, dirty := int32(rng.Intn(40)), int32(rng.Intn(6)), rng.Intn(2) == 0
 						raw = votelog.AppendBinaryVote(raw, item, worker, dirty)
-						ops = append(ops, op{Kind: opVote, Item: int(item), Worker: int(worker), Dirty: dirty})
+						batch = append(batch, mkVote(int(item), int(worker), dirty))
 					}
 					if err := commitColumns(js[i], raw, true, -1); err != nil {
 						errs[i] = err
 						return
 					}
-					ops = append(ops, op{Kind: opEnd})
+					ops = append(append(ops, replayOps(batch)...), op{Kind: opEnd})
 				case 2: // bare task boundary
 					if err := appendCommit(js[i], nil, true, -1); err != nil {
 						errs[i] = err
@@ -309,7 +309,8 @@ func TestAppendColumnsRoundTrip(t *testing.T) {
 
 // TestCompactionRewritesColumnarRecords: history holding the opColumns
 // records earlier builds wrote must survive compaction, which rewrites it as
-// packed records.
+// sorted records: each task's votes come back with every item's votes in
+// order (the history still in segments replays in arrival order).
 func TestCompactionRewritesColumnarRecords(t *testing.T) {
 	s := testStore(t, Options{Fsync: FsyncNever, SegmentBytes: 128, CompactAfter: 256})
 	j, err := s.Create(Meta{ID: "colpack", Items: 50})
@@ -342,15 +343,15 @@ func TestCompactionRewritesColumnarRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(byItemRuns(got), byItemRuns(want)) {
 		t.Fatalf("columnar history lost through compaction: got %d ops, want %d", len(got), len(want))
 	}
 }
 
 // TestRecoverWideWorkersFromLegacyRecords: the opVote and opBlock records of
 // earlier builds carry any int worker, so a segment holding workers outside
-// int32 in both, shared and per vote, must replay them in order, and
-// compaction must carry them into its snapshot.
+// int32 in both, shared and per vote, must replay them with each item's
+// votes in order, and compaction must carry them into its snapshot.
 func TestRecoverWideWorkersFromLegacyRecords(t *testing.T) {
 	s := testStore(t, Options{Fsync: FsyncNever, SegmentBytes: 128, CompactAfter: 256})
 	j, err := s.Create(Meta{ID: "legacywide", Items: 50})
@@ -396,7 +397,7 @@ func TestRecoverWideWorkersFromLegacyRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(byItemRuns(got), byItemRuns(want)) {
 		t.Fatalf("wide workers lost: got %d ops, want %d\n got %v\nwant %v", len(got), len(want), got, want)
 	}
 }

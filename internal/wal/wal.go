@@ -19,19 +19,20 @@
 //
 // Frames are sealed only when the buffer drains (64 KiB overflow, a syncer
 // pass, Sync, rotation, Checkpoint, Close), and so always between batches.
-// A payload is a sequence of records: opPacked, a batch's votes (an opcode
-// carrying the bit width w of the batch's largest item; a varint of the
-// count, whether the votes share their worker and whether a task boundary
-// follows them; the worker once when shared; the item<<1|dirty keys
-// bit-packed at w+1 bits each; then each vote's worker when they differ);
-// opEnd, a bare task boundary; opReset; opWindow start — a windowed
-// session's rotation, always in the same frame as the boundary that sealed
-// it, so task boundaries and their window rotations are crash-atomic. Every
-// write path stages a []votes.Vote batch, which Stage writes as opPacked;
-// the opVote, opColumns and opBlock vote records of earlier builds stay
-// readable, so their data dirs recover, and replay decodes every vote
-// record, whatever its item or worker, into the one batch shape Hooks.Votes
-// receives. A torn or corrupt frame at the tail of the final segment marks
+// A payload is a sequence of records: opSorted, a batch's votes sorted by
+// item (an opcode carrying the Rice parameter k that makes the record
+// shortest; a varint of the count, whether the votes share their worker and
+// whether a task boundary follows them; the worker once when shared; each
+// item's gap from the one before as gap>>k zero bits, a one bit and gap's
+// low k bits, followed by the vote's dirty bit; then each vote's worker
+// when they differ); opEnd, a bare task boundary; opReset; opWindow start —
+// a windowed session's rotation, always in the same frame as the boundary
+// that sealed it, so task boundaries and their window rotations are
+// crash-atomic. Every write path stages a []votes.Vote batch, which Stage
+// writes as opSorted; the opVote, opColumns, opBlock and opPacked vote
+// records of earlier builds stay readable, so their data dirs recover, and
+// replay decodes every vote record, whatever its item or worker, into the
+// one batch shape Hooks.Votes receives. A torn or corrupt frame at the tail of the final segment marks
 // the end of durable history: recovery replays every intact frame
 // before it and truncates the rest, so the journal never admits a gap. A
 // final segment whose header is a torn prefix of the magic (or zeros) was
@@ -42,10 +43,11 @@
 // A snapshot is the same record stream, sealed: header (magic "DQMS",
 // version 1), records, and a trailing whole-file CRC. Compaction rewrites
 // snapshot + sealed segments into a new snapshot (dropping everything before
-// the last opReset, and rewriting votes of any encoding as opPacked records)
+// the last opReset, and rewriting votes of any encoding as opSorted records)
 // and deletes the covered files; because the snapshot is a literal record
-// stream replayed through the same code path as live ingest, recovered
-// estimator state is bit-identical to an uninterrupted run. Recovery removes
+// stream replayed through the same code path as live ingest, and replay
+// keeps each item's votes in order (which is all session state depends on),
+// recovered estimator state is bit-identical to an uninterrupted run. Recovery removes
 // only snapshots older than the one it replayed: a newer one that fails its
 // checksum stays on disk and is named in the error if recovery cannot
 // complete without it. The compaction threshold doubles with the snapshot

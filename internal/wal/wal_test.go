@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -9,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +77,33 @@ func appendCommit(j *Journal, batch []votes.Vote, endTask bool, windowStart int6
 	return j.Commit()
 }
 
+// replayOps returns batch's votes as ops in the order replay gives them back
+// when this build journaled the batch: stable-sorted by item.
+func replayOps(batch []votes.Vote) []op {
+	ops := make([]op, len(batch))
+	for i, v := range byItem(batch) {
+		ops[i] = op{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty}
+	}
+	return ops
+}
+
+// byItemRuns stable-sorts each run of consecutive votes in ops by item. An
+// opSorted record keeps each item's own order and not the order between
+// items, while the records of earlier builds keep both, so two streams
+// replay to the same state exactly when their byItemRuns are equal.
+func byItemRuns(ops []op) []op {
+	out := slices.Clone(ops)
+	for i := 0; i < len(out); i++ {
+		j := i
+		for j < len(out) && out[j].Kind == opVote {
+			j++
+		}
+		slices.SortStableFunc(out[i:j], func(a, b op) int { return cmp.Compare(a.Item, b.Item) })
+		i = j
+	}
+	return out
+}
+
 func mkVote(item, worker int, dirty bool) votes.Vote {
 	l := votes.Clean
 	if dirty {
@@ -94,9 +123,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		if err := appendCommit(j, batch, end, -1); err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range batch {
-			want = append(want, op{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
-		}
+		want = append(want, replayOps(batch)...)
 		if end {
 			want = append(want, op{Kind: opEnd})
 		}
@@ -152,10 +179,7 @@ func TestAppendRotationRoundTrip(t *testing.T) {
 	if err := appendCommit(j, batch, true, 30); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range batch {
-		want = append(want, op{Kind: opVote, Item: v.Item, Worker: v.Worker, Dirty: v.Label == votes.Dirty})
-	}
-	want = append(want, op{Kind: opEnd}, op{Kind: opWindow, Item: 30})
+	want = append(replayOps(batch), op{Kind: opEnd}, op{Kind: opWindow, Item: 30})
 	// A bare rotation boundary (EndTask with no votes) works too.
 	if err := appendCommit(j, nil, true, 40); err != nil {
 		t.Fatal(err)
@@ -311,12 +335,11 @@ func journalSealed(t *testing.T, j *Journal, n, itemSpace int, seed int64, sealO
 		batch := make([]votes.Vote, 1+rng.Intn(4))
 		for k := range batch {
 			batch[k] = mkVote(rng.Intn(itemSpace), rng.Intn(5), rng.Intn(2) == 0)
-			ops = append(ops, op{Kind: opVote, Item: batch[k].Item, Worker: batch[k].Worker, Dirty: batch[k].Label == votes.Dirty})
 		}
 		if err := appendCommit(j, batch, true, -1); err != nil {
 			t.Fatal(err)
 		}
-		ops = append(ops, op{Kind: opEnd})
+		ops = append(append(ops, replayOps(batch)...), op{Kind: opEnd})
 		if sealOdds > 0 && sealRng.Intn(sealOdds) == 0 {
 			seal := j.Sync
 			if sealRng.Intn(2) == 0 {
@@ -761,9 +784,10 @@ func TestStoreIDsByMTimeOrderingForRecovery(t *testing.T) {
 }
 
 // TestPackedTaskBytes pins the size of the typical crowd task: 20 votes from
-// one worker over a population of 5,000 items, whose largest item takes 13
-// bits, journal in 38 bytes — opcode, head, worker, and 20 keys of 14 bits —
-// with the task boundary folded in.
+// one worker over a population of 5,000 items journal in 30 bytes, with the
+// task boundary folded in: opcode, head and worker, then 27 bytes of item
+// gaps Rice-coded at k = 7 with their dirty bits. The opPacked record of
+// earlier builds took 38, its 20 keys 14 bits each.
 func TestPackedTaskBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	batch := make([]votes.Vote, 20)
@@ -772,8 +796,11 @@ func TestPackedTaskBytes(t *testing.T) {
 	}
 	batch[3].Item = 4999
 	var buf []byte
-	buf = appendTaskEnd(mustPacked(buf, batch, true), true, true, -1)
-	if len(buf) != 38 {
-		t.Fatalf("a 20-vote single-worker task journals in %d bytes, want 38", len(buf))
+	buf = appendTaskEnd(mustSorted(buf, batch, true), true, true, -1)
+	if len(buf) != 30 || buf[0] != opSorted|7 {
+		t.Fatalf("a 20-vote single-worker task journals in %d bytes with opcode 0x%02x, want 30 and 0x%02x", len(buf), buf[0], opSorted|7)
+	}
+	if packed := appendTaskEnd(mustPacked(nil, batch, true), true, true, -1); len(packed) != 38 {
+		t.Fatalf("the task's opPacked record takes %d bytes, want 38", len(packed))
 	}
 }
